@@ -46,12 +46,6 @@ from .harness import (
     replay_violation,
     run_suite,
     sample_ideals,
-    verify_extension_laws,
-    verify_oracle_agreement,
-    verify_pic_splitting,
-    verify_pvmd,
-    verify_quasilocal_iso,
-    verify_split_exact,
 )
 from .kernel import (
     FieldElem,
@@ -59,7 +53,6 @@ from .kernel import (
     Poly,
     RatFunc,
     eval_at_zero,
-    field_arith,
     ord_at_zero,
     poly_gcd,
 )

@@ -44,11 +44,7 @@ def _lcm(a: int, b: int) -> int:
 # binary quadratic forms (class-group backend for imaginary quadratic orders)
 # ---------------------------------------------------------------------------
 
-def _form_reduce(form: tuple[int, int, int]) -> tuple[int, int, int]:
-    return _form_reduce_loop(*form)
-
-
-def _form_reduce_loop(a: int, b: int, c: int) -> tuple[int, int, int]:
+def _form_reduce(a: int, b: int, c: int) -> tuple[int, int, int]:
     while True:
         if b > a or b <= -a:
             r = (a - b) // (2 * a)
@@ -85,7 +81,7 @@ def _reduced_forms(disc: int) -> list[tuple[int, int, int]]:
 
 def _principal_form(disc: int) -> tuple[int, int, int]:
     k = disc % 2
-    return _form_reduce((1, k, (k * k - disc) // 4))
+    return _form_reduce(1, k, (k * k - disc) // 4)
 
 
 def _element_order(g, compose, identity) -> int:
@@ -745,7 +741,7 @@ def _form_of_module(n: ExtDModule, dom: BaseDomain) -> tuple[int, int, int]:
     tr = alpha * beta.conj() + alpha.conj() * beta
     b = tr.x / nm
     assert a.denominator == 1 and b.denominator == 1 and c.denominator == 1
-    return _form_reduce((int(a), int(b), int(c)))
+    return _form_reduce(int(a), int(b), int(c))
 
 
 def _ideal_of_form(form: tuple[int, int, int], dom: BaseDomain) -> ExtDModule:

@@ -1,18 +1,22 @@
 """Seeded samplers and theorem-conformance suites with JSON reports.
 
+``run_suite`` runs a named suite of ``SUITES`` under a star operation.
 Each suite draws a deterministic sample population from its parameters,
 runs exact checks per sample, and assembles a report whose verdict is
-"pass" exactly when the violation list is empty.  Violations carry
-replayable witnesses: the offending values are serialized in the
-expression language and ``replay_violation`` re-runs the failed check
-from that data alone.  Identical (instance, suite, params) inputs
-produce byte-identical JSON.
+"pass" exactly when the violation list is empty.  Identical (instance,
+suite, params, op) inputs produce byte-identical JSON.
+
+Every named check is decided by one function in ``CHECKS``, which also
+declares how its arguments are written into a violation's witness.  The
+suites call these functions on the values they already hold, and
+``replay_violation`` decodes a witness and calls the same function.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from itertools import combinations
 from fractions import Fraction
 
 from .base_domain import (
@@ -31,7 +35,7 @@ from .class_groups import (
     is_principal_R,
     class_equivalent_R,
 )
-from .exprlang import evaluate, parse_expression, value_to_expr
+from .exprlang import elem_to_expr, evaluate, parse_expression, value_to_expr
 from .kernel import FieldElem, Poly, RatFunc, ord_at_zero
 from .pullback import (
     DegreeWindow,
@@ -54,7 +58,7 @@ from .pullback import (
     t_closure_R,
     v_closure_R,
 )
-from .star_ops import StarOp, star_eval
+from .star_ops import StarOp, star_eval, star_meet
 
 
 class HarnessError(ValueError):
@@ -68,29 +72,17 @@ class SampleParams:
 
     def __init__(self, seed: int = 0, count: int = 100, max_gens: int = 3,
                  max_degree: int = 3, coeff_height: int = 6, degree_window: int = 12):
-        for name, v in (("count", count), ("max_gens", max_gens), ("max_degree", max_degree),
-                        ("coeff_height", coeff_height), ("degree_window", degree_window)):
-            if v <= 0:
+        values = (seed, count, max_gens, max_degree, coeff_height, degree_window)
+        for name, v in zip(self.__slots__, values):
+            if name != "seed" and v <= 0:
                 raise HarnessError(f"{name} must be positive")
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "max_gens", max_gens)
-        object.__setattr__(self, "max_degree", max_degree)
-        object.__setattr__(self, "coeff_height", coeff_height)
-        object.__setattr__(self, "degree_window", degree_window)
+            object.__setattr__(self, name, v)
 
     def __setattr__(self, name, value):
         raise AttributeError("SampleParams is immutable")
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "count": self.count,
-            "max_gens": self.max_gens,
-            "max_degree": self.max_degree,
-            "coeff_height": self.coeff_height,
-            "degree_window": self.degree_window,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class Report:
@@ -151,10 +143,7 @@ def _sample_scalar(rng: random.Random, inst: PullbackInstance, height: int,
         y = Fraction(0)
         if allow_surd and inst.k_disc != 1 and rng.random() < 0.5:
             y = _sample_fraction(rng, height)
-        if y == 0:
-            e = FieldElem(x)
-        else:
-            e = FieldElem(x, y, inst.k_disc)
+        e = FieldElem(x, y, inst.k_disc)  # y == 0 gives a rational
         if not e.is_zero() or not nonzero:
             return e
 
@@ -250,49 +239,296 @@ def _class_representatives(inst: PullbackInstance) -> list[ExtDModule]:
 
 
 # ---------------------------------------------------------------------------
+# check registry: one function per group of named checks, shared by the
+# suites and by replay
+# ---------------------------------------------------------------------------
+
+class _Found:
+    """What a check function computed, and which of its checks failed."""
+
+    def __init__(self, **values):
+        self.__dict__.update(values)
+        self.failures: list[tuple] = []
+
+    def fail(self, check: str, expected, got, **witness) -> "_Found":
+        self.failures.append((check, expected, got, witness))
+        return self
+
+
+# witness field kinds: how a check's argument is written into a violation
+# witness, and read back from it by replay
+_VALUE, _DMOD, _OP, _INT = "value", "dmod", "op", "int"
+
+# check name -> (check function, {witness field: kind})
+CHECKS: dict[str, tuple] = {}
+
+
+def _check(*names: str, **fields: str):
+    """Register a check function as the one decision of the named checks.
+
+    A check function takes ``(inst, op, **values)`` and returns a
+    ``_Found``; ``fields`` gives the kind of each witness field.
+    """
+    def register(fn):
+        for name in names:
+            CHECKS[name] = (fn, fields)
+        return fn
+    return register
+
+
+def _write(kind: str, value, inst: PullbackInstance):
+    if kind == _VALUE:
+        return value_to_expr(value, inst)
+    if kind == _DMOD:
+        return _dmod_witness(value)
+    return str(value) if kind == _OP else value
+
+
+def _read(kind: str, data, inst: PullbackInstance):
+    if kind == _INT:
+        return data
+    if kind == _OP:
+        for op in _implemented_ops(inst):
+            if str(op) == data:
+                return op
+        raise HarnessError(f"unknown op {data!r}")
+    value = evaluate(parse_expression(data), inst)
+    if kind == _DMOD:
+        return dmod_from_generators([g.const_value() for g in value.gens], inst.base)
+    return value
+
+
+def _dmod_witness(j: ExtDModule) -> str:
+    # serialized as an ideal of constant generators, so replay can parse it
+    if j.is_zero():
+        return "ideal(0)"
+    if j.is_full():
+        return "full"
+    return "ideal(" + ", ".join(elem_to_expr(b) for b in j.basis_elements()) + ")"
+
+
+def _decide(rep: Report, fn, inst: PullbackInstance, op: StarOp, **values) -> _Found:
+    """Run a check function; every check it failed becomes a violation."""
+    found = fn(inst, op, **values)
+    for check, expected, got, extra in found.failures:
+        owner, fields = CHECKS.get(check, (None, {}))
+        if owner is not fn:
+            raise HarnessError(f"check {check!r} is not registered to {fn.__name__}")
+        data = {**values, **extra, "op": op}
+        rep.add_violation(check, expected, got,
+                          {name: _write(kind, data[name], inst) for name, kind in fields.items()})
+    return found
+
+
+@_check("alpha-injective", j1=_DMOD, j2=_DMOD, op=_OP)
+def _alpha_injective(inst, op, j1, j2) -> _Found:
+    found = _Found()
+    if class_equivalent_R(alpha(j1, inst), alpha(j2, inst), op, inst):
+        found.fail("alpha-injective", "distinct classes", "equivalent")
+    return found
+
+
+@_check("gamma-alpha-identity", "beta-trivial-on-alpha", j=_DMOD)
+def _splitting(inst, op, j) -> _Found:
+    image = alpha(j, inst)
+    found = _Found(image=image, label=class_label_D(dmod_v(j, inst.base), inst.base),
+                   gamma=gamma(image, inst), beta=beta(image, inst))
+    if found.gamma != found.label:
+        found.fail("gamma-alpha-identity", found.label, found.gamma)
+    if not found.beta.gen.is_one():
+        found.fail("beta-trivial-on-alpha", "T", found.beta.gen)
+    return found
+
+
+@_check("kernel-capture", ideal=_VALUE, op=_OP)
+def _kernel_capture(inst, op, ideal) -> _Found:
+    # ideal: an op-invertible t-closed ideal
+    found = _Found(preimage=None)
+    if not dmod_predicates(ideal.dpart, inst.base).is_v_invertible:
+        return found.fail("kernel-capture", "invertible dpart", "not invertible")
+    found.preimage = alpha(ideal.dpart, inst)
+    if not class_equivalent_R(ideal, found.preimage, op, inst):
+        found.fail("kernel-capture", "class equivalent to alpha preimage", "not equivalent")
+    return found
+
+
+@_check("normalized-window", normalized=_VALUE)
+def _normalized_window(inst, op, normalized) -> _Found:
+    found = _Found(inside=normalized.unit.is_one() and not normalized.dpart.is_full())
+    if not found.inside:
+        found.fail("normalized-window", "M < I1 <= I1^v < T", repr(normalized))
+    return found
+
+
+@_check("alpha-preimage", ideal=_VALUE, normalized=_VALUE, op=_OP)
+def _alpha_preimage(inst, op, ideal, normalized) -> _Found:
+    found = _Found()
+    if not class_equivalent_R(ideal, alpha(normalized.dpart, inst), op, inst):
+        found.fail("alpha-preimage", "class equivalent", "not equivalent")
+    return found
+
+
+@_check("trivial-class", ideal=_VALUE)
+def _trivial_class(inst, op, ideal) -> _Found:
+    found = _Found(gen=is_principal_R(ideal, inst))
+    if found.gen is None:
+        found.fail("trivial-class", "principal", "not principal")
+    return found
+
+
+def _inverse_closure(raw: RawIdeal, op: StarOp, inst: PullbackInstance):
+    """(I * (R : I))^op, and whether it is R."""
+    closed = star_eval(op, ideal_arith(raw, colon_R(raw, inst), "mul", inst), inst)
+    return closed, ideal_equal(closed, r_ideal(inst), inst)
+
+
+@_check("pvmd-sample", ideal=_VALUE, op=_OP)
+def _pvmd_sample(inst, op, ideal) -> _Found:
+    found = _Found(invertible=_inverse_closure(ideal, op, inst)[1])
+    if not found.invertible:
+        found.fail("pvmd-sample", "t-invertible", "not invertible")
+    return found
+
+
+@_check("pvmd-witness", op=_OP)
+def _pvmd_witness(inst, op) -> _Found:
+    for cand in _witness_search_family(inst):
+        closed, invertible = _inverse_closure(cand, op, inst)
+        if not invertible:
+            return _Found(ideal=cand, closure=closed)
+    return _Found(ideal=None).fail("pvmd-witness", "a non-invertible witness", "none found")
+
+
+@_check("witness-oracle", ideal=_VALUE)
+def _witness_oracle(inst, op, ideal) -> _Found:
+    found = _Found(confirmed=_confirm_noninvertibility(ideal, inst))
+    if not found.confirmed:
+        found.fail("witness-oracle", "oracle confirmation", "unconfirmed")
+    return found
+
+
+@_check("M-fixed", op=_OP)
+def _m_fixed(inst, op) -> _Found:
+    m = m_ideal(inst)
+    found = _Found(fixed=ideal_equal(star_eval(op, m, inst), m, inst))
+    if not found.fixed:
+        found.fail("M-fixed", "M", "moved")
+    return found
+
+
+@_check("rT-divisorial", r=_VALUE)
+def _rt_divisorial(inst, op, r) -> _Found:
+    rt = as_structured(extend_to_T(RawIdeal([r]), inst), inst)
+    closed = star_eval(StarOp.divisorial("R"), rt, inst)
+    found = _Found(holds=ideal_equal(closed, rt, inst))
+    if not found.holds:
+        found.fail("rT-divisorial", "rT", value_to_expr(closed, inst))
+    return found
+
+
+@_check("ext-vs-rest", "t-vs-v-extension", c=_VALUE)
+def _extension_agreement(inst, op, c) -> _Found:
+    t_r = StarOp.t_op("R")
+    ct = extend_to_T(RawIdeal([c]), inst)
+    ext = star_eval(StarOp.extended_T(t_r), ct, inst)
+    rest = star_eval(StarOp.restricted_T(t_r), ct, inst)
+    ext_v = star_eval(StarOp.extended_T(StarOp.divisorial("R")), ct, inst)
+    found = _Found(ext_eq_rest=ext == rest, t_eq_v_extension=ext == ext_v)
+    if not found.ext_eq_rest:
+        found.fail("ext-vs-rest", ext, rest)
+    if not found.t_eq_v_extension:
+        found.fail("t-vs-v-extension", ext, ext_v)
+    return found
+
+
+@_check("alpha-invertible", "label-vs-principal", j=_DMOD, op=_OP)
+def _alpha_invertible(inst, op, j) -> _Found:
+    witness = invertibility_R(alpha(j, inst), op, inst)
+    found = _Found(invertible=witness.is_invertible, label=class_label_D(j, inst.base),
+                   principal=witness.principal_gen is not None)
+    if not found.invertible:
+        found.fail("alpha-invertible", "invertible", "not invertible")
+    if found.principal != found.label.is_identity():
+        found.fail("label-vs-principal", found.label.is_identity(), found.principal)
+    return found
+
+
+@_check("pic-decomposition", ideal=_VALUE)
+def _pic_decomposition(inst, op, ideal) -> _Found:
+    # ideal: an invertible structured ideal
+    found = _Found(label=gamma(ideal, inst), principal=is_principal_R(ideal, inst) is not None)
+    if found.principal != found.label.is_identity():
+        found.fail("pic-decomposition", "principal iff trivial label",
+                   f"principal={found.principal}, label={found.label}")
+    return found
+
+
+@_check("colon-agreement", "v-agreement", ideal=_VALUE, degree_window=_INT, element=_VALUE)
+def _closed_forms_agree(inst, op, ideal, degree_window, element=None) -> _Found:
+    """Oracles against the closed forms on the ideal's grids, or on one element."""
+    window = DegreeWindow(degree=degree_window)
+    closed_colon = colon_R(ideal, inst)
+    closed_v = v_closure_R(ideal, inst)
+    colon_grid = ([element] if element is not None
+                  else _agreement_grid(ideal, closed_colon, inst, window))
+    found = _Found(grid=len(colon_grid))
+    for g in colon_grid:
+        oracle = oracle_colon_member(g, ideal, inst)
+        closed = member_structured(g, closed_colon, inst)
+        if oracle != closed:
+            found.fail("colon-agreement", f"oracle={oracle}", f"closed={closed}", element=g)
+    v_grid = [element] if element is not None else _v_grid(ideal, closed_v, inst)
+    found.grid += len(v_grid)
+    probes = certified_colon_probes(ideal, inst, window)
+    for h in v_grid:
+        verdict = oracle_v_member(h, ideal, inst, window, probes=probes)
+        inside = member_structured(h, closed_v, inst)
+        if inside and verdict.status == "out-with-witness":
+            found.fail("v-agreement", "member",
+                       f"excluded by witness {value_to_expr(verdict.witness, inst)}", element=h)
+        if not inside and verdict.status == "in":
+            found.fail("v-agreement", "non-member", "certified in", element=h)
+    return found
+
+
+# ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
 
-def verify_split_exact(inst: PullbackInstance, op: StarOp, params: SampleParams) -> Report:
-    """Injectivity, splitting, and kernel capture of the class sequence."""
+def _class_group_report(suite: str, inst: PullbackInstance, params: SampleParams) -> Report:
     if not (inst.is_square_plus and inst.phi_tilde_surjective):
-        raise HarnessError("split-exact needs a square-plus instance with surjective unit map")
-    rep = Report("split-exact", inst.name, params)
+        raise HarnessError(f"{suite} needs a square-plus instance with surjective unit map")
+    rep = Report(suite, inst.name, params)
     rep.records.append({"check": "class-group",
                         "presentation": list(inst.base.class_presentation)})
+    return rep
+
+
+def _split_exact(inst: PullbackInstance, op: StarOp, params: SampleParams) -> Report:
+    """Injectivity, splitting, and kernel capture of the class sequence."""
+    rep = _class_group_report("split-exact", inst, params)
     reps = _class_representatives(inst)
     # injectivity across class representatives
     for i, j1 in enumerate(reps):
         for j2 in reps[i + 1:]:
-            equal = class_equivalent_R(alpha(j1, inst), alpha(j2, inst), op, inst)
-            rec = {"check": "alpha-injective", "classes": [str(class_label_D(j1, inst.base)),
-                                                           str(class_label_D(j2, inst.base))]}
-            rep.records.append(rec)
-            if equal:
-                rep.add_violation("alpha-injective", "distinct classes", "equivalent",
-                                  {"j1": _dmod_witness(j1), "j2": _dmod_witness(j2)})
+            _decide(rep, _alpha_injective, inst, op, j1=j1, j2=j2)
+            rep.records.append({"check": "alpha-injective",
+                                "classes": [str(class_label_D(j1, inst.base)),
+                                            str(class_label_D(j2, inst.base))]})
     # splitting and triviality of beta on representatives and sampled D-ideals
-    dmods = reps + sample_dmods(inst, params)[: params.count // 2]
-    for j in dmods:
+    for j in reps + sample_dmods(inst, params)[: params.count // 2]:
         if not dmod_predicates(j, inst.base).is_v_invertible:
             continue
-        image = alpha(j, inst)
-        expected = class_label_D(dmod_v(j, inst.base), inst.base)
-        got = gamma(image, inst)
-        t_gen = beta(image, inst).gen
+        found = _decide(rep, _splitting, inst, op, j=j)
         rep.records.append({
             "check": "splitting",
             "ideal": _dmod_witness(j),
             "op": str(op),
-            "class_label": str(expected),
-            "alpha_image": value_to_expr(image, inst),
-            "beta_image": value_to_expr(beta(image, inst), inst),
-            "gamma_of_alpha": str(got),
+            "class_label": str(found.label),
+            "alpha_image": value_to_expr(found.image, inst),
+            "beta_image": value_to_expr(found.beta, inst),
+            "gamma_of_alpha": str(found.gamma),
         })
-        if got != expected:
-            rep.add_violation("gamma-alpha-identity", expected, got, {"j": _dmod_witness(j)})
-        if not t_gen.is_one():
-            rep.add_violation("beta-trivial-on-alpha", "T", str(t_gen), {"j": _dmod_witness(j)})
     # kernel capture on sampled op-invertible ideals
     for raw in sample_ideals(inst, params):
         rep.n_samples += 1
@@ -305,34 +541,16 @@ def verify_split_exact(inst: PullbackInstance, op: StarOp, params: SampleParams)
             "certificates": witness.certificate,
         }
         if witness.is_star_invertible:
-            j = closed.dpart
-            if not dmod_predicates(j, inst.base).is_v_invertible:
-                rep.add_violation("kernel-capture", "invertible dpart", "not invertible",
-                                  {"ideal": value_to_expr(raw, inst)})
-            else:
-                preimage = alpha(j, inst)
-                captured = class_equivalent_R(closed, preimage, op, inst)
+            preimage = _decide(rep, _kernel_capture, inst, op, ideal=closed).preimage
+            if preimage is not None:
                 record["class_label"] = str(gamma(closed, inst))
                 record["alpha_preimage"] = value_to_expr(preimage, inst)
                 record["beta_image"] = value_to_expr(beta(closed, inst), inst)
-                if not captured:
-                    rep.add_violation("kernel-capture", "class equivalent to alpha preimage",
-                                      "not equivalent", {"ideal": value_to_expr(raw, inst)})
         rep.records.append(record)
     return rep
 
 
-def _dmod_witness(j: ExtDModule) -> str:
-    # serialized as an ideal of constant generators, so replay can parse it
-    from .exprlang import elem_to_expr
-    if j.is_zero():
-        return "ideal(0)"
-    if j.is_full():
-        return "full"
-    return "ideal(" + ", ".join(elem_to_expr(b) for b in j.basis_elements()) + ")"
-
-
-def verify_quasilocal_iso(inst: PullbackInstance, op: StarOp, params: SampleParams) -> Report:
+def _quasilocal_iso(inst: PullbackInstance, op: StarOp, params: SampleParams) -> Report:
     """Every invertible ideal reduces to an alpha preimage when T is local."""
     if not inst.t_quasilocal:
         raise HarnessError("quasilocal-iso needs a quasilocal T (instances B, E)")
@@ -349,23 +567,14 @@ def verify_quasilocal_iso(inst: PullbackInstance, op: StarOp, params: SamplePara
         # T-generator drawn from the generators themselves
         e = min(ord_at_zero(g) for g in raw.gens)
         i_gen = next(g for g in raw.gens if ord_at_zero(g) == e)
-        shifted = RawIdeal([g / i_gen for g in raw.gens])
-        s1 = t_closure_R(shifted, inst)
+        s1 = t_closure_R(RawIdeal([g / i_gen for g in raw.gens]), inst)
         record["i_generator"] = value_to_expr(i_gen, inst)
         record["normalized"] = value_to_expr(s1, inst)
-        if not s1.unit.is_one() or s1.dpart.is_full():
-            rep.add_violation("normalized-window", "M < I1 <= I1^v < T", repr(s1),
-                              {"ideal": value_to_expr(raw, inst)})
+        if not _decide(rep, _normalized_window, inst, op, normalized=s1).inside:
             continue
-        preimage = alpha(s1.dpart, inst)
-        if not class_equivalent_R(closed, preimage, op, inst):
-            rep.add_violation("alpha-preimage", "class equivalent", "not equivalent",
-                              {"ideal": value_to_expr(raw, inst)})
-        gen = is_principal_R(closed, inst)
+        _decide(rep, _alpha_preimage, inst, op, ideal=closed, normalized=s1)
+        gen = _decide(rep, _trivial_class, inst, op, ideal=closed).gen
         record["principal"] = gen is not None and value_to_expr(gen, inst)
-        if gen is None:
-            rep.add_violation("trivial-class", "principal", "not principal",
-                              {"ideal": value_to_expr(raw, inst)})
     return rep
 
 
@@ -383,20 +592,15 @@ def pvmd_structural_verdict(inst: PullbackInstance) -> bool:
 
 
 def _witness_search_family(inst: PullbackInstance) -> list[RawIdeal]:
-    one = RatFunc.one()
     x = RatFunc.x_power(1)
-    consts = [one, RatFunc.coerce(2)]
+    consts = [RatFunc.one(), RatFunc.coerce(2)]
     if inst.k_disc != 1:
         consts.insert(1, RatFunc(Poly([FieldElem(0, 1, inst.k_disc)])))
-    family = []
     atoms = consts + [x, x * RatFunc.coerce(2)]
-    for i, g1 in enumerate(atoms):
-        for g2 in atoms[i + 1:]:
-            family.append(RawIdeal([g1, g2]))
-    return family
+    return [RawIdeal([g1, g2]) for g1, g2 in combinations(atoms, 2)]
 
 
-def verify_pvmd(inst: PullbackInstance, op: StarOp, params: SampleParams) -> Report:
+def _pvmd(inst: PullbackInstance, op: StarOp, params: SampleParams) -> Report:
     """Finite-type invertibility of every sampled ideal, or a witness against it."""
     rep = Report("pvmd", inst.name, params)
     structural = pvmd_structural_verdict(inst)
@@ -409,37 +613,22 @@ def verify_pvmd(inst: PullbackInstance, op: StarOp, params: SampleParams) -> Rep
     })
     for entry in STRUCTURAL_PVMD_FLAGS:
         rep.records.append({"check": "structural-only", **entry})
-    witness_found = None
     if not structural:
-        for cand in _witness_search_family(inst):
-            product = ideal_arith(cand, colon_R(cand, inst), "mul", inst)
-            closed = star_eval(op, product, inst)
-            if not ideal_equal(closed, r_ideal(inst), inst):
-                confirmed = _confirm_noninvertibility(cand, inst)
-                witness_found = {
-                    "ideal": value_to_expr(cand, inst),
-                    "closure": value_to_expr(as_structured(closed, inst), inst),
-                    "oracle_confirmed": confirmed,
-                }
-                rep.records.append({"check": "witness", **witness_found})
-                if not confirmed:
-                    rep.add_violation("witness-oracle", "oracle confirmation", "unconfirmed",
-                                      {"ideal": value_to_expr(cand, inst)})
-                break
+        found = _decide(rep, _pvmd_witness, inst, op)
+        if found.ideal is not None:
+            confirmed = _decide(rep, _witness_oracle, inst, op, ideal=found.ideal).confirmed
+            rep.records.append({
+                "check": "witness",
+                "ideal": value_to_expr(found.ideal, inst),
+                "closure": value_to_expr(as_structured(found.closure, inst), inst),
+                "oracle_confirmed": confirmed,
+            })
     for raw in sample_ideals(inst, params):
         rep.n_samples += 1
-        product = ideal_arith(raw, colon_R(raw, inst), "mul", inst)
-        closed = star_eval(op, product, inst)
-        invertible = ideal_equal(closed, r_ideal(inst), inst)
-        rep.records.append({"ideal": value_to_expr(raw, inst), "t_invertible": invertible})
-        if structural and not invertible:
-            rep.add_violation("pvmd-sample", "t-invertible", "not invertible",
-                              {"ideal": value_to_expr(raw, inst)})
-        if not structural and not invertible and witness_found is None:
-            witness_found = {"ideal": value_to_expr(raw, inst)}
-    if not structural and witness_found is None:
-        rep.add_violation("pvmd-witness", "a non-invertible witness", "none found",
-                          {"family": "generator degree <= 1 search plus samples"})
+        # every sample must be invertible when R is a PvMD
+        found = (_decide(rep, _pvmd_sample, inst, op, ideal=raw) if structural
+                 else _pvmd_sample(inst, op, raw))
+        rep.records.append({"ideal": value_to_expr(raw, inst), "t_invertible": found.invertible})
     return rep
 
 
@@ -460,7 +649,7 @@ def _confirm_noninvertibility(raw: RawIdeal, inst: PullbackInstance) -> bool:
     if not all(inst.member_M(q) for q in products):
         return False
     # 1 * y escapes R for some y multiplying the whole product into R
-    for y in _ring_probe_family(inst, window):
+    for y in _ring_probe_family(inst):
         if all(member_R(y * q, inst) for q in products) and not member_R(y, inst):
             return True
     return False
@@ -468,18 +657,14 @@ def _confirm_noninvertibility(raw: RawIdeal, inst: PullbackInstance) -> bool:
 
 def _structured_probes(s, inst, window: DegreeWindow) -> list[RatFunc]:
     s = as_structured(s, inst)
-    out = []
     if s.dpart.is_full():
         base = [s.unit]
     else:
         base = [s.unit * RatFunc.coerce(Poly.const(c)) for c in s.dpart.basis_elements()]
-    for b in base:
-        for j in range(0, window.degree + 1):
-            out.append(b * RatFunc.x_power(j))
-    return out
+    return [b * RatFunc.x_power(j) for b in base for j in range(window.degree + 1)]
 
 
-def _ring_probe_family(inst: PullbackInstance, window: DegreeWindow) -> list[RatFunc]:
+def _ring_probe_family(inst: PullbackInstance) -> list[RatFunc]:
     out = [RatFunc.coerce(Fraction(1, 2)), RatFunc.x_power(-1)]
     if inst.k_disc != 1:
         out.append(RatFunc(Poly([FieldElem(0, 1, inst.k_disc)])))
@@ -488,10 +673,9 @@ def _ring_probe_family(inst: PullbackInstance, window: DegreeWindow) -> list[Rat
 
 
 def _implemented_ops(inst: PullbackInstance) -> list[StarOp]:
-    from .star_ops import star_meet
     d_d = StarOp.identity("D")
     v_d = StarOp.divisorial("D")
-    ops = [
+    return [
         StarOp.identity("R"),
         StarOp.divisorial("R"),
         StarOp.t_op("R"),
@@ -499,139 +683,71 @@ def _implemented_ops(inst: PullbackInstance) -> list[StarOp]:
         StarOp.lifted(v_d),
         star_meet(StarOp.lifted(v_d), StarOp.overring_induced(StarOp.identity("T"))),
     ]
-    return ops
 
 
-def verify_extension_laws(inst: PullbackInstance, params: SampleParams) -> Report:
+def _extension_laws(inst: PullbackInstance, op: StarOp, params: SampleParams) -> Report:
     """Conductor fixing and the extension/restriction agreements on T."""
     rep = Report("extension-laws", inst.name, params)
-    m = m_ideal(inst)
-    for op in _implemented_ops(inst):
-        fixed = ideal_equal(star_eval(op, m, inst), m, inst)
-        rep.records.append({"check": "M-fixed", "op": str(op), "fixed": fixed})
-        if not fixed:
-            rep.add_violation("M-fixed", "M", "moved", {"op": str(op)})
+    for fixing in _implemented_ops(inst):
+        found = _decide(rep, _m_fixed, inst, fixing)
+        rep.records.append({"check": "M-fixed", "op": str(fixing), "fixed": found.fixed})
     rng_count = 20
-    v_r = StarOp.divisorial("R")
-    t_r = StarOp.t_op("R")
     for r in sample_elements_of_M(inst, params, rng_count):
         rep.n_samples += 1
-        rt = as_structured(extend_to_T(RawIdeal([r]), inst), inst)
-        closed = star_eval(v_r, rt, inst)
-        ok = ideal_equal(closed, rt, inst)
-        rep.records.append({"check": "rT-divisorial", "r": value_to_expr(r, inst), "holds": ok})
-        if not ok:
-            rep.add_violation("rT-divisorial", "rT", value_to_expr(closed, inst),
-                              {"r": value_to_expr(r, inst)})
-    ext_t = StarOp.extended_T(t_r)
-    rest_t = StarOp.restricted_T(t_r)
-    ext_v = StarOp.extended_T(v_r)
+        found = _decide(rep, _rt_divisorial, inst, op, r=r)
+        rep.records.append({"check": "rT-divisorial", "r": value_to_expr(r, inst),
+                            "holds": found.holds})
     rng = random.Random(params.seed + 3)
     for _ in range(rng_count):
         c = _sample_ratfunc(rng, inst, params)
         while c.is_zero():
             c = _sample_ratfunc(rng, inst, params)
-        ct = extend_to_T(RawIdeal([c]), inst)
         rep.n_samples += 1
-        a = star_eval(ext_t, ct, inst)
-        b = star_eval(rest_t, ct, inst)
-        cc = star_eval(ext_v, ct, inst)
-        rec = {"check": "extension-agreement", "c": value_to_expr(c, inst),
-               "ext_eq_rest": a == b, "t_eq_v_extension": a == cc}
-        rep.records.append(rec)
-        if a != b:
-            rep.add_violation("ext-vs-rest", str(a), str(b), {"c": value_to_expr(c, inst)})
-        if a != cc:
-            rep.add_violation("t-vs-v-extension", str(a), str(cc), {"c": value_to_expr(c, inst)})
+        found = _decide(rep, _extension_agreement, inst, op, c=c)
+        rep.records.append({"check": "extension-agreement", "c": value_to_expr(c, inst),
+                            "ext_eq_rest": found.ext_eq_rest,
+                            "t_eq_v_extension": found.t_eq_v_extension})
     return rep
 
 
-def verify_pic_splitting(inst: PullbackInstance, params: SampleParams) -> Report:
+def _pic_splitting(inst: PullbackInstance, op: StarOp, params: SampleParams) -> Report:
     """Invertible ideals decompose through the gamma label and the T part."""
-    if not (inst.is_square_plus and inst.phi_tilde_surjective):
-        raise HarnessError("pic-splitting needs a square-plus instance with surjective unit map")
-    rep = Report("pic-splitting", inst.name, params)
-    rep.records.append({"check": "class-group",
-                        "presentation": list(inst.base.class_presentation)})
-    d_op = StarOp.identity("R")
+    rep = _class_group_report("pic-splitting", inst, params)
+    d_op = StarOp.identity("R")  # the Picard group: plain invertibility
     for j in _class_representatives(inst):
-        image = alpha(j, inst)
-        witness = invertibility_R(image, d_op, inst)
-        expected = class_label_D(j, inst.base)
-        rec = {
+        found = _decide(rep, _alpha_invertible, inst, d_op, j=j)
+        rep.records.append({
             "check": "alpha-invertible",
             "ideal": _dmod_witness(j),
-            "invertible": witness.is_invertible,
-            "class_label": str(expected),
-            "principal": witness.principal_gen is not None,
-        }
-        rep.records.append(rec)
-        if not witness.is_invertible:
-            rep.add_violation("alpha-invertible", "invertible", "not invertible",
-                              {"j": _dmod_witness(j)})
-        if (witness.principal_gen is not None) != expected.is_identity():
-            rep.add_violation("label-vs-principal", str(expected.is_identity()),
-                              str(witness.principal_gen is not None), {"j": _dmod_witness(j)})
+            "invertible": found.invertible,
+            "class_label": str(found.label),
+            "principal": found.principal,
+        })
     for raw in sample_ideals(inst, params):
         rep.n_samples += 1
         closed = structured_hull(raw, inst)
-        witness = invertibility_R(closed, d_op, inst)
-        if not witness.is_invertible:
+        if not invertibility_R(closed, d_op, inst).is_invertible:
             rep.records.append({"ideal": value_to_expr(raw, inst), "skipped": "not invertible"})
             continue
-        label = gamma(closed, inst)
-        t_part = beta(closed, inst)
-        principal = is_principal_R(closed, inst) is not None
+        found = _decide(rep, _pic_decomposition, inst, d_op, ideal=closed)
         rep.records.append({
             "ideal": value_to_expr(raw, inst),
-            "class_label": str(label),
-            "beta_image": value_to_expr(t_part, inst),
-            "principal": principal,
+            "class_label": str(found.label),
+            "beta_image": value_to_expr(beta(closed, inst), inst),
+            "principal": found.principal,
         })
-        if principal != label.is_identity():
-            rep.add_violation("pic-decomposition", f"principal iff trivial label",
-                              f"principal={principal}, label={label}",
-                              {"ideal": value_to_expr(raw, inst)})
     return rep
 
 
-def verify_oracle_agreement(inst: PullbackInstance, params: SampleParams) -> Report:
+def _oracle_agreement(inst: PullbackInstance, op: StarOp, params: SampleParams) -> Report:
     """Closed-form colon and divisorial closure never contradict the oracles."""
     rep = Report("oracle-agreement", inst.name, params)
-    window = DegreeWindow(degree=params.degree_window)
     for raw in sample_ideals(inst, params):
         rep.n_samples += 1
-        closed_colon = colon_R(raw, inst)
-        closed_v = v_closure_R(raw, inst)
-        colon_grid = _agreement_grid(raw, closed_colon, inst, window)
-        contradictions = 0
-        for g in colon_grid:
-            oracle = oracle_colon_member(g, raw, inst)
-            closed = member_structured(g, closed_colon, inst)
-            if oracle != closed:
-                contradictions += 1
-                rep.add_violation("colon-agreement", f"oracle={oracle}", f"closed={closed}",
-                                  {"ideal": value_to_expr(raw, inst),
-                                   "element": value_to_expr(g, inst)})
-        v_grid = _v_grid(raw, closed_v, inst)
-        probes = certified_colon_probes(raw, inst, window)
-        for h in v_grid:
-            verdict = oracle_v_member(h, raw, inst, window, probes=probes)
-            inside = member_structured(h, closed_v, inst)
-            if inside and verdict.status == "out-with-witness":
-                contradictions += 1
-                rep.add_violation("v-agreement", "member", "excluded by witness",
-                                  {"ideal": value_to_expr(raw, inst),
-                                   "element": value_to_expr(h, inst),
-                                   "witness": value_to_expr(verdict.witness, inst)})
-            if not inside and verdict.status == "in":
-                contradictions += 1
-                rep.add_violation("v-agreement", "non-member", "certified in",
-                                  {"ideal": value_to_expr(raw, inst),
-                                   "element": value_to_expr(h, inst)})
-        rep.records.append({"ideal": value_to_expr(raw, inst),
-                            "grid": len(colon_grid) + len(v_grid),
-                            "contradictions": contradictions})
+        found = _decide(rep, _closed_forms_agree, inst, op, ideal=raw,
+                        degree_window=params.degree_window)
+        rep.records.append({"ideal": value_to_expr(raw, inst), "grid": found.grid,
+                            "contradictions": len(found.failures)})
     return rep
 
 
@@ -665,21 +781,26 @@ def _v_grid(raw: RawIdeal, closed_v, inst) -> list[RatFunc]:
 
 
 # ---------------------------------------------------------------------------
-# registry, runner, replay
+# runner and replay
 # ---------------------------------------------------------------------------
 
 SUITES = {
-    "split-exact": lambda inst, op, params: verify_split_exact(inst, op, params),
-    "quasilocal-iso": lambda inst, op, params: verify_quasilocal_iso(inst, op, params),
-    "pvmd": lambda inst, op, params: verify_pvmd(inst, op, params),
-    "extension-laws": lambda inst, op, params: verify_extension_laws(inst, params),
-    "pic-splitting": lambda inst, op, params: verify_pic_splitting(inst, params),
-    "oracle-agreement": lambda inst, op, params: verify_oracle_agreement(inst, params),
+    "split-exact": _split_exact,
+    "quasilocal-iso": _quasilocal_iso,
+    "pvmd": _pvmd,
+    "extension-laws": _extension_laws,
+    "pic-splitting": _pic_splitting,
+    "oracle-agreement": _oracle_agreement,
 }
 
 
 def run_suite(suite: str, inst: PullbackInstance, params: SampleParams,
               op: StarOp | None = None) -> Report:
+    """Run a named suite under ``op`` (default ``t``); the one suite entry point.
+
+    extension-laws, pic-splitting and oracle-agreement fix their own
+    operations and do not read ``op``.
+    """
     if suite not in SUITES:
         raise HarnessError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     return SUITES[suite](inst, op or StarOp.t_op("R"), params)
@@ -688,98 +809,16 @@ def run_suite(suite: str, inst: PullbackInstance, params: SampleParams,
 def replay_violation(violation: dict, inst: PullbackInstance) -> bool:
     """Re-run the failed check from its serialized witness.
 
+    Decodes the witness and calls the check function the suite called.
     Returns True when the violation reproduces (the check still fails).
-    Every check name a suite can emit has a rule here.
     """
     check = violation["check"]
+    if check not in CHECKS:
+        raise HarnessError(f"no check named {check!r}")
+    fn, fields = CHECKS[check]
     data = violation["witness"]
-    t_op = StarOp.t_op("R")
-
-    def _ideal(expr: str):
-        return evaluate(parse_expression(expr), inst)
-
-    def _dmod(expr: str) -> ExtDModule:
-        raw = _ideal(expr)
-        return dmod_from_generators([g.const_value() for g in raw.gens], inst.base)
-
-    if check in ("pvmd-sample", "witness-oracle"):
-        raw = _ideal(data["ideal"])
-        product = ideal_arith(raw, colon_R(raw, inst), "mul", inst)
-        closed = star_eval(t_op, product, inst)
-        return not ideal_equal(closed, r_ideal(inst), inst)
-    if check == "pvmd-witness":
-        # the deterministic search family must still contain no witness
-        for cand in _witness_search_family(inst):
-            product = ideal_arith(cand, colon_R(cand, inst), "mul", inst)
-            if not ideal_equal(star_eval(t_op, product, inst), r_ideal(inst), inst):
-                return False
-        return True
-    if check == "kernel-capture":
-        raw = _ideal(data["ideal"])
-        closed = t_closure_R(raw, inst)
-        if not dmod_predicates(closed.dpart, inst.base).is_v_invertible:
-            return True
-        preimage = alpha(closed.dpart, inst)
-        return not class_equivalent_R(closed, preimage, t_op, inst)
-    if check in ("colon-agreement", "v-agreement"):
-        raw = _ideal(data["ideal"])
-        element = _ideal(data["element"])
-        if check == "colon-agreement":
-            return oracle_colon_member(element, raw, inst) != member_structured(
-                element, colon_R(raw, inst), inst)
-        verdict = oracle_v_member(element, raw, inst)
-        inside = member_structured(element, v_closure_R(raw, inst), inst)
-        return (inside and verdict.status == "out-with-witness") or \
-               (not inside and verdict.status == "in")
-    if check == "trivial-class":
-        raw = _ideal(data["ideal"])
-        return is_principal_R(t_closure_R(raw, inst), inst) is None
-    if check == "M-fixed":
-        m = m_ideal(inst)
-        for op in _implemented_ops(inst):
-            if str(op) == data["op"]:
-                return not ideal_equal(star_eval(op, m, inst), m, inst)
-        raise HarnessError(f"unknown op {data['op']!r}")
-    if check == "rT-divisorial":
-        r = _ideal(data["r"])
-        rt = as_structured(extend_to_T(RawIdeal([r]), inst), inst)
-        return not ideal_equal(star_eval(StarOp.divisorial("R"), rt, inst), rt, inst)
-    if check in ("ext-vs-rest", "t-vs-v-extension"):
-        c = _ideal(data["c"])
-        ct = extend_to_T(RawIdeal([c]), inst)
-        lhs = star_eval(StarOp.extended_T(t_op), ct, inst)
-        if check == "ext-vs-rest":
-            return lhs != star_eval(StarOp.restricted_T(t_op), ct, inst)
-        return lhs != star_eval(StarOp.extended_T(StarOp.divisorial("R")), ct, inst)
-    if check == "alpha-injective":
-        j1, j2 = _dmod(data["j1"]), _dmod(data["j2"])
-        return class_equivalent_R(alpha(j1, inst), alpha(j2, inst), t_op, inst)
-    if check == "gamma-alpha-identity":
-        j = _dmod(data["j"])
-        expected = class_label_D(dmod_v(j, inst.base), inst.base)
-        return gamma(alpha(j, inst), inst) != expected
-    if check == "beta-trivial-on-alpha":
-        j = _dmod(data["j"])
-        return not beta(alpha(j, inst), inst).gen.is_one()
-    if check in ("alpha-invertible", "label-vs-principal"):
-        j = _dmod(data["j"])
-        witness = invertibility_R(alpha(j, inst), StarOp.identity("R"), inst)
-        if check == "alpha-invertible":
-            return not witness.is_invertible
-        expected = class_label_D(j, inst.base)
-        return (witness.principal_gen is not None) != expected.is_identity()
-    if check in ("normalized-window", "alpha-preimage"):
-        raw = _ideal(data["ideal"])
-        e = min(ord_at_zero(g) for g in raw.gens)
-        i_gen = next(g for g in raw.gens if ord_at_zero(g) == e)
-        s1 = t_closure_R(RawIdeal([g / i_gen for g in raw.gens]), inst)
-        if check == "normalized-window":
-            return not s1.unit.is_one() or s1.dpart.is_full()
-        return not class_equivalent_R(t_closure_R(raw, inst),
-                                      alpha(s1.dpart, inst), t_op, inst)
-    if check == "pic-decomposition":
-        raw = _ideal(data["ideal"])
-        closed = structured_hull(raw, inst)
-        principal = is_principal_R(closed, inst) is not None
-        return principal != gamma(closed, inst).is_identity()
-    raise HarnessError(f"no replay rule for check {check!r}")
+    if not set(fields) <= set(data):
+        raise HarnessError(f"a {check!r} witness needs the fields {sorted(fields)}")
+    values = {name: _read(kind, data[name], inst) for name, kind in fields.items()}
+    op = values.pop("op", None)
+    return any(failure[0] == check for failure in fn(inst, op, **values).failures)

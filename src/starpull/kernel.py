@@ -60,7 +60,7 @@ class FieldElem:
 
     # -- coercion ---------------------------------------------------------
     @staticmethod
-    def coerce(value, d=1) -> "FieldElem":
+    def coerce(value) -> "FieldElem":
         if isinstance(value, FieldElem):
             return value
         return FieldElem(Fraction(value), 0, 1)
@@ -140,9 +140,6 @@ class FieldElem:
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
 
-    def is_rational(self) -> bool:
-        return self.y == 0
-
     def __bool__(self):
         return not self.is_zero()
 
@@ -174,25 +171,6 @@ class FieldElem:
 
 ZERO_ELEM = FieldElem(0)
 ONE_ELEM = FieldElem(1)
-
-
-def field_arith(a: FieldElem, b, op: str) -> FieldElem:
-    """Name-dispatched scalar field operations.
-
-    ``inv``, ``conj`` and ``norm`` are unary and ignore ``b``.  Binary
-    operations require matching discriminant tags (rationals embed).
-    """
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inv()
-    if op == "conj":
-        return a.conj()
-    if op == "norm":
-        return FieldElem(a.norm())
-    raise KernelError(f"unknown field operation {op!r}")
 
 
 class Poly:
@@ -323,12 +301,6 @@ class Poly:
             if not c.is_zero():
                 return i
         raise AssertionError("unnormalized polynomial")
-
-    def shift_down(self, e: int) -> "Poly":
-        """Exact division by X**e."""
-        if any(not c.is_zero() for c in self.coeffs[:e]):
-            raise KernelError("not divisible by the requested X power")
-        return Poly(self.coeffs[e:])
 
     def __eq__(self, other):
         if not isinstance(other, Poly):

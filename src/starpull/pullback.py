@@ -26,7 +26,6 @@ from .base_domain import (
     dmod_v,
 )
 from .kernel import (
-    FieldElem,
     Poly,
     RatFunc,
     eval_at_zero,
@@ -86,9 +85,6 @@ class PullbackInstance:
     def t_name(self) -> str:
         ring = f"{self.k_name()}[X]"
         return ring if self.t_kind == "poly" else f"{ring}_(X)"
-
-    def scalar(self, value) -> FieldElem:
-        return FieldElem.coerce(value)
 
     def member_T(self, f: RatFunc) -> bool:
         f = RatFunc.coerce(f)

@@ -21,12 +21,6 @@ from starpull.harness import (
     SampleParams,
     run_suite,
     sample_ideals,
-    verify_extension_laws,
-    verify_oracle_agreement,
-    verify_pic_splitting,
-    verify_pvmd,
-    verify_quasilocal_iso,
-    verify_split_exact,
 )
 from starpull.kernel import FieldElem, Poly, RatFunc
 from starpull.pullback import (
@@ -56,7 +50,7 @@ def _verdict(number: int, title: str, elapsed: float):
 def test_criterion_1_split_exact_sequence(inst_c):
     start = time.perf_counter()
     params = SampleParams(seed=SEED, count=100)
-    report = verify_split_exact(inst_c, T_OP, params)
+    report = run_suite("split-exact", inst_c, params, T_OP)
     assert report.verdict == "pass", report.violations
 
     p = dmod_from_generators([FieldElem(2), FieldElem(1, 1, -5)], inst_c.base)
@@ -78,7 +72,7 @@ def test_criterion_2_quasilocal_isomorphism(inst_b, inst_e):
     for inst in (inst_b, inst_e):
         start = time.perf_counter()
         params = SampleParams(seed=SEED, count=100)
-        report = verify_quasilocal_iso(inst, T_OP, params)
+        report = run_suite("quasilocal-iso", inst, params, T_OP)
         assert report.verdict == "pass", report.violations
         invertible = [r for r in report.records if "skipped" not in r
                       and "certificates" in r and r["certificates"] != "none"]
@@ -93,13 +87,13 @@ def test_criterion_2_quasilocal_isomorphism(inst_b, inst_e):
 def test_criterion_3_pvmd_characterization(inst_a, inst_d):
     start = time.perf_counter()
     params = SampleParams(seed=SEED, count=100)
-    report_a = verify_pvmd(inst_a, T_OP, params)
+    report_a = run_suite("pvmd", inst_a, params, T_OP)
     assert report_a.verdict == "pass", report_a.violations
     sampled = [r for r in report_a.records if "t_invertible" in r]
     assert len(sampled) == 100
     assert all(r["t_invertible"] for r in sampled)
 
-    report_d = verify_pvmd(inst_d, T_OP, params)
+    report_d = run_suite("pvmd", inst_d, params, T_OP)
     assert report_d.verdict == "pass", report_d.violations
     witnesses = [r for r in report_d.records if r.get("check") == "witness"]
     assert witnesses and witnesses[0]["oracle_confirmed"]
@@ -121,7 +115,7 @@ def test_criterion_3_pvmd_characterization(inst_a, inst_d):
 def test_criterion_4_conductor_and_extension_laws(inst_a, inst_b, inst_c):
     for inst in (inst_a, inst_b, inst_c):
         start = time.perf_counter()
-        report = verify_extension_laws(inst, SampleParams(seed=SEED, count=100))
+        report = run_suite("extension-laws", inst, SampleParams(seed=SEED, count=100))
         assert report.verdict == "pass", report.violations
         fixed = [r for r in report.records if r.get("check") == "M-fixed"]
         assert len(fixed) == 6 and all(r["fixed"] for r in fixed)
@@ -145,10 +139,10 @@ def test_criterion_5_picard_splitting(inst_a, inst_b, inst_c):
     square = t_closure_R(ideal_arith(image, image, "mul", inst_c), inst_c)
     assert is_principal_R(square, inst_c) is not None
     for inst in (inst_c, inst_a, inst_b):
-        report = verify_pic_splitting(inst, params)
+        report = run_suite("pic-splitting", inst, params)
         assert report.verdict == "pass", report.violations
     for inst in (inst_a, inst_b):
-        report = verify_pic_splitting(inst, params)
+        report = run_suite("pic-splitting", inst, params)
         invertible = [r for r in report.records if "principal" in r]
         assert all(r["principal"] or not r.get("invertible", True)
                    for r in invertible)
@@ -159,8 +153,8 @@ def test_criterion_5_picard_splitting(inst_a, inst_b, inst_c):
 def test_criterion_6_oracle_agreement(inst_a, inst_c, inst_d):
     start = time.perf_counter()
     for inst in (inst_a, inst_c, inst_d):
-        report = verify_oracle_agreement(inst, SampleParams(seed=SEED, count=200,
-                                                            degree_window=12))
+        report = run_suite("oracle-agreement", inst, SampleParams(seed=SEED, count=200,
+                                                                  degree_window=12))
         assert report.verdict == "pass", report.violations[:3]
         assert report.n_samples == 200
         assert all(r["contradictions"] == 0 for r in report.records)

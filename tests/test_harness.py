@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from starpull import harness
 from starpull.harness import (
+    CHECKS,
     HarnessError,
     SampleParams,
     STRUCTURAL_PVMD_FLAGS,
@@ -13,12 +15,6 @@ from starpull.harness import (
     replay_violation,
     run_suite,
     sample_ideals,
-    verify_extension_laws,
-    verify_oracle_agreement,
-    verify_pic_splitting,
-    verify_pvmd,
-    verify_quasilocal_iso,
-    verify_split_exact,
 )
 from starpull.kernel import RatFunc
 from starpull.pullback import RawIdeal
@@ -55,32 +51,32 @@ class TestSampling:
 
 class TestSuiteVerdicts:
     def test_split_exact_passes_on_c(self, inst_c):
-        rep = verify_split_exact(inst_c, T_OP, PARAMS)
+        rep = run_suite("split-exact", inst_c, PARAMS, T_OP)
         assert rep.verdict == "pass"
         assert rep.n_samples == PARAMS.count
 
     def test_split_exact_trivial_classes_on_a(self, inst_a):
-        rep = verify_split_exact(inst_a, T_OP, PARAMS)
+        rep = run_suite("split-exact", inst_a, PARAMS, T_OP)
         assert rep.verdict == "pass"
 
     def test_split_exact_identity_op_on_b(self, inst_b):
         # degenerate Picard-style run of the same sequence
-        rep = verify_split_exact(inst_b, StarOp.identity("R"), PARAMS)
+        rep = run_suite("split-exact", inst_b, PARAMS, StarOp.identity("R"))
         assert rep.verdict == "pass"
         header = rep.records[0]
         assert header["check"] == "class-group" and header["presentation"] == []
 
     def test_split_exact_rejects_non_square_plus(self, inst_d):
         with pytest.raises(HarnessError):
-            verify_split_exact(inst_d, T_OP, PARAMS)
+            run_suite("split-exact", inst_d, PARAMS, T_OP)
 
     def test_quasilocal_on_b(self, inst_b):
-        rep = verify_quasilocal_iso(inst_b, T_OP, PARAMS)
+        rep = run_suite("quasilocal-iso", inst_b, PARAMS, T_OP)
         assert rep.verdict == "pass"
 
     def test_quasilocal_rejects_global_t(self, inst_a):
         with pytest.raises(HarnessError):
-            verify_quasilocal_iso(inst_a, T_OP, PARAMS)
+            run_suite("quasilocal-iso", inst_a, PARAMS, T_OP)
 
     def test_quasilocal_construction_on_two_x(self, inst_b):
         # the reduction I -> i^-1 I on I = (2, X): the T-generator is the
@@ -106,29 +102,29 @@ class TestSuiteVerdicts:
         assert not pvmd_structural_verdict(inst_e)
 
     def test_pvmd_witness_on_d(self, inst_d):
-        rep = verify_pvmd(inst_d, T_OP, PARAMS)
+        rep = run_suite("pvmd", inst_d, PARAMS, T_OP)
         assert rep.verdict == "pass"
         witnesses = [r for r in rep.records if r.get("check") == "witness"]
         assert witnesses and witnesses[0]["oracle_confirmed"]
         assert "sqrt(-1)" in witnesses[0]["ideal"]
 
     def test_pvmd_structural_records(self, inst_a):
-        rep = verify_pvmd(inst_a, T_OP, PARAMS)
+        rep = run_suite("pvmd", inst_a, PARAMS, T_OP)
         structural = [r for r in rep.records if r.get("check") == "structural-only"]
         assert len(structural) == len(STRUCTURAL_PVMD_FLAGS)
         assert all(not r["pvmd"] for r in structural)
 
     def test_extension_laws(self, inst_b):
-        rep = verify_extension_laws(inst_b, PARAMS)
+        rep = run_suite("extension-laws", inst_b, PARAMS)
         assert rep.verdict == "pass"
 
     def test_pic_splitting(self, inst_c):
-        rep = verify_pic_splitting(inst_c, PARAMS)
+        rep = run_suite("pic-splitting", inst_c, PARAMS)
         assert rep.verdict == "pass"
 
     def test_oracle_agreement_small(self, inst_d):
-        rep = verify_oracle_agreement(inst_d, SampleParams(seed=11, count=10,
-                                                           degree_window=6))
+        rep = run_suite("oracle-agreement", inst_d, SampleParams(seed=11, count=10,
+                                                                 degree_window=6))
         assert rep.verdict == "pass"
 
     def test_unknown_suite(self, inst_a):
@@ -138,7 +134,7 @@ class TestSuiteVerdicts:
 
 class TestReports:
     def test_json_schema(self, inst_b):
-        rep = verify_extension_laws(inst_b, PARAMS)
+        rep = run_suite("extension-laws", inst_b, PARAMS)
         data = rep.to_json_dict()
         for key in ("suite", "instance", "seed", "params", "n_samples",
                     "n_violations", "violations", "verdict"):
@@ -166,7 +162,7 @@ class TestReplay:
             "check": "pvmd-sample",
             "expected": "t-invertible",
             "got": "not invertible",
-            "witness": {"ideal": "ideal(1, sqrt(-1))"},
+            "witness": {"ideal": "ideal(1, sqrt(-1))", "op": "t"},
         }
         assert replay_violation(violation, inst_d)
 
@@ -175,7 +171,7 @@ class TestReplay:
             "check": "pvmd-sample",
             "expected": "t-invertible",
             "got": "not invertible",
-            "witness": {"ideal": "ideal(2, X)"},
+            "witness": {"ideal": "ideal(2, X)", "op": "t"},
         }
         assert not replay_violation(violation, inst_a)
 
@@ -201,35 +197,82 @@ class TestReplay:
         with pytest.raises(HarnessError):
             replay_violation({"check": "mystery", "witness": {}}, inst_a)
 
-    def test_every_emittable_check_has_a_rule(self, inst_a, inst_b, inst_c, inst_d):
-        # negatives on healthy data for each violation kind a suite can emit,
-        # plus constructible positives
-        cases = [
-            ("pvmd-sample", {"ideal": "ideal(1, sqrt(-1))"}, inst_d, True),
-            ("pvmd-witness", {"family": "search"}, inst_a, True),
-            ("pvmd-witness", {"family": "search"}, inst_d, False),
-            ("kernel-capture", {"ideal": "ideal(2, X)"}, inst_a, False),
-            ("colon-agreement", {"ideal": "ideal(2, X)", "element": "(1/2)"},
-             inst_a, False),
-            ("v-agreement", {"ideal": "ideal(2, X)", "element": "(2)"}, inst_a, False),
-            ("trivial-class", {"ideal": "ideal(2, 1+sqrt(-5))"}, inst_c, True),
-            ("M-fixed", {"op": "t"}, inst_a, False),
-            ("rT-divisorial", {"r": "(2*X)"}, inst_a, False),
-            ("ext-vs-rest", {"c": "(2 + X)"}, inst_a, False),
-            ("t-vs-v-extension", {"c": "(2 + X)"}, inst_a, False),
-            ("alpha-injective", {"j1": "ideal(1)", "j2": "ideal(2, 1+sqrt(-5))"},
-             inst_c, False),
-            ("gamma-alpha-identity", {"j": "ideal(2, 1+sqrt(-5))"}, inst_c, False),
-            ("beta-trivial-on-alpha", {"j": "ideal(2, 1+sqrt(-5))"}, inst_c, False),
-            ("alpha-invertible", {"j": "ideal(2, 1+sqrt(-5))"}, inst_c, False),
-            ("label-vs-principal", {"j": "ideal(2, 1+sqrt(-5))"}, inst_c, False),
-            ("normalized-window", {"ideal": "ideal(2, X)"}, inst_b, False),
-            ("alpha-preimage", {"ideal": "ideal(2, X)"}, inst_b, False),
-            ("pic-decomposition", {"ideal": "ideal(2, 1+sqrt(-5))"}, inst_c, False),
-        ]
-        for check, data, inst, expected in cases:
+    def test_replay_resolves_the_witness_op(self, inst_a):
+        # ideal(2, X) is t-invertible on A; the witness op decides the replay
+        violation = {"check": "pvmd-sample", "witness": {"ideal": "ideal(2, X)", "op": "v"}}
+        assert not replay_violation(violation, inst_a)
+        with pytest.raises(HarnessError):
+            replay_violation({"check": "pvmd-sample",
+                              "witness": {"ideal": "ideal(2, X)", "op": "w"}}, inst_a)
+        with pytest.raises(HarnessError):
+            replay_violation({"check": "pvmd-sample", "witness": {"ideal": "ideal(2, X)"}}, inst_a)
+
+    def test_confirmed_witness_does_not_replay(self, inst_d, inst_e):
+        # the pvmd witness on D and E is oracle-confirmed, so replaying a
+        # witness-oracle violation for it must re-run the confirmation
+        violation = {"check": "witness-oracle",
+                     "witness": {"ideal": "ideal((1), ((1*sqrt(-1))))"}}
+        assert not replay_violation(violation, inst_d)
+        assert not replay_violation(violation, inst_e)
+
+    def test_replay_cases_cover_the_registry(self, inst_a, inst_b, inst_c, inst_d):
+        # one witness per registered check: negatives on healthy data, plus
+        # the positives that the catalogue can produce
+        cases = {
+            "alpha-injective": ({"j1": "ideal(1)", "j2": "ideal(2, 1+sqrt(-5))", "op": "t"},
+                                inst_c, False),
+            "gamma-alpha-identity": ({"j": "ideal(2, 1+sqrt(-5))"}, inst_c, False),
+            "beta-trivial-on-alpha": ({"j": "ideal(2, 1+sqrt(-5))"}, inst_c, False),
+            "kernel-capture": ({"ideal": "hull(ideal(2, X))", "op": "t"}, inst_a, False),
+            "normalized-window": ({"normalized": "hull(ideal(2, X))"}, inst_b, False),
+            "alpha-preimage": ({"ideal": "hull(ideal(2, X))", "normalized": "hull(ideal(1, X))",
+                                "op": "t"}, inst_b, False),
+            "trivial-class": ({"ideal": "ideal(2, 1+sqrt(-5))"}, inst_c, True),
+            "pvmd-sample": ({"ideal": "ideal(1, sqrt(-1))", "op": "t"}, inst_d, True),
+            "pvmd-witness": ({"op": "t"}, inst_a, True),
+            "witness-oracle": ({"ideal": "ideal(1, sqrt(-1))"}, inst_d, False),
+            "M-fixed": ({"op": "t"}, inst_a, False),
+            "rT-divisorial": ({"r": "(2*X)"}, inst_a, False),
+            "ext-vs-rest": ({"c": "(2 + X)"}, inst_a, False),
+            "t-vs-v-extension": ({"c": "(2 + X)"}, inst_a, False),
+            "alpha-invertible": ({"j": "ideal(2, 1+sqrt(-5))", "op": "d"}, inst_c, False),
+            "label-vs-principal": ({"j": "ideal(2, 1+sqrt(-5))", "op": "d"}, inst_c, False),
+            "pic-decomposition": ({"ideal": "hull(ideal(2, 1+sqrt(-5)))"}, inst_c, False),
+            "colon-agreement": ({"ideal": "ideal(2, X)", "element": "(1/2)", "degree_window": 12},
+                                inst_a, False),
+            "v-agreement": ({"ideal": "ideal(2, X)", "element": "(2)", "degree_window": 12},
+                            inst_a, False),
+        }
+        assert set(cases) == set(CHECKS)
+        for check, (data, inst, expected) in cases.items():
             record = {"check": check, "expected": "", "got": "", "witness": data}
             assert replay_violation(record, inst) == expected, check
+        assert not replay_violation({"check": "pvmd-witness", "witness": {"op": "t"}}, inst_d)
+
+    def test_injected_fault_replays_until_removed(self, inst_a, monkeypatch):
+        # a wrong colon closed form, X^-1 (R : I), makes oracle-agreement fail
+        true_colon = harness.colon_R
+        x = RatFunc.x_power(1)
+        monkeypatch.setattr(harness, "colon_R",
+                            lambda raw, inst: true_colon(RawIdeal([g * x for g in raw.gens]), inst))
+        report = run_suite("oracle-agreement", inst_a, SampleParams(seed=3, count=3,
+                                                                    degree_window=4))
+        assert report.violations
+        assert all(replay_violation(v, inst_a) for v in report.violations)
+        monkeypatch.undo()
+        assert not any(replay_violation(v, inst_a) for v in report.violations)
+
+    def test_unregistered_check_cannot_be_emitted(self, inst_a):
+        def rogue(inst, op):
+            return harness._Found().fail("M-fixed", "M", "moved")
+        with pytest.raises(HarnessError):
+            harness._decide(harness.Report("rogue", "A", PARAMS), rogue, inst_a, T_OP)
+
+    def test_registries_hold_private_functions(self):
+        # module-level dicts of public functions would escape the tracer
+        functions = list(SUITES.values()) + [fn for fn, _ in CHECKS.values()]
+        assert all(fn.__name__.startswith("_") for fn in functions)
+        assert not [name for name in vars(harness) if name.startswith("verify_")]
 
 
 class TestSuiteComposition:
