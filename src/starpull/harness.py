@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import random
-from itertools import combinations
 from fractions import Fraction
 
 from .base_domain import (
@@ -43,6 +42,7 @@ from .pullback import (
     PullbackError,
     PullbackInstance,
     RawIdeal,
+    TIdeal,
     as_structured,
     colon_R,
     extend_to_T,
@@ -72,17 +72,29 @@ class SampleParams:
 
     def __init__(self, seed: int = 0, count: int = 100, max_gens: int = 3,
                  max_degree: int = 3, coeff_height: int = 6, degree_window: int = 12):
-        values = (seed, count, max_gens, max_degree, coeff_height, degree_window)
-        for name, v in zip(self.__slots__, values):
-            if name != "seed" and v <= 0:
+        for name, v in (("count", count), ("max_gens", max_gens), ("max_degree", max_degree),
+                        ("coeff_height", coeff_height), ("degree_window", degree_window)):
+            if v <= 0:
                 raise HarnessError(f"{name} must be positive")
-            object.__setattr__(self, name, v)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "max_gens", max_gens)
+        object.__setattr__(self, "max_degree", max_degree)
+        object.__setattr__(self, "coeff_height", coeff_height)
+        object.__setattr__(self, "degree_window", degree_window)
 
     def __setattr__(self, name, value):
         raise AttributeError("SampleParams is immutable")
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
+        return {
+            "seed": self.seed,
+            "count": self.count,
+            "max_gens": self.max_gens,
+            "max_degree": self.max_degree,
+            "coeff_height": self.coeff_height,
+            "degree_window": self.degree_window,
+        }
 
 
 class Report:
@@ -143,7 +155,10 @@ def _sample_scalar(rng: random.Random, inst: PullbackInstance, height: int,
         y = Fraction(0)
         if allow_surd and inst.k_disc != 1 and rng.random() < 0.5:
             y = _sample_fraction(rng, height)
-        e = FieldElem(x, y, inst.k_disc)  # y == 0 gives a rational
+        if y == 0:
+            e = FieldElem(x)
+        else:
+            e = FieldElem(x, y, inst.k_disc)
         if not e.is_zero() or not nonzero:
             return e
 
@@ -243,21 +258,9 @@ def _class_representatives(inst: PullbackInstance) -> list[ExtDModule]:
 # suites and by replay
 # ---------------------------------------------------------------------------
 
-class _Found:
-    """What a check function computed, and which of its checks failed."""
-
-    def __init__(self, **values):
-        self.__dict__.update(values)
-        self.failures: list[tuple] = []
-
-    def fail(self, check: str, expected, got, **witness) -> "_Found":
-        self.failures.append((check, expected, got, witness))
-        return self
-
-
 # witness field kinds: how a check's argument is written into a violation
 # witness, and read back from it by replay
-_VALUE, _DMOD, _OP, _INT = "value", "dmod", "op", "int"
+_VALUE, _DMOD, _OP, _JSON = "value", "dmod", "op", "json"
 
 # check name -> (check function, {witness field: kind})
 CHECKS: dict[str, tuple] = {}
@@ -266,8 +269,9 @@ CHECKS: dict[str, tuple] = {}
 def _check(*names: str, **fields: str):
     """Register a check function as the one decision of the named checks.
 
-    A check function takes ``(inst, op, **values)`` and returns a
-    ``_Found``; ``fields`` gives the kind of each witness field.
+    A check function takes ``(inst, op, fail, **values)``, calls ``fail``
+    for each named check that does not hold, and returns what the suite's
+    records need.  ``fields`` gives the kind of each witness field.
     """
     def register(fn):
         for name in names:
@@ -285,7 +289,7 @@ def _write(kind: str, value, inst: PullbackInstance):
 
 
 def _read(kind: str, data, inst: PullbackInstance):
-    if kind == _INT:
+    if kind == _JSON:
         return data
     if kind == _OP:
         for op in _implemented_ops(inst):
@@ -295,85 +299,79 @@ def _read(kind: str, data, inst: PullbackInstance):
     value = evaluate(parse_expression(data), inst)
     if kind == _DMOD:
         return dmod_from_generators([g.const_value() for g in value.gens], inst.base)
-    return value
+    # a structured ideal with full D-part is written as extT(...)
+    return as_structured(value, inst) if isinstance(value, TIdeal) else value
 
 
 def _dmod_witness(j: ExtDModule) -> str:
-    # serialized as an ideal of constant generators, so replay can parse it
-    if j.is_zero():
-        return "ideal(0)"
-    if j.is_full():
-        return "full"
+    # serialized as an ideal of constant generators, so replay can parse it;
+    # basis_elements refuses the zero and full sentinels, which have no such form
     return "ideal(" + ", ".join(elem_to_expr(b) for b in j.basis_elements()) + ")"
 
 
-def _decide(rep: Report, fn, inst: PullbackInstance, op: StarOp, **values) -> _Found:
-    """Run a check function; every check it failed becomes a violation."""
-    found = fn(inst, op, **values)
-    for check, expected, got, extra in found.failures:
+def _decide(rep: Report, fn, inst: PullbackInstance, op: StarOp, **values):
+    """Run a check function; every check it fails becomes a violation.
+
+    Notes passed to ``fail`` go into the witness as given; replay does not read them.
+    """
+    def fail(check: str, expected, got, **notes):
         owner, fields = CHECKS.get(check, (None, {}))
         if owner is not fn:
             raise HarnessError(f"check {check!r} is not registered to {fn.__name__}")
-        data = {**values, **extra, "op": op}
-        rep.add_violation(check, expected, got,
-                          {name: _write(kind, data[name], inst) for name, kind in fields.items()})
-    return found
+        data = {**values, "op": op}
+        witness = {name: _write(kind, data[name], inst) for name, kind in fields.items()}
+        rep.add_violation(check, expected, got, {**witness, **notes})
+    return fn(inst, op, fail, **values)
 
 
 @_check("alpha-injective", j1=_DMOD, j2=_DMOD, op=_OP)
-def _alpha_injective(inst, op, j1, j2) -> _Found:
-    found = _Found()
+def _alpha_injective(inst, op, fail, j1, j2):
     if class_equivalent_R(alpha(j1, inst), alpha(j2, inst), op, inst):
-        found.fail("alpha-injective", "distinct classes", "equivalent")
-    return found
+        fail("alpha-injective", "distinct classes", "equivalent")
 
 
 @_check("gamma-alpha-identity", "beta-trivial-on-alpha", j=_DMOD)
-def _splitting(inst, op, j) -> _Found:
+def _splitting(inst, op, fail, j):
+    """alpha(j), the class label of j^v, gamma(alpha(j)) and beta(alpha(j))."""
     image = alpha(j, inst)
-    found = _Found(image=image, label=class_label_D(dmod_v(j, inst.base), inst.base),
-                   gamma=gamma(image, inst), beta=beta(image, inst))
-    if found.gamma != found.label:
-        found.fail("gamma-alpha-identity", found.label, found.gamma)
-    if not found.beta.gen.is_one():
-        found.fail("beta-trivial-on-alpha", "T", found.beta.gen)
-    return found
+    label = class_label_D(dmod_v(j, inst.base), inst.base)
+    got, t_part = gamma(image, inst), beta(image, inst)
+    if got != label:
+        fail("gamma-alpha-identity", label, got)
+    if not t_part.gen.is_one():
+        fail("beta-trivial-on-alpha", "T", t_part.gen)
+    return image, label, got, t_part
 
 
 @_check("kernel-capture", ideal=_VALUE, op=_OP)
-def _kernel_capture(inst, op, ideal) -> _Found:
-    # ideal: an op-invertible t-closed ideal
-    found = _Found(preimage=None)
+def _kernel_capture(inst, op, fail, ideal):
+    """The alpha preimage of an op-invertible t-closed ideal, or None."""
     if not dmod_predicates(ideal.dpart, inst.base).is_v_invertible:
-        return found.fail("kernel-capture", "invertible dpart", "not invertible")
-    found.preimage = alpha(ideal.dpart, inst)
-    if not class_equivalent_R(ideal, found.preimage, op, inst):
-        found.fail("kernel-capture", "class equivalent to alpha preimage", "not equivalent")
-    return found
+        fail("kernel-capture", "invertible dpart", "not invertible")
+        return None
+    preimage = alpha(ideal.dpart, inst)
+    if not class_equivalent_R(ideal, preimage, op, inst):
+        fail("kernel-capture", "class equivalent to alpha preimage", "not equivalent")
+    return preimage
 
 
-@_check("normalized-window", normalized=_VALUE)
-def _normalized_window(inst, op, normalized) -> _Found:
-    found = _Found(inside=normalized.unit.is_one() and not normalized.dpart.is_full())
-    if not found.inside:
-        found.fail("normalized-window", "M < I1 <= I1^v < T", repr(normalized))
-    return found
-
-
-@_check("alpha-preimage", ideal=_VALUE, normalized=_VALUE, op=_OP)
-def _alpha_preimage(inst, op, ideal, normalized) -> _Found:
-    found = _Found()
+@_check("normalized-window", "alpha-preimage", ideal=_VALUE, normalized=_VALUE, op=_OP)
+def _alpha_preimage(inst, op, fail, ideal, normalized):
+    """Whether the normalized ideal lies in the window; then its alpha preimage."""
+    if not normalized.unit.is_one() or normalized.dpart.is_full():
+        fail("normalized-window", "M < I1 <= I1^v < T", repr(normalized))
+        return False
     if not class_equivalent_R(ideal, alpha(normalized.dpart, inst), op, inst):
-        found.fail("alpha-preimage", "class equivalent", "not equivalent")
-    return found
+        fail("alpha-preimage", "class equivalent", "not equivalent")
+    return True
 
 
 @_check("trivial-class", ideal=_VALUE)
-def _trivial_class(inst, op, ideal) -> _Found:
-    found = _Found(gen=is_principal_R(ideal, inst))
-    if found.gen is None:
-        found.fail("trivial-class", "principal", "not principal")
-    return found
+def _trivial_class(inst, op, fail, ideal):
+    gen = is_principal_R(ideal, inst)
+    if gen is None:
+        fail("trivial-class", "principal", "not principal")
+    return gen
 
 
 def _inverse_closure(raw: RawIdeal, op: StarOp, inst: PullbackInstance):
@@ -383,112 +381,114 @@ def _inverse_closure(raw: RawIdeal, op: StarOp, inst: PullbackInstance):
 
 
 @_check("pvmd-sample", ideal=_VALUE, op=_OP)
-def _pvmd_sample(inst, op, ideal) -> _Found:
-    found = _Found(invertible=_inverse_closure(ideal, op, inst)[1])
-    if not found.invertible:
-        found.fail("pvmd-sample", "t-invertible", "not invertible")
-    return found
+def _pvmd_sample(inst, op, fail, ideal):
+    invertible = _inverse_closure(ideal, op, inst)[1]
+    if not invertible:
+        fail("pvmd-sample", "t-invertible", "not invertible")
+    return invertible
 
 
-@_check("pvmd-witness", op=_OP)
-def _pvmd_witness(inst, op) -> _Found:
+@_check("pvmd-witness", op=_OP, samples_invertible=_JSON)
+def _pvmd_witness(inst, op, fail, samples_invertible):
+    # a non-invertible sample also stands in for a search-family witness
     for cand in _witness_search_family(inst):
         closed, invertible = _inverse_closure(cand, op, inst)
         if not invertible:
-            return _Found(ideal=cand, closure=closed)
-    return _Found(ideal=None).fail("pvmd-witness", "a non-invertible witness", "none found")
+            return cand, closed
+    if samples_invertible:
+        fail("pvmd-witness", "a non-invertible witness", "none found")
+    return None
 
 
 @_check("witness-oracle", ideal=_VALUE)
-def _witness_oracle(inst, op, ideal) -> _Found:
-    found = _Found(confirmed=_confirm_noninvertibility(ideal, inst))
-    if not found.confirmed:
-        found.fail("witness-oracle", "oracle confirmation", "unconfirmed")
-    return found
+def _witness_oracle(inst, op, fail, ideal):
+    confirmed = _confirm_noninvertibility(ideal, inst)
+    if not confirmed:
+        fail("witness-oracle", "oracle confirmation", "unconfirmed")
+    return confirmed
 
 
 @_check("M-fixed", op=_OP)
-def _m_fixed(inst, op) -> _Found:
+def _m_fixed(inst, op, fail):
     m = m_ideal(inst)
-    found = _Found(fixed=ideal_equal(star_eval(op, m, inst), m, inst))
-    if not found.fixed:
-        found.fail("M-fixed", "M", "moved")
-    return found
+    fixed = ideal_equal(star_eval(op, m, inst), m, inst)
+    if not fixed:
+        fail("M-fixed", "M", "moved")
+    return fixed
 
 
 @_check("rT-divisorial", r=_VALUE)
-def _rt_divisorial(inst, op, r) -> _Found:
+def _rt_divisorial(inst, op, fail, r):
     rt = as_structured(extend_to_T(RawIdeal([r]), inst), inst)
     closed = star_eval(StarOp.divisorial("R"), rt, inst)
-    found = _Found(holds=ideal_equal(closed, rt, inst))
-    if not found.holds:
-        found.fail("rT-divisorial", "rT", value_to_expr(closed, inst))
-    return found
+    holds = ideal_equal(closed, rt, inst)
+    if not holds:
+        fail("rT-divisorial", "rT", value_to_expr(closed, inst))
+    return holds
 
 
 @_check("ext-vs-rest", "t-vs-v-extension", c=_VALUE)
-def _extension_agreement(inst, op, c) -> _Found:
+def _extension_agreement(inst, op, fail, c):
     t_r = StarOp.t_op("R")
     ct = extend_to_T(RawIdeal([c]), inst)
     ext = star_eval(StarOp.extended_T(t_r), ct, inst)
     rest = star_eval(StarOp.restricted_T(t_r), ct, inst)
     ext_v = star_eval(StarOp.extended_T(StarOp.divisorial("R")), ct, inst)
-    found = _Found(ext_eq_rest=ext == rest, t_eq_v_extension=ext == ext_v)
-    if not found.ext_eq_rest:
-        found.fail("ext-vs-rest", ext, rest)
-    if not found.t_eq_v_extension:
-        found.fail("t-vs-v-extension", ext, ext_v)
-    return found
+    if ext != rest:
+        fail("ext-vs-rest", ext, rest)
+    if ext != ext_v:
+        fail("t-vs-v-extension", ext, ext_v)
+    return ext == rest, ext == ext_v
 
 
 @_check("alpha-invertible", "label-vs-principal", j=_DMOD, op=_OP)
-def _alpha_invertible(inst, op, j) -> _Found:
+def _alpha_invertible(inst, op, fail, j):
+    """Whether alpha(j) is op-invertible, the class label of j, and principality."""
     witness = invertibility_R(alpha(j, inst), op, inst)
-    found = _Found(invertible=witness.is_invertible, label=class_label_D(j, inst.base),
-                   principal=witness.principal_gen is not None)
-    if not found.invertible:
-        found.fail("alpha-invertible", "invertible", "not invertible")
-    if found.principal != found.label.is_identity():
-        found.fail("label-vs-principal", found.label.is_identity(), found.principal)
-    return found
+    label = class_label_D(j, inst.base)
+    principal = witness.principal_gen is not None
+    if not witness.is_invertible:
+        fail("alpha-invertible", "invertible", "not invertible")
+    if principal != label.is_identity():
+        fail("label-vs-principal", label.is_identity(), principal)
+    return witness.is_invertible, label, principal
 
 
 @_check("pic-decomposition", ideal=_VALUE)
-def _pic_decomposition(inst, op, ideal) -> _Found:
-    # ideal: an invertible structured ideal
-    found = _Found(label=gamma(ideal, inst), principal=is_principal_R(ideal, inst) is not None)
-    if found.principal != found.label.is_identity():
-        found.fail("pic-decomposition", "principal iff trivial label",
-                   f"principal={found.principal}, label={found.label}")
-    return found
+def _pic_decomposition(inst, op, fail, ideal):
+    """gamma of an invertible structured ideal, and whether it is principal."""
+    label = gamma(ideal, inst)
+    principal = is_principal_R(ideal, inst) is not None
+    if principal != label.is_identity():
+        fail("pic-decomposition", "principal iff trivial label",
+             f"principal={principal}, label={label}")
+    return label, principal
 
 
-@_check("colon-agreement", "v-agreement", ideal=_VALUE, degree_window=_INT, element=_VALUE)
-def _closed_forms_agree(inst, op, ideal, degree_window, element=None) -> _Found:
-    """Oracles against the closed forms on the ideal's grids, or on one element."""
+@_check("colon-agreement", ideal=_VALUE, element=_VALUE)
+def _colon_agreement(inst, op, fail, ideal, element, closed_colon=None):
+    # the suite passes the closed form it computed once for the ideal
+    if closed_colon is None:
+        closed_colon = colon_R(ideal, inst)
+    oracle = oracle_colon_member(element, ideal, inst)
+    closed = member_structured(element, closed_colon, inst)
+    if oracle != closed:
+        fail("colon-agreement", f"oracle={oracle}", f"closed={closed}")
+
+
+@_check("v-agreement", ideal=_VALUE, element=_VALUE, degree_window=_JSON)
+def _v_agreement(inst, op, fail, ideal, element, degree_window, closed_v=None, probes=None):
+    # the suite passes I^v and the oracle's probes, computed once for the ideal
+    if closed_v is None:
+        closed_v = v_closure_R(ideal, inst)
     window = DegreeWindow(degree=degree_window)
-    closed_colon = colon_R(ideal, inst)
-    closed_v = v_closure_R(ideal, inst)
-    colon_grid = ([element] if element is not None
-                  else _agreement_grid(ideal, closed_colon, inst, window))
-    found = _Found(grid=len(colon_grid))
-    for g in colon_grid:
-        oracle = oracle_colon_member(g, ideal, inst)
-        closed = member_structured(g, closed_colon, inst)
-        if oracle != closed:
-            found.fail("colon-agreement", f"oracle={oracle}", f"closed={closed}", element=g)
-    v_grid = [element] if element is not None else _v_grid(ideal, closed_v, inst)
-    found.grid += len(v_grid)
-    probes = certified_colon_probes(ideal, inst, window)
-    for h in v_grid:
-        verdict = oracle_v_member(h, ideal, inst, window, probes=probes)
-        inside = member_structured(h, closed_v, inst)
-        if inside and verdict.status == "out-with-witness":
-            found.fail("v-agreement", "member",
-                       f"excluded by witness {value_to_expr(verdict.witness, inst)}", element=h)
-        if not inside and verdict.status == "in":
-            found.fail("v-agreement", "non-member", "certified in", element=h)
-    return found
+    verdict = oracle_v_member(element, ideal, inst, window, probes=probes)
+    inside = member_structured(element, closed_v, inst)
+    if inside and verdict.status == "out-with-witness":
+        fail("v-agreement", "member", "excluded by witness",
+             witness=value_to_expr(verdict.witness, inst))
+    if not inside and verdict.status == "in":
+        fail("v-agreement", "non-member", "certified in")
 
 
 # ---------------------------------------------------------------------------
@@ -516,18 +516,19 @@ def _split_exact(inst: PullbackInstance, op: StarOp, params: SampleParams) -> Re
                                 "classes": [str(class_label_D(j1, inst.base)),
                                             str(class_label_D(j2, inst.base))]})
     # splitting and triviality of beta on representatives and sampled D-ideals
-    for j in reps + sample_dmods(inst, params)[: params.count // 2]:
+    dmods = reps + sample_dmods(inst, params)[: params.count // 2]
+    for j in dmods:
         if not dmod_predicates(j, inst.base).is_v_invertible:
             continue
-        found = _decide(rep, _splitting, inst, op, j=j)
+        image, label, got, t_part = _decide(rep, _splitting, inst, op, j=j)
         rep.records.append({
             "check": "splitting",
             "ideal": _dmod_witness(j),
             "op": str(op),
-            "class_label": str(found.label),
-            "alpha_image": value_to_expr(found.image, inst),
-            "beta_image": value_to_expr(found.beta, inst),
-            "gamma_of_alpha": str(found.gamma),
+            "class_label": str(label),
+            "alpha_image": value_to_expr(image, inst),
+            "beta_image": value_to_expr(t_part, inst),
+            "gamma_of_alpha": str(got),
         })
     # kernel capture on sampled op-invertible ideals
     for raw in sample_ideals(inst, params):
@@ -541,7 +542,7 @@ def _split_exact(inst: PullbackInstance, op: StarOp, params: SampleParams) -> Re
             "certificates": witness.certificate,
         }
         if witness.is_star_invertible:
-            preimage = _decide(rep, _kernel_capture, inst, op, ideal=closed).preimage
+            preimage = _decide(rep, _kernel_capture, inst, op, ideal=closed)
             if preimage is not None:
                 record["class_label"] = str(gamma(closed, inst))
                 record["alpha_preimage"] = value_to_expr(preimage, inst)
@@ -567,13 +568,13 @@ def _quasilocal_iso(inst: PullbackInstance, op: StarOp, params: SampleParams) ->
         # T-generator drawn from the generators themselves
         e = min(ord_at_zero(g) for g in raw.gens)
         i_gen = next(g for g in raw.gens if ord_at_zero(g) == e)
-        s1 = t_closure_R(RawIdeal([g / i_gen for g in raw.gens]), inst)
+        shifted = RawIdeal([g / i_gen for g in raw.gens])
+        s1 = t_closure_R(shifted, inst)
         record["i_generator"] = value_to_expr(i_gen, inst)
         record["normalized"] = value_to_expr(s1, inst)
-        if not _decide(rep, _normalized_window, inst, op, normalized=s1).inside:
+        if not _decide(rep, _alpha_preimage, inst, op, ideal=closed, normalized=s1):
             continue
-        _decide(rep, _alpha_preimage, inst, op, ideal=closed, normalized=s1)
-        gen = _decide(rep, _trivial_class, inst, op, ideal=closed).gen
+        gen = _decide(rep, _trivial_class, inst, op, ideal=closed)
         record["principal"] = gen is not None and value_to_expr(gen, inst)
     return rep
 
@@ -592,12 +593,17 @@ def pvmd_structural_verdict(inst: PullbackInstance) -> bool:
 
 
 def _witness_search_family(inst: PullbackInstance) -> list[RawIdeal]:
+    one = RatFunc.one()
     x = RatFunc.x_power(1)
-    consts = [RatFunc.one(), RatFunc.coerce(2)]
+    consts = [one, RatFunc.coerce(2)]
     if inst.k_disc != 1:
         consts.insert(1, RatFunc(Poly([FieldElem(0, 1, inst.k_disc)])))
+    family = []
     atoms = consts + [x, x * RatFunc.coerce(2)]
-    return [RawIdeal([g1, g2]) for g1, g2 in combinations(atoms, 2)]
+    for i, g1 in enumerate(atoms):
+        for g2 in atoms[i + 1:]:
+            family.append(RawIdeal([g1, g2]))
+    return family
 
 
 def _pvmd(inst: PullbackInstance, op: StarOp, params: SampleParams) -> Report:
@@ -613,22 +619,25 @@ def _pvmd(inst: PullbackInstance, op: StarOp, params: SampleParams) -> Report:
     })
     for entry in STRUCTURAL_PVMD_FLAGS:
         rep.records.append({"check": "structural-only", **entry})
-    if not structural:
-        found = _decide(rep, _pvmd_witness, inst, op)
-        if found.ideal is not None:
-            confirmed = _decide(rep, _witness_oracle, inst, op, ideal=found.ideal).confirmed
-            rep.records.append({
-                "check": "witness",
-                "ideal": value_to_expr(found.ideal, inst),
-                "closure": value_to_expr(as_structured(found.closure, inst), inst),
-                "oracle_confirmed": confirmed,
-            })
+    samples = []
     for raw in sample_ideals(inst, params):
         rep.n_samples += 1
         # every sample must be invertible when R is a PvMD
-        found = (_decide(rep, _pvmd_sample, inst, op, ideal=raw) if structural
-                 else _pvmd_sample(inst, op, raw))
-        rep.records.append({"ideal": value_to_expr(raw, inst), "t_invertible": found.invertible})
+        invertible = (_decide(rep, _pvmd_sample, inst, op, ideal=raw) if structural
+                      else _inverse_closure(raw, op, inst)[1])
+        samples.append({"ideal": value_to_expr(raw, inst), "t_invertible": invertible})
+    if not structural:
+        found = _decide(rep, _pvmd_witness, inst, op,
+                        samples_invertible=all(s["t_invertible"] for s in samples))
+        if found is not None:
+            cand, closure = found
+            rep.records.append({
+                "check": "witness",
+                "ideal": value_to_expr(cand, inst),
+                "closure": value_to_expr(as_structured(closure, inst), inst),
+                "oracle_confirmed": _decide(rep, _witness_oracle, inst, op, ideal=cand),
+            })
+    rep.records.extend(samples)
     return rep
 
 
@@ -657,11 +666,15 @@ def _confirm_noninvertibility(raw: RawIdeal, inst: PullbackInstance) -> bool:
 
 def _structured_probes(s, inst, window: DegreeWindow) -> list[RatFunc]:
     s = as_structured(s, inst)
+    out = []
     if s.dpart.is_full():
         base = [s.unit]
     else:
         base = [s.unit * RatFunc.coerce(Poly.const(c)) for c in s.dpart.basis_elements()]
-    return [b * RatFunc.x_power(j) for b in base for j in range(window.degree + 1)]
+    for b in base:
+        for j in range(0, window.degree + 1):
+            out.append(b * RatFunc.x_power(j))
+    return out
 
 
 def _ring_probe_family(inst: PullbackInstance) -> list[RatFunc]:
@@ -675,7 +688,7 @@ def _ring_probe_family(inst: PullbackInstance) -> list[RatFunc]:
 def _implemented_ops(inst: PullbackInstance) -> list[StarOp]:
     d_d = StarOp.identity("D")
     v_d = StarOp.divisorial("D")
-    return [
+    ops = [
         StarOp.identity("R"),
         StarOp.divisorial("R"),
         StarOp.t_op("R"),
@@ -683,30 +696,29 @@ def _implemented_ops(inst: PullbackInstance) -> list[StarOp]:
         StarOp.lifted(v_d),
         star_meet(StarOp.lifted(v_d), StarOp.overring_induced(StarOp.identity("T"))),
     ]
+    return ops
 
 
 def _extension_laws(inst: PullbackInstance, op: StarOp, params: SampleParams) -> Report:
     """Conductor fixing and the extension/restriction agreements on T."""
     rep = Report("extension-laws", inst.name, params)
     for fixing in _implemented_ops(inst):
-        found = _decide(rep, _m_fixed, inst, fixing)
-        rep.records.append({"check": "M-fixed", "op": str(fixing), "fixed": found.fixed})
+        fixed = _decide(rep, _m_fixed, inst, fixing)
+        rep.records.append({"check": "M-fixed", "op": str(fixing), "fixed": fixed})
     rng_count = 20
     for r in sample_elements_of_M(inst, params, rng_count):
         rep.n_samples += 1
-        found = _decide(rep, _rt_divisorial, inst, op, r=r)
-        rep.records.append({"check": "rT-divisorial", "r": value_to_expr(r, inst),
-                            "holds": found.holds})
+        holds = _decide(rep, _rt_divisorial, inst, op, r=r)
+        rep.records.append({"check": "rT-divisorial", "r": value_to_expr(r, inst), "holds": holds})
     rng = random.Random(params.seed + 3)
     for _ in range(rng_count):
         c = _sample_ratfunc(rng, inst, params)
         while c.is_zero():
             c = _sample_ratfunc(rng, inst, params)
         rep.n_samples += 1
-        found = _decide(rep, _extension_agreement, inst, op, c=c)
+        ext_eq_rest, t_eq_v = _decide(rep, _extension_agreement, inst, op, c=c)
         rep.records.append({"check": "extension-agreement", "c": value_to_expr(c, inst),
-                            "ext_eq_rest": found.ext_eq_rest,
-                            "t_eq_v_extension": found.t_eq_v_extension})
+                            "ext_eq_rest": ext_eq_rest, "t_eq_v_extension": t_eq_v})
     return rep
 
 
@@ -715,13 +727,13 @@ def _pic_splitting(inst: PullbackInstance, op: StarOp, params: SampleParams) -> 
     rep = _class_group_report("pic-splitting", inst, params)
     d_op = StarOp.identity("R")  # the Picard group: plain invertibility
     for j in _class_representatives(inst):
-        found = _decide(rep, _alpha_invertible, inst, d_op, j=j)
+        invertible, label, principal = _decide(rep, _alpha_invertible, inst, d_op, j=j)
         rep.records.append({
             "check": "alpha-invertible",
             "ideal": _dmod_witness(j),
-            "invertible": found.invertible,
-            "class_label": str(found.label),
-            "principal": found.principal,
+            "invertible": invertible,
+            "class_label": str(label),
+            "principal": principal,
         })
     for raw in sample_ideals(inst, params):
         rep.n_samples += 1
@@ -729,12 +741,12 @@ def _pic_splitting(inst: PullbackInstance, op: StarOp, params: SampleParams) -> 
         if not invertibility_R(closed, d_op, inst).is_invertible:
             rep.records.append({"ideal": value_to_expr(raw, inst), "skipped": "not invertible"})
             continue
-        found = _decide(rep, _pic_decomposition, inst, d_op, ideal=closed)
+        label, principal = _decide(rep, _pic_decomposition, inst, d_op, ideal=closed)
         rep.records.append({
             "ideal": value_to_expr(raw, inst),
-            "class_label": str(found.label),
+            "class_label": str(label),
             "beta_image": value_to_expr(beta(closed, inst), inst),
-            "principal": found.principal,
+            "principal": principal,
         })
     return rep
 
@@ -742,12 +754,24 @@ def _pic_splitting(inst: PullbackInstance, op: StarOp, params: SampleParams) -> 
 def _oracle_agreement(inst: PullbackInstance, op: StarOp, params: SampleParams) -> Report:
     """Closed-form colon and divisorial closure never contradict the oracles."""
     rep = Report("oracle-agreement", inst.name, params)
+    window = DegreeWindow(degree=params.degree_window)
     for raw in sample_ideals(inst, params):
         rep.n_samples += 1
-        found = _decide(rep, _closed_forms_agree, inst, op, ideal=raw,
-                        degree_window=params.degree_window)
-        rep.records.append({"ideal": value_to_expr(raw, inst), "grid": found.grid,
-                            "contradictions": len(found.failures)})
+        before = len(rep.violations)
+        closed_colon = colon_R(raw, inst)
+        closed_v = v_closure_R(raw, inst)
+        colon_grid = _agreement_grid(raw, closed_colon, inst, window)
+        for g in colon_grid:
+            _decide(rep, _colon_agreement, inst, op, ideal=raw, element=g,
+                    closed_colon=closed_colon)
+        v_grid = _v_grid(raw, closed_v, inst)
+        probes = certified_colon_probes(raw, inst, window)
+        for h in v_grid:
+            _decide(rep, _v_agreement, inst, op, ideal=raw, element=h,
+                    degree_window=params.degree_window, closed_v=closed_v, probes=probes)
+        rep.records.append({"ideal": value_to_expr(raw, inst),
+                            "grid": len(colon_grid) + len(v_grid),
+                            "contradictions": len(rep.violations) - before})
     return rep
 
 
@@ -820,5 +844,6 @@ def replay_violation(violation: dict, inst: PullbackInstance) -> bool:
     if not set(fields) <= set(data):
         raise HarnessError(f"a {check!r} witness needs the fields {sorted(fields)}")
     values = {name: _read(kind, data[name], inst) for name, kind in fields.items()}
-    op = values.pop("op", None)
-    return any(failure[0] == check for failure in fn(inst, op, **values).failures)
+    failed = []
+    fn(inst, values.pop("op", None), lambda name, *_, **__: failed.append(name), **values)
+    return check in failed

@@ -224,12 +224,13 @@ class TestReplay:
             "gamma-alpha-identity": ({"j": "ideal(2, 1+sqrt(-5))"}, inst_c, False),
             "beta-trivial-on-alpha": ({"j": "ideal(2, 1+sqrt(-5))"}, inst_c, False),
             "kernel-capture": ({"ideal": "hull(ideal(2, X))", "op": "t"}, inst_a, False),
-            "normalized-window": ({"normalized": "hull(ideal(2, X))"}, inst_b, False),
+            "normalized-window": ({"ideal": "hull(ideal(2, X))", "normalized": "hull(ideal(2, X))",
+                                   "op": "t"}, inst_b, False),
             "alpha-preimage": ({"ideal": "hull(ideal(2, X))", "normalized": "hull(ideal(1, X))",
                                 "op": "t"}, inst_b, False),
             "trivial-class": ({"ideal": "ideal(2, 1+sqrt(-5))"}, inst_c, True),
             "pvmd-sample": ({"ideal": "ideal(1, sqrt(-1))", "op": "t"}, inst_d, True),
-            "pvmd-witness": ({"op": "t"}, inst_a, True),
+            "pvmd-witness": ({"op": "t", "samples_invertible": True}, inst_a, True),
             "witness-oracle": ({"ideal": "ideal(1, sqrt(-1))"}, inst_d, False),
             "M-fixed": ({"op": "t"}, inst_a, False),
             "rT-divisorial": ({"r": "(2*X)"}, inst_a, False),
@@ -238,8 +239,7 @@ class TestReplay:
             "alpha-invertible": ({"j": "ideal(2, 1+sqrt(-5))", "op": "d"}, inst_c, False),
             "label-vs-principal": ({"j": "ideal(2, 1+sqrt(-5))", "op": "d"}, inst_c, False),
             "pic-decomposition": ({"ideal": "hull(ideal(2, 1+sqrt(-5)))"}, inst_c, False),
-            "colon-agreement": ({"ideal": "ideal(2, X)", "element": "(1/2)", "degree_window": 12},
-                                inst_a, False),
+            "colon-agreement": ({"ideal": "ideal(2, X)", "element": "(1/2)"}, inst_a, False),
             "v-agreement": ({"ideal": "ideal(2, X)", "element": "(2)", "degree_window": 12},
                             inst_a, False),
         }
@@ -247,14 +247,37 @@ class TestReplay:
         for check, (data, inst, expected) in cases.items():
             record = {"check": check, "expected": "", "got": "", "witness": data}
             assert replay_violation(record, inst) == expected, check
-        assert not replay_violation({"check": "pvmd-witness", "witness": {"op": "t"}}, inst_d)
+        witness = {"op": "t", "samples_invertible": True}
+        assert not replay_violation({"check": "pvmd-witness", "witness": witness}, inst_d)
 
-    def test_injected_fault_replays_until_removed(self, inst_a, monkeypatch):
-        # a wrong colon closed form, X^-1 (R : I), makes oracle-agreement fail
-        true_colon = harness.colon_R
-        x = RatFunc.x_power(1)
-        monkeypatch.setattr(harness, "colon_R",
-                            lambda raw, inst: true_colon(RawIdeal([g * x for g in raw.gens]), inst))
+    def test_full_dpart_witness_replays(self, inst_b):
+        # a structured ideal with full D-part is written as extT(...) and
+        # read back as a structured ideal
+        window = {"ideal": "hull(ideal(X))", "normalized": "extT(ideal(X))", "op": "t"}
+        for check, witness in (("normalized-window", window),
+                               ("trivial-class", {"ideal": "extT(ideal(X))"}),
+                               ("kernel-capture", {"ideal": "extT(ideal(X))", "op": "t"})):
+            assert replay_violation({"check": check, "witness": witness}, inst_b), check
+
+    def test_noninvertible_sample_stands_in_for_the_witness(self, inst_d, monkeypatch):
+        # with an empty search family, the non-invertible corner (1, sqrt(-1))
+        # among the samples keeps pvmd-witness from failing
+        monkeypatch.setattr(harness, "_witness_search_family", lambda inst: [])
+        failing = run_suite("pvmd", inst_d, SampleParams(seed=1, count=5))
+        assert [v["check"] for v in failing.violations] == ["pvmd-witness"]
+        assert all(replay_violation(v, inst_d) for v in failing.violations)
+        assert run_suite("pvmd", inst_d, SampleParams(seed=1, count=6)).verdict == "pass"
+        witness = {"op": "t", "samples_invertible": False}
+        assert not replay_violation({"check": "pvmd-witness", "witness": witness}, inst_d)
+
+    @pytest.mark.parametrize("closed_form, power", [("colon_R", 1), ("v_closure_R", 1),
+                                                    ("v_closure_R", -1)])
+    def test_injected_fault_replays_until_removed(self, inst_a, monkeypatch, closed_form, power):
+        # a closed form computed on X^power * I makes oracle-agreement fail
+        true_form = getattr(harness, closed_form)
+        x = RatFunc.x_power(power)
+        monkeypatch.setattr(harness, closed_form,
+                            lambda raw, inst: true_form(RawIdeal([g * x for g in raw.gens]), inst))
         report = run_suite("oracle-agreement", inst_a, SampleParams(seed=3, count=3,
                                                                     degree_window=4))
         assert report.violations
@@ -263,8 +286,8 @@ class TestReplay:
         assert not any(replay_violation(v, inst_a) for v in report.violations)
 
     def test_unregistered_check_cannot_be_emitted(self, inst_a):
-        def rogue(inst, op):
-            return harness._Found().fail("M-fixed", "M", "moved")
+        def rogue(inst, op, fail):
+            fail("M-fixed", "M", "moved")
         with pytest.raises(HarnessError):
             harness._decide(harness.Report("rogue", "A", PARAMS), rogue, inst_a, T_OP)
 
