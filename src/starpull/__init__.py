@@ -73,6 +73,7 @@ from .pullback import (
     m_ideal,
     make_instance,
     member_R,
+    member_R_product,
     oracle_colon_member,
     oracle_v_member,
     r_ideal,

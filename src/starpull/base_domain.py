@@ -204,6 +204,13 @@ class BaseDomain:
         self.k_disc = k_disc
         self.ambient_dim = 1 if k_disc == 1 else 2
         self.is_pvmd = True
+        # ExtDModule is immutable, so every caller can share this one copy
+        if kind == "integers":
+            self._unit_module = ExtDModule.lattice(self, 1, [[1] if k_disc == 1 else [1, 0]])
+        elif kind == "quadratic_order":
+            self._unit_module = dmod_from_generators([FieldElem(1), self.omega()], self)
+        else:
+            self._unit_module = ExtDModule.lattice(self, 1, [[1, 0]])
         if kind == "quadratic_order":
             self._disc = k_disc if k_disc % 4 == 1 else 4 * k_disc
             self._load_class_group()
@@ -254,13 +261,8 @@ class BaseDomain:
         return FieldElem(0, 1, d)
 
     def unit_module(self) -> "ExtDModule":
-        """D itself as an ExtDModule."""
-        if self.kind == "integers":
-            row = [1] if self.ambient_dim == 1 else [1, 0]
-            return ExtDModule.lattice(self, 1, [row])
-        if self.kind == "quadratic_order":
-            return dmod_from_generators([FieldElem(1), self.omega()], self)
-        return ExtDModule.lattice(self, 1, [[1, 0]])
+        """D itself as an ExtDModule, built once by the constructor."""
+        return self._unit_module
 
     def contains_scalar(self, x: FieldElem) -> bool:
         x = FieldElem.coerce(x)
@@ -270,8 +272,7 @@ class BaseDomain:
             return x.y == 0 and x.x.denominator == 1
         if self.kind == "field":
             return x.y == 0
-        mod = self.unit_module()
-        return mod.contains(x)
+        return self._unit_module.contains(x)
 
     def units(self) -> list[FieldElem]:
         """Units of D for the quasi-finite kinds; field kind has no list."""

@@ -50,6 +50,7 @@ from .pullback import (
     ideal_equal,
     m_ideal,
     member_R,
+    member_R_product,
     member_structured,
     oracle_colon_member,
     oracle_v_member,
@@ -659,7 +660,7 @@ def _confirm_noninvertibility(raw: RawIdeal, inst: PullbackInstance) -> bool:
         return False
     # 1 * y escapes R for some y multiplying the whole product into R
     for y in _ring_probe_family(inst):
-        if all(member_R(y * q, inst) for q in products) and not member_R(y, inst):
+        if all(member_R_product(y, q, inst) for q in products) and not member_R(y, inst):
             return True
     return False
 
@@ -758,13 +759,15 @@ def _oracle_agreement(inst: PullbackInstance, op: StarOp, params: SampleParams) 
     for raw in sample_ideals(inst, params):
         rep.n_samples += 1
         before = len(rep.violations)
+        hull = structured_hull(raw, inst)
+        # colon_R reads the raw generators so that _certify_colon checks them
         closed_colon = colon_R(raw, inst)
-        closed_v = v_closure_R(raw, inst)
-        colon_grid = _agreement_grid(raw, closed_colon, inst, window)
+        closed_v = v_closure_R(hull, inst)
+        colon_grid = _agreement_grid(raw, hull, closed_colon, window)
         for g in colon_grid:
             _decide(rep, _colon_agreement, inst, op, ideal=raw, element=g,
                     closed_colon=closed_colon)
-        v_grid = _v_grid(raw, closed_v, inst)
+        v_grid = _v_grid(raw, hull, closed_v)
         probes = certified_colon_probes(raw, inst, window)
         for h in v_grid:
             _decide(rep, _v_agreement, inst, op, ideal=raw, element=h,
@@ -775,9 +778,8 @@ def _oracle_agreement(inst: PullbackInstance, op: StarOp, params: SampleParams) 
     return rep
 
 
-def _agreement_grid(raw: RawIdeal, closed_colon, inst, window: DegreeWindow) -> list[RatFunc]:
+def _agreement_grid(raw: RawIdeal, hull, closed_colon, window: DegreeWindow) -> list[RatFunc]:
     out = list(raw.gens)
-    hull = structured_hull(raw, inst)
     inv_u = hull.unit.inv()
     if closed_colon.dpart.is_lattice():
         lifts = [inv_u * RatFunc.coerce(Poly.const(c))
@@ -792,8 +794,7 @@ def _agreement_grid(raw: RawIdeal, closed_colon, inst, window: DegreeWindow) -> 
     return out
 
 
-def _v_grid(raw: RawIdeal, closed_v, inst) -> list[RatFunc]:
-    hull = structured_hull(raw, inst)
+def _v_grid(raw: RawIdeal, hull, closed_v) -> list[RatFunc]:
     out = list(raw.gens)
     if closed_v.dpart.is_lattice():
         out.extend(hull.unit * RatFunc.coerce(Poly.const(c))

@@ -7,6 +7,10 @@ equal across ambient fields.  Polynomials (``Poly``) and rational
 functions (``RatFunc``) in one variable X are built on top.  A RatFunc
 is kept canonical (monic denominator, numerator coprime to denominator),
 so two values are mathematically equal iff they are structurally equal.
+Products keep that form by cross-cancellation (Henrici's method, Knuth,
+TAOCP vol. 2, 4.5.1): for canonical a/b and c/d, dividing out gcd(a, d)
+and gcd(c, b) leaves a coprime pair with a monic denominator, so no gcd
+of the full products is taken.
 
 No floating point is used anywhere; ideal equality downstream depends on
 these canonical forms being exact.
@@ -15,12 +19,14 @@ these canonical forms being exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 
 class KernelError(ArithmeticError):
     """Domain error in exact scalar or rational-function arithmetic."""
 
 
+@lru_cache
 def _is_squarefree(n: int) -> bool:
     n = abs(n)
     if n == 0:
@@ -43,9 +49,11 @@ class FieldElem:
     __slots__ = ("x", "y", "d")
 
     def __init__(self, x, y=0, d=1):
-        x = Fraction(x)
-        y = Fraction(y)
-        if y == 0:
+        if type(x) is not Fraction:
+            x = Fraction(x)
+        if type(y) is not Fraction:
+            y = Fraction(y)
+        if not y:
             d = 1
         if d != 1 and not _is_squarefree(d):
             raise KernelError(f"discriminant tag {d} is not squarefree")
@@ -67,12 +75,8 @@ class FieldElem:
 
     def _match(self, other) -> tuple["FieldElem", "FieldElem"]:
         other = FieldElem.coerce(other)
-        if self.d == other.d:
+        if self.d == other.d or self.d == 1 or other.d == 1:
             return self, other
-        if self.d == 1:
-            return FieldElem(self.x, 0, 1), other
-        if other.d == 1:
-            return self, FieldElem(other.x, 0, 1)
         raise KernelError(f"mismatched discriminant tags {self.d} and {other.d}")
 
     def _tag(self, other) -> int:
@@ -81,8 +85,8 @@ class FieldElem:
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other):
         a, b = self._match(other)
-        d = a._tag(b)
-        return FieldElem(a.x + b.x, a.y + b.y, d if (a.y + b.y) != 0 else 1)
+        y = a.y + b.y
+        return FieldElem(a.x + b.x, y, a._tag(b) if y else 1)
 
     __radd__ = __add__
 
@@ -97,10 +101,12 @@ class FieldElem:
 
     def __mul__(self, other):
         a, b = self._match(other)
+        if not (a.y or b.y):
+            return FieldElem(a.x * b.x)
         d = a._tag(b)
-        x = a.x * b.x + Fraction(d) * a.y * b.y
+        x = a.x * b.x + d * a.y * b.y
         y = a.x * b.y + a.y * b.x
-        return FieldElem(x, y, d if y != 0 else 1)
+        return FieldElem(x, y, d if y else 1)
 
     __rmul__ = __mul__
 
@@ -138,7 +144,7 @@ class FieldElem:
 
     # -- predicates -------------------------------------------------------
     def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0
+        return not (self.x or self.y)
 
     def __bool__(self):
         return not self.is_zero()
@@ -255,10 +261,12 @@ class Poly:
         if self.is_zero() or other.is_zero():
             return Poly.zero()
         out = [ZERO_ELEM] * (len(self.coeffs) + len(other.coeffs) - 1)
+        # skipping zero terms on both sides makes a product by X^j a shift
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if not b.is_zero()]
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in terms:
                 out[i + j] = out[i + j] + a * b
         return Poly(out)
 
@@ -270,14 +278,15 @@ class Poly:
             raise KernelError("polynomial division by zero")
         rem = list(self.coeffs)
         q = [ZERO_ELEM] * max(0, len(rem) - len(other.coeffs) + 1)
-        inv_lead = other.leading().inv()
+        # every RatFunc denominator is monic, so most divisors need no inverse
+        inv_lead = None if other.is_monic() else other.leading().inv()
         while len(rem) >= len(other.coeffs):
             while rem and rem[-1].is_zero():
                 rem.pop()
             if len(rem) < len(other.coeffs):
                 break
             k = len(rem) - len(other.coeffs)
-            factor = rem[-1] * inv_lead
+            factor = rem[-1] if inv_lead is None else rem[-1] * inv_lead
             q[k] = factor
             for i, b in enumerate(other.coeffs):
                 rem[k + i] = rem[k + i] - factor * b
@@ -455,7 +464,24 @@ class RatFunc:
 
     def __mul__(self, other):
         other = RatFunc.coerce(other)
-        return RatFunc(self.num * other.num, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if a.is_zero() or c.is_zero():
+            return RatFunc.zero()
+        # a/b and c/d are canonical, so after dividing out gcd(a, d) and
+        # gcd(c, b) the numerator and denominator are coprime, and the
+        # denominator stays monic as a quotient of monic polynomials
+        if not (a.is_constant() or d.is_one()):
+            g = poly_gcd(a, d)
+            if not g.is_one():
+                a, d = a // g, d // g
+        if not (c.is_constant() or b.is_one()):
+            g = poly_gcd(c, b)
+            if not g.is_one():
+                c, b = c // g, b // g
+        out = object.__new__(RatFunc)
+        object.__setattr__(out, "num", a * c)
+        object.__setattr__(out, "den", b * d)
+        return out
 
     __rmul__ = __mul__
 

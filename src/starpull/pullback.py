@@ -323,6 +323,46 @@ def member_R(f: RatFunc, inst: PullbackInstance) -> bool:
     return inst.base.contains_scalar(eval_at_zero(f))
 
 
+def member_R_product(h: RatFunc, g: RatFunc, inst: PullbackInstance) -> bool:
+    """h*g in R, decided without forming h*g; equal to member_R(h * g, inst).
+
+    For canonical h = a/b and g = c/d each pair is coprime, so h*g is a
+    polynomial exactly when b | c and d | a, and then its value at zero
+    is (c/b)(0) * (a/d)(0).  In the local kind X-orders add and the
+    values at zero of the X-free parts multiply.
+    """
+    h = RatFunc.coerce(h)
+    g = RatFunc.coerce(g)
+    if h.is_zero() or g.is_zero():
+        return True
+    if inst.t_kind == "local":
+        e = ord_at_zero(h) + ord_at_zero(g)
+        if e != 0:
+            return e > 0
+        value = (_lowest(h.num) * _lowest(g.num)) / (_lowest(h.den) * _lowest(g.den))
+    else:
+        q1 = _exact_quotient(g.num, h.den)
+        if q1 is None:
+            return False
+        q2 = _exact_quotient(h.num, g.den)
+        if q2 is None:
+            return False
+        value = q1.eval_zero() * q2.eval_zero()
+    return inst.base.contains_scalar(value)
+
+
+def _lowest(p: Poly):
+    return p.coeffs[p.ord_zero()]
+
+
+def _exact_quotient(f: Poly, g: Poly) -> Poly | None:
+    """f / g when g divides f, else None."""
+    if g.is_one():
+        return f
+    q, r = divmod(f, g)
+    return q if r.is_zero() else None
+
+
 def member_structured(f: RatFunc, s: StructuredIdeal, inst: PullbackInstance) -> bool:
     f = RatFunc.coerce(f)
     if f.is_zero():
@@ -436,7 +476,7 @@ def _certify_colon(result: StructuredIdeal, ideal, inst: PullbackInstance) -> No
     gens = ideal.gens if isinstance(ideal, RawIdeal) else lift_generators(as_structured(ideal, inst), inst, powers=1)
     for p in probes:
         for g in gens:
-            if not member_R(p * g, inst):
+            if not member_R_product(p, g, inst):
                 raise AssertionError("closed-form colon failed definitional certification")
 
 
@@ -567,9 +607,13 @@ def unit_group_predicates(f: RatFunc, inst: PullbackInstance) -> UnitGroupPredic
 # ---------------------------------------------------------------------------
 
 def oracle_colon_member(g: RatFunc, ideal: RawIdeal, inst: PullbackInstance) -> bool:
-    """Exact test g in (R : I): multiply through every generator."""
+    """Exact test g in (R : I): g*f in R for every generator f.
+
+    Each product's membership is decided by member_R_product without
+    forming the product; that test is exact, not a heuristic.
+    """
     g = RatFunc.coerce(g)
-    return all(member_R(g * f, inst) for f in ideal.gens)
+    return all(member_R_product(g, f, inst) for f in ideal.gens)
 
 
 class OracleVerdict:
@@ -593,9 +637,9 @@ def _colon_probe_family(ideal: RawIdeal, inst: PullbackInstance, window: DegreeW
     probes = []
     if j_colon.is_lattice():
         for c in j_colon.basis_elements():
-            lift = RatFunc.coerce(Poly.const(c))
+            lift = inv_u * RatFunc.coerce(Poly.const(c))
             for j in range(0, window.degree + 1):
-                probes.append(inv_u * lift * RatFunc.x_power(j))
+                probes.append(lift * RatFunc.x_power(j))
     for j in range(1, window.degree + 1):
         probes.append(inv_u * RatFunc.x_power(j))
     return probes
@@ -616,11 +660,13 @@ def oracle_v_member(h: RatFunc, ideal: RawIdeal, inst: PullbackInstance,
 
     Every probe g is certified inside (R : I) by oracle_colon_member
     before use; a probe with h*g outside R is an exclusion witness.
+    Membership of h*g is decided exactly by member_R_product, without
+    forming the product.
     """
     h = RatFunc.coerce(h)
     certified = probes if probes is not None else certified_colon_probes(ideal, inst, window)
     for g in certified:
-        if not member_R(h * g, inst):
+        if not member_R_product(h, g, inst):
             return OracleVerdict("out-with-witness", g)
     if member_structured(h, v_closure_R(ideal, inst), inst) and certified:
         return OracleVerdict("in")

@@ -17,7 +17,7 @@ from starpull.harness import (
     sample_ideals,
 )
 from starpull.kernel import RatFunc
-from starpull.pullback import RawIdeal
+from starpull.pullback import RawIdeal, ideal_arith
 from starpull.star_ops import StarOp
 
 T_OP = StarOp.t_op("R")
@@ -273,11 +273,12 @@ class TestReplay:
     @pytest.mark.parametrize("closed_form, power", [("colon_R", 1), ("v_closure_R", 1),
                                                     ("v_closure_R", -1)])
     def test_injected_fault_replays_until_removed(self, inst_a, monkeypatch, closed_form, power):
-        # a closed form computed on X^power * I makes oracle-agreement fail
+        # a closed form computed on X^power * I makes oracle-agreement fail;
+        # the suite passes colon_R the raw ideal and v_closure_R its hull
         true_form = getattr(harness, closed_form)
-        x = RatFunc.x_power(power)
+        x = RawIdeal([RatFunc.x_power(power)])
         monkeypatch.setattr(harness, closed_form,
-                            lambda raw, inst: true_form(RawIdeal([g * x for g in raw.gens]), inst))
+                            lambda ideal, inst: true_form(ideal_arith(ideal, x, "mul", inst), inst))
         report = run_suite("oracle-agreement", inst_a, SampleParams(seed=3, count=3,
                                                                     degree_window=4))
         assert report.violations

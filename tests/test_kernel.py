@@ -16,6 +16,7 @@ from starpull.kernel import (
     poly_lcm,
     poly_xgcd,
 )
+from strategies import TAGS, elems, polys, ratfuncs
 
 
 def fe(x, y=0, d=1):
@@ -53,8 +54,13 @@ class TestFieldElem:
         assert fe(2) == FieldElem(2, 0, 1)
 
     def test_squarefree_tag_enforced(self):
-        with pytest.raises(KernelError):
-            FieldElem(1, 1, -4)
+        # the squarefree test is memoized: valid tags seen first must not
+        # let a bad tag through, on its first check or a repeated one
+        for d in (-1, -5, 2, 3):
+            FieldElem(1, 1, d)
+        for d in (-4, 12, -4):
+            with pytest.raises(KernelError):
+                FieldElem(1, 1, d)
 
     @given(
         x=st.fractions(min_value=-20, max_value=20, max_denominator=6),
@@ -119,6 +125,18 @@ class TestPoly:
         assert d == h
         assert s * f + t * g == d
 
+    @given(st.sampled_from(TAGS).flatmap(
+        lambda d: st.tuples(polys(d), polys(d), st.just(FieldElem(2, 1, d) if d != 1 else 3))))
+    @settings(max_examples=80, deadline=None)
+    def test_divmod_by_monic_and_non_monic(self, args):
+        f, g, c = args
+        if g.is_zero():
+            return
+        for divisor in (g.monic(), g.monic().scale(c)):
+            q, r = divmod(f, divisor)
+            assert q * divisor + r == f
+            assert r.degree < divisor.degree
+
     def test_lcm(self):
         assert poly_lcm(poly(0, 2), poly(0, 0, 3)) == poly(0, 0, 1)
 
@@ -180,3 +198,14 @@ class TestRatFunc:
             assert eval_at_zero(f).is_zero()
         g = RatFunc(poly(5, 1))
         assert not eval_at_zero(g).is_zero()
+
+    @given(st.sampled_from(TAGS).flatmap(lambda d: st.tuples(ratfuncs(d), ratfuncs(d))))
+    @settings(max_examples=120, deadline=None)
+    def test_product_matches_reduced_full_product(self, pair):
+        # reference: reduce the full products num*num / den*den through gcd
+        h, g = pair
+        product = h * g
+        reference = RatFunc(h.num * g.num, h.den * g.den)
+        assert product.num == reference.num and product.den == reference.den
+        assert product.den.is_monic()
+        assert poly_gcd(product.num, product.den).is_one()

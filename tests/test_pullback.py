@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starpull.base_domain import ExtDModule, dmod_from_generators
 from starpull.kernel import FieldElem, Poly, RatFunc, eval_at_zero
@@ -19,10 +20,12 @@ from starpull.pullback import (
     extend_to_T,
     ideal_arith,
     ideal_equal,
+    instance_catalog,
     inverse_image_R,
     m_ideal,
     make_instance,
     member_R,
+    member_R_product,
     member_structured,
     oracle_colon_member,
     oracle_v_member,
@@ -33,6 +36,7 @@ from starpull.pullback import (
     unit_group_predicates,
     v_closure_R,
 )
+from strategies import ratfuncs
 
 X = RatFunc.x_power(1)
 TWO = RatFunc.coerce(2)
@@ -80,6 +84,59 @@ class TestMemberR:
     def test_gaussian_value(self, inst_d):
         assert not member_R(const(0, 1, -1), inst_d)
         assert member_R(const(0, 1, -1) * X, inst_d)
+
+
+def formed_product_in_R(h, g, inst):
+    # reference: reduce the full product through gcd, then test it
+    return member_R(RatFunc(h.num * g.num, h.den * g.den), inst)
+
+
+class TestMemberRProduct:
+    @pytest.mark.parametrize("name", instance_catalog())
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_formed_product(self, name, data):
+        inst = make_instance(name)
+        h = data.draw(ratfuncs(inst.k_disc))
+        g = data.draw(ratfuncs(inst.k_disc))
+        # make the divisibility branches fire, not only the coprime case
+        if data.draw(st.booleans()):
+            g = RatFunc(g.num * h.den, g.den)
+        if data.draw(st.booleans()):
+            h = RatFunc(h.num * g.den, h.den)
+        assert member_R_product(h, g, inst) == formed_product_in_R(h, g, inst)
+
+    @pytest.mark.parametrize("name", instance_catalog())
+    def test_zero_factors_poles_and_negative_orders(self, name):
+        inst = make_instance(name)
+        inv_x = RatFunc.x_power(-1)
+        pole = RatFunc(Poly([1]), Poly([0, 1, 1]))
+        cases = [
+            (RatFunc.zero(), RatFunc.x_power(-3)),
+            (RatFunc.x_power(-2), RatFunc.zero()),
+            (inv_x, X),
+            (RatFunc.x_power(-2), X),
+            (inv_x * HALF, X),
+            (inv_x * TWO, X),
+            (pole, RatFunc(Poly([0, 1, 1]))),
+            (pole, RatFunc(Poly([0, 2, 2])) * HALF),
+            (pole, X * X),
+            (RatFunc(Poly([3, 1]), Poly([1, 1])), RatFunc(Poly([1, 1]), Poly([3, 1]))),
+            (RatFunc(Poly([3, 1]), Poly([1, 1])), HALF),
+            (RatFunc(Poly([1]), Poly([2, 1])), RatFunc.one()),
+            (RatFunc(Poly([4]), Poly([2, 1])), RatFunc(Poly([1]), Poly([2, 1]))),
+        ]
+        for h, g in cases:
+            expected = formed_product_in_R(h, g, inst)
+            assert member_R_product(h, g, inst) == expected
+            assert member_R_product(g, h, inst) == expected
+
+    def test_decides_membership(self, inst_a, inst_b):
+        pole = RatFunc(Poly([1]), Poly([0, 1]))
+        assert member_R_product(pole, X, inst_a)
+        assert not member_R_product(pole * HALF, X, inst_a)
+        assert not member_R_product(RatFunc(Poly([1]), Poly([1, 1])), X, inst_a)
+        assert member_R_product(RatFunc(Poly([1]), Poly([1, 1])), X, inst_b)
 
 
 class TestContent:
