@@ -28,3 +28,8 @@ def ratfuncs(d: int):
     """Canonical rational functions, zero and poles at zero included."""
     return st.builds(lambda n, m: RatFunc(n, Poly.one() if m.is_zero() else m),
                      polys(d), polys(d))
+
+
+def tagged(strategy_of_tag):
+    """(d, value) with d drawn from TAGS and value from strategy_of_tag(d)."""
+    return st.sampled_from(TAGS).flatmap(lambda d: st.tuples(st.just(d), strategy_of_tag(d)))

@@ -16,7 +16,7 @@ from starpull.kernel import (
     poly_lcm,
     poly_xgcd,
 )
-from strategies import TAGS, elems, polys, ratfuncs
+from strategies import polys, ratfuncs, tagged
 
 
 def fe(x, y=0, d=1):
@@ -125,14 +125,14 @@ class TestPoly:
         assert d == h
         assert s * f + t * g == d
 
-    @given(st.sampled_from(TAGS).flatmap(
-        lambda d: st.tuples(polys(d), polys(d), st.just(FieldElem(2, 1, d) if d != 1 else 3))))
+    @given(tagged(lambda d: st.tuples(polys(d), polys(d))))
     @settings(max_examples=80, deadline=None)
     def test_divmod_by_monic_and_non_monic(self, args):
-        f, g, c = args
+        d, (f, g) = args
         if g.is_zero():
             return
-        for divisor in (g.monic(), g.monic().scale(c)):
+        lead = FieldElem(2, 1, d) if d != 1 else FieldElem(3)
+        for divisor in (g.monic(), g.monic().scale(lead)):
             q, r = divmod(f, divisor)
             assert q * divisor + r == f
             assert r.degree < divisor.degree
@@ -199,11 +199,11 @@ class TestRatFunc:
         g = RatFunc(poly(5, 1))
         assert not eval_at_zero(g).is_zero()
 
-    @given(st.sampled_from(TAGS).flatmap(lambda d: st.tuples(ratfuncs(d), ratfuncs(d))))
+    @given(tagged(lambda d: st.tuples(ratfuncs(d), ratfuncs(d))))
     @settings(max_examples=120, deadline=None)
-    def test_product_matches_reduced_full_product(self, pair):
+    def test_product_matches_reduced_full_product(self, args):
         # reference: reduce the full products num*num / den*den through gcd
-        h, g = pair
+        _, (h, g) = args
         product = h * g
         reference = RatFunc(h.num * g.num, h.den * g.den)
         assert product.num == reference.num and product.den == reference.den

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starpull.kernel import FieldElem, Poly, poly_gcd
-from strategies import TAGS, elems, polys
+from strategies import elems, polys, tagged
 
 sympy = pytest.importorskip("sympy")
 
@@ -28,10 +28,6 @@ def to_expr(c: FieldElem):
 def to_sympy(p: Poly, d: int):
     return sympy.Poly(sum((to_expr(c) * X**i for i, c in enumerate(p.coeffs)), sympy.S.Zero),
                       X, domain=domain(d))
-
-
-def tagged(strategy_of_tag):
-    return st.sampled_from(TAGS).flatmap(lambda d: st.tuples(st.just(d), strategy_of_tag(d)))
 
 
 class TestPolyAgainstSympy:
