@@ -16,7 +16,6 @@ the domain is constructed.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 
 from .kernel import FieldElem
 from .lattices import (
@@ -696,24 +695,38 @@ def _cyclic_generator(n: ExtDModule, dom: BaseDomain) -> FieldElem | None:
         if n.rank() != 1:
             return None
         return n.basis_elements()[0]
-    # quadratic order: search for an element whose field norm equals the
-    # relative index; short-vector enumeration at desk scale
+    # quadratic order.  For nonzero x in n, N(x) = [D : xD] >= [D : n], with
+    # equality exactly when xD = n.  So n is principal exactly when its
+    # shortest vectors under the norm form N(p + q*sqrt(d)) = p^2 - d*q^2
+    # have norm [D : n], and then they are its generators.  Lagrange-Gauss
+    # reduction of the Hermite basis (Cohen, GTM 138, Alg. 1.3.14) finds
+    # them: for a reduced basis (a, b) every shortest vector is one of
+    # +-a, +-b, +-(a+b), +-(a-b).  Of those, return the one with the
+    # smallest surd coordinate q >= 0, then the smallest |p|, then p > 0,
+    # the generator a search outward from 0 meets first; with 4 or 6 units
+    # (d = -1, -3) the choice matters.
     if n.rank() != 2:
         return None
-    target = _relative_norm(n, dom)
     d = dom.k_disc
-    den2 = 2 * n.den
-    bound_sq = target * den2 * den2
-    pmax = isqrt(int(bound_sq)) + 1
-    qmax = isqrt(int(bound_sq / (-d))) + 1
-    for q in range(0, qmax + 1):
-        for p in range(0, pmax + 1):
-            for sp in ((p,) if p == 0 else (p, -p)):
-                if sp == 0 and q == 0:
-                    continue
-                x = FieldElem(Fraction(sp, den2), Fraction(q, den2), d)
-                if x.norm() == target and n.contains(x):
-                    return x
+
+    def form(u, v):
+        return u[0] * v[0] - d * u[1] * v[1]
+
+    a, b = n.rows
+    qa = form(a, a)
+    while True:
+        m = (2 * form(a, b) + qa) // (2 * qa)  # nearest integer to B(a, b) / N(a)
+        b = (b[0] - m * a[0], b[1] - m * a[1])
+        qb = form(b, b)
+        if qb >= qa:
+            break
+        a, b, qa = b, a, qb
+    shortest = [s for v in (a, b, (a[0] + b[0], a[1] + b[1]), (a[0] - b[0], a[1] - b[1]))
+                for s in (v, (-v[0], -v[1])) if s[1] >= 0 and form(s, s) == qa]
+    p, q = min(shortest, key=lambda s: (s[1], abs(s[0]), s[0] < 0))
+    x = FieldElem(Fraction(p, n.den), Fraction(q, n.den), d)
+    if x.norm() == _relative_norm(n, dom) and n.contains(x):
+        return x
     return None
 
 

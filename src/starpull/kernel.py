@@ -365,22 +365,6 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     return a.monic()
 
 
-def poly_xgcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
-    """g, s, t with s*f + t*g == g(cd), g monic."""
-    if f.is_zero() and g.is_zero():
-        raise KernelError("gcd of two zero polynomials")
-    r0, r1 = f, g
-    s0, s1 = Poly.one(), Poly.zero()
-    t0, t1 = Poly.zero(), Poly.one()
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    c = r0.leading().inv()
-    return r0.scale(c), s0.scale(c), t0.scale(c)
-
-
 def poly_lcm(f: Poly, g: Poly) -> Poly:
     if f.is_zero() or g.is_zero():
         raise KernelError("lcm with a zero polynomial")
@@ -488,7 +472,17 @@ class RatFunc:
     def inv(self) -> "RatFunc":
         if self.is_zero():
             raise KernelError("division by zero")
-        return RatFunc(self.den, self.num)
+        # num and den are already coprime, so swapping them and making the
+        # new denominator monic gives the canonical form with no gcd
+        num, den = self.den, self.num
+        lead = den.leading()
+        if lead != ONE_ELEM:
+            c = lead.inv()
+            num, den = num.scale(c), den.scale(c)
+        out = object.__new__(RatFunc)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", den)
+        return out
 
     def __truediv__(self, other):
         return self * RatFunc.coerce(other).inv()

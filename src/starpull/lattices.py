@@ -66,7 +66,9 @@ def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
         j = next(i for i, v in enumerate(row) if v)
         if row[j] < 0:
             row[:] = [-v for v in row]
-    for i in range(len(basis) - 1, -1, -1):
+    # left to right: row i is zero left of its pivot, so reducing a row
+    # above it keeps the columns already reduced
+    for i in range(len(basis)):
         j = next(k for k, v in enumerate(basis[i]) if v)
         p = basis[i][j]
         for up in range(i):

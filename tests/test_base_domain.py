@@ -2,14 +2,18 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starpull.base_domain import (
     BaseDomain,
     ClassLabel,
     DomainError,
     ExtDModule,
+    _cyclic_generator,
+    _relative_norm,
     class_label_D,
     dmod_arith,
     dmod_colon,
@@ -196,6 +200,82 @@ class TestPredicates:
         for _ in range(6):
             m1, m2 = rng.choice(invertibles), rng.choice(invertibles)
             assert dmod_predicates(dmod_arith(m1, m2, "mul")).is_invertible
+
+
+def _enumerated_generator(n, dom):
+    """Reference: the norm-bounded search that `_cyclic_generator` replaced.
+
+    It walks the grid (1/2den)Z + (1/2den)Z*sqrt(d) outward from 0 (surd
+    coordinate q >= 0 first, then |p|, then p > 0) and returns the first
+    point of n whose norm is [D : n].
+    """
+    if n.rank() != 2:
+        return None
+    target = _relative_norm(n, dom)
+    d = dom.k_disc
+    den2 = 2 * n.den
+    bound_sq = target * den2 * den2
+    pmax = isqrt(int(bound_sq)) + 1
+    qmax = isqrt(int(bound_sq / (-d))) + 1
+    for q in range(0, qmax + 1):
+        for p in range(0, pmax + 1):
+            for sp in ((p,) if p == 0 else (p, -p)):
+                if sp == 0 and q == 0:
+                    continue
+                x = FieldElem(Fraction(sp, den2), Fraction(q, den2), d)
+                if x.norm() == target and n.contains(x):
+                    return x
+    return None
+
+
+# d = -1 and -3 have 4 and 6 units; the others have class numbers 2, 2, 2, 3,
+# and d = -5 is the base of instance C
+ORDERS = {d: BaseDomain.quadratic_order(d) for d in (-5, -1, -3, -6, -15, -23)}
+
+
+def _modules(coord):
+    """(domain, module) for one to three generators with coordinates from coord."""
+    def build(d, gens):
+        dom = ORDERS[d]
+        return dom, dmod_from_generators([FieldElem(x, y, d) for x, y in gens], dom)
+
+    gens = st.lists(st.tuples(coord, coord), min_size=1, max_size=3)
+    return st.tuples(st.sampled_from(sorted(ORDERS)), gens) \
+        .map(lambda a: build(*a)).filter(lambda dm: dm[1].is_lattice())
+
+
+_SMALL = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+
+
+class TestCyclicGenerator:
+    @given(_modules(_SMALL))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_norm_bounded_search(self, dm):
+        dom, n = dm
+        # the same element, sign and surd tag included, or None from both
+        def coords(x):
+            return None if x is None else (x.x, x.y, x.d)
+
+        assert coords(_cyclic_generator(n, dom)) == coords(_enumerated_generator(n, dom))
+
+    @given(_modules(st.integers(-10**6, 10**6)))
+    @settings(max_examples=100, deadline=None)
+    def test_generator_exactly_on_the_identity_class(self, dm):
+        # independent of the reduction: the class label comes from the
+        # reduced binary quadratic form of n
+        dom, n = dm
+        gen = _cyclic_generator(n, dom)
+        assert (gen is not None) == class_label_D(n, dom).is_identity()
+        if gen is not None:
+            assert dmod_from_generators([gen], dom) == n
+
+    def test_unit_tie_break(self):
+        # D itself: the generators are the units, and the search meets 1 first
+        for d, dom in ORDERS.items():
+            assert _cyclic_generator(dom.unit_module(), dom) == fe(1)
+        # (1 + i)Z[i] has generators +-(1 + i), +-(1 - i); the first met is 1 + i
+        zi = ORDERS[-1]
+        assert _cyclic_generator(dmod_from_generators([fe(1, -1, -1)], zi), zi) == fe(1, 1, -1)
 
 
 class TestClassLabels:

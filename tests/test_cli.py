@@ -6,6 +6,7 @@ import string
 
 import pytest
 
+from starpull.base_domain import class_label_D
 from starpull.cli import run_command
 from starpull.exprlang import (
     ExprError,
@@ -124,6 +125,22 @@ class TestCommands:
         out = capsys.readouterr().out.strip()
         assert code == 0
         assert out == "2ℤ + X·ℚ[X]"
+
+    @pytest.mark.parametrize("a", [10**4, 10**12])
+    @pytest.mark.parametrize("prefix", ["ideal(2, 1+sqrt(-5))",
+                                        "ideal(2, 1+sqrt(-5)) * ideal(2, 1-sqrt(-5))"])
+    def test_principal_at_large_norm(self, prefix, a, capsys):
+        inst = make_instance("C")
+        ideal = f"{prefix} * ideal({a}+sqrt(-5))"
+        code = run_command(["eval", "-i", "C", "-e", f"principal({ideal})"])
+        out = capsys.readouterr().out.strip()
+        assert code == 0
+        # the class of the D-part predicts the answer
+        dpart = structured_hull(evaluate(parse_expression(ideal), inst), inst).dpart
+        if class_label_D(dpart, inst.base).is_identity():
+            assert out.startswith("principal, generator")
+        else:
+            assert out == "not principal"
 
     def test_eval_json(self, capsys):
         code = run_command(["eval", "-i", "A", "-e", "v(ideal(2,X))", "--json"])

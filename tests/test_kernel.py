@@ -14,7 +14,6 @@ from starpull.kernel import (
     ord_at_zero,
     poly_gcd,
     poly_lcm,
-    poly_xgcd,
 )
 from strategies import polys, ratfuncs, tagged
 
@@ -112,7 +111,7 @@ class TestPoly:
     @given(st.lists(st.integers(-5, 5), min_size=1, max_size=5),
            st.lists(st.integers(-5, 5), min_size=1, max_size=5))
     @settings(max_examples=60, deadline=None)
-    def test_gcd_divides_and_bezout(self, cs1, cs2):
+    def test_gcd_divides_both(self, cs1, cs2):
         f, g = Poly(cs1), Poly(cs2)
         if f.is_zero() and g.is_zero():
             return
@@ -121,9 +120,6 @@ class TestPoly:
             assert (f % h).is_zero()
         if not g.is_zero():
             assert (g % h).is_zero()
-        d, s, t = poly_xgcd(f, g)
-        assert d == h
-        assert s * f + t * g == d
 
     @given(tagged(lambda d: st.tuples(polys(d), polys(d))))
     @settings(max_examples=80, deadline=None)
@@ -209,3 +205,15 @@ class TestRatFunc:
         assert product.num == reference.num and product.den == reference.den
         assert product.den.is_monic()
         assert poly_gcd(product.num, product.den).is_one()
+
+    @given(tagged(ratfuncs))
+    @settings(max_examples=120, deadline=None)
+    def test_inverse_matches_reduced_swap(self, args):
+        # reference: swap numerator and denominator and reduce through gcd
+        _, h = args
+        if h.is_zero():
+            return
+        inverse = h.inv()
+        reference = RatFunc(h.den, h.num)
+        assert inverse.num == reference.num and inverse.den == reference.den
+        assert h * inverse == RatFunc.one()

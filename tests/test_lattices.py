@@ -32,6 +32,11 @@ def test_hnf_pivot_reduction():
     assert hnf_rows([[0, 0]]) == []
 
 
+def test_hnf_reduces_above_every_pivot_in_three_columns():
+    # reducing row 0 by the pivot-1 row must not undo its pivot-2 entry
+    assert hnf_rows([[0, 0, 2], [1, -1, 1], [1, 0, 0]]) == [[1, 0, 0], [0, 1, 1], [0, 0, 2]]
+
+
 def test_integer_kernel_saturated():
     # x + 2y - z == 0 over Z
     basis = integer_kernel([[1, 2, -1]], 3)
