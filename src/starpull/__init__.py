@@ -57,7 +57,6 @@ from .kernel import (
     poly_gcd,
 )
 from .pullback import (
-    DegreeWindow,
     PullbackError,
     PullbackInstance,
     RawIdeal,

@@ -15,8 +15,10 @@ Grammar (whitespace insensitive, positions are byte offsets):
 
 Scalars are exact field elements and rational functions; ideal-valued
 subexpressions combine with '+' and '*'.  Every parse failure carries
-the offending offset.  The printers below emit canonical forms that
-re-parse to equal values, which backs the round-trip tests.
+the offending offset; nesting past MAX_NESTING and powers past
+MAX_POWER_DEGREE or MAX_POWER_BITS are refused before any work.  The
+printers below emit canonical forms that re-parse to equal values (of
+degree at most MAX_POWER_DEGREE), which backs the round-trip tests.
 """
 
 from __future__ import annotations
@@ -56,6 +58,12 @@ _FUNCS = {
 }
 
 MAX_INPUT_BYTES = 64 * 1024
+# parentheses, calls, ideals and unary minus nest at most this deep
+MAX_NESTING = 100
+# f^n is refused when |n| * deg f or |n| * (bits of f's largest numerator or denominator) passes
+MAX_POWER_DEGREE = 64
+MAX_POWER_BITS = 1024
+_CHAINED = ("pow", "add", "sub", "mul", "div")
 
 
 # -- AST ---------------------------------------------------------------------
@@ -69,16 +77,12 @@ class Node:
         self.value = value
         self.children = list(children)
 
-    def __repr__(self):
-        if self.kind in ("int", "name"):
-            return f"Node({self.kind}:{self.value})"
-        return f"Node({self.kind}:{self.value}, {self.children})"
-
 
 class _Tokens:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -113,7 +117,10 @@ class _Tokens:
             raise ExprError("expected an integer", self.pos)
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
-        return int(self.text[start:self.pos]), start
+        try:
+            return int(self.text[start:self.pos]), start
+        except ValueError as exc:  # more digits than int() converts
+            raise ExprError("integer literal too long", start) from exc
 
     def read_name(self) -> tuple[str, int]:
         self.skip_ws()
@@ -157,11 +164,17 @@ def _parse_product(toks: _Tokens) -> Node:
 
 
 def _parse_unary(toks: _Tokens) -> Node:
+    if toks.depth == MAX_NESTING:
+        raise ExprError(f"nesting deeper than {MAX_NESTING}", toks.pos)
+    toks.depth += 1
     if toks.peek() == "-":
         pos = toks.pos
         toks.take()
-        return Node("neg", pos, children=(_parse_unary(toks),))
-    return _parse_power(toks)
+        node = Node("neg", pos, children=(_parse_unary(toks),))
+    else:
+        node = _parse_power(toks)
+    toks.depth -= 1
+    return node
 
 
 def _parse_power(toks: _Tokens) -> Node:
@@ -237,8 +250,6 @@ class PrincipalAnswer:
 def evaluate(node: Node, inst: PullbackInstance):
     """Evaluate an AST against an instance; returns a scalar, an ideal,
     a T-ideal, a class label, or a PrincipalAnswer."""
-    from .class_groups import alpha, beta, gamma, is_principal_R
-
     def ev(n: Node):
         if n.kind == "int":
             return RatFunc.coerce(n.value)
@@ -256,13 +267,17 @@ def evaluate(node: Node, inst: PullbackInstance):
             if isinstance(val, RatFunc):
                 return -val
             raise ExprError("negation applies to scalars", n.pos)
-        if n.kind == "pow":
-            val = ev(n.children[0])
-            if isinstance(val, RatFunc):
-                return val ** n.value
-            raise ExprError("powers apply to scalars", n.pos)
-        if n.kind in ("add", "sub", "mul", "div"):
-            return _binop(n, ev(n.children[0]), ev(n.children[1]), inst)
+        if n.kind in _CHAINED:
+            # walk the chain's left spine, so its length costs no stack
+            spine = []
+            while n.kind in _CHAINED:
+                spine.append(n)
+                n = n.children[0]
+            val = ev(n)
+            for m in reversed(spine):
+                val = (_power(m, val) if m.kind == "pow"
+                       else _binop(m, val, ev(m.children[1]), inst))
+            return val
         if n.kind == "ideal":
             gens = []
             for child in n.children:
@@ -281,6 +296,17 @@ def evaluate(node: Node, inst: PullbackInstance):
         return ev(node)
     except (KernelError, PullbackError) as exc:
         raise ExprError(str(exc), node.pos) from exc
+
+
+def _power(node: Node, f):
+    if not isinstance(f, RatFunc):
+        raise ExprError("powers apply to scalars", node.pos)
+    n = abs(node.value)
+    bits = max(max(q.numerator.bit_length(), q.denominator.bit_length())
+               for c in f.num.coeffs + f.den.coeffs for q in (c.x, c.y))
+    if n * max(f.num.degree, f.den.degree) > MAX_POWER_DEGREE or n * bits > MAX_POWER_BITS:
+        raise ExprError(f"power past degree {MAX_POWER_DEGREE} or {MAX_POWER_BITS} bits", node.pos)
+    return f ** node.value
 
 
 def _binop(node: Node, lhs, rhs, inst: PullbackInstance):
@@ -437,26 +463,22 @@ def value_to_expr(value, inst: PullbackInstance) -> str:
     raise PullbackError(f"no expression form for {type(value).__name__}")
 
 
-def _pretty_fraction(q: Fraction) -> str:
-    return str(q)
-
-
 def pretty_elem(e: FieldElem) -> str:
     if e.y == 0:
-        return _pretty_fraction(e.x)
+        return str(e.x)
     surd = "i" if e.d == -1 else f"√{e.d}"
     if e.y == 1:
         ypart = surd
     elif e.y == -1:
         ypart = f"-{surd}"
     else:
-        ypart = f"{_pretty_fraction(e.y)}{surd}"
+        ypart = f"{e.y}{surd}"
     if e.x == 0:
         return ypart
     sign = "+" if e.y > 0 else "-"
     mag = abs(e.y)
-    ystr = surd if mag == 1 else f"{_pretty_fraction(mag)}{surd}"
-    return f"{_pretty_fraction(e.x)}{sign}{ystr}"
+    ystr = surd if mag == 1 else f"{mag}{surd}"
+    return f"{e.x}{sign}{ystr}"
 
 
 def _pretty_field_name(inst: PullbackInstance) -> str:

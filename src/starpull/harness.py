@@ -37,8 +37,6 @@ from .class_groups import (
 from .exprlang import elem_to_expr, evaluate, parse_expression, value_to_expr
 from .kernel import FieldElem, Poly, RatFunc, ord_at_zero
 from .pullback import (
-    DegreeWindow,
-    certified_colon_probes,
     PullbackError,
     PullbackInstance,
     RawIdeal,
@@ -477,13 +475,14 @@ def _colon_agreement(inst, op, fail, ideal, element, closed_colon=None):
         fail("colon-agreement", f"oracle={oracle}", f"closed={closed}")
 
 
-@_check("v-agreement", ideal=_VALUE, element=_VALUE, degree_window=_JSON)
-def _v_agreement(inst, op, fail, ideal, element, degree_window, closed_v=None, probes=None):
-    # the suite passes I^v and the oracle's probes, computed once for the ideal
+@_check("v-agreement", ideal=_VALUE, element=_VALUE)
+def _v_agreement(inst, op, fail, ideal, element, closed_v=None, closed_colon=None):
+    # the suite passes I^v and (R : I), computed once for the ideal
     if closed_v is None:
         closed_v = v_closure_R(ideal, inst)
-    window = DegreeWindow(degree=degree_window)
-    verdict = oracle_v_member(element, ideal, inst, window, probes=probes)
+    if closed_colon is None:
+        closed_colon = colon_R(ideal, inst)
+    verdict = oracle_v_member(element, ideal, inst, closed_colon)
     inside = member_structured(element, closed_v, inst)
     if inside and verdict.status == "out-with-witness":
         fail("v-agreement", "member", "excluded by witness",
@@ -650,8 +649,7 @@ def _confirm_noninvertibility(raw: RawIdeal, inst: PullbackInstance) -> bool:
     must push 1 outside R.
     """
     inv = colon_R(raw, inst)
-    window = DegreeWindow(degree=4)
-    inv_probes = [p for p in _structured_probes(inv, inst, window)
+    inv_probes = [p for p in _structured_probes(inv, inst, degree=4)
                   if oracle_colon_member(p, raw, inst)]
     if not inv_probes:
         return False
@@ -665,7 +663,7 @@ def _confirm_noninvertibility(raw: RawIdeal, inst: PullbackInstance) -> bool:
     return False
 
 
-def _structured_probes(s, inst, window: DegreeWindow) -> list[RatFunc]:
+def _structured_probes(s, inst, degree: int) -> list[RatFunc]:
     s = as_structured(s, inst)
     out = []
     if s.dpart.is_full():
@@ -673,7 +671,7 @@ def _structured_probes(s, inst, window: DegreeWindow) -> list[RatFunc]:
     else:
         base = [s.unit * RatFunc.coerce(Poly.const(c)) for c in s.dpart.basis_elements()]
     for b in base:
-        for j in range(0, window.degree + 1):
+        for j in range(0, degree + 1):
             out.append(b * RatFunc.x_power(j))
     return out
 
@@ -755,7 +753,6 @@ def _pic_splitting(inst: PullbackInstance, op: StarOp, params: SampleParams) -> 
 def _oracle_agreement(inst: PullbackInstance, op: StarOp, params: SampleParams) -> Report:
     """Closed-form colon and divisorial closure never contradict the oracles."""
     rep = Report("oracle-agreement", inst.name, params)
-    window = DegreeWindow(degree=params.degree_window)
     for raw in sample_ideals(inst, params):
         rep.n_samples += 1
         before = len(rep.violations)
@@ -763,22 +760,21 @@ def _oracle_agreement(inst: PullbackInstance, op: StarOp, params: SampleParams) 
         # colon_R reads the raw generators so that _certify_colon checks them
         closed_colon = colon_R(raw, inst)
         closed_v = v_closure_R(hull, inst)
-        colon_grid = _agreement_grid(raw, hull, closed_colon, window)
+        colon_grid = _agreement_grid(raw, hull, closed_colon, params.degree_window)
         for g in colon_grid:
             _decide(rep, _colon_agreement, inst, op, ideal=raw, element=g,
                     closed_colon=closed_colon)
         v_grid = _v_grid(raw, hull, closed_v)
-        probes = certified_colon_probes(raw, inst, window)
         for h in v_grid:
             _decide(rep, _v_agreement, inst, op, ideal=raw, element=h,
-                    degree_window=params.degree_window, closed_v=closed_v, probes=probes)
+                    closed_v=closed_v, closed_colon=closed_colon)
         rep.records.append({"ideal": value_to_expr(raw, inst),
                             "grid": len(colon_grid) + len(v_grid),
                             "contradictions": len(rep.violations) - before})
     return rep
 
 
-def _agreement_grid(raw: RawIdeal, hull, closed_colon, window: DegreeWindow) -> list[RatFunc]:
+def _agreement_grid(raw: RawIdeal, hull, closed_colon, degree: int) -> list[RatFunc]:
     out = list(raw.gens)
     inv_u = hull.unit.inv()
     if closed_colon.dpart.is_lattice():
@@ -788,7 +784,7 @@ def _agreement_grid(raw: RawIdeal, hull, closed_colon, window: DegreeWindow) -> 
         lifts = [closed_colon.unit]
     out.extend(lifts)
     for b in list(raw.gens[:1]) + lifts[:1]:
-        for j in range(1, window.degree + 1):
+        for j in range(1, degree + 1):
             out.append(b * RatFunc.x_power(j))
         out.append(b * RatFunc.x_power(-1))
     return out

@@ -16,6 +16,8 @@ against the definitional membership oracles at the bottom of this file.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .base_domain import (
     BaseDomain,
     ExtDModule,
@@ -26,6 +28,7 @@ from .base_domain import (
     dmod_v,
 )
 from .kernel import (
+    FieldElem,
     Poly,
     RatFunc,
     eval_at_zero,
@@ -37,21 +40,6 @@ from .kernel import (
 
 class PullbackError(ValueError):
     """Ill-formed instance request or unsupported ideal operation."""
-
-
-class DegreeWindow:
-    """Search bounds for the definitional oracles."""
-
-    __slots__ = ("degree", "coeff_height")
-
-    def __init__(self, degree: int = 12, coeff_height: int = 50):
-        if degree <= 0 or coeff_height <= 0:
-            raise PullbackError("window bounds must be positive")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeff_height", coeff_height)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DegreeWindow is immutable")
 
 
 class PullbackInstance:
@@ -630,44 +618,39 @@ class OracleVerdict:
         return f"OracleVerdict({self.status!r}, {self.witness!r})"
 
 
-def _colon_probe_family(ideal: RawIdeal, inst: PullbackInstance, window: DegreeWindow) -> list[RatFunc]:
-    hull = structured_hull(ideal, inst)
-    j_colon = dmod_colon(hull.dpart, inst.base)
-    inv_u = hull.unit.inv()
-    probes = []
-    if j_colon.is_lattice():
-        for c in j_colon.basis_elements():
-            lift = inv_u * RatFunc.coerce(Poly.const(c))
-            for j in range(0, window.degree + 1):
-                probes.append(lift * RatFunc.x_power(j))
-    for j in range(1, window.degree + 1):
-        probes.append(inv_u * RatFunc.x_power(j))
-    return probes
-
-
-def certified_colon_probes(ideal: RawIdeal, inst: PullbackInstance,
-                           window: DegreeWindow | None = None) -> list[RatFunc]:
-    """Probe family for (R : I), each member certified definitionally."""
-    window = window or DegreeWindow()
-    return [g for g in _colon_probe_family(ideal, inst, window)
-            if oracle_colon_member(g, ideal, inst)]
-
-
 def oracle_v_member(h: RatFunc, ideal: RawIdeal, inst: PullbackInstance,
-                    window: DegreeWindow | None = None,
-                    probes: list[RatFunc] | None = None) -> OracleVerdict:
-    """Definitional probe of h in (R : (R : I)).
+                    colon: StructuredIdeal | None = None) -> OracleVerdict:
+    """Exact test of h in (R : (R : I)) against a generating set of (R : I).
 
-    Every probe g is certified inside (R : I) by oracle_colon_member
-    before use; a probe with h*g outside R is an exclusion witness.
-    Membership of h*g is decided exactly by member_R_product, without
-    forming the product.
+    With the closed colon (``colon``, else colon_R(ideal)) written as
+    w*phi^-1(J), (R : I) is generated over R by the lifts w*c of a basis
+    of J and by t*T, where t = w*X for a lattice J and t = w for J = k.
+    As M is the largest T-submodule of R (D != k), h*t*T lies in R exactly
+    when h*t lies in M.  The set is first certified inside (R : I) from
+    the definition; if it is not, the closed colon is wrong and the
+    verdict is "inconclusive".  A witness is the first lift g with h*g
+    outside R, else t, or t*e/phi(h*t) for e in k outside D when h*t is
+    in T; it is certified in (R : I) too.
     """
     h = RatFunc.coerce(h)
-    certified = probes if probes is not None else certified_colon_probes(ideal, inst, window)
-    for g in certified:
+    if colon is None:
+        colon = colon_R(ideal, inst)
+    full = colon.dpart.is_full()
+    lifts = [] if full else lift_generators(colon, inst)
+    t = colon.unit if full else colon.unit * RatFunc.x_power(1)
+    if not (all(oracle_colon_member(g, ideal, inst) for g in lifts)
+            and all(inst.member_M(t * f) for f in ideal.gens)):
+        return OracleVerdict("inconclusive")
+    for g in lifts:
         if not member_R_product(h, g, inst):
             return OracleVerdict("out-with-witness", g)
-    if member_structured(h, v_closure_R(ideal, inst), inst) and certified:
+    ht = h * t
+    if inst.member_M(ht):
         return OracleVerdict("in")
+    witness = t
+    if inst.member_T(ht):
+        e = FieldElem(0, 1, inst.k_disc) if inst.base.kind == "field" else FieldElem(Fraction(1, 2))
+        witness = t * RatFunc.coerce(Poly.const(e / eval_at_zero(ht)))
+    if oracle_colon_member(witness, ideal, inst):
+        return OracleVerdict("out-with-witness", witness)
     return OracleVerdict("inconclusive")

@@ -3,12 +3,17 @@
 import json
 import random
 import string
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starpull.base_domain import class_label_D
 from starpull.cli import run_command
 from starpull.exprlang import (
+    MAX_NESTING,
+    MAX_POWER_BITS,
+    MAX_POWER_DEGREE,
     ExprError,
     evaluate,
     parse_expression,
@@ -16,7 +21,9 @@ from starpull.exprlang import (
     value_to_expr,
 )
 from starpull.harness import SampleParams, sample_ideals
+from starpull.kernel import KernelError, RatFunc
 from starpull.pullback import (
+    PullbackError,
     extend_to_T,
     ideal_equal,
     make_instance,
@@ -117,6 +124,99 @@ class TestRoundTrip:
                     text = value_to_expr(value, inst)
                     back = evaluate(parse_expression(text), inst)
                     assert ideal_equal(back, value, inst), text
+
+
+# exponents far past the bounds are refused before any work; ones near
+# MAX_POWER_DEGREE are drawn only at the top of the text, because ideal
+# operations on polynomials of that degree take seconds
+_SMALL_OR_HUGE = st.one_of(st.integers(-2, 2), st.integers(10**6, 10**12),
+                           st.integers(-10**12, -10**6))
+_NEAR_BOUND = st.integers(MAX_POWER_DEGREE - 2, MAX_POWER_DEGREE + 2)
+_ATOMS = st.one_of(st.integers(0, 10**6).map(str), st.just("X"),
+                   st.sampled_from(["sqrt(-1)", "sqrt(-5)", "sqrt(7)", "1/2", "X + 2"]))
+_FUNCS = ("v", "t", "colon", "inv", "extT", "alpha", "beta", "gamma", "principal", "hull",
+          "ideal")
+
+
+def _grown(inner):
+    return st.one_of(
+        st.builds("({})".format, inner),
+        st.builds("-{}".format, inner),
+        st.builds(lambda a, op, b: f"{a} {op} {b}", inner, st.sampled_from("+-*/"), inner),
+        st.builds(lambda a, n: f"({a})^{n}", inner, _SMALL_OR_HUGE),
+        st.builds(lambda f, args: f"{f}({', '.join(args)})",
+                  st.sampled_from(_FUNCS), st.lists(inner, min_size=1, max_size=2)),
+    )
+
+
+def _deep(inner):
+    """Nesting far past MAX_NESTING, long chains and towers of powers."""
+    k = st.integers(MAX_NESTING - 2, 40 * MAX_NESTING)
+    return st.one_of(
+        st.builds(lambda e, n: "(" * n + e + ")" * n, inner, k),
+        st.builds(lambda e, n: "-" * n + e, inner, k),
+        st.builds(lambda f, e, n: f"{f}(" * n + e + ")" * n, st.sampled_from(_FUNCS), inner, k),
+        st.builds(lambda e, op, n: op.join([e] * n), _ATOMS, st.sampled_from("+*"),
+                  st.integers(2, 400)),
+        st.builds(lambda e, ns: e + "".join(f"^{n}" for n in ns), inner,
+                  st.lists(st.one_of(_SMALL_OR_HUGE, _NEAR_BOUND), min_size=1, max_size=30)),
+        st.builds(lambda a, n: f"({a})^{n}", _ATOMS, _NEAR_BOUND),
+    )
+
+
+_EXPRESSIONS = st.recursive(_ATOMS, _grown, max_leaves=8)
+_TEXTS = st.one_of(_EXPRESSIONS, _deep(_EXPRESSIONS),
+                   st.text(alphabet=string.ascii_letters + string.digits + "()+-*/^, X",
+                           max_size=80))
+
+
+class TestRobustness:
+    @given(name=st.sampled_from("ABCDE"), text=_TEXTS)
+    @settings(max_examples=300, deadline=None)
+    def test_any_text_gives_a_value_or_a_typed_error(self, name, text):
+        inst = make_instance(name)
+        try:
+            evaluate(parse_expression(text), inst)
+        except (ExprError, PullbackError, KernelError):
+            pass
+
+    @pytest.mark.parametrize("text", [
+        "(" * 3000 + "1" + ")" * 3000,
+        "ideal(" * 500 + "1" + ")" * 500,
+        "-" * 5000 + "1",
+        "X^99999999",
+        "(1 + X)^99999999",
+        "2^99999999",
+        "X^-99999999",
+        "X^2^2^2^2^2^2^2^2^2^2^2^2",
+        "65536^64^64^64^64",
+        "1" * 5000,
+    ])
+    def test_cli_refuses_deep_nesting_and_huge_powers(self, text, capsys):
+        start = time.perf_counter()
+        code = run_command(["eval", "-i", "A", f"--expr={text}"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_bounds_are_far_above_ordinary_input(self):
+        inst = make_instance("A")
+        nested = "v(" * (MAX_NESTING // 2) + "ideal(2, X)" + ")" * (MAX_NESTING // 2)
+        assert evaluate(parse_expression(nested), inst) == \
+            evaluate(parse_expression("v(ideal(2, X))"), inst)
+        assert evaluate(parse_expression(f"X^{MAX_POWER_DEGREE}"), inst) == \
+            RatFunc.x_power(MAX_POWER_DEGREE)
+        # 2 has bit length 2
+        assert evaluate(parse_expression(f"2^{MAX_POWER_BITS // 2}"), inst) == \
+            RatFunc.coerce(2 ** (MAX_POWER_BITS // 2))
+        for text in (f"X^{MAX_POWER_DEGREE + 1}", f"2^{MAX_POWER_BITS // 2 + 1}"):
+            with pytest.raises(ExprError):
+                evaluate(parse_expression(text), inst)
+        long_sum = evaluate(parse_expression(" + ".join(["X"] * 5000)), inst)
+        assert long_sum == RatFunc.x_power(1) * RatFunc.coerce(5000)
+        with pytest.raises(ExprError) as err:
+            parse_expression("(" * (MAX_NESTING + 1) + "1" + ")" * (MAX_NESTING + 1))
+        assert err.value.pos == MAX_NESTING
 
 
 class TestCommands:

@@ -47,6 +47,8 @@ class TestSampling:
     def test_bad_params_rejected(self):
         with pytest.raises(HarnessError):
             SampleParams(count=0)
+        with pytest.raises(HarnessError):
+            SampleParams(degree_window=0)
 
 
 class TestSuiteVerdicts:
@@ -240,8 +242,7 @@ class TestReplay:
             "label-vs-principal": ({"j": "ideal(2, 1+sqrt(-5))", "op": "d"}, inst_c, False),
             "pic-decomposition": ({"ideal": "hull(ideal(2, 1+sqrt(-5)))"}, inst_c, False),
             "colon-agreement": ({"ideal": "ideal(2, X)", "element": "(1/2)"}, inst_a, False),
-            "v-agreement": ({"ideal": "ideal(2, X)", "element": "(2)", "degree_window": 12},
-                            inst_a, False),
+            "v-agreement": ({"ideal": "ideal(2, X)", "element": "(2)"}, inst_a, False),
         }
         assert set(cases) == set(CHECKS)
         for check, (data, inst, expected) in cases.items():

@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starpull.base_domain import ExtDModule, dmod_from_generators
+from starpull import pullback
+from starpull.base_domain import ExtDModule, dmod_colon, dmod_from_generators
+from starpull.harness import SampleParams, sample_ideals
 from starpull.kernel import FieldElem, Poly, RatFunc, eval_at_zero
 from starpull.pullback import (
-    DegreeWindow,
     PullbackError,
     RawIdeal,
     TIdeal,
@@ -410,9 +411,120 @@ class TestOracles:
         assert oracle_colon_member(verdict.witness, raw, inst_a)
         assert not member_R(RatFunc.x_power(-1) * verdict.witness, inst_a)
 
-    def test_window_validation(self):
-        with pytest.raises(PullbackError):
-            DegreeWindow(degree=0)
+def _probe_search_v_oracle(h, raw, inst, probes):
+    """Reference: the X^j probe search that the generating-set oracle replaced.
+
+    A certified probe g with h*g outside R excludes h; otherwise h is
+    "in" when the closed form I^v holds it, and "inconclusive" if not.
+    """
+    for g in probes:
+        if not member_R_product(h, g, inst):
+            return "out-with-witness"
+    if probes and member_structured(h, v_closure_R(raw, inst), inst):
+        return "in"
+    return "inconclusive"
+
+
+def _certified_probes(raw, inst, degree=12):
+    """The reference's probes: X^j shifts of the colon's lifts, certified in (R : I)."""
+    hull = structured_hull(raw, inst)
+    j_colon = dmod_colon(hull.dpart, inst.base)
+    inv_u = hull.unit.inv()
+    family = []
+    if j_colon.is_lattice():
+        for c in j_colon.basis_elements():
+            lift = inv_u * RatFunc.coerce(Poly.const(c))
+            family += [lift * RatFunc.x_power(j) for j in range(degree + 1)]
+    family += [inv_u * RatFunc.x_power(j) for j in range(1, degree + 1)]
+    return [g for g in family if oracle_colon_member(g, raw, inst)]
+
+
+def _v_population(inst, seeds=(3, 5), count=6):
+    """(raw ideal, its closed colon, grid) over seeded samples.
+
+    Besides the suite's v-grid shape, the grid holds w^-1, (w*X)^-1 and
+    (w*X^2)^-1 for the colon's unit w, which reach the T-part witnesses.
+    """
+    for seed in seeds:
+        for raw in sample_ideals(inst, SampleParams(seed=seed, count=count)):
+            hull = structured_hull(raw, inst)
+            colon = colon_R(raw, inst)
+            closed_v = v_closure_R(hull, inst)
+            grid = list(raw.gens) + [raw.gens[0] * X, hull.unit * X.inv(),
+                                     hull.unit * RatFunc.coerce(Fraction(1, 3))]
+            if closed_v.dpart.is_lattice():
+                grid += [hull.unit * RatFunc.coerce(Poly.const(c))
+                         for c in closed_v.dpart.basis_elements()]
+            grid += [(colon.unit * RatFunc.x_power(j)).inv() for j in range(3)]
+            yield raw, colon, grid
+
+
+class TestExactVOracle:
+    @pytest.mark.parametrize("name", "ABCDE")
+    def test_agrees_with_probe_search_and_decides_every_point(self, name):
+        inst = make_instance(name)
+        definite = 0
+        for raw, colon, grid in _v_population(inst):
+            probes = _certified_probes(raw, inst)
+            closed_v = v_closure_R(raw, inst)
+            for h in grid:
+                verdict = oracle_v_member(h, raw, inst, colon)
+                assert verdict.status in ("in", "out-with-witness"), (raw, h)
+                reference = _probe_search_v_oracle(h, raw, inst, probes)
+                if reference != "inconclusive":
+                    definite += 1
+                    assert verdict.status == reference, (raw, h)
+                # the closed form is right on these samples, so it decides too
+                assert (verdict.status == "in") == member_structured(h, closed_v, inst)
+                if verdict.status == "out-with-witness":
+                    assert oracle_colon_member(verdict.witness, raw, inst)
+                    assert not member_R(h * verdict.witness, inst)
+        assert definite > 0
+
+    def test_three_argument_call_computes_the_colon(self, inst_c):
+        for raw, colon, grid in _v_population(inst_c, seeds=(3,), count=3):
+            for h in grid:
+                assert oracle_v_member(h, raw, inst_c).status == \
+                    oracle_v_member(h, raw, inst_c, colon).status
+
+    def test_never_reads_the_closed_v_or_the_hull(self, inst_d, monkeypatch):
+        cases = list(_v_population(inst_d, seeds=(3,), count=4))
+        expected = [[oracle_v_member(h, raw, inst_d, colon).status for h in grid]
+                    for raw, colon, grid in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle consulted a closed form")
+
+        monkeypatch.setattr(pullback, "v_closure_R", refuse)
+        monkeypatch.setattr(pullback, "structured_hull", refuse)
+        got = [[oracle_v_member(h, raw, inst_d, colon).status for h in grid]
+               for raw, colon, grid in cases]
+        assert got == expected
+
+    def test_t_part_witnesses(self, inst_d):
+        # (R : (1, i)) = X*T on D: lifts are empty and the T-part decides
+        raw = RawIdeal([RatFunc.one(), const(0, 1, -1)])
+        cases = ((X.inv(), X * HALF), (RatFunc.x_power(-2), X))
+        for h, witness in cases:
+            verdict = oracle_v_member(h, raw, inst_d)
+            assert (verdict.status, verdict.witness) == ("out-with-witness", witness)
+            assert oracle_colon_member(witness, raw, inst_d)
+            assert not member_R(h * witness, inst_d)
+
+    def test_field_base_uses_a_surd_outside_d(self, inst_e):
+        # D = Q holds 1/2, so the T-part witness scales by sqrt(-1)
+        raw = RawIdeal([RatFunc.one(), const(0, 1, -1)])
+        verdict = oracle_v_member(X.inv(), raw, inst_e)
+        assert verdict.status == "out-with-witness"
+        assert verdict.witness == X * const(0, 1, -1)
+        assert not member_R(X.inv() * verdict.witness, inst_e)
+
+    def test_wrong_colon_is_inconclusive(self, inst_a):
+        # X^-1 * (R : I) is not inside (R : I): the generating set fails
+        # its certification, and only colon-agreement can say more
+        raw = RawIdeal([TWO, X])
+        wrong = ideal_arith(colon_R(raw, inst_a), RawIdeal([X.inv()]), "mul", inst_a)
+        assert oracle_v_member(RatFunc.one(), raw, inst_a, wrong).status == "inconclusive"
 
 
 class TestDivisorialTIdeals:
