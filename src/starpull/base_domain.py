@@ -16,6 +16,7 @@ the domain is constructed.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .kernel import FieldElem
 from .lattices import (
@@ -23,20 +24,12 @@ from .lattices import (
     integer_kernel,
     lattice_member,
     primitive_int_rows,
-    rational_kernel,
     rational_rref,
-    rational_solve,
-    xgcd,
 )
 
 
 class DomainError(ValueError):
     """Unsupported base-domain request or mixed-domain operation."""
-
-
-def _lcm(a: int, b: int) -> int:
-    g, _, _ = xgcd(a, b)
-    return abs(a * b) // g if g else 0
 
 
 # ---------------------------------------------------------------------------
@@ -70,8 +63,7 @@ def _reduced_forms(disc: int) -> list[tuple[int, int, int]]:
                 continue
             if b < 0 and (a == c or a == -b):
                 continue
-            g, _, _ = xgcd(xgcd(a, b)[0], c)
-            if g != 1:
+            if gcd(a, b, c) != 1:
                 continue
             forms.append((a, b, c))
         a += 1
@@ -378,7 +370,7 @@ class ExtDModule:
         g = abs(den)
         for r in rows:
             for v in r:
-                g = xgcd(g, v)[0]
+                g = gcd(g, v)
         if g > 1:
             den //= g
             rows = [[v // g for v in r] for r in rows]
@@ -493,7 +485,7 @@ def dmod_from_generators(gens, domain: BaseDomain) -> ExtDModule:
     den = 1
     for v in vecs:
         for c in v:
-            den = _lcm(den, c.denominator)
+            den = lcm(den, c.denominator)
     rows = [[int(c * den) for c in v] for v in vecs]
     return ExtDModule.lattice(domain, den, rows)
 
@@ -528,11 +520,6 @@ def dmod_scale(c, n: ExtDModule) -> ExtDModule:
     return dmod_from_generators([c * b for b in n.basis_elements()], n.domain)
 
 
-def _mul_matrix(g: FieldElem, d: int) -> list[list[Fraction]]:
-    # column action of multiplication by g on coordinates (p, q) wrt {1, sqrt(d)}
-    return [[g.x, g.y * d], [g.y, g.x]]
-
-
 _COLON_CACHE: dict[ExtDModule, ExtDModule] = {}
 
 
@@ -551,81 +538,17 @@ def dmod_colon(n: ExtDModule, domain: BaseDomain | None = None) -> ExtDModule:
 
 
 def _dmod_colon_raw(n: ExtDModule, dom: BaseDomain) -> ExtDModule:
+    # y*N lies in D exactly when y*b lies in D for each basis element b,
+    # so (D : N) is the intersection of the modules b^-1 * D; this holds
+    # for any order D, maximal or not
     if n.is_zero():
         return ExtDModule.full(dom)
     if n.is_full():
         return ExtDModule.zero(dom)
-    gens = n.basis_elements()
-    kd = dom.k_disc
-    dim = dom.ambient_dim
-    if dom.kind == "field":
-        # y * g must land in Q*1: the surd coordinate of y*g vanishes
-        constraints = []
-        for g in gens:
-            m = _mul_matrix(g, kd)
-            constraints.append([m[1][0], m[1][1]])
-        basis = rational_kernel(constraints, 2)
-        if not basis:
-            return ExtDModule.zero(dom)
-        rows = primitive_int_rows(basis)
-        return ExtDModule.lattice(dom, 1, rows)
-
-    unit = dom.unit_module()
-    a_rows = [list(r) for r in unit.rows]
-    a_den = unit.den
-    s = len(a_rows)
-    # step 1: rational constraints keeping y*g inside the Q-span of D
-    if s < dim:
-        constraints = []
-        ax, ay = a_rows[0]
-        for g in gens:
-            m = _mul_matrix(g, kd)
-            # det([y*g ; A-row]) == 0
-            constraints.append([m[0][0] * ay - m[1][0] * ax, m[0][1] * ay - m[1][1] * ax])
-        v0 = rational_kernel(constraints, dim)
-        if not v0:
-            return ExtDModule.zero(dom)
-        v_basis = [ [Fraction(v) for v in row] for row in primitive_int_rows(v0) ]
-    else:
-        v_basis = [[Fraction(1 if i == j else 0) for j in range(dim)] for i in range(dim)]
-    t = len(v_basis)
-    # step 2: integrality of the D-coordinates of each y*g
-    a_cols = [[Fraction(a_rows[j][i], a_den) for j in range(s)] for i in range(dim)]
-    m_rows: list[list[Fraction]] = []
-    for g in gens:
-        mg = _mul_matrix(g, kd)
-        block_cols = []
-        for v in v_basis:
-            w = [sum(mg[i][j] * v[j] for j in range(dim)) for i in range(min(dim, 2))]
-            w = w[:dim]
-            coeffs = rational_solve(a_cols, w)
-            assert coeffs is not None, "value escaped the span of D"
-            block_cols.append(coeffs)
-        for axis in range(s):
-            m_rows.append([block_cols[l][axis] for l in range(t)])
-    e = 1
-    for row in m_rows:
-        for v in row:
-            e = _lcm(e, v.denominator)
-    mhat = [[int(v * e) for v in row] for row in m_rows]
-    m = len(mhat)
-    mhat_t = [[mhat[r][c] for r in range(m)] for c in range(t)]
-    left_kernel = rational_kernel([[Fraction(v) for v in row] for row in mhat_t], m)
-    if left_kernel:
-        c_rows = primitive_int_rows(left_kernel)
-        kappa_basis = integer_kernel(c_rows, m)
-    else:
-        kappa_basis = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    out_elems = []
-    for kappa in kappa_basis:
-        rhs = [Fraction(e * v) for v in kappa]
-        lam = rational_solve([[Fraction(v) for v in row] for row in mhat], rhs)
-        assert lam is not None
-        coords = [sum(lam[l] * v_basis[l][i] for l in range(t)) for i in range(dim)]
-        x = coords[0]
-        y = coords[1] if dim == 2 else Fraction(0)
-        out_elems.append(FieldElem(x, y, kd if y != 0 else 1))
-    return dmod_from_generators(out_elems, dom)
+    out = ExtDModule.full(dom)
+    for b in n.basis_elements():
+        out = dmod_intersect(out, dmod_scale(b.inv(), dom.unit_module()))
+    return out
 
 
 def dmod_v(n: ExtDModule, domain: BaseDomain | None = None) -> ExtDModule:
@@ -644,7 +567,7 @@ def dmod_intersect(n1: ExtDModule, n2: ExtDModule) -> ExtDModule:
         return n1
     if dom.kind == "field":
         return n1 if n1 == n2 else ExtDModule.zero(dom)
-    den = _lcm(n1.den, n2.den)
+    den = lcm(n1.den, n2.den)
     r1 = [[v * (den // n1.den) for v in row] for row in n1.rows]
     r2 = [[v * (den // n2.den) for v in row] for row in n2.rows]
     dim = dom.ambient_dim

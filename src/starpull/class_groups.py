@@ -1,12 +1,11 @@
 """The canonical class maps between D, R and T, at the ideal level.
 
 alpha sends a D-ideal class to the class of its inverse image in R;
-beta extends an R-ideal to T; gamma normalizes an R-ideal into the
-window above the conductor and reads off the divisorial class of its
-value module.  Together with the principality and invertibility tests
-these realize the star class groups of the catalogued instances, where
-gamma is a complete invariant because every fractional T-ideal is
-principal.
+beta extends an R-ideal to T; gamma reads off the divisorial class of
+the value module of an R-ideal.  Together with the principality and
+invertibility tests these realize the star class groups of the
+catalogued instances, where gamma is a complete invariant because every
+fractional T-ideal is principal.
 """
 
 from __future__ import annotations
@@ -16,11 +15,10 @@ from .base_domain import (
     ExtDModule,
     class_label_D,
     dmod_predicates,
-    dmod_scale,
     dmod_v,
     identity_label,
 )
-from .kernel import FieldElem, Poly, RatFunc
+from .kernel import Poly, RatFunc
 from .pullback import (
     PullbackInstance,
     RawIdeal,
@@ -64,28 +62,6 @@ def beta(h, inst: PullbackInstance, check_invertible: bool = False,
     return extend_to_T(h, inst)
 
 
-def _clearing_factor(j: ExtDModule, inst: PullbackInstance) -> int:
-    """Smallest positive integer d with d*J inside D.
-
-    {m : m*b in D} is an ideal of Z for each basis element, so the
-    answer is the lcm of the per-element minimal multipliers.
-    """
-    unit = inst.base.unit_module()
-    total = 1
-    for b in j.basis_elements():
-        m = 1
-        while not unit.contains(b * FieldElem(m)):
-            m += 1
-        total = total * m // _int_gcd(total, m)
-    return total
-
-
-def _int_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def gamma(h, inst: PullbackInstance) -> ClassLabel:
     """Divisorial D-class of a t-invertible R-ideal."""
     if not inst.is_square_plus:
@@ -95,9 +71,8 @@ def gamma(h, inst: PullbackInstance) -> ClassLabel:
         raise ClassGroupError("gamma needs an invertible input; T-modules are not")
     if not dmod_predicates(s.dpart, inst.base).is_v_invertible:
         raise ClassGroupError("gamma needs a t-invertible input")
-    d = _clearing_factor(s.dpart, inst)
-    j_int = dmod_scale(FieldElem(d), s.dpart)
-    return class_label_D(dmod_v(j_int, inst.base), inst.base)
+    # labels ignore scaling and dmod_v(c*J) == c * J^v, so a fractional J will do
+    return class_label_D(dmod_v(s.dpart, inst.base), inst.base)
 
 
 def is_principal_R(h, inst: PullbackInstance) -> RatFunc | None:

@@ -8,6 +8,7 @@ row lists; rational ones use Fraction entries.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -153,61 +154,21 @@ def rational_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], lis
     return work, pivots
 
 
-def rational_kernel(rows: list[list[Fraction]], width: int) -> list[list[Fraction]]:
-    """Basis of {x : rows @ x == 0} over Q."""
-    if not rows:
-        return [[Fraction(1 if i == j else 0) for j in range(width)] for i in range(width)]
-    rref, pivots = rational_rref(rows)
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * width
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -rref[i][fc]
-        basis.append(vec)
-    return basis
-
-
-def rational_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """One exact solution of rows @ x == rhs, or None if inconsistent."""
-    if not rows:
-        return [] if all(v == 0 for v in rhs) else None
-    n = len(rows[0])
-    aug = [list(map(Fraction, r)) + [Fraction(b)] for r, b in zip(rows, rhs)]
-    rref, pivots = rational_rref(aug)
-    for row in rref:
-        if all(v == 0 for v in row[:-1]) and row[-1] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for i, pc in enumerate(pivots):
-        if pc == n:
-            return None
-        x[pc] = rref[i][-1]
-    return x
-
-
 def primitive_int_rows(rows: list[list[Fraction]]) -> list[list[int]]:
     """Scale each rational row to a primitive integer vector."""
     out = []
     for row in rows:
         denom = 1
         for v in row:
-            denom = denom * v.denominator // _gcd(denom, v.denominator)
+            denom = lcm(denom, v.denominator)
         ints = [int(v * denom) for v in row]
         g = 0
         for v in ints:
-            g = _gcd(g, abs(v))
+            g = gcd(g, v)
         if g > 1:
             ints = [v // g for v in ints]
         out.append(ints)
     return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def lattice_member(target: list[Fraction], den: int, rows: list[list[int]]) -> bool:

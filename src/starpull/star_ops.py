@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from .base_domain import (
     ExtDModule,
+    dmod_arith,
     dmod_intersect,
     dmod_scale,
     dmod_v,
@@ -258,23 +259,19 @@ def _eval_t_side(op: StarOp, t: TIdeal, inst: PullbackInstance) -> TIdeal:
         return _intersect_tideals(a, b, inst)
     if op.kind == "extended_T":
         inner = op.operands[0]
-        closed = as_structured(_eval(inner, _t_as_structured(t, inst), inst), inst)
+        closed = as_structured(_eval(inner, as_structured(t, inst), inst), inst)
         vt = v_closure_T(t)
-        meetv = _intersect_structured(closed, _t_as_structured(vt, inst), inst)
+        meetv = _intersect_structured(closed, as_structured(vt, inst), inst)
         if not meetv.is_t_module():
             raise StarEvalError("extension produced a non-T-module")
         return extend_to_T(meetv, inst)
     if op.kind == "restricted_T":
         inner = op.operands[0]
-        closed = as_structured(_eval(inner, _t_as_structured(t, inst), inst), inst)
+        closed = as_structured(_eval(inner, as_structured(t, inst), inst), inst)
         if not closed.is_t_module():
             raise StarEvalError("restriction is not a T-ideal here")
         return extend_to_T(closed, inst)
     raise StarEvalError(f"{op} is not defined on T-side ideals")
-
-
-def _t_as_structured(t: TIdeal, inst: PullbackInstance) -> StructuredIdeal:
-    return as_structured(t, inst)
 
 
 def _intersect_tideals(a: TIdeal, b: TIdeal, inst: PullbackInstance) -> TIdeal:
@@ -408,8 +405,7 @@ def _ring_value(op: StarOp, inst: PullbackInstance):
 
 def _join_value(a, b, inst):
     if isinstance(a, ExtDModule):
-        from .base_domain import dmod_arith as _da
-        return _da(a, b, "add")
+        return dmod_arith(a, b, "add")
     if isinstance(a, TIdeal) or isinstance(b, TIdeal):
         a = as_structured(a, inst) if isinstance(a, TIdeal) else a
         b = as_structured(b, inst) if isinstance(b, TIdeal) else b

@@ -233,18 +233,37 @@ def _enumerated_generator(n, dom):
 ORDERS = {d: BaseDomain.quadratic_order(d) for d in (-5, -1, -3, -6, -15, -23)}
 
 
-def _modules(coord):
+def _modules(coord, domains=tuple(ORDERS[d] for d in sorted(ORDERS))):
     """(domain, module) for one to three generators with coordinates from coord."""
-    def build(d, gens):
-        dom = ORDERS[d]
-        return dom, dmod_from_generators([FieldElem(x, y, d) for x, y in gens], dom)
+    def build(dom, gens):
+        d = dom.k_disc
+        return dom, dmod_from_generators([FieldElem(x, y if d != 1 else 0, d) for x, y in gens], dom)
 
     gens = st.lists(st.tuples(coord, coord), min_size=1, max_size=3)
-    return st.tuples(st.sampled_from(sorted(ORDERS)), gens) \
+    return st.tuples(st.sampled_from(domains), gens) \
         .map(lambda a: build(*a)).filter(lambda dm: dm[1].is_lattice())
 
 
 _SMALL = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+
+
+# every domain kind: Z in Q and in Q(i), Q in Q(i), and the quadratic orders
+COLON_DOMAINS = (Z, ZI, QF) + tuple(ORDERS[d] for d in sorted(ORDERS))
+
+
+class TestColonDefinition:
+    @given(_modules(_SMALL, COLON_DOMAINS))
+    @settings(max_examples=300, deadline=None)
+    def test_product_with_colon_is_d(self, dm):
+        # N * C == D forces C == (D : N): C lies in (D : N), and
+        # (D : N) == (D : N) * N * C lies in D * C == C
+        dom, n = dm
+        c = dmod_colon(n)
+        if dom == ZI and n.rank() == 2:
+            # y*b1 and y*b2 rational for Q-independent b1, b2 force y == 0
+            assert c.is_zero()
+        else:
+            assert dmod_arith(n, c, "mul") == dom.unit_module()
 
 
 class TestCyclicGenerator:

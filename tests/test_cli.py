@@ -242,6 +242,18 @@ class TestCommands:
         else:
             assert out == "not principal"
 
+    @pytest.mark.parametrize("expr, label", [
+        ("gamma(ideal(1/10^12))", "[0 mod 2]"),
+        ("gamma(ideal(2, 1+sqrt(-5)) * ideal(1/10^12))", "[1 mod 2]"),
+    ])
+    def test_gamma_at_large_denominator(self, expr, label, capsys):
+        # the cost of gamma must not grow with the denominator of the D-part
+        start = time.perf_counter()
+        code = run_command(["eval", "-i", "C", "-e", expr])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert capsys.readouterr().out.strip() == label
+
     def test_eval_json(self, capsys):
         code = run_command(["eval", "-i", "A", "-e", "v(ideal(2,X))", "--json"])
         assert code == 0

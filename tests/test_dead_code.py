@@ -1,0 +1,42 @@
+"""Every module-level function and class in src/starpull has a caller.
+
+A definition counts as used when `starpull/__init__.py` exports it or
+when some other top-level statement in the package names it; a
+definition that only refers to itself is dead.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "starpull"
+
+
+def _names(node):
+    """Every identifier a subtree loads or reads as an attribute."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+    return out
+
+
+def test_every_definition_has_a_caller():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    exported = {alias.asname or alias.name
+                for stmt in trees["__init__.py"].body if isinstance(stmt, ast.ImportFrom)
+                for alias in stmt.names}
+    statements = [(name, i, _names(stmt))
+                  for name, tree in trees.items() for i, stmt in enumerate(tree.body)]
+    dead = []
+    for name, tree in trees.items():
+        for i, stmt in enumerate(tree.body):
+            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if stmt.name in exported:
+                continue
+            if not any(stmt.name in used for other, j, used in statements
+                       if (other, j) != (name, i)):
+                dead.append(f"{name}:{stmt.lineno} {stmt.name}")
+    assert not dead, f"definitions with no caller in src/starpull: {dead}"

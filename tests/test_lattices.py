@@ -6,8 +6,6 @@ from starpull.lattices import (
     hnf_rows,
     integer_kernel,
     lattice_member,
-    rational_kernel,
-    rational_solve,
     xgcd,
 )
 
@@ -51,18 +49,6 @@ def test_integer_kernel_saturated():
 def test_integer_kernel_empty_constraints():
     basis = integer_kernel([], 2)
     assert hnf_rows(basis) == [[1, 0], [0, 1]]
-
-
-def test_rational_solve_and_kernel():
-    rows = [[Fraction(2), Fraction(0)], [Fraction(1), Fraction(1)]]
-    x = rational_solve(rows, [Fraction(4), Fraction(3)])
-    assert x == [Fraction(2), Fraction(1)]
-    assert rational_solve([[Fraction(1)], [Fraction(1)]],
-                          [Fraction(1), Fraction(2)]) is None
-    null = rational_kernel([[Fraction(1), Fraction(2)]], 2)
-    assert len(null) == 1
-    a, b = null[0]
-    assert a + 2 * b == 0
 
 
 def test_lattice_member():
