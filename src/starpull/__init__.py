@@ -61,7 +61,6 @@ from .pullback import (
     PullbackInstance,
     RawIdeal,
     StructuredIdeal,
-    TIdeal,
     colon_R,
     content_T,
     extend_to_T,

@@ -21,7 +21,6 @@ from math import gcd, lcm
 from .kernel import FieldElem
 from .lattices import (
     hnf_rows,
-    integer_kernel,
     lattice_member,
     primitive_int_rows,
     rational_rref,
@@ -571,14 +570,11 @@ def dmod_intersect(n1: ExtDModule, n2: ExtDModule) -> ExtDModule:
     r1 = [[v * (den // n1.den) for v in row] for row in n1.rows]
     r2 = [[v * (den // n2.den) for v in row] for row in n2.rows]
     dim = dom.ambient_dim
-    # lambda*r1 - mu*r2 == 0, projected back through r1
-    constraint = [[r1[i][c] for i in range(len(r1))] + [-r2[j][c] for j in range(len(r2))] for c in range(dim)]
-    combos = integer_kernel(constraint, len(r1) + len(r2))
-    rows = []
-    for combo in combos:
-        vec = [sum(combo[i] * r1[i][c] for i in range(len(r1))) for c in range(dim)]
-        rows.append(vec)
-    return ExtDModule.lattice(dom, den, rows)
+    # Zassenhaus: the rows (a, a) and (b, 0) span {(a + b, a)}, whose
+    # elements with a + b == 0 have a in both lattices; in echelon form
+    # they are spanned by the rows whose first half is zero
+    echelon = hnf_rows([row + row for row in r1] + [row + [0] * dim for row in r2])
+    return ExtDModule.lattice(dom, den, [row[dim:] for row in echelon if not any(row[:dim])])
 
 
 class DmodPredicates:

@@ -23,7 +23,6 @@ from .pullback import (
     PullbackInstance,
     RawIdeal,
     StructuredIdeal,
-    TIdeal,
     as_structured,
     colon_R,
     extend_to_T,
@@ -53,8 +52,9 @@ def alpha(j: ExtDModule, inst: PullbackInstance) -> StructuredIdeal:
 
 
 def beta(h, inst: PullbackInstance, check_invertible: bool = False,
-         op: StarOp | None = None) -> TIdeal:
-    """Extension to T; for class semantics the input must be invertible."""
+         op: StarOp | None = None) -> StructuredIdeal:
+    """Extension to T, the structured ideal u * phi^-1(k); for class
+    semantics the input must be invertible."""
     if check_invertible:
         witness = invertibility_R(h, op or StarOp.t_op("R"), inst)
         if not witness.is_star_invertible:

@@ -15,8 +15,9 @@ Grammar (whitespace insensitive, positions are byte offsets):
 
 Scalars are exact field elements and rational functions; ideal-valued
 subexpressions combine with '+' and '*'.  Every parse failure carries
-the offending offset; nesting past MAX_NESTING and powers past
-MAX_POWER_DEGREE or MAX_POWER_BITS are refused before any work.  The
+the offending offset; nesting past MAX_NESTING, powers past
+MAX_POWER_DEGREE or MAX_POWER_BITS and products of raw ideals past
+MAX_GENERATORS generators are refused before any work.  The
 printers below emit canonical forms that re-parse to equal values (of
 degree at most MAX_POWER_DEGREE), which backs the round-trip tests.
 """
@@ -32,8 +33,6 @@ from .pullback import (
     PullbackInstance,
     RawIdeal,
     StructuredIdeal,
-    TIdeal,
-    as_structured,
     colon_R,
     extend_to_T,
     ideal_arith,
@@ -63,6 +62,8 @@ MAX_NESTING = 100
 # f^n is refused when |n| * deg f or |n| * (bits of f's largest numerator or denominator) passes
 MAX_POWER_DEGREE = 64
 MAX_POWER_BITS = 1024
+# a product of raw ideals is refused when it would list more generators
+MAX_GENERATORS = 256
 _CHAINED = ("pow", "add", "sub", "mul", "div")
 
 
@@ -248,8 +249,9 @@ class PrincipalAnswer:
 
 
 def evaluate(node: Node, inst: PullbackInstance):
-    """Evaluate an AST against an instance; returns a scalar, an ideal,
-    a T-ideal, a class label, or a PrincipalAnswer."""
+    """Evaluate an AST against an instance; returns a scalar, an ideal
+    (a T-ideal is a structured ideal with full D-part), a class label,
+    or a PrincipalAnswer."""
     def ev(n: Node):
         if n.kind == "int":
             return RatFunc.coerce(n.value)
@@ -324,8 +326,8 @@ def _binop(node: Node, lhs, rhs, inst: PullbackInstance):
         return lhs / rhs
     if node.kind in ("sub", "div"):
         raise ExprError(f"{node.kind} needs scalar operands", node.pos)
-    lhs = _promote(lhs, node, inst)
-    rhs = _promote(rhs, node, inst)
+    lhs = _promote(lhs, node)
+    rhs = _promote(rhs, node)
     if scalar_l != scalar_r and node.kind == "mul":
         scalar, ideal = (lhs, rhs) if scalar_l else (rhs, lhs)
         if scalar.is_zero():
@@ -333,19 +335,20 @@ def _binop(node: Node, lhs, rhs, inst: PullbackInstance):
         if isinstance(ideal, RawIdeal):
             return RawIdeal([scalar * g for g in ideal.gens])
         return ideal_arith(RawIdeal([scalar]), ideal, "mul", inst)
+    if node.kind == "mul" and isinstance(lhs, RawIdeal) and isinstance(rhs, RawIdeal) \
+            and len(lhs.gens) * len(rhs.gens) > MAX_GENERATORS:
+        raise ExprError(f"product of more than {MAX_GENERATORS} generators", node.pos)
     op = "mul" if node.kind == "mul" else "add"
     return ideal_arith(lhs, rhs, op, inst)
 
 
-def _promote(value, node: Node, inst: PullbackInstance):
+def _promote(value, node: Node):
     if isinstance(value, RatFunc):
         if node.kind == "add":
             if value.is_zero():
                 raise ExprError("zero generator rejected", node.pos)
             return RawIdeal([value])
         return value
-    if isinstance(value, TIdeal):
-        return as_structured(value, inst)
     if isinstance(value, (RawIdeal, StructuredIdeal)):
         return value
     raise ExprError("operands must be scalars or ideals", node.pos)
@@ -360,8 +363,6 @@ def _call(node: Node, arg, inst: PullbackInstance):
             if arg.is_zero():
                 raise ExprError("zero ideal rejected", node.pos)
             arg = RawIdeal([arg])
-        if isinstance(arg, TIdeal):
-            arg = as_structured(arg, inst)
         if not isinstance(arg, (RawIdeal, StructuredIdeal)):
             raise ExprError(f"{name} needs an ideal argument", node.pos)
     if name == "v":
@@ -447,8 +448,6 @@ def value_to_expr(value, inst: PullbackInstance) -> str:
         return ratfunc_to_expr(value)
     if isinstance(value, RawIdeal):
         return "ideal(" + ", ".join(ratfunc_to_expr(g) for g in value.gens) + ")"
-    if isinstance(value, TIdeal):
-        return f"extT(ideal({ratfunc_to_expr(value.gen)}))"
     if isinstance(value, StructuredIdeal):
         if value.dpart.is_full():
             return f"extT(ideal({ratfunc_to_expr(value.unit)}))"
@@ -527,9 +526,6 @@ def pretty_value(value, inst: PullbackInstance) -> str:
         return str(value)
     if isinstance(value, RawIdeal):
         return "(" + ", ".join(_pretty_ratfunc(g) for g in value.gens) + ")R"
-    if isinstance(value, TIdeal):
-        gen = _pretty_ratfunc(value.gen)
-        return pretty_t_name(inst) if value.gen.is_one() else f"{gen}·{pretty_t_name(inst)}"
     if isinstance(value, StructuredIdeal):
         if value.dpart.is_full():
             gen = _pretty_ratfunc(value.unit)

@@ -40,7 +40,6 @@ from .pullback import (
     PullbackError,
     PullbackInstance,
     RawIdeal,
-    TIdeal,
     as_structured,
     colon_R,
     extend_to_T,
@@ -298,8 +297,7 @@ def _read(kind: str, data, inst: PullbackInstance):
     value = evaluate(parse_expression(data), inst)
     if kind == _DMOD:
         return dmod_from_generators([g.const_value() for g in value.gens], inst.base)
-    # a structured ideal with full D-part is written as extT(...)
-    return as_structured(value, inst) if isinstance(value, TIdeal) else value
+    return value
 
 
 def _dmod_witness(j: ExtDModule) -> str:
@@ -337,8 +335,8 @@ def _splitting(inst, op, fail, j):
     got, t_part = gamma(image, inst), beta(image, inst)
     if got != label:
         fail("gamma-alpha-identity", label, got)
-    if not t_part.gen.is_one():
-        fail("beta-trivial-on-alpha", "T", t_part.gen)
+    if not t_part.unit.is_one():
+        fail("beta-trivial-on-alpha", "T", t_part.unit)
     return image, label, got, t_part
 
 
@@ -418,7 +416,7 @@ def _m_fixed(inst, op, fail):
 
 @_check("rT-divisorial", r=_VALUE)
 def _rt_divisorial(inst, op, fail, r):
-    rt = as_structured(extend_to_T(RawIdeal([r]), inst), inst)
+    rt = extend_to_T(RawIdeal([r]), inst)
     closed = star_eval(StarOp.divisorial("R"), rt, inst)
     holds = ideal_equal(closed, rt, inst)
     if not holds:
@@ -434,9 +432,9 @@ def _extension_agreement(inst, op, fail, c):
     rest = star_eval(StarOp.restricted_T(t_r), ct, inst)
     ext_v = star_eval(StarOp.extended_T(StarOp.divisorial("R")), ct, inst)
     if ext != rest:
-        fail("ext-vs-rest", ext, rest)
+        fail("ext-vs-rest", value_to_expr(ext, inst), value_to_expr(rest, inst))
     if ext != ext_v:
-        fail("t-vs-v-extension", ext, ext_v)
+        fail("t-vs-v-extension", value_to_expr(ext, inst), value_to_expr(ext_v, inst))
     return ext == rest, ext == ext_v
 
 

@@ -1,6 +1,6 @@
-"""Exact small-matrix helpers: xgcd, Hermite forms, integer kernels.
+"""Exact small-matrix helpers: xgcd, Hermite forms, rational row reduction.
 
-All matrices here are tiny (at most 2 columns, a handful of rows), so the
+All matrices here are tiny (at most 4 columns, a handful of rows), so the
 algorithms favor clarity over asymptotics.  Integer matrices are lists of
 row lists; rational ones use Fraction entries.
 """
@@ -77,56 +77,6 @@ def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
             if q:
                 basis[up] = [a - q * b for a, b in zip(basis[up], basis[i])]
     return [list(r) for r in basis]
-
-
-def hnf_with_transform(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """Row echelon form H and unimodular U with U * rows == H (zero rows kept)."""
-    m = len(rows)
-    work = [list(r) for r in rows]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    pivot_row = 0
-    n = len(rows[0]) if rows else 0
-    for col in range(n):
-        # find a pivot at or below pivot_row
-        pivot = None
-        for r in range(pivot_row, m):
-            if work[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[pivot_row], work[pivot] = work[pivot], work[pivot_row]
-        u[pivot_row], u[pivot] = u[pivot], u[pivot_row]
-        for r in range(pivot_row + 1, m):
-            while work[r][col]:
-                a, b = work[pivot_row][col], work[r][col]
-                if abs(a) > abs(b):
-                    work[pivot_row], work[r] = work[r], work[pivot_row]
-                    u[pivot_row], u[r] = u[r], u[pivot_row]
-                    continue
-                q = work[r][col] // work[pivot_row][col]
-                work[r] = [x - q * y for x, y in zip(work[r], work[pivot_row])]
-                u[r] = [x - q * y for x, y in zip(u[r], u[pivot_row])]
-        pivot_row += 1
-    return work, u
-
-
-def integer_kernel(mat: list[list[int]], width: int | None = None) -> list[list[int]]:
-    """Basis of {x in Z^n : mat @ x == 0} for an integer matrix.
-
-    Computed as the rows of the transform that send the transposed matrix
-    to echelon form and land on zero rows; the result is saturated.
-    """
-    if width is None:
-        if not mat:
-            raise ValueError("width required for an empty constraint matrix")
-        width = len(mat[0])
-    if not mat:
-        return [[1 if i == j else 0 for j in range(width)] for i in range(width)]
-    transposed = [[mat[r][c] for r in range(len(mat))] for c in range(width)]
-    h, u = hnf_with_transform(transposed)
-    basis = [u[i] for i in range(len(h)) if not any(h[i])]
-    return hnf_rows(basis)
 
 
 def rational_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

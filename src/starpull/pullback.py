@@ -9,7 +9,9 @@ nonzero generators in K(X).  A ``StructuredIdeal`` is the closed form
 u * phi^-1(J0): a unit part u in K(X)^x and a D-module part J0.  In the
 catalogued instances M = X*T is principal as a T-ideal, so the zero
 module convention phi^-1(0) = M is normalized away internally: a ZERO
-dpart canonicalizes to (u*X, FULL).  All closed-form operations here
+dpart canonicalizes to (u*X, FULL).  As T = phi^-1(k), a fractional
+T-ideal u*T is the structured ideal (u, FULL) and has no type of its
+own.  All closed-form operations here
 (colon, divisorial closure, products) are certified in the test suite
 against the definitional membership oracles at the bottom of this file.
 """
@@ -239,29 +241,6 @@ class StructuredIdeal:
         return f"StructuredIdeal({self.unit!r}, {self.dpart!r})"
 
 
-class TIdeal:
-    """A fractional T-ideal c*T with canonical generator."""
-
-    __slots__ = ("gen",)
-
-    def __init__(self, gen: RatFunc):
-        if gen.is_zero():
-            raise PullbackError("zero is not a fractional T-ideal")
-        object.__setattr__(self, "gen", gen)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TIdeal is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, TIdeal) and self.gen == other.gen
-
-    def __hash__(self):
-        return hash(self.gen)
-
-    def __repr__(self):
-        return f"TIdeal({self.gen!r})"
-
-
 def make_structured(unit: RatFunc, dpart: ExtDModule, inst: PullbackInstance) -> StructuredIdeal:
     """Canonicalize (unit, dpart) under scaling and the M = X*T identity."""
     unit = RatFunc.coerce(unit)
@@ -363,22 +342,11 @@ def member_structured(f: RatFunc, s: StructuredIdeal, inst: PullbackInstance) ->
     return s.dpart.contains(eval_at_zero(g))
 
 
-def member_ideal(f: RatFunc, ideal, inst: PullbackInstance) -> bool:
-    if isinstance(ideal, RawIdeal):
-        ideal = structured_hull(ideal, inst)
-    if isinstance(ideal, TIdeal):
-        return inst.member_T(RatFunc.coerce(f) / ideal.gen)
-    return member_structured(f, ideal, inst)
-
-
 def contains_ideal(outer, inner, inst: PullbackInstance) -> bool:
     """inner is a subset of outer, decided on closed forms."""
+    outer = as_structured(outer, inst)
     if isinstance(inner, RawIdeal):
-        return all(member_ideal(g, outer, inst) for g in inner.gens)
-    if isinstance(inner, TIdeal):
-        inner = as_structured(inner, inst)
-    if isinstance(outer, (RawIdeal, TIdeal)):
-        outer = as_structured(outer, inst)
+        return all(member_structured(g, outer, inst) for g in inner.gens)
     w = inner.unit / outer.unit
     if inner.dpart.is_full():
         if outer.dpart.is_full():
@@ -404,8 +372,6 @@ def ideal_equal(a, b, inst: PullbackInstance) -> bool:
 def as_structured(ideal, inst: PullbackInstance) -> StructuredIdeal:
     if isinstance(ideal, StructuredIdeal):
         return ideal
-    if isinstance(ideal, TIdeal):
-        return make_structured(ideal.gen, ExtDModule.full(inst.base), inst)
     return structured_hull(ideal, inst)
 
 
@@ -539,28 +505,10 @@ def _structured_sum(sa: StructuredIdeal, sb: StructuredIdeal, inst: PullbackInst
     return make_structured(g, total, inst)
 
 
-def extend_to_T(ideal, inst: PullbackInstance) -> TIdeal:
-    """The T-ideal I*T, always principal here."""
-    if isinstance(ideal, RawIdeal):
-        u, _ = content_T(ideal, inst)
-        return TIdeal(_canonical_t_gen(u, inst))
-    s = as_structured(ideal, inst)
-    return TIdeal(_canonical_t_gen(s.unit, inst))
-
-
-def _canonical_t_gen(u: RatFunc, inst: PullbackInstance) -> RatFunc:
-    if inst.t_kind == "local":
-        return RatFunc.x_power(ord_at_zero(u))
-    c = u.num.leading()
-    return u / RatFunc.coerce(Poly.const(c))
-
-
-def colon_T(t: TIdeal) -> TIdeal:
-    return TIdeal(t.gen.inv())
-
-
-def v_closure_T(t: TIdeal) -> TIdeal:
-    return colon_T(colon_T(t))
+def extend_to_T(ideal, inst: PullbackInstance) -> StructuredIdeal:
+    """The T-ideal I*T = u*T, always principal here, as u * phi^-1(k)."""
+    u = content_T(ideal, inst)[0] if isinstance(ideal, RawIdeal) else ideal.unit
+    return make_structured(u, ExtDModule.full(inst.base), inst)
 
 
 def inverse_image_R(j: ExtDModule, inst: PullbackInstance) -> StructuredIdeal:

@@ -26,7 +26,6 @@ from .kernel import RatFunc, eval_at_zero
 from .pullback import (
     PullbackInstance,
     StructuredIdeal,
-    TIdeal,
     as_structured,
     contains_ideal,
     extend_to_T,
@@ -35,8 +34,8 @@ from .pullback import (
     inverse_image_R,
     make_structured,
     r_ideal,
+    t_ideal_of_r,
     v_closure_R,
-    v_closure_T,
 )
 
 
@@ -205,7 +204,7 @@ def _eval(op: StarOp, value, inst: PullbackInstance):
     if op.target == "D":
         return _eval_d_side(op, _expect_dmod(value), inst)
     if op.target == "T":
-        return _eval_t_side(op, _expect_tideal(value, inst), inst)
+        return _eval_t_side(op, _expect_tideal(value), inst)
     return _eval_r_side(op, value, inst)
 
 
@@ -215,11 +214,9 @@ def _expect_dmod(value) -> ExtDModule:
     return value
 
 
-def _expect_tideal(value, inst) -> TIdeal:
-    if isinstance(value, TIdeal):
-        return value
+def _expect_tideal(value) -> StructuredIdeal:
     if isinstance(value, StructuredIdeal) and value.is_t_module():
-        return extend_to_T(value, inst)
+        return value
     raise StarEvalError("a T-side operation needs a fractional T-ideal")
 
 
@@ -248,37 +245,27 @@ def _eval_d_side(op: StarOp, n: ExtDModule, inst: PullbackInstance) -> ExtDModul
     raise StarEvalError(f"{op} is not defined on D-side ideals")
 
 
-def _eval_t_side(op: StarOp, t: TIdeal, inst: PullbackInstance) -> TIdeal:
-    if op.kind == "d":
+def _eval_t_side(op: StarOp, t: StructuredIdeal, inst: PullbackInstance) -> StructuredIdeal:
+    # t = u*T is principal, hence divisorial: d, v and t all fix it
+    if op.kind in ("d", "v", "t"):
         return t
-    if op.kind in ("v", "t"):
-        return v_closure_T(t)
     if op.kind == "meet":
-        a = _eval(op.operands[0], t, inst)
-        b = _eval(op.operands[1], t, inst)
-        return _intersect_tideals(a, b, inst)
+        s = _intersect_structured(_eval(op.operands[0], t, inst),
+                                  _eval(op.operands[1], t, inst), inst)
+        if not s.is_t_module():
+            raise StarEvalError("intersection left the fractional T-ideals")
+        return s
     if op.kind == "extended_T":
-        inner = op.operands[0]
-        closed = as_structured(_eval(inner, as_structured(t, inst), inst), inst)
-        vt = v_closure_T(t)
-        meetv = _intersect_structured(closed, as_structured(vt, inst), inst)
+        meetv = _intersect_structured(_eval(op.operands[0], t, inst), t, inst)
         if not meetv.is_t_module():
             raise StarEvalError("extension produced a non-T-module")
-        return extend_to_T(meetv, inst)
+        return meetv
     if op.kind == "restricted_T":
-        inner = op.operands[0]
-        closed = as_structured(_eval(inner, as_structured(t, inst), inst), inst)
+        closed = _eval(op.operands[0], t, inst)
         if not closed.is_t_module():
             raise StarEvalError("restriction is not a T-ideal here")
-        return extend_to_T(closed, inst)
+        return closed
     raise StarEvalError(f"{op} is not defined on T-side ideals")
-
-
-def _intersect_tideals(a: TIdeal, b: TIdeal, inst: PullbackInstance) -> TIdeal:
-    s = _intersect_structured(as_structured(a, inst), as_structured(b, inst), inst)
-    if not s.is_t_module():
-        raise StarEvalError("intersection left the fractional T-ideals")
-    return extend_to_T(s, inst)
 
 
 def _eval_r_side(op: StarOp, value, inst: PullbackInstance):
@@ -305,9 +292,7 @@ def _eval_r_side(op: StarOp, value, inst: PullbackInstance):
 
 def _eval_meet_component(op: StarOp, value, inst: PullbackInstance) -> StructuredIdeal:
     if op.kind == "overring_induced":
-        t_image = extend_to_T(value, inst)
-        closed = _eval(op.operands[0], t_image, inst)
-        return as_structured(closed, inst)
+        return _eval(op.operands[0], extend_to_T(value, inst), inst)
     return as_structured(_eval(op, value, inst), inst)
 
 
@@ -362,10 +347,6 @@ def _contains_value(big, small, inst) -> bool:
         if small.is_full():
             return False
         return all(big.contains(x) for x in small.basis_elements())
-    if isinstance(big, TIdeal):
-        big = as_structured(big, inst)
-    if isinstance(small, TIdeal):
-        small = as_structured(small, inst)
     return contains_ideal(big, small, inst)
 
 
@@ -389,8 +370,6 @@ def _values_equal(a, b, inst) -> bool:
 def _scale_value(z, value, inst):
     if isinstance(value, ExtDModule):
         return dmod_scale(z, value)
-    if isinstance(value, TIdeal):
-        return TIdeal(value.gen * RatFunc.coerce(z))
     s = as_structured(value, inst)
     return make_structured(s.unit * RatFunc.coerce(z), s.dpart, inst)
 
@@ -399,16 +378,13 @@ def _ring_value(op: StarOp, inst: PullbackInstance):
     if op.target == "D":
         return inst.base.unit_module()
     if op.target == "T":
-        return TIdeal(RatFunc.one())
+        return t_ideal_of_r(inst)
     return r_ideal(inst)
 
 
 def _join_value(a, b, inst):
     if isinstance(a, ExtDModule):
         return dmod_arith(a, b, "add")
-    if isinstance(a, TIdeal) or isinstance(b, TIdeal):
-        a = as_structured(a, inst) if isinstance(a, TIdeal) else a
-        b = as_structured(b, inst) if isinstance(b, TIdeal) else b
     return ideal_arith(a, b, "add", inst)
 
 

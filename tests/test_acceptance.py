@@ -25,7 +25,6 @@ from starpull.harness import (
 from starpull.kernel import FieldElem, Poly, RatFunc
 from starpull.pullback import (
     RawIdeal,
-    TIdeal,
     colon_R,
     extend_to_T,
     ideal_arith,
@@ -61,7 +60,7 @@ def test_criterion_1_split_exact_sequence(inst_c):
     assert gamma(image, inst_c) == class_label_D(p)
     unit = inst_c.base.unit_module()
     assert gamma(alpha(unit, inst_c), inst_c) == class_label_D(unit)
-    assert beta(image, inst_c) == TIdeal(RatFunc.one())
+    assert beta(image, inst_c) == extend_to_T(RawIdeal([RatFunc.one()]), inst_c)
 
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0

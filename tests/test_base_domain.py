@@ -1,5 +1,6 @@
 """D-side module calculus: lattices, colon, closure, class labels."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import isqrt
@@ -233,15 +234,16 @@ def _enumerated_generator(n, dom):
 ORDERS = {d: BaseDomain.quadratic_order(d) for d in (-5, -1, -3, -6, -15, -23)}
 
 
+def _module(dom, gens):
+    d = dom.k_disc
+    return dmod_from_generators([FieldElem(x, y if d != 1 else 0, d) for x, y in gens], dom)
+
+
 def _modules(coord, domains=tuple(ORDERS[d] for d in sorted(ORDERS))):
     """(domain, module) for one to three generators with coordinates from coord."""
-    def build(dom, gens):
-        d = dom.k_disc
-        return dom, dmod_from_generators([FieldElem(x, y if d != 1 else 0, d) for x, y in gens], dom)
-
     gens = st.lists(st.tuples(coord, coord), min_size=1, max_size=3)
     return st.tuples(st.sampled_from(domains), gens) \
-        .map(lambda a: build(*a)).filter(lambda dm: dm[1].is_lattice())
+        .map(lambda a: (a[0], _module(*a))).filter(lambda dm: dm[1].is_lattice())
 
 
 _SMALL = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
@@ -264,6 +266,31 @@ class TestColonDefinition:
             assert c.is_zero()
         else:
             assert dmod_arith(n, c, "mul") == dom.unit_module()
+
+
+def _module_pairs(coord, domains):
+    """(domain, A, B): two modules of one to three generators over one domain."""
+    gens = st.lists(st.tuples(coord, coord), min_size=1, max_size=3)
+    return st.tuples(st.sampled_from(domains), gens, gens) \
+        .map(lambda a: (a[0], _module(a[0], a[1]), _module(a[0], a[2]))) \
+        .filter(lambda dab: dab[1].is_lattice() and dab[2].is_lattice())
+
+
+class TestIntersectDefinition:
+    @given(_module_pairs(_SMALL, COLON_DOMAINS))
+    @settings(max_examples=300, deadline=None)
+    def test_meet_is_the_set_intersection(self, dab):
+        dom, a, b = dab
+        meet = dmod_intersect(a, b)
+        if meet.is_lattice():
+            for x in meet.basis_elements():
+                assert a.contains(x) and b.contains(x)
+        # every small combination of A's basis that lies in B lies in the meet
+        basis = a.basis_elements()
+        for coeffs in itertools.product(range(-4, 5), repeat=len(basis)):
+            x = sum((FieldElem(c) * e for c, e in zip(coeffs, basis)), FieldElem(0))
+            if b.contains(x):
+                assert meet.contains(x)
 
 
 class TestCyclicGenerator:

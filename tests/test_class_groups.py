@@ -23,7 +23,7 @@ from starpull.class_groups import (
 from starpull.kernel import FieldElem, Poly, RatFunc
 from starpull.pullback import (
     RawIdeal,
-    TIdeal,
+    extend_to_T,
     ideal_arith,
     ideal_equal,
     inverse_image_R,
@@ -81,15 +81,15 @@ class TestAlpha:
 
 class TestBeta:
     def test_beta_of_alpha_is_trivial(self, inst_c, prime_p):
-        assert beta(alpha(prime_p, inst_c), inst_c) == TIdeal(RatFunc.one())
+        assert beta(alpha(prime_p, inst_c), inst_c) == extend_to_T(RawIdeal([RatFunc.one()]), inst_c)
 
     def test_beta_of_principal(self, inst_a):
         h = structured_hull(RawIdeal([X]), inst_a)
-        assert beta(h, inst_a) == TIdeal(X)
+        assert beta(h, inst_a) == extend_to_T(RawIdeal([X]), inst_a)
 
     def test_beta_strips_the_dpart(self, inst_c, prime_p):
         scaled = ideal_arith(RawIdeal([X * X]), alpha(prime_p, inst_c), "mul", inst_c)
-        assert beta(scaled, inst_c) == TIdeal(X * X)
+        assert beta(scaled, inst_c) == extend_to_T(RawIdeal([X * X]), inst_c)
 
     def test_beta_invertibility_precondition(self, inst_d):
         raw = RawIdeal([RatFunc.one(), RatFunc(Poly([FieldElem(0, 1, -1)]))])

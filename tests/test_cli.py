@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from starpull.base_domain import class_label_D
 from starpull.cli import run_command
 from starpull.exprlang import (
+    MAX_GENERATORS,
     MAX_NESTING,
     MAX_POWER_BITS,
     MAX_POWER_DEGREE,
@@ -217,6 +218,16 @@ class TestRobustness:
         with pytest.raises(ExprError) as err:
             parse_expression("(" * (MAX_NESTING + 1) + "1" + ")" * (MAX_NESTING + 1))
         assert err.value.pos == MAX_NESTING
+
+    def test_cli_refuses_raw_products_past_the_generator_bound(self, capsys):
+        # each factor doubles the generators: 8 factors give 256, 20 would give 2^20
+        start = time.perf_counter()
+        code = run_command(["eval", "-i", "A", "-e", " * ".join(["ideal(1, X)"] * 20)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert f"more than {MAX_GENERATORS} generators" in capsys.readouterr().err
+        product = evaluate(parse_expression(" * ".join(["ideal(1, X)"] * 8)), make_instance("A"))
+        assert len(product.gens) == MAX_GENERATORS
 
 
 class TestCommands:

@@ -15,7 +15,7 @@ from starpull.pullback import (
     ideal_arith,
     ideal_equal,
     make_instance,
-    member_ideal,
+    member_structured,
     structured_hull,
 )
 
@@ -64,9 +64,9 @@ def test_containment_matches_generator_membership(name):
     for inner, outer_raw in zip(pop, pop[1:]):
         outer = structured_hull(outer_raw, inst)
         claim = contains_ideal(outer, inner, inst)
-        escaped = [g for g in inner.gens if not member_ideal(g, outer, inst)]
+        escaped = [g for g in inner.gens if not member_structured(g, outer, inst)]
         assert claim == (not escaped)
         if claim:
             for g in inner.gens[:2]:
                 deep = g * RatFunc.x_power(2) * RatFunc.coerce(3)
-                assert member_ideal(deep, outer, inst)
+                assert member_structured(deep, outer, inst)

@@ -1,10 +1,9 @@
-"""Integer matrix helpers: Hermite forms and kernels."""
+"""Integer matrix helpers: Hermite forms and lattice membership."""
 
 from fractions import Fraction
 
 from starpull.lattices import (
     hnf_rows,
-    integer_kernel,
     lattice_member,
     xgcd,
 )
@@ -33,22 +32,6 @@ def test_hnf_pivot_reduction():
 def test_hnf_reduces_above_every_pivot_in_three_columns():
     # reducing row 0 by the pivot-1 row must not undo its pivot-2 entry
     assert hnf_rows([[0, 0, 2], [1, -1, 1], [1, 0, 0]]) == [[1, 0, 0], [0, 1, 1], [0, 0, 2]]
-
-
-def test_integer_kernel_saturated():
-    # x + 2y - z == 0 over Z
-    basis = integer_kernel([[1, 2, -1]], 3)
-    assert len(basis) == 2
-    for vec in basis:
-        assert vec[0] + 2 * vec[1] - vec[2] == 0
-    # (1, 0, 1) is a solution and must be an integer combination of the basis
-    assert lattice_member([Fraction(1), Fraction(0), Fraction(1)], 1,
-                          [list(r) for r in basis])
-
-
-def test_integer_kernel_empty_constraints():
-    basis = integer_kernel([], 2)
-    assert hnf_rows(basis) == [[1, 0], [0, 1]]
 
 
 def test_lattice_member():

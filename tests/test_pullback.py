@@ -13,7 +13,6 @@ from starpull.kernel import FieldElem, Poly, RatFunc, eval_at_zero
 from starpull.pullback import (
     PullbackError,
     RawIdeal,
-    TIdeal,
     as_structured,
     colon_R,
     contains_ideal,
@@ -323,15 +322,15 @@ class TestIdealArith:
 
 class TestExtendToT:
     def test_unit_content(self, inst_a):
-        assert extend_to_T(RawIdeal([TWO, X]), inst_a) == TIdeal(RatFunc.one())
+        assert extend_to_T(RawIdeal([TWO, X]), inst_a) == extend_to_T(RawIdeal([RatFunc.one()]), inst_a)
 
     def test_x_content(self, inst_a):
-        assert extend_to_T(RawIdeal([TWO * X, X * X]), inst_a) == TIdeal(X)
+        assert extend_to_T(RawIdeal([TWO * X, X * X]), inst_a) == extend_to_T(RawIdeal([X]), inst_a)
 
     def test_p_preimage_extends_to_t(self, inst_c):
         base = inst_c.base
         p = dmod_from_generators([FieldElem(2), FieldElem(1, 1, -5)], base)
-        assert extend_to_T(inverse_image_R(p, inst_c), inst_c) == TIdeal(RatFunc.one())
+        assert extend_to_T(inverse_image_R(p, inst_c), inst_c) == extend_to_T(RawIdeal([RatFunc.one()]), inst_c)
 
     def test_multiplicative(self, inst_a):
         rng = random.Random(9)
@@ -345,9 +344,9 @@ class TestExtendToT:
             except PullbackError:
                 continue
             lhs = extend_to_T(ideal_arith(i1, i2, "mul", inst_a), inst_a)
-            rhs = TIdeal(extend_to_T(i1, inst_a).gen * extend_to_T(i2, inst_a).gen)
             # canonical generator of the product of principal T-ideals
-            rhs = extend_to_T(RawIdeal([rhs.gen]), inst_a)
+            units = extend_to_T(i1, inst_a).unit * extend_to_T(i2, inst_a).unit
+            rhs = extend_to_T(RawIdeal([units]), inst_a)
             assert lhs == rhs
 
 

@@ -5,15 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from starpull.base_domain import dmod_from_generators
+from starpull.base_domain import ExtDModule, dmod_from_generators
 from starpull.kernel import FieldElem, Poly, RatFunc
 from starpull.pullback import (
     RawIdeal,
-    TIdeal,
     as_structured,
+    content_T,
     extend_to_T,
     ideal_equal,
     m_ideal,
+    make_structured,
+    r_ideal,
     structured_hull,
     v_closure_R,
 )
@@ -37,6 +39,7 @@ T_R = StarOp.t_op("R")
 D_D = StarOp.identity("D")
 V_D = StarOp.divisorial("D")
 D_T = StarOp.identity("T")
+V_T = StarOp.divisorial("T")
 
 
 def gaussian_pair(inst_d):
@@ -74,7 +77,7 @@ class TestEval:
         assert star_eval(StarOp.projected(T_R), p, inst_c) == p
 
     def test_extended_t_on_principal_t_ideal(self, inst_a):
-        ct = TIdeal(RatFunc(Poly([1, 0, 1])))
+        ct = extend_to_T(RawIdeal([RatFunc(Poly([1, 0, 1]))]), inst_a)
         assert star_eval(StarOp.extended_T(T_R), ct, inst_a) == ct
 
     def test_d_is_identity(self, inst_a):
@@ -248,5 +251,33 @@ class TestExtensionRestriction:
                 star_eval(StarOp.extended_T(V_R), ct, inst_a)
 
     def test_t_side_v_is_identity_on_principal(self, inst_a):
-        ct = TIdeal(RatFunc(Poly([2, 1])))
+        ct = extend_to_T(RawIdeal([RatFunc(Poly([2, 1]))]), inst_a)
         assert star_eval(StarOp.divisorial("T"), ct, inst_a) == ct
+
+
+class TestTSide:
+    def test_lattice_dpart_rejected(self, inst_a, inst_c):
+        ops = [D_T, V_T, StarOp.t_op("T"), star_meet(D_T, V_T),
+               StarOp.extended_T(T_R), StarOp.restricted_T(T_R)]
+        for inst in (inst_a, inst_c):
+            for value in (r_ideal(inst), structured_hull(RawIdeal([TWO, X]), inst)):
+                assert not value.is_t_module()
+                for op in ops:
+                    with pytest.raises(StarEvalError):
+                        star_eval(op, value, inst)
+
+    def test_meet_of_d_and_v_is_the_t_ideal(self, inst_a, inst_b):
+        meet = star_meet(D_T, V_T)
+        for inst in (inst_a, inst_b):
+            for raw in sample_raws(inst, 18, 8):
+                ct = extend_to_T(raw, inst)
+                assert star_eval(meet, ct, inst) == ct
+
+    def test_extension_is_content_times_t(self, inst_a, inst_b, inst_c, inst_d, inst_e):
+        for inst in (inst_a, inst_b, inst_c, inst_d, inst_e):
+            for raw in sample_raws(inst, 19, 10):
+                ct = extend_to_T(raw, inst)
+                assert ct == make_structured(content_T(raw, inst)[0],
+                                             ExtDModule.full(inst.base), inst)
+                assert ct.is_t_module()
+                assert extend_to_T(structured_hull(raw, inst), inst) == ct
