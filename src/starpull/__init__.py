@@ -62,6 +62,7 @@ from .pullback import (
     RawIdeal,
     StructuredIdeal,
     colon_R,
+    colon_generators,
     content_T,
     extend_to_T,
     ideal_arith,

@@ -259,9 +259,9 @@ class BaseDomain:
         if x.d not in (1, self.k_disc):
             return False
         if self.kind == "integers":
-            return x.y == 0 and x.x.denominator == 1
+            return x.b == 0 and x.n == 1
         if self.kind == "field":
-            return x.y == 0
+            return x.b == 0
         return self._unit_module.contains(x)
 
     def units(self) -> list[FieldElem]:

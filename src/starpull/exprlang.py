@@ -16,10 +16,11 @@ Grammar (whitespace insensitive, positions are byte offsets):
 Scalars are exact field elements and rational functions; ideal-valued
 subexpressions combine with '+' and '*'.  Every parse failure carries
 the offending offset; nesting past MAX_NESTING, powers past
-MAX_POWER_DEGREE or MAX_POWER_BITS and products of raw ideals past
-MAX_GENERATORS generators are refused before any work.  The
-printers below emit canonical forms that re-parse to equal values (of
-degree at most MAX_POWER_DEGREE), which backs the round-trip tests.
+MAX_POWER_DEGREE or MAX_POWER_BITS and sums or products of raw ideals
+past MAX_GENERATORS generators are refused before any work.  A value
+of degree past MAX_POWER_DEGREE is refused too, so every value that
+evaluate returns prints, through the printers below, as a canonical
+form that re-parses to an equal value; the round-trip tests rest on it.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ MAX_NESTING = 100
 # f^n is refused when |n| * deg f or |n| * (bits of f's largest numerator or denominator) passes
 MAX_POWER_DEGREE = 64
 MAX_POWER_BITS = 1024
-# a product of raw ideals is refused when it would list more generators
+# a sum or product of raw ideals is refused when it would list more generators
 MAX_GENERATORS = 256
 _CHAINED = ("pow", "add", "sub", "mul", "div")
 
@@ -295,9 +296,26 @@ def evaluate(node: Node, inst: PullbackInstance):
         raise ExprError(f"cannot evaluate node {n.kind}", n.pos)
 
     try:
-        return ev(node)
+        value = ev(node)
     except (KernelError, PullbackError) as exc:
         raise ExprError(str(exc), node.pos) from exc
+    if _degree(value) > MAX_POWER_DEGREE:
+        raise ExprError(f"value past degree {MAX_POWER_DEGREE}", node.pos)
+    return value
+
+
+def _degree(value) -> int:
+    """Largest numerator or denominator degree among the rational functions
+    that value_to_expr prints for a value; -1 for other values."""
+    if isinstance(value, RatFunc):
+        fs = [value]
+    elif isinstance(value, RawIdeal):
+        fs = value.gens
+    elif isinstance(value, StructuredIdeal):
+        fs = [value.unit]
+    else:
+        return -1
+    return max(max(f.num.degree, f.den.degree) for f in fs)
 
 
 def _power(node: Node, f):
@@ -335,10 +353,12 @@ def _binop(node: Node, lhs, rhs, inst: PullbackInstance):
         if isinstance(ideal, RawIdeal):
             return RawIdeal([scalar * g for g in ideal.gens])
         return ideal_arith(RawIdeal([scalar]), ideal, "mul", inst)
-    if node.kind == "mul" and isinstance(lhs, RawIdeal) and isinstance(rhs, RawIdeal) \
-            and len(lhs.gens) * len(rhs.gens) > MAX_GENERATORS:
-        raise ExprError(f"product of more than {MAX_GENERATORS} generators", node.pos)
     op = "mul" if node.kind == "mul" else "add"
+    if isinstance(lhs, RawIdeal) and isinstance(rhs, RawIdeal):
+        m, n = len(lhs.gens), len(rhs.gens)
+        if (m * n if op == "mul" else m + n) > MAX_GENERATORS:
+            word = "product" if op == "mul" else "sum"
+            raise ExprError(f"{word} of more than {MAX_GENERATORS} generators", node.pos)
     return ideal_arith(lhs, rhs, op, inst)
 
 

@@ -42,6 +42,7 @@ from .pullback import (
     RawIdeal,
     as_structured,
     colon_R,
+    colon_generators,
     extend_to_T,
     ideal_arith,
     ideal_equal,
@@ -474,13 +475,12 @@ def _colon_agreement(inst, op, fail, ideal, element, closed_colon=None):
 
 
 @_check("v-agreement", ideal=_VALUE, element=_VALUE)
-def _v_agreement(inst, op, fail, ideal, element, closed_v=None, closed_colon=None):
-    # the suite passes I^v and (R : I), computed once for the ideal
+def _v_agreement(inst, op, fail, ideal, element, closed_v=None, generators=None):
+    # the suite passes I^v and the certified generators of (R : I),
+    # computed once for the ideal
     if closed_v is None:
         closed_v = v_closure_R(ideal, inst)
-    if closed_colon is None:
-        closed_colon = colon_R(ideal, inst)
-    verdict = oracle_v_member(element, ideal, inst, closed_colon)
+    verdict = oracle_v_member(element, ideal, inst, generators)
     inside = member_structured(element, closed_v, inst)
     if inside and verdict.status == "out-with-witness":
         fail("v-agreement", "member", "excluded by witness",
@@ -762,10 +762,11 @@ def _oracle_agreement(inst: PullbackInstance, op: StarOp, params: SampleParams) 
         for g in colon_grid:
             _decide(rep, _colon_agreement, inst, op, ideal=raw, element=g,
                     closed_colon=closed_colon)
+        generators = colon_generators(raw, inst, closed_colon)
         v_grid = _v_grid(raw, hull, closed_v)
         for h in v_grid:
             _decide(rep, _v_agreement, inst, op, ideal=raw, element=h,
-                    closed_v=closed_v, closed_colon=closed_colon)
+                    closed_v=closed_v, generators=generators)
         rep.records.append({"ideal": value_to_expr(raw, inst),
                             "grid": len(colon_grid) + len(v_grid),
                             "contradictions": len(rep.violations) - before})

@@ -1,8 +1,10 @@
 """Exact arithmetic over Q and quadratic extensions Q(sqrt(d)).
 
-Scalars are ``FieldElem`` values x + y*sqrt(d) with Fraction coordinates.
-The tag ``d`` is a squarefree integer; d == 1 encodes plain Q, and any
-element with y == 0 is normalized to d == 1 so that rationals compare
+Scalars are ``FieldElem`` values (a + b*sqrt(d))/n over the integers,
+reduced so that n > 0 and gcd(a, b, n) == 1; ``Fraction`` appears only
+at the boundary, in the coordinates x = a/n, y = b/n and the norm.  The
+tag ``d`` is a squarefree integer; d == 1 encodes plain Q, and any
+element with b == 0 is normalized to d == 1 so that rationals compare
 equal across ambient fields.  Polynomials (``Poly``) and rational
 functions (``RatFunc``) in one variable X are built on top.  A RatFunc
 is kept canonical (monic denominator, numerator coprime to denominator),
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 
 class KernelError(ArithmeticError):
@@ -39,93 +42,133 @@ def _is_squarefree(n: int) -> bool:
     return True
 
 
-class FieldElem:
-    """x + y*sqrt(d) with exact rational coordinates.
+def _common_tag(d: int, e: int) -> int:
+    """Tag of a result from operands tagged d and e; Q embeds in every field."""
+    if d == e or e == 1:
+        return d
+    if d == 1:
+        return e
+    raise KernelError(f"mismatched discriminant tags {d} and {e}")
 
-    d must be squarefree; d == 1 means the element is rational and then
-    y is forced to 0.
+
+class FieldElem:
+    """(a + b*sqrt(d))/n with integers a, b, n.
+
+    n > 0 and gcd(a, b, n) == 1, so every value has one representation.
+    d must be squarefree; d == 1 means the element is rational, and d == 1
+    exactly when b == 0.  ``x`` and ``y`` are the reduced rational
+    coordinates a/n and b/n.
     """
 
-    __slots__ = ("x", "y", "d")
+    # one tuple (a, b, n, d): the arithmetic unpacks it in one step
+    __slots__ = ("_abnd",)
 
     def __init__(self, x, y=0, d=1):
-        if type(x) is not Fraction:
-            x = Fraction(x)
-        if type(y) is not Fraction:
-            y = Fraction(y)
+        x = Fraction(x)
+        y = Fraction(y)
         if not y:
             d = 1
         if d != 1 and not _is_squarefree(d):
             raise KernelError(f"discriminant tag {d} is not squarefree")
         if d == 1 and y != 0:
             raise KernelError("rational field carries no surd part")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "d", d)
+        # gcd(a, b, n) == 1 holds: a prime's full power in n divides one
+        # of the two reduced denominators, so it does not divide that numerator
+        n = lcm(x.denominator, y.denominator)
+        a = x.numerator * (n // x.denominator)
+        _set_abnd(self, (a, y.numerator * (n // y.denominator), n, d))
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElem is immutable")
+
+    a = property(lambda self: self._abnd[0])
+    b = property(lambda self: self._abnd[1])
+    n = property(lambda self: self._abnd[2])
+    d = property(lambda self: self._abnd[3])
+
+    @property
+    def x(self) -> Fraction:
+        return Fraction(self._abnd[0], self._abnd[2])
+
+    @property
+    def y(self) -> Fraction:
+        return Fraction(self._abnd[1], self._abnd[2])
 
     # -- coercion ---------------------------------------------------------
     @staticmethod
     def coerce(value) -> "FieldElem":
         if isinstance(value, FieldElem):
             return value
-        return FieldElem(Fraction(value), 0, 1)
-
-    def _match(self, other) -> tuple["FieldElem", "FieldElem"]:
-        other = FieldElem.coerce(other)
-        if self.d == other.d or self.d == 1 or other.d == 1:
-            return self, other
-        raise KernelError(f"mismatched discriminant tags {self.d} and {other.d}")
-
-    def _tag(self, other) -> int:
-        return self.d if self.d != 1 else (other.d if isinstance(other, FieldElem) else 1)
+        if type(value) is int:
+            return _make(value, 0, 1, 1)
+        q = Fraction(value)
+        return _make(q.numerator, 0, q.denominator, 1)
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other):
-        a, b = self._match(other)
-        y = a.y + b.y
-        return FieldElem(a.x + b.x, y, a._tag(b) if y else 1)
+        if type(other) is not FieldElem:
+            other = FieldElem.coerce(other)
+        a, b, n, d = self._abnd
+        a2, b2, n2, d2 = other._abnd
+        if d != d2:
+            d = _common_tag(d, d2)
+        if n == n2:
+            return _make(a + a2, b + b2, n, d)
+        return _make(a * n2 + a2 * n, b * n2 + b2 * n, n * n2, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElem(-self.x, -self.y, self.d)
+        a, b, n, d = self._abnd
+        return _make(-a, -b, n, d)
 
     def __sub__(self, other):
-        return self + (-FieldElem.coerce(other))
+        if type(other) is not FieldElem:
+            other = FieldElem.coerce(other)
+        a, b, n, d = self._abnd
+        a2, b2, n2, d2 = other._abnd
+        if d != d2:
+            d = _common_tag(d, d2)
+        if n == n2:
+            return _make(a - a2, b - b2, n, d)
+        return _make(a * n2 - a2 * n, b * n2 - b2 * n, n * n2, d)
 
     def __rsub__(self, other):
         return FieldElem.coerce(other) - self
 
     def __mul__(self, other):
-        a, b = self._match(other)
-        if not (a.y or b.y):
-            return FieldElem(a.x * b.x)
-        d = a._tag(b)
-        x = a.x * b.x + d * a.y * b.y
-        y = a.x * b.y + a.y * b.x
-        return FieldElem(x, y, d if y else 1)
+        if type(other) is not FieldElem:
+            other = FieldElem.coerce(other)
+        a, b, n, d = self._abnd
+        a2, b2, n2, d2 = other._abnd
+        if d != d2:
+            d = _common_tag(d, d2)
+        return _make(a * a2 + d * b * b2, a * b2 + a2 * b, n * n2, d)
 
     __rmul__ = __mul__
 
     def conj(self) -> "FieldElem":
-        return FieldElem(self.x, -self.y, self.d)
+        a, b, n, d = self._abnd
+        return _make(a, -b, n, d)
 
     def norm(self) -> Fraction:
         """x**2 - d*y**2, the field norm down to Q."""
-        return self.x * self.x - Fraction(self.d) * self.y * self.y
+        a, b, n, d = self._abnd
+        return Fraction(a * a - d * b * b, n * n)
 
     def inv(self) -> "FieldElem":
-        if self.is_zero():
+        # n / (a + b*sqrt(d)) = n*(a - b*sqrt(d)) / (a^2 - d*b^2); the
+        # norm vanishes only at zero, as d is squarefree
+        a, b, n, d = self._abnd
+        m = a * a - d * b * b
+        if not m:
             raise KernelError("division by zero")
-        n = self.norm()
-        return FieldElem(self.x / n, -self.y / n, self.d)
+        if m < 0:
+            m, n = -m, -n
+        return _make(n * a, -n * b, m, d)
 
     def __truediv__(self, other):
-        other = FieldElem.coerce(other)
-        return self * other.inv()
+        return self * FieldElem.coerce(other).inv()
 
     def __rtruediv__(self, other):
         return FieldElem.coerce(other) * self.inv()
@@ -133,7 +176,7 @@ class FieldElem:
     def __pow__(self, n: int):
         if n < 0:
             return self.inv() ** (-n)
-        out = FieldElem(1)
+        out = ONE_ELEM
         base = self
         while n:
             if n & 1:
@@ -144,17 +187,18 @@ class FieldElem:
 
     # -- predicates -------------------------------------------------------
     def is_zero(self) -> bool:
-        return not (self.x or self.y)
+        return self._abnd == (0, 0, 1, 1)
 
     def __bool__(self):
-        return not self.is_zero()
+        return self._abnd != (0, 0, 1, 1)
 
     def __eq__(self, other):
-        try:
-            a, b = self._match(other)
-        except (KernelError, ValueError, TypeError):
-            return NotImplemented
-        return a.x == b.x and a.y == b.y
+        if type(other) is not FieldElem:
+            try:
+                other = FieldElem.coerce(other)
+            except (ValueError, TypeError):
+                return NotImplemented
+        return self._abnd == other._abnd
 
     def __hash__(self):
         return hash((self.x, self.y, self.d))
@@ -163,16 +207,34 @@ class FieldElem:
         return f"FieldElem({self.x!r}, {self.y!r}, {self.d})"
 
     def __str__(self):
-        if self.y == 0:
-            return str(self.x)
-        surd = "i" if self.d == -1 else f"sqrt({self.d})"
-        ypart = surd if self.y == 1 else (f"-{surd}" if self.y == -1 else f"{self.y}*{surd}")
-        if self.x == 0:
+        x, y, d = self.x, self.y, self.d
+        if y == 0:
+            return str(x)
+        surd = "i" if d == -1 else f"sqrt({d})"
+        ypart = surd if y == 1 else (f"-{surd}" if y == -1 else f"{y}*{surd}")
+        if x == 0:
             return ypart
-        sign = "+" if self.y > 0 else "-"
-        mag = abs(self.y)
+        sign = "+" if y > 0 else "-"
+        mag = abs(y)
         ystr = surd if mag == 1 else f"{mag}*{surd}"
-        return f"{self.x} {sign} {ystr}"
+        return f"{x} {sign} {ystr}"
+
+
+_new_elem = object.__new__
+_set_abnd = FieldElem._abnd.__set__
+
+
+def _make(a: int, b: int, n: int, d: int) -> FieldElem:
+    """(a + b*sqrt(d))/n for n > 0, reduced and built without __init__."""
+    if n != 1:
+        g = gcd(a, b, n)
+        if g != 1:
+            a //= g
+            b //= g
+            n //= g
+    out = _new_elem(FieldElem)
+    _set_abnd(out, (a, b, n, d) if b else (a, 0, n, 1))
+    return out
 
 
 ZERO_ELEM = FieldElem(0)
@@ -189,7 +251,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [FieldElem.coerce(c) for c in coeffs]
+        cs = [c if type(c) is FieldElem else FieldElem.coerce(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -354,7 +416,11 @@ def _as_poly(value) -> Poly:
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd via the Euclidean remainder sequence."""
+    """Monic gcd via the monic Euclidean remainder sequence.
+
+    Each remainder is made monic before it divides, which keeps the
+    coefficients of the sequence from growing with its length.
+    """
     f = _as_poly(f)
     g = _as_poly(g)
     if f.is_zero() and g.is_zero():
@@ -362,6 +428,8 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     a, b = f, g
     while not b.is_zero():
         a, b = b, a % b
+        if not b.is_zero():
+            b = b.monic()
     return a.monic()
 
 

@@ -30,6 +30,7 @@ from .base_domain import (
     dmod_v,
 )
 from .kernel import (
+    ZERO_ELEM,
     FieldElem,
     Poly,
     RatFunc,
@@ -291,31 +292,35 @@ def member_R(f: RatFunc, inst: PullbackInstance) -> bool:
 
 
 def member_R_product(h: RatFunc, g: RatFunc, inst: PullbackInstance) -> bool:
-    """h*g in R, decided without forming h*g; equal to member_R(h * g, inst).
+    """h*g in R, decided without forming h*g; equal to member_R(h * g, inst)."""
+    h = RatFunc.coerce(h)
+    g = RatFunc.coerce(g)
+    if h.is_zero() or g.is_zero():
+        return True
+    value = _product_at_zero(h, g, inst)
+    return value is not None and inst.base.contains_scalar(value)
+
+
+def _product_at_zero(h: RatFunc, g: RatFunc, inst: PullbackInstance):
+    """phi(h*g) when h*g lies in T, else None; h and g are nonzero.
 
     For canonical h = a/b and g = c/d each pair is coprime, so h*g is a
     polynomial exactly when b | c and d | a, and then its value at zero
     is (c/b)(0) * (a/d)(0).  In the local kind X-orders add and the
     values at zero of the X-free parts multiply.
     """
-    h = RatFunc.coerce(h)
-    g = RatFunc.coerce(g)
-    if h.is_zero() or g.is_zero():
-        return True
     if inst.t_kind == "local":
         e = ord_at_zero(h) + ord_at_zero(g)
         if e != 0:
-            return e > 0
-        value = (_lowest(h.num) * _lowest(g.num)) / (_lowest(h.den) * _lowest(g.den))
-    else:
-        q1 = _exact_quotient(g.num, h.den)
-        if q1 is None:
-            return False
-        q2 = _exact_quotient(h.num, g.den)
-        if q2 is None:
-            return False
-        value = q1.eval_zero() * q2.eval_zero()
-    return inst.base.contains_scalar(value)
+            return None if e < 0 else ZERO_ELEM
+        return (_lowest(h.num) * _lowest(g.num)) / (_lowest(h.den) * _lowest(g.den))
+    q1 = _exact_quotient(g.num, h.den)
+    if q1 is None:
+        return None
+    q2 = _exact_quotient(h.num, g.den)
+    if q2 is None:
+        return None
+    return q1.eval_zero() * q2.eval_zero()
 
 
 def _lowest(p: Poly):
@@ -331,15 +336,14 @@ def _exact_quotient(f: Poly, g: Poly) -> Poly | None:
 
 
 def member_structured(f: RatFunc, s: StructuredIdeal, inst: PullbackInstance) -> bool:
+    """f in u*phi^-1(J0): f/u in T with value at zero in J0, without forming f/u."""
     f = RatFunc.coerce(f)
     if f.is_zero():
         return True
-    g = f / s.unit
-    if not inst.member_T(g):
+    value = _product_at_zero(f, s.unit.inv(), inst)
+    if value is None:
         return False
-    if s.dpart.is_full():
-        return True
-    return s.dpart.contains(eval_at_zero(g))
+    return s.dpart.is_full() or s.dpart.contains(value)
 
 
 def contains_ideal(outer, inner, inst: PullbackInstance) -> bool:
@@ -566,21 +570,16 @@ class OracleVerdict:
         return f"OracleVerdict({self.status!r}, {self.witness!r})"
 
 
-def oracle_v_member(h: RatFunc, ideal: RawIdeal, inst: PullbackInstance,
-                    colon: StructuredIdeal | None = None) -> OracleVerdict:
-    """Exact test of h in (R : (R : I)) against a generating set of (R : I).
+def colon_generators(ideal: RawIdeal, inst: PullbackInstance,
+                     colon: StructuredIdeal | None = None) -> tuple[list[RatFunc], RatFunc] | None:
+    """A generating set (lifts, t) of (R : I), certified from the definition.
 
     With the closed colon (``colon``, else colon_R(ideal)) written as
     w*phi^-1(J), (R : I) is generated over R by the lifts w*c of a basis
     of J and by t*T, where t = w*X for a lattice J and t = w for J = k.
-    As M is the largest T-submodule of R (D != k), h*t*T lies in R exactly
-    when h*t lies in M.  The set is first certified inside (R : I) from
-    the definition; if it is not, the closed colon is wrong and the
-    verdict is "inconclusive".  A witness is the first lift g with h*g
-    outside R, else t, or t*e/phi(h*t) for e in k outside D when h*t is
-    in T; it is certified in (R : I) too.
+    Each lift is checked against oracle_colon_member and t*I against M;
+    if a check fails, the closed colon is wrong and the result is None.
     """
-    h = RatFunc.coerce(h)
     if colon is None:
         colon = colon_R(ideal, inst)
     full = colon.dpart.is_full()
@@ -588,7 +587,27 @@ def oracle_v_member(h: RatFunc, ideal: RawIdeal, inst: PullbackInstance,
     t = colon.unit if full else colon.unit * RatFunc.x_power(1)
     if not (all(oracle_colon_member(g, ideal, inst) for g in lifts)
             and all(inst.member_M(t * f) for f in ideal.gens)):
-        return OracleVerdict("inconclusive")
+        return None
+    return lifts, t
+
+
+def oracle_v_member(h: RatFunc, ideal: RawIdeal, inst: PullbackInstance,
+                    generators: tuple[list[RatFunc], RatFunc] | None = None) -> OracleVerdict:
+    """Exact test of h in (R : (R : I)) against a generating set of (R : I).
+
+    ``generators`` is colon_generators(ideal, inst), computed here when
+    not given; when it cannot be certified the verdict is "inconclusive".
+    As M is the largest T-submodule of R (D != k), h*t*T lies in R
+    exactly when h*t lies in M.  A witness is the first lift g with h*g
+    outside R, else t, or t*e/phi(h*t) for e in k outside D when h*t is
+    in T; it is certified in (R : I) too.
+    """
+    h = RatFunc.coerce(h)
+    if generators is None:
+        generators = colon_generators(ideal, inst)
+        if generators is None:
+            return OracleVerdict("inconclusive")
+    lifts, t = generators
     for g in lifts:
         if not member_R_product(h, g, inst):
             return OracleVerdict("out-with-witness", g)

@@ -171,6 +171,21 @@ _TEXTS = st.one_of(_EXPRESSIONS, _deep(_EXPRESSIONS),
                            max_size=80))
 
 
+# scalars and ideals under the operations that build values, with
+# polynomials at the degree bound, so that values at and past it are drawn
+_ROUND_TRIP = st.recursive(
+    st.sampled_from(["X", "2", "1/3", "X + 2", "1/X", "sqrt(-1)", "sqrt(-5)",
+                     f"X^{MAX_POWER_DEGREE}", f"(X + 1)^{MAX_POWER_DEGREE // 2}",
+                     "ideal(2, X)", "ideal(X + 2, 3)", "ideal(1, sqrt(-1))",
+                     "ideal(2, 1 + sqrt(-5))", f"ideal(X^{MAX_POWER_DEGREE}, 2)"]),
+    lambda inner: st.one_of(
+        st.builds(lambda a, op, b: f"({a}) {op} ({b})", inner, st.sampled_from("+-*/"), inner),
+        st.builds(lambda f, a: f"{f}({a})", st.sampled_from(["v", "t", "colon", "extT", "hull"]),
+                  inner),
+        st.builds(lambda a, b: f"ideal({a}, {b})", inner, inner)),
+    max_leaves=5)
+
+
 class TestRobustness:
     @given(name=st.sampled_from("ABCDE"), text=_TEXTS)
     @settings(max_examples=300, deadline=None)
@@ -228,6 +243,50 @@ class TestRobustness:
         assert f"more than {MAX_GENERATORS} generators" in capsys.readouterr().err
         product = evaluate(parse_expression(" * ".join(["ideal(1, X)"] * 8)), make_instance("A"))
         assert len(product.gens) == MAX_GENERATORS
+
+    def test_cli_refuses_raw_sums_past_the_generator_bound(self, capsys):
+        # P lists 256 generators; sums keep every summand's generators
+        p = " * ".join(["ideal(1, X)"] * 8)
+        start = time.perf_counter()
+        code = run_command(["eval", "-i", "A", "-e", "v(" + " + ".join([p] * 64) + ")"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert f"sum of more than {MAX_GENERATORS} generators" in capsys.readouterr().err
+        half = " * ".join(["ideal(1, X)"] * 7)
+        total = evaluate(parse_expression(f"{half} + {half}"), make_instance("A"))
+        assert len(total.gens) == MAX_GENERATORS
+
+    def test_values_past_the_degree_bound_are_refused(self):
+        inst = make_instance("A")
+        for text in (f"X^{MAX_POWER_DEGREE} * X", f"ideal(X^{MAX_POWER_DEGREE} * X, 2)",
+                     f"1/(X^{MAX_POWER_DEGREE} * (X + 1))"):
+            with pytest.raises(ExprError, match=f"value past degree {MAX_POWER_DEGREE}"):
+                evaluate(parse_expression(text), inst)
+        # intermediate values may pass the bound; the returned value may not
+        assert evaluate(parse_expression(f"X^{MAX_POWER_DEGREE} * X / X"), inst) == \
+            RatFunc.x_power(MAX_POWER_DEGREE)
+
+    def test_cli_gcd_of_degree_64_inputs(self, capsys):
+        # a plain Euclidean remainder sequence took 24 s on this gcd
+        text = ("principal(ideal((X+2)^32 * (X+sqrt(-5))^32, "
+                "(X+sqrt(-5))^31 * (1000000+X)^32))")
+        start = time.perf_counter()
+        code = run_command(["eval", "-i", "C", "-e", text])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert capsys.readouterr().out.startswith("principal, generator")
+
+    @given(name=st.sampled_from("ABCDE"), text=_ROUND_TRIP)
+    @settings(max_examples=300, deadline=None)
+    def test_every_value_round_trips(self, name, text):
+        inst = make_instance(name)
+        try:
+            value = evaluate(parse_expression(text), inst)
+            printed = value_to_expr(value, inst)
+        except (ExprError, PullbackError, KernelError):
+            return  # refused input, or a class label or principality answer
+        back = evaluate(parse_expression(printed), inst)
+        assert back == value, (text, printed)
 
 
 class TestCommands:

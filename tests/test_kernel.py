@@ -1,6 +1,7 @@
 """Exact scalar, polynomial, and rational-function arithmetic."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,7 @@ from starpull.kernel import (
     poly_gcd,
     poly_lcm,
 )
-from strategies import polys, ratfuncs, tagged
+from strategies import elems, polys, ratfuncs, tagged
 
 
 def fe(x, y=0, d=1):
@@ -72,6 +73,98 @@ class TestFieldElem:
             return
         assert a * a.inv() == fe(1)
         assert (a + a.conj()).y == 0
+
+
+def _check_invariants(e: FieldElem):
+    a, b, n, d = e.a, e.b, e.n, e.d
+    assert all(type(v) is int for v in (a, b, n, d))
+    assert n > 0 and gcd(a, b, n) == 1
+    assert (d == 1) == (b == 0)
+    assert (e.x, e.y) == (Fraction(a, n), Fraction(b, n))
+
+
+class _Ref:
+    """x + y*sqrt(d) as a pair of Fractions: the reference arithmetic."""
+
+    def __init__(self, x, y, d):
+        self.x, self.y, self.d = Fraction(x), Fraction(y), d
+
+    def __add__(self, o):
+        return _Ref(self.x + o.x, self.y + o.y, self.d)
+
+    def __sub__(self, o):
+        return _Ref(self.x - o.x, self.y - o.y, self.d)
+
+    def __mul__(self, o):
+        return _Ref(self.x * o.x + self.d * self.y * o.y, self.x * o.y + self.y * o.x, self.d)
+
+    def norm(self):
+        return self.x * self.x - self.d * self.y * self.y
+
+    def inv(self):
+        m = self.norm()
+        return _Ref(self.x / m, -self.y / m, self.d)
+
+    def conj(self):
+        return _Ref(self.x, -self.y, self.d)
+
+
+def _agrees(e: FieldElem, ref: _Ref):
+    _check_invariants(e)
+    assert (e.x, e.y) == (ref.x, ref.y)
+    assert e.d == (ref.d if ref.y else 1)
+
+
+class TestFieldElemAgainstFractionPairs:
+    @given(tagged(lambda d: st.tuples(elems(d), st.one_of(elems(d), elems(1)),
+                                      st.integers(-3, 4))))
+    @settings(max_examples=300, deadline=None)
+    def test_operations_match_the_reference_and_keep_the_invariants(self, args):
+        d, (p, q, k) = args
+        _check_invariants(p)
+        _check_invariants(q)
+        rp, rq = _Ref(p.x, p.y, d), _Ref(q.x, q.y, d)
+        _agrees(p + q, rp + rq)
+        _agrees(p - q, rp - rq)
+        _agrees(p * q, rp * rq)
+        _agrees(-p, _Ref(0, 0, d) - rp)
+        _agrees(p.conj(), rp.conj())
+        assert p.norm() == rp.norm() and type(p.norm()) is Fraction
+        if not q.is_zero():
+            _agrees(p / q, rp * rq.inv())
+            _agrees(q.inv(), rq.inv())
+        if k >= 0 or not p.is_zero():
+            ref = _Ref(1, 0, d)
+            for _ in range(abs(k)):
+                ref = ref * rp
+            _agrees(p ** k, ref if k >= 0 else ref.inv())
+
+    @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(1, 12),
+           st.sampled_from((1, -1, -5)))
+    @settings(max_examples=200, deadline=None)
+    def test_int_and_fraction_inputs_give_one_value(self, p, q, m, d):
+        q = q if d != 1 else 0
+        from_fractions = FieldElem(Fraction(p * m, m), Fraction(q * 2 * m, 2 * m), d)
+        from_ints = FieldElem(p, q, d)
+        assert from_ints == from_fractions
+        assert hash(from_ints) == hash(from_fractions)
+        assert hash(from_ints) == hash((Fraction(p), Fraction(q), from_ints.d))
+        scaled = FieldElem(Fraction(p, m), Fraction(q, m), d)
+        assert scaled == from_ints * FieldElem(Fraction(1, m))
+        assert hash(scaled) == hash((Fraction(p, m), Fraction(q, m), scaled.d))
+        _check_invariants(scaled)
+
+    def test_mismatched_tags_raise_in_every_operation(self):
+        p, q = fe(1, 1, -5), fe(Fraction(1, 2), 3, -1)
+        for op in (lambda: p + q, lambda: p - q, lambda: p * q, lambda: p / q):
+            with pytest.raises(KernelError):
+                op()
+
+    def test_immutable(self):
+        e = fe(1, 2, -5)
+        for name in ("x", "a", "d", "_abnd"):
+            with pytest.raises(AttributeError):
+                setattr(e, name, 0)
 
 
 def poly(*coeffs):

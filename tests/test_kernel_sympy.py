@@ -72,3 +72,12 @@ class TestFieldElemAgainstSympy:
             return
         field = domain(d)
         assert field.from_sympy(to_expr(a.inv())) == field.one / field.from_sympy(to_expr(a))
+
+    @given(tagged(lambda d: st.tuples(elems(d), st.one_of(elems(d), elems(1)))))
+    @settings(max_examples=60, deadline=None)
+    def test_sum_and_product(self, args):
+        d, (a, b) = args
+        field = domain(d)
+        fa, fb = field.from_sympy(to_expr(a)), field.from_sympy(to_expr(b))
+        assert field.from_sympy(to_expr(a + b)) == fa + fb
+        assert field.from_sympy(to_expr(a * b)) == fa * fb

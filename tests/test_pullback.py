@@ -15,6 +15,7 @@ from starpull.pullback import (
     RawIdeal,
     as_structured,
     colon_R,
+    colon_generators,
     contains_ideal,
     content_T,
     extend_to_T,
@@ -22,6 +23,7 @@ from starpull.pullback import (
     ideal_equal,
     instance_catalog,
     inverse_image_R,
+    lift_generators,
     m_ideal,
     make_instance,
     member_R,
@@ -137,6 +139,34 @@ class TestMemberRProduct:
         assert not member_R_product(pole * HALF, X, inst_a)
         assert not member_R_product(RatFunc(Poly([1]), Poly([1, 1])), X, inst_a)
         assert member_R_product(RatFunc(Poly([1]), Poly([1, 1])), X, inst_b)
+
+
+def structured_by_definition(f, s, inst):
+    """f in u*phi^-1(J0) read off f/u: in T, with value at zero in J0."""
+    if f.is_zero():
+        return True
+    g = f / s.unit
+    if not inst.member_T(g):
+        return False
+    return s.dpart.is_full() or s.dpart.contains(eval_at_zero(g))
+
+
+class TestMemberStructured:
+    @pytest.mark.parametrize("name", instance_catalog())
+    @given(seed=st.integers(0, 30), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_definition(self, name, seed, data):
+        inst = make_instance(name)
+        # the first 5 to 7 ideals are the fixed corner cases, the rest are seeded
+        raw = data.draw(st.sampled_from(sample_ideals(inst, SampleParams(seed=seed, count=10))))
+        s = data.draw(st.sampled_from([structured_hull(raw, inst), colon_R(raw, inst)]))
+        grid = list(raw.gens) + lift_generators(s, inst, powers=2) \
+            + [s.unit * X.inv(), s.unit * HALF, s.unit.inv()]
+        f = data.draw(st.sampled_from(grid))
+        # a factor from T or with a pole keeps f near the boundary of s
+        r = data.draw(ratfuncs(inst.k_disc))
+        for g in (f, f * r, f * X):
+            assert member_structured(g, s, inst) == structured_by_definition(g, s, inst)
 
 
 class TestContent:
@@ -466,8 +496,9 @@ class TestExactVOracle:
         for raw, colon, grid in _v_population(inst):
             probes = _certified_probes(raw, inst)
             closed_v = v_closure_R(raw, inst)
+            generators = colon_generators(raw, inst, colon)
             for h in grid:
-                verdict = oracle_v_member(h, raw, inst, colon)
+                verdict = oracle_v_member(h, raw, inst, generators)
                 assert verdict.status in ("in", "out-with-witness"), (raw, h)
                 reference = _probe_search_v_oracle(h, raw, inst, probes)
                 if reference != "inconclusive":
@@ -480,24 +511,32 @@ class TestExactVOracle:
                     assert not member_R(h * verdict.witness, inst)
         assert definite > 0
 
-    def test_three_argument_call_computes_the_colon(self, inst_c):
-        for raw, colon, grid in _v_population(inst_c, seeds=(3,), count=3):
-            for h in grid:
-                assert oracle_v_member(h, raw, inst_c).status == \
-                    oracle_v_member(h, raw, inst_c, colon).status
+    def test_three_argument_call_computes_the_colon(self, inst_a, inst_c, inst_d):
+        # precomputed generators give the verdicts of the per-call form
+        for inst in (inst_a, inst_c, inst_d):
+            for raw, colon, grid in _v_population(inst, seeds=(3,), count=3):
+                generators = colon_generators(raw, inst, colon)
+                assert generators == colon_generators(raw, inst)
+                for h in grid:
+                    per_call = oracle_v_member(h, raw, inst)
+                    shared = oracle_v_member(h, raw, inst, generators)
+                    assert (per_call.status, per_call.witness) == (shared.status, shared.witness)
 
     def test_never_reads_the_closed_v_or_the_hull(self, inst_d, monkeypatch):
         cases = list(_v_population(inst_d, seeds=(3,), count=4))
-        expected = [[oracle_v_member(h, raw, inst_d, colon).status for h in grid]
-                    for raw, colon, grid in cases]
+
+        def verdicts(raw, colon, grid):
+            generators = colon_generators(raw, inst_d, colon)
+            return [oracle_v_member(h, raw, inst_d, generators).status for h in grid]
+
+        expected = [verdicts(*case) for case in cases]
 
         def refuse(*args, **kwargs):
             raise AssertionError("the oracle consulted a closed form")
 
         monkeypatch.setattr(pullback, "v_closure_R", refuse)
         monkeypatch.setattr(pullback, "structured_hull", refuse)
-        got = [[oracle_v_member(h, raw, inst_d, colon).status for h in grid]
-               for raw, colon, grid in cases]
+        got = [verdicts(*case) for case in cases]
         assert got == expected
 
     def test_t_part_witnesses(self, inst_d):
@@ -518,12 +557,14 @@ class TestExactVOracle:
         assert verdict.witness == X * const(0, 1, -1)
         assert not member_R(X.inv() * verdict.witness, inst_e)
 
-    def test_wrong_colon_is_inconclusive(self, inst_a):
+    def test_wrong_colon_is_inconclusive(self, inst_a, monkeypatch):
         # X^-1 * (R : I) is not inside (R : I): the generating set fails
         # its certification, and only colon-agreement can say more
         raw = RawIdeal([TWO, X])
         wrong = ideal_arith(colon_R(raw, inst_a), RawIdeal([X.inv()]), "mul", inst_a)
-        assert oracle_v_member(RatFunc.one(), raw, inst_a, wrong).status == "inconclusive"
+        assert colon_generators(raw, inst_a, wrong) is None
+        monkeypatch.setattr(pullback, "colon_R", lambda ideal, inst: wrong)
+        assert oracle_v_member(RatFunc.one(), raw, inst_a).status == "inconclusive"
 
 
 class TestDivisorialTIdeals:
