@@ -71,6 +71,7 @@ from .pullback import (
     inverse_image_R,
     m_ideal,
     make_instance,
+    member_M_product,
     member_R,
     member_R_product,
     oracle_colon_member,

@@ -13,13 +13,12 @@ import sys
 from pathlib import Path
 
 from .exprlang import (
-    ExprError,
     evaluate,
     parse_expression,
     pretty_value,
     value_to_expr,
 )
-from .harness import SUITES, HarnessError, SampleParams, run_suite
+from .harness import SUITES, SampleParams, run_suite
 from .kernel import KernelError
 from .pullback import PullbackError, instance_catalog, make_instance
 
@@ -59,22 +58,17 @@ def _cmd_eval(args) -> int:
         print("eval needs an expression (-e)", file=sys.stderr)
         return EXIT_USAGE
     value = evaluate(parse_expression(text), inst)
+    line = pretty_value(value, inst)
     if args.json:
-        payload = {"instance": inst.name, "expr": text,
-                   "pretty": pretty_value(value, inst)}
+        payload = {"instance": inst.name, "expr": text, "pretty": line}
         try:
             payload["canonical"] = value_to_expr(value, inst)
         except PullbackError:
             payload["canonical"] = None
         line = json.dumps(payload, sort_keys=True)
-        print(line)
-        if args.out:
-            Path(args.out).write_text(line + "\n")
-    else:
-        line = pretty_value(value, inst)
-        print(line)
-        if args.out:
-            Path(args.out).write_text(line + "\n")
+    print(line)
+    if args.out:
+        Path(args.out).write_text(line + "\n")
     return EXIT_OK
 
 
@@ -178,10 +172,7 @@ def run_command(argv) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (ExprError, PullbackError, KernelError, HarnessError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, KernelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -17,17 +17,20 @@ Scalars are exact field elements and rational functions; ideal-valued
 subexpressions combine with '+' and '*'.  Every parse failure carries
 the offending offset; nesting past MAX_NESTING, powers past
 MAX_POWER_DEGREE or MAX_POWER_BITS and sums or products of raw ideals
-past MAX_GENERATORS generators are refused before any work.  A value
-of degree past MAX_POWER_DEGREE is refused too, so every value that
-evaluate returns prints, through the printers below, as a canonical
-form that re-parses to an equal value; the round-trip tests rest on it.
+past MAX_GENERATORS generators are refused before any work.  A chain
+step or call result past MAX_VALUE_DEGREE or MAX_VALUE_BITS is refused
+where it arises, so the cost of evaluation is bounded by the length of
+the text.  A returned value past MAX_POWER_DEGREE or MAX_POWER_BITS is
+refused too, so every value that evaluate returns prints, through the
+printers below, as a canonical form that re-parses to an equal value;
+the round-trip tests rest on it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .base_domain import ClassLabel, ExtDModule, dmod_from_generators
+from .base_domain import ClassLabel, DomainError, ExtDModule, dmod_from_generators
 from .kernel import FieldElem, KernelError, Poly, RatFunc
 from .pullback import (
     PullbackError,
@@ -60,11 +63,16 @@ _FUNCS = {
 MAX_INPUT_BYTES = 64 * 1024
 # parentheses, calls, ideals and unary minus nest at most this deep
 MAX_NESTING = 100
-# f^n is refused when |n| * deg f or |n| * (bits of f's largest numerator or denominator) passes
+# f^n is refused when |n| * deg f or |n| * (bits of f's largest integer a, b or n) passes
 MAX_POWER_DEGREE = 64
 MAX_POWER_BITS = 1024
 # a sum or product of raw ideals is refused when it would list more generators
 MAX_GENERATORS = 256
+# bounds on each chain step and call result: a value at the returned bounds
+# prints as text whose re-parsing stays inside them, since (u)*X has degree
+# deg u + 1 and the coefficients of (u)*c, normalized, reach about 4x the bits
+MAX_VALUE_DEGREE = MAX_POWER_DEGREE + 1
+MAX_VALUE_BITS = 8 * MAX_POWER_BITS
 _CHAINED = ("pow", "add", "sub", "mul", "div")
 
 
@@ -278,8 +286,9 @@ def evaluate(node: Node, inst: PullbackInstance):
                 n = n.children[0]
             val = ev(n)
             for m in reversed(spine):
+                # a power's own bounds keep its result inside the value bounds
                 val = (_power(m, val) if m.kind == "pow"
-                       else _binop(m, val, ev(m.children[1]), inst))
+                       else _bounded(_binop(m, val, ev(m.children[1]), inst), m))
             return val
         if n.kind == "ideal":
             gens = []
@@ -292,39 +301,54 @@ def evaluate(node: Node, inst: PullbackInstance):
                 gens.append(val)
             return RawIdeal(gens)
         if n.kind == "call":
-            return _call(n, ev(n.children[0]), inst)
+            return _bounded(_call(n, ev(n.children[0]), inst), n)
         raise ExprError(f"cannot evaluate node {n.kind}", n.pos)
 
     try:
         value = ev(node)
     except (KernelError, PullbackError) as exc:
         raise ExprError(str(exc), node.pos) from exc
-    if _degree(value) > MAX_POWER_DEGREE:
-        raise ExprError(f"value past degree {MAX_POWER_DEGREE}", node.pos)
+    degree, bits = _size(value)
+    if degree > MAX_POWER_DEGREE or bits > MAX_POWER_BITS:
+        raise ExprError(f"value past degree {MAX_POWER_DEGREE} or {MAX_POWER_BITS} bits",
+                        node.pos)
     return value
 
 
-def _degree(value) -> int:
-    """Largest numerator or denominator degree among the rational functions
-    that value_to_expr prints for a value; -1 for other values."""
+def _bounded(value, node: Node):
+    """value, refused when it passes the bounds on intermediate values."""
+    degree, bits = _size(value)
+    if degree > MAX_VALUE_DEGREE or bits > MAX_VALUE_BITS:
+        raise ExprError(f"intermediate value past degree {MAX_VALUE_DEGREE} "
+                        f"or {MAX_VALUE_BITS} bits", node.pos)
+    return value
+
+
+def _size(value) -> tuple[int, int]:
+    """Largest numerator or denominator degree, and largest bit length of
+    an integer a, b or n of a coefficient or of the D-part's stored lattice,
+    among what value_to_expr prints for a value; (-1, 0) for other values."""
     if isinstance(value, RatFunc):
-        fs = [value]
-    elif isinstance(value, RawIdeal):
-        fs = value.gens
+        num, den = value.num, value.den
+        return max(num.degree, den.degree), max(num.bit_length(), den.bit_length())
+    if isinstance(value, RawIdeal):
+        fs, ints = value.gens, (0,)
     elif isinstance(value, StructuredIdeal):
-        fs = [value.unit]
+        j = value.dpart
+        fs, ints = (value.unit,), (j.den, *(abs(x) for r in j.rows for x in r))
     else:
-        return -1
-    return max(max(f.num.degree, f.den.degree) for f in fs)
+        return -1, 0
+    degree = max(max(f.num.degree, f.den.degree) for f in fs)
+    bits = max(max(f.num.bit_length(), f.den.bit_length()) for f in fs)
+    return degree, max(bits, max(ints).bit_length())
 
 
 def _power(node: Node, f):
     if not isinstance(f, RatFunc):
         raise ExprError("powers apply to scalars", node.pos)
     n = abs(node.value)
-    bits = max(max(q.numerator.bit_length(), q.denominator.bit_length())
-               for c in f.num.coeffs + f.den.coeffs for q in (c.x, c.y))
-    if n * max(f.num.degree, f.den.degree) > MAX_POWER_DEGREE or n * bits > MAX_POWER_BITS:
+    degree, bits = _size(f)
+    if n * degree > MAX_POWER_DEGREE or n * bits > MAX_POWER_BITS:
         raise ExprError(f"power past degree {MAX_POWER_DEGREE} or {MAX_POWER_BITS} bits", node.pos)
     return f ** node.value
 
@@ -375,7 +399,9 @@ def _promote(value, node: Node):
 
 
 def _call(node: Node, arg, inst: PullbackInstance):
-    from .class_groups import alpha, beta, gamma, is_principal_R
+    from .class_groups import ClassGroupError, alpha, beta, gamma, is_principal_R
+
+    typed = (ClassGroupError, DomainError, KernelError, PullbackError)
 
     name = node.value
     if name in ("v", "t", "colon", "inv", "extT", "hull", "beta", "gamma", "principal"):
@@ -400,7 +426,7 @@ def _call(node: Node, arg, inst: PullbackInstance):
     if name == "gamma":
         try:
             return gamma(arg, inst)
-        except Exception as exc:
+        except typed as exc:
             raise ExprError(str(exc), node.pos) from exc
     if name == "principal":
         return PrincipalAnswer(is_principal_R(arg, inst))
@@ -415,7 +441,7 @@ def _call(node: Node, arg, inst: PullbackInstance):
         module = dmod_from_generators(consts, inst.base)
         try:
             return alpha(module, inst)
-        except Exception as exc:
+        except typed as exc:
             raise ExprError(str(exc), node.pos) from exc
     raise ExprError(f"unknown function {name!r}", node.pos)
 

@@ -46,12 +46,14 @@ from .pullback import (
     extend_to_T,
     ideal_arith,
     ideal_equal,
+    lift_generators,
     m_ideal,
+    member_M_product,
     member_R,
-    member_R_product,
     member_structured,
     oracle_colon_member,
     oracle_v_member,
+    outside_D,
     r_ideal,
     structured_hull,
     t_closure_R,
@@ -642,44 +644,18 @@ def _pvmd(inst: PullbackInstance, op: StarOp, params: SampleParams) -> Report:
 def _confirm_noninvertibility(raw: RawIdeal, inst: PullbackInstance) -> bool:
     """Definitional confirmation that (I * I^-1)^v omits 1.
 
-    Every product of a generator with a certified inverse probe must lie
-    in M (value zero), and some certified colon probe of the product
-    must push 1 outside R.
+    With certified generators of I^-1 = (R : I), every product of a
+    generator of I with one of them must lie in M.  Then e*I*I^-1 lies
+    in M, inside R, for the scalar e outside D, so e is in
+    (R : I*I^-1) while 1*e is not in R.
     """
-    inv = colon_R(raw, inst)
-    inv_probes = [p for p in _structured_probes(inv, inst, degree=4)
-                  if oracle_colon_member(p, raw, inst)]
-    if not inv_probes:
+    generators = colon_generators(raw, inst)
+    if generators is None:
         return False
-    products = [g * p for g in raw.gens for p in inv_probes]
-    if not all(inst.member_M(q) for q in products):
+    lifts, t = generators
+    if not all(member_M_product(g, p, inst) for g in raw.gens for p in lifts + [t]):
         return False
-    # 1 * y escapes R for some y multiplying the whole product into R
-    for y in _ring_probe_family(inst):
-        if all(member_R_product(y, q, inst) for q in products) and not member_R(y, inst):
-            return True
-    return False
-
-
-def _structured_probes(s, inst, degree: int) -> list[RatFunc]:
-    s = as_structured(s, inst)
-    out = []
-    if s.dpart.is_full():
-        base = [s.unit]
-    else:
-        base = [s.unit * RatFunc.coerce(Poly.const(c)) for c in s.dpart.basis_elements()]
-    for b in base:
-        for j in range(0, degree + 1):
-            out.append(b * RatFunc.x_power(j))
-    return out
-
-
-def _ring_probe_family(inst: PullbackInstance) -> list[RatFunc]:
-    out = [RatFunc.coerce(Fraction(1, 2)), RatFunc.x_power(-1)]
-    if inst.k_disc != 1:
-        out.append(RatFunc(Poly([FieldElem(0, 1, inst.k_disc)])))
-        out.append(RatFunc(Poly([FieldElem(Fraction(1, 2), Fraction(1, 2), inst.k_disc)])))
-    return out
+    return not member_R(RatFunc.coerce(Poly.const(outside_D(inst))), inst)
 
 
 def _implemented_ops(inst: PullbackInstance) -> list[StarOp]:
@@ -755,15 +731,15 @@ def _oracle_agreement(inst: PullbackInstance, op: StarOp, params: SampleParams) 
         rep.n_samples += 1
         before = len(rep.violations)
         hull = structured_hull(raw, inst)
-        # colon_R reads the raw generators so that _certify_colon checks them
+        # colon_R reads the raw generators, so that it certifies against them
         closed_colon = colon_R(raw, inst)
         closed_v = v_closure_R(hull, inst)
-        colon_grid = _agreement_grid(raw, hull, closed_colon, params.degree_window)
+        colon_grid = _agreement_grid(raw, closed_colon, params.degree_window, inst)
         for g in colon_grid:
             _decide(rep, _colon_agreement, inst, op, ideal=raw, element=g,
                     closed_colon=closed_colon)
         generators = colon_generators(raw, inst, closed_colon)
-        v_grid = _v_grid(raw, hull, closed_v)
+        v_grid = _v_grid(raw, hull, closed_v, inst)
         for h in v_grid:
             _decide(rep, _v_agreement, inst, op, ideal=raw, element=h,
                     closed_v=closed_v, generators=generators)
@@ -773,15 +749,9 @@ def _oracle_agreement(inst: PullbackInstance, op: StarOp, params: SampleParams) 
     return rep
 
 
-def _agreement_grid(raw: RawIdeal, hull, closed_colon, degree: int) -> list[RatFunc]:
-    out = list(raw.gens)
-    inv_u = hull.unit.inv()
-    if closed_colon.dpart.is_lattice():
-        lifts = [inv_u * RatFunc.coerce(Poly.const(c))
-                 for c in closed_colon.dpart.basis_elements()]
-    else:
-        lifts = [closed_colon.unit]
-    out.extend(lifts)
+def _agreement_grid(raw: RawIdeal, closed_colon, degree: int, inst) -> list[RatFunc]:
+    lifts = lift_generators(closed_colon, inst)
+    out = list(raw.gens) + lifts
     for b in list(raw.gens[:1]) + lifts[:1]:
         for j in range(1, degree + 1):
             out.append(b * RatFunc.x_power(j))
@@ -789,11 +759,10 @@ def _agreement_grid(raw: RawIdeal, hull, closed_colon, degree: int) -> list[RatF
     return out
 
 
-def _v_grid(raw: RawIdeal, hull, closed_v) -> list[RatFunc]:
+def _v_grid(raw: RawIdeal, hull, closed_v, inst) -> list[RatFunc]:
     out = list(raw.gens)
     if closed_v.dpart.is_lattice():
-        out.extend(hull.unit * RatFunc.coerce(Poly.const(c))
-                   for c in closed_v.dpart.basis_elements())
+        out.extend(lift_generators(closed_v, inst))
     out.append(hull.unit * RatFunc.x_power(-1))
     out.append(hull.unit * RatFunc.coerce(Fraction(1, 3)))
     out.append(raw.gens[0] * RatFunc.x_power(1))

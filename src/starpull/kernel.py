@@ -279,6 +279,14 @@ class Poly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
+    def bit_length(self) -> int:
+        """Largest bit length of an integer a, b or n of a coefficient."""
+        m = 0
+        for c in self.coeffs:
+            a, b, n, _ = c._abnd
+            m |= abs(a) | abs(b) | n
+        return m.bit_length()
+
     def is_zero(self) -> bool:
         return not self.coeffs
 

@@ -301,6 +301,16 @@ def member_R_product(h: RatFunc, g: RatFunc, inst: PullbackInstance) -> bool:
     return value is not None and inst.base.contains_scalar(value)
 
 
+def member_M_product(h: RatFunc, g: RatFunc, inst: PullbackInstance) -> bool:
+    """h*g in M, decided without forming h*g; equal to inst.member_M(h * g)."""
+    h = RatFunc.coerce(h)
+    g = RatFunc.coerce(g)
+    if h.is_zero() or g.is_zero():
+        return True
+    value = _product_at_zero(h, g, inst)
+    return value is not None and value.is_zero()
+
+
 def _product_at_zero(h: RatFunc, g: RatFunc, inst: PullbackInstance):
     """phi(h*g) when h*g lies in T, else None; h and g are nonzero.
 
@@ -347,26 +357,20 @@ def member_structured(f: RatFunc, s: StructuredIdeal, inst: PullbackInstance) ->
 
 
 def contains_ideal(outer, inner, inst: PullbackInstance) -> bool:
-    """inner is a subset of outer, decided on closed forms."""
+    """inner is a subset of outer, decided on closed forms.
+
+    A structured inner ideal is its lifts plus t*T; t*T lies in
+    u*phi^-1(J) exactly when t/u is in T for J = k, and in M otherwise,
+    as M is the largest T-submodule of phi^-1(J) when J != k.
+    """
     outer = as_structured(outer, inst)
     if isinstance(inner, RawIdeal):
         return all(member_structured(g, outer, inst) for g in inner.gens)
-    w = inner.unit / outer.unit
-    if inner.dpart.is_full():
-        if outer.dpart.is_full():
-            return inst.member_T(w)
-        return inst.member_M(w)
-    for c in inner.dpart.basis_elements():
-        wc = w * RatFunc.coerce(Poly.const(c))
-        if not inst.member_T(wc):
-            return False
-        if not outer.dpart.is_full() and not outer.dpart.contains(eval_at_zero(wc)):
-            return False
-    # the M part of the inner ideal
-    if inst.member_T(w):
-        return True
-    wx = w * RatFunc.x_power(1)
-    return outer.dpart.is_full() and inst.member_T(wx)
+    lifts, t = _generators(inner, inst)
+    if not all(member_structured(g, outer, inst) for g in lifts):
+        return False
+    value = _product_at_zero(t, outer.unit.inv(), inst)
+    return value is not None and (outer.dpart.is_full() or value.is_zero())
 
 
 def ideal_equal(a, b, inst: PullbackInstance) -> bool:
@@ -388,20 +392,22 @@ def content_T(ideal: RawIdeal, inst: PullbackInstance) -> tuple[RatFunc, RawIdea
 
     The reduced part extends to the unit ideal of T.
     """
-    gens = ideal.gens
+    u = _content(ideal.gens, inst)
+    return u, RawIdeal([g / u for g in ideal.gens])
+
+
+def _content(fs, inst: PullbackInstance) -> RatFunc:
+    """Generator of the T-ideal spanned by the nonzero fs."""
     if inst.t_kind == "local":
-        e = min(ord_at_zero(g) for g in gens)
-        u = RatFunc.x_power(e)
-        return u, RawIdeal([g / u for g in gens])
+        return RatFunc.x_power(min(ord_at_zero(f) for f in fs))
     den = Poly.one()
-    for g in gens:
-        den = poly_lcm(den, g.den)
-    numerators = [g.num * (den // g.den) for g in gens]
+    for f in fs:
+        den = poly_lcm(den, f.den)
+    numerators = [f.num * (den // f.den) for f in fs]
     g0 = numerators[0]
     for p in numerators[1:]:
         g0 = poly_gcd(g0, p)
-    u = RatFunc(g0, den)
-    return u, RawIdeal([g / u for g in gens])
+    return RatFunc(g0, den)
 
 
 def structured_hull(ideal: RawIdeal, inst: PullbackInstance) -> StructuredIdeal:
@@ -417,42 +423,55 @@ def structured_hull(ideal: RawIdeal, inst: PullbackInstance) -> StructuredIdeal:
 # closed-form colon, closures, arithmetic
 # ---------------------------------------------------------------------------
 
-def colon_R(ideal, inst: PullbackInstance, certify: bool = True) -> StructuredIdeal:
-    """(R : I) computed through the D-side colon of the hull dpart."""
+def colon_R(ideal, inst: PullbackInstance) -> StructuredIdeal:
+    """(R : I) computed through the D-side colon of the hull dpart.
+
+    Raises AssertionError when the result does not multiply I into R.
+    """
     s = as_structured(ideal, inst)
-    j_colon = dmod_colon(s.dpart, inst.base)
-    result = make_structured(s.unit.inv(), j_colon, inst)
-    if certify:
-        _certify_colon(result, ideal, inst)
+    result = make_structured(s.unit.inv(), dmod_colon(s.dpart, inst.base), inst)
+    if _certified_colon(result, ideal, inst) is None:
+        raise AssertionError("closed-form colon failed definitional certification")
     return result
 
 
-def _certify_colon(result: StructuredIdeal, ideal, inst: PullbackInstance) -> None:
-    # soundness spot-check: canonical members of the closed form multiply
-    # every generator of the input back into R
-    probes = lift_generators(result, inst, powers=1)
-    gens = ideal.gens if isinstance(ideal, RawIdeal) else lift_generators(as_structured(ideal, inst), inst, powers=1)
-    for p in probes:
-        for g in gens:
-            if not member_R_product(p, g, inst):
-                raise AssertionError("closed-form colon failed definitional certification")
+def _certified_colon(colon: StructuredIdeal, ideal, inst: PullbackInstance):
+    """The generators (lifts, t) of colon when colon * I lies in R, else None.
+
+    Each lift times each generator q of I must lie in R, and t*T*q lies
+    in R exactly when t*q is in M.  A raw I is generated by its raw
+    generators; a structured I by its own lifts and T-part t_I, where
+    p*t_I must lie in M for every generator p of the colon.
+    """
+    lifts, t = _generators(colon, inst)
+    if isinstance(ideal, RawIdeal):
+        gens, t_part_in_m = ideal.gens, True
+    else:
+        gens, t_i = _generators(ideal, inst)
+        t_part_in_m = all(member_M_product(p, t_i, inst) for p in lifts + [t])
+    if (t_part_in_m and all(member_M_product(t, q, inst) for q in gens)
+            and all(member_R_product(p, q, inst) for p in lifts for q in gens)):
+        return lifts, t
+    return None
 
 
-def lift_generators(s: StructuredIdeal, inst: PullbackInstance, powers: int = 0) -> list[RatFunc]:
+def _generators(s: StructuredIdeal, inst: PullbackInstance) -> tuple[list[RatFunc], RatFunc]:
+    """(lifts, t): u*phi^-1(J) is generated over R by the lifts and by t*T,
+    with t = u*X for a lattice J and t = u for J = k."""
+    if s.dpart.is_full():
+        return [], s.unit
+    return lift_generators(s, inst), s.unit * RatFunc.x_power(1)
+
+
+def lift_generators(s: StructuredIdeal, inst: PullbackInstance) -> list[RatFunc]:
     """Elements of u*phi^-1(J0) that witness its structure.
 
-    For a lattice dpart these are the constant lifts of a basis plus
-    u*X^j probes; they generate the ideal over R together with u*M.
+    For a lattice dpart these are the constant lifts u*c of a basis; they
+    generate the ideal over R together with u*M.  For J0 = k it is u.
     """
-    out = []
     if s.dpart.is_full():
-        out.append(s.unit)
-    else:
-        for c in s.dpart.basis_elements():
-            out.append(s.unit * RatFunc.coerce(Poly.const(c)))
-    for j in range(1, powers + 1):
-        out.append(s.unit * RatFunc.x_power(j))
-    return out
+        return [s.unit]
+    return [s.unit * RatFunc.coerce(Poly.const(c)) for c in s.dpart.basis_elements()]
 
 
 def v_closure_R(ideal, inst: PullbackInstance) -> StructuredIdeal:
@@ -483,29 +502,15 @@ def ideal_arith(a, b, op: str, inst: PullbackInstance):
 
 
 def _structured_sum(sa: StructuredIdeal, sb: StructuredIdeal, inst: PullbackInstance) -> StructuredIdeal:
-    # common content g, then the value modules add with unit weights
-    if inst.t_kind == "local":
-        ea, eb = ord_at_zero(sa.unit), ord_at_zero(sb.unit)
-        g = RatFunc.x_power(min(ea, eb))
-    else:
-        den = poly_lcm(sa.unit.den, sb.unit.den)
-        num = poly_gcd(sa.unit.num * (den // sa.unit.den), sb.unit.num * (den // sb.unit.den))
-        g = RatFunc(num, den)
-    parts = []
-    for s in (sa, sb):
-        w = s.unit / g
-        if s.dpart.is_full():
-            if inst.member_M(w):
-                continue
-            parts.append(ExtDModule.full(inst.base))
-            continue
-        value = eval_at_zero(w)
-        if value.is_zero():
-            continue
-        parts.append(dmod_scale(value, s.dpart))
+    # common content g, then the value modules add with the weights phi(u/g);
+    # u/g lies in T, so its value at zero exists
+    g = _content([sa.unit, sb.unit], inst)
     total = ExtDModule.zero(inst.base)
-    for p in parts:
-        total = dmod_arith(total, p, "add")
+    for s in (sa, sb):
+        value = _product_at_zero(s.unit, g.inv(), inst)
+        if not value.is_zero():
+            part = ExtDModule.full(inst.base) if s.dpart.is_full() else dmod_scale(value, s.dpart)
+            total = dmod_arith(total, part, "add")
     return make_structured(g, total, inst)
 
 
@@ -577,18 +582,12 @@ def colon_generators(ideal: RawIdeal, inst: PullbackInstance,
     With the closed colon (``colon``, else colon_R(ideal)) written as
     w*phi^-1(J), (R : I) is generated over R by the lifts w*c of a basis
     of J and by t*T, where t = w*X for a lattice J and t = w for J = k.
-    Each lift is checked against oracle_colon_member and t*I against M;
-    if a check fails, the closed colon is wrong and the result is None.
+    If the closed colon does not multiply I into R, it is wrong and the
+    result is None.
     """
     if colon is None:
         colon = colon_R(ideal, inst)
-    full = colon.dpart.is_full()
-    lifts = [] if full else lift_generators(colon, inst)
-    t = colon.unit if full else colon.unit * RatFunc.x_power(1)
-    if not (all(oracle_colon_member(g, ideal, inst) for g in lifts)
-            and all(inst.member_M(t * f) for f in ideal.gens)):
-        return None
-    return lifts, t
+    return _certified_colon(colon, ideal, inst)
 
 
 def oracle_v_member(h: RatFunc, ideal: RawIdeal, inst: PullbackInstance,
@@ -611,13 +610,17 @@ def oracle_v_member(h: RatFunc, ideal: RawIdeal, inst: PullbackInstance,
     for g in lifts:
         if not member_R_product(h, g, inst):
             return OracleVerdict("out-with-witness", g)
-    ht = h * t
-    if inst.member_M(ht):
+    value = ZERO_ELEM if h.is_zero() else _product_at_zero(h, t, inst)
+    if value is not None and value.is_zero():
         return OracleVerdict("in")
     witness = t
-    if inst.member_T(ht):
-        e = FieldElem(0, 1, inst.k_disc) if inst.base.kind == "field" else FieldElem(Fraction(1, 2))
-        witness = t * RatFunc.coerce(Poly.const(e / eval_at_zero(ht)))
+    if value is not None:
+        witness = t * RatFunc.coerce(Poly.const(outside_D(inst) / value))
     if oracle_colon_member(witness, ideal, inst):
         return OracleVerdict("out-with-witness", witness)
     return OracleVerdict("inconclusive")
+
+
+def outside_D(inst: PullbackInstance) -> FieldElem:
+    """A scalar of k outside D: sqrt(d) when D is the field Q, else 1/2."""
+    return FieldElem(0, 1, inst.k_disc) if inst.base.kind == "field" else FieldElem(Fraction(1, 2))

@@ -8,6 +8,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from starpull import class_groups
 from starpull.base_domain import class_label_D
 from starpull.cli import run_command
 from starpull.exprlang import (
@@ -177,7 +178,10 @@ _ROUND_TRIP = st.recursive(
     st.sampled_from(["X", "2", "1/3", "X + 2", "1/X", "sqrt(-1)", "sqrt(-5)",
                      f"X^{MAX_POWER_DEGREE}", f"(X + 1)^{MAX_POWER_DEGREE // 2}",
                      "ideal(2, X)", "ideal(X + 2, 3)", "ideal(1, sqrt(-1))",
-                     "ideal(2, 1 + sqrt(-5))", f"ideal(X^{MAX_POWER_DEGREE}, 2)"]),
+                     "ideal(2, 1 + sqrt(-5))", f"ideal(X^{MAX_POWER_DEGREE}, 2)",
+                     # coordinates of 800 to 1,000 bits, near MAX_POWER_BITS
+                     "(3 + 2*sqrt(-1))^512", "(1/2 + 1/3*sqrt(-1))^341",
+                     "(1 + sqrt(-5))^700", "(2/3)^500 * X"]),
     lambda inner: st.one_of(
         st.builds(lambda a, op, b: f"({a}) {op} ({b})", inner, st.sampled_from("+-*/"), inner),
         st.builds(lambda f, a: f"{f}({a})", st.sampled_from(["v", "t", "colon", "extT", "hull"]),
@@ -265,6 +269,42 @@ class TestRobustness:
         # intermediate values may pass the bound; the returned value may not
         assert evaluate(parse_expression(f"X^{MAX_POWER_DEGREE} * X / X"), inst) == \
             RatFunc.x_power(MAX_POWER_DEGREE)
+
+    def test_values_past_the_bit_bound_are_refused(self):
+        inst = make_instance("A")
+        with pytest.raises(ExprError, match=f"value past degree {MAX_POWER_DEGREE} "
+                                            f"or {MAX_POWER_BITS} bits"):
+            evaluate(parse_expression("2^512 * 2^512"), inst)
+        # 2^1024 passes the bound only in between
+        assert evaluate(parse_expression("2^512 * 2^512 / 2"), inst) == \
+            RatFunc.coerce(2 ** (MAX_POWER_BITS - 1))
+
+    @pytest.mark.parametrize("factor, count", [("(X + 1)^64", 32), ("2^512", 60),
+                                               ("2^512", 3000)])
+    def test_cli_refuses_long_chains_of_near_bound_values(self, factor, count, capsys):
+        # each factor passes the power bounds; the chain is refused where
+        # an intermediate value passes its bounds, not at the end
+        start = time.perf_counter()
+        code = run_command(["eval", "-i", "A", "-e", " * ".join([factor] * count)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "intermediate value past" in capsys.readouterr().err
+
+    def test_call_errors_outside_the_typed_ones_propagate(self, inst_c, monkeypatch):
+        # a typed error of gamma keeps its message and gains the call's offset
+        with pytest.raises(ExprError) as err:
+            evaluate(parse_expression("ideal(gamma(extT(ideal(1))))"), inst_c)
+        assert err.value.pos == 6
+        assert err.value.message == "gamma needs an invertible input; T-modules are not"
+
+        def broken(*args):
+            raise AssertionError("internal fault")
+
+        monkeypatch.setattr(class_groups, "gamma", broken)
+        monkeypatch.setattr(class_groups, "alpha", broken)
+        for text in ("gamma(ideal(2, 1 + sqrt(-5)))", "alpha(ideal(2))"):
+            with pytest.raises(AssertionError, match="internal fault"):
+                evaluate(parse_expression(text), inst_c)
 
     def test_cli_gcd_of_degree_64_inputs(self, capsys):
         # a plain Euclidean remainder sequence took 24 s on this gcd

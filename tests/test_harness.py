@@ -17,7 +17,7 @@ from starpull.harness import (
     sample_ideals,
 )
 from starpull.kernel import RatFunc
-from starpull.pullback import RawIdeal, ideal_arith
+from starpull.pullback import RawIdeal, ideal_arith, make_instance
 from starpull.star_ops import StarOp
 
 T_OP = StarOp.t_op("R")
@@ -109,6 +109,18 @@ class TestSuiteVerdicts:
         witnesses = [r for r in rep.records if r.get("check") == "witness"]
         assert witnesses and witnesses[0]["oracle_confirmed"]
         assert "sqrt(-1)" in witnesses[0]["ideal"]
+
+    @pytest.mark.parametrize("name", "ABCDE")
+    def test_witness_confirmation_is_exact(self, name):
+        # the oracle confirms exactly the candidates that are not t-invertible:
+        # every one on D and E, and none on A-C, where all are invertible
+        inst = make_instance(name)
+        candidates = harness._witness_search_family(inst) \
+            + sample_ideals(inst, SampleParams(seed=7, count=40))
+        invertible = [harness._inverse_closure(c, T_OP, inst)[1] for c in candidates]
+        assert all(invertible) == (name in "ABC")
+        for cand, inv in zip(candidates, invertible):
+            assert harness._confirm_noninvertibility(cand, inst) == (not inv), cand
 
     def test_pvmd_structural_records(self, inst_a):
         rep = run_suite("pvmd", inst_a, PARAMS, T_OP)

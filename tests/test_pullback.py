@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starpull import pullback
-from starpull.base_domain import ExtDModule, dmod_colon, dmod_from_generators
+from starpull.base_domain import ExtDModule, dmod_colon, dmod_from_generators, dmod_scale
 from starpull.harness import SampleParams, sample_ideals
 from starpull.kernel import FieldElem, Poly, RatFunc, eval_at_zero
 from starpull.pullback import (
@@ -26,11 +26,13 @@ from starpull.pullback import (
     lift_generators,
     m_ideal,
     make_instance,
+    member_M_product,
     member_R,
     member_R_product,
     member_structured,
     oracle_colon_member,
     oracle_v_member,
+    outside_D,
     r_ideal,
     structured_hull,
     t_closure_R,
@@ -107,6 +109,7 @@ class TestMemberRProduct:
         if data.draw(st.booleans()):
             h = RatFunc(h.num * g.den, h.den)
         assert member_R_product(h, g, inst) == formed_product_in_R(h, g, inst)
+        assert member_M_product(h, g, inst) == inst.member_M(RatFunc(h.num * g.num, h.den * g.den))
 
     @pytest.mark.parametrize("name", instance_catalog())
     def test_zero_factors_poles_and_negative_orders(self, name):
@@ -132,6 +135,8 @@ class TestMemberRProduct:
             expected = formed_product_in_R(h, g, inst)
             assert member_R_product(h, g, inst) == expected
             assert member_R_product(g, h, inst) == expected
+            in_m = inst.member_M(RatFunc(h.num * g.num, h.den * g.den))
+            assert member_M_product(h, g, inst) == member_M_product(g, h, inst) == in_m
 
     def test_decides_membership(self, inst_a, inst_b):
         pole = RatFunc(Poly([1]), Poly([0, 1]))
@@ -160,13 +165,58 @@ class TestMemberStructured:
         # the first 5 to 7 ideals are the fixed corner cases, the rest are seeded
         raw = data.draw(st.sampled_from(sample_ideals(inst, SampleParams(seed=seed, count=10))))
         s = data.draw(st.sampled_from([structured_hull(raw, inst), colon_R(raw, inst)]))
-        grid = list(raw.gens) + lift_generators(s, inst, powers=2) \
+        grid = list(raw.gens) + lift_generators(s, inst) + [s.unit * X, s.unit * X * X] \
             + [s.unit * X.inv(), s.unit * HALF, s.unit.inv()]
         f = data.draw(st.sampled_from(grid))
         # a factor from T or with a pole keeps f near the boundary of s
         r = data.draw(ratfuncs(inst.k_disc))
         for g in (f, f * r, f * X):
             assert member_structured(g, s, inst) == structured_by_definition(g, s, inst)
+
+
+def contains_ideal_reference(outer, inner, inst):
+    """The containment test written out on the unit quotient w = u_inner/u_outer."""
+    outer = as_structured(outer, inst)
+    if isinstance(inner, RawIdeal):
+        return all(member_structured(g, outer, inst) for g in inner.gens)
+    w = inner.unit / outer.unit
+    if inner.dpart.is_full():
+        if outer.dpart.is_full():
+            return inst.member_T(w)
+        return inst.member_M(w)
+    for c in inner.dpart.basis_elements():
+        wc = w * RatFunc.coerce(Poly.const(c))
+        if not inst.member_T(wc):
+            return False
+        if not outer.dpart.is_full() and not outer.dpart.contains(eval_at_zero(wc)):
+            return False
+    # the M part of the inner ideal
+    if inst.member_T(w):
+        return True
+    wx = w * RatFunc.x_power(1)
+    return outer.dpart.is_full() and inst.member_T(wx)
+
+
+class TestContainsIdeal:
+    @pytest.mark.parametrize("name", instance_catalog())
+    def test_matches_the_reference(self, name):
+        inst = make_instance(name)
+        raws = sample_ideals(inst, SampleParams(seed=5, count=8))
+        ideals = [r_ideal(inst), m_ideal(inst), t_ideal_of_r(inst)]
+        for raw in raws:
+            hull = structured_hull(raw, inst)
+            ideals += [hull, colon_R(raw, inst), v_closure_R(raw, inst), extend_to_T(raw, inst)]
+        ideals += [ideal_arith(s, RawIdeal([X ** e]), "mul", inst)
+                   for s in ideals[:12] for e in (-1, 1)]
+        inners = ideals + raws
+        holds = 0
+        for outer in ideals:
+            for inner in inners:
+                got = contains_ideal(outer, inner, inst)
+                assert got == contains_ideal_reference(outer, inner, inst), (outer, inner)
+                holds += got
+        # both answers occur often
+        assert 0.1 < holds / (len(ideals) * len(inners)) < 0.9
 
 
 class TestContent:
@@ -259,6 +309,30 @@ class TestColonR:
             assert not member_R(RatFunc.x_power(-1) * (X * HALF) * RatFunc.x_power(-1),
                                 inst)
             assert not member_R(RatFunc.x_power(-1), inst)
+
+
+    @pytest.mark.parametrize("name", instance_catalog())
+    def test_a_wrong_closed_colon_is_refused(self, name, monkeypatch):
+        # one fault per check of the certification: (R : R) with a lift
+        # outside R; (R : R) read as T, whose T-part 1*T is outside R;
+        # and (R : T) read as R, which does not multiply the T-part of T into M
+        inst = make_instance(name)
+        true_colon = pullback.dmod_colon
+        unit, full = inst.base.unit_module(), ExtDModule.full(inst.base)
+        one = RawIdeal([RatFunc.one()])
+        faults = [(unit, dmod_scale(outside_D(inst), unit), [one, r_ideal(inst)]),
+                  (unit, full, [one, r_ideal(inst)]),
+                  (full, unit, [t_ideal_of_r(inst)])]
+        for j_wrong, colon_wrong, ideals in faults:
+            monkeypatch.setattr(pullback, "dmod_colon", lambda j, base, j_wrong=j_wrong,
+                                colon_wrong=colon_wrong:
+                                colon_wrong if j == j_wrong else true_colon(j, base))
+            for ideal in ideals:
+                with pytest.raises(AssertionError):
+                    colon_R(ideal, inst)
+        monkeypatch.undo()
+        assert colon_R(one, inst) == r_ideal(inst)
+        assert colon_R(t_ideal_of_r(inst), inst) == m_ideal(inst)
 
 
 class TestVClosure:
