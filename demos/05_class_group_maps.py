@@ -33,7 +33,7 @@ image = alpha(P, C)
 print("alpha(P) =", pretty_value(image, C))
 
 witness = invertibility_R(image, t, C)
-print("certificate:", witness.certificate, "| replay ok:", witness.replay(C))
+print("certificate:", witness.certificate)
 print("principal? ", is_principal_R(image, C))
 print("beta(alpha(P)) =", pretty_value(beta(image, C), C), "(trivial T-class)")
 print("gamma(alpha(P)) =", gamma(image, C), "= label(P):",

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .kernel import FieldElem
+from .kernel import FieldElem, Frozen, FrozenValue
 from .lattices import (
     hnf_rows,
     lattice_member,
@@ -100,7 +100,6 @@ def _cyclic_decomposition(elements, compose, identity):
     g = max(sorted(elements), key=lambda e: orders[e])
     e_ord = orders[g]
     cyc = [_power(g, j, compose, identity) for j in range(e_ord)]
-    cyc_set = set(cyc)
     if len(cyc) == len(elements):
         return [(g, e_ord)]
     # quotient by <g>, decompose recursively, lift representatives
@@ -127,7 +126,7 @@ def _cyclic_decomposition(elements, compose, identity):
     return [(g, e_ord)] + lifted
 
 
-class ClassLabel:
+class ClassLabel(FrozenValue):
     """Element of a fixed finite abelian group presentation."""
 
     __slots__ = ("exps", "orders")
@@ -137,9 +136,6 @@ class ClassLabel:
         exps = tuple(e % n for e, n in zip(exps, orders))
         object.__setattr__(self, "exps", exps)
         object.__setattr__(self, "orders", orders)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ClassLabel is immutable")
 
     def __add__(self, other):
         if self.orders != other.orders:
@@ -154,12 +150,6 @@ class ClassLabel:
 
     def is_identity(self) -> bool:
         return all(e == 0 for e in self.exps)
-
-    def __eq__(self, other):
-        return isinstance(other, ClassLabel) and self.exps == other.exps and self.orders == other.orders
-
-    def __hash__(self):
-        return hash((self.exps, self.orders))
 
     def __repr__(self):
         return f"ClassLabel({self.exps}, {self.orders})"
@@ -218,10 +208,10 @@ class BaseDomain:
             # composition through exact ideal multiplication keeps the
             # group law and the ideal-to-form labelling consistent
             m = dmod_arith(_ideal_of_form(f1, self), _ideal_of_form(f2, self), "mul")
-            return _form_of_module(m, self)
+            return _form_of_module(m)
 
         for f in forms:
-            assert _form_of_module(_ideal_of_form(f, self), self) == f
+            assert _form_of_module(_ideal_of_form(f, self)) == f
         gens = _cyclic_decomposition(forms, compose, ident)
         self.class_presentation = tuple(n for _, n in gens)
         table = {}
@@ -328,7 +318,7 @@ class BaseDomain:
         return BaseDomain("field", k_disc)
 
 
-class ExtDModule:
+class ExtDModule(FrozenValue):
     """A finitely generated D-submodule of k, or a sentinel.
 
     variant "lattice" stores an integer basis in canonical Hermite form
@@ -344,9 +334,6 @@ class ExtDModule:
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtDModule is immutable")
 
     @staticmethod
     def zero(domain: BaseDomain) -> "ExtDModule":
@@ -415,18 +402,6 @@ class ExtDModule:
             r = self.rows[0]
             return coords[0] * r[1] == coords[1] * r[0]
         return lattice_member(coords, self.den, [list(r) for r in self.rows])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtDModule)
-            and self.variant == other.variant
-            and self.domain == other.domain
-            and self.den == other.den
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.variant, self.domain, self.den, self.rows))
 
     def __repr__(self):
         if self.is_lattice():
@@ -522,24 +497,22 @@ def dmod_scale(c, n: ExtDModule) -> ExtDModule:
 _COLON_CACHE: dict[ExtDModule, ExtDModule] = {}
 
 
-def dmod_colon(n: ExtDModule, domain: BaseDomain | None = None) -> ExtDModule:
+def dmod_colon(n: ExtDModule) -> ExtDModule:
     """(D :_k N) = {y in k : yN inside D}, with sentinel conventions."""
-    dom = n.domain if domain is None else domain
-    if dom != n.domain:
-        raise DomainError("mixed base domains")
     cached = _COLON_CACHE.get(n)
     if cached is not None:
         return cached
-    result = _dmod_colon_raw(n, dom)
+    result = _dmod_colon_raw(n)
     if len(_COLON_CACHE) < 65536:
         _COLON_CACHE[n] = result
     return result
 
 
-def _dmod_colon_raw(n: ExtDModule, dom: BaseDomain) -> ExtDModule:
+def _dmod_colon_raw(n: ExtDModule) -> ExtDModule:
     # y*N lies in D exactly when y*b lies in D for each basis element b,
     # so (D : N) is the intersection of the modules b^-1 * D; this holds
     # for any order D, maximal or not
+    dom = n.domain
     if n.is_zero():
         return ExtDModule.full(dom)
     if n.is_full():
@@ -550,10 +523,9 @@ def _dmod_colon_raw(n: ExtDModule, dom: BaseDomain) -> ExtDModule:
     return out
 
 
-def dmod_v(n: ExtDModule, domain: BaseDomain | None = None) -> ExtDModule:
+def dmod_v(n: ExtDModule) -> ExtDModule:
     """Divisorial closure: colon applied twice."""
-    dom = n.domain if domain is None else domain
-    return dmod_colon(dmod_colon(n, dom), dom)
+    return dmod_colon(dmod_colon(n))
 
 
 def dmod_intersect(n1: ExtDModule, n2: ExtDModule) -> ExtDModule:
@@ -577,7 +549,7 @@ def dmod_intersect(n1: ExtDModule, n2: ExtDModule) -> ExtDModule:
     return ExtDModule.lattice(dom, den, [row[dim:] for row in echelon if not any(row[:dim])])
 
 
-class DmodPredicates:
+class DmodPredicates(Frozen):
     """Answer record for the module predicate bundle."""
 
     __slots__ = ("membership", "equal", "is_cyclic", "is_invertible", "is_v_invertible")
@@ -589,9 +561,6 @@ class DmodPredicates:
         object.__setattr__(self, "is_invertible", is_invertible)
         object.__setattr__(self, "is_v_invertible", is_v_invertible)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DmodPredicates is immutable")
-
 
 def _lattice_det(n: ExtDModule) -> Fraction:
     rows = n.rows
@@ -601,13 +570,14 @@ def _lattice_det(n: ExtDModule) -> Fraction:
     return Fraction(abs(det), n.den * n.den)
 
 
-def _relative_norm(n: ExtDModule, dom: BaseDomain) -> Fraction:
-    return _lattice_det(n) / _lattice_det(dom.unit_module())
+def _relative_norm(n: ExtDModule) -> Fraction:
+    return _lattice_det(n) / _lattice_det(n.domain.unit_module())
 
 
-def _cyclic_generator(n: ExtDModule, dom: BaseDomain) -> FieldElem | None:
+def _cyclic_generator(n: ExtDModule) -> FieldElem | None:
     if not n.is_lattice():
         return None
+    dom = n.domain
     if dom.kind == "field":
         return n.basis_elements()[0]
     if dom.kind == "integers":
@@ -644,31 +614,30 @@ def _cyclic_generator(n: ExtDModule, dom: BaseDomain) -> FieldElem | None:
                 for s in (v, (-v[0], -v[1])) if s[1] >= 0 and form(s, s) == qa]
     p, q = min(shortest, key=lambda s: (s[1], abs(s[0]), s[0] < 0))
     x = FieldElem(Fraction(p, n.den), Fraction(q, n.den), d)
-    if x.norm() == _relative_norm(n, dom) and n.contains(x):
+    if x.norm() == _relative_norm(n) and n.contains(x):
         return x
     return None
 
 
-def dmod_predicates(n: ExtDModule, domain: BaseDomain | None = None) -> DmodPredicates:
-    dom = n.domain if domain is None else domain
-    unit = dom.unit_module()
-    product = dmod_arith(n, dmod_colon(n, dom), "mul")
+def dmod_predicates(n: ExtDModule) -> DmodPredicates:
+    unit = n.domain.unit_module()
+    product = dmod_arith(n, dmod_colon(n), "mul")
     return DmodPredicates(
         membership=n.contains,
         equal=lambda other: n == other,
-        is_cyclic=_cyclic_generator(n, dom),
+        is_cyclic=_cyclic_generator(n),
         is_invertible=product == unit,
-        is_v_invertible=dmod_v(product, dom) == unit,
+        is_v_invertible=dmod_v(product) == unit,
     )
 
 
-def _form_of_module(n: ExtDModule, dom: BaseDomain) -> tuple[int, int, int]:
+def _form_of_module(n: ExtDModule) -> tuple[int, int, int]:
     """Reduced binary quadratic form attached to an oriented lattice basis."""
     alpha, beta = n.basis_elements()
     tau = beta / alpha
     if tau.y < 0:
         alpha, beta = beta, alpha
-    nm = _relative_norm(n, dom)
+    nm = _relative_norm(n)
     a = alpha.norm() / nm
     c = beta.norm() / nm
     tr = alpha * beta.conj() + alpha.conj() * beta
@@ -694,17 +663,16 @@ def _ideal_of_form(form: tuple[int, int, int], dom: BaseDomain) -> ExtDModule:
     return dmod_from_generators([FieldElem(a), beta], dom)
 
 
-def class_label_D(n: ExtDModule, domain: BaseDomain | None = None) -> ClassLabel:
+def class_label_D(n: ExtDModule) -> ClassLabel:
     """Class of an invertible module in the domain's finite presentation."""
-    dom = n.domain if domain is None else domain
+    dom = n.domain
     if dom.kind == "field":
         raise DomainError("class labels require an integer-like base domain")
-    preds = dmod_predicates(n, dom)
-    if not preds.is_invertible:
+    if not dmod_predicates(n).is_invertible:
         raise DomainError("class label of a non-invertible module")
     if dom.kind == "integers":
         return ClassLabel((), ())
-    form = _form_of_module(n, dom)
+    form = _form_of_module(n)
     return ClassLabel(dom._label_of_form[form], dom.class_presentation)
 
 

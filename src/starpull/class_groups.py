@@ -18,10 +18,9 @@ from .base_domain import (
     dmod_v,
     identity_label,
 )
-from .kernel import Poly, RatFunc
+from .kernel import Frozen, Poly, RatFunc
 from .pullback import (
     PullbackInstance,
-    RawIdeal,
     StructuredIdeal,
     as_structured,
     colon_R,
@@ -46,19 +45,14 @@ def alpha(j: ExtDModule, inst: PullbackInstance) -> StructuredIdeal:
     """
     if not inst.phi_tilde_surjective:
         raise ClassGroupError("alpha needs the unit map onto k^x/U(D) to be surjective")
-    if not dmod_predicates(j, inst.base).is_v_invertible:
+    if not dmod_predicates(j).is_v_invertible:
         raise ClassGroupError("alpha needs an invertible D-ideal")
     return inverse_image_R(j, inst)
 
 
-def beta(h, inst: PullbackInstance, check_invertible: bool = False,
-         op: StarOp | None = None) -> StructuredIdeal:
+def beta(h, inst: PullbackInstance) -> StructuredIdeal:
     """Extension to T, the structured ideal u * phi^-1(k); for class
     semantics the input must be invertible."""
-    if check_invertible:
-        witness = invertibility_R(h, op or StarOp.t_op("R"), inst)
-        if not witness.is_star_invertible:
-            raise ClassGroupError("beta class semantics need a star-invertible ideal")
     return extend_to_T(h, inst)
 
 
@@ -69,10 +63,10 @@ def gamma(h, inst: PullbackInstance) -> ClassLabel:
     s = as_structured(h, inst)
     if s.dpart.is_full():
         raise ClassGroupError("gamma needs an invertible input; T-modules are not")
-    if not dmod_predicates(s.dpart, inst.base).is_v_invertible:
+    if not dmod_predicates(s.dpart).is_v_invertible:
         raise ClassGroupError("gamma needs a t-invertible input")
     # labels ignore scaling and dmod_v(c*J) == c * J^v, so a fractional J will do
-    return class_label_D(dmod_v(s.dpart, inst.base), inst.base)
+    return class_label_D(dmod_v(s.dpart))
 
 
 def is_principal_R(h, inst: PullbackInstance) -> RatFunc | None:
@@ -84,28 +78,24 @@ def is_principal_R(h, inst: PullbackInstance) -> RatFunc | None:
     s = as_structured(h, inst)
     if s.dpart.is_full():
         return None
-    gen = dmod_predicates(s.dpart, inst.base).is_cyclic
+    gen = dmod_predicates(s.dpart).is_cyclic
     if gen is None:
         return None
     return s.unit * RatFunc.coerce(Poly.const(gen))
 
 
-class RClassWitness:
-    """Replayable invertibility certificate for an R-ideal."""
+class RClassWitness(Frozen):
+    """Invertibility of an R-ideal H: the closure (H * (R : H))^op, a
+    principal generator of H or None, and whether the product and its
+    closure are R."""
 
-    __slots__ = ("ideal", "op", "product", "principal_gen", "is_invertible",
-                 "is_star_invertible")
+    __slots__ = ("closed", "principal_gen", "is_invertible", "is_star_invertible")
 
-    def __init__(self, ideal, op, product, principal_gen, is_invertible, is_star_invertible):
-        object.__setattr__(self, "ideal", ideal)
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "product", product)
+    def __init__(self, closed, principal_gen, is_invertible, is_star_invertible):
+        object.__setattr__(self, "closed", closed)
         object.__setattr__(self, "principal_gen", principal_gen)
         object.__setattr__(self, "is_invertible", is_invertible)
         object.__setattr__(self, "is_star_invertible", is_star_invertible)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RClassWitness is immutable")
 
     @property
     def certificate(self) -> str:
@@ -117,41 +107,21 @@ class RClassWitness:
             return "star_invertible"
         return "none"
 
-    def replay(self, inst: PullbackInstance) -> bool:
-        """Re-derive every claimed fact by direct multiplication."""
-        product = ideal_arith(self.ideal, colon_R(self.ideal, inst), "mul", inst)
-        if not ideal_equal(product, self.product, inst):
-            return False
-        r = r_ideal(inst)
-        if self.is_invertible != ideal_equal(product, r, inst):
-            return False
-        closed = star_eval(class_resolve(self.op), product, inst)
-        if self.is_star_invertible != ideal_equal(closed, r, inst):
-            return False
-        if self.principal_gen is not None:
-            gen_ideal = RawIdeal([self.principal_gen])
-            if not ideal_equal(gen_ideal, self.ideal, inst):
-                return False
-        return True
-
     def __repr__(self):
-        return f"RClassWitness({self.certificate}, op={self.op})"
+        return f"RClassWitness({self.certificate})"
 
 
 def invertibility_R(h, op: StarOp, inst: PullbackInstance) -> RClassWitness:
-    """Direct and star-closed invertibility of H, with witnesses."""
+    """Direct and star-closed invertibility of H, with witnesses; the one
+    place that closes H * (R : H)."""
     product = ideal_arith(h, colon_R(h, inst), "mul", inst)
     r = r_ideal(inst)
-    invertible = ideal_equal(product, r, inst)
     closed = star_eval(class_resolve(op), product, inst)
-    star_invertible = ideal_equal(closed, r, inst)
     return RClassWitness(
-        ideal=h,
-        op=op,
-        product=as_structured(product, inst),
+        closed=closed,
         principal_gen=is_principal_R(h, inst),
-        is_invertible=invertible,
-        is_star_invertible=star_invertible,
+        is_invertible=ideal_equal(product, r, inst),
+        is_star_invertible=ideal_equal(closed, r, inst),
     )
 
 

@@ -18,7 +18,7 @@ from .exprlang import (
     pretty_value,
     value_to_expr,
 )
-from .harness import SUITES, SampleParams, run_suite
+from .harness import SUITES, HarnessError, SampleParams, run_suite
 from .kernel import KernelError
 from .pullback import PullbackError, instance_catalog, make_instance
 
@@ -115,13 +115,20 @@ def _cmd_instances(_args) -> int:
 
 def _cmd_report(args) -> int:
     data = json.loads(Path(args.path).read_text())
+    # check the whole shape first, so a malformed file prints nothing
+    violations = data.get("violations", []) if isinstance(data, dict) else None
+    if not (isinstance(violations, list)
+            and {"suite", "instance", "seed", "n_samples", "n_violations", "verdict"} <= data.keys()
+            and all(isinstance(v, dict) and {"check", "expected", "got", "witness"} <= v.keys()
+                    for v in violations)):
+        raise HarnessError(f"{args.path} is not a suite report")
     print(f"suite:      {data['suite']}")
     print(f"instance:   {data['instance']}")
     print(f"seed:       {data['seed']}")
     print(f"samples:    {data['n_samples']}")
     print(f"violations: {data['n_violations']}")
     print(f"verdict:    {data['verdict']}")
-    for v in data.get("violations", []):
+    for v in violations:
         print(f"  [{v['check']}] expected {v['expected']}, got {v['got']}")
         print(f"    witness: {v['witness']}")
     return EXIT_OK

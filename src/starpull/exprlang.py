@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .base_domain import ClassLabel, DomainError, ExtDModule, dmod_from_generators
-from .kernel import FieldElem, KernelError, Poly, RatFunc
+from .kernel import FieldElem, FrozenValue, KernelError, Poly, RatFunc
 from .pullback import (
     PullbackError,
     PullbackInstance,
@@ -242,19 +242,13 @@ def _parse_atom(toks: _Tokens) -> Node:
 
 # -- evaluation ---------------------------------------------------------------
 
-class PrincipalAnswer:
+class PrincipalAnswer(FrozenValue):
     """Outcome of a principality query."""
 
     __slots__ = ("generator",)
 
     def __init__(self, generator):
         object.__setattr__(self, "generator", generator)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PrincipalAnswer is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, PrincipalAnswer) and self.generator == other.generator
 
 
 def evaluate(node: Node, inst: PullbackInstance):

@@ -35,7 +35,7 @@ from .class_groups import (
     class_equivalent_R,
 )
 from .exprlang import elem_to_expr, evaluate, parse_expression, value_to_expr
-from .kernel import FieldElem, Poly, RatFunc, ord_at_zero
+from .kernel import FieldElem, Frozen, Poly, RatFunc, ord_at_zero
 from .pullback import (
     PullbackError,
     PullbackInstance,
@@ -44,7 +44,6 @@ from .pullback import (
     colon_R,
     colon_generators,
     extend_to_T,
-    ideal_arith,
     ideal_equal,
     lift_generators,
     m_ideal,
@@ -54,7 +53,6 @@ from .pullback import (
     oracle_colon_member,
     oracle_v_member,
     outside_D,
-    r_ideal,
     structured_hull,
     t_closure_R,
     v_closure_R,
@@ -66,7 +64,7 @@ class HarnessError(ValueError):
     """Suite precondition failure."""
 
 
-class SampleParams:
+class SampleParams(Frozen):
     """Deterministic sampling bounds; equal seeds give equal populations."""
 
     __slots__ = ("seed", "count", "max_gens", "max_degree", "coeff_height", "degree_window")
@@ -83,9 +81,6 @@ class SampleParams:
         object.__setattr__(self, "max_degree", max_degree)
         object.__setattr__(self, "coeff_height", coeff_height)
         object.__setattr__(self, "degree_window", degree_window)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SampleParams is immutable")
 
     def to_dict(self) -> dict:
         return {
@@ -299,6 +294,8 @@ def _read(kind: str, data, inst: PullbackInstance):
         raise HarnessError(f"unknown op {data!r}")
     value = evaluate(parse_expression(data), inst)
     if kind == _DMOD:
+        if not (isinstance(value, RawIdeal) and all(g.is_constant() for g in value.gens)):
+            raise HarnessError(f"a D-module witness must be an ideal of constants, not {data!r}")
         return dmod_from_generators([g.const_value() for g in value.gens], inst.base)
     return value
 
@@ -334,7 +331,7 @@ def _alpha_injective(inst, op, fail, j1, j2):
 def _splitting(inst, op, fail, j):
     """alpha(j), the class label of j^v, gamma(alpha(j)) and beta(alpha(j))."""
     image = alpha(j, inst)
-    label = class_label_D(dmod_v(j, inst.base), inst.base)
+    label = class_label_D(dmod_v(j))
     got, t_part = gamma(image, inst), beta(image, inst)
     if got != label:
         fail("gamma-alpha-identity", label, got)
@@ -346,7 +343,7 @@ def _splitting(inst, op, fail, j):
 @_check("kernel-capture", ideal=_VALUE, op=_OP)
 def _kernel_capture(inst, op, fail, ideal):
     """The alpha preimage of an op-invertible t-closed ideal, or None."""
-    if not dmod_predicates(ideal.dpart, inst.base).is_v_invertible:
+    if not dmod_predicates(ideal.dpart).is_v_invertible:
         fail("kernel-capture", "invertible dpart", "not invertible")
         return None
     preimage = alpha(ideal.dpart, inst)
@@ -374,15 +371,9 @@ def _trivial_class(inst, op, fail, ideal):
     return gen
 
 
-def _inverse_closure(raw: RawIdeal, op: StarOp, inst: PullbackInstance):
-    """(I * (R : I))^op, and whether it is R."""
-    closed = star_eval(op, ideal_arith(raw, colon_R(raw, inst), "mul", inst), inst)
-    return closed, ideal_equal(closed, r_ideal(inst), inst)
-
-
 @_check("pvmd-sample", ideal=_VALUE, op=_OP)
 def _pvmd_sample(inst, op, fail, ideal):
-    invertible = _inverse_closure(ideal, op, inst)[1]
+    invertible = invertibility_R(ideal, op, inst).is_star_invertible
     if not invertible:
         fail("pvmd-sample", "t-invertible", "not invertible")
     return invertible
@@ -392,9 +383,9 @@ def _pvmd_sample(inst, op, fail, ideal):
 def _pvmd_witness(inst, op, fail, samples_invertible):
     # a non-invertible sample also stands in for a search-family witness
     for cand in _witness_search_family(inst):
-        closed, invertible = _inverse_closure(cand, op, inst)
-        if not invertible:
-            return cand, closed
+        witness = invertibility_R(cand, op, inst)
+        if not witness.is_star_invertible:
+            return cand, witness.closed
     if samples_invertible:
         fail("pvmd-witness", "a non-invertible witness", "none found")
     return None
@@ -445,7 +436,7 @@ def _extension_agreement(inst, op, fail, c):
 def _alpha_invertible(inst, op, fail, j):
     """Whether alpha(j) is op-invertible, the class label of j, and principality."""
     witness = invertibility_R(alpha(j, inst), op, inst)
-    label = class_label_D(j, inst.base)
+    label = class_label_D(j)
     principal = witness.principal_gen is not None
     if not witness.is_invertible:
         fail("alpha-invertible", "invertible", "not invertible")
@@ -513,12 +504,11 @@ def _split_exact(inst: PullbackInstance, op: StarOp, params: SampleParams) -> Re
         for j2 in reps[i + 1:]:
             _decide(rep, _alpha_injective, inst, op, j1=j1, j2=j2)
             rep.records.append({"check": "alpha-injective",
-                                "classes": [str(class_label_D(j1, inst.base)),
-                                            str(class_label_D(j2, inst.base))]})
+                                "classes": [str(class_label_D(j1)), str(class_label_D(j2))]})
     # splitting and triviality of beta on representatives and sampled D-ideals
     dmods = reps + sample_dmods(inst, params)[: params.count // 2]
     for j in dmods:
-        if not dmod_predicates(j, inst.base).is_v_invertible:
+        if not dmod_predicates(j).is_v_invertible:
             continue
         image, label, got, t_part = _decide(rep, _splitting, inst, op, j=j)
         rep.records.append({
@@ -624,7 +614,7 @@ def _pvmd(inst: PullbackInstance, op: StarOp, params: SampleParams) -> Report:
         rep.n_samples += 1
         # every sample must be invertible when R is a PvMD
         invertible = (_decide(rep, _pvmd_sample, inst, op, ideal=raw) if structural
-                      else _inverse_closure(raw, op, inst)[1])
+                      else invertibility_R(raw, op, inst).is_star_invertible)
         samples.append({"ideal": value_to_expr(raw, inst), "t_invertible": invertible})
     if not structural:
         found = _decide(rep, _pvmd_witness, inst, op,

@@ -23,10 +23,44 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import attrgetter
 
 
 class KernelError(ArithmeticError):
     """Domain error in exact scalar or rational-function arithmetic."""
+
+
+class Frozen:
+    """Base of the immutable values; constructors set their slots through
+    ``object.__setattr__``.
+
+    Closed forms are compared and cached as values, so none may change
+    after it is built.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class FrozenValue(Frozen):
+    """A frozen value equal to another of its type with equal slots.
+
+    The slots are read by one ``attrgetter`` per class: a generator over
+    them makes ``==`` and ``hash`` about three times slower.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._fields(self) == other._fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
 
 
 @lru_cache
@@ -51,7 +85,7 @@ def _common_tag(d: int, e: int) -> int:
     raise KernelError(f"mismatched discriminant tags {d} and {e}")
 
 
-class FieldElem:
+class FieldElem(Frozen):
     """(a + b*sqrt(d))/n with integers a, b, n.
 
     n > 0 and gcd(a, b, n) == 1, so every value has one representation.
@@ -77,9 +111,6 @@ class FieldElem:
         n = lcm(x.denominator, y.denominator)
         a = x.numerator * (n // x.denominator)
         _set_abnd(self, (a, y.numerator * (n // y.denominator), n, d))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElem is immutable")
 
     a = property(lambda self: self._abnd[0])
     b = property(lambda self: self._abnd[1])
@@ -241,7 +272,7 @@ ZERO_ELEM = FieldElem(0)
 ONE_ELEM = FieldElem(1)
 
 
-class Poly:
+class Poly(Frozen):
     """Dense univariate polynomial over FieldElem coefficients.
 
     Coefficients are stored lowest degree first with no trailing zeros;
@@ -255,9 +286,6 @@ class Poly:
         while cs and cs[-1].is_zero():
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     @staticmethod
     def zero() -> "Poly":
@@ -447,7 +475,7 @@ def poly_lcm(f: Poly, g: Poly) -> Poly:
     return ((f * g) // poly_gcd(f, g)).monic()
 
 
-class RatFunc:
+class RatFunc(Frozen):
     """Quotient of two polynomials in canonical form.
 
     Invariants: the denominator is monic and nonzero, and the numerator
@@ -480,9 +508,6 @@ class RatFunc:
                 den = den.scale(c)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatFunc is immutable")
 
     @staticmethod
     def coerce(value) -> "RatFunc":

@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from .base_domain import (
     BaseDomain,
+    DomainError,
     ExtDModule,
     dmod_arith,
     dmod_colon,
@@ -32,6 +33,8 @@ from .base_domain import (
 from .kernel import (
     ZERO_ELEM,
     FieldElem,
+    Frozen,
+    FrozenValue,
     Poly,
     RatFunc,
     eval_at_zero,
@@ -180,7 +183,7 @@ def _parse_field_spec(text: str) -> int:
 # ideal values
 # ---------------------------------------------------------------------------
 
-class RawIdeal:
+class RawIdeal(FrozenValue):
     """A finitely generated fractional ideal given by its generators."""
 
     __slots__ = ("gens",)
@@ -193,20 +196,11 @@ class RawIdeal:
             raise PullbackError("zero generators are not allowed")
         object.__setattr__(self, "gens", gens)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RawIdeal is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, RawIdeal) and self.gens == other.gens
-
-    def __hash__(self):
-        return hash(self.gens)
-
     def __repr__(self):
         return f"RawIdeal({list(self.gens)!r})"
 
 
-class StructuredIdeal:
+class StructuredIdeal(FrozenValue):
     """Canonical closed form u * phi^-1(J0).
 
     The dpart J0 is a lattice module or FULL; a ZERO input dpart is
@@ -222,21 +216,8 @@ class StructuredIdeal:
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "dpart", dpart)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("StructuredIdeal is immutable")
-
     def is_t_module(self) -> bool:
         return self.dpart.is_full()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, StructuredIdeal)
-            and self.unit == other.unit
-            and self.dpart == other.dpart
-        )
-
-    def __hash__(self):
-        return hash((self.unit, self.dpart))
 
     def __repr__(self):
         return f"StructuredIdeal({self.unit!r}, {self.dpart!r})"
@@ -247,6 +228,8 @@ def make_structured(unit: RatFunc, dpart: ExtDModule, inst: PullbackInstance) ->
     unit = RatFunc.coerce(unit)
     if unit.is_zero():
         raise PullbackError("unit part must be nonzero")
+    if dpart.domain != inst.base:
+        raise DomainError("mixed base domains")
     if dpart.is_zero():
         unit = unit * RatFunc.x_power(1)
         dpart = ExtDModule.full(inst.base)
@@ -429,7 +412,7 @@ def colon_R(ideal, inst: PullbackInstance) -> StructuredIdeal:
     Raises AssertionError when the result does not multiply I into R.
     """
     s = as_structured(ideal, inst)
-    result = make_structured(s.unit.inv(), dmod_colon(s.dpart, inst.base), inst)
+    result = make_structured(s.unit.inv(), dmod_colon(s.dpart), inst)
     if _certified_colon(result, ideal, inst) is None:
         raise AssertionError("closed-form colon failed definitional certification")
     return result
@@ -477,7 +460,7 @@ def lift_generators(s: StructuredIdeal, inst: PullbackInstance) -> list[RatFunc]
 def v_closure_R(ideal, inst: PullbackInstance) -> StructuredIdeal:
     """Divisorial closure (R : (R : I)) in closed form."""
     s = as_structured(ideal, inst)
-    return make_structured(s.unit, dmod_v(s.dpart, inst.base), inst)
+    return make_structured(s.unit, dmod_v(s.dpart), inst)
 
 
 def t_closure_R(ideal, inst: PullbackInstance) -> StructuredIdeal:
@@ -525,15 +508,12 @@ def inverse_image_R(j: ExtDModule, inst: PullbackInstance) -> StructuredIdeal:
     return make_structured(RatFunc.one(), j, inst)
 
 
-class UnitGroupPredicates:
+class UnitGroupPredicates(Frozen):
     __slots__ = ("in_S", "in_N")
 
     def __init__(self, in_s, in_n):
         object.__setattr__(self, "in_S", in_s)
         object.__setattr__(self, "in_N", in_n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UnitGroupPredicates is immutable")
 
 
 def unit_group_predicates(f: RatFunc, inst: PullbackInstance) -> UnitGroupPredicates:
@@ -561,15 +541,12 @@ def oracle_colon_member(g: RatFunc, ideal: RawIdeal, inst: PullbackInstance) -> 
     return all(member_R_product(g, f, inst) for f in ideal.gens)
 
 
-class OracleVerdict:
+class OracleVerdict(Frozen):
     __slots__ = ("status", "witness")
 
     def __init__(self, status: str, witness: RatFunc | None = None):
         object.__setattr__(self, "status", status)
         object.__setattr__(self, "witness", witness)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OracleVerdict is immutable")
 
     def __repr__(self):
         return f"OracleVerdict({self.status!r}, {self.witness!r})"

@@ -16,13 +16,14 @@ counterparts.
 from __future__ import annotations
 
 from .base_domain import (
+    DomainError,
     ExtDModule,
     dmod_arith,
     dmod_intersect,
     dmod_scale,
     dmod_v,
 )
-from .kernel import RatFunc, eval_at_zero
+from .kernel import Frozen, FrozenValue, RatFunc, eval_at_zero
 from .pullback import (
     PullbackInstance,
     StructuredIdeal,
@@ -48,7 +49,7 @@ _WRAPPED_KINDS = ("finite_type", "projected", "lifted", "extended_T", "restricte
                   "overring_induced", "stable")
 
 
-class StarOp:
+class StarOp(FrozenValue):
     """Closure-operation descriptor with an evaluation target ring."""
 
     __slots__ = ("kind", "target", "operands")
@@ -61,20 +62,6 @@ class StarOp:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "operands", tuple(operands))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StarOp is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, StarOp)
-            and self.kind == other.kind
-            and self.target == other.target
-            and self.operands == other.operands
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.target, self.operands))
 
     def __repr__(self):
         if self.operands:
@@ -202,15 +189,17 @@ def _eval(op: StarOp, value, inst: PullbackInstance):
         # identity semantics on finitely generated and structured inputs
         return _eval(op.operands[0], value, inst)
     if op.target == "D":
-        return _eval_d_side(op, _expect_dmod(value), inst)
+        return _eval_d_side(op, _expect_dmod(value, inst), inst)
     if op.target == "T":
         return _eval_t_side(op, _expect_tideal(value), inst)
     return _eval_r_side(op, value, inst)
 
 
-def _expect_dmod(value) -> ExtDModule:
+def _expect_dmod(value, inst: PullbackInstance) -> ExtDModule:
     if not isinstance(value, ExtDModule):
         raise StarEvalError("a D-side operation needs an ExtDModule value")
+    if value.domain != inst.base:
+        raise DomainError("mixed base domains")
     return value
 
 
@@ -224,7 +213,7 @@ def _eval_d_side(op: StarOp, n: ExtDModule, inst: PullbackInstance) -> ExtDModul
     if op.kind == "d":
         return n
     if op.kind in ("v", "t"):
-        return dmod_v(n, inst.base)
+        return dmod_v(n)
     if op.kind == "meet":
         a = _eval(op.operands[0], n, inst)
         b = _eval(op.operands[1], n, inst)
@@ -317,7 +306,7 @@ def _intersect_structured(a: StructuredIdeal, b: StructuredIdeal, inst: Pullback
 # order and axiom reports
 # ---------------------------------------------------------------------------
 
-class CheckReport:
+class CheckReport(Frozen):
     """Violation list for a sampled property check; empty means pass."""
 
     __slots__ = ("name", "violations")
@@ -325,9 +314,6 @@ class CheckReport:
     def __init__(self, name: str, violations):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "violations", tuple(violations))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CheckReport is immutable")
 
     @property
     def passed(self) -> bool:

@@ -347,7 +347,7 @@ class TestCommands:
         assert code == 0
         # the class of the D-part predicts the answer
         dpart = structured_hull(evaluate(parse_expression(ideal), inst), inst).dpart
-        if class_label_D(dpart, inst.base).is_identity():
+        if class_label_D(dpart).is_identity():
             assert out.startswith("principal, generator")
         else:
             assert out == "not principal"
@@ -403,6 +403,20 @@ class TestCommands:
         assert run_command(["report", str(out)]) == 0
         text = capsys.readouterr().out
         assert "verdict:    pass" in text
+
+    @pytest.mark.parametrize("text", [
+        "[1, 2]",
+        '{"suite": "pvmd"}',
+        '{"suite": "s", "instance": "A", "seed": 0, "n_samples": 1, "n_violations": 1,'
+        ' "verdict": "fail", "violations": [{"check": "c"}]}',
+    ])
+    def test_report_refuses_json_that_is_not_a_report(self, text, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text(text)
+        assert run_command(["report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "not a suite report" in captured.err
 
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "starpull.cfg"

@@ -2,7 +2,8 @@
 
 A definition counts as used when `starpull/__init__.py` exports it or
 when some other top-level statement in the package names it; a
-definition that only refers to itself is dead.
+definition that only refers to itself is dead.  Immutability is decided
+in one place: only `kernel.Frozen` defines `__setattr__`.
 """
 
 import ast
@@ -40,3 +41,13 @@ def test_every_definition_has_a_caller():
                        if (other, j) != (name, i)):
                 dead.append(f"{name}:{stmt.lineno} {stmt.name}")
     assert not dead, f"definitions with no caller in src/starpull: {dead}"
+
+
+def test_only_frozen_defines_setattr():
+    guards = [(path.name, node.name)
+              for path in sorted(PACKAGE.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.ClassDef)
+              and any(isinstance(stmt, ast.FunctionDef) and stmt.name == "__setattr__"
+                      for stmt in node.body)]
+    assert guards == [("kernel.py", "Frozen")]

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from starpull import harness
+from starpull.class_groups import invertibility_R
 from starpull.harness import (
     CHECKS,
     HarnessError,
@@ -117,10 +118,15 @@ class TestSuiteVerdicts:
         inst = make_instance(name)
         candidates = harness._witness_search_family(inst) \
             + sample_ideals(inst, SampleParams(seed=7, count=40))
-        invertible = [harness._inverse_closure(c, T_OP, inst)[1] for c in candidates]
+        invertible = [invertibility_R(c, T_OP, inst).is_star_invertible for c in candidates]
         assert all(invertible) == (name in "ABC")
         for cand, inv in zip(candidates, invertible):
             assert harness._confirm_noninvertibility(cand, inst) == (not inv), cand
+
+    def test_pvmd_resolves_w_to_t(self, inst_d):
+        # as in the other suites, w is evaluated through its finite-type companion t
+        w_report = run_suite("pvmd", inst_d, PARAMS, StarOp.w_op("R"))
+        assert w_report.to_json() == run_suite("pvmd", inst_d, PARAMS, T_OP).to_json()
 
     def test_pvmd_structural_records(self, inst_a):
         rep = run_suite("pvmd", inst_a, PARAMS, T_OP)
@@ -220,6 +226,12 @@ class TestReplay:
                               "witness": {"ideal": "ideal(2, X)", "op": "w"}}, inst_a)
         with pytest.raises(HarnessError):
             replay_violation({"check": "pvmd-sample", "witness": {"ideal": "ideal(2, X)"}}, inst_a)
+
+    @pytest.mark.parametrize("text", ["hull(ideal(2, X))", "2", "gamma(ideal(2))", "ideal(X)"])
+    def test_malformed_dmod_witness_rejected(self, inst_c, text):
+        violation = {"check": "gamma-alpha-identity", "witness": {"j": text}}
+        with pytest.raises(HarnessError, match="ideal of constants"):
+            replay_violation(violation, inst_c)
 
     def test_confirmed_witness_does_not_replay(self, inst_d, inst_e):
         # the pvmd witness on D and E is oracle-confirmed, so replaying a

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starpull import pullback
-from starpull.base_domain import ExtDModule, dmod_colon, dmod_from_generators, dmod_scale
+from starpull.base_domain import (
+    BaseDomain,
+    DomainError,
+    ExtDModule,
+    dmod_colon,
+    dmod_from_generators,
+    dmod_scale,
+)
 from starpull.harness import SampleParams, sample_ideals
 from starpull.kernel import FieldElem, Poly, RatFunc, eval_at_zero
 from starpull.pullback import (
@@ -324,9 +331,9 @@ class TestColonR:
                   (unit, full, [one, r_ideal(inst)]),
                   (full, unit, [t_ideal_of_r(inst)])]
         for j_wrong, colon_wrong, ideals in faults:
-            monkeypatch.setattr(pullback, "dmod_colon", lambda j, base, j_wrong=j_wrong,
+            monkeypatch.setattr(pullback, "dmod_colon", lambda j, j_wrong=j_wrong,
                                 colon_wrong=colon_wrong:
-                                colon_wrong if j == j_wrong else true_colon(j, base))
+                                colon_wrong if j == j_wrong else true_colon(j))
             for ideal in ideals:
                 with pytest.raises(AssertionError):
                     colon_R(ideal, inst)
@@ -462,6 +469,12 @@ class TestInverseImage:
         assert member_structured(X * HALF, s, inst_a)
         assert not member_structured(RatFunc.one(), s, inst_a)
 
+    def test_module_over_another_domain_rejected(self, inst_c):
+        # every structured ideal of R has its D-part over R's own D
+        gaussian = BaseDomain.quadratic_order(-1).unit_module()
+        with pytest.raises(DomainError, match="mixed base domains"):
+            inverse_image_R(gaussian, inst_c)
+
     def test_zero_maps_to_m(self, inst_a):
         s = inverse_image_R(ExtDModule.zero(inst_a.base), inst_a)
         assert s == m_ideal(inst_a)
@@ -531,7 +544,7 @@ def _probe_search_v_oracle(h, raw, inst, probes):
 def _certified_probes(raw, inst, degree=12):
     """The reference's probes: X^j shifts of the colon's lifts, certified in (R : I)."""
     hull = structured_hull(raw, inst)
-    j_colon = dmod_colon(hull.dpart, inst.base)
+    j_colon = dmod_colon(hull.dpart)
     inv_u = hull.unit.inv()
     family = []
     if j_colon.is_lattice():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from starpull.base_domain import ExtDModule, dmod_from_generators
+from starpull.base_domain import BaseDomain, DomainError, ExtDModule, dmod_from_generators
 from starpull.kernel import FieldElem, Poly, RatFunc
 from starpull.pullback import (
     RawIdeal,
@@ -107,6 +107,12 @@ class TestEval:
     def test_target_mismatch_rejected(self, inst_a):
         with pytest.raises(StarEvalError):
             star_eval(V_D, RawIdeal([X]), inst_a)
+
+    def test_module_over_another_domain_rejected(self, inst_c):
+        gaussian = BaseDomain.quadratic_order(-1).unit_module()
+        for op in (D_D, V_D, star_meet(D_D, V_D), StarOp.projected(T_R)):
+            with pytest.raises(DomainError, match="mixed base domains"):
+                star_eval(op, gaussian, inst_c)
 
     def test_finite_type_tag_identity_on_fg(self, inst_a):
         ft = StarOp.finite_type(V_R)
