@@ -80,7 +80,6 @@ from .pullback import (
     structured_hull,
     t_closure_R,
     t_ideal_of_r,
-    unit_group_predicates,
     v_closure_R,
 )
 from .star_ops import (

@@ -85,17 +85,23 @@ def is_principal_R(h, inst: PullbackInstance) -> RatFunc | None:
 
 
 class RClassWitness(Frozen):
-    """Invertibility of an R-ideal H: the closure (H * (R : H))^op, a
-    principal generator of H or None, and whether the product and its
-    closure are R."""
+    """Invertibility of an R-ideal H: the closure (H * (R : H))^op,
+    whether the product and its closure are R, and a principal generator
+    of H or None.  The generator is searched for on each read of
+    ``principal_gen`` only, since most callers need just the verdicts."""
 
-    __slots__ = ("closed", "principal_gen", "is_invertible", "is_star_invertible")
+    __slots__ = ("closed", "is_invertible", "is_star_invertible", "_ideal", "_inst")
 
-    def __init__(self, closed, principal_gen, is_invertible, is_star_invertible):
+    def __init__(self, closed, is_invertible, is_star_invertible, ideal, inst):
         object.__setattr__(self, "closed", closed)
-        object.__setattr__(self, "principal_gen", principal_gen)
         object.__setattr__(self, "is_invertible", is_invertible)
         object.__setattr__(self, "is_star_invertible", is_star_invertible)
+        object.__setattr__(self, "_ideal", ideal)
+        object.__setattr__(self, "_inst", inst)
+
+    @property
+    def principal_gen(self) -> RatFunc | None:
+        return is_principal_R(self._ideal, self._inst)
 
     @property
     def certificate(self) -> str:
@@ -119,9 +125,10 @@ def invertibility_R(h, op: StarOp, inst: PullbackInstance) -> RClassWitness:
     closed = star_eval(class_resolve(op), product, inst)
     return RClassWitness(
         closed=closed,
-        principal_gen=is_principal_R(h, inst),
         is_invertible=ideal_equal(product, r, inst),
         is_star_invertible=ideal_equal(closed, r, inst),
+        ideal=h,
+        inst=inst,
     )
 
 

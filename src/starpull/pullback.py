@@ -508,25 +508,6 @@ def inverse_image_R(j: ExtDModule, inst: PullbackInstance) -> StructuredIdeal:
     return make_structured(RatFunc.one(), j, inst)
 
 
-class UnitGroupPredicates(Frozen):
-    __slots__ = ("in_S", "in_N")
-
-    def __init__(self, in_s, in_n):
-        object.__setattr__(self, "in_S", in_s)
-        object.__setattr__(self, "in_N", in_n)
-
-
-def unit_group_predicates(f: RatFunc, inst: PullbackInstance) -> UnitGroupPredicates:
-    """Membership in S = U(T) meet R and in N = {x in R : phi(x) in U(D)}."""
-    f = RatFunc.coerce(f)
-    in_r = member_R(f, inst)
-    in_s = in_r and inst.is_unit_T(f)
-    in_n = False
-    if in_r and not f.is_zero() and ord_at_zero(f) == 0:
-        in_n = inst.base.is_unit_scalar(eval_at_zero(f))
-    return UnitGroupPredicates(in_s, in_n)
-
-
 # ---------------------------------------------------------------------------
 # definitional oracles
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """D-side module calculus: lattices, colon, closure, class labels."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -13,7 +14,12 @@ from starpull.base_domain import (
     ClassLabel,
     DomainError,
     ExtDModule,
+    _compose,
     _cyclic_generator,
+    _form_of_module,
+    _ideal_of_form,
+    _principal_form,
+    _reduced_forms,
     _relative_norm,
     class_label_D,
     dmod_arith,
@@ -25,7 +31,7 @@ from starpull.base_domain import (
     dmod_v,
     identity_label,
 )
-from starpull.kernel import FieldElem
+from starpull.kernel import FieldElem, _is_squarefree
 
 
 Z = BaseDomain.integers()
@@ -397,7 +403,6 @@ class TestClassGroupTables:
         assert sorted(dom.class_presentation) == sorted(self.KNOWN[d])
 
     def test_label_homomorphism_at_class_number_eight(self):
-        from starpull.base_domain import _ideal_of_form
         dom = BaseDomain.quadratic_order(-65)
         ideals = [_ideal_of_form(f, dom) for f in sorted(dom._label_of_form)]
         for m1 in ideals:
@@ -407,10 +412,185 @@ class TestClassGroupTables:
 
 
 def test_desk_scale_bound_enforced():
+    # disc = 4 * -50001 = -200004, just past the bound
     with pytest.raises(DomainError):
-        BaseDomain.quadratic_order(-101)
+        BaseDomain.quadratic_order(-50001)
 
 
 def test_real_quadratic_rejected():
     with pytest.raises(DomainError):
         BaseDomain.quadratic_order(5)
+
+
+# ---------------------------------------------------------------------------
+# independent certification of the class groups
+# ---------------------------------------------------------------------------
+
+def _fundamental(bound):
+    """(d, D) for each squarefree d < 0 whose discriminant D has |D| <= bound."""
+    out = []
+    for d in range(-1, -bound - 1, -1):
+        disc = d if d % 4 == 1 else 4 * d
+        if -disc <= bound and _is_squarefree(d):
+            out.append((d, disc))
+    return out
+
+
+# D = -120120 has presentation (8, 2, 2, 2, 2); -199999 is the fundamental
+# discriminant of largest |D| inside the desk-scale bound
+CERTIFIED = _fundamental(1000) + [(-30030, -120120), (-199999, -199999)]
+
+
+@functools.cache
+def _order(d):
+    return BaseDomain.quadratic_order(d)
+
+
+def _kronecker(disc, a):
+    """Kronecker symbol (disc / a) for a >= 1."""
+    sign = 1
+    while a % 2 == 0:
+        if disc % 2 == 0:
+            return 0
+        a //= 2
+        if disc % 8 in (3, 5):
+            sign = -sign
+    # Jacobi symbol (disc / a) for odd a > 0, by quadratic reciprocity
+    top = disc % a
+    while top:
+        while top % 2 == 0:
+            top //= 2
+            if a % 8 in (3, 5):
+                sign = -sign
+        top, a = a, top
+        if top % 4 == 3 and a % 4 == 3:
+            sign = -sign
+        top %= a
+    return sign if a == 1 else 0
+
+
+def _dirichlet_class_number(disc):
+    """h(D) = (w / 2|D|) * |sum_{a=1}^{|D|-1} (D/a) * a| for fundamental D < 0."""
+    w = {-3: 6, -4: 4}.get(disc, 2)
+    total = abs(sum(_kronecker(disc, a) * a for a in range(1, -disc)))
+    assert (w * total) % (-2 * disc) == 0
+    return w * total // (-2 * disc)
+
+
+def _prime_divisors(n):
+    n, p, out = abs(n), 2, 0
+    while p * p <= n:
+        if n % p == 0:
+            out += 1
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + (n > 1)
+
+
+def test_class_number_matches_dirichlet_formula():
+    assert len(_fundamental(1000)) == 305
+    for d, disc in CERTIFIED:
+        h = 1
+        for n in _order(d).class_presentation:
+            h *= n
+        assert h == _dirichlet_class_number(disc), disc
+
+
+def test_two_rank_matches_genus_theory():
+    # Gauss: Cl(D)/Cl(D)^2 has 2^(t - 1) elements, t the number of primes dividing D
+    for d, disc in CERTIFIED:
+        presentation = _order(d).class_presentation
+        assert sum(n % 2 == 0 for n in presentation) == _prime_divisors(disc) - 1, disc
+
+
+def _element_order(g, compose, identity):
+    n, cur = 1, g
+    while cur != identity:
+        cur = compose(cur, g)
+        n += 1
+    return n
+
+
+def _power(g, n, compose, identity):
+    out, base = identity, g
+    while n:
+        if n & 1:
+            out = compose(out, base)
+        base = compose(base, base)
+        n >>= 1
+    return out
+
+
+def _cyclic_decomposition(elements, compose, identity):
+    """Reference: the recursive coset decomposition that the incremental
+    loop in `BaseDomain._load_class_group` replaced.
+
+    Generators (g, order) exhibiting the finite abelian group as a direct
+    sum: g is the first element of largest order, and the quotient by
+    <g> is decomposed recursively over cosets, whose representatives are
+    lifted back so that each generator's order is its order modulo <g>.
+    """
+    if len(elements) == 1:
+        return []
+    orders = {g: _element_order(g, compose, identity) for g in elements}
+    g = max(sorted(elements), key=lambda e: orders[e])
+    e_ord = orders[g]
+    cyc = [_power(g, j, compose, identity) for j in range(e_ord)]
+    if len(cyc) == len(elements):
+        return [(g, e_ord)]
+    coset_of = {x: frozenset(compose(x, c) for c in cyc) for x in sorted(elements)}
+    cosets = sorted(set(coset_of.values()), key=lambda s: sorted(s))
+    rep = {c: min(c) for c in cosets}
+
+    def q_compose(c1, c2):
+        return coset_of[compose(rep[c1], rep[c2])]
+
+    sub = _cyclic_decomposition(cosets, q_compose, coset_of[identity])
+    lifted = []
+    for coset, m in sub:
+        x = rep[coset]
+        a = cyc.index(_power(x, m, compose, identity))
+        assert a % m == 0
+        lifted.append((compose(x, _power(g, e_ord - (a // m) % e_ord, compose, identity)), m))
+    return [(g, e_ord)] + lifted
+
+
+def _reference_labels(disc):
+    """The presentation and the label table, insertion order included,
+    from the reference decomposition with the first exponent varying fastest."""
+    ident = _principal_form(disc)
+    gens = _cyclic_decomposition(_reduced_forms(disc), _compose, ident)
+    presentation = tuple(n for _, n in gens)
+    table = {}
+    for vec in itertools.product(*(range(n) for n in reversed(presentation))):
+        vec = vec[::-1]
+        el = ident
+        for (g, _), e in zip(gens, vec):
+            el = _compose(el, _power(g, e, _compose, ident))
+        table[el] = vec
+    return presentation, table
+
+
+def test_decomposition_matches_recursive_reference():
+    assert len(_fundamental(400)) == 122
+    for d, disc in _fundamental(400):
+        dom = _order(d)
+        presentation, table = _reference_labels(disc)
+        assert dom.class_presentation == presentation, disc
+        assert list(dom._label_of_form.items()) == list(table.items()), disc
+
+
+def test_gauss_composition_matches_ideal_multiplication():
+    # every ordered pair: the ideal product is commutative, so each
+    # unordered pair's product is the reference for both orders
+    for d, _ in _fundamental(400):
+        dom = _order(d)
+        ideals = {f: _ideal_of_form(f, dom) for f in dom._label_of_form}
+        for (f, i), (g, j) in itertools.combinations_with_replacement(ideals.items(), 2):
+            product = _form_of_module(dmod_arith(i, j, "mul"))
+            assert _compose(f, g) == product == _compose(g, f), (f, g)
+
+
+def test_presentation_of_disc_minus_120120():
+    assert _order(-30030).class_presentation == (8, 2, 2, 2, 2)

@@ -1,25 +1,30 @@
-"""Every module-level function and class in src/starpull has a caller.
+"""Every module-level function and class, and every method, in
+src/starpull has a caller.
 
 A definition counts as used when `starpull/__init__.py` exports it or
 when some other top-level statement in the package names it; a
-definition that only refers to itself is dead.  Immutability is decided
-in one place: only `kernel.Frozen` defines `__setattr__`.
+definition that only refers to itself is dead.  A non-dunder method
+counts as used when code in src/, tests/ or demos/ outside its own body
+names it.  Immutability is decided in one place: only `kernel.Frozen`
+defines `__setattr__`.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "starpull"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "starpull"
 
 
 def _names(node):
-    """Every identifier a subtree loads or reads as an attribute."""
-    out = set()
+    """How often each identifier is loaded or read as an attribute in a subtree."""
+    out = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            out.add(sub.id)
+            out[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
+            out[sub.attr] += 1
     return out
 
 
@@ -41,6 +46,19 @@ def test_every_definition_has_a_caller():
                        if (other, j) != (name, i)):
                 dead.append(f"{name}:{stmt.lineno} {stmt.name}")
     assert not dead, f"definitions with no caller in src/starpull: {dead}"
+
+
+def test_every_method_has_a_caller():
+    paths = [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")]
+    named = sum((_names(ast.parse(path.read_text())) for path in paths), Counter())
+    dead = [f"{path.name}:{method.lineno} {cls.name}.{method.name}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for cls in ast.walk(ast.parse(path.read_text())) if isinstance(cls, ast.ClassDef)
+            for method in cls.body
+            if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (method.name.startswith("__") and method.name.endswith("__"))
+            and named[method.name] == _names(method)[method.name]]
+    assert not dead, f"methods with no caller in src/, tests/ or demos/: {dead}"
 
 
 def test_only_frozen_defines_setattr():

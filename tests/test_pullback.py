@@ -44,7 +44,6 @@ from starpull.pullback import (
     structured_hull,
     t_closure_R,
     t_ideal_of_r,
-    unit_group_predicates,
     v_closure_R,
 )
 from strategies import ratfuncs
@@ -487,25 +486,6 @@ class TestInverseImage:
         assert not contains_ideal(m_ideal(inst_c), s, inst_c)
         assert contains_ideal(t_ideal_of_r(inst_c), v_closure_R(s, inst_c), inst_c)
         assert not contains_ideal(v_closure_R(s, inst_c), t_ideal_of_r(inst_c), inst_c)
-
-
-class TestUnitGroups:
-    def test_examples(self, inst_a):
-        p2 = unit_group_predicates(TWO, inst_a)
-        assert p2.in_S and not p2.in_N
-        p1x = unit_group_predicates(RatFunc(Poly([1, 1])), inst_a)
-        assert not p1x.in_S and p1x.in_N
-        pm1 = unit_group_predicates(const(-1), inst_a)
-        assert pm1.in_S and pm1.in_N
-
-    def test_local_units(self, inst_b):
-        f = RatFunc(Poly([3, 1]), Poly([1, 1]))
-        p = unit_group_predicates(f, inst_b)
-        assert p.in_S and not p.in_N
-
-    def test_field_base_units(self, inst_e):
-        p = unit_group_predicates(const(Fraction(7, 2)), inst_e)
-        assert p.in_S and p.in_N
 
 
 class TestOracles:
