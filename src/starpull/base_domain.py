@@ -6,7 +6,9 @@ extension k.  Every nonzero finitely generated D-submodule of k is
 represented as an integer lattice in canonical Hermite form together
 with a denominator scalar; the two sentinels ZERO and FULL stand for the
 zero module and for all of k.  One normal form serves all three domain
-kinds, so module equality is a structural comparison.
+kinds, so module equality is a structural comparison.  Module operations
+read and write those integers and each scalar's (a, b, n) directly;
+Fraction appears only in the row reduction of a line over the field Q.
 
 Class labels on invertible ideals are computed by reduction of binary
 quadratic forms.  The class group Cl(D) of an imaginary quadratic order
@@ -22,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .kernel import FieldElem, Frozen, FrozenValue
+from .kernel import FieldElem, Frozen, FrozenValue, _is_squarefree, _make
 from .lattices import (
     hnf_rows,
     lattice_member,
@@ -144,6 +146,8 @@ class BaseDomain:
     def __init__(self, kind: str, k_disc: int):
         if kind not in ("integers", "quadratic_order", "field"):
             raise DomainError(f"unsupported base-domain kind {kind!r}")
+        if not _is_squarefree(k_disc):
+            raise DomainError(f"field tag {k_disc} is not squarefree")
         if kind == "quadratic_order":
             if k_disc >= 0:
                 raise DomainError("only imaginary quadratic orders are supported")
@@ -183,10 +187,13 @@ class BaseDomain:
         """
         forms = _reduced_forms(self._disc)
         ident = _principal_form(self._disc)
+        # (a, b, c) with b > 0 has the order modulo H of its inverse (a, -b, c),
+        # which sorts first and wins ties, unless a in (b, c) makes it its own
+        scan = [f for f in forms if f[1] <= 0 or f[0] in (f[1], f[2])]
         orders, table = [], {ident: ()}
         while len(table) < len(forms):
             m = 0
-            for f in forms:
+            for f in scan:
                 x, order = f, 1
                 while x not in table:
                     x, order = _compose(x, f), order + 1
@@ -217,9 +224,7 @@ class BaseDomain:
         if self.kind != "quadratic_order":
             raise DomainError("omega is defined for quadratic orders only")
         d = self.k_disc
-        if d % 4 == 1:
-            return FieldElem(Fraction(1, 2), Fraction(1, 2), d)
-        return FieldElem(0, 1, d)
+        return _make(1, 1, 2, d) if d % 4 == 1 else _make(0, 1, 1, d)
 
     def unit_module(self) -> "ExtDModule":
         """D itself as an ExtDModule, built once by the constructor."""
@@ -337,13 +342,8 @@ class ExtDModule(FrozenValue):
     def basis_elements(self) -> list[FieldElem]:
         if not self.is_lattice():
             raise DomainError("sentinel module has no basis")
-        d = self.domain.k_disc
-        out = []
-        for r in self.rows:
-            x = Fraction(r[0], self.den)
-            y = Fraction(r[1], self.den) if len(r) == 2 else Fraction(0)
-            out.append(FieldElem(x, y, d if y != 0 else 1))
-        return out
+        d, den = self.domain.k_disc, self.den
+        return [_make(r[0], r[1] if len(r) == 2 else 0, den, d) for r in self.rows]
 
     def contains(self, x) -> bool:
         x = FieldElem.coerce(x)
@@ -353,14 +353,15 @@ class ExtDModule(FrozenValue):
             return x.d in (1, self.domain.k_disc)
         if x.is_zero():
             return True
-        if x.d not in (1, self.domain.k_disc):
+        a, b, n, d = x._abnd
+        if d not in (1, self.domain.k_disc):
             return False
-        coords = [x.x, x.y][: self.domain.ambient_dim]
         if self.domain.kind == "field":
             # membership in the Q-line spanned by the stored direction
             r = self.rows[0]
-            return coords[0] * r[1] == coords[1] * r[0]
-        return lattice_member(coords, self.den, [list(r) for r in self.rows])
+            return a * r[1] == b * r[0]
+        # (a, b)/n lies in rows/den exactly when (a, b)*den lies in n*rows
+        return lattice_member([a * self.den, b * self.den][: self.domain.ambient_dim], n, self.rows)
 
     def __repr__(self):
         if self.is_lattice():
@@ -390,41 +391,54 @@ def _check_domains(*mods: ExtDModule) -> BaseDomain:
     return dom
 
 
+def _rows_over(den: int, m: ExtDModule) -> list[list[int]]:
+    """The rows of m rescaled to the denominator den, a multiple of m.den."""
+    k = den // m.den
+    return [[v * k for v in r] for r in m.rows]
+
+
+def _products(rows1, rows2, d: int) -> list[list[int]]:
+    """Numerators of every product of an element of rows1 with one of rows2."""
+    if len(rows1[0]) == 1:
+        return [[r[0] * s[0]] for r in rows1 for s in rows2]
+    return [[x1 * x2 + d * y1 * y2, x1 * y2 + x2 * y1] for x1, y1 in rows1 for x2, y2 in rows2]
+
+
 def dmod_from_generators(gens, domain: BaseDomain) -> ExtDModule:
     """Canonical form of the D-module generated by the given elements."""
-    elems = []
+    k_disc = domain.k_disc
+    vecs = []
     for g in gens:
         g = FieldElem.coerce(g)
         if g.is_zero():
             continue
-        if g.d not in (1, domain.k_disc):
+        a, b, n, d = g._abnd
+        if d != 1 and d != k_disc:
             raise DomainError("generator outside the ambient field")
-        elems.append(g)
-    if not elems:
+        vecs.append((a, b, n))
+    if not vecs:
         return ExtDModule.zero(domain)
-    if domain.kind == "quadratic_order":
-        om = domain.omega()
-        elems = elems + [g * om for g in elems]
-    n = domain.ambient_dim
-    vecs = []
-    for g in elems:
-        vecs.append([g.x, g.y][:n])
     if domain.kind == "field":
-        rref, pivots = rational_rref(vecs)
+        rref, pivots = rational_rref([[Fraction(a, n), Fraction(b, n)] for a, b, n in vecs])
         if len(pivots) >= 2:
             return ExtDModule.full(domain)
         row = primitive_int_rows([rref[0]])[0]
         return ExtDModule.lattice(domain, 1, [row])
-    den = 1
-    for v in vecs:
-        for c in v:
-            den = lcm(den, c.denominator)
-    rows = [[int(c * den) for c in v] for v in vecs]
-    return ExtDModule.lattice(domain, den, rows)
+    if domain.kind == "quadratic_order":
+        # the multiples by omega, (1 + sqrt(d))/2 or sqrt(d)
+        if k_disc % 4 == 1:
+            vecs += [(a + k_disc * b, a + b, 2 * n) for a, b, n in vecs]
+        else:
+            vecs += [(k_disc * b, a, n) for a, b, n in vecs]
+    den = lcm(*(n for _, _, n in vecs))
+    dim = domain.ambient_dim
+    return ExtDModule.lattice(domain, den, [[a * (den // n), b * (den // n)][:dim] for a, b, n in vecs])
 
 
 def dmod_arith(n1: ExtDModule, n2: ExtDModule, op: str) -> ExtDModule:
-    """Sum or product of two modules, with the sentinel conventions."""
+    """Sum or product of two modules, with the sentinel conventions; on
+    lattices, the Z-span of the union or of the pairwise products of the
+    two bases (that span is closed under D because each factor is)."""
     dom = _check_domains(n1, n2)
     if op == "add":
         if n1.is_zero():
@@ -433,14 +447,14 @@ def dmod_arith(n1: ExtDModule, n2: ExtDModule, op: str) -> ExtDModule:
             return n1
         if n1.is_full() or n2.is_full():
             return ExtDModule.full(dom)
-        return dmod_from_generators(n1.basis_elements() + n2.basis_elements(), dom)
+        den = lcm(n1.den, n2.den)
+        return ExtDModule.lattice(dom, den, _rows_over(den, n1) + _rows_over(den, n2))
     if op == "mul":
         if n1.is_zero() or n2.is_zero():
             return ExtDModule.zero(dom)
         if n1.is_full() or n2.is_full():
             return ExtDModule.full(dom)
-        prods = [a * b for a in n1.basis_elements() for b in n2.basis_elements()]
-        return dmod_from_generators(prods, dom)
+        return ExtDModule.lattice(dom, n1.den * n2.den, _products(n1.rows, n2.rows, dom.k_disc))
     raise DomainError(f"unknown module operation {op!r}")
 
 
@@ -450,7 +464,12 @@ def dmod_scale(c, n: ExtDModule) -> ExtDModule:
         raise DomainError("scaling by zero")
     if not n.is_lattice():
         return n
-    return dmod_from_generators([c * b for b in n.basis_elements()], n.domain)
+    a, b, m, d = c._abnd
+    dom = n.domain
+    if d != 1 and d != dom.k_disc:
+        raise DomainError("generator outside the ambient field")
+    scalar = [[a, b][: dom.ambient_dim]]
+    return ExtDModule.lattice(dom, m * n.den, _products(n.rows, scalar, dom.k_disc))
 
 
 _COLON_CACHE: dict[ExtDModule, ExtDModule] = {}
@@ -498,8 +517,7 @@ def dmod_intersect(n1: ExtDModule, n2: ExtDModule) -> ExtDModule:
     if dom.kind == "field":
         return n1 if n1 == n2 else ExtDModule.zero(dom)
     den = lcm(n1.den, n2.den)
-    r1 = [[v * (den // n1.den) for v in row] for row in n1.rows]
-    r2 = [[v * (den // n2.den) for v in row] for row in n2.rows]
+    r1, r2 = _rows_over(den, n1), _rows_over(den, n2)
     dim = dom.ambient_dim
     # Zassenhaus: the rows (a, a) and (b, 0) span {(a + b, a)}, whose
     # elements with a + b == 0 have a in both lattices; in echelon form
@@ -509,28 +527,42 @@ def dmod_intersect(n1: ExtDModule, n2: ExtDModule) -> ExtDModule:
 
 
 class DmodPredicates(Frozen):
-    """Answer record for the module predicate bundle."""
+    """The module predicates of one module, each computed when it is read."""
 
-    __slots__ = ("membership", "equal", "is_cyclic", "is_invertible", "is_v_invertible")
+    __slots__ = ("module",)
 
-    def __init__(self, membership, equal, is_cyclic, is_invertible, is_v_invertible):
-        object.__setattr__(self, "membership", membership)
-        object.__setattr__(self, "equal", equal)
-        object.__setattr__(self, "is_cyclic", is_cyclic)
-        object.__setattr__(self, "is_invertible", is_invertible)
-        object.__setattr__(self, "is_v_invertible", is_v_invertible)
+    def __init__(self, module):
+        object.__setattr__(self, "module", module)
+
+    @property
+    def membership(self):
+        return self.module.contains
+
+    @property
+    def equal(self):
+        return lambda other: self.module == other
+
+    @property
+    def is_cyclic(self) -> FieldElem | None:
+        return _cyclic_generator(self.module)
+
+    @property
+    def is_invertible(self) -> bool:
+        return self._product_with_colon() == self.module.domain.unit_module()
+
+    @property
+    def is_v_invertible(self) -> bool:
+        return dmod_v(self._product_with_colon()) == self.module.domain.unit_module()
+
+    def _product_with_colon(self) -> ExtDModule:
+        return dmod_arith(self.module, dmod_colon(self.module), "mul")
 
 
-def _lattice_det(n: ExtDModule) -> Fraction:
-    rows = n.rows
-    if len(rows) == 1:
-        return Fraction(abs(rows[0][0]), n.den)
-    det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    return Fraction(abs(det), n.den * n.den)
-
-
-def _relative_norm(n: ExtDModule) -> Fraction:
-    return _lattice_det(n) / _lattice_det(n.domain.unit_module())
+def _relative_norm(n: ExtDModule) -> int:
+    """[D : n] * den^2 for a rank-2 n over a quadratic order: the product
+    of the Hermite pivots over the covolume of D, 1/2 or 1."""
+    (p, _), (_, q) = n.rows
+    return 2 * p * q if n.domain.k_disc % 4 == 1 else p * q
 
 
 def _cyclic_generator(n: ExtDModule) -> FieldElem | None:
@@ -572,54 +604,41 @@ def _cyclic_generator(n: ExtDModule) -> FieldElem | None:
     shortest = [s for v in (a, b, (a[0] + b[0], a[1] + b[1]), (a[0] - b[0], a[1] - b[1]))
                 for s in (v, (-v[0], -v[1])) if s[1] >= 0 and form(s, s) == qa]
     p, q = min(shortest, key=lambda s: (s[1], abs(s[0]), s[0] < 0))
-    x = FieldElem(Fraction(p, n.den), Fraction(q, n.den), d)
-    if x.norm() == _relative_norm(n) and n.contains(x):
-        return x
+    # (p, q) is an integer combination of the rows, so (p + q*sqrt(d))/den
+    # lies in n; its norm times den^2 is p^2 - d*q^2
+    if p * p - d * q * q == _relative_norm(n):
+        return _make(p, q, n.den, d)
     return None
 
 
 def dmod_predicates(n: ExtDModule) -> DmodPredicates:
-    unit = n.domain.unit_module()
-    product = dmod_arith(n, dmod_colon(n), "mul")
-    return DmodPredicates(
-        membership=n.contains,
-        equal=lambda other: n == other,
-        is_cyclic=_cyclic_generator(n),
-        is_invertible=product == unit,
-        is_v_invertible=dmod_v(product) == unit,
-    )
+    return DmodPredicates(n)
 
 
 def _form_of_module(n: ExtDModule) -> tuple[int, int, int]:
-    """Reduced binary quadratic form attached to an oriented lattice basis."""
-    alpha, beta = n.basis_elements()
-    tau = beta / alpha
-    if tau.y < 0:
-        alpha, beta = beta, alpha
-    nm = _relative_norm(n)
-    a = alpha.norm() / nm
-    c = beta.norm() / nm
-    tr = alpha * beta.conj() + alpha.conj() * beta
-    b = tr.x / nm
-    assert a.denominator == 1 and b.denominator == 1 and c.denominator == 1
-    return _form_reduce(int(a), int(b), int(c))
+    """(N(alpha), Tr(alpha*conj(beta)), N(beta)) / [D : n], reduced, for
+    the Hermite basis alpha, beta: the surd part of beta/alpha has the
+    sign of p1*q2 - p2*q1 > 0, so the basis is positively oriented."""
+    d, nm = n.domain.k_disc, _relative_norm(n)
+    (p1, q1), (p2, q2) = n.rows
+    a, ra = divmod(p1 * p1 - d * q1 * q1, nm)
+    b, rb = divmod(2 * (p1 * p2 - d * q1 * q2), nm)
+    c, rc = divmod(p2 * p2 - d * q2 * q2, nm)
+    assert not (ra or rb or rc)
+    return _form_reduce(a, b, c)
 
 
 def _ideal_of_form(form: tuple[int, int, int], dom: BaseDomain) -> ExtDModule:
     """Integral ideal a*Z + ((b + sqrt(disc))/2)*Z of the order.
 
-    The sign of b is chosen so that reading the form back off the
-    Hermite basis (oriented by a positive surd part of beta/alpha)
-    returns the same reduced form; the load-time assert checks this for
-    every class.
+    For a primitive form this Z-lattice is already an ideal.  Reading
+    the form back off its Hermite basis returns the same reduced form;
+    the load-time assert checks this for every class.
     """
     a, b, _ = form
-    d = dom.k_disc
-    if d % 4 == 1:
-        beta = FieldElem(Fraction(b, 2), Fraction(1, 2), d)
-    else:
-        beta = FieldElem(Fraction(b, 2), 1, d)
-    return dmod_from_generators([FieldElem(a), beta], dom)
+    if dom.k_disc % 4 == 1:
+        return ExtDModule.lattice(dom, 2, [[2 * a, 0], [b, 1]])
+    return ExtDModule.lattice(dom, 1, [[a, 0], [b // 2, 1]])
 
 
 def class_label_D(n: ExtDModule) -> ClassLabel:

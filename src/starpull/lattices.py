@@ -1,8 +1,10 @@
-"""Exact small-matrix helpers: xgcd, Hermite forms, rational row reduction.
+"""Exact small-matrix helpers: xgcd, Hermite forms, lattice membership,
+rational row reduction.
 
 All matrices here are tiny (at most 4 columns, a handful of rows), so the
 algorithms favor clarity over asymptotics.  Integer matrices are lists of
-row lists; rational ones use Fraction entries.
+row lists; rational ones, used only for lines over a field, have Fraction
+entries.
 """
 
 from __future__ import annotations
@@ -121,16 +123,14 @@ def primitive_int_rows(rows: list[list[Fraction]]) -> list[list[int]]:
     return out
 
 
-def lattice_member(target: list[Fraction], den: int, rows: list[list[int]]) -> bool:
-    """Does target lie in the Z-span of rows/den?"""
-    scaled = [v * den for v in target]
-    work = list(scaled)
+def lattice_member(target: list[int], n: int, rows: list[list[int]]) -> bool:
+    """Does target/n lie in the Z-span of rows, an integer echelon basis?"""
+    work = list(target)
     for row in rows:
         j = next(i for i, v in enumerate(row) if v)
-        if work[j] == 0:
-            continue
-        q = work[j] / Fraction(row[j])
-        if q.denominator != 1:
+        q, r = divmod(work[j], n * row[j])
+        if r:
             return False
-        work = [w - int(q) * r for w, r in zip(work, row)]
-    return all(w == 0 for w in work)
+        if q:
+            work = [w - q * n * v for w, v in zip(work, row)]
+    return not any(work)

@@ -4,7 +4,7 @@ import functools
 import itertools
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -218,7 +218,7 @@ def _enumerated_generator(n, dom):
     """
     if n.rank() != 2:
         return None
-    target = _relative_norm(n)
+    target = Fraction(_relative_norm(n), n.den ** 2)
     d = dom.k_disc
     den2 = 2 * n.den
     bound_sq = target * den2 * den2
@@ -422,6 +422,14 @@ def test_real_quadratic_rejected():
         BaseDomain.quadratic_order(5)
 
 
+@pytest.mark.parametrize("make", [BaseDomain.integers, BaseDomain.quadratic_order,
+                                  BaseDomain.rational_field], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("tag", [-4, 0, 12, -18])
+def test_tag_that_is_not_squarefree_rejected(make, tag):
+    with pytest.raises(DomainError, match="not squarefree"):
+        make(tag)
+
+
 # ---------------------------------------------------------------------------
 # independent certification of the class groups
 # ---------------------------------------------------------------------------
@@ -594,3 +602,98 @@ def test_gauss_composition_matches_ideal_multiplication():
 
 def test_presentation_of_disc_minus_120120():
     assert _order(-30030).class_presentation == (8, 2, 2, 2, 2)
+
+
+# ---------------------------------------------------------------------------
+# the integer module layer against a Fraction reference
+# ---------------------------------------------------------------------------
+
+def _ref_basis(m):
+    """Reference: the basis read off the rows as Fraction coordinates."""
+    d = m.domain.k_disc
+    return [FieldElem(Fraction(r[0], m.den), Fraction(r[1] if len(r) == 2 else 0, m.den), d)
+            for r in m.rows]
+
+
+def _ref_from_generators(gens, dom):
+    """Reference: the Fraction-coordinate construction that the integer
+    rows replaced.  Each generator and, over a quadratic order, its
+    product with omega contributes its coordinates (x, y); over Q a
+    second independent direction gives all of k."""
+    elems = [g for g in gens if not g.is_zero()]
+    if not elems:
+        return ExtDModule.zero(dom)
+    if dom.kind == "quadratic_order":
+        elems += [g * dom.omega() for g in elems]
+    vecs = [[g.x, g.y][: dom.ambient_dim] for g in elems]
+    if dom.kind == "field":
+        x0, y0 = vecs[0]
+        if any(x * y0 != y * x0 for x, y in vecs):
+            return ExtDModule.full(dom)
+        vecs = vecs[:1]
+    den = 1
+    for v in vecs:
+        for c in v:
+            den = lcm(den, c.denominator)
+    return ExtDModule.lattice(dom, den, [[int(c * den) for c in v] for v in vecs])
+
+
+def _ref_contains(m, x):
+    """Reference: membership by reduction of Fraction coordinates."""
+    dom = m.domain
+    if x.is_zero():
+        return True
+    if x.d not in (1, dom.k_disc):
+        return False
+    coords = [x.x, x.y][: dom.ambient_dim]
+    if dom.kind == "field":
+        r = m.rows[0]
+        return coords[0] * r[1] == coords[1] * r[0]
+    work = [c * m.den for c in coords]
+    for row in m.rows:
+        j = next(i for i, v in enumerate(row) if v)
+        q = work[j] / row[j]
+        if q.denominator != 1:
+            return False
+        work = [w - q * r for w, r in zip(work, row)]
+    return not any(work)
+
+
+# Z in Q and in Q(i), Z[i], Z[sqrt(-5)], Z[(1 + sqrt(-3))/2], and Q in Q(i)
+_LAYER_DOMAINS = (Z, ZI, ORDERS[-1], ORDERS[-5], ORDERS[-3], QF)
+# denominators up to 12, most of which divide no module's denominator
+_COORD = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+_COORDS = st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=3)
+
+
+def _elems(dom, coords):
+    d = dom.k_disc
+    return [FieldElem(x, y if d != 1 else 0, d) for x, y in coords]
+
+
+class TestIntegerLayer:
+    @given(st.sampled_from(_LAYER_DOMAINS), _COORDS, _COORDS, st.integers(1, 6))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_reference(self, dom, c1, c2, k):
+        g1, g2 = _elems(dom, c1), _elems(dom, c2)
+        m1, m2 = dmod_from_generators(g1, dom), dmod_from_generators(g2, dom)
+        assert m1 == _ref_from_generators(g1, dom)
+        assert m2 == _ref_from_generators(g2, dom)
+        if not (m1.is_lattice() and m2.is_lattice()):
+            return
+        b1, b2 = _ref_basis(m1), _ref_basis(m2)
+        assert m1.basis_elements() == b1
+        assert dmod_arith(m1, m2, "mul") == _ref_from_generators([x * y for x in b1 for y in b2], dom)
+        assert dmod_arith(m1, m2, "add") == _ref_from_generators(b1 + b2, dom)
+        if not g2[0].is_zero():
+            assert dmod_scale(g2[0], m1) == _ref_from_generators([g2[0] * x for x in b1], dom)
+        # the generators of m2, and sums of m1's basis over k, most of
+        # them outside m1; an element of another field is never inside
+        probes = g2 + [FieldElem(1, 1, -7)]
+        for coeffs in itertools.product(range(-2, 3), repeat=len(b1)):
+            probes.append(sum((FieldElem(c) * e for c, e in zip(coeffs, b1)), FieldElem(0))
+                          / FieldElem(k))
+        verdicts = [m1.contains(x) for x in probes]
+        assert verdicts == [_ref_contains(m1, x) for x in probes]
+        if k == 1:
+            assert all(verdicts[-5 ** len(b1):])

@@ -1,7 +1,5 @@
 """Integer matrix helpers: Hermite forms and lattice membership."""
 
-from fractions import Fraction
-
 from starpull.lattices import (
     hnf_rows,
     lattice_member,
@@ -35,7 +33,13 @@ def test_hnf_reduces_above_every_pivot_in_three_columns():
 
 
 def test_lattice_member():
+    # target/n against the Z-span of an integer echelon basis
     rows = [[1, 1], [0, 2]]
-    assert lattice_member([Fraction(3), Fraction(1)], 1, rows)
-    assert not lattice_member([Fraction(1), Fraction(0)], 1, rows)
-    assert lattice_member([Fraction(1, 2), Fraction(1, 2)], 2, rows)
+    assert lattice_member([3, 1], 1, rows)
+    assert not lattice_member([1, 0], 1, rows)
+    assert lattice_member([2, 2], 2, rows)
+    assert not lattice_member([1, 1], 2, rows)
+    assert lattice_member([-6, 0], 3, rows)
+    assert lattice_member([0, 6], 2, [[0, 3]])
+    assert not lattice_member([0, 3], 2, [[0, 3]])
+    assert not lattice_member([2, 6], 2, [[0, 3]])
