@@ -2,7 +2,10 @@
 
 The base domain D is one of: the rational integers, an imaginary
 quadratic maximal order, or the rational field embedded in a quadratic
-extension k.  Every nonzero finitely generated D-submodule of k is
+extension k.  D is described once, by its discriminant and by its unit
+module, the Hermite rows of 1 and omega = (disc mod 2 + sqrt(disc))/2:
+generation, norms and the form <-> ideal maps read D from those two and
+from nothing else.  Every nonzero finitely generated D-submodule of k is
 represented as an integer lattice in canonical Hermite form together
 with a denominator scalar; the two sentinels ZERO and FULL stand for the
 zero module and for all of k.  One normal form serves all three domain
@@ -22,7 +25,7 @@ accepted; README's "Class labels reduce to D" gives measured build times.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .kernel import FieldElem, Frozen, FrozenValue, _is_squarefree, _make
 from .lattices import (
@@ -139,8 +142,8 @@ class BaseDomain:
 
     kind is one of "integers", "quadratic_order", "field".  ``k_disc`` is
     the squarefree tag of the ambient field k (1 for Q).  A quadratic
-    order is always the maximal order of k, so there kind implies
-    k_disc == order discriminant tag.
+    order is always the maximal order of k; its discriminant ``_disc`` is
+    read off k_disc here and nowhere else.
     """
 
     def __init__(self, kind: str, k_disc: int):
@@ -160,20 +163,17 @@ class BaseDomain:
         self.k_disc = k_disc
         self.ambient_dim = 1 if k_disc == 1 else 2
         self.is_pvmd = True
-        # ExtDModule is immutable, so every caller can share this one copy
-        if kind == "integers":
-            self._unit_module = ExtDModule.lattice(self, 1, [[1] if k_disc == 1 else [1, 0]])
-        elif kind == "quadratic_order":
-            self._unit_module = dmod_from_generators([FieldElem(1), self.omega()], self)
-        else:
-            self._unit_module = ExtDModule.lattice(self, 1, [[1, 0]])
+        # D is the Z-span of 1 and, for an order, omega, written as rows
+        # over 2; ExtDModule is immutable, so every caller shares this copy
+        self._disc = disc if kind == "quadratic_order" else None
+        rows = [[2, 0]]
         if kind == "quadratic_order":
-            self._disc = disc
+            rows.append([disc % 2, isqrt(disc // k_disc)])
+        self._unit_module = ExtDModule.lattice(self, 2, [r[: self.ambient_dim] for r in rows])
+        self.class_presentation: tuple[int, ...] = ()
+        self._label_of_form = None
+        if kind == "quadratic_order":
             self._load_class_group()
-        else:
-            self._disc = None
-            self.class_presentation: tuple[int, ...] = ()
-            self._label_of_form = None
 
     def _load_class_group(self):
         """Decompose Cl(disc) into cyclic summands and label every class.
@@ -220,32 +220,23 @@ class BaseDomain:
 
     # -- structure ---------------------------------------------------------
     def omega(self) -> FieldElem:
-        """Module generator of the order over Z besides 1."""
+        """Module generator of the order over Z besides 1:
+        (disc mod 2 + sqrt(disc))/2."""
         if self.kind != "quadratic_order":
             raise DomainError("omega is defined for quadratic orders only")
-        d = self.k_disc
-        return _make(1, 1, 2, d) if d % 4 == 1 else _make(0, 1, 1, d)
+        disc, d = self._disc, self.k_disc
+        return _make(disc % 2, isqrt(disc // d), 2, d)
 
     def unit_module(self) -> "ExtDModule":
         """D itself as an ExtDModule, built once by the constructor."""
         return self._unit_module
 
     def contains_scalar(self, x: FieldElem) -> bool:
-        x = FieldElem.coerce(x)
-        if x.d not in (1, self.k_disc):
-            return False
-        if self.kind == "integers":
-            return x.b == 0 and x.n == 1
-        if self.kind == "field":
-            return x.b == 0
         return self._unit_module.contains(x)
 
     def quotient_field_is_k(self) -> bool:
-        if self.kind == "integers":
-            return self.k_disc == 1
-        if self.kind == "quadratic_order":
-            return True
-        return False
+        # D spans k over Q exactly when its unit module has full rank
+        return self._unit_module.rank() == self.ambient_dim
 
     def __eq__(self, other):
         return (
@@ -424,15 +415,12 @@ def dmod_from_generators(gens, domain: BaseDomain) -> ExtDModule:
             return ExtDModule.full(domain)
         row = primitive_int_rows([rref[0]])[0]
         return ExtDModule.lattice(domain, 1, [row])
-    if domain.kind == "quadratic_order":
-        # the multiples by omega, (1 + sqrt(d))/2 or sqrt(d)
-        if k_disc % 4 == 1:
-            vecs += [(a + k_disc * b, a + b, 2 * n) for a, b, n in vecs]
-        else:
-            vecs += [(k_disc * b, a, n) for a, b, n in vecs]
+    # the Z-span of the products of the generators with a Z-basis of D
     den = lcm(*(n for _, _, n in vecs))
     dim = domain.ambient_dim
-    return ExtDModule.lattice(domain, den, [[a * (den // n), b * (den // n)][:dim] for a, b, n in vecs])
+    rows = [[a * (den // n), b * (den // n)][:dim] for a, b, n in vecs]
+    unit = domain.unit_module()
+    return ExtDModule.lattice(domain, den * unit.den, _products(rows, unit.rows, k_disc))
 
 
 def dmod_arith(n1: ExtDModule, n2: ExtDModule, op: str) -> ExtDModule:
@@ -535,14 +523,6 @@ class DmodPredicates(Frozen):
         object.__setattr__(self, "module", module)
 
     @property
-    def membership(self):
-        return self.module.contains
-
-    @property
-    def equal(self):
-        return lambda other: self.module == other
-
-    @property
     def is_cyclic(self) -> FieldElem | None:
         return _cyclic_generator(self.module)
 
@@ -560,9 +540,11 @@ class DmodPredicates(Frozen):
 
 def _relative_norm(n: ExtDModule) -> int:
     """[D : n] * den^2 for a rank-2 n over a quadratic order: the product
-    of the Hermite pivots over the covolume of D, 1/2 or 1."""
+    of the Hermite pivots of n over the covolume of D's own basis."""
     (p, _), (_, q) = n.rows
-    return 2 * p * q if n.domain.k_disc % 4 == 1 else p * q
+    unit = n.domain.unit_module()
+    (p0, _), (_, q0) = unit.rows
+    return p * q * unit.den ** 2 // (p0 * q0)
 
 
 def _cyclic_generator(n: ExtDModule) -> FieldElem | None:
@@ -636,9 +618,7 @@ def _ideal_of_form(form: tuple[int, int, int], dom: BaseDomain) -> ExtDModule:
     the load-time assert checks this for every class.
     """
     a, b, _ = form
-    if dom.k_disc % 4 == 1:
-        return ExtDModule.lattice(dom, 2, [[2 * a, 0], [b, 1]])
-    return ExtDModule.lattice(dom, 1, [[a, 0], [b // 2, 1]])
+    return ExtDModule.lattice(dom, 2, [[2 * a, 0], [b, isqrt(dom._disc // dom.k_disc)]])
 
 
 def class_label_D(n: ExtDModule) -> ClassLabel:

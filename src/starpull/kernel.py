@@ -293,7 +293,7 @@ class Poly(Frozen):
 
     @staticmethod
     def one() -> "Poly":
-        return Poly((1,))
+        return _POLY_ONE
 
     @staticmethod
     def const(c) -> "Poly":
@@ -301,7 +301,7 @@ class Poly(Frozen):
 
     @staticmethod
     def x_power(e: int) -> "Poly":
-        return Poly([0] * e + [1])
+        return Poly((ZERO_ELEM,) * e + (ONE_ELEM,))
 
     @property
     def degree(self) -> int:
@@ -443,6 +443,10 @@ class Poly(Frozen):
         return " + ".join(parts)
 
 
+# Poly is immutable, so every caller shares the one polynomial 1
+_POLY_ONE = Poly((ONE_ELEM,))
+
+
 def _as_poly(value) -> Poly:
     if isinstance(value, Poly):
         return value
@@ -527,9 +531,9 @@ class RatFunc(Frozen):
 
     @staticmethod
     def x_power(e: int) -> "RatFunc":
-        if e >= 0:
-            return RatFunc(Poly.x_power(e))
-        return RatFunc(Poly.one(), Poly.x_power(-e))
+        # X^e and 1/X^-e are canonical as they stand
+        xe = Poly.x_power(abs(e))
+        return _ratfunc(xe, _POLY_ONE) if e >= 0 else _ratfunc(_POLY_ONE, xe)
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other):
@@ -563,10 +567,7 @@ class RatFunc(Frozen):
             g = poly_gcd(c, b)
             if not g.is_one():
                 c, b = c // g, b // g
-        out = object.__new__(RatFunc)
-        object.__setattr__(out, "num", a * c)
-        object.__setattr__(out, "den", b * d)
-        return out
+        return _ratfunc(a * c, b * d)
 
     __rmul__ = __mul__
 
@@ -580,10 +581,7 @@ class RatFunc(Frozen):
         if lead != ONE_ELEM:
             c = lead.inv()
             num, den = num.scale(c), den.scale(c)
-        out = object.__new__(RatFunc)
-        object.__setattr__(out, "num", num)
-        object.__setattr__(out, "den", den)
-        return out
+        return _ratfunc(num, den)
 
     def __truediv__(self, other):
         return self * RatFunc.coerce(other).inv()
@@ -646,6 +644,14 @@ class RatFunc(Frozen):
         if " " in ds or "/" in ds:
             ds = f"({ds})"
         return f"{ns}/{ds}"
+
+
+def _ratfunc(num: Poly, den: Poly) -> RatFunc:
+    """num/den, already canonical, built without __init__."""
+    out = object.__new__(RatFunc)
+    object.__setattr__(out, "num", num)
+    object.__setattr__(out, "den", den)
+    return out
 
 
 def ord_at_zero(f: RatFunc) -> int:

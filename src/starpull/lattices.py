@@ -4,7 +4,9 @@ rational row reduction.
 All matrices here are tiny (at most 4 columns, a handful of rows), so the
 algorithms favor clarity over asymptotics.  Integer matrices are lists of
 row lists; rational ones, used only for lines over a field, have Fraction
-entries.
+entries.  The Hermite form is the one canonical basis of every integer
+lattice in base_domain, D's own unit module included: one pass over the
+columns folds the rows into a pivot and reduces the rows above it.
 """
 
 from __future__ import annotations
@@ -29,56 +31,41 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
-    """Canonical row Hermite normal form.
+    """Canonical row Hermite normal form, computed column by column
+    (Cohen, GTM 138, §2.4.2).
 
     Returns an echelon basis with positive pivots, pivot columns strictly
     increasing, and entries above each pivot reduced into [0, pivot).
     The result is the unique canonical basis of the row span.
     """
-    basis: list[list[int]] = []  # kept sorted by pivot column
-    for vec0 in rows:
-        vec = list(vec0)
-        while any(vec):
-            j = next(i for i, v in enumerate(vec) if v)
-            slot = None
-            for idx, row in enumerate(basis):
-                p = next(i for i, v in enumerate(row) if v)
-                if p == j:
-                    slot = idx
-                    break
-                if p > j:
-                    break
-            if slot is None:
-                pos = 0
-                while pos < len(basis) and next(i for i, v in enumerate(basis[pos]) if v) < j:
-                    pos += 1
-                basis.insert(pos, vec)
-                break
-            row = basis[slot]
-            a, b = row[j], vec[j]
-            if b % a == 0:
-                q = b // a
-                vec = [v - q * r for v, r in zip(vec, row)]
-            else:
-                g, s, t = xgcd(a, b)
-                new_row = [s * r + t * v for r, v in zip(row, vec)]
-                vec = [(a // g) * v - (b // g) * r for r, v in zip(row, vec)]
-                row[:] = new_row
-    # positive pivots, then reduce entries above each pivot
-    for row in basis:
-        j = next(i for i, v in enumerate(row) if v)
-        if row[j] < 0:
-            row[:] = [-v for v in row]
-    # left to right: row i is zero left of its pivot, so reducing a row
-    # above it keeps the columns already reduced
-    for i in range(len(basis)):
-        j = next(k for k, v in enumerate(basis[i]) if v)
-        p = basis[i][j]
-        for up in range(i):
-            q = basis[up][j] // p
-            if q:
-                basis[up] = [a - q * b for a, b in zip(basis[up], basis[i])]
-    return [list(r) for r in basis]
+    width = len(rows[0]) if rows else 0
+    work = [list(r) for r in rows]
+    basis: list[list[int]] = []
+    for j in range(width):
+        # every row in work is zero left of column j: fold the rows nonzero
+        # at j into one pivot by xgcd steps, which leave them zero at j
+        pivot, rest = [0] * width, []
+        for row in work:
+            if row[j] and not pivot[j]:
+                pivot, row = row, pivot
+            elif row[j]:
+                g, s, t = xgcd(pivot[j], row[j])
+                a, b = pivot[j] // g, row[j] // g
+                pivot, row = ([s * p + t * v for p, v in zip(pivot, row)],
+                              [a * v - b * p for p, v in zip(pivot, row)])
+            if any(row):
+                rest.append(row)
+        work = rest
+        if pivot[j] < 0:
+            pivot = [-v for v in pivot]
+        if pivot[j]:
+            # the pivot row is zero left of j, so earlier columns stay reduced
+            for up in basis:
+                q = up[j] // pivot[j]
+                if q:
+                    up[:] = [u - q * p for u, p in zip(up, pivot)]
+            basis.append(pivot)
+    return basis
 
 
 def rational_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

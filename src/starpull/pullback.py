@@ -31,6 +31,7 @@ from .base_domain import (
     dmod_v,
 )
 from .kernel import (
+    ONE_ELEM,
     ZERO_ELEM,
     FieldElem,
     Frozen,
@@ -87,14 +88,6 @@ class PullbackInstance:
         if self.t_kind == "poly":
             return f.is_polynomial()
         return ord_at_zero(f) >= 0
-
-    def is_unit_T(self, f: RatFunc) -> bool:
-        f = RatFunc.coerce(f)
-        if f.is_zero():
-            return False
-        if self.t_kind == "poly":
-            return f.is_constant()
-        return ord_at_zero(f) == 0
 
     def member_M(self, f: RatFunc) -> bool:
         f = RatFunc.coerce(f)
@@ -233,18 +226,17 @@ def make_structured(unit: RatFunc, dpart: ExtDModule, inst: PullbackInstance) ->
     if dpart.is_zero():
         unit = unit * RatFunc.x_power(1)
         dpart = ExtDModule.full(inst.base)
+    # the constant c absorbed into the dpart: the leading coefficient in
+    # K[X], the value at zero of the X-free part in K[X]_(X)
     if inst.t_kind == "poly":
         c = unit.num.leading()
-        if not (c.x == 1 and c.y == 0):
-            unit = unit / RatFunc.coerce(Poly.const(c))
-            if dpart.is_lattice():
-                dpart = dmod_scale(c, dpart)
+        if c != ONE_ELEM:
+            unit = unit / c
     else:
-        e = ord_at_zero(unit)
-        c = eval_at_zero(unit / RatFunc.x_power(e))
-        unit = RatFunc.x_power(e)
-        if dpart.is_lattice() and not (c.x == 1 and c.y == 0):
-            dpart = dmod_scale(c, dpart)
+        c = _lowest(unit.num) / _lowest(unit.den)
+        unit = RatFunc.x_power(ord_at_zero(unit))
+    if c != ONE_ELEM and dpart.is_lattice():
+        dpart = dmod_scale(c, dpart)
     return StructuredIdeal(unit, dpart)
 
 

@@ -23,7 +23,7 @@ from .base_domain import (
     dmod_scale,
     dmod_v,
 )
-from .kernel import Frozen, FrozenValue, RatFunc, eval_at_zero
+from .kernel import Frozen, FrozenValue, RatFunc
 from .pullback import (
     PullbackInstance,
     StructuredIdeal,
@@ -222,13 +222,9 @@ def _eval_d_side(op: StarOp, n: ExtDModule, inst: PullbackInstance) -> ExtDModul
         inner = op.operands[0]
         s = _eval(inner, inverse_image_R(n, inst), inst)
         s = as_structured(s, inst)
-        if not s.unit.is_one():
-            if inst.is_unit_T(s.unit):
-                s = make_structured(RatFunc.one(),
-                                    dmod_scale(eval_at_zero(s.unit), s.dpart), inst)
-            else:
-                raise StarEvalError("projection left the fractional ideals of D")
-        if s.dpart.is_full():
+        # make_structured leaves a unit of T as 1, so any other unit part
+        # is an ideal that is not phi^-1 of a D-ideal
+        if not s.unit.is_one() or s.dpart.is_full():
             raise StarEvalError("projection left the fractional ideals of D")
         return s.dpart
     raise StarEvalError(f"{op} is not defined on D-side ideals")

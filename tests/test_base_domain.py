@@ -189,10 +189,9 @@ class TestPredicates:
         assert preds.is_cyclic is None
 
     def test_membership_and_equal(self):
-        preds = dmod_predicates(P)
-        assert preds.membership(fe(2))
-        assert not preds.membership(fe(1))
-        assert preds.equal(dmod_from_generators([fe(2), fe(1) + W], OK5))
+        assert P.contains(fe(2))
+        assert not P.contains(fe(1))
+        assert P == dmod_from_generators([fe(2), fe(1) + W], OK5)
 
     def test_invertibility_group_laws(self):
         rng = random.Random(11)
@@ -697,3 +696,59 @@ class TestIntegerLayer:
         assert verdicts == [_ref_contains(m1, x) for x in probes]
         if k == 1:
             assert all(verdicts[-5 ** len(b1):])
+
+
+# ---------------------------------------------------------------------------
+# D read from its discriminant and unit module, against the d mod 4 formulas
+# ---------------------------------------------------------------------------
+
+def _ref_omega_generation(gens, dom):
+    """Reference: the generators and their multiples by omega, which is
+    (1 + sqrt(d))/2 when d = 1 mod 4 and sqrt(d) otherwise, as integer rows."""
+    d = dom.k_disc
+    vecs = [g._abnd[:3] for g in gens if not g.is_zero()]
+    if not vecs:
+        return ExtDModule.zero(dom)
+    if d % 4 == 1:
+        vecs += [(a + d * b, a + b, 2 * n) for a, b, n in vecs]
+    else:
+        vecs += [(d * b, a, n) for a, b, n in vecs]
+    den = lcm(*(n for _, _, n in vecs))
+    return ExtDModule.lattice(dom, den, [[a * (den // n), b * (den // n)] for a, b, n in vecs])
+
+
+def _ref_relative_norm(n):
+    """Reference: the Hermite pivots over the covolume of D, 1/2 or 1."""
+    (p, _), (_, q) = n.rows
+    return 2 * p * q if n.domain.k_disc % 4 == 1 else p * q
+
+
+def _ref_ideal_of_form(form, dom):
+    """Reference: the rows of a*Z + ((b + sqrt(disc))/2)*Z by d mod 4."""
+    a, b, _ = form
+    if dom.k_disc % 4 == 1:
+        return ExtDModule.lattice(dom, 2, [[2 * a, 0], [b, 1]])
+    return ExtDModule.lattice(dom, 1, [[a, 0], [b // 2, 1]])
+
+
+def test_order_shape_matches_d_mod_4_references():
+    rng = random.Random(13)
+    tags = [d for d in range(-1, -1001, -1) if _is_squarefree(d)]
+    assert len(tags) == 608
+    for d in tags:
+        dom = _order(d)
+        assert dom.omega() == (fe(Fraction(1, 2), Fraction(1, 2), d) if d % 4 == 1
+                               else fe(0, 1, d)), d
+        assert dom.unit_module() == _ref_omega_generation([fe(1)], dom), d
+        for form in dom._label_of_form:
+            ideal = _ideal_of_form(form, dom)
+            assert ideal == _ref_ideal_of_form(form, dom), (d, form)
+            assert _relative_norm(ideal) == _ref_relative_norm(ideal), (d, form)
+        for _ in range(4):
+            gens = [fe(Fraction(rng.randint(-40, 40), rng.randint(1, 12)),
+                       Fraction(rng.randint(-40, 40), rng.randint(1, 12)), d)
+                    for _ in range(rng.randint(1, 3))]
+            module = dmod_from_generators(gens, dom)
+            assert module == _ref_omega_generation(gens, dom), (d, gens)
+            if module.rank() == 2:
+                assert _relative_norm(module) == _ref_relative_norm(module), (d, gens)

@@ -6,7 +6,8 @@ when some other top-level statement in the package names it; a
 definition that only refers to itself is dead.  A non-dunder method
 counts as used when code in src/, tests/ or demos/ outside its own body
 names it.  Immutability is decided in one place: only `kernel.Frozen`
-defines `__setattr__`.
+defines `__setattr__`.  The shape of a quadratic order is read in one
+place too: only `BaseDomain.__init__` reduces `k_disc` mod 4.
 """
 
 import ast
@@ -69,3 +70,20 @@ def test_only_frozen_defines_setattr():
               and any(isinstance(stmt, ast.FunctionDef) and stmt.name == "__setattr__"
                       for stmt in node.body)]
     assert guards == [("kernel.py", "Frozen")]
+
+
+def test_only_base_domain_init_reduces_k_disc_mod_4():
+    # every other reader takes D's shape from _disc and unit_module()
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for cls in ast.walk(tree):
+            for func in ast.iter_child_nodes(cls):
+                if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                owner = cls.name if isinstance(cls, ast.ClassDef) else path.name
+                readers.update(f"{owner}.{func.name}" for node in ast.walk(func)
+                               if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+                               and isinstance(node.right, ast.Constant) and node.right.value == 4
+                               and _names(node.left)["k_disc"])
+    assert readers == {"BaseDomain.__init__"}

@@ -1,10 +1,86 @@
 """Integer matrix helpers: Hermite forms and lattice membership."""
 
+from hypothesis import given, settings, strategies as st
+
 from starpull.lattices import (
     hnf_rows,
     lattice_member,
     xgcd,
 )
+
+
+def _reference_hnf(rows):
+    """Reference: the pivot-search echelon form that the column-wise
+    hnf_rows replaced.  Each incoming vector is reduced against the basis
+    row with its pivot column, or inserted in pivot order; then pivots
+    are made positive and the entries above them reduced."""
+    basis = []
+    for vec0 in rows:
+        vec = list(vec0)
+        while any(vec):
+            j = next(i for i, v in enumerate(vec) if v)
+            slot = None
+            for idx, row in enumerate(basis):
+                p = next(i for i, v in enumerate(row) if v)
+                if p == j:
+                    slot = idx
+                    break
+                if p > j:
+                    break
+            if slot is None:
+                pos = 0
+                while pos < len(basis) and next(i for i, v in enumerate(basis[pos]) if v) < j:
+                    pos += 1
+                basis.insert(pos, vec)
+                break
+            row = basis[slot]
+            a, b = row[j], vec[j]
+            if b % a == 0:
+                q = b // a
+                vec = [v - q * r for v, r in zip(vec, row)]
+            else:
+                g, s, t = xgcd(a, b)
+                new_row = [s * r + t * v for r, v in zip(row, vec)]
+                vec = [(a // g) * v - (b // g) * r for r, v in zip(row, vec)]
+                row[:] = new_row
+    for row in basis:
+        j = next(i for i, v in enumerate(row) if v)
+        if row[j] < 0:
+            row[:] = [-v for v in row]
+    for i in range(len(basis)):
+        j = next(k for k, v in enumerate(basis[i]) if v)
+        p = basis[i][j]
+        for up in range(i):
+            q = basis[up][j] // p
+            if q:
+                basis[up] = [a - q * b for a, b in zip(basis[up], basis[i])]
+    return basis
+
+
+# zeros and small entries are common, so pivots divide one another often
+_ENTRY = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-10 ** 6, 10 ** 6))
+
+
+@st.composite
+def _matrices(draw):
+    """1-4 columns and 0-8 rows: zero rows, and up to two rows that are
+    integer combinations of earlier ones."""
+    cols = draw(st.integers(1, 4))
+    row = st.one_of(st.just([0] * cols), st.lists(_ENTRY, min_size=cols, max_size=cols))
+    rows = draw(st.lists(row, max_size=6))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        s, t = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+        rows.append([s * x + t * y for x, y in zip(a, b)])
+    return draw(st.permutations(rows))
+
+
+@given(_matrices())
+@settings(max_examples=500, deadline=None)
+def test_hnf_matches_pivot_search_reference(rows):
+    before = [list(r) for r in rows]
+    assert hnf_rows(rows) == _reference_hnf(before)
+    assert rows == before
 
 
 def test_xgcd():
