@@ -231,9 +231,6 @@ class BaseDomain:
         """D itself as an ExtDModule, built once by the constructor."""
         return self._unit_module
 
-    def contains_scalar(self, x: FieldElem) -> bool:
-        return self._unit_module.contains(x)
-
     def quotient_field_is_k(self) -> bool:
         # D spans k over Q exactly when its unit module has full rank
         return self._unit_module.rank() == self.ambient_dim
@@ -306,8 +303,8 @@ class ExtDModule(FrozenValue):
         if domain.kind == "field":
             if len(rows) >= 2:
                 return ExtDModule.full(domain)
-            rows = primitive_int_rows([[Fraction(v) for v in rows[0]]])
-            return ExtDModule("lattice", domain, 1, rows)
+            g = gcd(*rows[0])
+            return ExtDModule("lattice", domain, 1, [[v // g for v in rows[0]]])
         g = abs(den)
         for r in rows:
             for v in r:

@@ -301,7 +301,7 @@ class Poly(Frozen):
 
     @staticmethod
     def x_power(e: int) -> "Poly":
-        return Poly((ZERO_ELEM,) * e + (ONE_ELEM,))
+        return _poly((ZERO_ELEM,) * e + (ONE_ELEM,))
 
     @property
     def degree(self) -> int:
@@ -366,7 +366,8 @@ class Poly(Frozen):
                 continue
             for j, b in terms:
                 out[i + j] = out[i + j] + a * b
-        return Poly(out)
+        # the leading coefficient is a product of two nonzero ones
+        return _poly(out)
 
     __rmul__ = __mul__
 
@@ -389,7 +390,8 @@ class Poly(Frozen):
             for i, b in enumerate(other.coeffs):
                 rem[k + i] = rem[k + i] - factor * b
             rem.pop()
-        return Poly(q), Poly(rem)
+        # the top quotient coefficient is the first factor, which is nonzero
+        return _poly(q), Poly(rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -443,8 +445,15 @@ class Poly(Frozen):
         return " + ".join(parts)
 
 
+def _poly(coeffs) -> Poly:
+    """FieldElem coefficients, the last one nonzero, built without __init__."""
+    out = object.__new__(Poly)
+    object.__setattr__(out, "coeffs", tuple(coeffs))
+    return out
+
+
 # Poly is immutable, so every caller shares the one polynomial 1
-_POLY_ONE = Poly((ONE_ELEM,))
+_POLY_ONE = _poly((ONE_ELEM,))
 
 
 def _as_poly(value) -> Poly:

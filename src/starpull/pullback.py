@@ -18,6 +18,7 @@ against the definitional membership oracles at the bottom of this file.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .base_domain import (
@@ -61,6 +62,8 @@ class PullbackInstance:
         self.base = base
         self.k_disc = k_disc
         self.t_kind = t_kind
+        # R = phi^-1(D) and M = phi^-1(0): the modules J of member_R and member_M_product
+        self._d_module, self._zero_module = base.unit_module(), ExtDModule.zero(base)
         self.is_square_plus = base.quotient_field_is_k()
         self.t_quasilocal = t_kind == "local"
         # constants K^x are units of T and phi fixes them, so every class
@@ -80,20 +83,6 @@ class PullbackInstance:
     def t_name(self) -> str:
         ring = f"{self.k_name()}[X]"
         return ring if self.t_kind == "poly" else f"{ring}_(X)"
-
-    def member_T(self, f: RatFunc) -> bool:
-        f = RatFunc.coerce(f)
-        if f.is_zero():
-            return True
-        if self.t_kind == "poly":
-            return f.is_polynomial()
-        return ord_at_zero(f) >= 0
-
-    def member_M(self, f: RatFunc) -> bool:
-        f = RatFunc.coerce(f)
-        if f.is_zero():
-            return True
-        return self.member_T(f) and ord_at_zero(f) >= 1
 
 
 _CATALOG_SPECS = {
@@ -144,6 +133,9 @@ def make_instance(config) -> PullbackInstance:
     kind, d = _parse_base_spec(base_spec)
     k_d = _parse_field_spec(k_spec)
     if kind == "quadratic_order":
+        # the order fixes its field, so an explicit k must name that field
+        if "k" in config and k_d != d:
+            raise PullbackError(f"k = {k_spec} is not the field of the order {base_spec}")
         k_d = d
     target = (kind, k_d, t_kind)
     for name, spec in _CATALOG_SPECS.items():
@@ -152,13 +144,16 @@ def make_instance(config) -> PullbackInstance:
     raise PullbackError(f"unsupported combination {target}; catalog is A..E")
 
 
+_QUADRATIC = re.compile(r"quadratic\(\s*([-+]?\d+)\s*\)")
+
+
 def _parse_base_spec(text: str) -> tuple[str, int]:
     if text == "integers":
         return "integers", 1
     if text == "field":
         return "field", -1
-    if text.startswith("quadratic(") and text.endswith(")"):
-        return "quadratic_order", int(text[10:-1])
+    if match := _QUADRATIC.fullmatch(text):
+        return "quadratic_order", int(match[1])
     raise PullbackError(f"cannot parse base domain spec {text!r}")
 
 
@@ -167,8 +162,8 @@ def _parse_field_spec(text: str) -> int:
         return 1
     if text in ("gaussian", "Q(i)"):
         return -1
-    if text.startswith("quadratic(") and text.endswith(")"):
-        return int(text[10:-1])
+    if match := _QUADRATIC.fullmatch(text):
+        return int(match[1])
     raise PullbackError(f"cannot parse field spec {text!r}")
 
 
@@ -258,32 +253,33 @@ def m_ideal(inst: PullbackInstance) -> StructuredIdeal:
 
 def member_R(f: RatFunc, inst: PullbackInstance) -> bool:
     """f in R, i.e. f in T with value at zero inside D."""
-    f = RatFunc.coerce(f)
-    if f.is_zero():
-        return True
-    if not inst.member_T(f):
-        return False
-    return inst.base.contains_scalar(eval_at_zero(f))
+    return _product_in(f, RatFunc.one(), inst._d_module, inst)
 
 
 def member_R_product(h: RatFunc, g: RatFunc, inst: PullbackInstance) -> bool:
     """h*g in R, decided without forming h*g; equal to member_R(h * g, inst)."""
-    h = RatFunc.coerce(h)
-    g = RatFunc.coerce(g)
-    if h.is_zero() or g.is_zero():
-        return True
-    value = _product_at_zero(h, g, inst)
-    return value is not None and inst.base.contains_scalar(value)
+    return _product_in(h, g, inst._d_module, inst)
 
 
 def member_M_product(h: RatFunc, g: RatFunc, inst: PullbackInstance) -> bool:
-    """h*g in M, decided without forming h*g; equal to inst.member_M(h * g)."""
+    """h*g in M = phi^-1(0), decided without forming h*g."""
+    return _product_in(h, g, inst._zero_module, inst)
+
+
+def member_structured(f: RatFunc, s: StructuredIdeal, inst: PullbackInstance) -> bool:
+    """f in u*phi^-1(J0): f/u in T with value at zero in J0, without forming f/u."""
+    return _product_in(f, s.unit.inv(), s.dpart, inst)
+
+
+def _product_in(h: RatFunc, g: RatFunc, j: ExtDModule, inst: PullbackInstance) -> bool:
+    """h*g in phi^-1(J), the one membership test: h*g in T and phi(h*g) in J,
+    where J = D gives R, the ZERO sentinel M and the FULL sentinel T."""
     h = RatFunc.coerce(h)
     g = RatFunc.coerce(g)
     if h.is_zero() or g.is_zero():
         return True
     value = _product_at_zero(h, g, inst)
-    return value is not None and value.is_zero()
+    return value is not None and j.contains(value)
 
 
 def _product_at_zero(h: RatFunc, g: RatFunc, inst: PullbackInstance):
@@ -320,17 +316,6 @@ def _exact_quotient(f: Poly, g: Poly) -> Poly | None:
     return q if r.is_zero() else None
 
 
-def member_structured(f: RatFunc, s: StructuredIdeal, inst: PullbackInstance) -> bool:
-    """f in u*phi^-1(J0): f/u in T with value at zero in J0, without forming f/u."""
-    f = RatFunc.coerce(f)
-    if f.is_zero():
-        return True
-    value = _product_at_zero(f, s.unit.inv(), inst)
-    if value is None:
-        return False
-    return s.dpart.is_full() or s.dpart.contains(value)
-
-
 def contains_ideal(outer, inner, inst: PullbackInstance) -> bool:
     """inner is a subset of outer, decided on closed forms.
 
@@ -344,8 +329,8 @@ def contains_ideal(outer, inner, inst: PullbackInstance) -> bool:
     lifts, t = _generators(inner, inst)
     if not all(member_structured(g, outer, inst) for g in lifts):
         return False
-    value = _product_at_zero(t, outer.unit.inv(), inst)
-    return value is not None and (outer.dpart.is_full() or value.is_zero())
+    j = outer.dpart if outer.dpart.is_full() else inst._zero_module
+    return _product_in(t, outer.unit.inv(), j, inst)
 
 
 def ideal_equal(a, b, inst: PullbackInstance) -> bool:

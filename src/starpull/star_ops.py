@@ -5,8 +5,13 @@ its finite-type companion t, meets, the projection of an R-side
 operation to D, the lift of a D-side operation to R, the extension and
 restriction of an R-side operation to T, and operations induced by the
 overring T.  Each descriptor carries the ring it acts on ("D", "R" or
-"T"); evaluation dispatches on that target and rejects anything the
-closed calculus cannot represent, rather than approximating.
+"T"); one table declares each wrapping kind with the rings of its
+operand and result, and a descriptor that disagrees with it is refused
+when built.  Evaluation dispatches on the target and rejects anything
+the closed calculus cannot represent, rather than approximating.  R- and
+T-side operations share one evaluator on structured ideals
+u*phi^-1(J): a fractional T-ideal is u*T = u*phi^-1(k), checked to be
+one on the way in and on the way out.
 
 Stable/w-style descriptors can be built but never evaluated directly;
 class-group computations route them through their finite-type
@@ -44,9 +49,17 @@ class StarEvalError(ValueError):
     """Evaluation requested outside the defined domain of an operation."""
 
 
-_SIMPLE_KINDS = ("d", "v", "t")
-_WRAPPED_KINDS = ("finite_type", "projected", "lifted", "extended_T", "restricted_T",
-                  "overring_induced", "stable")
+# each wrapping kind once: (printed name, operand target, result target);
+# "" is any ring, the same for the operand and the result
+_WRAPPERS = {
+    "finite_type": ("ft", "", ""),
+    "stable": ("stable", "", ""),
+    "projected": ("proj", "R", "D"),
+    "lifted": ("lift", "D", "R"),
+    "extended_T": ("extT", "R", "T"),
+    "restricted_T": ("restT", "R", "T"),
+    "overring_induced": ("ovr", "T", "R"),
+}
 
 
 class StarOp(FrozenValue):
@@ -57,11 +70,19 @@ class StarOp(FrozenValue):
     def __init__(self, kind: str, target: str, operands=()):
         if target not in ("D", "R", "T"):
             raise StarEvalError(f"unknown target ring {target!r}")
-        if kind not in _SIMPLE_KINDS + _WRAPPED_KINDS + ("meet", "w"):
+        if kind not in _WRAPPERS and kind not in ("d", "v", "t", "w", "meet"):
             raise StarEvalError(f"unknown star-operation kind {kind!r}")
+        operands = tuple(operands)
+        if kind == "meet" and [o.target for o in operands] != [target, target]:
+            raise StarEvalError("meet takes two operations on one target ring")
+        if kind in _WRAPPERS:
+            name, source, result = _WRAPPERS[kind]
+            source, result = source or target, result or target
+            if [o.target for o in operands] != [source] or result != target:
+                raise StarEvalError(f"{name} takes one {source}-side operation to {result}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "operands", tuple(operands))
+        object.__setattr__(self, "operands", operands)
 
     def __repr__(self):
         if self.operands:
@@ -70,14 +91,11 @@ class StarOp(FrozenValue):
         return f"StarOp({self.kind}, target={self.target})"
 
     def __str__(self):
-        names = {"d": "d", "v": "v", "t": "t", "w": "w", "finite_type": "ft",
-                 "projected": "proj", "lifted": "lift", "extended_T": "extT",
-                 "restricted_T": "restT", "overring_induced": "ovr", "stable": "stable"}
         if self.kind == "meet":
             return f"meet({self.operands[0]},{self.operands[1]})"
-        if self.operands:
-            return f"{names[self.kind]}({self.operands[0]})"
-        return names[self.kind]
+        if self.kind in _WRAPPERS:
+            return f"{_WRAPPERS[self.kind][0]}({self.operands[0]})"
+        return self.kind
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -98,61 +116,54 @@ class StarOp(FrozenValue):
 
     @staticmethod
     def finite_type(op: "StarOp") -> "StarOp":
-        return StarOp("finite_type", op.target, (op,))
+        return _wrap("finite_type", op)
 
     @staticmethod
     def stable(op: "StarOp") -> "StarOp":
-        return StarOp("stable", op.target, (op,))
+        return _wrap("stable", op)
 
     @staticmethod
     def projected(op_r: "StarOp") -> "StarOp":
-        if op_r.target != "R":
-            raise StarEvalError("projection takes an R-side operation")
-        return StarOp("projected", "D", (op_r,))
+        return _wrap("projected", op_r)
 
     @staticmethod
     def lifted(op_d: "StarOp") -> "StarOp":
-        if op_d.target != "D":
-            raise StarEvalError("lifting takes a D-side operation")
-        return StarOp("lifted", "R", (op_d,))
+        return _wrap("lifted", op_d)
 
     @staticmethod
     def extended_T(op_r: "StarOp") -> "StarOp":
-        if op_r.target != "R":
-            raise StarEvalError("extension takes an R-side operation")
-        return StarOp("extended_T", "T", (op_r,))
+        return _wrap("extended_T", op_r)
 
     @staticmethod
     def restricted_T(op_r: "StarOp") -> "StarOp":
-        if op_r.target != "R":
-            raise StarEvalError("restriction takes an R-side operation")
-        return StarOp("restricted_T", "T", (op_r,))
+        return _wrap("restricted_T", op_r)
 
     @staticmethod
     def overring_induced(op_t: "StarOp") -> "StarOp":
-        if op_t.target != "T":
-            raise StarEvalError("overring induction takes a T-side operation")
-        return StarOp("overring_induced", "R", (op_t,))
+        return _wrap("overring_induced", op_t)
+
+
+def _wrap(kind: str, op: StarOp) -> StarOp:
+    """The wrapping kind applied to op, on the result target of the table."""
+    return StarOp(kind, _WRAPPERS[kind][2] or op.target, (op,))
 
 
 def star_meet(op1: StarOp, op2: StarOp) -> StarOp:
     """Pointwise intersection of two operations on the same ring."""
-    if op1.target != op2.target:
-        raise StarEvalError("meet operands must share a target ring")
     return StarOp("meet", op1.target, (op1, op2))
 
 
 def is_star_kind(op: StarOp) -> bool:
-    """True when the descriptor is a genuine star operation (fixes its ring)."""
-    if op.kind in ("d", "v", "t", "w", "lifted", "projected", "extended_T", "stable"):
-        return True
-    if op.kind == "finite_type":
-        return is_star_kind(op.operands[0])
-    if op.kind == "restricted_T":
-        return True
+    """True when the descriptor is a genuine star operation (fixes its ring).
+
+    An operation induced by the overring T is semistar on R.  A meet is a
+    star operation when one operand is, a wrapping kind when its operand is.
+    """
+    if op.kind == "overring_induced":
+        return False
     if op.kind == "meet":
         return any(is_star_kind(o) for o in op.operands)
-    return False
+    return all(is_star_kind(o) for o in op.operands)
 
 
 def class_resolve(op: StarOp) -> StarOp:
@@ -189,24 +200,21 @@ def _eval(op: StarOp, value, inst: PullbackInstance):
         # identity semantics on finitely generated and structured inputs
         return _eval(op.operands[0], value, inst)
     if op.target == "D":
-        return _eval_d_side(op, _expect_dmod(value, inst), inst)
-    if op.target == "T":
-        return _eval_t_side(op, _expect_tideal(value), inst)
-    return _eval_r_side(op, value, inst)
-
-
-def _expect_dmod(value, inst: PullbackInstance) -> ExtDModule:
-    if not isinstance(value, ExtDModule):
-        raise StarEvalError("a D-side operation needs an ExtDModule value")
-    if value.domain != inst.base:
-        raise DomainError("mixed base domains")
-    return value
-
-
-def _expect_tideal(value) -> StructuredIdeal:
-    if isinstance(value, StructuredIdeal) and value.is_t_module():
-        return value
-    raise StarEvalError("a T-side operation needs a fractional T-ideal")
+        if not isinstance(value, ExtDModule):
+            raise StarEvalError("a D-side operation needs an ExtDModule value")
+        if value.domain != inst.base:
+            raise DomainError("mixed base domains")
+        return _eval_d_side(op, value, inst)
+    if op.target == "R":
+        return _eval_structured(op, value, inst)
+    # a fractional T-ideal is u*T = u*phi^-1(k): the structured calculus
+    # evaluates it, and the result must again have D-part k
+    if not (isinstance(value, StructuredIdeal) and value.is_t_module()):
+        raise StarEvalError("a T-side operation needs a fractional T-ideal")
+    result = _eval_structured(op, value, inst)
+    if not result.is_t_module():
+        raise StarEvalError(f"{op} left the fractional T-ideals")
+    return result
 
 
 def _eval_d_side(op: StarOp, n: ExtDModule, inst: PullbackInstance) -> ExtDModule:
@@ -215,70 +223,38 @@ def _eval_d_side(op: StarOp, n: ExtDModule, inst: PullbackInstance) -> ExtDModul
     if op.kind in ("v", "t"):
         return dmod_v(n)
     if op.kind == "meet":
-        a = _eval(op.operands[0], n, inst)
-        b = _eval(op.operands[1], n, inst)
-        return dmod_intersect(a, b)
-    if op.kind == "projected":
-        inner = op.operands[0]
-        s = _eval(inner, inverse_image_R(n, inst), inst)
-        s = as_structured(s, inst)
-        # make_structured leaves a unit of T as 1, so any other unit part
-        # is an ideal that is not phi^-1 of a D-ideal
-        if not s.unit.is_one() or s.dpart.is_full():
-            raise StarEvalError("projection left the fractional ideals of D")
-        return s.dpart
-    raise StarEvalError(f"{op} is not defined on D-side ideals")
+        return dmod_intersect(*(_eval(o, n, inst) for o in op.operands))
+    # projected, the one wrapping kind with result target D: *_phi(J) is
+    # the D-part of the R-side operation on phi^-1(J)
+    s = as_structured(_eval(op.operands[0], inverse_image_R(n, inst), inst), inst)
+    # make_structured leaves a unit of T as 1, so any other unit part
+    # is an ideal that is not phi^-1 of a D-ideal
+    if not s.unit.is_one() or s.dpart.is_full():
+        raise StarEvalError("projection left the fractional ideals of D")
+    return s.dpart
 
 
-def _eval_t_side(op: StarOp, t: StructuredIdeal, inst: PullbackInstance) -> StructuredIdeal:
-    # t = u*T is principal, hence divisorial: d, v and t all fix it
-    if op.kind in ("d", "v", "t"):
-        return t
-    if op.kind == "meet":
-        s = _intersect_structured(_eval(op.operands[0], t, inst),
-                                  _eval(op.operands[1], t, inst), inst)
-        if not s.is_t_module():
-            raise StarEvalError("intersection left the fractional T-ideals")
-        return s
-    if op.kind == "extended_T":
-        meetv = _intersect_structured(_eval(op.operands[0], t, inst), t, inst)
-        if not meetv.is_t_module():
-            raise StarEvalError("extension produced a non-T-module")
-        return meetv
-    if op.kind == "restricted_T":
-        closed = _eval(op.operands[0], t, inst)
-        if not closed.is_t_module():
-            raise StarEvalError("restriction is not a T-ideal here")
-        return closed
-    raise StarEvalError(f"{op} is not defined on T-side ideals")
-
-
-def _eval_r_side(op: StarOp, value, inst: PullbackInstance):
+def _eval_structured(op: StarOp, value, inst: PullbackInstance):
+    """An R- or T-side operation on u*phi^-1(J) or on a raw R-ideal."""
     if op.kind == "d":
         return value
     if op.kind in ("v", "t"):
         return v_closure_R(value, inst)
+    if op.kind == "meet":
+        a, b = (as_structured(_eval(o, value, inst), inst) for o in op.operands)
+        return _intersect_structured(a, b, inst)
+    inner = op.operands[0]
     if op.kind == "lifted":
         s = as_structured(value, inst)
-        inner = op.operands[0]
-        if s.dpart.is_full():
-            new_dpart = s.dpart
-        else:
-            new_dpart = _eval(inner, s.dpart, inst)
-        return make_structured(s.unit, new_dpart, inst)
+        dpart = s.dpart if s.dpart.is_full() else _eval(inner, s.dpart, inst)
+        return make_structured(s.unit, dpart, inst)
     if op.kind == "overring_induced":
-        raise StarEvalError("an overring-induced operation is semistar on R; "
-                            "evaluate it inside a meet with a star operation")
-    if op.kind == "meet":
-        parts = [_eval_meet_component(o, value, inst) for o in op.operands]
-        return _intersect_structured(parts[0], parts[1], inst)
-    raise StarEvalError(f"{op} is not defined on R-side ideals")
-
-
-def _eval_meet_component(op: StarOp, value, inst: PullbackInstance) -> StructuredIdeal:
-    if op.kind == "overring_induced":
-        return _eval(op.operands[0], extend_to_T(value, inst), inst)
-    return as_structured(_eval(op, value, inst), inst)
+        # semistar on R, so star_eval admits it only inside a meet
+        return _eval(inner, extend_to_T(value, inst), inst)
+    if op.kind == "extended_T":
+        return _intersect_structured(_eval(inner, value, inst), value, inst)
+    # restricted_T, the other wrapping kind with result target T
+    return _eval(inner, value, inst)
 
 
 def _intersect_structured(a: StructuredIdeal, b: StructuredIdeal, inst: PullbackInstance) -> StructuredIdeal:
@@ -322,13 +298,8 @@ class CheckReport(Frozen):
 
 def _contains_value(big, small, inst) -> bool:
     if isinstance(big, ExtDModule):
-        if big.is_full():
-            return True
-        if small.is_zero():
-            return True
-        if small.is_full():
-            return False
-        return all(big.contains(x) for x in small.basis_elements())
+        return big.is_full() or small.is_zero() or (
+            not small.is_full() and all(big.contains(x) for x in small.basis_elements()))
     return contains_ideal(big, small, inst)
 
 

@@ -7,7 +7,9 @@ definition that only refers to itself is dead.  A non-dunder method
 counts as used when code in src/, tests/ or demos/ outside its own body
 names it.  Immutability is decided in one place: only `kernel.Frozen`
 defines `__setattr__`.  The shape of a quadratic order is read in one
-place too: only `BaseDomain.__init__` reduces `k_disc` mod 4.
+place too: only `BaseDomain.__init__` reduces `k_disc` mod 4.  So is
+membership in the pullback: only `pullback._product_in` calls a module's
+`contains`.
 """
 
 import ast
@@ -87,3 +89,18 @@ def test_only_base_domain_init_reduces_k_disc_mod_4():
                                and isinstance(node.right, ast.Constant) and node.right.value == 4
                                and _names(node.left)["k_disc"])
     assert readers == {"BaseDomain.__init__"}
+
+
+def test_pullback_membership_is_one_test():
+    # R, M, T and u*phi^-1(J) are all decided as h*g in phi^-1(J)
+    tree = ast.parse((PACKAGE / "pullback.py").read_text())
+    callers = {func.name for func in ast.walk(tree)
+               if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+               for node in ast.walk(func)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "contains"}
+    assert callers == {"_product_in"}
+    instance = next(node for node in tree.body
+                    if isinstance(node, ast.ClassDef) and node.name == "PullbackInstance")
+    assert not [stmt.name for stmt in instance.body
+                if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("member_")]

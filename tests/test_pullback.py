@@ -16,7 +16,7 @@ from starpull.base_domain import (
     dmod_scale,
 )
 from starpull.harness import SampleParams, sample_ideals
-from starpull.kernel import FieldElem, Poly, RatFunc, eval_at_zero
+from starpull.kernel import FieldElem, Poly, RatFunc, eval_at_zero, ord_at_zero
 from starpull.pullback import (
     PullbackError,
     RawIdeal,
@@ -57,6 +57,26 @@ def const(x, y=0, d=1):
     return RatFunc(Poly([FieldElem(Fraction(x), Fraction(y), d)]))
 
 
+def member_T(f, inst):
+    """Definitional reference: f in T, a polynomial for K[X] and without
+    a pole at zero for K[X]_(X)."""
+    if f.is_zero():
+        return True
+    if inst.t_kind == "poly":
+        return f.is_polynomial()
+    return ord_at_zero(f) >= 0
+
+
+def member_M(f, inst):
+    """Definitional reference: f in M = X*T."""
+    return f.is_zero() or (member_T(f, inst) and ord_at_zero(f) >= 1)
+
+
+def member_R_reference(f, inst):
+    """Definitional reference: f in T with value at zero in D."""
+    return member_T(f, inst) and inst.base.unit_module().contains(eval_at_zero(f))
+
+
 class TestMakeInstance:
     def test_catalog_flags(self, inst_a, inst_b, inst_c, inst_d, inst_e):
         assert inst_a.is_square_plus and not inst_a.t_quasilocal
@@ -71,6 +91,18 @@ class TestMakeInstance:
         inst = make_instance({"base": "quadratic(-5)", "T": "poly"})
         assert inst.name == "C"
         assert inst is inst_c
+
+    def test_k_must_be_the_field_of_the_order(self, inst_c):
+        assert make_instance({"base": "quadratic(-5)", "k": "quadratic(-5)", "T": "poly"}) is inst_c
+        for k in ("gaussian", "rational", "quadratic(-1)"):
+            with pytest.raises(PullbackError, match="not the field of the order"):
+                make_instance({"base": "quadratic(-5)", "k": k, "T": "poly"})
+
+    def test_unparsable_quadratic_spec(self):
+        with pytest.raises(PullbackError, match="cannot parse base domain spec"):
+            make_instance({"base": "quadratic(x)", "T": "poly"})
+        with pytest.raises(PullbackError, match="cannot parse field spec"):
+            make_instance({"base": "integers", "k": "quadratic()", "T": "poly"})
 
     def test_unsupported_combination(self):
         with pytest.raises(PullbackError):
@@ -98,7 +130,7 @@ class TestMemberR:
 
 def formed_product_in_R(h, g, inst):
     # reference: reduce the full product through gcd, then test it
-    return member_R(RatFunc(h.num * g.num, h.den * g.den), inst)
+    return member_R_reference(RatFunc(h.num * g.num, h.den * g.den), inst)
 
 
 class TestMemberRProduct:
@@ -115,7 +147,7 @@ class TestMemberRProduct:
         if data.draw(st.booleans()):
             h = RatFunc(h.num * g.den, h.den)
         assert member_R_product(h, g, inst) == formed_product_in_R(h, g, inst)
-        assert member_M_product(h, g, inst) == inst.member_M(RatFunc(h.num * g.num, h.den * g.den))
+        assert member_M_product(h, g, inst) == member_M(RatFunc(h.num * g.num, h.den * g.den), inst)
 
     @pytest.mark.parametrize("name", instance_catalog())
     def test_zero_factors_poles_and_negative_orders(self, name):
@@ -141,7 +173,7 @@ class TestMemberRProduct:
             expected = formed_product_in_R(h, g, inst)
             assert member_R_product(h, g, inst) == expected
             assert member_R_product(g, h, inst) == expected
-            in_m = inst.member_M(RatFunc(h.num * g.num, h.den * g.den))
+            in_m = member_M(RatFunc(h.num * g.num, h.den * g.den), inst)
             assert member_M_product(h, g, inst) == member_M_product(g, h, inst) == in_m
 
     def test_decides_membership(self, inst_a, inst_b):
@@ -157,12 +189,24 @@ def structured_by_definition(f, s, inst):
     if f.is_zero():
         return True
     g = f / s.unit
-    if not inst.member_T(g):
+    if not member_T(g, inst):
         return False
     return s.dpart.is_full() or s.dpart.contains(eval_at_zero(g))
 
 
 class TestMemberStructured:
+    @pytest.mark.parametrize("name", instance_catalog())
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_r_m_and_t_match_the_references(self, name, data):
+        inst = make_instance(name)
+        f = data.draw(ratfuncs(inst.k_disc))
+        # shifts by X move f across the boundaries of T and M
+        for g in (f, f * X, f / X):
+            assert member_structured(g, r_ideal(inst), inst) == member_R_reference(g, inst)
+            assert member_structured(g, m_ideal(inst), inst) == member_M(g, inst)
+            assert member_structured(g, t_ideal_of_r(inst), inst) == member_T(g, inst)
+
     @pytest.mark.parametrize("name", instance_catalog())
     @given(seed=st.integers(0, 30), data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -188,19 +232,19 @@ def contains_ideal_reference(outer, inner, inst):
     w = inner.unit / outer.unit
     if inner.dpart.is_full():
         if outer.dpart.is_full():
-            return inst.member_T(w)
-        return inst.member_M(w)
+            return member_T(w, inst)
+        return member_M(w, inst)
     for c in inner.dpart.basis_elements():
         wc = w * RatFunc.coerce(Poly.const(c))
-        if not inst.member_T(wc):
+        if not member_T(wc, inst):
             return False
         if not outer.dpart.is_full() and not outer.dpart.contains(eval_at_zero(wc)):
             return False
     # the M part of the inner ideal
-    if inst.member_T(w):
+    if member_T(w, inst):
         return True
     wx = w * RatFunc.x_power(1)
-    return outer.dpart.is_full() and inst.member_T(wx)
+    return outer.dpart.is_full() and member_T(wx, inst)
 
 
 class TestContainsIdeal:

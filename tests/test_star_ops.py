@@ -17,6 +17,7 @@ from starpull.pullback import (
     make_structured,
     r_ideal,
     structured_hull,
+    t_ideal_of_r,
     v_closure_R,
 )
 from starpull.star_ops import (
@@ -107,6 +108,18 @@ class TestEval:
     def test_target_mismatch_rejected(self, inst_a):
         with pytest.raises(StarEvalError):
             star_eval(V_D, RawIdeal([X]), inst_a)
+
+    def test_mis_targeted_raw_descriptors_rejected(self, inst_a):
+        # each pairs a wrapping kind with a ring its table entry does not give
+        cases = [("projected", "R", (V_R,)), ("projected", "D", (V_D,)), ("projected", "D", ()),
+                 ("lifted", "D", (V_D,)), ("lifted", "R", (V_R,)),
+                 ("extended_T", "R", (V_R,)), ("restricted_T", "T", (V_T,)),
+                 ("overring_induced", "T", (D_T,)), ("finite_type", "R", (V_D,)),
+                 ("meet", "R", (V_R, V_D)), ("meet", "R", (V_R,))]
+        values = {"D": inst_a.base.unit_module(), "R": RawIdeal([X]), "T": t_ideal_of_r(inst_a)}
+        for kind, target, operands in cases:
+            with pytest.raises(StarEvalError):
+                star_eval(StarOp(kind, target, operands), values[target], inst_a)
 
     def test_module_over_another_domain_rejected(self, inst_c):
         gaussian = BaseDomain.quadratic_order(-1).unit_module()
@@ -271,6 +284,17 @@ class TestTSide:
                 for op in ops:
                     with pytest.raises(StarEvalError):
                         star_eval(op, value, inst)
+
+    def test_every_t_side_operation_returns_a_t_ideal(self, inst_a, inst_b, inst_c, inst_d, inst_e):
+        ops = [D_T, V_T, StarOp.t_op("T"), star_meet(D_T, V_T),
+               StarOp.finite_type(V_T), StarOp.extended_T(T_R), StarOp.restricted_T(T_R),
+               StarOp.extended_T(V_R), StarOp.restricted_T(StarOp.lifted(V_D))]
+        for inst in (inst_a, inst_b, inst_c, inst_d, inst_e):
+            for raw in sample_raws(inst, 20, 6):
+                ct = extend_to_T(raw, inst)
+                for op in ops:
+                    got = star_eval(op, ct, inst)
+                    assert got.is_t_module() and got == ct
 
     def test_meet_of_d_and_v_is_the_t_ideal(self, inst_a, inst_b):
         meet = star_meet(D_T, V_T)
