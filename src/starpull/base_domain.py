@@ -457,7 +457,16 @@ def dmod_scale(c, n: ExtDModule) -> ExtDModule:
     return ExtDModule.lattice(dom, m * n.den, _products(n.rows, scalar, dom.k_disc))
 
 
+_MEMO_CAP = 65536
 _COLON_CACHE: dict[ExtDModule, ExtDModule] = {}
+
+
+def _memo_put(table: dict, key, value):
+    """Store value, known to be right, under a frozen key in a module-level
+    *_CACHE table unless the table is at the cap; return value."""
+    if len(table) < _MEMO_CAP:
+        table[key] = value
+    return value
 
 
 def dmod_colon(n: ExtDModule) -> ExtDModule:
@@ -465,10 +474,7 @@ def dmod_colon(n: ExtDModule) -> ExtDModule:
     cached = _COLON_CACHE.get(n)
     if cached is not None:
         return cached
-    result = _dmod_colon_raw(n)
-    if len(_COLON_CACHE) < 65536:
-        _COLON_CACHE[n] = result
-    return result
+    return _memo_put(_COLON_CACHE, n, _dmod_colon_raw(n))
 
 
 def _dmod_colon_raw(n: ExtDModule) -> ExtDModule:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from .base_domain import (
     ClassLabel,
     ExtDModule,
+    _memo_put,
     class_label_D,
     dmod_predicates,
     dmod_v,
@@ -117,19 +118,27 @@ class RClassWitness(Frozen):
         return f"RClassWitness({self.certificate})"
 
 
+_INVERTIBILITY_CACHE: dict[tuple[StructuredIdeal, StarOp, PullbackInstance], RClassWitness] = {}
+
+
 def invertibility_R(h, op: StarOp, inst: PullbackInstance) -> RClassWitness:
     """Direct and star-closed invertibility of H, with witnesses; the one
-    place that closes H * (R : H)."""
+    place that closes H * (R : H).  The witness of a closed form is
+    computed once per operation and instance and then read from a memo."""
+    closed_form = isinstance(h, StructuredIdeal)
+    if closed_form and (cached := _INVERTIBILITY_CACHE.get((h, op, inst))) is not None:
+        return cached
     product = ideal_arith(h, colon_R(h, inst), "mul", inst)
     r = r_ideal(inst)
     closed = star_eval(class_resolve(op), product, inst)
-    return RClassWitness(
+    witness = RClassWitness(
         closed=closed,
         is_invertible=ideal_equal(product, r, inst),
         is_star_invertible=ideal_equal(closed, r, inst),
         ideal=h,
         inst=inst,
     )
+    return _memo_put(_INVERTIBILITY_CACHE, (h, op, inst), witness) if closed_form else witness
 
 
 def class_equivalent_R(h1, h2, op: StarOp, inst: PullbackInstance) -> bool:

@@ -232,7 +232,8 @@ class FieldElem(Frozen):
         return self._abnd == other._abnd
 
     def __hash__(self):
-        return hash((self.x, self.y, self.d))
+        # _abnd is canonical, so equal elements hash equal
+        return hash(self._abnd)
 
     def __repr__(self):
         return f"FieldElem({self.x!r}, {self.y!r}, {self.d})"
@@ -297,7 +298,8 @@ class Poly(Frozen):
 
     @staticmethod
     def const(c) -> "Poly":
-        return Poly((c,))
+        c = FieldElem.coerce(c)
+        return _poly((c,) if c else ())
 
     @staticmethod
     def x_power(e: int) -> "Poly":
@@ -337,7 +339,8 @@ class Poly(Frozen):
 
     def scale(self, c) -> "Poly":
         c = FieldElem.coerce(c)
-        return Poly([a * c for a in self.coeffs])
+        # a nonzero constant keeps the leading coefficient nonzero
+        return _poly([a * c for a in self.coeffs] if c else ())
 
     def __add__(self, other):
         other = _as_poly(other)
@@ -474,6 +477,10 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     g = _as_poly(g)
     if f.is_zero() and g.is_zero():
         raise KernelError("gcd of two zero polynomials")
+    # gcd(X^j, h) = X^min(j, ord_0 h), with no remainder sequence
+    for m, h in ((f, g), (g, f)):
+        if m.is_monic() and m.ord_zero() == m.degree and not h.is_zero():
+            return Poly.x_power(min(m.degree, h.ord_zero()))
     a, b = f, g
     while not b.is_zero():
         a, b = b, a % b

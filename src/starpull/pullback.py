@@ -11,9 +11,10 @@ catalogued instances M = X*T is principal as a T-ideal, so the zero
 module convention phi^-1(0) = M is normalized away internally: a ZERO
 dpart canonicalizes to (u*X, FULL).  As T = phi^-1(k), a fractional
 T-ideal u*T is the structured ideal (u, FULL) and has no type of its
-own.  All closed-form operations here
-(colon, divisorial closure, products) are certified in the test suite
-against the definitional membership oracles at the bottom of this file.
+own.  All closed-form operations here (colon, divisorial closure,
+products) are certified in the test suite against the definitional
+membership oracles at the bottom of this file; colon_R also certifies
+each colon it computes, a closed form's once per instance.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .base_domain import (
     BaseDomain,
     DomainError,
     ExtDModule,
+    _memo_put,
     dmod_arith,
     dmod_colon,
     dmod_from_generators,
@@ -119,9 +121,7 @@ def make_instance(config) -> PullbackInstance:
         name = config.strip().strip('"')
         if name not in _CATALOG_SPECS:
             raise PullbackError(f"unknown instance {name!r}; catalog is A..E")
-        if name not in _INSTANCE_CACHE:
-            _INSTANCE_CACHE[name] = _build_instance(name)
-        return _INSTANCE_CACHE[name]
+        return _INSTANCE_CACHE.get(name) or _memo_put(_INSTANCE_CACHE, name, _build_instance(name))
     if "instance" in config:
         return make_instance(str(config["instance"]))
     try:
@@ -383,16 +383,24 @@ def structured_hull(ideal: RawIdeal, inst: PullbackInstance) -> StructuredIdeal:
 # closed-form colon, closures, arithmetic
 # ---------------------------------------------------------------------------
 
+_COLON_R_CACHE: dict[tuple[StructuredIdeal, PullbackInstance], StructuredIdeal] = {}
+
+
 def colon_R(ideal, inst: PullbackInstance) -> StructuredIdeal:
     """(R : I) computed through the D-side colon of the hull dpart.
 
     Raises AssertionError when the result does not multiply I into R.
+    The colon of a closed form is certified once per instance and then
+    read from a memo; a raw ideal is computed and certified on each call.
     """
+    closed_form = isinstance(ideal, StructuredIdeal)
+    if closed_form and (cached := _COLON_R_CACHE.get((ideal, inst))) is not None:
+        return cached
     s = as_structured(ideal, inst)
     result = make_structured(s.unit.inv(), dmod_colon(s.dpart), inst)
     if _certified_colon(result, ideal, inst) is None:
         raise AssertionError("closed-form colon failed definitional certification")
-    return result
+    return _memo_put(_COLON_R_CACHE, (ideal, inst), result) if closed_form else result
 
 
 def _certified_colon(colon: StructuredIdeal, ideal, inst: PullbackInstance):

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from starpull import base_domain, class_groups, pullback
 from starpull.base_domain import (
     BaseDomain,
     DomainError,
     class_label_D,
     dmod_arith,
     dmod_from_generators,
+    dmod_scale,
 )
 from starpull.class_groups import (
     ClassGroupError,
@@ -22,14 +24,20 @@ from starpull.class_groups import (
     invertibility_R,
     is_principal_R,
 )
+from starpull.harness import SampleParams, sample_ideals
 from starpull.kernel import FieldElem, Poly, RatFunc
 from starpull.pullback import (
     RawIdeal,
+    StructuredIdeal,
+    colon_R,
     extend_to_T,
     ideal_arith,
     ideal_equal,
+    instance_catalog,
     inverse_image_R,
     m_ideal,
+    make_instance,
+    outside_D,
     r_ideal,
     structured_hull,
     t_closure_R,
@@ -211,3 +219,80 @@ class TestClassLabelR:
         unit = inst_c.base.unit_module()
         assert not class_equivalent_R(alpha(unit, inst_c), alpha(prime_p, inst_c),
                                       T_OP, inst_c)
+
+
+def _closed_samples(inst):
+    """Closed ideals of the kinds the class suites revisit: t-closures of
+    sampled raw ideals and of the corner ideals, and R, M, T."""
+    raws = sample_ideals(inst, SampleParams(seed=5, count=10))
+    return [t_closure_R(raw, inst) for raw in raws] + [r_ideal(inst), m_ideal(inst),
+                                                      t_ideal_of_r(inst)]
+
+
+def _verdicts(witness):
+    return witness.closed, witness.is_invertible, witness.is_star_invertible, witness.certificate
+
+
+class TestClosedFormMemo:
+    """colon_R and invertibility_R remember closed forms, and only
+    values that a fresh computation would give."""
+
+    @pytest.fixture
+    def empty_memos(self, monkeypatch):
+        monkeypatch.setattr(pullback, "_COLON_R_CACHE", {})
+        monkeypatch.setattr(class_groups, "_INVERTIBILITY_CACHE", {})
+
+    @pytest.mark.parametrize("name", instance_catalog())
+    def test_a_hit_equals_a_fresh_computation(self, name, monkeypatch):
+        inst = make_instance(name)
+        ideals = _closed_samples(inst)
+        ops = (T_OP, D_OP)
+        # calls against the memo as earlier tests left it, then against empty tables
+        memo_colons = [colon_R(s, inst) for s in ideals]
+        memo = [_verdicts(invertibility_R(s, op, inst)) for s in ideals for op in ops]
+        monkeypatch.setattr(pullback, "_COLON_R_CACHE", {})
+        monkeypatch.setattr(class_groups, "_INVERTIBILITY_CACHE", {})
+        assert [colon_R(s, inst) for s in ideals] == memo_colons
+        assert [_verdicts(invertibility_R(s, op, inst)) for s in ideals for op in ops] == memo
+        certified = []
+        monkeypatch.setattr(pullback, "_certified_colon",
+                            lambda *args, f=pullback._certified_colon: certified.append(1) or f(*args))
+        # second calls are hits: nothing is certified again, and the
+        # stored objects come back
+        assert [colon_R(s, inst) for s in ideals] == memo_colons
+        assert [_verdicts(invertibility_R(s, op, inst)) for s in ideals for op in ops] == memo
+        assert not certified
+        for s in ideals:
+            assert colon_R(s, inst) is pullback._COLON_R_CACHE[(s, inst)]
+            assert invertibility_R(s, T_OP, inst) is class_groups._INVERTIBILITY_CACHE[(s, T_OP, inst)]
+        # raw ideals are computed fresh and stay out of both tables
+        raw = RawIdeal([TWO, X])
+        colon_R(raw, inst)
+        invertibility_R(raw, T_OP, inst)
+        assert certified
+        assert all(isinstance(key[0], StructuredIdeal)
+                   for table in (pullback._COLON_R_CACHE, class_groups._INVERTIBILITY_CACHE)
+                   for key in table)
+
+    @pytest.mark.parametrize("name", instance_catalog())
+    def test_a_failed_certification_stores_nothing(self, name, empty_memos, monkeypatch):
+        inst = make_instance(name)
+        unit = inst.base.unit_module()
+        wrong = dmod_scale(outside_D(inst), unit)
+        true_colon = pullback.dmod_colon
+        monkeypatch.setattr(pullback, "dmod_colon", lambda j: wrong if j == unit else true_colon(j))
+        for call in (lambda: colon_R(r_ideal(inst), inst),
+                     lambda: invertibility_R(r_ideal(inst), T_OP, inst)):
+            with pytest.raises(AssertionError):
+                call()
+        assert pullback._COLON_R_CACHE == {} and class_groups._INVERTIBILITY_CACHE == {}
+
+    def test_tables_stop_at_the_cap(self, inst_c, empty_memos, monkeypatch):
+        monkeypatch.setattr(base_domain, "_MEMO_CAP", 3)
+        ideals = _closed_samples(inst_c)
+        witnesses = [_verdicts(invertibility_R(s, T_OP, inst_c)) for s in ideals]
+        assert len(pullback._COLON_R_CACHE) == 3
+        assert len(class_groups._INVERTIBILITY_CACHE) == 3
+        # past the cap every call is computed again, with the same result
+        assert [_verdicts(invertibility_R(s, T_OP, inst_c)) for s in ideals] == witnesses
+        assert len(pullback._COLON_R_CACHE) == len(class_groups._INVERTIBILITY_CACHE) == 3

@@ -9,7 +9,8 @@ names it.  Immutability is decided in one place: only `kernel.Frozen`
 defines `__setattr__`.  The shape of a quadratic order is read in one
 place too: only `BaseDomain.__init__` reduces `k_disc` mod 4.  So is
 membership in the pullback: only `pullback._product_in` calls a module's
-`contains`.
+`contains`.  And memo tables are filled in one place: only
+`base_domain._memo_put` stores into a module-level `*_CACHE` table.
 """
 
 import ast
@@ -104,3 +105,41 @@ def test_pullback_membership_is_one_test():
                     if isinstance(node, ast.ClassDef) and node.name == "PullbackInstance")
     assert not [stmt.name for stmt in instance.body
                 if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("member_")]
+
+
+def test_memo_tables_are_filled_in_one_place():
+    # a module-level *_CACHE table is defined empty, read with .get and
+    # written only by base_domain._memo_put, which holds the one cap
+    stray, helpers = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        for stmt in tree.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.value, ast.Dict) \
+                    and not stmt.value.keys:
+                allowed.add(id(stmt.target))
+            if isinstance(stmt, ast.FunctionDef) and stmt.name == "_memo_put":
+                helpers.append(path.name)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Attribute) and node.func.attr == "get":
+                allowed.add(id(node.func.value))
+            if isinstance(node.func, ast.Name) and node.func.id == "_memo_put" and node.args:
+                allowed.add(id(node.args[0]))
+        stray += [f"{path.name}:{node.lineno} {node.id}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id.endswith("_CACHE")
+                  and id(node) not in allowed]
+    assert helpers == ["base_domain.py"]
+    assert not stray, f"*_CACHE tables used outside .get and _memo_put: {stray}"
+
+
+def test_memoized_functions_stay_plain_functions():
+    # perfbench's tracer wraps only plain functions and requires these three
+    wanted = {"dmod_colon": "base_domain.py", "colon_R": "pullback.py",
+              "invertibility_R": "class_groups.py"}
+    for name, module in wanted.items():
+        tree = ast.parse((PACKAGE / module).read_text())
+        func = next(stmt for stmt in tree.body
+                    if isinstance(stmt, ast.FunctionDef) and stmt.name == name)
+        assert not func.decorator_list, f"{module}:{func.lineno} {name} is decorated"

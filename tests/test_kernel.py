@@ -148,11 +148,24 @@ class TestFieldElemAgainstFractionPairs:
         from_ints = FieldElem(p, q, d)
         assert from_ints == from_fractions
         assert hash(from_ints) == hash(from_fractions)
-        assert hash(from_ints) == hash((Fraction(p), Fraction(q), from_ints.d))
         scaled = FieldElem(Fraction(p, m), Fraction(q, m), d)
         assert scaled == from_ints * FieldElem(Fraction(1, m))
-        assert hash(scaled) == hash((Fraction(p, m), Fraction(q, m), scaled.d))
+        assert hash(scaled) == hash(from_ints * FieldElem(Fraction(1, m)))
         _check_invariants(scaled)
+
+    @given(tagged(lambda d: st.tuples(elems(d), elems(d))))
+    @settings(max_examples=100, deadline=None)
+    def test_equal_values_hash_equal(self, args):
+        # the same value reached by different arithmetic, and rebuilt from
+        # its coordinates, hashes equal; so do polynomials and rational functions
+        d, (e1, e2) = args
+        pairs = [(e1 * e2, e2 * e1), ((e1 + e2) - e2, e1), (e1, FieldElem(e1.x, e1.y, e1.d))]
+        if not e2.is_zero():
+            pairs.append(((e1 * e2) / e2, e1))
+        f, g = Poly([e1, e2, 1]), Poly([e2, 1])
+        pairs += [(f * g, g * f), (RatFunc(f, g) * RatFunc(g), RatFunc(f))]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b)
 
     def test_mismatched_tags_raise_in_every_operation(self):
         p, q = fe(1, 1, -5), fe(Fraction(1, 2), 3, -1)
@@ -228,6 +241,15 @@ class TestPoly:
 
     def test_lcm(self):
         assert poly_lcm(poly(0, 2), poly(0, 0, 3)) == poly(0, 0, 1)
+
+    @given(tagged(lambda d: st.tuples(polys(d), elems(d))))
+    @settings(max_examples=80, deadline=None)
+    def test_scale_and_const_match_the_normalizing_constructor(self, args):
+        d, (f, c) = args
+        assert f.scale(c).coeffs == Poly([a * c for a in f.coeffs]).coeffs
+        assert Poly.const(c).coeffs == Poly([c]).coeffs
+        assert Poly.const(0).is_zero() and Poly.const(0) == Poly.zero()
+        assert f.scale(0).is_zero()
 
 
 class TestRatFunc:

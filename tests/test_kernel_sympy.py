@@ -51,6 +51,16 @@ class TestPolyAgainstSympy:
         # both sides return the monic gcd
         assert to_sympy(poly_gcd(f, g), d) == to_sympy(f, d).gcd(to_sympy(g, d))
 
+    @given(tagged(polys), st.integers(0, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_gcd_with_a_monomial(self, args, j):
+        # poly_gcd answers a monic X^j argument without a remainder sequence
+        d, f = args
+        xj = Poly.x_power(j)
+        expected = to_sympy(xj, d).gcd(to_sympy(f, d))
+        assert to_sympy(poly_gcd(xj, f), d) == expected
+        assert to_sympy(poly_gcd(f, xj), d) == expected
+
 
 class TestFieldElemAgainstSympy:
     @given(tagged(elems))

@@ -374,6 +374,8 @@ class TestColonR:
                   (unit, full, [one, r_ideal(inst)]),
                   (full, unit, [t_ideal_of_r(inst)])]
         for j_wrong, colon_wrong, ideals in faults:
+            # an empty memo, so that no colon certified earlier is served
+            monkeypatch.setattr(pullback, "_COLON_R_CACHE", {})
             monkeypatch.setattr(pullback, "dmod_colon", lambda j, j_wrong=j_wrong,
                                 colon_wrong=colon_wrong:
                                 colon_wrong if j == j_wrong else true_colon(j))
