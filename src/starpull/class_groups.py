@@ -39,13 +39,8 @@ class ClassGroupError(ValueError):
 
 
 def alpha(j: ExtDModule, inst: PullbackInstance) -> StructuredIdeal:
-    """Inverse image of a divisorially invertible D-ideal.
-
-    Well-defined on classes because units of T hit every class of
-    k^x/U(D); the instance flag records that.
-    """
-    if not inst.phi_tilde_surjective:
-        raise ClassGroupError("alpha needs the unit map onto k^x/U(D) to be surjective")
+    """Inverse image of a divisorially invertible D-ideal; well-defined on classes,
+    as k^x / (D^x * phi(U(T))) is trivial: K^x lies in U(T) and phi fixes it."""
     if not dmod_predicates(j).is_v_invertible:
         raise ClassGroupError("alpha needs an invertible D-ideal")
     return inverse_image_R(j, inst)

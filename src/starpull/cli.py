@@ -105,8 +105,6 @@ def _cmd_instances(_args) -> int:
             flags.append("square-plus")
         if inst.t_quasilocal:
             flags.append("quasilocal-T")
-        if inst.phi_tilde_surjective:
-            flags.append("unit-map-surjective")
         presentation = list(inst.base.class_presentation)
         print(f"{name}: D = {inst.base}, k = {inst.k_name()}, T = {inst.t_name()}"
               f" | Cl(D) cyclic orders {presentation} | {', '.join(flags)}")

@@ -37,10 +37,10 @@ from .pullback import (
     PullbackInstance,
     RawIdeal,
     StructuredIdeal,
+    as_structured,
     colon_R,
     extend_to_T,
     ideal_arith,
-    structured_hull,
     t_closure_R,
     v_closure_R,
 )
@@ -55,10 +55,8 @@ class ExprError(ValueError):
         self.pos = pos
 
 
-_FUNCS = {
-    "v": 1, "t": 1, "colon": 1, "inv": 1, "extT": 1,
-    "alpha": 1, "beta": 1, "gamma": 1, "principal": 1, "hull": 1,
-}
+# every function takes one argument
+_FUNCS = ("v", "t", "colon", "inv", "extT", "alpha", "beta", "gamma", "principal", "hull")
 
 MAX_INPUT_BYTES = 64 * 1024
 # parentheses, calls, ideals and unary minus nest at most this deep
@@ -218,23 +216,17 @@ def _parse_atom(toks: _Tokens) -> Node:
             value, _ = toks.read_int()
             toks.expect(")")
             return Node("sqrt", pos, value=value)
-        if name == "ideal":
+        if name == "ideal" or name in _FUNCS:
             toks.expect("(")
             args = [_parse_expr(toks)]
             while toks.peek() == ",":
                 toks.take()
                 args.append(_parse_expr(toks))
             toks.expect(")")
-            return Node("ideal", pos, children=args)
-        if name in _FUNCS:
-            toks.expect("(")
-            args = [_parse_expr(toks)]
-            while toks.peek() == ",":
-                toks.take()
-                args.append(_parse_expr(toks))
-            toks.expect(")")
-            if len(args) != _FUNCS[name]:
-                raise ExprError(f"{name} takes {_FUNCS[name]} argument(s)", pos)
+            if name == "ideal":
+                return Node("ideal", pos, children=args)
+            if len(args) != 1:
+                raise ExprError(f"{name} takes 1 argument(s)", pos)
             return Node("call", pos, value=name, children=args)
         raise ExprError(f"unknown function {name!r}", pos)
     raise ExprError(f"unexpected character {ch!r}", toks.pos)
@@ -393,51 +385,32 @@ def _promote(value, node: Node):
 
 
 def _call(node: Node, arg, inst: PullbackInstance):
-    from .class_groups import ClassGroupError, alpha, beta, gamma, is_principal_R
-
-    typed = (ClassGroupError, DomainError, KernelError, PullbackError)
+    from .class_groups import ClassGroupError, alpha, gamma, is_principal_R
 
     name = node.value
-    if name in ("v", "t", "colon", "inv", "extT", "hull", "beta", "gamma", "principal"):
+    if name == "alpha":
+        if not (isinstance(arg, RawIdeal) and all(g.is_constant() for g in arg.gens)):
+            raise ExprError("alpha takes an ideal of constant generators", node.pos)
+    else:
         if isinstance(arg, RatFunc):
             if arg.is_zero():
                 raise ExprError("zero ideal rejected", node.pos)
             arg = RawIdeal([arg])
         if not isinstance(arg, (RawIdeal, StructuredIdeal)):
             raise ExprError(f"{name} needs an ideal argument", node.pos)
-    if name == "v":
-        return v_closure_R(arg, inst)
-    if name == "t":
-        return t_closure_R(arg, inst)
-    if name in ("colon", "inv"):
-        return colon_R(arg, inst)
-    if name == "extT":
-        return extend_to_T(arg, inst)
-    if name == "hull":
-        return arg if isinstance(arg, StructuredIdeal) else structured_hull(arg, inst)
-    if name == "beta":
-        return beta(arg, inst)
-    if name == "gamma":
-        try:
-            return gamma(arg, inst)
-        except typed as exc:
-            raise ExprError(str(exc), node.pos) from exc
-    if name == "principal":
-        return PrincipalAnswer(is_principal_R(arg, inst))
-    if name == "alpha":
-        if not isinstance(arg, RawIdeal):
-            raise ExprError("alpha takes an ideal of constant generators", node.pos)
-        consts = []
-        for g in arg.gens:
-            if not g.is_constant():
-                raise ExprError("alpha takes an ideal of constant generators", node.pos)
-            consts.append(g.const_value())
-        module = dmod_from_generators(consts, inst.base)
-        try:
-            return alpha(module, inst)
-        except typed as exc:
-            raise ExprError(str(exc), node.pos) from exc
-    raise ExprError(f"unknown function {name!r}", node.pos)
+    # looked up on each call, so the names resolve to the module's current bindings
+    funcs = {
+        "v": v_closure_R, "t": t_closure_R, "colon": colon_R, "inv": colon_R,
+        "extT": extend_to_T, "beta": extend_to_T, "hull": as_structured, "gamma": gamma,
+        "alpha": lambda h, i: alpha(dmod_from_generators([g.const_value() for g in h.gens],
+                                                         i.base), i),
+        "principal": lambda h, i: PrincipalAnswer(is_principal_R(h, i)),
+    }
+    # a typed error from any function is reported at the call
+    try:
+        return funcs[name](arg, inst)
+    except (ClassGroupError, DomainError, KernelError, PullbackError) as exc:
+        raise ExprError(str(exc), node.pos) from exc
 
 
 # -- printers -----------------------------------------------------------------

@@ -55,22 +55,17 @@ class PullbackError(ValueError):
 class PullbackInstance:
     """One catalogued diagram: D inside k = T/M with T = K[X] or K[X]_(X)."""
 
-    def __init__(self, name: str, base: BaseDomain, k_disc: int, t_kind: str):
+    def __init__(self, name: str, base: BaseDomain, t_kind: str):
         if t_kind not in ("poly", "local"):
             raise PullbackError(f"unsupported T kind {t_kind!r}")
-        if base.k_disc != k_disc:
-            raise PullbackError("base domain not contained in the residue field")
         self.name = name
         self.base = base
-        self.k_disc = k_disc
+        self.k_disc = base.k_disc
         self.t_kind = t_kind
         # R = phi^-1(D) and M = phi^-1(0): the modules J of member_R and member_M_product
         self._d_module, self._zero_module = base.unit_module(), ExtDModule.zero(base)
         self.is_square_plus = base.quotient_field_is_k()
         self.t_quasilocal = t_kind == "local"
-        # constants K^x are units of T and phi fixes them, so every class
-        # of k^x modulo U(D) has a unit preimage
-        self.phi_tilde_surjective = True
 
     def __repr__(self):
         return f"PullbackInstance({self.name!r})"
@@ -96,12 +91,6 @@ _CATALOG_SPECS = {
 }
 
 
-def _build_instance(name: str) -> PullbackInstance:
-    kind, d, t_kind = _CATALOG_SPECS[name]
-    base = BaseDomain(kind, d)
-    return PullbackInstance(name, base, d, t_kind)
-
-
 _INSTANCE_CACHE: dict[str, PullbackInstance] = {}
 
 
@@ -121,7 +110,9 @@ def make_instance(config) -> PullbackInstance:
         name = config.strip().strip('"')
         if name not in _CATALOG_SPECS:
             raise PullbackError(f"unknown instance {name!r}; catalog is A..E")
-        return _INSTANCE_CACHE.get(name) or _memo_put(_INSTANCE_CACHE, name, _build_instance(name))
+        kind, d, t_kind = _CATALOG_SPECS[name]
+        return _INSTANCE_CACHE.get(name) or _memo_put(
+            _INSTANCE_CACHE, name, PullbackInstance(name, BaseDomain(kind, d), t_kind))
     if "instance" in config:
         return make_instance(str(config["instance"]))
     try:

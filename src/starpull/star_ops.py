@@ -148,6 +148,37 @@ def _wrap(kind: str, op: StarOp) -> StarOp:
     return StarOp(kind, _WRAPPERS[kind][2] or op.target, (op,))
 
 
+def read_op(text: str, target: str) -> StarOp:
+    """The descriptor on the ring target that prints as text."""
+    if text.count("(") > 100:  # each "(" opens one descriptor; the reader recurses per level
+        raise StarEvalError("a star operation of more than 100 descriptors")
+    op, end = _read_op(text, 0, target)
+    if end != len(text):
+        raise StarEvalError(f"trailing text after a star operation in {text!r}")
+    return op
+
+
+def _read_op(text: str, pos: int, target: str) -> tuple[StarOp, int]:
+    end = pos
+    while end < len(text) and text[end].isalpha():
+        end += 1
+    name = text[pos:end]
+    if not text.startswith("(", end):
+        return StarOp(name, target), end  # the constructor refuses all but d, v, t, w
+    printed = {"meet": "meet", **{w[0]: kind for kind, w in _WRAPPERS.items()}}
+    kind = printed.get(name)
+    if kind is None:
+        raise StarEvalError(f"unknown star-operation name {name!r}")
+    source = target if kind == "meet" else _WRAPPERS[kind][1] or target
+    operands = []
+    for sep in (",", ")") if kind == "meet" else (")",):
+        op, end = _read_op(text, end + 1, source)
+        if not text.startswith(sep, end):
+            raise StarEvalError(f"expected {sep!r} at offset {end} of {text!r}")
+        operands.append(op)
+    return StarOp(kind, target, operands), end + 1
+
+
 def star_meet(op1: StarOp, op2: StarOp) -> StarOp:
     """Pointwise intersection of two operations on the same ring."""
     return StarOp("meet", op1.target, (op1, op2))

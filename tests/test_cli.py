@@ -8,7 +8,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starpull import class_groups
+from starpull import class_groups, exprlang
 from starpull.base_domain import class_label_D
 from starpull.cli import run_command
 from starpull.exprlang import (
@@ -306,6 +306,16 @@ class TestRobustness:
             with pytest.raises(AssertionError, match="internal fault"):
                 evaluate(parse_expression(text), inst_c)
 
+    def test_a_typed_error_from_any_call_gets_its_offset(self, inst_a, monkeypatch):
+        def failing(*args):
+            raise PullbackError("closure failed")
+
+        monkeypatch.setattr(exprlang, "v_closure_R", failing)
+        with pytest.raises(ExprError) as err:
+            evaluate(parse_expression("ideal(v(ideal(2)))"), inst_a)
+        assert err.value.pos == 6
+        assert err.value.message == "closure failed"
+
     def test_cli_gcd_of_degree_64_inputs(self, capsys):
         # a plain Euclidean remainder sequence took 24 s on this gcd
         text = ("principal(ideal((X+2)^32 * (X+sqrt(-5))^32, "
@@ -391,9 +401,15 @@ class TestCommands:
     def test_instances_listing(self, capsys):
         assert run_command(["instances"]) == 0
         out = capsys.readouterr().out
-        for name in ("A:", "B:", "C:", "D:", "E:"):
-            assert name in out
-        assert "square-plus" in out and "quasilocal-T" in out
+        lines = out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["A", "B", "C", "D", "E"]
+        for line in lines:
+            inst = make_instance(line.split(":")[0])
+            flags = line.rsplit("|", 1)[1].split(",")
+            assert [f.strip() for f in flags if f.strip()] == (
+                ["square-plus"] * inst.is_square_plus
+                + ["quasilocal-T"] * inst.t_name().endswith("[X]_(X)"))
+        assert "unit-map-surjective" not in out
 
     def test_report_pretty_print(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -11,6 +11,8 @@ place too: only `BaseDomain.__init__` reduces `k_disc` mod 4.  So is
 membership in the pullback: only `pullback._product_in` calls a module's
 `contains`.  And memo tables are filled in one place: only
 `base_domain._memo_put` stores into a module-level `*_CACHE` table.
+An instance's flags are read off its inputs: `PullbackInstance.__init__`
+stores no literal True or False.
 """
 
 import ast
@@ -143,3 +145,18 @@ def test_memoized_functions_stay_plain_functions():
         func = next(stmt for stmt in tree.body
                     if isinstance(stmt, ast.FunctionDef) and stmt.name == name)
         assert not func.decorator_list, f"{module}:{func.lineno} {name} is decorated"
+
+
+def test_instance_flags_are_derived_from_the_inputs():
+    # a flag that is the same for every instance is a constant, not a fact
+    # about the instance
+    tree = ast.parse((PACKAGE / "pullback.py").read_text())
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "PullbackInstance")
+    init = next(stmt for stmt in cls.body
+                if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__")
+    literal = [node.lineno for node in ast.walk(init)
+               if isinstance(node, (ast.Assign, ast.AnnAssign))
+               and isinstance(node.value, ast.Constant) and isinstance(node.value.value, bool)
+               and any(isinstance(t, ast.Attribute) for t in ast.walk(node))]
+    assert not literal, f"PullbackInstance.__init__ stores a bool literal at lines {literal}"

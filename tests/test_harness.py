@@ -219,13 +219,25 @@ class TestReplay:
 
     def test_replay_resolves_the_witness_op(self, inst_a):
         # ideal(2, X) is t-invertible on A; the witness op decides the replay
-        violation = {"check": "pvmd-sample", "witness": {"ideal": "ideal(2, X)", "op": "v"}}
-        assert not replay_violation(violation, inst_a)
-        with pytest.raises(HarnessError):
-            replay_violation({"check": "pvmd-sample",
-                              "witness": {"ideal": "ideal(2, X)", "op": "w"}}, inst_a)
+        def replay(op):
+            witness = {"ideal": "ideal(2, X)", "op": op}
+            return replay_violation({"check": "pvmd-sample", "witness": witness}, inst_a)
+
+        assert not replay("v")
+        # w is read back and routed through its finite-type companion t
+        assert replay("w") == replay("t")
+        for text in ("q", "lift(", "meet(v)", "proj(v)"):
+            with pytest.raises(HarnessError):
+                replay(text)
         with pytest.raises(HarnessError):
             replay_violation({"check": "pvmd-sample", "witness": {"ideal": "ideal(2, X)"}}, inst_a)
+
+    @pytest.mark.parametrize("op", ["w", "ft(t)", "lift(t)", "stable(v)", "meet(lift(v),ovr(d))"])
+    def test_every_suite_op_replays(self, inst_c, op):
+        # split-exact passes under these ops, and a violation under each replays
+        violation = {"check": "alpha-injective",
+                     "witness": {"j1": "ideal(1)", "j2": "ideal(2, 1+sqrt(-5))", "op": op}}
+        assert not replay_violation(violation, inst_c)
 
     @pytest.mark.parametrize("text", ["hull(ideal(2, X))", "2", "gamma(ideal(2))", "ideal(X)"])
     def test_malformed_dmod_witness_rejected(self, inst_c, text):

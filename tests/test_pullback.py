@@ -84,8 +84,6 @@ class TestMakeInstance:
         assert inst_c.is_square_plus and inst_c.base.class_presentation == (2,)
         assert not inst_d.is_square_plus
         assert not inst_e.is_square_plus and inst_e.t_quasilocal
-        for inst in (inst_a, inst_b, inst_c, inst_d, inst_e):
-            assert inst.phi_tilde_surjective
 
     def test_explicit_config(self, inst_c):
         inst = make_instance({"base": "quadratic(-5)", "T": "poly"})

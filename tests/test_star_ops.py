@@ -25,6 +25,7 @@ from starpull.star_ops import (
     StarOp,
     class_resolve,
     is_star_kind,
+    read_op,
     star_axiom_check,
     star_eval,
     star_leq_check,
@@ -311,3 +312,43 @@ class TestTSide:
                                              ExtDModule.full(inst.base), inst)
                 assert ct.is_t_module()
                 assert extend_to_T(structured_hull(raw, inst), inst) == ct
+
+
+WRAPS = (StarOp.finite_type, StarOp.stable, StarOp.projected, StarOp.lifted,
+         StarOp.extended_T, StarOp.restricted_T, StarOp.overring_induced)
+
+
+def descriptors(depth):
+    """Every descriptor nested at most depth deep, on every ring."""
+    ops = [StarOp(kind, ring) for kind in ("d", "v", "t", "w") for ring in "DRT"]
+    for _ in range(depth):
+        grown = list(ops)
+        for op in ops:
+            for wrap in WRAPS:
+                try:
+                    grown.append(wrap(op))
+                except StarEvalError:
+                    pass
+        grown += [star_meet(a, b) for a in ops for b in ops if a.target == b.target]
+        ops = grown
+    return ops
+
+
+class TestReadOp:
+    def test_every_descriptor_reads_back(self):
+        ops = descriptors(2)
+        assert {op.kind for op in ops} == {
+            "d", "v", "t", "w", "meet", "finite_type", "stable", "projected", "lifted",
+            "extended_T", "restricted_T", "overring_induced"}
+        for op in ops:
+            assert read_op(str(op), op.target) == op
+
+    @pytest.mark.parametrize("text", ["", "q", "lift(", "meet(v)", "meet(v,t", "proj(v)",
+                                      "v)", "lifted(v)", "finite_type(v)", "lift(v)x", "ft (v)"])
+    def test_malformed_text_is_refused(self, text):
+        with pytest.raises(StarEvalError):
+            read_op(text, "R")
+
+    def test_deep_nesting_is_refused(self):
+        with pytest.raises(StarEvalError, match="more than 100"):
+            read_op("ft(" * 5000 + "v" + ")" * 5000, "R")
