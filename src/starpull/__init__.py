@@ -27,7 +27,6 @@ from .class_groups import (
     alpha,
     beta,
     class_equivalent_R,
-    class_label_R,
     gamma,
     invertibility_R,
     is_principal_R,

@@ -253,9 +253,7 @@ class BaseDomain:
             return "Z"
         if self.kind == "field":
             return "Q"
-        if self.k_disc == -1:
-            return "Z[i]"
-        return f"Z[sqrt({self.k_disc})]"
+        return f"Z[{self.omega()}]"
 
     @staticmethod
     def integers(k_disc: int = 1) -> "BaseDomain":
@@ -635,9 +633,3 @@ def class_label_D(n: ExtDModule) -> ClassLabel:
         return ClassLabel((), ())
     form = _form_of_module(n)
     return ClassLabel(dom._label_of_form[form], dom.class_presentation)
-
-
-def identity_label(dom: BaseDomain) -> ClassLabel:
-    if dom.kind == "quadratic_order":
-        return ClassLabel((0,) * len(dom.class_presentation), dom.class_presentation)
-    return ClassLabel((), ())

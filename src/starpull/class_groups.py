@@ -17,7 +17,6 @@ from .base_domain import (
     class_label_D,
     dmod_predicates,
     dmod_v,
-    identity_label,
 )
 from .kernel import Frozen, Poly, RatFunc
 from .pullback import (
@@ -144,21 +143,3 @@ def class_equivalent_R(h1, h2, op: StarOp, inst: PullbackInstance) -> bool:
     quotient = ideal_arith(h1, colon_R(h2, inst), "mul", inst)
     closed = star_eval(class_resolve(op), quotient, inst)
     return is_principal_R(closed, inst) is not None
-
-
-def class_label_R(h, inst: PullbackInstance, op: StarOp | None = None) -> ClassLabel:
-    """Class of an invertible R-ideal, through the D-side reduction.
-
-    The extension of any invertible ideal to T is principal in the
-    catalogued instances, so the D-side label is a complete invariant.
-    """
-    op = op or StarOp.t_op("R")
-    witness = invertibility_R(h, op, inst)
-    if not witness.is_star_invertible:
-        raise ClassGroupError("class label of a non-invertible ideal")
-    if inst.is_square_plus:
-        return gamma(h, inst)
-    s = as_structured(h, inst)
-    if is_principal_R(s, inst) is not None:
-        return identity_label(inst.base)
-    raise ClassGroupError("no finite label for this instance")

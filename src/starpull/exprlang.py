@@ -517,9 +517,10 @@ def _pretty_dpart(j: ExtDModule, inst: PullbackInstance) -> str:
         if g.y != 0 or g.x < 0:
             gs = f"({gs})"
         return f"{gs}ℤ" if gs != "1" else "ℤ"
-    name = str(base).replace("sqrt(-5)", "√-5").replace("Z[", "ℤ[").replace("Z", "ℤ")
-    return f"({', '.join(pretty_elem(e) for e in elems)}){name}" if base.kind == "quadratic_order" \
-        else f"ℤ⟨{', '.join(pretty_elem(e) for e in elems)}⟩"
+    gens = ", ".join(pretty_elem(e) for e in elems)
+    if base.kind == "quadratic_order":
+        return f"({gens})ℤ[{pretty_elem(base.omega())}]"
+    return f"ℤ⟨{gens}⟩"
 
 
 def _pretty_ratfunc(f: RatFunc) -> str:

@@ -34,12 +34,13 @@ from .class_groups import (
     is_principal_R,
     class_equivalent_R,
 )
-from .exprlang import elem_to_expr, evaluate, parse_expression, value_to_expr
+from .exprlang import ExprError, elem_to_expr, evaluate, parse_expression, value_to_expr
 from .kernel import FieldElem, Frozen, Poly, RatFunc, ord_at_zero
 from .pullback import (
     PullbackError,
     PullbackInstance,
     RawIdeal,
+    StructuredIdeal,
     as_structured,
     colon_R,
     colon_generators,
@@ -256,8 +257,12 @@ def _class_representatives(inst: PullbackInstance) -> list[ExtDModule]:
 # ---------------------------------------------------------------------------
 
 # witness field kinds: how a check's argument is written into a violation
-# witness, and read back from it by replay
-_VALUE, _DMOD, _OP, _JSON = "value", "dmod", "op", "json"
+# witness, and read back from it by replay; all but op and json are
+# written as expressions, which must evaluate to the types given here
+_IDEAL, _CLOSED, _ELEM, _DMOD, _OP, _JSON = (
+    "an ideal", "a structured ideal", "an element", "an ideal of constants", "op", "json")
+_READS_AS = {_IDEAL: (RawIdeal, StructuredIdeal), _CLOSED: StructuredIdeal, _ELEM: RatFunc,
+             _DMOD: RawIdeal}
 
 # check name -> (check function, {witness field: kind})
 CHECKS: dict[str, tuple] = {}
@@ -278,14 +283,14 @@ def _check(*names: str, **fields: str):
 
 
 def _write(kind: str, value, inst: PullbackInstance):
-    if kind == _VALUE:
+    if kind in (_IDEAL, _CLOSED, _ELEM):
         return value_to_expr(value, inst)
     if kind == _DMOD:
         return _dmod_witness(value)
     return str(value) if kind == _OP else value
 
 
-def _read(kind: str, data, inst: PullbackInstance):
+def _read(name: str, kind: str, data, inst: PullbackInstance):
     if kind == _JSON:
         return data
     if kind == _OP:
@@ -293,10 +298,16 @@ def _read(kind: str, data, inst: PullbackInstance):
             return read_op(str(data), "R")
         except StarEvalError as exc:
             raise HarnessError(f"unknown op {data!r}: {exc}") from exc
-    value = evaluate(parse_expression(data), inst)
+    if not isinstance(data, str):
+        raise HarnessError(f"witness field {name!r} must be an expression, not {data!r}")
+    try:
+        value = evaluate(parse_expression(data), inst)
+    except ExprError as exc:
+        raise HarnessError(f"witness field {name!r}: {exc}") from exc
+    if not isinstance(value, _READS_AS[kind]) or (
+            kind == _DMOD and not all(g.is_constant() for g in value.gens)):
+        raise HarnessError(f"witness field {name!r} must be {kind}, not {data!r}")
     if kind == _DMOD:
-        if not (isinstance(value, RawIdeal) and all(g.is_constant() for g in value.gens)):
-            raise HarnessError(f"a D-module witness must be an ideal of constants, not {data!r}")
         return dmod_from_generators([g.const_value() for g in value.gens], inst.base)
     return value
 
@@ -341,7 +352,7 @@ def _splitting(inst, op, fail, j):
     return image, label, got, t_part
 
 
-@_check("kernel-capture", ideal=_VALUE, op=_OP)
+@_check("kernel-capture", ideal=_CLOSED, op=_OP)
 def _kernel_capture(inst, op, fail, ideal):
     """The alpha preimage of an op-invertible t-closed ideal, or None."""
     if not dmod_predicates(ideal.dpart).is_v_invertible:
@@ -353,7 +364,7 @@ def _kernel_capture(inst, op, fail, ideal):
     return preimage
 
 
-@_check("normalized-window", "alpha-preimage", ideal=_VALUE, normalized=_VALUE, op=_OP)
+@_check("normalized-window", "alpha-preimage", ideal=_IDEAL, normalized=_CLOSED, op=_OP)
 def _alpha_preimage(inst, op, fail, ideal, normalized):
     """Whether the normalized ideal lies in the window; then its alpha preimage."""
     if not normalized.unit.is_one() or normalized.dpart.is_full():
@@ -364,7 +375,7 @@ def _alpha_preimage(inst, op, fail, ideal, normalized):
     return True
 
 
-@_check("trivial-class", ideal=_VALUE)
+@_check("trivial-class", ideal=_IDEAL)
 def _trivial_class(inst, op, fail, ideal):
     gen = is_principal_R(ideal, inst)
     if gen is None:
@@ -372,7 +383,7 @@ def _trivial_class(inst, op, fail, ideal):
     return gen
 
 
-@_check("pvmd-sample", ideal=_VALUE, op=_OP)
+@_check("pvmd-sample", ideal=_IDEAL, op=_OP)
 def _pvmd_sample(inst, op, fail, ideal):
     invertible = invertibility_R(ideal, op, inst).is_star_invertible
     if not invertible:
@@ -392,7 +403,7 @@ def _pvmd_witness(inst, op, fail, samples_invertible):
     return None
 
 
-@_check("witness-oracle", ideal=_VALUE)
+@_check("witness-oracle", ideal=_IDEAL)
 def _witness_oracle(inst, op, fail, ideal):
     confirmed = _confirm_noninvertibility(ideal, inst)
     if not confirmed:
@@ -409,7 +420,7 @@ def _m_fixed(inst, op, fail):
     return fixed
 
 
-@_check("rT-divisorial", r=_VALUE)
+@_check("rT-divisorial", r=_ELEM)
 def _rt_divisorial(inst, op, fail, r):
     rt = extend_to_T(RawIdeal([r]), inst)
     closed = star_eval(StarOp.divisorial("R"), rt, inst)
@@ -419,7 +430,7 @@ def _rt_divisorial(inst, op, fail, r):
     return holds
 
 
-@_check("ext-vs-rest", "t-vs-v-extension", c=_VALUE)
+@_check("ext-vs-rest", "t-vs-v-extension", c=_ELEM)
 def _extension_agreement(inst, op, fail, c):
     t_r = StarOp.t_op("R")
     ct = extend_to_T(RawIdeal([c]), inst)
@@ -446,7 +457,7 @@ def _alpha_invertible(inst, op, fail, j):
     return witness.is_invertible, label, principal
 
 
-@_check("pic-decomposition", ideal=_VALUE)
+@_check("pic-decomposition", ideal=_IDEAL)
 def _pic_decomposition(inst, op, fail, ideal):
     """gamma of an invertible structured ideal, and whether it is principal."""
     label = gamma(ideal, inst)
@@ -457,7 +468,7 @@ def _pic_decomposition(inst, op, fail, ideal):
     return label, principal
 
 
-@_check("colon-agreement", ideal=_VALUE, element=_VALUE)
+@_check("colon-agreement", ideal=_IDEAL, element=_ELEM)
 def _colon_agreement(inst, op, fail, ideal, element, closed_colon=None):
     # the suite passes the closed form it computed once for the ideal
     if closed_colon is None:
@@ -468,7 +479,7 @@ def _colon_agreement(inst, op, fail, ideal, element, closed_colon=None):
         fail("colon-agreement", f"oracle={oracle}", f"closed={closed}")
 
 
-@_check("v-agreement", ideal=_VALUE, element=_VALUE)
+@_check("v-agreement", ideal=_IDEAL, element=_ELEM)
 def _v_agreement(inst, op, fail, ideal, element, closed_v=None, generators=None):
     # the suite passes I^v and the certified generators of (R : I),
     # computed once for the ideal
@@ -786,7 +797,7 @@ def replay_violation(violation: dict, inst: PullbackInstance) -> bool:
     data = violation["witness"]
     if not set(fields) <= set(data):
         raise HarnessError(f"a {check!r} witness needs the fields {sorted(fields)}")
-    values = {name: _read(kind, data[name], inst) for name, kind in fields.items()}
+    values = {name: _read(name, kind, data[name], inst) for name, kind in fields.items()}
     failed = []
     fn(inst, values.pop("op", None), lambda name, *_, **__: failed.append(name), **values)
     return check in failed

@@ -8,10 +8,11 @@ overring T.  Each descriptor carries the ring it acts on ("D", "R" or
 "T"); one table declares each wrapping kind with the rings of its
 operand and result, and a descriptor that disagrees with it is refused
 when built.  Evaluation dispatches on the target and rejects anything
-the closed calculus cannot represent, rather than approximating.  R- and
-T-side operations share one evaluator on structured ideals
-u*phi^-1(J): a fractional T-ideal is u*T = u*phi^-1(k), checked to be
-one on the way in and on the way out.
+the closed calculus cannot represent, rather than approximating.  D-,
+R- and T-side operations share one evaluator on structured ideals
+u*phi^-1(J): a D-ideal J is phi^-1(J), as the projection *_phi reads it,
+and a fractional T-ideal is u*T = u*phi^-1(k); each is checked to have
+its shape on the way in and on the way out.
 
 Stable/w-style descriptors can be built but never evaluated directly;
 class-group computations route them through their finite-type
@@ -20,14 +21,7 @@ counterparts.
 
 from __future__ import annotations
 
-from .base_domain import (
-    DomainError,
-    ExtDModule,
-    dmod_arith,
-    dmod_intersect,
-    dmod_scale,
-    dmod_v,
-)
+from .base_domain import ExtDModule, dmod_intersect
 from .kernel import Frozen, FrozenValue, RatFunc
 from .pullback import (
     PullbackInstance,
@@ -217,7 +211,24 @@ def class_resolve(op: StarOp) -> StarOp:
 # ---------------------------------------------------------------------------
 
 def star_eval(op: StarOp, value, inst: PullbackInstance):
-    """Evaluate a star operation on an ideal value of its target ring."""
+    """Evaluate a star operation on an ideal value of its target ring.
+
+    A D-side operation takes an ExtDModule J, evaluates phi^-1(J) and
+    returns the D-part of the result.
+    """
+    if op.target != "D":
+        return _star_eval(op, value, inst)
+    return _star_eval(op, _phi_inverse(value, inst), inst).dpart
+
+
+def _phi_inverse(j, inst: PullbackInstance) -> StructuredIdeal:
+    """phi^-1(J) for a D-module J; make_structured refuses a mixed base domain."""
+    if not isinstance(j, ExtDModule):
+        raise StarEvalError("a D-side operation needs an ExtDModule value")
+    return inverse_image_R(j, inst)
+
+
+def _star_eval(op: StarOp, value, inst: PullbackInstance):
     if not is_star_kind(op):
         raise StarEvalError(f"{op} is not evaluable as a star operation")
     return _eval(op, value, inst)
@@ -230,43 +241,22 @@ def _eval(op: StarOp, value, inst: PullbackInstance):
     if op.kind == "finite_type":
         # identity semantics on finitely generated and structured inputs
         return _eval(op.operands[0], value, inst)
-    if op.target == "D":
-        if not isinstance(value, ExtDModule):
-            raise StarEvalError("a D-side operation needs an ExtDModule value")
-        if value.domain != inst.base:
-            raise DomainError("mixed base domains")
-        return _eval_d_side(op, value, inst)
     if op.target == "R":
         return _eval_structured(op, value, inst)
-    # a fractional T-ideal is u*T = u*phi^-1(k): the structured calculus
-    # evaluates it, and the result must again have D-part k
-    if not (isinstance(value, StructuredIdeal) and value.is_t_module()):
-        raise StarEvalError("a T-side operation needs a fractional T-ideal")
+    # a D-module J is phi^-1(J), unit part 1, and a fractional T-ideal is
+    # u*T = u*phi^-1(k), D-part k; the result must keep the value's shape
+    noun, shaped = (("nonzero D-module", lambda s: s.unit.is_one()) if op.target == "D"
+                    else ("fractional T-ideal", StructuredIdeal.is_t_module))
+    if not (isinstance(value, StructuredIdeal) and shaped(value)):
+        raise StarEvalError(f"a {op.target}-side operation needs a {noun}")
     result = _eval_structured(op, value, inst)
-    if not result.is_t_module():
-        raise StarEvalError(f"{op} left the fractional T-ideals")
+    if not shaped(result):
+        raise StarEvalError(f"{op} left the {noun}s")
     return result
 
 
-def _eval_d_side(op: StarOp, n: ExtDModule, inst: PullbackInstance) -> ExtDModule:
-    if op.kind == "d":
-        return n
-    if op.kind in ("v", "t"):
-        return dmod_v(n)
-    if op.kind == "meet":
-        return dmod_intersect(*(_eval(o, n, inst) for o in op.operands))
-    # projected, the one wrapping kind with result target D: *_phi(J) is
-    # the D-part of the R-side operation on phi^-1(J)
-    s = as_structured(_eval(op.operands[0], inverse_image_R(n, inst), inst), inst)
-    # make_structured leaves a unit of T as 1, so any other unit part
-    # is an ideal that is not phi^-1 of a D-ideal
-    if not s.unit.is_one() or s.dpart.is_full():
-        raise StarEvalError("projection left the fractional ideals of D")
-    return s.dpart
-
-
 def _eval_structured(op: StarOp, value, inst: PullbackInstance):
-    """An R- or T-side operation on u*phi^-1(J) or on a raw R-ideal."""
+    """An operation on u*phi^-1(J) or, on the R side, on a raw R-ideal."""
     if op.kind == "d":
         return value
     if op.kind in ("v", "t"):
@@ -277,14 +267,18 @@ def _eval_structured(op: StarOp, value, inst: PullbackInstance):
     inner = op.operands[0]
     if op.kind == "lifted":
         s = as_structured(value, inst)
-        dpart = s.dpart if s.dpart.is_full() else _eval(inner, s.dpart, inst)
-        return make_structured(s.unit, dpart, inst)
+        if s.dpart.is_full():
+            return s
+        closed = _eval(inner, inverse_image_R(s.dpart, inst), inst)
+        return make_structured(s.unit, closed.dpart, inst)
     if op.kind == "overring_induced":
         # semistar on R, so star_eval admits it only inside a meet
         return _eval(inner, extend_to_T(value, inst), inst)
     if op.kind == "extended_T":
         return _intersect_structured(_eval(inner, value, inst), value, inst)
-    # restricted_T, the other wrapping kind with result target T
+    # projected and restricted_T, the wrapping kinds that change the ring
+    # but not the value: *_phi(J) is the D-part of the R-side operation
+    # on phi^-1(J)
     return _eval(inner, value, inst)
 
 
@@ -327,49 +321,28 @@ class CheckReport(Frozen):
         return f"CheckReport({self.name!r}, {state})"
 
 
-def _contains_value(big, small, inst) -> bool:
-    if isinstance(big, ExtDModule):
-        return big.is_full() or small.is_zero() or (
-            not small.is_full() and all(big.contains(x) for x in small.basis_elements()))
-    return contains_ideal(big, small, inst)
+def _check_values(op: StarOp, samples, inst: PullbackInstance) -> list:
+    """The samples as values of the structured calculus, phi^-1(J) for a D-module J."""
+    if op.target == "D":
+        return [_phi_inverse(j, inst) for j in samples]
+    return list(samples)
 
 
 def star_leq_check(op1: StarOp, op2: StarOp, samples, inst: PullbackInstance) -> CheckReport:
     """Report every sample where op1's value is not inside op2's value."""
     violations = []
-    for i, sample in enumerate(samples):
-        a = star_eval(op1, sample, inst)
-        b = star_eval(op2, sample, inst)
-        if not _contains_value(b, a, inst):
-            violations.append({"sample": i, "value": repr(sample)})
+    samples = list(samples)
+    for i, value in enumerate(_check_values(op1, samples, inst)):
+        a = _star_eval(op1, value, inst)
+        b = _star_eval(op2, value, inst)
+        if not contains_ideal(b, a, inst):
+            violations.append({"sample": i, "value": repr(samples[i])})
     return CheckReport(f"{op1} <= {op2}", violations)
 
 
-def _values_equal(a, b, inst) -> bool:
-    if isinstance(a, ExtDModule) or isinstance(b, ExtDModule):
-        return a == b
-    return ideal_equal(a, b, inst)
-
-
 def _scale_value(z, value, inst):
-    if isinstance(value, ExtDModule):
-        return dmod_scale(z, value)
     s = as_structured(value, inst)
     return make_structured(s.unit * RatFunc.coerce(z), s.dpart, inst)
-
-
-def _ring_value(op: StarOp, inst: PullbackInstance):
-    if op.target == "D":
-        return inst.base.unit_module()
-    if op.target == "T":
-        return t_ideal_of_r(inst)
-    return r_ideal(inst)
-
-
-def _join_value(a, b, inst):
-    if isinstance(a, ExtDModule):
-        return dmod_arith(a, b, "add")
-    return ideal_arith(a, b, "add", inst)
 
 
 def star_axiom_check(op: StarOp, samples, scalars, inst: PullbackInstance) -> CheckReport:
@@ -379,23 +352,24 @@ def star_axiom_check(op: StarOp, samples, scalars, inst: PullbackInstance) -> Ch
     idempotence, and monotonicity on nested pairs built by summation.
     """
     violations = []
-    ring = _ring_value(op, inst)
-    samples = list(samples)
+    # the ring itself: phi^-1(D) = R for D and R, phi^-1(k) = T for T
+    ring = t_ideal_of_r(inst) if op.target == "T" else r_ideal(inst)
+    samples = _check_values(op, samples, inst)
     for z in scalars:
         scaled_ring = _scale_value(z, ring, inst)
-        if not _values_equal(star_eval(op, scaled_ring, inst), scaled_ring, inst):
+        if not ideal_equal(_star_eval(op, scaled_ring, inst), scaled_ring, inst):
             violations.append({"axiom": "principal-fixed", "scalar": repr(z)})
     for i, sample in enumerate(samples):
-        closed = star_eval(op, sample, inst)
-        if not _contains_value(closed, sample, inst):
+        closed = _star_eval(op, sample, inst)
+        if not contains_ideal(closed, sample, inst):
             violations.append({"axiom": "extensive", "sample": i})
-        if not _values_equal(star_eval(op, closed, inst), closed, inst):
+        if not ideal_equal(_star_eval(op, closed, inst), closed, inst):
             violations.append({"axiom": "idempotent", "sample": i})
         for z in scalars:
-            lhs = star_eval(op, _scale_value(z, sample, inst), inst)
-            if not _values_equal(lhs, _scale_value(z, closed, inst), inst):
+            lhs = _star_eval(op, _scale_value(z, sample, inst), inst)
+            if not ideal_equal(lhs, _scale_value(z, closed, inst), inst):
                 violations.append({"axiom": "scalar-equivariant", "sample": i, "scalar": repr(z)})
-        bigger = _join_value(sample, samples[(i + 1) % len(samples)], inst)
-        if not _contains_value(star_eval(op, bigger, inst), closed, inst):
+        bigger = ideal_arith(sample, samples[(i + 1) % len(samples)], "add", inst)
+        if not contains_ideal(_star_eval(op, bigger, inst), closed, inst):
             violations.append({"axiom": "monotone", "sample": i})
     return CheckReport(f"axioms({op})", violations)

@@ -29,7 +29,6 @@ from starpull.base_domain import (
     dmod_predicates,
     dmod_scale,
     dmod_v,
-    identity_label,
 )
 from starpull.kernel import FieldElem, _is_squarefree
 
@@ -364,7 +363,6 @@ class TestClassLabels:
 
     def test_integers_trivial(self):
         assert class_label_D(dmod_from_generators([fe(5)], Z)).is_identity()
-        assert identity_label(Z) == ClassLabel((), ())
 
 
 class TestIntersect:
@@ -379,6 +377,16 @@ class TestIntersect:
 
     def test_self_intersection(self):
         assert dmod_intersect(P, P) == P
+
+
+class TestNames:
+    # the maximal order is Z[omega], with omega = (1 + sqrt(d))/2 for d = 1 mod 4
+    @pytest.mark.parametrize("d, name", [
+        (-1, "Z[i]"), (-2, "Z[sqrt(-2)]"), (-3, "Z[1/2 + 1/2*sqrt(-3)]"),
+        (-5, "Z[sqrt(-5)]"), (-7, "Z[1/2 + 1/2*sqrt(-7)]")])
+    def test_order_is_named_by_its_generator(self, d, name):
+        dom = BaseDomain.quadratic_order(d)
+        assert str(dom) == name == f"Z[{dom.omega()}]"
 
 
 class TestClassGroupTables:

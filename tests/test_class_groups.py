@@ -19,7 +19,6 @@ from starpull.class_groups import (
     alpha,
     beta,
     class_equivalent_R,
-    class_label_R,
     gamma,
     invertibility_R,
     is_principal_R,
@@ -208,13 +207,6 @@ class TestClassEquivalence:
 
 
 class TestClassLabelR:
-    def test_label_through_gamma(self, inst_c, prime_p):
-        assert class_label_R(alpha(prime_p, inst_c), inst_c) == class_label_D(prime_p)
-
-    def test_trivial_for_quasilocal_field_case(self, inst_e):
-        h = structured_hull(RawIdeal([RatFunc(Poly([FieldElem(1, 1, -1)]))]), inst_e)
-        assert class_label_R(h, inst_e).is_identity()
-
     def test_alpha_injective_on_classes(self, inst_c, prime_p):
         unit = inst_c.base.unit_module()
         assert not class_equivalent_R(alpha(unit, inst_c), alpha(prime_p, inst_c),

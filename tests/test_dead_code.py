@@ -8,9 +8,10 @@ counts as used when code in src/, tests/ or demos/ outside its own body
 names it.  Immutability is decided in one place: only `kernel.Frozen`
 defines `__setattr__`.  The shape of a quadratic order is read in one
 place too: only `BaseDomain.__init__` reduces `k_disc` mod 4.  So is
-membership in the pullback: only `pullback._product_in` calls a module's
-`contains`.  And memo tables are filled in one place: only
-`base_domain._memo_put` stores into a module-level `*_CACHE` table.
+membership in the pullback: in the whole package only
+`pullback._product_in` calls a module's `contains`.  And memo tables
+are filled in one place: only `base_domain._memo_put` stores into a
+module-level `*_CACHE` table.
 An instance's flags are read off its inputs: `PullbackInstance.__init__`
 stores no literal True or False.
 """
@@ -94,15 +95,22 @@ def test_only_base_domain_init_reduces_k_disc_mod_4():
     assert readers == {"BaseDomain.__init__"}
 
 
+def _contains_calls(node):
+    return [sub for sub in ast.walk(node)
+            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+            and sub.func.attr == "contains"]
+
+
 def test_pullback_membership_is_one_test():
-    # R, M, T and u*phi^-1(J) are all decided as h*g in phi^-1(J)
+    # R, M, T and u*phi^-1(J) are all decided as h*g in phi^-1(J), and no
+    # other code in the package asks a module for membership
+    calls = {(path.name, node.lineno) for path in sorted(PACKAGE.glob("*.py"))
+             for node in _contains_calls(ast.parse(path.read_text()))}
     tree = ast.parse((PACKAGE / "pullback.py").read_text())
-    callers = {func.name for func in ast.walk(tree)
-               if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-               for node in ast.walk(func)
-               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-               and node.func.attr == "contains"}
-    assert callers == {"_product_in"}
+    product_in = next(node for node in tree.body
+                      if isinstance(node, ast.FunctionDef) and node.name == "_product_in")
+    inside = {("pullback.py", node.lineno) for node in _contains_calls(product_in)}
+    assert inside and calls == inside, f"module membership outside _product_in: {calls - inside}"
     instance = next(node for node in tree.body
                     if isinstance(node, ast.ClassDef) and node.name == "PullbackInstance")
     assert not [stmt.name for stmt in instance.body

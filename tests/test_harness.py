@@ -245,6 +245,21 @@ class TestReplay:
         with pytest.raises(HarnessError, match="ideal of constants"):
             replay_violation(violation, inst_c)
 
+    @pytest.mark.parametrize("check, witness, field", [
+        ("pvmd-sample", {"ideal": 3, "op": "t"}, "ideal"),  # not text
+        ("pvmd-sample", {"ideal": "2", "op": "t"}, "ideal"),  # an element for an ideal
+        ("rT-divisorial", {"r": "ideal(X)"}, "r"),  # an ideal for an element
+        ("ext-vs-rest", {"c": None}, "c"),
+        ("trivial-class", {"ideal": "gamma(ideal(2))"}, "ideal"),  # a class label
+        ("kernel-capture", {"ideal": "ideal(2, X)", "op": "t"}, "ideal"),  # not structured
+        ("colon-agreement", {"ideal": "ideal(2", "element": "X"}, "ideal"),  # does not parse
+        ("v-agreement", {"ideal": "ideal(2, X)", "element": "sqrt(-3)"}, "element"),  # not in k
+        ("gamma-alpha-identity", {"j": 5}, "j"),
+    ])
+    def test_malformed_witness_names_its_field(self, inst_a, check, witness, field):
+        with pytest.raises(HarnessError, match=f"witness field '{field}'"):
+            replay_violation({"check": check, "witness": witness}, inst_a)
+
     def test_confirmed_witness_does_not_replay(self, inst_d, inst_e):
         # the pvmd witness on D and E is oracle-confirmed, so replaying a
         # witness-oracle violation for it must re-run the confirmation

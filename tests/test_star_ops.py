@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from starpull.base_domain import BaseDomain, DomainError, ExtDModule, dmod_from_generators
+from starpull.base_domain import (
+    BaseDomain,
+    DomainError,
+    ExtDModule,
+    dmod_from_generators,
+    dmod_intersect,
+    dmod_v,
+)
+from starpull.harness import SampleParams, sample_dmods
 from starpull.kernel import FieldElem, Poly, RatFunc
 from starpull.pullback import (
     RawIdeal,
@@ -13,6 +21,7 @@ from starpull.pullback import (
     content_T,
     extend_to_T,
     ideal_equal,
+    inverse_image_R,
     m_ideal,
     make_structured,
     r_ideal,
@@ -352,3 +361,67 @@ class TestReadOp:
     def test_deep_nesting_is_refused(self):
         with pytest.raises(StarEvalError, match="more than 100"):
             read_op("ft(" * 5000 + "v" + ")" * 5000, "R")
+
+
+def d_side_reference(op, j, inst):
+    """The module recursion that evaluated D-side operations before a
+    D-module J was evaluated as phi^-1(J)."""
+    if not is_star_kind(op):
+        raise StarEvalError(f"{op} is not evaluable as a star operation")
+    return _module_recursion(op, j, inst)
+
+
+def _module_recursion(op, j, inst):
+    if op.kind == "finite_type":
+        return _module_recursion(op.operands[0], j, inst)
+    if op.kind == "d":
+        return j
+    if op.kind in ("v", "t"):
+        return dmod_v(j)
+    if op.kind == "meet":
+        return dmod_intersect(*(_module_recursion(o, j, inst) for o in op.operands))
+    if op.kind == "projected":
+        s = as_structured(star_eval(op.operands[0], inverse_image_R(j, inst), inst), inst)
+        if not s.unit.is_one():
+            raise StarEvalError("projection left the D-modules")
+        return s.dpart
+    raise StarEvalError("stable operations are descriptors only")
+
+
+def outcome(evaluate, op, j, inst):
+    try:
+        return evaluate(op, j, inst)
+    except (StarEvalError, DomainError) as exc:
+        return type(exc)
+
+
+class TestDSide:
+    def test_star_eval_matches_the_module_recursion(self, inst_a, inst_b, inst_c, inst_d, inst_e):
+        ops = [op for op in descriptors(2) if op.target == "D"]
+        # the sampled modules are divisorial; on D = Z, <1, i> and <2, 3i> are not
+        i = FieldElem(0, 1, -1)
+        moved = {inst_d: [dmod_from_generators([FieldElem(1), i], inst_d.base),
+                          dmod_from_generators([FieldElem(2), 3 * i], inst_d.base)]}
+        for inst in (inst_a, inst_b, inst_c, inst_d, inst_e):
+            mods = sample_dmods(inst, SampleParams(seed=5, count=12)) + [inst.base.unit_module()]
+            for j in mods + moved.get(inst, []):
+                assert j.is_lattice()
+                for op in ops:
+                    assert outcome(star_eval, op, j, inst) == outcome(d_side_reference, op, j, inst)
+
+    def test_zero_module_is_refused(self, inst_a, inst_b, inst_c, inst_d, inst_e):
+        # phi^-1(0) = M = X*T has unit part X, so it is no D-module's inverse image
+        for inst in (inst_a, inst_b, inst_c, inst_d, inst_e):
+            for op in (D_D, V_D, star_meet(D_D, V_D)):
+                with pytest.raises(StarEvalError):
+                    star_eval(op, ExtDModule.zero(inst.base), inst)
+
+    def test_projection_of_a_closure_to_t_is_k(self, inst_a, inst_b, inst_c, inst_d, inst_e):
+        for inst in (inst_a, inst_b, inst_c, inst_d, inst_e):
+            k = ExtDModule.full(inst.base)
+            for op in (V_D, StarOp.projected(D_R), StarOp.projected(V_R)):
+                assert star_eval(op, k, inst) == k
+        # on D = Z inside k = Q(i), (R : phi^-1(<1, i>)) = M, so its v-closure is T
+        gaussian = dmod_from_generators([FieldElem(1), FieldElem(0, 1, -1)], inst_d.base)
+        for op in (V_D, StarOp.projected(T_R), StarOp.projected(V_R)):
+            assert star_eval(op, gaussian, inst_d).is_full()
