@@ -259,10 +259,11 @@ def _class_representatives(inst: PullbackInstance) -> list[ExtDModule]:
 # witness field kinds: how a check's argument is written into a violation
 # witness, and read back from it by replay; all but op and json are
 # written as expressions, which must evaluate to the types given here
-_IDEAL, _CLOSED, _ELEM, _DMOD, _OP, _JSON = (
-    "an ideal", "a structured ideal", "an element", "an ideal of constants", "op", "json")
+_IDEAL, _CLOSED, _ELEM, _GEN, _DMOD, _OP, _JSON = (
+    "an ideal", "a structured ideal", "an element", "a nonzero element",
+    "an ideal of constants", "op", "json")
 _READS_AS = {_IDEAL: (RawIdeal, StructuredIdeal), _CLOSED: StructuredIdeal, _ELEM: RatFunc,
-             _DMOD: RawIdeal}
+             _GEN: RatFunc, _DMOD: RawIdeal}
 
 # check name -> (check function, {witness field: kind})
 CHECKS: dict[str, tuple] = {}
@@ -283,7 +284,7 @@ def _check(*names: str, **fields: str):
 
 
 def _write(kind: str, value, inst: PullbackInstance):
-    if kind in (_IDEAL, _CLOSED, _ELEM):
+    if kind in (_IDEAL, _CLOSED, _ELEM, _GEN):
         return value_to_expr(value, inst)
     if kind == _DMOD:
         return _dmod_witness(value)
@@ -304,7 +305,7 @@ def _read(name: str, kind: str, data, inst: PullbackInstance):
         value = evaluate(parse_expression(data), inst)
     except ExprError as exc:
         raise HarnessError(f"witness field {name!r}: {exc}") from exc
-    if not isinstance(value, _READS_AS[kind]) or (
+    if not isinstance(value, _READS_AS[kind]) or (kind == _GEN and value.is_zero()) or (
             kind == _DMOD and not all(g.is_constant() for g in value.gens)):
         raise HarnessError(f"witness field {name!r} must be {kind}, not {data!r}")
     if kind == _DMOD:
@@ -420,7 +421,7 @@ def _m_fixed(inst, op, fail):
     return fixed
 
 
-@_check("rT-divisorial", r=_ELEM)
+@_check("rT-divisorial", r=_GEN)
 def _rt_divisorial(inst, op, fail, r):
     rt = extend_to_T(RawIdeal([r]), inst)
     closed = star_eval(StarOp.divisorial("R"), rt, inst)
@@ -430,7 +431,7 @@ def _rt_divisorial(inst, op, fail, r):
     return holds
 
 
-@_check("ext-vs-rest", "t-vs-v-extension", c=_ELEM)
+@_check("ext-vs-rest", "t-vs-v-extension", c=_GEN)
 def _extension_agreement(inst, op, fail, c):
     t_r = StarOp.t_op("R")
     ct = extend_to_T(RawIdeal([c]), inst)

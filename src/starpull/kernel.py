@@ -5,8 +5,11 @@ reduced so that n > 0 and gcd(a, b, n) == 1; ``Fraction`` appears only
 at the boundary, in the coordinates x = a/n, y = b/n and the norm.  The
 tag ``d`` is a squarefree integer; d == 1 encodes plain Q, and any
 element with b == 0 is normalized to d == 1 so that rationals compare
-equal across ambient fields.  Polynomials (``Poly``) and rational
-functions (``RatFunc``) in one variable X are built on top.  A RatFunc
+equal across ambient fields.  A polynomial (``Poly``) in one variable X
+is held as integer arrays over one denominator, coefficient i being
+(A[i] + B[i]*sqrt(d))/n; its arithmetic runs on integers with one gcd
+per result, and products and quotients by X^j are shifts.  A rational
+function (``RatFunc``) is a quotient of two polynomials.  A RatFunc
 is kept canonical (monic denominator, numerator coprime to denominator),
 so two values are mathematically equal iff they are structurally equal.
 Products keep that form by cross-cancellation (Henrici's method, Knuth,
@@ -21,9 +24,10 @@ these canonical forms being exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import zip_longest
 from math import gcd, lcm
-from operator import attrgetter
+from operator import attrgetter, or_
 
 
 class KernelError(ArithmeticError):
@@ -154,15 +158,7 @@ class FieldElem(Frozen):
         return _make(-a, -b, n, d)
 
     def __sub__(self, other):
-        if type(other) is not FieldElem:
-            other = FieldElem.coerce(other)
-        a, b, n, d = self._abnd
-        a2, b2, n2, d2 = other._abnd
-        if d != d2:
-            d = _common_tag(d, d2)
-        if n == n2:
-            return _make(a - a2, b - b2, n, d)
-        return _make(a * n2 - a2 * n, b * n2 - b2 * n, n * n2, d)
+        return self + -FieldElem.coerce(other)
 
     def __rsub__(self, other):
         return FieldElem.coerce(other) - self
@@ -205,16 +201,7 @@ class FieldElem(Frozen):
         return FieldElem.coerce(other) * self.inv()
 
     def __pow__(self, n: int):
-        if n < 0:
-            return self.inv() ** (-n)
-        out = ONE_ELEM
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, ONE_ELEM)
 
     # -- predicates -------------------------------------------------------
     def is_zero(self) -> bool:
@@ -252,7 +239,20 @@ class FieldElem(Frozen):
         return f"{x} {sign} {ystr}"
 
 
-_new_elem = object.__new__
+def _power(x, n: int, one):
+    """x**n by repeated squaring; a negative n goes through x.inv()."""
+    if n < 0:
+        x, n = x.inv(), -n
+    out = one
+    while n:
+        if n & 1:
+            out = out * x
+        x = x * x
+        n >>= 1
+    return out
+
+
+_new = object.__new__
 _set_abnd = FieldElem._abnd.__set__
 
 
@@ -264,7 +264,7 @@ def _make(a: int, b: int, n: int, d: int) -> FieldElem:
             a //= g
             b //= g
             n //= g
-    out = _new_elem(FieldElem)
+    out = _new(FieldElem)
     _set_abnd(out, (a, b, n, d) if b else (a, 0, n, 1))
     return out
 
@@ -274,23 +274,27 @@ ONE_ELEM = FieldElem(1)
 
 
 class Poly(Frozen):
-    """Dense univariate polynomial over FieldElem coefficients.
+    """Dense univariate polynomial over Q or one Q(sqrt(d)), held as integers.
 
-    Coefficients are stored lowest degree first with no trailing zeros;
-    the zero polynomial has an empty coefficient tuple and degree -1.
+    The one slot is the tuple (A, B, n, d): coefficient i, lowest degree
+    first, is (A[i] + B[i]*sqrt(d))/n.  A has no trailing zero
+    coefficient, n > 0, gcd(n, *A, *B) == 1, and B is empty exactly when
+    d == 1, so the tuple is canonical and equality and hashing compare it.
+    The zero polynomial is ((), (), 1, 1), of degree -1.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_rep",)
 
     def __init__(self, coeffs):
-        cs = [c if type(c) is FieldElem else FieldElem.coerce(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = [FieldElem.coerce(c)._abnd for c in coeffs]
+        # _common_tag refuses coefficients over two different fields
+        d, n = reduce(_common_tag, (c[3] for c in cs), 1), lcm(*(c[2] for c in cs))
+        _set_rep(self, _flat([a * (n // m) for a, _, m, _ in cs],
+                             [b * (n // m) for _, b, m, _ in cs], n, d)._rep)
 
     @staticmethod
     def zero() -> "Poly":
-        return Poly(())
+        return _POLY_ZERO
 
     @staticmethod
     def one() -> "Poly":
@@ -298,103 +302,138 @@ class Poly(Frozen):
 
     @staticmethod
     def const(c) -> "Poly":
-        c = FieldElem.coerce(c)
-        return _poly((c,) if c else ())
+        a, b, n, d = FieldElem.coerce(c)._abnd
+        return _flat((a,), (b,), n, d)
 
     @staticmethod
     def x_power(e: int) -> "Poly":
-        return _poly((ZERO_ELEM,) * e + (ONE_ELEM,))
+        return _flat((0,) * e + (1,), (), 1, 1)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as FieldElems, for printing; arithmetic reads the integers."""
+        return tuple(self._coeff(i) for i in range(len(self._rep[0])))
+
+    def _coeff(self, i: int) -> FieldElem:
+        A, B, n, d = self._rep
+        return _make(A[i], B[i] if B else 0, n, d)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._rep[0]) - 1
 
     def bit_length(self) -> int:
-        """Largest bit length of an integer a, b or n of a coefficient."""
+        """Largest bit length of an integer a, b or n of a reduced coefficient."""
+        A, B, n, _ = self._rep
+        if n == 1:
+            return reduce(or_, map(abs, A + B), 0).bit_length()
         m = 0
-        for c in self.coeffs:
-            a, b, n, _ = c._abnd
-            m |= abs(a) | abs(b) | n
+        # a rational coefficient a/n is read as (a + a*sqrt(d))/n: same gcd, same bits
+        for a, b in zip(A, B or A):
+            g = gcd(a, b, n)
+            m |= abs(a) // g | abs(b) // g | n // g
         return m.bit_length()
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._rep[0]
 
     def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == ONE_ELEM
+        return self._rep == _POLY_ONE._rep
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self._rep[0]) <= 1
 
     def leading(self) -> FieldElem:
-        if self.is_zero():
+        if not self._rep[0]:
             raise KernelError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self._coeff(-1)
 
-    def is_monic(self) -> bool:
-        return not self.is_zero() and self.leading() == ONE_ELEM
+    def lowest(self) -> FieldElem:
+        """The lowest nonzero coefficient: the value at zero of f / X^ord_zero(f)."""
+        return self._coeff(self.ord_zero())
 
     def monic(self) -> "Poly":
         return self.scale(self.leading().inv())
 
     def scale(self, c) -> "Poly":
-        c = FieldElem.coerce(c)
-        # a nonzero constant keeps the leading coefficient nonzero
-        return _poly([a * c for a in self.coeffs] if c else ())
+        (A, B, n, d), (ca, cb, cn, d2) = self._rep, FieldElem.coerce(c)._abnd
+        if not (B or cb):
+            return _flat([a * ca for a in A], (), n * cn, 1)
+        d, B = _common_tag(d, d2), _surd(self._rep)
+        return _flat([a * ca + d * b * cb for a, b in zip(A, B)],
+                     [a * cb + b * ca for a, b in zip(A, B)], n * cn, d)
+
+    def _add(self, other, sign: int) -> "Poly":
+        (A1, _, n1, d), (A2, _, n2, d2) = p, q = self._rep, _as_poly(other)._rep
+        m1, m2, n = (1, sign, n1) if n1 == n2 else (n2, sign * n1, n1 * n2)
+        A = [a * m1 + b * m2 for a, b in zip_longest(A1, A2, fillvalue=0)]
+        B = [a * m1 + b * m2 for a, b in zip_longest(_surd(p), _surd(q), fillvalue=0)]
+        return _flat(A, B, n, _common_tag(d, d2))
 
     def __add__(self, other):
-        other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [ZERO_ELEM] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [ZERO_ELEM] * (n - len(other.coeffs))
-        return Poly([p + q for p, q in zip(a, b)])
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-a for a in self.coeffs])
+        A, B, n, d = self._rep
+        return _flat([-a for a in A], [-b for b in B], n, d)
 
     def __sub__(self, other):
-        return self + (-_as_poly(other))
+        return self._add(other, -1)
 
     def __mul__(self, other):
-        other = _as_poly(other)
-        if self.is_zero() or other.is_zero():
-            return Poly.zero()
-        out = [ZERO_ELEM] * (len(self.coeffs) + len(other.coeffs) - 1)
-        # skipping zero terms on both sides makes a product by X^j a shift
-        terms = [(j, b) for j, b in enumerate(other.coeffs) if not b.is_zero()]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in terms:
-                out[i + j] = out[i + j] + a * b
-        # the leading coefficient is a product of two nonzero ones
-        return _poly(out)
+        f, g = self, _as_poly(other)
+        if not (f._rep[0] and g._rep[0]):
+            return _POLY_ZERO
+        if _is_x_power(f._rep):
+            f, g = g, f
+        (A1, B1, n1, d), (A2, B2, n2, d2) = f._rep, g._rep
+        if _is_x_power(g._rep):
+            # a product by X^j is a shift
+            if len(A2) == 1:
+                return f
+            z = (0,) * (len(A2) - 1)
+            return _flat(z + A1, z + B1 if B1 else (), n1, d)
+        if d != d2:
+            d = _common_tag(d, d2)
+        size = len(A1) + len(A2) - 1
+        A = _conv(A1, A2, size)
+        if d == 1:
+            return _flat(A, (), n1 * n2, 1)
+        B = [x + y for x, y in zip(_conv(A1, B2, size), _conv(B1, A2, size))]
+        return _flat([x + d * y for x, y in zip(A, _conv(B1, B2, size))], B, n1 * n2, d)
 
     __rmul__ = __mul__
 
     def __divmod__(self, other):
         other = _as_poly(other)
-        if other.is_zero():
+        (FA, FB, n, d), (GA, _, m, d2) = p, q = self._rep, other._rep
+        if not GA:
             raise KernelError("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [ZERO_ELEM] * max(0, len(rem) - len(other.coeffs) + 1)
-        # every RatFunc denominator is monic, so most divisors need no inverse
-        inv_lead = None if other.is_monic() else other.leading().inv()
-        while len(rem) >= len(other.coeffs):
-            while rem and rem[-1].is_zero():
-                rem.pop()
-            if len(rem) < len(other.coeffs):
-                break
-            k = len(rem) - len(other.coeffs)
-            factor = rem[-1] if inv_lead is None else rem[-1] * inv_lead
-            q[k] = factor
-            for i, b in enumerate(other.coeffs):
-                rem[k + i] = rem[k + i] - factor * b
-            rem.pop()
-        # the top quotient coefficient is the first factor, which is nonzero
-        return _poly(q), Poly(rem)
+        s, k = len(FA) - len(GA) + 1, len(GA) - 1
+        if s <= 0:
+            return _POLY_ZERO, self
+        if _is_x_power(q):
+            # a division by X^j is a shift
+            return _flat(FA[k:], FB[k:], n, d), _flat(FA[:k], FB[:k], n, d)
+        if GA[-1] != m or q[1] and q[1][-1]:
+            c = other._coeff(-1).inv()
+            quo, rem = divmod(self, other.scale(c))
+            return quo.scale(c), rem
+        # m**s * n * self = Q * (m * other) + R over the integers, where m is
+        # the divisor's leading numerator; each quotient coefficient is an
+        # exact multiple of m (pseudo-division, Knuth, TAOCP vol. 2, 4.6.1)
+        M, d, GB = m ** s, _common_tag(d, d2), _surd(q)
+        RA, RB, QA, QB = [a * M for a in FA], [b * M for b in _surd(p)], [0] * s, [0] * s
+        for j in range(s - 1, -1, -1):
+            qa = QA[j] = RA.pop() // m
+            qb = QB[j] = RB.pop() // m
+            if qa or qb:
+                for i in range(k):
+                    RA[i + j] -= qa * GA[i] + d * qb * GB[i]
+                    RB[i + j] -= qa * GB[i] + qb * GA[i]
+        return _flat(QA, QB, n * M // m, d), _flat(RA, RB, n * M, d)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -403,60 +442,87 @@ class Poly(Frozen):
         return divmod(self, other)[1]
 
     def eval_zero(self) -> FieldElem:
-        return self.coeffs[0] if self.coeffs else ZERO_ELEM
+        return self._coeff(0) if self._rep[0] else ZERO_ELEM
 
     def ord_zero(self) -> int:
         """X-adic valuation; index of the first nonzero coefficient."""
-        if self.is_zero():
+        A, B, _, _ = self._rep
+        if not A:
             raise KernelError("zero polynomial has no valuation")
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                return i
-        raise AssertionError("unnormalized polynomial")
+        return next(i for i, a in enumerate(A) if a or B and B[i])
 
     def __eq__(self, other):
-        if not isinstance(other, Poly):
+        if type(other) is not Poly:
             try:
                 other = _as_poly(other)
             except (KernelError, ValueError, TypeError):
                 return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._rep == other._rep
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self._rep)
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
         parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c.is_zero():
-                continue
-            cs = str(c)
-            if "+" in cs.strip("+") or "-" in cs.lstrip("-") or " " in cs:
-                cs = f"({cs})"
-            if i == 0:
-                parts.append(cs)
-            elif i == 1:
-                parts.append("X" if cs == "1" else f"{cs}*X")
-            else:
-                parts.append(f"X^{i}" if cs == "1" else f"{cs}*X^{i}")
-        return " + ".join(parts)
+        for i, c in reversed(list(enumerate(self.coeffs))):
+            if c:
+                cs = str(c)
+                if "+" in cs.strip("+") or "-" in cs.lstrip("-") or " " in cs:
+                    cs = f"({cs})"
+                mono = "X" if i == 1 else f"X^{i}"
+                parts.append(cs if i == 0 else mono if cs == "1" else f"{cs}*{mono}")
+        return " + ".join(parts) or "0"
 
 
-def _poly(coeffs) -> Poly:
-    """FieldElem coefficients, the last one nonzero, built without __init__."""
-    out = object.__new__(Poly)
-    object.__setattr__(out, "coeffs", tuple(coeffs))
+_set_rep = Poly._rep.__set__
+
+
+def _flat(A, B, n: int, d: int) -> Poly:
+    """(A[i] + B[i]*sqrt(d))/n for n > 0, reduced and built without __init__;
+    B is empty or as long as A."""
+    k = len(A)
+    while k and not (A[k - 1] or B and B[k - 1]):
+        k -= 1
+    if k < len(A):
+        A, B = A[:k], B[:k]
+    if not any(B):
+        B, d = (), 1
+    if n != 1:
+        g = gcd(n, *A, *B)
+        if g != 1:
+            A, B, n = [a // g for a in A], [b // g for b in B], n // g
+    out = _new(Poly)
+    _set_rep(out, (tuple(A), tuple(B), n, d))
     return out
 
 
-# Poly is immutable, so every caller shares the one polynomial 1
-_POLY_ONE = _poly((ONE_ELEM,))
+def _surd(rep) -> tuple:
+    """The surd numerators B, zeros for a rational polynomial."""
+    return rep[1] or (0,) * len(rep[0])
+
+
+def _conv(P, Q, size: int) -> list:
+    """The first size coefficients of the product of two integer polynomials."""
+    out = [0] * size
+    terms = [(j, b) for j, b in enumerate(Q) if b]
+    for i, a in enumerate(P):
+        if a:
+            for j, b in terms:
+                out[i + j] += a * b
+    return out
+
+
+def _is_x_power(rep) -> bool:
+    A, B, n, _ = rep
+    return n == 1 and not B and A[-1] == 1 and A.count(0) == len(A) - 1
+
+
+# Poly is immutable, so every caller shares one 0 and one 1
+_POLY_ZERO = _flat((), (), 1, 1)
+_POLY_ONE = _flat((1,), (), 1, 1)
 
 
 def _as_poly(value) -> Poly:
@@ -479,7 +545,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         raise KernelError("gcd of two zero polynomials")
     # gcd(X^j, h) = X^min(j, ord_0 h), with no remainder sequence
     for m, h in ((f, g), (g, f)):
-        if m.is_monic() and m.ord_zero() == m.degree and not h.is_zero():
+        if m._rep[0] and _is_x_power(m._rep) and h._rep[0]:
             return Poly.x_power(min(m.degree, h.ord_zero()))
     a, b = f, g
     while not b.is_zero():
@@ -511,31 +577,20 @@ class RatFunc(Frozen):
             raise KernelError("zero denominator")
         if num.is_zero():
             den = Poly.one()
-        elif den.is_one():
-            pass
-        elif den.is_constant():
-            num = num.scale(den.leading().inv())
-            den = Poly.one()
-        else:
+        elif not den.is_one():
             g = poly_gcd(num, den)
             if not g.is_one():
-                num = num // g
-                den = den // g
+                num, den = num // g, den // g
             lead = den.leading()
             if lead != ONE_ELEM:
                 c = lead.inv()
-                num = num.scale(c)
-                den = den.scale(c)
+                num, den = num.scale(c), den.scale(c)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
     @staticmethod
     def coerce(value) -> "RatFunc":
-        if isinstance(value, RatFunc):
-            return value
-        if isinstance(value, Poly):
-            return RatFunc(value)
-        return RatFunc(Poly.const(value))
+        return value if isinstance(value, RatFunc) else RatFunc(value)
 
     @staticmethod
     def zero() -> "RatFunc":
@@ -606,16 +661,7 @@ class RatFunc(Frozen):
         return RatFunc.coerce(other) * self.inv()
 
     def __pow__(self, n: int):
-        if n < 0:
-            return self.inv() ** (-n)
-        out = RatFunc.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, RatFunc.one())
 
     # -- predicates and views ----------------------------------------------
     def is_zero(self) -> bool:
@@ -681,13 +727,8 @@ def ord_at_zero(f: RatFunc) -> int:
 def eval_at_zero(f: RatFunc) -> FieldElem:
     """Value at X = 0; requires ord_at_zero(f) >= 0."""
     f = RatFunc.coerce(f)
-    if f.is_zero():
-        return ZERO_ELEM
-    a = f.num.ord_zero()
-    b = f.den.ord_zero()
-    if a - b < 0:
+    e = 1 if f.is_zero() else f.num.ord_zero() - f.den.ord_zero()
+    if e < 0:
         raise KernelError("pole at zero")
-    if a - b > 0:
-        return ZERO_ELEM
-    # canonical form is coprime, so a == b == 0 here
-    return f.num.eval_zero() / f.den.eval_zero()
+    # canonical form is coprime, so at e == 0 neither num nor den has a root at zero
+    return f.num.eval_zero() / f.den.eval_zero() if e == 0 else ZERO_ELEM

@@ -219,7 +219,7 @@ def make_structured(unit: RatFunc, dpart: ExtDModule, inst: PullbackInstance) ->
         if c != ONE_ELEM:
             unit = unit / c
     else:
-        c = _lowest(unit.num) / _lowest(unit.den)
+        c = unit.num.lowest() / unit.den.lowest()
         unit = RatFunc.x_power(ord_at_zero(unit))
     if c != ONE_ELEM and dpart.is_lattice():
         dpart = dmod_scale(c, dpart)
@@ -285,7 +285,7 @@ def _product_at_zero(h: RatFunc, g: RatFunc, inst: PullbackInstance):
         e = ord_at_zero(h) + ord_at_zero(g)
         if e != 0:
             return None if e < 0 else ZERO_ELEM
-        return (_lowest(h.num) * _lowest(g.num)) / (_lowest(h.den) * _lowest(g.den))
+        return (h.num.lowest() * g.num.lowest()) / (h.den.lowest() * g.den.lowest())
     q1 = _exact_quotient(g.num, h.den)
     if q1 is None:
         return None
@@ -293,10 +293,6 @@ def _product_at_zero(h: RatFunc, g: RatFunc, inst: PullbackInstance):
     if q2 is None:
         return None
     return q1.eval_zero() * q2.eval_zero()
-
-
-def _lowest(p: Poly):
-    return p.coeffs[p.ord_zero()]
 
 
 def _exact_quotient(f: Poly, g: Poly) -> Poly | None:

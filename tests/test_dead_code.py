@@ -13,7 +13,8 @@ membership in the pullback: in the whole package only
 are filled in one place: only `base_domain._memo_put` stores into a
 module-level `*_CACHE` table.
 An instance's flags are read off its inputs: `PullbackInstance.__init__`
-stores no literal True or False.
+stores no literal True or False.  And only `kernel.py` reads the slot
+that holds a `Poly`'s integer arrays.
 """
 
 import ast
@@ -168,3 +169,20 @@ def test_instance_flags_are_derived_from_the_inputs():
                and isinstance(node.value, ast.Constant) and isinstance(node.value.value, bool)
                and any(isinstance(t, ast.Attribute) for t in ast.walk(node))]
     assert not literal, f"PullbackInstance.__init__ stores a bool literal at lines {literal}"
+
+
+def test_only_kernel_reads_the_poly_storage():
+    # other modules use Poly's methods, so a change to how a polynomial is
+    # stored touches kernel.py alone
+    kernel = ast.parse((PACKAGE / "kernel.py").read_text())
+    poly = next(node for node in kernel.body
+                if isinstance(node, ast.ClassDef) and node.name == "Poly")
+    slots = next(stmt.value for stmt in poly.body if isinstance(stmt, ast.Assign)
+                 and isinstance(stmt.targets[0], ast.Name) and stmt.targets[0].id == "__slots__")
+    names = {elt.value for elt in slots.elts}
+    readers = [f"{path.name}:{node.lineno}"
+               for path in sorted(PACKAGE.glob("*.py")) if path.name != "kernel.py"
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr in names
+               or isinstance(node, ast.Constant) and node.value in names]
+    assert names and not readers, f"Poly's storage read outside kernel.py: {readers}"

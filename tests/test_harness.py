@@ -255,6 +255,8 @@ class TestReplay:
         ("colon-agreement", {"ideal": "ideal(2", "element": "X"}, "ideal"),  # does not parse
         ("v-agreement", {"ideal": "ideal(2, X)", "element": "sqrt(-3)"}, "element"),  # not in k
         ("gamma-alpha-identity", {"j": 5}, "j"),
+        ("rT-divisorial", {"r": "0"}, "r"),  # zero generates no ideal
+        ("ext-vs-rest", {"c": "0"}, "c"),
     ])
     def test_malformed_witness_names_its_field(self, inst_a, check, witness, field):
         with pytest.raises(HarnessError, match=f"witness field '{field}'"):

@@ -16,6 +16,7 @@ from starpull.kernel import (
     poly_gcd,
     poly_lcm,
 )
+from object_poly import ObjectPoly, object_gcd
 from strategies import elems, polys, ratfuncs, tagged
 
 
@@ -251,6 +252,57 @@ class TestPoly:
         assert Poly.const(0).is_zero() and Poly.const(0) == Poly.zero()
         assert f.scale(0).is_zero()
 
+    def test_mixed_tags_rejected_when_built(self):
+        with pytest.raises(KernelError):
+            Poly([fe(0, 1, -1), fe(0, 1, -5)])
+        assert Poly([fe(2), fe(0, 1, -5)]) == Poly([2, fe(0, 1, -5)])
+
+    def test_bit_length_reads_each_reduced_coefficient(self):
+        # 1/3 and 1/5 need 3 bits each; their common denominator 15 would need 4
+        assert Poly([Fraction(1, 3), Fraction(1, 5)]).bit_length() == 3
+        assert Poly([Fraction(2, 6), 0, 4]).bit_length() == 3
+        assert Poly.zero().bit_length() == 0
+
+
+def _either(d):
+    # an operand over Q(sqrt(d)) or over Q, so rationals meet surds
+    return st.one_of(polys(d), polys(1))
+
+
+class TestFlatPolyAgainstObjectPoly:
+    """The integer-array Poly against the FieldElem-tuple reference."""
+
+    @given(tagged(lambda d: st.tuples(_either(d), _either(d), elems(d), st.integers(0, 5))))
+    @settings(max_examples=300, deadline=None)
+    def test_operations_match_the_reference(self, args):
+        d, (f, g, c, j) = args
+        rf, rg = ObjectPoly(f.coeffs), ObjectPoly(g.coeffs)
+        for flat, ref in ((f + g, rf + rg), (f - g, rf - rg), (-f, -rf), (f * g, rf * rg),
+                          (f.scale(c), rf.scale(c))):
+            assert flat.coeffs == ref.coeffs and flat.degree == ref.degree
+        assert f.bit_length() == rf.bit_length()
+        assert f.eval_zero() == rf.eval_zero()
+        assert (f == g) == (rf == rg)
+        # equal values reached by different arithmetic, or rebuilt from their
+        # coefficients, hash equal
+        for a, b in ((f * g, g * f), ((f + g) - g, f), (Poly(f.coeffs), f), (g, g.scale(1))):
+            assert a == b and hash(a) == hash(b)
+        if not f.is_zero() or not g.is_zero():
+            assert poly_gcd(f, g).coeffs == object_gcd(rf, rg).coeffs
+        if f.is_zero():
+            return
+        assert f.monic().coeffs == rf.monic().coeffs
+        assert f.ord_zero() == rf.ord_zero()
+        assert f.lowest() == rf.coeffs[rf.ord_zero()]
+        divisors = [(Poly.x_power(j), ObjectPoly([0] * j + [1])), (f.monic(), rf.monic())]
+        lead = fe(2, 1, d) if d != 1 else fe(3)
+        divisors.append((f.scale(lead), rf.scale(lead)))
+        for divisor, ref in divisors:
+            for dividend, ref_dividend in ((g, rg), (g * f, rg * rf)):
+                q, r = divmod(dividend, divisor)
+                q_ref, r_ref = divmod(ref_dividend, ref)
+                assert q.coeffs == q_ref.coeffs and r.coeffs == r_ref.coeffs
+
 
 class TestRatFunc:
     def test_ord_examples(self):
@@ -282,7 +334,7 @@ class TestRatFunc:
 
     def test_canonical_form_monic_denominator(self):
         f = RatFunc(poly(0, 2), poly(0, 0, 4))
-        assert f.den.is_monic()
+        assert f.den.leading() == 1
         assert f == RatFunc(poly(2), poly(0, 4))
 
     def test_normalization_idempotent(self):
@@ -318,7 +370,7 @@ class TestRatFunc:
         product = h * g
         reference = RatFunc(h.num * g.num, h.den * g.den)
         assert product.num == reference.num and product.den == reference.den
-        assert product.den.is_monic()
+        assert product.den.leading() == 1
         assert poly_gcd(product.num, product.den).is_one()
 
     @given(tagged(ratfuncs))
