@@ -70,12 +70,12 @@ from .pullback import (
     inverse_image_R,
     m_ideal,
     make_instance,
-    member_M_product,
     member_R,
     member_R_product,
     oracle_colon_member,
     oracle_v_member,
     r_ideal,
+    span_product_in,
     structured_hull,
     t_closure_R,
     t_ideal_of_r,

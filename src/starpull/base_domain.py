@@ -231,6 +231,13 @@ class BaseDomain:
         """D itself as an ExtDModule, built once by the constructor."""
         return self._unit_module
 
+    def class_representatives(self) -> list["ExtDModule"]:
+        """One integral ideal per class of D: D itself unless D is an
+        order, else the ideal of each reduced form, in sorted order."""
+        if self.kind != "quadratic_order":
+            return [self._unit_module]
+        return [_ideal_of_form(f, self) for f in sorted(self._label_of_form)]
+
     def quotient_field_is_k(self) -> bool:
         # D spans k over Q exactly when its unit module has full rank
         return self._unit_module.rank() == self.ambient_dim

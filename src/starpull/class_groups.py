@@ -68,11 +68,9 @@ def is_principal_R(h, inst: PullbackInstance) -> RatFunc | None:
     """A generator when the ideal is principal over R, else None.
 
     T-modules (FULL dpart, including M) are never finitely generated
-    over R, hence never principal.
+    over R, hence never principal: is_cyclic is None on the sentinel.
     """
     s = as_structured(h, inst)
-    if s.dpart.is_full():
-        return None
     gen = dmod_predicates(s.dpart).is_cyclic
     if gen is None:
         return None

@@ -20,7 +20,6 @@ from fractions import Fraction
 
 from .base_domain import (
     ExtDModule,
-    _ideal_of_form,
     class_label_D,
     dmod_from_generators,
     dmod_predicates,
@@ -48,12 +47,12 @@ from .pullback import (
     ideal_equal,
     lift_generators,
     m_ideal,
-    member_M_product,
     member_R,
     member_structured,
     oracle_colon_member,
     oracle_v_member,
     outside_D,
+    span_product_in,
     structured_hull,
     t_closure_R,
     v_closure_R,
@@ -140,11 +139,8 @@ class Report:
 # samplers
 # ---------------------------------------------------------------------------
 
-def _sample_fraction(rng: random.Random, height: int, nonzero=False) -> Fraction:
-    while True:
-        q = Fraction(rng.randint(-height, height), rng.randint(1, 3))
-        if q != 0 or not nonzero:
-            return q
+def _sample_fraction(rng: random.Random, height: int) -> Fraction:
+    return Fraction(rng.randint(-height, height), rng.randint(1, 3))
 
 
 def _sample_scalar(rng: random.Random, inst: PullbackInstance, height: int,
@@ -242,13 +238,6 @@ def sample_elements_of_M(inst: PullbackInstance, params: SampleParams, count: in
         f = RatFunc(_sample_poly(rng, inst, params.coeff_height))
         out.append(f * RatFunc.x_power(rng.randint(1, 2)))
     return out
-
-
-def _class_representatives(inst: PullbackInstance) -> list[ExtDModule]:
-    base = inst.base
-    if base.kind != "quadratic_order":
-        return [base.unit_module()]
-    return [_ideal_of_form(f, base) for f in sorted(base._label_of_form)]
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +500,7 @@ def _class_group_report(suite: str, inst: PullbackInstance, params: SampleParams
 def _split_exact(inst: PullbackInstance, op: StarOp, params: SampleParams) -> Report:
     """Injectivity, splitting, and kernel capture of the class sequence."""
     rep = _class_group_report("split-exact", inst, params)
-    reps = _class_representatives(inst)
+    reps = inst.base.class_representatives()
     # injectivity across class representatives
     for i, j1 in enumerate(reps):
         for j2 in reps[i + 1:]:
@@ -647,18 +636,14 @@ def _pvmd(inst: PullbackInstance, op: StarOp, params: SampleParams) -> Report:
 def _confirm_noninvertibility(raw: RawIdeal, inst: PullbackInstance) -> bool:
     """Definitional confirmation that (I * I^-1)^v omits 1.
 
-    With certified generators of I^-1 = (R : I), every product of a
-    generator of I with one of them must lie in M.  Then e*I*I^-1 lies
-    in M, inside R, for the scalar e outside D, so e is in
-    (R : I*I^-1) while 1*e is not in R.
+    With certified generators of I^-1 = (R : I), I * I^-1 must lie in
+    M = phi^-1(0).  Then e*I*I^-1 lies in M, inside R, for the scalar e
+    outside D, so e is in (R : I*I^-1) while 1*e is not in R.
     """
     generators = colon_generators(raw, inst)
-    if generators is None:
-        return False
-    lifts, t = generators
-    if not all(member_M_product(g, p, inst) for g in raw.gens for p in lifts + [t]):
-        return False
-    return not member_R(RatFunc.coerce(Poly.const(outside_D(inst))), inst)
+    return (generators is not None
+            and span_product_in((raw.gens, None), generators, ExtDModule.zero(inst.base), inst)
+            and not member_R(RatFunc.coerce(Poly.const(outside_D(inst))), inst))
 
 
 def _extension_laws(inst: PullbackInstance, op: StarOp, params: SampleParams) -> Report:
@@ -689,7 +674,7 @@ def _pic_splitting(inst: PullbackInstance, op: StarOp, params: SampleParams) -> 
     """Invertible ideals decompose through the gamma label and the T part."""
     rep = _class_group_report("pic-splitting", inst, params)
     d_op = StarOp.identity("R")  # the Picard group: plain invertibility
-    for j in _class_representatives(inst):
+    for j in inst.base.class_representatives():
         invertible, label, principal = _decide(rep, _alpha_invertible, inst, d_op, j=j)
         rep.records.append({
             "check": "alpha-invertible",
@@ -721,8 +706,9 @@ def _oracle_agreement(inst: PullbackInstance, op: StarOp, params: SampleParams) 
         rep.n_samples += 1
         before = len(rep.violations)
         hull = structured_hull(raw, inst)
-        # colon_R reads the raw generators, so that it certifies against them
-        closed_colon = colon_R(raw, inst)
+        # the hull's colon, certified against the raw generators once, in
+        # colon_generators; a failure there makes the v-oracle inconclusive
+        closed_colon = colon_R(hull, inst)
         closed_v = v_closure_R(hull, inst)
         colon_grid = _agreement_grid(raw, closed_colon, params.degree_window, inst)
         for g in colon_grid:

@@ -536,8 +536,9 @@ def _as_poly(value) -> Poly:
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd via the monic Euclidean remainder sequence.
 
-    Each remainder is made monic before it divides, which keeps the
-    coefficients of the sequence from growing with its length.
+    Each divisor, g included, is made monic before it divides, which
+    keeps the coefficients of the sequence from growing with its length
+    and spares Poly.__divmod__ its rescaling step.
     """
     f = _as_poly(f)
     g = _as_poly(g)
@@ -549,9 +550,8 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
             return Poly.x_power(min(m.degree, h.ord_zero()))
     a, b = f, g
     while not b.is_zero():
+        b = b.monic()
         a, b = b, a % b
-        if not b.is_zero():
-            b = b.monic()
     return a.monic()
 
 

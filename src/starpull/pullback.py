@@ -13,8 +13,11 @@ dpart canonicalizes to (u*X, FULL).  As T = phi^-1(k), a fractional
 T-ideal u*T is the structured ideal (u, FULL) and has no type of its
 own.  All closed-form operations here (colon, divisorial closure,
 products) are certified in the test suite against the definitional
-membership oracles at the bottom of this file; colon_R also certifies
-each colon it computes, a closed form's once per instance.
+membership oracles at the bottom of this file.  Containment and colon
+certification are one test, span_product_in: whether the product of
+two R-modules, each generated by elements and a T-part t*T, lies in
+phi^-1(J).  colon_R certifies each colon it computes through
+colon_generators, a closed form's once per instance.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ class PullbackInstance:
         self.base = base
         self.k_disc = base.k_disc
         self.t_kind = t_kind
-        # R = phi^-1(D) and M = phi^-1(0): the modules J of member_R and member_M_product
+        # R = phi^-1(D) and M = phi^-1(0): the modules J of member_R and span_product_in
         self._d_module, self._zero_module = base.unit_module(), ExtDModule.zero(base)
         self.is_square_plus = base.quotient_field_is_k()
         self.t_quasilocal = t_kind == "local"
@@ -252,11 +255,6 @@ def member_R_product(h: RatFunc, g: RatFunc, inst: PullbackInstance) -> bool:
     return _product_in(h, g, inst._d_module, inst)
 
 
-def member_M_product(h: RatFunc, g: RatFunc, inst: PullbackInstance) -> bool:
-    """h*g in M = phi^-1(0), decided without forming h*g."""
-    return _product_in(h, g, inst._zero_module, inst)
-
-
 def member_structured(f: RatFunc, s: StructuredIdeal, inst: PullbackInstance) -> bool:
     """f in u*phi^-1(J0): f/u in T with value at zero in J0, without forming f/u."""
     return _product_in(f, s.unit.inv(), s.dpart, inst)
@@ -304,20 +302,27 @@ def _exact_quotient(f: Poly, g: Poly) -> Poly | None:
 
 
 def contains_ideal(outer, inner, inst: PullbackInstance) -> bool:
-    """inner is a subset of outer, decided on closed forms.
-
-    A structured inner ideal is its lifts plus t*T; t*T lies in
-    u*phi^-1(J) exactly when t/u is in T for J = k, and in M otherwise,
-    as M is the largest T-submodule of phi^-1(J) when J != k.
-    """
+    """inner is a subset of outer = u*phi^-1(J), decided on closed forms:
+    u^-1 times inner lies in phi^-1(J)."""
     outer = as_structured(outer, inst)
-    if isinstance(inner, RawIdeal):
-        return all(member_structured(g, outer, inst) for g in inner.gens)
-    lifts, t = _generators(inner, inst)
-    if not all(member_structured(g, outer, inst) for g in lifts):
-        return False
-    j = outer.dpart if outer.dpart.is_full() else inst._zero_module
-    return _product_in(t, outer.unit.inv(), j, inst)
+    return span_product_in(([outer.unit.inv()], None), _generators(inner, inst), outer.dpart, inst)
+
+
+def span_product_in(a, b, j: ExtDModule, inst: PullbackInstance) -> bool:
+    """The product of two generated R-modules lies in phi^-1(J).
+
+    Each of a and b is (gens, t), the R-span of gens plus t*T, with t
+    None for no T-part (see _generators).  Each product p*q of generators
+    must lie in phi^-1(J).  As M is an ideal of both T and R, t*T*q lies
+    in phi^-1(J) exactly when t*q lies in its largest T-submodule: T for
+    J = k, and M = phi^-1(0) otherwise.
+    """
+    (gens_a, t_a), (gens_b, t_b) = a, b
+    tail_a, tail_b = ([] if t is None else [t] for t in (t_a, t_b))
+    j_t = j if j.is_full() else inst._zero_module
+    return (all(_product_in(p, q, j, inst) for p in gens_a for q in gens_b)
+            and all(_product_in(p, q, j_t, inst) for p in tail_a for q in [*gens_b, *tail_b])
+            and all(_product_in(p, q, j_t, inst) for p in gens_a for q in tail_b))
 
 
 def ideal_equal(a, b, inst: PullbackInstance) -> bool:
@@ -385,37 +390,22 @@ def colon_R(ideal, inst: PullbackInstance) -> StructuredIdeal:
         return cached
     s = as_structured(ideal, inst)
     result = make_structured(s.unit.inv(), dmod_colon(s.dpart), inst)
-    if _certified_colon(result, ideal, inst) is None:
+    if colon_generators(ideal, inst, result) is None:
         raise AssertionError("closed-form colon failed definitional certification")
     return _memo_put(_COLON_R_CACHE, (ideal, inst), result) if closed_form else result
 
 
-def _certified_colon(colon: StructuredIdeal, ideal, inst: PullbackInstance):
-    """The generators (lifts, t) of colon when colon * I lies in R, else None.
+def _generators(ideal, inst: PullbackInstance) -> tuple[list[RatFunc], RatFunc | None]:
+    """(gens, t): the ideal is generated over R by gens and by t*T.
 
-    Each lift times each generator q of I must lie in R, and t*T*q lies
-    in R exactly when t*q is in M.  A raw I is generated by its raw
-    generators; a structured I by its own lifts and T-part t_I, where
-    p*t_I must lie in M for every generator p of the colon.
+    u*phi^-1(J) has the lifts and t = u*X for a lattice J, and no lifts
+    and t = u for J = k; a raw ideal has its generators and no T-part.
     """
-    lifts, t = _generators(colon, inst)
     if isinstance(ideal, RawIdeal):
-        gens, t_part_in_m = ideal.gens, True
-    else:
-        gens, t_i = _generators(ideal, inst)
-        t_part_in_m = all(member_M_product(p, t_i, inst) for p in lifts + [t])
-    if (t_part_in_m and all(member_M_product(t, q, inst) for q in gens)
-            and all(member_R_product(p, q, inst) for p in lifts for q in gens)):
-        return lifts, t
-    return None
-
-
-def _generators(s: StructuredIdeal, inst: PullbackInstance) -> tuple[list[RatFunc], RatFunc]:
-    """(lifts, t): u*phi^-1(J) is generated over R by the lifts and by t*T,
-    with t = u*X for a lattice J and t = u for J = k."""
-    if s.dpart.is_full():
-        return [], s.unit
-    return lift_generators(s, inst), s.unit * RatFunc.x_power(1)
+        return list(ideal.gens), None
+    if ideal.dpart.is_full():
+        return [], ideal.unit
+    return lift_generators(ideal, inst), ideal.unit * RatFunc.x_power(1)
 
 
 def lift_generators(s: StructuredIdeal, inst: PullbackInstance) -> list[RatFunc]:
@@ -464,8 +454,7 @@ def _structured_sum(sa: StructuredIdeal, sb: StructuredIdeal, inst: PullbackInst
     for s in (sa, sb):
         value = _product_at_zero(s.unit, g.inv(), inst)
         if not value.is_zero():
-            part = ExtDModule.full(inst.base) if s.dpart.is_full() else dmod_scale(value, s.dpart)
-            total = dmod_arith(total, part, "add")
+            total = dmod_arith(total, dmod_scale(value, s.dpart), "add")
     return make_structured(g, total, inst)
 
 
@@ -505,7 +494,7 @@ class OracleVerdict(Frozen):
         return f"OracleVerdict({self.status!r}, {self.witness!r})"
 
 
-def colon_generators(ideal: RawIdeal, inst: PullbackInstance,
+def colon_generators(ideal, inst: PullbackInstance,
                      colon: StructuredIdeal | None = None) -> tuple[list[RatFunc], RatFunc] | None:
     """A generating set (lifts, t) of (R : I), certified from the definition.
 
@@ -517,7 +506,9 @@ def colon_generators(ideal: RawIdeal, inst: PullbackInstance,
     """
     if colon is None:
         colon = colon_R(ideal, inst)
-    return _certified_colon(colon, ideal, inst)
+    generators = _generators(colon, inst)
+    in_r = span_product_in(generators, _generators(ideal, inst), inst._d_module, inst)
+    return generators if in_r else None
 
 
 def oracle_v_member(h: RatFunc, ideal: RawIdeal, inst: PullbackInstance,

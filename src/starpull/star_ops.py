@@ -267,8 +267,6 @@ def _eval_structured(op: StarOp, value, inst: PullbackInstance):
     inner = op.operands[0]
     if op.kind == "lifted":
         s = as_structured(value, inst)
-        if s.dpart.is_full():
-            return s
         closed = _eval(inner, inverse_image_R(s.dpart, inst), inst)
         return make_structured(s.unit, closed.dpart, inst)
     if op.kind == "overring_induced":
@@ -292,10 +290,6 @@ def _intersect_structured(a: StructuredIdeal, b: StructuredIdeal, inst: Pullback
             return a
         raise StarEvalError("non-representable intersection "
                             "(unit parts with distinct T-contents)")
-    if a.dpart.is_full():
-        return b
-    if b.dpart.is_full():
-        return a
     return make_structured(a.unit, dmod_intersect(a.dpart, b.dpart), inst)
 
 

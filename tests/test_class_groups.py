@@ -247,8 +247,8 @@ class TestClosedFormMemo:
         assert [colon_R(s, inst) for s in ideals] == memo_colons
         assert [_verdicts(invertibility_R(s, op, inst)) for s in ideals for op in ops] == memo
         certified = []
-        monkeypatch.setattr(pullback, "_certified_colon",
-                            lambda *args, f=pullback._certified_colon: certified.append(1) or f(*args))
+        monkeypatch.setattr(pullback, "colon_generators",
+                            lambda *args, f=pullback.colon_generators: certified.append(1) or f(*args))
         # second calls are hits: nothing is certified again, and the
         # stored objects come back
         assert [colon_R(s, inst) for s in ideals] == memo_colons

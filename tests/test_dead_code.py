@@ -9,7 +9,9 @@ names it.  Immutability is decided in one place: only `kernel.Frozen`
 defines `__setattr__`.  The shape of a quadratic order is read in one
 place too: only `BaseDomain.__init__` reduces `k_disc` mod 4.  So is
 membership in the pullback: in the whole package only
-`pullback._product_in` calls a module's `contains`.  And memo tables
+`pullback._product_in` calls a module's `contains`.  So is the T-part rule
+(t*T*q lies in phi^-1(J) when t*q lies in its largest T-submodule):
+only `pullback.span_product_in` reads an instance's zero module.  And memo tables
 are filled in one place: only `base_domain._memo_put` stores into a
 module-level `*_CACHE` table.
 An instance's flags are read off its inputs: `PullbackInstance.__init__`
@@ -116,6 +118,30 @@ def test_pullback_membership_is_one_test():
                     if isinstance(node, ast.ClassDef) and node.name == "PullbackInstance")
     assert not [stmt.name for stmt in instance.body
                 if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("member_")]
+
+
+def _zero_module_uses(node):
+    return {(sub.lineno, type(sub.ctx).__name__) for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute) and sub.attr == "_zero_module"}
+
+
+def test_t_part_rule_is_one_test():
+    # containment, colon certification and the pvmd confirmation all ask
+    # whether a T-part t*T lands in M = phi^-1(0); span_product_in alone
+    # answers, and PullbackInstance.__init__ alone stores M
+    uses = {(path.name, *use) for path in sorted(PACKAGE.glob("*.py"))
+            for use in _zero_module_uses(ast.parse(path.read_text()))}
+    tree = ast.parse((PACKAGE / "pullback.py").read_text())
+    span = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "span_product_in")
+    instance = next(node for node in tree.body
+                    if isinstance(node, ast.ClassDef) and node.name == "PullbackInstance")
+    init = next(node for node in instance.body
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    allowed = {("pullback.py", line, ctx) for line, ctx in _zero_module_uses(span) if ctx == "Load"}
+    assert allowed, "span_product_in no longer reads the zero module"
+    allowed |= {("pullback.py", line, ctx) for line, ctx in _zero_module_uses(init) if ctx == "Store"}
+    assert uses == allowed, f"zero module read outside span_product_in: {sorted(uses - allowed)}"
 
 
 def test_memo_tables_are_filled_in_one_place():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from starpull import harness
+from starpull import harness, pullback
 from starpull.class_groups import invertibility_R
 from starpull.harness import (
     CHECKS,
@@ -146,6 +146,15 @@ class TestSuiteVerdicts:
         rep = run_suite("oracle-agreement", inst_d, SampleParams(seed=11, count=10,
                                                                  degree_window=6))
         assert rep.verdict == "pass"
+
+    def test_oracle_agreement_hulls_each_sample_once(self, inst_a, monkeypatch):
+        # the suite takes the hull's colon, so colon_R hulls nothing again
+        calls = []
+        for module in (harness, pullback):
+            monkeypatch.setattr(module, "structured_hull",
+                                lambda *args, f=pullback.structured_hull: calls.append(1) or f(*args))
+        rep = run_suite("oracle-agreement", inst_a, SampleParams(seed=7, count=10))
+        assert rep.n_samples == 10 and len(calls) == 10
 
     def test_unknown_suite(self, inst_a):
         with pytest.raises(HarnessError):
@@ -328,7 +337,7 @@ class TestReplay:
                                                     ("v_closure_R", -1)])
     def test_injected_fault_replays_until_removed(self, inst_a, monkeypatch, closed_form, power):
         # a closed form computed on X^power * I makes oracle-agreement fail;
-        # the suite passes colon_R the raw ideal and v_closure_R its hull
+        # the suite passes colon_R and v_closure_R the hull
         true_form = getattr(harness, closed_form)
         x = RawIdeal([RatFunc.x_power(power)])
         monkeypatch.setattr(harness, closed_form,

@@ -51,6 +51,21 @@ class TestPolyAgainstSympy:
         # both sides return the monic gcd
         assert to_sympy(poly_gcd(f, g), d) == to_sympy(f, d).gcd(to_sympy(g, d))
 
+    @given(tagged(lambda d: st.tuples(polys(d), polys(d))))
+    @settings(max_examples=60, deadline=None)
+    def test_gcd_divides_by_monic_polynomials_only(self, args):
+        # poly_gcd makes each divisor monic before it divides, so no
+        # division takes Poly.__divmod__'s rescaling step
+        d, (f, g) = args
+        if f.is_zero() and g.is_zero():
+            return
+        divisors = []
+        true_divmod = Poly.__divmod__
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Poly, "__divmod__", lambda p, q: divisors.append(q) or true_divmod(p, q))
+            poly_gcd(f, g)
+        assert all(q == q.monic() for q in divisors), divisors
+
     @given(tagged(polys), st.integers(0, 6))
     @settings(max_examples=60, deadline=None)
     def test_gcd_with_a_monomial(self, args, j):

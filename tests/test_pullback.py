@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starpull import pullback
+from starpull import harness, pullback
 from starpull.base_domain import (
     BaseDomain,
     DomainError,
@@ -33,7 +33,6 @@ from starpull.pullback import (
     lift_generators,
     m_ideal,
     make_instance,
-    member_M_product,
     member_R,
     member_R_product,
     member_structured,
@@ -41,6 +40,7 @@ from starpull.pullback import (
     oracle_v_member,
     outside_D,
     r_ideal,
+    span_product_in,
     structured_hull,
     t_closure_R,
     t_ideal_of_r,
@@ -145,7 +145,8 @@ class TestMemberRProduct:
         if data.draw(st.booleans()):
             h = RatFunc(h.num * g.den, h.den)
         assert member_R_product(h, g, inst) == formed_product_in_R(h, g, inst)
-        assert member_M_product(h, g, inst) == member_M(RatFunc(h.num * g.num, h.den * g.den), inst)
+        zero = ExtDModule.zero(inst.base)
+        assert pullback._product_in(h, g, zero, inst) == member_M(RatFunc(h.num * g.num, h.den * g.den), inst)
 
     @pytest.mark.parametrize("name", instance_catalog())
     def test_zero_factors_poles_and_negative_orders(self, name):
@@ -172,7 +173,9 @@ class TestMemberRProduct:
             assert member_R_product(h, g, inst) == expected
             assert member_R_product(g, h, inst) == expected
             in_m = member_M(RatFunc(h.num * g.num, h.den * g.den), inst)
-            assert member_M_product(h, g, inst) == member_M_product(g, h, inst) == in_m
+            zero = ExtDModule.zero(inst.base)
+            assert span_product_in(([h], None), ([g], None), zero, inst) == in_m
+            assert span_product_in(([g], None), ([h], None), zero, inst) == in_m
 
     def test_decides_membership(self, inst_a, inst_b):
         pole = RatFunc(Poly([1]), Poly([0, 1]))
@@ -265,6 +268,75 @@ class TestContainsIdeal:
                 holds += got
         # both answers occur often
         assert 0.1 < holds / (len(ideals) * len(inners)) < 0.9
+
+
+def member_M_product_parent(h, g, inst):
+    return pullback._product_in(h, g, ExtDModule.zero(inst.base), inst)
+
+
+def contains_ideal_parent(outer, inner, inst):
+    """contains_ideal as written before span_product_in."""
+    outer = as_structured(outer, inst)
+    if isinstance(inner, RawIdeal):
+        return all(member_structured(g, outer, inst) for g in inner.gens)
+    lifts, t = pullback._generators(inner, inst)
+    if not all(member_structured(g, outer, inst) for g in lifts):
+        return False
+    j = outer.dpart if outer.dpart.is_full() else ExtDModule.zero(inst.base)
+    return pullback._product_in(t, outer.unit.inv(), j, inst)
+
+
+def certified_colon_parent(colon, ideal, inst):
+    """The colon certification as written before span_product_in."""
+    lifts, t = pullback._generators(colon, inst)
+    if isinstance(ideal, RawIdeal):
+        gens, t_part_in_m = ideal.gens, True
+    else:
+        gens, t_i = pullback._generators(ideal, inst)
+        t_part_in_m = all(member_M_product_parent(p, t_i, inst) for p in lifts + [t])
+    if (t_part_in_m and all(member_M_product_parent(t, q, inst) for q in gens)
+            and all(member_R_product(p, q, inst) for p in lifts for q in gens)):
+        return lifts, t
+    return None
+
+
+def confirm_noninvertibility_parent(raw, inst):
+    """harness._confirm_noninvertibility as written before span_product_in."""
+    generators = colon_generators(raw, inst)
+    if generators is None:
+        return False
+    lifts, t = generators
+    if not all(member_M_product_parent(g, p, inst) for g in raw.gens for p in lifts + [t]):
+        return False
+    return not member_R(RatFunc.coerce(Poly.const(outside_D(inst))), inst)
+
+
+class TestSpanProductIn:
+    """The one T-part rule gives the answers of the three tests it replaced."""
+
+    @pytest.mark.parametrize("name", instance_catalog())
+    def test_equals_the_code_it_replaces(self, name):
+        inst = make_instance(name)
+        raws = sample_ideals(inst, SampleParams(seed=5, count=8))
+        ideals = [*raws, *(structured_hull(raw, inst) for raw in raws),
+                  *(v_closure_R(raw, inst) for raw in raws),
+                  r_ideal(inst), m_ideal(inst), t_ideal_of_r(inst)]
+        contained = certified = 0
+        for a in ideals:
+            colon = as_structured(a, inst)
+            for b in ideals:
+                got = contains_ideal(a, b, inst)
+                assert got == contains_ideal_parent(a, b, inst), (a, b)
+                generators = colon_generators(b, inst, colon)
+                assert generators == certified_colon_parent(colon, b, inst), (a, b)
+                contained += got
+                certified += generators is not None
+        for raw in raws:
+            assert harness._confirm_noninvertibility(raw, inst) \
+                == confirm_noninvertibility_parent(raw, inst), raw
+        # both answers occur for both tests
+        pairs = len(ideals) ** 2
+        assert 0 < contained < pairs and 0 < certified < pairs
 
 
 class TestContent:

@@ -103,6 +103,22 @@ class TestEval:
             for op in ops:
                 assert ideal_equal(star_eval(op, m, inst), m, inst)
 
+    def test_lifted_evaluates_its_operand_on_t_modules(self, inst_a, inst_b, inst_c, inst_d, inst_e):
+        # lift(w) is refused on a T-module as on any other value
+        lift_w = StarOp.lifted(StarOp.w_op("D"))
+        for value in (extend_to_T(RawIdeal([X + 1]), inst_a), RawIdeal([TWO, X])):
+            with pytest.raises(StarEvalError):
+                star_eval(lift_w, value, inst_a)
+        # and lift(d), lift(v), lift(t) still fix every T-module and M
+        lifts = [StarOp.lifted(op) for op in (D_D, V_D, StarOp.t_op("D"))]
+        for inst in (inst_a, inst_b, inst_c, inst_d, inst_e):
+            values = [m_ideal(inst), t_ideal_of_r(inst),
+                      *(extend_to_T(raw, inst) for raw in sample_raws(inst, 6, 6))]
+            for value in values:
+                assert value.is_t_module()
+                for op in lifts:
+                    assert star_eval(op, value, inst) == value, (op, value)
+
     def test_w_descriptor_rejected(self, inst_a):
         with pytest.raises(StarEvalError):
             star_eval(StarOp.w_op("R"), RawIdeal([X]), inst_a)
