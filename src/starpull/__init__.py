@@ -62,7 +62,6 @@ from .pullback import (
     StructuredIdeal,
     colon_R,
     colon_generators,
-    content_T,
     extend_to_T,
     ideal_arith,
     ideal_equal,

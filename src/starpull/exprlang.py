@@ -1,11 +1,10 @@
 """The small ideal-expression language of the command line.
 
-Grammar (whitespace insensitive, positions are byte offsets):
+Grammar (whitespace insensitive, positions are character offsets):
 
     expr    := product (('+' | '-') product)*
     product := unary (('*' | '/') unary)*
-    unary   := '-' unary | power
-    power   := atom ('^' int)*
+    unary   := '-' unary | atom ('^' int)*
     atom    := int | 'sqrt' '(' int ')' | 'X'
              | 'ideal' '(' expr (',' expr)* ')'
              | func '(' expr (',' expr)* ')'
@@ -28,7 +27,9 @@ the round-trip tests rest on it.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from itertools import accumulate
 
 from .base_domain import ClassLabel, DomainError, ExtDModule, dmod_from_generators
 from .kernel import FieldElem, FrozenValue, KernelError, Poly, RatFunc
@@ -72,6 +73,12 @@ MAX_GENERATORS = 256
 MAX_VALUE_DEGREE = MAX_POWER_DEGREE + 1
 MAX_VALUE_BITS = 8 * MAX_POWER_BITS
 _CHAINED = ("pow", "add", "sub", "mul", "div")
+# binary operators: the node kind and the precedence level
+_BINARY = {"+": ("add", 1), "-": ("sub", 1), "*": ("mul", 2), "/": ("div", 2)}
+# a token is a run of decimal digits, a name or one other non-space
+# character; finditer skips the whitespace between tokens in one pass
+# (a leading \s* would backtrack quadratically over trailing whitespace)
+_TOKEN = re.compile(r"\d+|\w+|\S")
 
 
 # -- AST ---------------------------------------------------------------------
@@ -87,149 +94,121 @@ class Node:
 
 
 class _Tokens:
+    """One token of lookahead: tok starts at offset pos, and "" marks the end."""
+
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+        self._stream = _tokens(text)
+        self.tok, self.pos = next(self._stream)
+        self.end = 0  # end of the last token taken, where a nesting error points
         self.depth = 0
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
     def take(self) -> str:
-        self.skip_ws()
-        ch = self.text[self.pos]
-        self.pos += 1
-        return ch
+        tok, self.end = self.tok, self.pos + len(self.tok)
+        self.tok, self.pos = next(self._stream)
+        return tok
 
-    def expect(self, ch: str):
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            raise ExprError(f"expected {ch!r}", self.pos)
-        self.pos += 1
+    def expect(self, tok: str):
+        if self.tok != tok:
+            raise ExprError(f"expected {tok!r}", self.pos)
+        self.take()
 
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def read_int(self) -> tuple[int, int]:
-        self.skip_ws()
+    def read_int(self) -> int:
+        """An integer literal; its optional '-' must touch the digits."""
         start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] == "-":
-            self.pos += 1
-        if self.pos >= len(self.text) or not self.text[self.pos].isdigit():
-            raise ExprError("expected an integer", self.pos)
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
+        sign = self.take() if self.tok == "-" else ""
+        if not self.tok.isdecimal() or self.pos != start + len(sign):
+            raise ExprError("expected an integer", start + len(sign))
         try:
-            return int(self.text[start:self.pos]), start
+            return int(sign + self.take())
         except ValueError as exc:  # more digits than int() converts
             raise ExprError("integer literal too long", start) from exc
 
-    def read_name(self) -> tuple[str, int]:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
-            self.pos += 1
-        if start == self.pos:
-            raise ExprError("expected a name", start)
-        return self.text[start:self.pos], start
+
+def _tokens(text: str):
+    """Each token of text with its offset, then ("", len(text))."""
+    for m in _TOKEN.finditer(text):
+        yield m.group(), m.start()
+    yield "", len(text)
 
 
 def parse_expression(text: str) -> Node:
-    """Parse the expression language; errors carry byte offsets."""
+    """Parse the expression language; errors carry character offsets."""
     if len(text.encode("utf-8", errors="ignore")) > MAX_INPUT_BYTES:
-        raise ExprError("input exceeds 64 KiB", MAX_INPUT_BYTES)
+        # refused at the first character that does not fit
+        sizes = accumulate(len(ch.encode("utf-8", errors="ignore")) for ch in text)
+        raise ExprError("input exceeds 64 KiB",
+                        next(i for i, n in enumerate(sizes) if n > MAX_INPUT_BYTES))
     toks = _Tokens(text)
-    node = _parse_expr(toks)
-    if not toks.at_end():
+    node = _parse_binary(toks)
+    if toks.tok:
         raise ExprError("trailing input", toks.pos)
     return node
 
 
-def _parse_expr(toks: _Tokens) -> Node:
-    node = _parse_product(toks)
-    while toks.peek() in ("+", "-"):
-        pos = toks.pos
-        op = toks.take()
-        rhs = _parse_product(toks)
-        node = Node("add" if op == "+" else "sub", pos, children=(node, rhs))
-    return node
-
-
-def _parse_product(toks: _Tokens) -> Node:
+def _parse_binary(toks: _Tokens, level: int = 1) -> Node:
+    """Operands joined left to right by operators of at least this level."""
     node = _parse_unary(toks)
-    while toks.peek() in ("*", "/"):
+    while True:
+        kind, op_level = _BINARY.get(toks.tok, (None, 0))
+        if op_level < level:
+            return node
         pos = toks.pos
-        op = toks.take()
-        rhs = _parse_unary(toks)
-        node = Node("mul" if op == "*" else "div", pos, children=(node, rhs))
-    return node
+        toks.take()
+        node = Node(kind, pos, children=(node, _parse_binary(toks, op_level + 1)))
 
 
 def _parse_unary(toks: _Tokens) -> Node:
     if toks.depth == MAX_NESTING:
-        raise ExprError(f"nesting deeper than {MAX_NESTING}", toks.pos)
+        raise ExprError(f"nesting deeper than {MAX_NESTING}", toks.end)
     toks.depth += 1
-    if toks.peek() == "-":
+    if toks.tok == "-":
         pos = toks.pos
         toks.take()
         node = Node("neg", pos, children=(_parse_unary(toks),))
     else:
-        node = _parse_power(toks)
+        node = _parse_atom(toks)
+        while toks.tok == "^":
+            pos = toks.pos
+            toks.take()
+            node = Node("pow", pos, value=toks.read_int(), children=(node,))
     toks.depth -= 1
     return node
 
 
-def _parse_power(toks: _Tokens) -> Node:
-    node = _parse_atom(toks)
-    while toks.peek() == "^":
-        pos = toks.pos
-        toks.take()
-        exponent, _ = toks.read_int()
-        node = Node("pow", pos, value=exponent, children=(node,))
-    return node
-
-
 def _parse_atom(toks: _Tokens) -> Node:
-    ch = toks.peek()
-    if ch == "":
-        raise ExprError("unexpected end of input", toks.pos)
-    if ch.isdigit():
-        value, pos = toks.read_int()
-        return Node("int", pos, value=value)
-    if ch == "(":
+    tok, pos = toks.tok, toks.pos
+    if not tok:
+        raise ExprError("unexpected end of input", pos)
+    if tok.isdecimal():
+        return Node("int", pos, value=toks.read_int())
+    if tok == "(":
         toks.take()
-        node = _parse_expr(toks)
+        node = _parse_binary(toks)
         toks.expect(")")
         return node
-    if ch.isalpha() or ch == "_":
-        name, pos = toks.read_name()
-        if name == "X":
-            return Node("var", pos)
-        if name == "sqrt":
-            toks.expect("(")
-            value, _ = toks.read_int()
-            toks.expect(")")
-            return Node("sqrt", pos, value=value)
-        if name == "ideal" or name in _FUNCS:
-            toks.expect("(")
-            args = [_parse_expr(toks)]
-            while toks.peek() == ",":
-                toks.take()
-                args.append(_parse_expr(toks))
-            toks.expect(")")
-            if name == "ideal":
-                return Node("ideal", pos, children=args)
-            if len(args) != 1:
-                raise ExprError(f"{name} takes 1 argument(s)", pos)
-            return Node("call", pos, value=name, children=args)
-        raise ExprError(f"unknown function {name!r}", pos)
-    raise ExprError(f"unexpected character {ch!r}", toks.pos)
+    if not (tok[0].isalpha() or tok[0] == "_"):
+        raise ExprError(f"unexpected character {tok[0]!r}", pos)
+    toks.take()
+    if tok == "X":
+        return Node("var", pos)
+    if tok == "sqrt":
+        toks.expect("(")
+        value = toks.read_int()
+        toks.expect(")")
+        return Node("sqrt", pos, value=value)
+    if tok != "ideal" and tok not in _FUNCS:
+        raise ExprError(f"unknown function {tok!r}", pos)
+    toks.expect("(")
+    args = [_parse_binary(toks)]
+    while toks.tok == ",":
+        toks.take()
+        args.append(_parse_binary(toks))
+    toks.expect(")")
+    if tok == "ideal":
+        return Node("ideal", pos, children=args)
+    if len(args) != 1:
+        raise ExprError(f"{tok} takes 1 argument(s)", pos)
+    return Node("call", pos, value=tok, children=args)
 
 
 # -- evaluation ---------------------------------------------------------------

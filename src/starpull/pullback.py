@@ -44,7 +44,6 @@ from .kernel import (
     FrozenValue,
     Poly,
     RatFunc,
-    eval_at_zero,
     ord_at_zero,
     poly_gcd,
     poly_lcm,
@@ -339,15 +338,6 @@ def as_structured(ideal, inst: PullbackInstance) -> StructuredIdeal:
 # content and hull
 # ---------------------------------------------------------------------------
 
-def content_T(ideal: RawIdeal, inst: PullbackInstance) -> tuple[RatFunc, RawIdeal]:
-    """Generator u of the T-ideal spanned by the generators, and I/u.
-
-    The reduced part extends to the unit ideal of T.
-    """
-    u = _content(ideal.gens, inst)
-    return u, RawIdeal([g / u for g in ideal.gens])
-
-
 def _content(fs, inst: PullbackInstance) -> RatFunc:
     """Generator of the T-ideal spanned by the nonzero fs."""
     if inst.t_kind == "local":
@@ -363,11 +353,12 @@ def _content(fs, inst: PullbackInstance) -> RatFunc:
 
 
 def structured_hull(ideal: RawIdeal, inst: PullbackInstance) -> StructuredIdeal:
-    """Smallest structured ideal containing the raw ideal: I + u*M."""
-    u, reduced = content_T(ideal, inst)
-    values = [eval_at_zero(g) for g in reduced.gens]
-    j0 = dmod_from_generators(values, inst.base)
-    assert not j0.is_zero(), "reduced generators cannot all vanish at zero"
+    """Smallest structured ideal containing the raw ideal: I + u*M, where
+    u generates I*T and J0 is spanned by the values phi(g/u)."""
+    u = _content(ideal.gens, inst)
+    u_inv = u.inv()
+    j0 = dmod_from_generators([_product_at_zero(g, u_inv, inst) for g in ideal.gens], inst.base)
+    assert not j0.is_zero(), "the values phi(g/u) cannot all vanish"
     return make_structured(u, j0, inst)
 
 
@@ -460,7 +451,7 @@ def _structured_sum(sa: StructuredIdeal, sb: StructuredIdeal, inst: PullbackInst
 
 def extend_to_T(ideal, inst: PullbackInstance) -> StructuredIdeal:
     """The T-ideal I*T = u*T, always principal here, as u * phi^-1(k)."""
-    u = content_T(ideal, inst)[0] if isinstance(ideal, RawIdeal) else ideal.unit
+    u = _content(ideal.gens, inst) if isinstance(ideal, RawIdeal) else ideal.unit
     return make_structured(u, ExtDModule.full(inst.base), inst)
 
 

@@ -32,6 +32,27 @@ from starpull.pullback import (
     structured_hull,
     v_closure_R,
 )
+import reference_parser
+
+
+def _shape(node):
+    return node.kind, node.pos, node.value, [_shape(child) for child in node.children]
+
+
+def _parsed(parse, text):
+    """The AST's shape, or the error's (message, offset)."""
+    try:
+        return _shape(parse(text))
+    except ExprError as err:
+        return err.message, err.pos
+
+
+# the grammar's tokens, whitespace, and a few non-ASCII characters: a
+# non-decimal digit, a decimal one, a numeric, a letter and a space
+_PARSER_TEXTS = st.lists(st.sampled_from([
+    "(", ")", ",", "+", "-", "*", "/", "^", "#", "X", "0", "12", "sqrt", "ideal", "v", "hull",
+    "alpha", "frob", "_", " ", "  ", "\t", "\n", "²", "٣", "½", "é", "\u00a0",
+]), max_size=40).map("".join)
 
 
 class TestParser:
@@ -78,8 +99,44 @@ class TestParser:
                 assert 0 <= err.pos <= len(text) + 1
 
     def test_size_limit(self):
-        with pytest.raises(ExprError):
-            parse_expression("1" * (64 * 1024 + 1))
+        # refused at the first character past 64 KiB of UTF-8: "é" takes two bytes
+        for text, pos in (("1" * (64 * 1024 + 1), 64 * 1024), ("é" * 40000, 32 * 1024)):
+            with pytest.raises(ExprError) as err:
+                parse_expression(text)
+            assert err.value.message == "input exceeds 64 KiB"
+            assert 0 <= err.value.pos <= len(text) and err.value.pos == pos
+
+    def test_non_decimal_digits_are_not_integers(self):
+        # "²" passes str.isdigit but not int(); it is no integer literal.
+        # Offsets count characters: "٣", a decimal digit, is two bytes.
+        for text, message, pos in (("1²", "trailing input", 1),
+                                   ("²", "unexpected character '²'", 0),
+                                   ("X^²", "expected an integer", 2),
+                                   ("٣+#", "unexpected character '#'", 2)):
+            with pytest.raises(ExprError) as err:
+                parse_expression(text)
+            assert (err.value.message, err.value.pos) == (message, pos)
+        assert parse_expression("٣").value == 3
+
+    @given(text=_PARSER_TEXTS)
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_reference_parser(self, text):
+        new, old = _parsed(parse_expression, text), _parsed(reference_parser.parse_expression, text)
+        if new != old:
+            # the reference reads a digit such as "²" that int() refuses as a literal
+            assert any(ch.isdigit() and not ch.isdecimal() for ch in text)
+            assert old[0] == "integer literal too long"
+
+    @pytest.mark.parametrize("text", [
+        "", " \t\n", "(" * 101, "( " * 101, " (" * 101 + "1", "-" * 5000 + "1", "- " * 101 + "1",
+        "ideal(" * 500 + "1" + ")" * 500, "v(" * 100 + "1" + ")" * 100,
+        " + ".join(["X"] * 20001), " * ".join(["X"] * 20001), "1 - 2 * 3 / X ^ -2 + 4",
+        "X^- 2", "X^-", "X^--2", "X ^ -2", "sqrt(- 5)", "sqrt(-5)", "sqrt 5", "1" * 5000,
+        "ideal(2 X)", "ideal()", "v(1, 2)", "frob(1)", "X2", "2X", "½", "a½", "_(1)", "٣+#",
+        "1 +", "(1", "1)", "-X^2^3", "X^2^-1", "é", "ideal(1,)",
+    ], ids=lambda text: text if len(text) <= 24 else f"{text[:12]}...({len(text)} chars)")
+    def test_matches_the_reference_parser_on_edge_cases(self, text):
+        assert _parsed(parse_expression, text) == _parsed(reference_parser.parse_expression, text)
 
 
 class TestEvaluation:
@@ -211,6 +268,8 @@ class TestRobustness:
         "X^2^2^2^2^2^2^2^2^2^2^2^2",
         "65536^64^64^64^64",
         "1" * 5000,
+        pytest.param("(" + " " * 65000, id="paren-and-65000-spaces"),
+        pytest.param(" " * 65536, id="65536-spaces"),
     ])
     def test_cli_refuses_deep_nesting_and_huge_powers(self, text, capsys):
         start = time.perf_counter()

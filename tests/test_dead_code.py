@@ -16,7 +16,9 @@ are filled in one place: only `base_domain._memo_put` stores into a
 module-level `*_CACHE` table.
 An instance's flags are read off its inputs: `PullbackInstance.__init__`
 stores no literal True or False.  And only `kernel.py` reads the slot
-that holds a `Poly`'s integer arrays.
+that holds a `Poly`'s integer arrays.  An expression's text is scanned
+once, by `exprlang._tokens` through one compiled regex: no other function
+in `exprlang` indexes the text or calls `isspace`, `isdigit` or `isalnum`.
 """
 
 import ast
@@ -212,3 +214,20 @@ def test_only_kernel_reads_the_poly_storage():
                if isinstance(node, ast.Attribute) and node.attr in names
                or isinstance(node, ast.Constant) and node.value in names]
     assert names and not readers, f"Poly's storage read outside kernel.py: {readers}"
+
+
+def test_expression_text_is_scanned_once():
+    # the tokenizer runs one regex over the text; no other function in
+    # exprlang indexes the text or classifies its characters by hand
+    tree = ast.parse((PACKAGE / "exprlang.py").read_text())
+    patterns = [node.args[0].value for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "compile"]
+    assert len(patterns) == 1 and not patterns[0].startswith(r"\s"), patterns
+    scanners = sorted(f"{func.name}:{node.lineno}" for func in ast.walk(tree)
+                      if isinstance(func, ast.FunctionDef) and func.name != "_tokens"
+                      for node in ast.walk(func)
+                      if isinstance(node, ast.Subscript) and _names(node.value)["text"]
+                      or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr in ("isspace", "isdigit", "isalnum"))
+    assert not scanners, f"expression text scanned outside the tokenizer: {scanners}"

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from starpull import pullback
 from starpull.base_domain import (
     BaseDomain,
     DomainError,
@@ -18,7 +19,6 @@ from starpull.kernel import FieldElem, Poly, RatFunc
 from starpull.pullback import (
     RawIdeal,
     as_structured,
-    content_T,
     extend_to_T,
     ideal_equal,
     inverse_image_R,
@@ -333,7 +333,7 @@ class TestTSide:
         for inst in (inst_a, inst_b, inst_c, inst_d, inst_e):
             for raw in sample_raws(inst, 19, 10):
                 ct = extend_to_T(raw, inst)
-                assert ct == make_structured(content_T(raw, inst)[0],
+                assert ct == make_structured(pullback._content(raw.gens, inst),
                                              ExtDModule.full(inst.base), inst)
                 assert ct.is_t_module()
                 assert extend_to_T(structured_hull(raw, inst), inst) == ct
