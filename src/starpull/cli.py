@@ -103,7 +103,7 @@ def _cmd_instances(_args) -> int:
         flags = []
         if inst.is_square_plus:
             flags.append("square-plus")
-        if inst.t_quasilocal:
+        if inst.t.quasilocal:
             flags.append("quasilocal-T")
         presentation = list(inst.base.class_presentation)
         print(f"{name}: D = {inst.base}, k = {inst.k_name()}, T = {inst.t_name()}"

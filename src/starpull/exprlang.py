@@ -481,8 +481,7 @@ def _pretty_field_name(inst: PullbackInstance) -> str:
 
 
 def pretty_t_name(inst: PullbackInstance) -> str:
-    base = f"{_pretty_field_name(inst)}[X]"
-    return base if inst.t_kind == "poly" else f"{base}_(X)"
+    return f"{_pretty_field_name(inst)}[X]{inst.t.suffix}"
 
 
 def _pretty_dpart(j: ExtDModule, inst: PullbackInstance) -> str:

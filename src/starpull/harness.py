@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from .base_domain import (
     ExtDModule,
@@ -150,10 +151,7 @@ def _sample_scalar(rng: random.Random, inst: PullbackInstance, height: int,
         y = Fraction(0)
         if allow_surd and inst.k_disc != 1 and rng.random() < 0.5:
             y = _sample_fraction(rng, height)
-        if y == 0:
-            e = FieldElem(x)
-        else:
-            e = FieldElem(x, y, inst.k_disc)
+        e = FieldElem(x, y, inst.k_disc)  # the tag drops to 1 when y == 0
         if not e.is_zero() or not nonzero:
             return e
 
@@ -502,11 +500,10 @@ def _split_exact(inst: PullbackInstance, op: StarOp, params: SampleParams) -> Re
     rep = _class_group_report("split-exact", inst, params)
     reps = inst.base.class_representatives()
     # injectivity across class representatives
-    for i, j1 in enumerate(reps):
-        for j2 in reps[i + 1:]:
-            _decide(rep, _alpha_injective, inst, op, j1=j1, j2=j2)
-            rep.records.append({"check": "alpha-injective",
-                                "classes": [str(class_label_D(j1)), str(class_label_D(j2))]})
+    for j1, j2 in combinations(reps, 2):
+        _decide(rep, _alpha_injective, inst, op, j1=j1, j2=j2)
+        rep.records.append({"check": "alpha-injective",
+                            "classes": [str(class_label_D(j1)), str(class_label_D(j2))]})
     # splitting and triviality of beta on representatives and sampled D-ideals
     dmods = reps + sample_dmods(inst, params)[: params.count // 2]
     for j in dmods:
@@ -545,7 +542,7 @@ def _split_exact(inst: PullbackInstance, op: StarOp, params: SampleParams) -> Re
 
 def _quasilocal_iso(inst: PullbackInstance, op: StarOp, params: SampleParams) -> Report:
     """Every invertible ideal reduces to an alpha preimage when T is local."""
-    if not inst.t_quasilocal:
+    if not inst.t.quasilocal:
         raise HarnessError("quasilocal-iso needs a quasilocal T (instances B, E)")
     rep = Report("quasilocal-iso", inst.name, params)
     for raw in sample_ideals(inst, params):
@@ -585,17 +582,10 @@ def pvmd_structural_verdict(inst: PullbackInstance) -> bool:
 
 
 def _witness_search_family(inst: PullbackInstance) -> list[RawIdeal]:
-    one = RatFunc.one()
     x = RatFunc.x_power(1)
-    consts = [one, RatFunc.coerce(2)]
-    if inst.k_disc != 1:
-        consts.insert(1, RatFunc(Poly([FieldElem(0, 1, inst.k_disc)])))
-    family = []
-    atoms = consts + [x, x * RatFunc.coerce(2)]
-    for i, g1 in enumerate(atoms):
-        for g2 in atoms[i + 1:]:
-            family.append(RawIdeal([g1, g2]))
-    return family
+    surd = [RatFunc(Poly([FieldElem(0, 1, inst.k_disc)]))] if inst.k_disc != 1 else []
+    atoms = [RatFunc.one(), *surd, RatFunc.coerce(2), x, x * RatFunc.coerce(2)]
+    return [RawIdeal(pair) for pair in combinations(atoms, 2)]
 
 
 def _pvmd(inst: PullbackInstance, op: StarOp, params: SampleParams) -> Report:
@@ -660,9 +650,7 @@ def _extension_laws(inst: PullbackInstance, op: StarOp, params: SampleParams) ->
         rep.records.append({"check": "rT-divisorial", "r": value_to_expr(r, inst), "holds": holds})
     rng = random.Random(params.seed + 3)
     for _ in range(rng_count):
-        c = _sample_ratfunc(rng, inst, params)
-        while c.is_zero():
-            c = _sample_ratfunc(rng, inst, params)
+        c = _sample_ratfunc(rng, inst, params)  # nonzero, as its numerator is
         rep.n_samples += 1
         ext_eq_rest, t_eq_v = _decide(rep, _extension_agreement, inst, op, c=c)
         rep.records.append({"check": "extension-agreement", "c": value_to_expr(c, inst),

@@ -1,29 +1,33 @@
 """Pullback instances R = phi^-1(D) inside T and their ideal calculus.
 
-T is either a polynomial ring K[X] over a computable field K, or its
-localization K[X]_(X); M = X*T is the maximal ideal at the origin and
-phi is evaluation at zero, so R = {f in T : f(0) in D}.
+T is one of the kinds in _T_KINDS: the polynomial ring K[X] over a
+computable field K, or its localization K[X]_(X).  Each fact that
+depends on the kind (values at zero, canonical generators, contents,
+names) is read off that table.  M = X*T is the maximal ideal at the
+origin and phi is evaluation at zero, so R = {f in T : f(0) in D}.
 
 Ideals of R come in two flavors.  A ``RawIdeal`` is a finite list of
 nonzero generators in K(X).  A ``StructuredIdeal`` is the closed form
-u * phi^-1(J0): a unit part u in K(X)^x and a D-module part J0.  In the
-catalogued instances M = X*T is principal as a T-ideal, so the zero
-module convention phi^-1(0) = M is normalized away internally: a ZERO
-dpart canonicalizes to (u*X, FULL).  As T = phi^-1(k), a fractional
-T-ideal u*T is the structured ideal (u, FULL) and has no type of its
-own.  All closed-form operations here (colon, divisorial closure,
-products) are certified in the test suite against the definitional
-membership oracles at the bottom of this file.  Containment and colon
-certification are one test, span_product_in: whether the product of
-two R-modules, each generated by elements and a T-part t*T, lies in
-phi^-1(J).  colon_R certifies each colon it computes through
-colon_generators, a closed form's once per instance.
+u * phi^-1(J0): a unit part u in K(X)^x and a D-module part J0.  For
+both kinds M = X*T is principal as a T-ideal, so the zero module
+convention phi^-1(0) = M is normalized away internally: a ZERO dpart
+canonicalizes to (u*X, FULL), and _generators spans u*M by u*X; a T
+whose M is not principal needs another form.  As T = phi^-1(k), a
+fractional T-ideal u*T is the structured ideal (u, FULL) and has no
+type of its own.  All closed-form operations here (colon, divisorial
+closure, products) are certified in the test suite against the
+definitional membership oracles at the bottom of this file.
+Containment and colon certification are one test, span_product_in:
+whether the product of two R-modules, each generated by elements and a
+T-part t*T, lies in phi^-1(J).  colon_R certifies each colon it
+computes through colon_generators, a closed form's once per instance.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import reduce
 
 from .base_domain import (
     BaseDomain,
@@ -54,20 +58,84 @@ class PullbackError(ValueError):
     """Ill-formed instance request or unsupported ideal operation."""
 
 
+class _PolyT:
+    """T = K[X], whose units are the nonzero constants."""
+
+    quasilocal = False
+    suffix = ""
+
+    def at_zero(self, h: RatFunc, g: RatFunc) -> FieldElem | None:
+        """phi(h*g) when h*g lies in T, else None; h and g are nonzero.
+
+        For canonical h = a/b and g = c/d each pair is coprime, so h*g is a
+        polynomial exactly when b | c and d | a, and then its value at zero
+        is (c/b)(0) * (a/d)(0).
+        """
+        q1 = _exact_quotient(g.num, h.den)
+        if q1 is None:
+            return None
+        q2 = _exact_quotient(h.num, g.den)
+        if q2 is None:
+            return None
+        return q1.eval_zero() * q2.eval_zero()
+
+    def normalize(self, u: RatFunc) -> tuple[RatFunc, FieldElem]:
+        """(u/c, c) for c the leading coefficient of u's numerator."""
+        c = u.num.leading()
+        return (u if c == ONE_ELEM else u / c), c
+
+    def content(self, fs) -> RatFunc:
+        """The gcd of the numerators of the nonzero fs over their common denominator."""
+        den = reduce(poly_lcm, (f.den for f in fs))
+        return RatFunc(reduce(poly_gcd, [f.num * (den // f.den) for f in fs]), den)
+
+
+class _LocalT:
+    """T = K[X]_(X), whose ideals are generated by powers of X."""
+
+    quasilocal = True
+    suffix = "_(X)"
+
+    def at_zero(self, h: RatFunc, g: RatFunc) -> FieldElem | None:
+        # X-orders add and the values at zero of the X-free parts multiply
+        e = ord_at_zero(h) + ord_at_zero(g)
+        if e != 0:
+            return None if e < 0 else ZERO_ELEM
+        return (h.num.lowest() * g.num.lowest()) / (h.den.lowest() * g.den.lowest())
+
+    def normalize(self, u: RatFunc) -> tuple[RatFunc, FieldElem]:
+        # X^e for e = ord(u), and the value at zero of the X-free part
+        return RatFunc.x_power(ord_at_zero(u)), u.num.lowest() / u.den.lowest()
+
+    def content(self, fs) -> RatFunc:
+        return RatFunc.x_power(min(ord_at_zero(f) for f in fs))
+
+
+# what T is, looked up by PullbackInstance.__init__ alone
+_T_KINDS = {"poly": _PolyT(), "local": _LocalT()}
+
+
+def _exact_quotient(f: Poly, g: Poly) -> Poly | None:
+    """f / g when g divides f, else None."""
+    if g.is_one():
+        return f
+    q, r = divmod(f, g)
+    return q if r.is_zero() else None
+
+
 class PullbackInstance:
-    """One catalogued diagram: D inside k = T/M with T = K[X] or K[X]_(X)."""
+    """One catalogued diagram: D inside k = T/M with T one of _T_KINDS."""
 
     def __init__(self, name: str, base: BaseDomain, t_kind: str):
-        if t_kind not in ("poly", "local"):
+        if t_kind not in _T_KINDS:
             raise PullbackError(f"unsupported T kind {t_kind!r}")
         self.name = name
         self.base = base
         self.k_disc = base.k_disc
-        self.t_kind = t_kind
+        self.t = _T_KINDS[t_kind]
         # R = phi^-1(D) and M = phi^-1(0): the modules J of member_R and span_product_in
         self._d_module, self._zero_module = base.unit_module(), ExtDModule.zero(base)
         self.is_square_plus = base.quotient_field_is_k()
-        self.t_quasilocal = t_kind == "local"
 
     def __repr__(self):
         return f"PullbackInstance({self.name!r})"
@@ -80,8 +148,7 @@ class PullbackInstance:
         return f"Q(sqrt({self.k_disc}))"
 
     def t_name(self) -> str:
-        ring = f"{self.k_name()}[X]"
-        return ring if self.t_kind == "poly" else f"{ring}_(X)"
+        return f"{self.k_name()}[X]{self.t.suffix}"
 
 
 _CATALOG_SPECS = {
@@ -185,10 +252,10 @@ class StructuredIdeal(FrozenValue):
     """Canonical closed form u * phi^-1(J0).
 
     The dpart J0 is a lattice module or FULL; a ZERO input dpart is
-    normalized to (u*X, FULL) through the identity M = X*T.  The unit
-    part is monic/monic for the polynomial kind and a pure power of X for
-    the local kind, with the absorbed constant pushed into the dpart, so
-    representations are unique.
+    normalized to (u*X, FULL) through the identity M = X*T, which holds
+    for every kind in _T_KINDS.  The unit part is the kind's canonical
+    generator of u*T (``normalize``), with the absorbed constant pushed
+    into the dpart, so representations are unique.
     """
 
     __slots__ = ("unit", "dpart")
@@ -214,15 +281,7 @@ def make_structured(unit: RatFunc, dpart: ExtDModule, inst: PullbackInstance) ->
     if dpart.is_zero():
         unit = unit * RatFunc.x_power(1)
         dpart = ExtDModule.full(inst.base)
-    # the constant c absorbed into the dpart: the leading coefficient in
-    # K[X], the value at zero of the X-free part in K[X]_(X)
-    if inst.t_kind == "poly":
-        c = unit.num.leading()
-        if c != ONE_ELEM:
-            unit = unit / c
-    else:
-        c = unit.num.lowest() / unit.den.lowest()
-        unit = RatFunc.x_power(ord_at_zero(unit))
+    unit, c = inst.t.normalize(unit)
     if c != ONE_ELEM and dpart.is_lattice():
         dpart = dmod_scale(c, dpart)
     return StructuredIdeal(unit, dpart)
@@ -266,38 +325,8 @@ def _product_in(h: RatFunc, g: RatFunc, j: ExtDModule, inst: PullbackInstance) -
     g = RatFunc.coerce(g)
     if h.is_zero() or g.is_zero():
         return True
-    value = _product_at_zero(h, g, inst)
+    value = inst.t.at_zero(h, g)
     return value is not None and j.contains(value)
-
-
-def _product_at_zero(h: RatFunc, g: RatFunc, inst: PullbackInstance):
-    """phi(h*g) when h*g lies in T, else None; h and g are nonzero.
-
-    For canonical h = a/b and g = c/d each pair is coprime, so h*g is a
-    polynomial exactly when b | c and d | a, and then its value at zero
-    is (c/b)(0) * (a/d)(0).  In the local kind X-orders add and the
-    values at zero of the X-free parts multiply.
-    """
-    if inst.t_kind == "local":
-        e = ord_at_zero(h) + ord_at_zero(g)
-        if e != 0:
-            return None if e < 0 else ZERO_ELEM
-        return (h.num.lowest() * g.num.lowest()) / (h.den.lowest() * g.den.lowest())
-    q1 = _exact_quotient(g.num, h.den)
-    if q1 is None:
-        return None
-    q2 = _exact_quotient(h.num, g.den)
-    if q2 is None:
-        return None
-    return q1.eval_zero() * q2.eval_zero()
-
-
-def _exact_quotient(f: Poly, g: Poly) -> Poly | None:
-    """f / g when g divides f, else None."""
-    if g.is_one():
-        return f
-    q, r = divmod(f, g)
-    return q if r.is_zero() else None
 
 
 def contains_ideal(outer, inner, inst: PullbackInstance) -> bool:
@@ -338,26 +367,12 @@ def as_structured(ideal, inst: PullbackInstance) -> StructuredIdeal:
 # content and hull
 # ---------------------------------------------------------------------------
 
-def _content(fs, inst: PullbackInstance) -> RatFunc:
-    """Generator of the T-ideal spanned by the nonzero fs."""
-    if inst.t_kind == "local":
-        return RatFunc.x_power(min(ord_at_zero(f) for f in fs))
-    den = Poly.one()
-    for f in fs:
-        den = poly_lcm(den, f.den)
-    numerators = [f.num * (den // f.den) for f in fs]
-    g0 = numerators[0]
-    for p in numerators[1:]:
-        g0 = poly_gcd(g0, p)
-    return RatFunc(g0, den)
-
-
 def structured_hull(ideal: RawIdeal, inst: PullbackInstance) -> StructuredIdeal:
     """Smallest structured ideal containing the raw ideal: I + u*M, where
     u generates I*T and J0 is spanned by the values phi(g/u)."""
-    u = _content(ideal.gens, inst)
+    u = inst.t.content(ideal.gens)
     u_inv = u.inv()
-    j0 = dmod_from_generators([_product_at_zero(g, u_inv, inst) for g in ideal.gens], inst.base)
+    j0 = dmod_from_generators([inst.t.at_zero(g, u_inv) for g in ideal.gens], inst.base)
     assert not j0.is_zero(), "the values phi(g/u) cannot all vanish"
     return make_structured(u, j0, inst)
 
@@ -424,34 +439,31 @@ def t_closure_R(ideal, inst: PullbackInstance) -> StructuredIdeal:
 
 def ideal_arith(a, b, op: str, inst: PullbackInstance):
     """Products and sums; raw inputs stay raw for raw-raw products."""
-    if op == "mul":
-        if isinstance(a, RawIdeal) and isinstance(b, RawIdeal):
-            return RawIdeal([f * g for f in a.gens for g in b.gens])
-        sa, sb = as_structured(a, inst), as_structured(b, inst)
-        return make_structured(sa.unit * sb.unit, dmod_arith(sa.dpart, sb.dpart, "mul"), inst)
+    if op not in ("mul", "add"):
+        raise PullbackError(f"unknown ideal operation {op!r}")
+    if isinstance(a, RawIdeal) and isinstance(b, RawIdeal):
+        return RawIdeal([f * g for f in a.gens for g in b.gens] if op == "mul" else a.gens + b.gens)
+    sa, sb = as_structured(a, inst), as_structured(b, inst)
     if op == "add":
-        if isinstance(a, RawIdeal) and isinstance(b, RawIdeal):
-            return RawIdeal(list(a.gens) + list(b.gens))
-        sa, sb = as_structured(a, inst), as_structured(b, inst)
         return _structured_sum(sa, sb, inst)
-    raise PullbackError(f"unknown ideal operation {op!r}")
+    return make_structured(sa.unit * sb.unit, dmod_arith(sa.dpart, sb.dpart, "mul"), inst)
 
 
 def _structured_sum(sa: StructuredIdeal, sb: StructuredIdeal, inst: PullbackInstance) -> StructuredIdeal:
     # common content g, then the value modules add with the weights phi(u/g);
     # u/g lies in T, so its value at zero exists
-    g = _content([sa.unit, sb.unit], inst)
+    g = inst.t.content([sa.unit, sb.unit])
     total = ExtDModule.zero(inst.base)
     for s in (sa, sb):
-        value = _product_at_zero(s.unit, g.inv(), inst)
+        value = inst.t.at_zero(s.unit, g.inv())
         if not value.is_zero():
             total = dmod_arith(total, dmod_scale(value, s.dpart), "add")
     return make_structured(g, total, inst)
 
 
 def extend_to_T(ideal, inst: PullbackInstance) -> StructuredIdeal:
-    """The T-ideal I*T = u*T, always principal here, as u * phi^-1(k)."""
-    u = _content(ideal.gens, inst) if isinstance(ideal, RawIdeal) else ideal.unit
+    """I*T = u*T, principal for each kind in _T_KINDS, as u * phi^-1(k)."""
+    u = inst.t.content(ideal.gens) if isinstance(ideal, RawIdeal) else ideal.unit
     return make_structured(u, ExtDModule.full(inst.base), inst)
 
 
@@ -522,7 +534,7 @@ def oracle_v_member(h: RatFunc, ideal: RawIdeal, inst: PullbackInstance,
     for g in lifts:
         if not member_R_product(h, g, inst):
             return OracleVerdict("out-with-witness", g)
-    value = ZERO_ELEM if h.is_zero() else _product_at_zero(h, t, inst)
+    value = ZERO_ELEM if h.is_zero() else inst.t.at_zero(h, t)
     if value is not None and value.is_zero():
         return OracleVerdict("in")
     witness = t

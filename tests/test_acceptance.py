@@ -149,16 +149,17 @@ def test_criterion_5_picard_splitting(inst_a, inst_b, inst_c):
     _verdict(5, "Picard splitting on A, B, C", elapsed)
 
 
-def test_criterion_6_oracle_agreement(inst_a, inst_c, inst_d):
+def test_criterion_6_oracle_agreement(inst_a, inst_b, inst_c, inst_d, inst_e):
+    # B and E carry the local T kind, A, C and D the polynomial one
     start = time.perf_counter()
-    for inst in (inst_a, inst_c, inst_d):
+    for inst in (inst_a, inst_b, inst_c, inst_d, inst_e):
         report = run_suite("oracle-agreement", inst, SampleParams(seed=SEED, count=200,
                                                                   degree_window=12))
         assert report.verdict == "pass", report.violations[:3]
         assert report.n_samples == 200
         assert all(r["contradictions"] == 0 for r in report.records)
     elapsed = time.perf_counter() - start
-    _verdict(6, "oracle agreement, 200 samples on A, C, D", elapsed)
+    _verdict(6, "oracle agreement, 200 samples on A-E", elapsed)
 
 
 def test_criterion_7_star_operation_algebra(inst_a, inst_c, inst_d):

@@ -19,6 +19,10 @@ stores no literal True or False.  And only `kernel.py` reads the slot
 that holds a `Poly`'s integer arrays.  An expression's text is scanned
 once, by `exprlang._tokens` through one compiled regex: no other function
 in `exprlang` indexes the text or calls `isspace`, `isdigit` or `isalnum`.
+What T is gets decided in one place too: only `PullbackInstance.__init__`
+looks `t_kind` up in `pullback._T_KINDS` (config parsing in
+`make_instance` passes the string through), and no function compares a
+value with "poly" or "local"; everything else asks the instance's kind.
 """
 
 import ast
@@ -231,3 +235,28 @@ def test_expression_text_is_scanned_once():
                       or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                       and node.func.attr in ("isspace", "isdigit", "isalnum"))
     assert not scanners, f"expression text scanned outside the tokenizer: {scanners}"
+
+
+def test_t_kind_is_read_in_one_place():
+    # every fact that depends on T (values at zero, canonical generators,
+    # contents, names, the quasilocal flag) is read off inst.t
+    naming, lookups, literals = set(), set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for owner in ast.walk(tree):
+            for func in ast.iter_child_nodes(owner):
+                if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                qual = f"{owner.name if isinstance(owner, ast.ClassDef) else path.stem}.{func.name}"
+                if _names(func)["t_kind"]:
+                    naming.add(qual)
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Subscript) and _names(node.value)["_T_KINDS"]:
+                        lookups.add(qual)
+                    if isinstance(node, ast.Compare) and any(
+                            isinstance(c, ast.Constant) and c.value in ("poly", "local")
+                            for c in ast.walk(node)):
+                        literals.add(f"{qual}:{node.lineno}")
+    assert naming == {"PullbackInstance.__init__", "pullback.make_instance"}, naming
+    assert lookups == {"PullbackInstance.__init__"}, lookups
+    assert not literals, f"T kinds compared by name outside _T_KINDS: {sorted(literals)}"

@@ -61,7 +61,7 @@ def member_T(f, inst):
     a pole at zero for K[X]_(X)."""
     if f.is_zero():
         return True
-    if inst.t_kind == "poly":
+    if not inst.t.quasilocal:
         return f.is_polynomial()
     return ord_at_zero(f) >= 0
 
@@ -78,11 +78,11 @@ def member_R_reference(f, inst):
 
 class TestMakeInstance:
     def test_catalog_flags(self, inst_a, inst_b, inst_c, inst_d, inst_e):
-        assert inst_a.is_square_plus and not inst_a.t_quasilocal
-        assert inst_b.is_square_plus and inst_b.t_quasilocal
+        assert inst_a.is_square_plus and not inst_a.t.quasilocal
+        assert inst_b.is_square_plus and inst_b.t.quasilocal
         assert inst_c.is_square_plus and inst_c.base.class_presentation == (2,)
         assert not inst_d.is_square_plus
-        assert not inst_e.is_square_plus and inst_e.t_quasilocal
+        assert not inst_e.is_square_plus and inst_e.t.quasilocal
 
     def test_explicit_config(self, inst_c):
         inst = make_instance({"base": "quadratic(-5)", "T": "poly"})
@@ -340,13 +340,50 @@ class TestSpanProductIn:
 
 class TestContent:
     def test_gcd_content(self, inst_a):
-        assert pullback._content([TWO * X, X * X], inst_a) == X
+        assert inst_a.t.content([TWO * X, X * X]) == X
 
     def test_coprime_content(self, inst_a):
-        assert pullback._content([TWO, X], inst_a).is_one()
+        assert inst_a.t.content([TWO, X]).is_one()
 
     def test_local_content(self, inst_b):
-        assert pullback._content([X + X * X, X ** 3], inst_b) == X
+        assert inst_b.t.content([X + X * X, X ** 3]) == X
+
+
+def instances_of_kind(kind):
+    return [inst for inst in map(make_instance, instance_catalog()) if inst.t is kind]
+
+
+class TestTKindContract:
+    """What every entry of _T_KINDS must answer, checked against the
+    definitional references on the catalogued instances of that kind."""
+
+    @pytest.mark.parametrize("name", sorted(pullback._T_KINDS))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_kind_contract(self, name, data):
+        kind = pullback._T_KINDS[name]
+        inst = data.draw(st.sampled_from(instances_of_kind(kind)))
+        sampled = [g for raw in sample_ideals(inst, SampleParams(seed=11, count=30)) for g in raw.gens]
+        nonzero = st.one_of(st.sampled_from(sampled),
+                            ratfuncs(inst.k_disc).filter(lambda f: not f.is_zero()))
+        u = data.draw(nonzero)
+        # normalize: u = u' * c * (a unit of T with value 1 at zero), u' fixed
+        u1, c = kind.normalize(u)
+        q = u / (u1 * c)
+        assert member_T(q, inst) and member_T(q.inv(), inst) and eval_at_zero(q) == FieldElem(1)
+        assert kind.normalize(u1) == (u1, FieldElem(1))
+        # content([f]) generates f*T
+        content = kind.content([u])
+        assert member_T(u / content, inst) and member_T(content / u, inst)
+        # at_zero(h, g) is phi(h*g), or None exactly when h*g is outside T
+        h, g = data.draw(nonzero), data.draw(nonzero)
+        if data.draw(st.booleans()):
+            g = RatFunc(g.num * h.den, g.den)
+        if data.draw(st.booleans()):
+            h = RatFunc(h.num * g.den, h.den)
+        product = RatFunc(h.num * g.num, h.den * g.den)
+        expected = eval_at_zero(product) if member_T(product, inst) else None
+        assert kind.at_zero(h, g) == expected
 
 
 class TestHull:

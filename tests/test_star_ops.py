@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from starpull import pullback
 from starpull.base_domain import (
     BaseDomain,
     DomainError,
@@ -333,7 +332,7 @@ class TestTSide:
         for inst in (inst_a, inst_b, inst_c, inst_d, inst_e):
             for raw in sample_raws(inst, 19, 10):
                 ct = extend_to_T(raw, inst)
-                assert ct == make_structured(pullback._content(raw.gens, inst),
+                assert ct == make_structured(inst.t.content(raw.gens),
                                              ExtDModule.full(inst.base), inst)
                 assert ct.is_t_module()
                 assert extend_to_T(structured_hull(raw, inst), inst) == ct
