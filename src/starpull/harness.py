@@ -35,7 +35,7 @@ from .class_groups import (
     class_equivalent_R,
 )
 from .exprlang import ExprError, elem_to_expr, evaluate, parse_expression, value_to_expr
-from .kernel import FieldElem, Frozen, Poly, RatFunc, ord_at_zero
+from .kernel import FieldElem, Frozen, Poly, RatFunc
 from .pullback import (
     PullbackError,
     PullbackInstance,
@@ -555,8 +555,7 @@ def _quasilocal_iso(inst: PullbackInstance, op: StarOp, params: SampleParams) ->
             record["skipped"] = "not invertible"
             continue
         # T-generator drawn from the generators themselves
-        e = min(ord_at_zero(g) for g in raw.gens)
-        i_gen = next(g for g in raw.gens if ord_at_zero(g) == e)
+        i_gen = inst.t.generator(raw.gens)
         shifted = RawIdeal([g / i_gen for g in raw.gens])
         s1 = t_closure_R(shifted, inst)
         record["i_generator"] = value_to_expr(i_gen, inst)

@@ -15,7 +15,8 @@ so two values are mathematically equal iff they are structurally equal.
 Products keep that form by cross-cancellation (Henrici's method, Knuth,
 TAOCP vol. 2, 4.5.1): for canonical a/b and c/d, dividing out gcd(a, d)
 and gcd(c, b) leaves a coprime pair with a monic denominator, so no gcd
-of the full products is taken.
+of the full products is taken; a product by X^j takes none at all, as
+only powers of X can cancel.
 
 No floating point is used anywhere; ideal equality downstream depends on
 these canonical forms being exact.
@@ -352,8 +353,27 @@ class Poly(Frozen):
         """The lowest nonzero coefficient: the value at zero of f / X^ord_zero(f)."""
         return self._coeff(self.ord_zero())
 
+    def is_monic(self) -> bool:
+        A, B, n, _ = self._rep
+        return bool(A) and A[-1] == n and not (B and B[-1])
+
     def monic(self) -> "Poly":
-        return self.scale(self.leading().inv())
+        return self if self.is_monic() else self.scale(self.leading().inv())
+
+    def shift(self, j: int) -> "Poly":
+        """self * X^j, for j < 0 only when X^-j divides self; moving the
+        coefficients keeps the result canonical."""
+        A, B, n, d = self._rep
+        if not (j and A):
+            return self
+        if j > 0:
+            z = (0,) * j
+            A, B = z + A, z + B if B else B
+        else:
+            A, B = A[-j:], B[-j:]
+        out = _new(Poly)
+        _set_rep(out, (A, B, n, d))
+        return out
 
     def scale(self, c) -> "Poly":
         (A, B, n, d), (ca, cb, cn, d2) = self._rep, FieldElem.coerce(c)._abnd
@@ -388,13 +408,9 @@ class Poly(Frozen):
             return _POLY_ZERO
         if _is_x_power(f._rep):
             f, g = g, f
-        (A1, B1, n1, d), (A2, B2, n2, d2) = f._rep, g._rep
         if _is_x_power(g._rep):
-            # a product by X^j is a shift
-            if len(A2) == 1:
-                return f
-            z = (0,) * (len(A2) - 1)
-            return _flat(z + A1, z + B1 if B1 else (), n1, d)
+            return f.shift(g.degree)
+        (A1, B1, n1, d), (A2, B2, n2, d2) = f._rep, g._rep
         if d != d2:
             d = _common_tag(d, d2)
         size = len(A1) + len(A2) - 1
@@ -442,13 +458,16 @@ class Poly(Frozen):
         return divmod(self, other)[1]
 
     def eval_zero(self) -> FieldElem:
-        return self._coeff(0) if self._rep[0] else ZERO_ELEM
+        A, B, n, d = self._rep
+        return _make(A[0], B[0] if B else 0, n, d) if A else ZERO_ELEM
 
     def ord_zero(self) -> int:
         """X-adic valuation; index of the first nonzero coefficient."""
         A, B, _, _ = self._rep
         if not A:
             raise KernelError("zero polynomial has no valuation")
+        if A[0] or B and B[0]:
+            return 0
         return next(i for i, a in enumerate(A) if a or B and B[i])
 
     def __eq__(self, other):
@@ -581,9 +600,8 @@ class RatFunc(Frozen):
             g = poly_gcd(num, den)
             if not g.is_one():
                 num, den = num // g, den // g
-            lead = den.leading()
-            if lead != ONE_ELEM:
-                c = lead.inv()
+            if not den.is_monic():
+                c = den.leading().inv()
                 num, den = num.scale(c), den.scale(c)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -627,6 +645,18 @@ class RatFunc(Frozen):
         a, b, c, d = self.num, self.den, other.num, other.den
         if a.is_zero() or c.is_zero():
             return RatFunc.zero()
+        j = _x_exponent(c, d)
+        if j is None and (j := _x_exponent(a, b)) is not None:
+            a, b = c, d
+        if j is not None:
+            # a product by X^j is a shift: X^min(j, ord b) cancels from the
+            # denominator (X^min(-j, ord a) from the numerator for j < 0), and
+            # what is left stays coprime with a monic denominator
+            if j >= 0:
+                e = min(j, b.ord_zero())
+                return _ratfunc(a.shift(j - e), b.shift(-e))
+            e = min(-j, a.ord_zero())
+            return _ratfunc(a.shift(-e), b.shift(-j - e))
         # a/b and c/d are canonical, so after dividing out gcd(a, d) and
         # gcd(c, b) the numerator and denominator are coprime, and the
         # denominator stays monic as a quotient of monic polynomials
@@ -648,9 +678,8 @@ class RatFunc(Frozen):
         # num and den are already coprime, so swapping them and making the
         # new denominator monic gives the canonical form with no gcd
         num, den = self.den, self.num
-        lead = den.leading()
-        if lead != ONE_ELEM:
-            c = lead.inv()
+        if not den.is_monic():
+            c = den.leading().inv()
             num, den = num.scale(c), den.scale(c)
         return _ratfunc(num, den)
 
@@ -714,6 +743,15 @@ def _ratfunc(num: Poly, den: Poly) -> RatFunc:
     object.__setattr__(out, "num", num)
     object.__setattr__(out, "den", den)
     return out
+
+
+def _x_exponent(num: Poly, den: Poly) -> int | None:
+    """j when num/den is X^j, else None."""
+    if den.is_one() and _is_x_power(num._rep):
+        return num.degree
+    if num.is_one() and _is_x_power(den._rep):
+        return -den.degree
+    return None
 
 
 def ord_at_zero(f: RatFunc) -> int:

@@ -5,6 +5,10 @@ computable field K, or its localization K[X]_(X).  Each fact that
 depends on the kind (values at zero, canonical generators, contents,
 names) is read off that table.  M = X*T is the maximal ideal at the
 origin and phi is evaluation at zero, so R = {f in T : f(0) in D}.
+In K[X], whether a product h*g lies in T and its value at zero are read
+from X-orders and lowest coefficients, with no quotient polynomial; the
+one division left, between X-free parts, is memoized, so the products
+of h by X^j share it.
 
 Ideals of R come in two flavors.  A ``RawIdeal`` is a finite list of
 nonzero generators in K(X).  A ``StructuredIdeal`` is the closed form
@@ -69,15 +73,20 @@ class _PolyT:
 
         For canonical h = a/b and g = c/d each pair is coprime, so h*g is a
         polynomial exactly when b | c and d | a, and then its value at zero
-        is (c/b)(0) * (a/d)(0).
+        is (c/b)(0) * (a/d)(0).  Neither quotient is formed.  Write
+        b = X^k*b' and c = X^m*c' with b'(0) and c'(0) nonzero.  Then b | c
+        exactly when k <= m and b' | c'; and if c = q*b, the coefficients of
+        X^k give c_k = q(0)*b_k, as b has none below X^k, so
+        (c/b)(0) = c_k/b_k, which is zero for k < m.  Two polynomials
+        (b = d = 1) give the product of their constant terms.
         """
-        q1 = _exact_quotient(g.num, h.den)
-        if q1 is None:
+        v1 = _quotient_at_zero(g.num, h.den)
+        if v1 is None:
             return None
-        q2 = _exact_quotient(h.num, g.den)
-        if q2 is None:
+        v2 = _quotient_at_zero(h.num, g.den)
+        if v2 is None:
             return None
-        return q1.eval_zero() * q2.eval_zero()
+        return v1 * v2
 
     def normalize(self, u: RatFunc) -> tuple[RatFunc, FieldElem]:
         """(u/c, c) for c the leading coefficient of u's numerator."""
@@ -110,17 +119,36 @@ class _LocalT:
     def content(self, fs) -> RatFunc:
         return RatFunc.x_power(min(ord_at_zero(f) for f in fs))
 
+    def generator(self, fs) -> RatFunc:
+        """The first of the nonzero fs of least X-order, which alone generates fs*T."""
+        return min(fs, key=ord_at_zero)
+
 
 # what T is, looked up by PullbackInstance.__init__ alone
 _T_KINDS = {"poly": _PolyT(), "local": _LocalT()}
 
 
-def _exact_quotient(f: Poly, g: Poly) -> Poly | None:
-    """f / g when g divides f, else None."""
-    if g.is_one():
-        return f
-    q, r = divmod(f, g)
-    return q if r.is_zero() else None
+_DIVIDES_CACHE: dict[tuple[Poly, Poly], bool] = {}
+
+
+def _quotient_at_zero(c: Poly, b: Poly) -> FieldElem | None:
+    """(c/b)(0) when the monic b divides c, else None, by the rule in
+    _PolyT.at_zero.  The X-free test b' | c' is the same for every b*X^j
+    and c*X^j, so it is decided once and then read from a memo."""
+    if b.is_one():
+        return c.eval_zero()
+    k, m = b.ord_zero(), c.ord_zero()
+    if k > m or b.degree - k > c.degree - m:
+        return None
+    b1, c1 = b.shift(-k), c.shift(-m)
+    if not b1.is_one():
+        key = (b1, c1)
+        divides = _DIVIDES_CACHE.get(key)
+        if divides is None:
+            divides = _memo_put(_DIVIDES_CACHE, key, (c1 % b1).is_zero())
+        if not divides:
+            return None
+    return ZERO_ELEM if k < m else c1.eval_zero() / b1.eval_zero()
 
 
 class PullbackInstance:

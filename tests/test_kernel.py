@@ -292,8 +292,13 @@ class TestFlatPolyAgainstObjectPoly:
         if f.is_zero():
             return
         assert f.monic().coeffs == rf.monic().coeffs
+        assert f.is_monic() == (f.leading() == 1) and f.monic().is_monic()
         assert f.ord_zero() == rf.ord_zero()
         assert f.lowest() == rf.coeffs[rf.ord_zero()]
+        k = f.ord_zero()
+        assert f.shift(-k).eval_zero() == f.lowest() and f.shift(-k).shift(k) == f
+        assert f.shift(j).shift(-j) == f
+        assert f.shift(j).coeffs == (rf * ObjectPoly([0] * j + [1])).coeffs
         divisors = [(Poly.x_power(j), ObjectPoly([0] * j + [1])), (f.monic(), rf.monic())]
         lead = fe(2, 1, d) if d != 1 else fe(3)
         divisors.append((f.scale(lead), rf.scale(lead)))
@@ -384,3 +389,32 @@ class TestRatFunc:
         reference = RatFunc(h.den, h.num)
         assert inverse.num == reference.num and inverse.den == reference.den
         assert h * inverse == RatFunc.one()
+
+    @given(tagged(lambda d: st.tuples(ratfuncs(d), st.integers(0, 3), st.integers(0, 3),
+                                      st.integers(-3, 15))))
+    @settings(max_examples=200, deadline=None)
+    def test_x_power_product_matches_the_gcd_path(self, args):
+        # reference: the full products reduced through gcd in the constructor;
+        # X-factors in both parts reach every branch of the shift
+        _, (h, e_num, e_den, j) = args
+        h = RatFunc(h.num * Poly.x_power(e_num), h.den * Poly.x_power(e_den))
+        xj = RatFunc.x_power(j)
+        reference = RatFunc(h.num * xj.num, h.den * xj.den)
+        for product in (h * xj, xj * h):
+            assert product.num == reference.num and product.den == reference.den
+
+    @given(tagged(ratfuncs), st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_inverse_matches_the_body_that_read_the_leading_coefficient(self, args, monic):
+        _, h = args
+        if h.is_zero():
+            return
+        if monic:
+            h = RatFunc(h.num.monic(), h.den)
+        # the former body of inv: swap, then always read the new leading coefficient
+        num, den = h.den, h.num
+        lead = den.leading()
+        if lead != FieldElem(1):
+            num, den = num.scale(lead.inv()), den.scale(lead.inv())
+        inverse = h.inv()
+        assert inverse.num == num and inverse.den == den

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starpull import harness, pullback
+from starpull import base_domain, class_groups, harness, pullback
 from starpull.base_domain import (
     BaseDomain,
     DomainError,
@@ -384,6 +384,67 @@ class TestTKindContract:
         product = RatFunc(h.num * g.num, h.den * g.den)
         expected = eval_at_zero(product) if member_T(product, inst) else None
         assert kind.at_zero(h, g) == expected
+        # generator(fs) is the first of the fs of least X-order, and it
+        # generates the same T-ideal as content(fs)
+        if kind.quasilocal:
+            fs = data.draw(st.lists(nonzero, min_size=1, max_size=4))
+            gen = kind.generator(fs)
+            first = fs.index(gen)
+            assert all(ord_at_zero(f) > ord_at_zero(gen) for f in fs[:first])
+            assert all(ord_at_zero(f) >= ord_at_zero(gen) for f in fs[first:])
+            content = kind.content(fs)
+            assert member_T(gen / content, inst) and member_T(content / gen, inst)
+
+
+class TestDivisibilityMemo:
+    """K[X] membership remembers whether one X-free part divides another,
+    and only answers that a fresh division would give."""
+
+    @staticmethod
+    def _pairs(inst):
+        # sampled generators, their shifts by X^j and their inverses: the
+        # shapes that the oracle grids multiply
+        gens = [g for raw in sample_ideals(inst, SampleParams(seed=5, count=12)) for g in raw.gens]
+        shifted = [g * RatFunc.x_power(j) for g in gens[:6] for j in (-2, -1, 1, 3)]
+        values = gens + shifted + [g.inv() for g in gens]
+        return [(h, g) for h in values for g in values[::3]]
+
+    @pytest.mark.parametrize("name", [inst.name for inst in instances_of_kind(pullback._T_KINDS["poly"])])
+    def test_a_hit_equals_a_fresh_computation(self, name, monkeypatch):
+        inst = make_instance(name)
+        pairs = self._pairs(inst)
+        # calls against the memo as earlier tests left it, then against an empty table
+        memo = [inst.t.at_zero(h, g) for h, g in pairs]
+        monkeypatch.setattr(pullback, "_DIVIDES_CACHE", {})
+        assert [inst.t.at_zero(h, g) for h, g in pairs] == memo
+        table = pullback._DIVIDES_CACHE
+        assert table, "no X-free division was memoized"
+        for (b, c), divides in table.items():
+            assert b.is_monic() and b.degree >= 1 and not b.eval_zero().is_zero()
+            assert not c.eval_zero().is_zero()
+            assert divides == (c % b).is_zero()
+        # second calls are hits: no division runs, and the answers repeat
+        divisions = []
+        divmod_ = Poly.__divmod__
+        monkeypatch.setattr(Poly, "__divmod__", lambda f, g: divisions.append(1) or divmod_(f, g))
+        assert [inst.t.at_zero(h, g) for h, g in pairs] == memo
+        assert not divisions
+
+    def test_oracle_agreement_divides_once_per_x_free_pair(self, inst_a, monkeypatch):
+        # the shifts b*X^j of a grid element share their X-free parts, so a
+        # report on A at seed 7 makes at most 150 divisions from empty
+        # memos; forming each quotient made 507
+        for module, table in ((pullback, "_DIVIDES_CACHE"), (pullback, "_COLON_R_CACHE"),
+                              (base_domain, "_COLON_CACHE"),
+                              (class_groups, "_INVERTIBILITY_CACHE")):
+            monkeypatch.setattr(module, table, {})
+        divisions = []
+        divmod_ = Poly.__divmod__
+        monkeypatch.setattr(Poly, "__divmod__", lambda f, g: divisions.append(1) or divmod_(f, g))
+        report = harness.run_suite("oracle-agreement", inst_a,
+                                   SampleParams(seed=7, count=10, degree_window=12))
+        assert report.n_samples == 10 and not report.violations
+        assert len(divisions) <= 150
 
 
 class TestHull:
