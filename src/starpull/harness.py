@@ -174,7 +174,7 @@ def _sample_ratfunc(rng: random.Random, inst: PullbackInstance, params: SamplePa
                     FieldElem(1)])
         f = f / RatFunc(den)
     if rng.random() < 0.25:
-        f = f * RatFunc.x_power(rng.randint(-2, 2))
+        f = f.shift(rng.randint(-2, 2))
     return f
 
 
@@ -234,7 +234,7 @@ def sample_elements_of_M(inst: PullbackInstance, params: SampleParams, count: in
     out = []
     while len(out) < count:
         f = RatFunc(_sample_poly(rng, inst, params.coeff_height))
-        out.append(f * RatFunc.x_power(rng.randint(1, 2)))
+        out.append(f.shift(rng.randint(1, 2)))
     return out
 
 
@@ -717,8 +717,8 @@ def _agreement_grid(raw: RawIdeal, closed_colon, degree: int, inst) -> list[RatF
     out = list(raw.gens) + lifts
     for b in list(raw.gens[:1]) + lifts[:1]:
         for j in range(1, degree + 1):
-            out.append(b * RatFunc.x_power(j))
-        out.append(b * RatFunc.x_power(-1))
+            out.append(b.shift(j))
+        out.append(b.shift(-1))
     return out
 
 
@@ -726,9 +726,9 @@ def _v_grid(raw: RawIdeal, hull, closed_v, inst) -> list[RatFunc]:
     out = list(raw.gens)
     if closed_v.dpart.is_lattice():
         out.extend(lift_generators(closed_v, inst))
-    out.append(hull.unit * RatFunc.x_power(-1))
+    out.append(hull.unit.shift(-1))
     out.append(hull.unit * RatFunc.coerce(Fraction(1, 3)))
-    out.append(raw.gens[0] * RatFunc.x_power(1))
+    out.append(raw.gens[0].shift(1))
     return out
 
 

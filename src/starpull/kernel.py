@@ -167,11 +167,7 @@ class FieldElem(Frozen):
     def __mul__(self, other):
         if type(other) is not FieldElem:
             other = FieldElem.coerce(other)
-        a, b, n, d = self._abnd
-        a2, b2, n2, d2 = other._abnd
-        if d != d2:
-            d = _common_tag(d, d2)
-        return _make(a * a2 + d * b * b2, a * b2 + a2 * b, n * n2, d)
+        return _make(*_times(self._abnd, other._abnd))
 
     __rmul__ = __mul__
 
@@ -185,21 +181,15 @@ class FieldElem(Frozen):
         return Fraction(a * a - d * b * b, n * n)
 
     def inv(self) -> "FieldElem":
-        # n / (a + b*sqrt(d)) = n*(a - b*sqrt(d)) / (a^2 - d*b^2); the
-        # norm vanishes only at zero, as d is squarefree
-        a, b, n, d = self._abnd
-        m = a * a - d * b * b
-        if not m:
-            raise KernelError("division by zero")
-        if m < 0:
-            m, n = -m, -n
-        return _make(n * a, -n * b, m, d)
+        # 1 carries self's tag, so no common tag is looked up
+        abnd = self._abnd
+        return _make(*_over((1, 0, 1, abnd[3]), abnd))
 
     def __truediv__(self, other):
-        return self * FieldElem.coerce(other).inv()
+        return _make(*_over(self._abnd, FieldElem.coerce(other)._abnd))
 
     def __rtruediv__(self, other):
-        return FieldElem.coerce(other) * self.inv()
+        return _make(*_over(FieldElem.coerce(other)._abnd, self._abnd))
 
     def __pow__(self, n: int):
         return _power(self, n, ONE_ELEM)
@@ -255,6 +245,37 @@ def _power(x, n: int, one):
 
 _new = object.__new__
 _set_abnd = FieldElem._abnd.__set__
+
+
+def _times(p: tuple, q: tuple) -> tuple:
+    """The product of two scalars held as integer quadruples (a, b, n, d),
+    (a + b*sqrt(d))/n, as a quadruple that is not reduced."""
+    a, b, n, d = p
+    a2, b2, n2, d2 = q
+    if d != d2:
+        d = _common_tag(d, d2)
+    return a * a2 + d * b * b2, a * b2 + a2 * b, n * n2, d
+
+
+def _over(p: tuple, q: tuple) -> tuple:
+    """p/q for quadruples, not reduced but with n > 0.
+
+    (a + b*sqrt(d))/n over (a2 + b2*sqrt(d))/n2 is
+    n2*(a + b*sqrt(d))*(a2 - b2*sqrt(d)) / (n*N), for the norm
+    N = a2^2 - d*b2^2 of the divisor's numerator, which vanishes only at
+    zero as d is squarefree; for N < 0 (a real quadratic d) the signs of
+    n2 and N flip so that the denominator stays positive.
+    """
+    a, b, n, d = p
+    a2, b2, n2, d2 = q
+    if d != d2:
+        d = _common_tag(d, d2)
+    m = a2 * a2 - d * b2 * b2
+    if not m:
+        raise KernelError("division by zero")
+    if m < 0:
+        m, n2 = -m, -n2
+    return n2 * (a * a2 - d * b * b2), n2 * (b * a2 - a * b2), n * m, d
 
 
 def _make(a: int, b: int, n: int, d: int) -> FieldElem:
@@ -316,8 +337,14 @@ class Poly(Frozen):
         return tuple(self._coeff(i) for i in range(len(self._rep[0])))
 
     def _coeff(self, i: int) -> FieldElem:
+        return _make(*self.coeff_ints(i))
+
+    def coeff_ints(self, i: int) -> tuple:
+        """Coefficient i as an integer quadruple (a, b, n, d), not reduced,
+        for _times and _over."""
         A, B, n, d = self._rep
-        return _make(A[i], B[i] if B else 0, n, d)
+        b = B[i] if B else 0
+        return A[i], b, n, d if b else 1
 
     @property
     def degree(self) -> int:
@@ -645,18 +672,10 @@ class RatFunc(Frozen):
         a, b, c, d = self.num, self.den, other.num, other.den
         if a.is_zero() or c.is_zero():
             return RatFunc.zero()
-        j = _x_exponent(c, d)
-        if j is None and (j := _x_exponent(a, b)) is not None:
-            a, b = c, d
-        if j is not None:
-            # a product by X^j is a shift: X^min(j, ord b) cancels from the
-            # denominator (X^min(-j, ord a) from the numerator for j < 0), and
-            # what is left stays coprime with a monic denominator
-            if j >= 0:
-                e = min(j, b.ord_zero())
-                return _ratfunc(a.shift(j - e), b.shift(-e))
-            e = min(-j, a.ord_zero())
-            return _ratfunc(a.shift(-e), b.shift(-j - e))
+        if (j := _x_exponent(c, d)) is not None:
+            return self.shift(j)
+        if (j := _x_exponent(a, b)) is not None:
+            return other.shift(j)
         # a/b and c/d are canonical, so after dividing out gcd(a, d) and
         # gcd(c, b) the numerator and denominator are coprime, and the
         # denominator stays monic as a quotient of monic polynomials
@@ -671,6 +690,19 @@ class RatFunc(Frozen):
         return _ratfunc(a * c, b * d)
 
     __rmul__ = __mul__
+
+    def shift(self, j: int) -> "RatFunc":
+        """self * X^j, with no gcd: X^min(j, ord b) cancels from the
+        denominator b (X^min(-j, ord a) from the numerator a for j < 0), and
+        what is left stays coprime with a monic denominator."""
+        a, b = self.num, self.den
+        if not j or a.is_zero():
+            return self
+        if j > 0:
+            e = min(j, b.ord_zero())
+            return _ratfunc(a.shift(j - e), b.shift(-e))
+        e = min(-j, a.ord_zero())
+        return _ratfunc(a.shift(-e), b.shift(-j - e))
 
     def inv(self) -> "RatFunc":
         if self.is_zero():

@@ -8,7 +8,9 @@ origin and phi is evaluation at zero, so R = {f in T : f(0) in D}.
 In K[X], whether a product h*g lies in T and its value at zero are read
 from X-orders and lowest coefficients, with no quotient polynomial; the
 one division left, between X-free parts, is memoized, so the products
-of h by X^j share it.
+of h by X^j share it.  In both kinds the value at zero is computed on
+the coefficients' integers (Poly.coeff_ints), and one reduced scalar is
+built per test.
 
 Ideals of R come in two flavors.  A ``RawIdeal`` is a finite list of
 nonzero generators in K(X).  A ``StructuredIdeal`` is the closed form
@@ -52,6 +54,9 @@ from .kernel import (
     FrozenValue,
     Poly,
     RatFunc,
+    _make,
+    _over,
+    _times,
     ord_at_zero,
     poly_gcd,
     poly_lcm,
@@ -79,6 +84,15 @@ class _PolyT:
         X^k give c_k = q(0)*b_k, as b has none below X^k, so
         (c/b)(0) = c_k/b_k, which is zero for k < m.  Two polynomials
         (b = d = 1) give the product of their constant terms.
+
+        Both values stay integer quadruples (a, b, n, d), read as
+        (a + b*sqrt(d))/n, until one reduced scalar is built from their
+        product.  With c_k = (ca + cb*sqrt(d))/cn and
+        b_k = (ba + bb*sqrt(d))/bn, c_k/b_k is
+        bn*(ca + cb*sqrt(d))*(ba - bb*sqrt(d)) / (cn*N(b_k)), where
+        N(b_k) = ba^2 - d*bb^2 is nonzero; when N(b_k) < 0, for a real
+        quadratic d, the signs of bn and N(b_k) flip so that the
+        denominator stays positive (kernel._over).
         """
         v1 = _quotient_at_zero(g.num, h.den)
         if v1 is None:
@@ -86,7 +100,7 @@ class _PolyT:
         v2 = _quotient_at_zero(h.num, g.den)
         if v2 is None:
             return None
-        return v1 * v2
+        return _make(*_times(v1, v2))
 
     def normalize(self, u: RatFunc) -> tuple[RatFunc, FieldElem]:
         """(u/c, c) for c the leading coefficient of u's numerator."""
@@ -106,11 +120,15 @@ class _LocalT:
     suffix = "_(X)"
 
     def at_zero(self, h: RatFunc, g: RatFunc) -> FieldElem | None:
-        # X-orders add and the values at zero of the X-free parts multiply
-        e = ord_at_zero(h) + ord_at_zero(g)
+        # X-orders add and the values at zero of the X-free parts multiply:
+        # the lowest coefficients, in integers, reduced once
+        a, b, c, d = h.num, g.num, h.den, g.den
+        i, j, k, m = a.ord_zero(), b.ord_zero(), c.ord_zero(), d.ord_zero()
+        e = i + j - k - m
         if e != 0:
             return None if e < 0 else ZERO_ELEM
-        return (h.num.lowest() * g.num.lowest()) / (h.den.lowest() * g.den.lowest())
+        return _make(*_over(_times(a.coeff_ints(i), b.coeff_ints(j)),
+                            _times(c.coeff_ints(k), d.coeff_ints(m))))
 
     def normalize(self, u: RatFunc) -> tuple[RatFunc, FieldElem]:
         # X^e for e = ord(u), and the value at zero of the X-free part
@@ -131,12 +149,13 @@ _T_KINDS = {"poly": _PolyT(), "local": _LocalT()}
 _DIVIDES_CACHE: dict[tuple[Poly, Poly], bool] = {}
 
 
-def _quotient_at_zero(c: Poly, b: Poly) -> FieldElem | None:
-    """(c/b)(0) when the monic b divides c, else None, by the rule in
+def _quotient_at_zero(c: Poly, b: Poly) -> tuple | None:
+    """(c/b)(0) as an integer quadruple (a, b, n, d), not reduced, when
+    the monic b divides the nonzero c, else None, by the rule in
     _PolyT.at_zero.  The X-free test b' | c' is the same for every b*X^j
     and c*X^j, so it is decided once and then read from a memo."""
     if b.is_one():
-        return c.eval_zero()
+        return c.coeff_ints(0)
     k, m = b.ord_zero(), c.ord_zero()
     if k > m or b.degree - k > c.degree - m:
         return None
@@ -148,7 +167,7 @@ def _quotient_at_zero(c: Poly, b: Poly) -> FieldElem | None:
             divides = _memo_put(_DIVIDES_CACHE, key, (c1 % b1).is_zero())
         if not divides:
             return None
-    return ZERO_ELEM if k < m else c1.eval_zero() / b1.eval_zero()
+    return (0, 0, 1, 1) if k < m else _over(c.coeff_ints(k), b.coeff_ints(k))
 
 
 class PullbackInstance:
@@ -307,7 +326,7 @@ def make_structured(unit: RatFunc, dpart: ExtDModule, inst: PullbackInstance) ->
     if dpart.domain != inst.base:
         raise DomainError("mixed base domains")
     if dpart.is_zero():
-        unit = unit * RatFunc.x_power(1)
+        unit = unit.shift(1)
         dpart = ExtDModule.full(inst.base)
     unit, c = inst.t.normalize(unit)
     if c != ONE_ELEM and dpart.is_lattice():
@@ -349,8 +368,10 @@ def member_structured(f: RatFunc, s: StructuredIdeal, inst: PullbackInstance) ->
 def _product_in(h: RatFunc, g: RatFunc, j: ExtDModule, inst: PullbackInstance) -> bool:
     """h*g in phi^-1(J), the one membership test: h*g in T and phi(h*g) in J,
     where J = D gives R, the ZERO sentinel M and the FULL sentinel T."""
-    h = RatFunc.coerce(h)
-    g = RatFunc.coerce(g)
+    if type(h) is not RatFunc:
+        h = RatFunc.coerce(h)
+    if type(g) is not RatFunc:
+        g = RatFunc.coerce(g)
     if h.is_zero() or g.is_zero():
         return True
     value = inst.t.at_zero(h, g)
@@ -439,7 +460,7 @@ def _generators(ideal, inst: PullbackInstance) -> tuple[list[RatFunc], RatFunc |
         return list(ideal.gens), None
     if ideal.dpart.is_full():
         return [], ideal.unit
-    return lift_generators(ideal, inst), ideal.unit * RatFunc.x_power(1)
+    return lift_generators(ideal, inst), ideal.unit.shift(1)
 
 
 def lift_generators(s: StructuredIdeal, inst: PullbackInstance) -> list[RatFunc]:

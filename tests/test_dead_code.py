@@ -23,6 +23,8 @@ What T is gets decided in one place too: only `PullbackInstance.__init__`
 looks `t_kind` up in `pullback._T_KINDS` (config parsing in
 `make_instance` passes the string through), and no function compares a
 value with "poly" or "local"; everything else asks the instance's kind.
+A product by a power of X has one form, `f.shift(j)`: no code multiplies
+by `RatFunc.x_power(...)`.
 """
 
 import ast
@@ -260,3 +262,20 @@ def test_t_kind_is_read_in_one_place():
     assert naming == {"PullbackInstance.__init__", "pullback.make_instance"}, naming
     assert lookups == {"PullbackInstance.__init__"}, lookups
     assert not literals, f"T kinds compared by name outside _T_KINDS: {sorted(literals)}"
+
+
+def _is_x_power_call(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "x_power" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "RatFunc")
+
+
+def test_products_by_x_powers_are_shifts():
+    # RatFunc.shift moves the coefficients directly; a product by
+    # RatFunc.x_power(j) builds X^j only for __mul__ to detect it again
+    products = [f"{path.name}:{node.lineno}"
+                for path in sorted(PACKAGE.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and (_is_x_power_call(node.left) or _is_x_power_call(node.right))]
+    assert not products, f"products by RatFunc.x_power(...) instead of shift: {products}"

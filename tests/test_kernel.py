@@ -400,7 +400,7 @@ class TestRatFunc:
         h = RatFunc(h.num * Poly.x_power(e_num), h.den * Poly.x_power(e_den))
         xj = RatFunc.x_power(j)
         reference = RatFunc(h.num * xj.num, h.den * xj.den)
-        for product in (h * xj, xj * h):
+        for product in (h * xj, xj * h, h.shift(j)):
             assert product.num == reference.num and product.den == reference.den
 
     @given(tagged(ratfuncs), st.booleans())

@@ -1,12 +1,13 @@
 """Pullback instances and their ideal calculus, certified by oracles."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starpull import base_domain, class_groups, harness, pullback
+from starpull import base_domain, class_groups, harness, kernel, pullback
 from starpull.base_domain import (
     BaseDomain,
     DomainError,
@@ -45,7 +46,7 @@ from starpull.pullback import (
     t_ideal_of_r,
     v_closure_R,
 )
-from strategies import ratfuncs
+from strategies import polys, ratfuncs
 
 X = RatFunc.x_power(1)
 TWO = RatFunc.coerce(2)
@@ -445,6 +446,73 @@ class TestDivisibilityMemo:
                                    SampleParams(seed=7, count=10, degree_window=12))
         assert report.n_samples == 10 and not report.violations
         assert len(divisions) <= 150
+
+    def test_oracle_agreement_builds_one_scalar_per_membership_test(self, inst_a, monkeypatch):
+        # a value at zero stays in integers until one reduced scalar is
+        # built, so the same report as above calls kernel._make at most
+        # 1,300 times from empty memos; three scalars per test made 3,032
+        for module, table in ((pullback, "_DIVIDES_CACHE"), (pullback, "_COLON_R_CACHE"),
+                              (base_domain, "_COLON_CACHE"),
+                              (class_groups, "_INVERTIBILITY_CACHE")):
+            monkeypatch.setattr(module, table, {})
+        scalars = []
+        make = kernel._make
+        bound = [module for name, module in sys.modules.items()
+                 if name.startswith("starpull") and getattr(module, "_make", None) is make]
+        for module in bound:
+            monkeypatch.setattr(module, "_make", lambda *abnd: scalars.append(1) or make(*abnd))
+        report = harness.run_suite("oracle-agreement", inst_a,
+                                   SampleParams(seed=7, count=10, degree_window=12))
+        assert report.n_samples == 10 and not report.violations
+        assert len(scalars) <= 1300
+
+
+class TestIntegerValueAtZero:
+    """Values at zero computed in integers agree with the scalar
+    arithmetic they replace, on real quadratic fields too, where a norm
+    can be negative; the catalogue's fields are Q, Q(i) and Q(sqrt(-5))."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_quotient_matches_the_scalar_body(self, d, data):
+        nonzero = polys(d).filter(lambda p: not p.is_zero())
+        b = data.draw(nonzero).monic().shift(data.draw(st.integers(0, 2)))
+        c = data.draw(nonzero)
+        if data.draw(st.booleans()):
+            c = b * c
+        c = c.shift(data.draw(st.integers(0, 2)))
+        got = pullback._quotient_at_zero(c, b)
+        divides = (c % b).is_zero()
+        assert (got is None) == (not divides)
+        if divides:
+            assert got[2] > 0
+            # the former body, on reduced scalars
+            k, m = b.ord_zero(), c.ord_zero()
+            b1, c1 = b.shift(-k), c.shift(-m)
+            expected = FieldElem(0) if k < m else c1.eval_zero() / b1.eval_zero()
+            assert kernel._make(*got) == expected == (c // b).eval_zero()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_values_at_zero_match_the_scalar_formulas(self, d, data):
+        nonzero = ratfuncs(d).filter(lambda f: not f.is_zero())
+        h = data.draw(nonzero).shift(data.draw(st.integers(-2, 2)))
+        g = data.draw(nonzero).shift(data.draw(st.integers(-2, 2)))
+        product = RatFunc(h.num * g.num, h.den * g.den)
+        # K[X]: phi(h*g) of the formed product, None off T
+        poly_t, local_t = pullback._T_KINDS["poly"], pullback._T_KINDS["local"]
+        expected = product.num.eval_zero() if product.is_polynomial() else None
+        assert poly_t.at_zero(h, g) == expected
+        # K[X]_(X): the former body, four lowest coefficients as scalars
+        e = ord_at_zero(h) + ord_at_zero(g)
+        expected = None if e < 0 else FieldElem(0) if e > 0 else (
+            (h.num.lowest() * g.num.lowest()) / (h.den.lowest() * g.den.lowest()))
+        value = local_t.at_zero(h, g)
+        assert value == expected
+        if e == 0:
+            assert value.n > 0 and value * product.den.eval_zero() == product.num.eval_zero()
 
 
 class TestHull:
