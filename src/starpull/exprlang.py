@@ -28,11 +28,10 @@ the round-trip tests rest on it.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from itertools import accumulate
 
 from .base_domain import ClassLabel, DomainError, ExtDModule, dmod_from_generators
-from .kernel import FieldElem, FrozenValue, KernelError, Poly, RatFunc
+from .kernel import FieldElem, FrozenValue, KernelError, Poly, RatFunc, _elem_str, _ratio_str
 from .pullback import (
     PullbackError,
     PullbackInstance,
@@ -237,7 +236,7 @@ def evaluate(node: Node, inst: PullbackInstance):
                 return RatFunc.one()
             if d != inst.k_disc:
                 raise ExprError(f"sqrt({d}) does not lie in {inst.k_name()}", n.pos)
-            return RatFunc(Poly([FieldElem(0, 1, d)]))
+            return RatFunc.coerce(FieldElem(0, 1, d))
         if n.kind == "neg":
             val = ev(n.children[0])
             if isinstance(val, RatFunc):
@@ -394,38 +393,39 @@ def _call(node: Node, arg, inst: PullbackInstance):
 
 # -- printers -----------------------------------------------------------------
 
-def fraction_to_expr(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator) if q.numerator >= 0 else f"(-{-q.numerator})"
-    if q.numerator < 0:
-        return f"(-{-q.numerator}/{q.denominator})"
-    return f"{q.numerator}/{q.denominator}"
+def _ratio_to_expr(p: int, q: int) -> str:
+    """p/q in lowest terms as a parseable atom: a negative one in parentheses."""
+    return f"(-{_ratio_str(-p, q)})" if p < 0 else _ratio_str(p, q)
+
+
+def _coeff_to_expr(a: int, b: int, n: int, d: int) -> str:
+    """(a + b*sqrt(d))/n, n > 0, as a parseable atom."""
+    if not b:
+        return _ratio_to_expr(a, n)
+    ypart = f"{_ratio_to_expr(b, n)}*sqrt({d})"
+    if not a:
+        return f"({ypart})"
+    return f"({_ratio_to_expr(a, n)} + {ypart})"
 
 
 def elem_to_expr(e: FieldElem) -> str:
-    if e.y == 0:
-        return fraction_to_expr(e.x)
-    ypart = f"{fraction_to_expr(e.y)}*sqrt({e.d})"
-    if e.x == 0:
-        return f"({ypart})"
-    return f"({fraction_to_expr(e.x)} + {ypart})"
+    return _coeff_to_expr(e.a, e.b, e.n, e.d)
 
 
 def poly_to_expr(p: Poly) -> str:
-    if p.is_zero():
-        return "0"
     parts = []
-    for i, c in enumerate(p.coeffs):
-        if c.is_zero():
+    for i in range(p.degree + 1):
+        a, b, n, d = p.coeff_ints(i)
+        if not (a or b):
             continue
-        cs = elem_to_expr(c)
+        cs = _coeff_to_expr(a, b, n, d)
         if i == 0:
             parts.append(cs)
         elif i == 1:
             parts.append(f"{cs}*X" if cs != "1" else "X")
         else:
             parts.append(f"{cs}*X^{i}" if cs != "1" else f"X^{i}")
-    return " + ".join(parts)
+    return " + ".join(parts) or "0"
 
 
 def ratfunc_to_expr(f: RatFunc) -> str:
@@ -455,21 +455,7 @@ def value_to_expr(value, inst: PullbackInstance) -> str:
 
 
 def pretty_elem(e: FieldElem) -> str:
-    if e.y == 0:
-        return str(e.x)
-    surd = "i" if e.d == -1 else f"√{e.d}"
-    if e.y == 1:
-        ypart = surd
-    elif e.y == -1:
-        ypart = f"-{surd}"
-    else:
-        ypart = f"{e.y}{surd}"
-    if e.x == 0:
-        return ypart
-    sign = "+" if e.y > 0 else "-"
-    mag = abs(e.y)
-    ystr = surd if mag == 1 else f"{mag}{surd}"
-    return f"{e.x}{sign}{ystr}"
+    return _elem_str(e.a, e.b, e.n, e.d, root="√{}", times="", sep="")
 
 
 def _pretty_field_name(inst: PullbackInstance) -> str:
@@ -492,7 +478,7 @@ def _pretty_dpart(j: ExtDModule, inst: PullbackInstance) -> str:
     if len(elems) == 1:
         g = elems[0]
         gs = pretty_elem(g)
-        if g.y != 0 or g.x < 0:
+        if g.b or g.a < 0:
             gs = f"({gs})"
         return f"{gs}ℤ" if gs != "1" else "ℤ"
     gens = ", ".join(pretty_elem(e) for e in elems)

@@ -16,7 +16,9 @@ Products keep that form by cross-cancellation (Henrici's method, Knuth,
 TAOCP vol. 2, 4.5.1): for canonical a/b and c/d, dividing out gcd(a, d)
 and gcd(c, b) leaves a coprime pair with a monic denominator, so no gcd
 of the full products is taken; a product by X^j takes none at all, as
-only powers of X can cancel.
+only powers of X can cancel.  Nor does a sum with a polynomial, since
+a + c*b stays coprime to b, or a negation; a division by a constant
+scales the numerator.
 
 No floating point is used anywhere; ideal equality downstream depends on
 these canonical forms being exact.
@@ -217,17 +219,7 @@ class FieldElem(Frozen):
         return f"FieldElem({self.x!r}, {self.y!r}, {self.d})"
 
     def __str__(self):
-        x, y, d = self.x, self.y, self.d
-        if y == 0:
-            return str(x)
-        surd = "i" if d == -1 else f"sqrt({d})"
-        ypart = surd if y == 1 else (f"-{surd}" if y == -1 else f"{y}*{surd}")
-        if x == 0:
-            return ypart
-        sign = "+" if y > 0 else "-"
-        mag = abs(y)
-        ystr = surd if mag == 1 else f"{mag}*{surd}"
-        return f"{x} {sign} {ystr}"
+        return _elem_str(*self._abnd)
 
 
 def _power(x, n: int, one):
@@ -241,6 +233,27 @@ def _power(x, n: int, one):
         x = x * x
         n >>= 1
     return out
+
+
+def _ratio_str(p: int, q: int) -> str:
+    """str(Fraction(p, q)) for q > 0, with one gcd and no Fraction."""
+    g = gcd(p, q)
+    if g != 1:
+        p, q = p // g, q // g
+    return str(p) if q == 1 else f"{p}/{q}"
+
+
+def _elem_str(a: int, b: int, n: int, d: int, root="sqrt({})", times="*", sep=" ") -> str:
+    """(a + b*sqrt(d))/n for n > 0 as str(FieldElem) prints it, read from
+    the integers; a pretty printer passes its own root sign and spacing."""
+    if not b:
+        return _ratio_str(a, n)
+    surd = "i" if d == -1 else root.format(d)
+    # |b|/n == 1 prints as the bare surd
+    mag = surd if abs(b) == n else f"{_ratio_str(abs(b), n)}{times}{surd}"
+    if not a:
+        return mag if b > 0 else f"-{mag}"
+    return f"{_ratio_str(a, n)}{sep}{'+' if b > 0 else '-'}{sep}{mag}"
 
 
 _new = object.__new__
@@ -324,7 +337,7 @@ class Poly(Frozen):
 
     @staticmethod
     def const(c) -> "Poly":
-        a, b, n, d = FieldElem.coerce(c)._abnd
+        a, b, n, d = (c, 0, 1, 1) if type(c) is int else FieldElem.coerce(c)._abnd
         return _flat((a,), (b,), n, d)
 
     @staticmethod
@@ -333,7 +346,7 @@ class Poly(Frozen):
 
     @property
     def coeffs(self) -> tuple:
-        """The coefficients as FieldElems, for printing; arithmetic reads the integers."""
+        """The coefficients as FieldElems, for repr; arithmetic and printing read the integers."""
         return tuple(self._coeff(i) for i in range(len(self._rep[0])))
 
     def _coeff(self, i: int) -> FieldElem:
@@ -375,10 +388,6 @@ class Poly(Frozen):
         if not self._rep[0]:
             raise KernelError("zero polynomial has no leading coefficient")
         return self._coeff(-1)
-
-    def lowest(self) -> FieldElem:
-        """The lowest nonzero coefficient: the value at zero of f / X^ord_zero(f)."""
-        return self._coeff(self.ord_zero())
 
     def is_monic(self) -> bool:
         A, B, n, _ = self._rep
@@ -513,9 +522,10 @@ class Poly(Frozen):
 
     def __str__(self):
         parts = []
-        for i, c in reversed(list(enumerate(self.coeffs))):
-            if c:
-                cs = str(c)
+        for i in range(self.degree, -1, -1):
+            c = self.coeff_ints(i)
+            if c[0] or c[1]:
+                cs = _elem_str(*c)
                 if "+" in cs.strip("+") or "-" in cs.lstrip("-") or " " in cs:
                     cs = f"({cs})"
                 mono = "X" if i == 1 else f"X^{i}"
@@ -635,15 +645,16 @@ class RatFunc(Frozen):
 
     @staticmethod
     def coerce(value) -> "RatFunc":
-        return value if isinstance(value, RatFunc) else RatFunc(value)
+        # a polynomial over 1 is canonical as it stands
+        return value if isinstance(value, RatFunc) else _ratfunc(_as_poly(value), _POLY_ONE)
 
     @staticmethod
     def zero() -> "RatFunc":
-        return RatFunc(Poly.zero())
+        return _RATFUNC_ZERO
 
     @staticmethod
     def one() -> "RatFunc":
-        return RatFunc(Poly.one())
+        return _RATFUNC_ONE
 
     @staticmethod
     def x_power(e: int) -> "RatFunc":
@@ -652,17 +663,28 @@ class RatFunc(Frozen):
         return _ratfunc(xe, _POLY_ONE) if e >= 0 else _ratfunc(_POLY_ONE, xe)
 
     # -- arithmetic -------------------------------------------------------
-    def __add__(self, other):
+    def _add(self, other, sign: int) -> "RatFunc":
+        """self + sign*other.  When either denominator is 1 the sum over the
+        other, monic one is canonical with no gcd, as gcd(a + s*c*b, b) =
+        gcd(a, b) = 1 for coprime a and b; a zero sum has b | a, so b = 1."""
         other = RatFunc.coerce(other)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if d.is_one():
+            return _ratfunc(a._add(c if b.is_one() else c * b, sign), b)
+        if b.is_one():
+            return _ratfunc((a * d)._add(c, sign), d)
+        return RatFunc((a * d)._add(c * b, sign), b * d)
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return _ratfunc(-self.num, self.den)
 
     def __sub__(self, other):
-        return self + (-RatFunc.coerce(other))
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return RatFunc.coerce(other) - self
@@ -716,10 +738,15 @@ class RatFunc(Frozen):
         return _ratfunc(num, den)
 
     def __truediv__(self, other):
-        return self * RatFunc.coerce(other).inv()
+        other = RatFunc.coerce(other)
+        if other.is_constant() and not other.is_zero():
+            # scaling the numerator keeps it coprime to the monic denominator,
+            # with no inverse RatFunc and no product to form
+            return _ratfunc(self.num.scale(other.num.eval_zero().inv()), self.den)
+        return self * other.inv()
 
     def __rtruediv__(self, other):
-        return RatFunc.coerce(other) * self.inv()
+        return RatFunc.coerce(other) / self
 
     def __pow__(self, n: int):
         return _power(self, n, RatFunc.one())
@@ -771,10 +798,17 @@ class RatFunc(Frozen):
 
 def _ratfunc(num: Poly, den: Poly) -> RatFunc:
     """num/den, already canonical, built without __init__."""
-    out = object.__new__(RatFunc)
-    object.__setattr__(out, "num", num)
-    object.__setattr__(out, "den", den)
+    out = _new(RatFunc)
+    _set_num(out, num)
+    _set_den(out, den)
     return out
+
+
+_set_num = RatFunc.num.__set__
+_set_den = RatFunc.den.__set__
+# RatFunc is immutable, so every caller shares one 0 and one 1
+_RATFUNC_ZERO = _ratfunc(_POLY_ZERO, _POLY_ONE)
+_RATFUNC_ONE = _ratfunc(_POLY_ONE, _POLY_ONE)
 
 
 def _x_exponent(num: Poly, den: Poly) -> int | None:

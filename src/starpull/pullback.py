@@ -131,8 +131,11 @@ class _LocalT:
                             _times(c.coeff_ints(k), d.coeff_ints(m))))
 
     def normalize(self, u: RatFunc) -> tuple[RatFunc, FieldElem]:
-        # X^e for e = ord(u), and the value at zero of the X-free part
-        return RatFunc.x_power(ord_at_zero(u)), u.num.lowest() / u.den.lowest()
+        # X^e for e = ord(u), and the value at zero of the X-free part: the
+        # lowest coefficients' quotient, in integers, reduced once
+        num, den = u.num, u.den
+        i, k = num.ord_zero(), den.ord_zero()
+        return RatFunc.x_power(i - k), _make(*_over(num.coeff_ints(i), den.coeff_ints(k)))
 
     def content(self, fs) -> RatFunc:
         return RatFunc.x_power(min(ord_at_zero(f) for f in fs))

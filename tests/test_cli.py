@@ -4,6 +4,7 @@ import json
 import random
 import string
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,16 +17,21 @@ from starpull.exprlang import (
     MAX_NESTING,
     MAX_POWER_BITS,
     MAX_POWER_DEGREE,
+    MAX_VALUE_BITS,
+    MAX_VALUE_DEGREE,
     ExprError,
+    elem_to_expr,
     evaluate,
     parse_expression,
+    pretty_elem,
     pretty_value,
     value_to_expr,
 )
 from starpull.harness import SampleParams, sample_ideals
-from starpull.kernel import KernelError, RatFunc
+from starpull.kernel import KernelError, Poly, RatFunc
 from starpull.pullback import (
     PullbackError,
+    RawIdeal,
     extend_to_T,
     ideal_equal,
     make_instance,
@@ -33,6 +39,8 @@ from starpull.pullback import (
     v_closure_R,
 )
 import reference_parser
+import reference_printers
+from strategies import ratfuncs
 
 
 def _shape(node):
@@ -183,6 +191,116 @@ class TestRoundTrip:
                     text = value_to_expr(value, inst)
                     back = evaluate(parse_expression(text), inst)
                     assert ideal_equal(back, value, inst), text
+
+
+class TestPrinters:
+    """The printers format from the integers (a, b, n, d) of each scalar;
+    the same printers over reference_printers' leaves format each scalar
+    from its Fraction coordinates."""
+
+    @staticmethod
+    def _forms(value, inst):
+        try:
+            canonical = value_to_expr(value, inst)
+        except PullbackError:
+            canonical = None
+        return canonical, pretty_value(value, inst)
+
+    def _assert_same_bytes(self, values, inst):
+        forms = [self._forms(value, inst) for value in values]
+        with reference_printers.installed():
+            assert exprlang.elem_to_expr is reference_printers.elem_to_expr
+            reference = [self._forms(value, inst) for value in values]
+        assert exprlang.elem_to_expr is elem_to_expr
+        assert forms == reference
+
+    @given(st.sampled_from((1, -1, -5, 2, 3)).flatmap(
+        lambda d: st.lists(ratfuncs(d), min_size=1, max_size=3)))
+    @settings(max_examples=300, deadline=None)
+    def test_scalars_print_the_same_bytes(self, fs):
+        inst = make_instance("A")  # a scalar's forms do not read the instance
+        values = list(fs)
+        if all(fs):
+            values.append(RawIdeal(fs))
+        self._assert_same_bytes(values, inst)
+        for f in fs:
+            for c in f.num.coeffs:
+                assert elem_to_expr(c) == reference_printers.elem_to_expr(c)
+                assert pretty_elem(c) == reference_printers.pretty_elem(c)
+                assert str(c) == reference_printers.elem_str(c)
+
+    @pytest.mark.parametrize("name", ["A", "B", "C", "D", "E"])
+    def test_ideals_print_the_same_bytes(self, name):
+        inst = make_instance(name)
+        values = []
+        for raw in sample_ideals(inst, SampleParams(seed=29, count=15)):
+            values += [raw, structured_hull(raw, inst), v_closure_R(raw, inst),
+                       extend_to_T(raw, inst)]
+        texts = ["principal(ideal(2, X))", "principal(ideal(X + 1))", "gamma(t(ideal(3, X)))",
+                 "principal(ideal(2, 1 + sqrt(-5)))", "ideal(3/2 - 1/2*sqrt(-5), -X/3)"]
+        for text in texts:
+            try:
+                values.append(evaluate(parse_expression(text), inst))
+            except ExprError:
+                pass
+        assert len(values) > 60
+        self._assert_same_bytes(values, inst)
+
+
+class TestScalarPathConstructorCalls:
+    """Sums with a polynomial and negation keep canonical forms without the
+    constructor's gcd, as do products and so division by a constant, and
+    the printers build no value, so a scalar-heavy stream runs
+    RatFunc.__init__ rarely."""
+
+    @staticmethod
+    def _corpus():
+        # the shapes of eval's scalars: sums of constant multiples of X^e,
+        # over X + k, shifted, negated and divided by constants
+        rng = random.Random(24)
+
+        def const(d):
+            sign = "-" if rng.random() < 0.3 else ""
+            c = f"{sign}{rng.randint(1, 6)}/{rng.randint(1, 4)}"
+            if d != 1 and rng.random() < 0.5:
+                return f"({c} + {rng.randint(1, 3)}*sqrt({d}))"
+            return f"({c})"
+
+        def scalar(d):
+            s = " + ".join([const(d)] + [f"{const(d)}*X^{e}" for e in range(1, rng.randint(1, 3))])
+            roll = rng.random()
+            if roll < 0.2:
+                return f"({s})/(X + {rng.randint(1, 4)})"
+            if roll < 0.4:
+                return f"({s}) - {const(d)}*X"
+            if roll < 0.6:
+                return f"-({s}) / {const(d)}"
+            if roll < 0.8:
+                return f"({s}) * X - {const(d)}"
+            return s
+
+        out = []
+        for _ in range(200):
+            name = rng.choice("ABCDE")
+            d = make_instance(name).k_disc
+            text = scalar(d)
+            out.append((name, f"ideal({text}, {scalar(d)})" if rng.random() < 0.2 else text))
+        return out
+
+    def test_scalar_stream_runs_the_constructor_rarely(self, monkeypatch):
+        # 200 expressions; forming every sum, negation and quotient through the
+        # constructor's gcd ran it 2,648 times
+        corpus = self._corpus()
+        calls = []
+        init = RatFunc.__init__
+        monkeypatch.setattr(RatFunc, "__init__",
+                            lambda self, *args: calls.append(1) or init(self, *args))
+        for name, text in corpus:
+            inst = make_instance(name)
+            value = evaluate(parse_expression(text), inst)
+            value_to_expr(value, inst)
+            pretty_value(value, inst)
+        assert len(calls) <= 20
 
 
 # exponents far past the bounds are refused before any work; ones near
@@ -337,6 +455,27 @@ class TestRobustness:
         # 2^1024 passes the bound only in between
         assert evaluate(parse_expression("2^512 * 2^512 / 2"), inst) == \
             RatFunc.coerce(2 ** (MAX_POWER_BITS - 1))
+
+    # coprime denominators of 5,001 bits each: over their common
+    # denominator the stored integers pass MAX_VALUE_BITS, reduced they do not
+    _P, _Q = 2 ** 5000 + 1, 3 ** 3155
+
+    def test_coprime_denominators_are_sized_in_lowest_terms(self):
+        value = RatFunc(Poly([Fraction(1, self._P), Fraction(1, self._Q)]))
+        assert (self._P * self._Q).bit_length() > MAX_VALUE_BITS >= value.num.bit_length()
+        assert exprlang._bounded(value, parse_expression("1")) is value
+        # the chain step that forms it is accepted, as is its result
+        text = f"(1/{self._P} + X/{self._Q}) * 0 + 1"
+        assert evaluate(parse_expression(text), make_instance("A")) == RatFunc.one()
+
+    def test_a_reduced_coefficient_past_the_bit_bound_is_refused(self):
+        # (P + Q)/(P*Q) is in lowest terms: the sum step is refused at its '+'
+        text = f"1/{self._P} + 1/{self._Q}"
+        with pytest.raises(ExprError) as err:
+            evaluate(parse_expression(text), make_instance("A"))
+        assert err.value.message == (f"intermediate value past degree {MAX_VALUE_DEGREE} "
+                                     f"or {MAX_VALUE_BITS} bits")
+        assert err.value.pos == text.index("+")
 
     @pytest.mark.parametrize("factor, count", [("(X + 1)^64", 32), ("2^512", 60),
                                                ("2^512", 3000)])

@@ -24,7 +24,9 @@ looks `t_kind` up in `pullback._T_KINDS` (config parsing in
 `make_instance` passes the string through), and no function compares a
 value with "poly" or "local"; everything else asks the instance's kind.
 A product by a power of X has one form, `f.shift(j)`: no code multiplies
-by `RatFunc.x_power(...)`.
+by `RatFunc.x_power(...)`.  And `exprlang` prints each scalar from its
+integers (a, b, n, d): no function there calls `Fraction(...)` or reads a
+scalar's rational coordinates `.x` and `.y`.
 """
 
 import ast
@@ -279,3 +281,15 @@ def test_products_by_x_powers_are_shifts():
                 if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
                 and (_is_x_power_call(node.left) or _is_x_power_call(node.right))]
     assert not products, f"products by RatFunc.x_power(...) instead of shift: {products}"
+
+
+def test_exprlang_prints_from_integers():
+    # the printers read FieldElem.a/b/n/d and Poly.coeff_ints, with one gcd
+    # per ratio; Fraction coordinates would build two Fractions per scalar
+    tree = ast.parse((PACKAGE / "exprlang.py").read_text())
+    printers = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert {"elem_to_expr", "poly_to_expr", "pretty_elem", "pretty_value"} <= printers
+    uses = sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and _names(node.func)["Fraction"]
+                  or isinstance(node, ast.Attribute) and node.attr in ("x", "y"))
+    assert not uses, f"exprlang reads Fraction coordinates at lines {uses}"

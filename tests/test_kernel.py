@@ -294,9 +294,8 @@ class TestFlatPolyAgainstObjectPoly:
         assert f.monic().coeffs == rf.monic().coeffs
         assert f.is_monic() == (f.leading() == 1) and f.monic().is_monic()
         assert f.ord_zero() == rf.ord_zero()
-        assert f.lowest() == rf.coeffs[rf.ord_zero()]
         k = f.ord_zero()
-        assert f.shift(-k).eval_zero() == f.lowest() and f.shift(-k).shift(k) == f
+        assert f.shift(-k).eval_zero() == rf.coeffs[k] and f.shift(-k).shift(k) == f
         assert f.shift(j).shift(-j) == f
         assert f.shift(j).coeffs == (rf * ObjectPoly([0] * j + [1])).coeffs
         divisors = [(Poly.x_power(j), ObjectPoly([0] * j + [1])), (f.monic(), rf.monic())]
@@ -418,3 +417,88 @@ class TestRatFunc:
             num, den = num.scale(lead.inv()), den.scale(lead.inv())
         inverse = h.inv()
         assert inverse.num == num and inverse.den == den
+
+
+# real quadratic tags as well as Q and Q(sqrt(-5)): for d > 0 a norm can
+# be negative, which flips signs in the quotient formulas
+_FAST_PATH_TAGS = (1, 2, 3, -5)
+
+
+def _fast_path_tagged(strategy_of_tag):
+    return st.sampled_from(_FAST_PATH_TAGS).flatmap(
+        lambda d: st.tuples(st.just(d), strategy_of_tag(d)))
+
+
+def _same(value, num, den):
+    # the constructor path: RatFunc reduces num/den through gcd
+    reference = RatFunc(num, den)
+    return value.num == reference.num and value.den == reference.den
+
+
+class TestRatFuncFastPaths:
+    """Sums with a polynomial, negation and division by a constant build
+    their canonical forms with no gcd; each equals the constructor path."""
+
+    @given(_fast_path_tagged(lambda d: st.tuples(ratfuncs(d), polys(d), ratfuncs(d))))
+    @settings(max_examples=200, deadline=None)
+    def test_sums_and_differences(self, args):
+        _, (h, p, g) = args
+        f = RatFunc.coerce(p)
+        assert _same(f, p, Poly.one())
+        # either side a polynomial, then the gcd path between two fractions
+        for a, b in ((h, f), (f, h), (f, f), (h, g)):
+            assert _same(a + b, a.num * b.den + b.num * a.den, a.den * b.den)
+            assert _same(a - b, a.num * b.den - b.num * a.den, a.den * b.den)
+        # a Poly operand is coerced to p/1
+        assert _same(h + p, h.num + p * h.den, h.den)
+        assert _same(h - p, h.num - p * h.den, h.den)
+
+    @given(_fast_path_tagged(lambda d: st.tuples(ratfuncs(d), polys(d))))
+    @settings(max_examples=120, deadline=None)
+    def test_sums_that_cancel_are_zero_over_one(self, args):
+        _, (h, p) = args
+        f = RatFunc.coerce(p)
+        for total in (h - h, h + -h, -h + h, f - f, (h + f) - h - f, f - (f + h) + h):
+            assert total.num.is_zero() and total.den.is_one()
+            assert total == RatFunc.zero()
+
+    @given(_fast_path_tagged(ratfuncs))
+    @settings(max_examples=120, deadline=None)
+    def test_negation(self, args):
+        _, h = args
+        assert _same(-h, -h.num, h.den)
+        assert -(-h) == h
+
+    @given(_fast_path_tagged(lambda d: st.tuples(ratfuncs(d), elems(d), st.integers(-6, 6))))
+    @settings(max_examples=200, deadline=None)
+    def test_division_by_a_nonzero_constant(self, args):
+        _, (h, c, k) = args
+        for divisor in (c, k, RatFunc.coerce(c), RatFunc.coerce(k)):
+            if not divisor:
+                with pytest.raises(KernelError):
+                    h / divisor
+                continue
+            const = Poly.const(divisor) if not isinstance(divisor, RatFunc) else divisor.num
+            assert _same(h / divisor, h.num, h.den * const)
+            # __rtruediv__: a polynomial or a scalar over a constant
+            if isinstance(divisor, RatFunc):
+                assert _same(h.num / divisor, h.num, const)
+                assert _same(k / divisor, Poly.const(k), const)
+        if not h.is_zero():
+            # a constant over a non-constant goes through the inverse
+            assert _same(k / h, h.den * Poly.const(k), h.num)
+
+    def test_division_by_a_constant_forms_no_product(self, monkeypatch):
+        # eval divides by constants often; scaling the numerator builds
+        # neither the inverse RatFunc nor a product with it
+        h = RatFunc(Poly([FieldElem(1, 2, -5), 3]), Poly([2, 1]))
+        expected = [h / c for c in (3, FieldElem(0, 2, -5))] + [RatFunc(Poly([7]), Poly([6]))]
+        monkeypatch.setattr(RatFunc, "__mul__", lambda *args: pytest.fail("product formed"))
+        monkeypatch.setattr(RatFunc, "inv", lambda *args: pytest.fail("inverse formed"))
+        divisors = (3, RatFunc.coerce(FieldElem(0, 2, -5)))
+        assert [h / c for c in divisors] + [7 / RatFunc.coerce(6)] == expected
+
+    def test_zero_and_one_are_shared(self):
+        assert RatFunc.zero() is RatFunc.zero() and RatFunc.one() is RatFunc.one()
+        assert RatFunc.zero() == RatFunc(Poly.zero()) and RatFunc.one() == RatFunc(Poly.one())
+        assert RatFunc.one() ** 0 is RatFunc.one()

@@ -467,6 +467,11 @@ class TestDivisibilityMemo:
         assert len(scalars) <= 1300
 
 
+def _lowest(p):
+    """The lowest nonzero coefficient of p, as a scalar."""
+    return p.coeffs[p.ord_zero()]
+
+
 class TestIntegerValueAtZero:
     """Values at zero computed in integers agree with the scalar
     arithmetic they replace, on real quadratic fields too, where a norm
@@ -508,11 +513,26 @@ class TestIntegerValueAtZero:
         # K[X]_(X): the former body, four lowest coefficients as scalars
         e = ord_at_zero(h) + ord_at_zero(g)
         expected = None if e < 0 else FieldElem(0) if e > 0 else (
-            (h.num.lowest() * g.num.lowest()) / (h.den.lowest() * g.den.lowest()))
+            (_lowest(h.num) * _lowest(g.num)) / (_lowest(h.den) * _lowest(g.den)))
         value = local_t.at_zero(h, g)
         assert value == expected
         if e == 0:
             assert value.n > 0 and value * product.den.eval_zero() == product.num.eval_zero()
+
+
+    @pytest.mark.parametrize("name", ["B", "E"])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_local_normalize_matches_the_scalar_body(self, name, data):
+        # K[X]_(X) on its catalogued fields, Q and Q(i): one reduced scalar
+        # from the two lowest coefficients in integers
+        inst = make_instance(name)
+        u = data.draw(ratfuncs(inst.k_disc).filter(lambda f: not f.is_zero()))
+        u = u.shift(data.draw(st.integers(-2, 2)))
+        unit, c = inst.t.normalize(u)
+        # the former body: three reduced scalars
+        assert unit == RatFunc.x_power(ord_at_zero(u))
+        assert c == _lowest(u.num) / _lowest(u.den)
 
 
 class TestHull:
