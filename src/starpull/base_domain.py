@@ -464,6 +464,7 @@ def dmod_scale(c, n: ExtDModule) -> ExtDModule:
 
 _MEMO_CAP = 65536
 _COLON_CACHE: dict[ExtDModule, ExtDModule] = {}
+_PRODUCT_CACHE: dict[ExtDModule, ExtDModule] = {}
 
 
 def _memo_put(table: dict, key, value):
@@ -543,7 +544,12 @@ class DmodPredicates(Frozen):
         return dmod_v(self._product_with_colon()) == self.module.domain.unit_module()
 
     def _product_with_colon(self) -> ExtDModule:
-        return dmod_arith(self.module, dmod_colon(self.module), "mul")
+        # n*(D : n), read by both invertibility fields, is formed once per module
+        n = self.module
+        cached = _PRODUCT_CACHE.get(n)
+        if cached is not None:
+            return cached
+        return _memo_put(_PRODUCT_CACHE, n, dmod_arith(n, dmod_colon(n), "mul"))
 
 
 def _relative_norm(n: ExtDModule) -> int:

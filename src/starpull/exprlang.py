@@ -31,7 +31,7 @@ import re
 from itertools import accumulate
 
 from .base_domain import ClassLabel, DomainError, ExtDModule, dmod_from_generators
-from .kernel import FieldElem, FrozenValue, KernelError, Poly, RatFunc, _elem_str, _ratio_str
+from .kernel import FieldElem, FrozenValue, KernelError, Poly, RatFunc, _elem_str, _make, _ratio_str
 from .pullback import (
     PullbackError,
     PullbackInstance,
@@ -236,7 +236,8 @@ def evaluate(node: Node, inst: PullbackInstance):
                 return RatFunc.one()
             if d != inst.k_disc:
                 raise ExprError(f"sqrt({d}) does not lie in {inst.k_name()}", n.pos)
-            return RatFunc.coerce(FieldElem(0, 1, d))
+            # k_disc is squarefree already, so the surd is built from its integers
+            return RatFunc.coerce(_make(0, 1, 1, d))
         if n.kind == "neg":
             val = ev(n.children[0])
             if isinstance(val, RatFunc):

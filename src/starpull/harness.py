@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import random
-from fractions import Fraction
 from itertools import combinations
 
 from .base_domain import (
@@ -35,7 +34,7 @@ from .class_groups import (
     class_equivalent_R,
 )
 from .exprlang import ExprError, elem_to_expr, evaluate, parse_expression, value_to_expr
-from .kernel import FieldElem, Frozen, Poly, RatFunc
+from .kernel import FieldElem, Frozen, Poly, RatFunc, _make
 from .pullback import (
     PullbackError,
     PullbackInstance,
@@ -140,18 +139,20 @@ class Report:
 # samplers
 # ---------------------------------------------------------------------------
 
-def _sample_fraction(rng: random.Random, height: int) -> Fraction:
-    return Fraction(rng.randint(-height, height), rng.randint(1, 3))
+def _sample_fraction(rng: random.Random, height: int) -> tuple[int, int]:
+    """p/q with |p| <= height and 1 <= q <= 3, as the pair (p, q), not reduced."""
+    return rng.randint(-height, height), rng.randint(1, 3)
 
 
 def _sample_scalar(rng: random.Random, inst: PullbackInstance, height: int,
                    nonzero=False, allow_surd=True) -> FieldElem:
     while True:
-        x = _sample_fraction(rng, height)
-        y = Fraction(0)
+        p, q = _sample_fraction(rng, height)
+        r, s = 0, 1
         if allow_surd and inst.k_disc != 1 and rng.random() < 0.5:
-            y = _sample_fraction(rng, height)
-        e = FieldElem(x, y, inst.k_disc)  # the tag drops to 1 when y == 0
+            r, s = _sample_fraction(rng, height)
+        # p/q + (r/s)*sqrt(d) over q*s; the tag drops to 1 when r == 0
+        e = _make(p * s, r * q, q * s, inst.k_disc)
         if not e.is_zero() or not nonzero:
             return e
 
@@ -167,12 +168,10 @@ def _sample_poly(rng: random.Random, inst: PullbackInstance, height: int) -> Pol
 
 def _sample_ratfunc(rng: random.Random, inst: PullbackInstance, params: SampleParams) -> RatFunc:
     num = _sample_poly(rng, inst, params.coeff_height)
-    f = RatFunc(num)
-    roll = rng.random()
-    if roll < 0.2:
-        den = Poly([_sample_scalar(rng, inst, params.coeff_height, nonzero=True),
-                    FieldElem(1)])
-        f = f / RatFunc(den)
+    if rng.random() < 0.2:
+        f = RatFunc(num, Poly([_sample_scalar(rng, inst, params.coeff_height, nonzero=True), 1]))
+    else:
+        f = RatFunc.coerce(num)
     if rng.random() < 0.25:
         f = f.shift(rng.randint(-2, 2))
     return f
@@ -186,10 +185,10 @@ def _corner_ideals(inst: PullbackInstance) -> list[RawIdeal]:
         RawIdeal([two, x]),
         RawIdeal([RatFunc.coerce(3)]),
         RawIdeal([x * two, x * x]),
-        RawIdeal([x * x, x * RatFunc.coerce(Fraction(1, 2))]),
+        RawIdeal([x * x, x / 2]),
     ]
     if inst.k_disc != 1:
-        surd = RatFunc(Poly([FieldElem(0, 1, inst.k_disc)]))
+        surd = RatFunc.coerce(_make(0, 1, 1, inst.k_disc))
         corners.append(RawIdeal([RatFunc.one(), surd]))
         corners.append(RawIdeal([two, RatFunc.one() + surd]))
     return corners
@@ -233,7 +232,7 @@ def sample_elements_of_M(inst: PullbackInstance, params: SampleParams, count: in
     rng = random.Random(params.seed + 2)
     out = []
     while len(out) < count:
-        f = RatFunc(_sample_poly(rng, inst, params.coeff_height))
+        f = RatFunc.coerce(_sample_poly(rng, inst, params.coeff_height))
         out.append(f.shift(rng.randint(1, 2)))
     return out
 
@@ -582,7 +581,7 @@ def pvmd_structural_verdict(inst: PullbackInstance) -> bool:
 
 def _witness_search_family(inst: PullbackInstance) -> list[RawIdeal]:
     x = RatFunc.x_power(1)
-    surd = [RatFunc(Poly([FieldElem(0, 1, inst.k_disc)]))] if inst.k_disc != 1 else []
+    surd = [RatFunc.coerce(_make(0, 1, 1, inst.k_disc))] if inst.k_disc != 1 else []
     atoms = [RatFunc.one(), *surd, RatFunc.coerce(2), x, x * RatFunc.coerce(2)]
     return [RawIdeal(pair) for pair in combinations(atoms, 2)]
 
@@ -727,7 +726,7 @@ def _v_grid(raw: RawIdeal, hull, closed_v, inst) -> list[RatFunc]:
     if closed_v.dpart.is_lattice():
         out.extend(lift_generators(closed_v, inst))
     out.append(hull.unit.shift(-1))
-    out.append(hull.unit * RatFunc.coerce(Fraction(1, 3)))
+    out.append(hull.unit / 3)
     out.append(raw.gens[0].shift(1))
     return out
 

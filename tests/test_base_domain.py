@@ -3,12 +3,14 @@
 import functools
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import isqrt, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from starpull import base_domain, harness
 from starpull.base_domain import (
     BaseDomain,
     ClassLabel,
@@ -30,7 +32,10 @@ from starpull.base_domain import (
     dmod_scale,
     dmod_v,
 )
+from starpull.harness import SampleParams, sample_dmods
 from starpull.kernel import FieldElem, _is_squarefree
+from starpull.pullback import instance_catalog, make_instance
+from starpull.star_ops import StarOp
 
 
 Z = BaseDomain.integers()
@@ -205,6 +210,55 @@ class TestPredicates:
         for _ in range(6):
             m1, m2 = rng.choice(invertibles), rng.choice(invertibles)
             assert dmod_predicates(dmod_arith(m1, m2, "mul")).is_invertible
+
+
+class TestProductMemo:
+    """Both invertibility fields read n*(D : n), which is formed once per
+    module and kept in base_domain._PRODUCT_CACHE."""
+
+    @staticmethod
+    def _modules(inst):
+        return (sample_dmods(inst, SampleParams(seed=5, count=12))
+                + inst.base.class_representatives())
+
+    @pytest.mark.parametrize("name", instance_catalog())
+    def test_a_hit_equals_a_fresh_product(self, name, monkeypatch):
+        monkeypatch.setattr(base_domain, "_PRODUCT_CACHE", {})
+        inst = make_instance(name)
+        for n in self._modules(inst):
+            fresh = dmod_arith(n, dmod_colon(n), "mul")
+            unit = n.domain.unit_module()
+            preds = dmod_predicates(n)
+            assert preds.is_invertible == (fresh == unit)
+            assert preds.is_v_invertible == (dmod_v(fresh) == unit)
+            assert base_domain._PRODUCT_CACHE[n] == fresh
+            # a second read, through a new record, is the stored object
+            assert dmod_predicates(n)._product_with_colon() is base_domain._PRODUCT_CACHE[n]
+
+    def test_split_exact_forms_each_product_once(self, inst_c, empty_memos, monkeypatch):
+        # the suite reads is_invertible and is_v_invertible of the same
+        # modules over and over; re-forming the product on every read made
+        # 209 products of 23 modules in this report
+        factors = []
+        arith = base_domain.dmod_arith
+        monkeypatch.setattr(base_domain, "dmod_arith",
+                            lambda n1, n2, op: factors.append(n1) or arith(n1, n2, op))
+        report = harness.run_suite("split-exact", inst_c, SampleParams(seed=7, count=30),
+                                   StarOp.t_op("R"))
+        assert report.verdict == "pass"
+        assert factors
+        assert max(Counter(factors).values()) == 1
+
+    def test_table_stops_at_the_cap(self, inst_c, empty_memos, monkeypatch):
+        monkeypatch.setattr(base_domain, "_MEMO_CAP", 3)
+        mods = self._modules(inst_c)
+        verdicts = [(dmod_predicates(n).is_invertible, dmod_predicates(n).is_v_invertible)
+                    for n in mods]
+        assert len(base_domain._PRODUCT_CACHE) == 3
+        # past the cap every product is formed again, with the same verdicts
+        assert [(dmod_predicates(n).is_invertible, dmod_predicates(n).is_v_invertible)
+                for n in mods] == verdicts
+        assert len(base_domain._PRODUCT_CACHE) == 3
 
 
 def _enumerated_generator(n, dom):

@@ -229,21 +229,15 @@ class TestClosedFormMemo:
     """colon_R and invertibility_R remember closed forms, and only
     values that a fresh computation would give."""
 
-    @pytest.fixture
-    def empty_memos(self, monkeypatch):
-        monkeypatch.setattr(pullback, "_COLON_R_CACHE", {})
-        monkeypatch.setattr(class_groups, "_INVERTIBILITY_CACHE", {})
-
     @pytest.mark.parametrize("name", instance_catalog())
-    def test_a_hit_equals_a_fresh_computation(self, name, monkeypatch):
+    def test_a_hit_equals_a_fresh_computation(self, name, reset_memos, monkeypatch):
         inst = make_instance(name)
         ideals = _closed_samples(inst)
         ops = (T_OP, D_OP)
         # calls against the memo as earlier tests left it, then against empty tables
         memo_colons = [colon_R(s, inst) for s in ideals]
         memo = [_verdicts(invertibility_R(s, op, inst)) for s in ideals for op in ops]
-        monkeypatch.setattr(pullback, "_COLON_R_CACHE", {})
-        monkeypatch.setattr(class_groups, "_INVERTIBILITY_CACHE", {})
+        reset_memos()
         assert [colon_R(s, inst) for s in ideals] == memo_colons
         assert [_verdicts(invertibility_R(s, op, inst)) for s in ideals for op in ops] == memo
         certified = []

@@ -28,7 +28,7 @@ from starpull.exprlang import (
     value_to_expr,
 )
 from starpull.harness import SampleParams, sample_ideals
-from starpull.kernel import KernelError, Poly, RatFunc
+from starpull.kernel import FieldElem, KernelError, Poly, RatFunc
 from starpull.pullback import (
     PullbackError,
     RawIdeal,
@@ -155,6 +155,20 @@ class TestEvaluation:
     def test_sqrt_must_match_field(self, inst_a):
         with pytest.raises(ExprError):
             evaluate(parse_expression("ideal(sqrt(-5))"), inst_a)
+
+    def test_sqrt_literal_is_built_from_integers(self, inst_c, monkeypatch):
+        # k_disc is squarefree already, so sqrt(d) needs neither the
+        # Fraction coordinates nor the squarefree test of FieldElem.__init__
+        text = "(1/2 + 3*sqrt(-5)) * X - sqrt(-5)"
+        expected = RatFunc(Poly([FieldElem(0, -1, -5), FieldElem(Fraction(1, 2), 3, -5)]))
+        surd = RatFunc(Poly([FieldElem(0, 1, -5)]))
+        calls = []
+        init = FieldElem.__init__
+        monkeypatch.setattr(FieldElem, "__init__",
+                            lambda self, *args: calls.append(1) or init(self, *args))
+        assert evaluate(parse_expression(text), inst_c) == expected
+        assert evaluate(parse_expression("sqrt(-5)"), inst_c) == surd
+        assert not calls
 
     def test_x_powers(self, inst_a):
         val = evaluate(parse_expression("X^3"), inst_a)

@@ -26,10 +26,12 @@ value with "poly" or "local"; everything else asks the instance's kind.
 A product by a power of X has one form, `f.shift(j)`: no code multiplies
 by `RatFunc.x_power(...)`.  And `exprlang` prints each scalar from its
 integers (a, b, n, d): no function there calls `Fraction(...)` or reads a
-scalar's rational coordinates `.x` and `.y`.
+scalar's rational coordinates `.x` and `.y`.  The samplers of `harness`
+draw in integers too: `harness.py` imports nothing from `fractions`.
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -293,3 +295,37 @@ def test_exprlang_prints_from_integers():
                   if isinstance(node, ast.Call) and _names(node.func)["Fraction"]
                   or isinstance(node, ast.Attribute) and node.attr in ("x", "y"))
     assert not uses, f"exprlang reads Fraction coordinates at lines {uses}"
+
+
+def _fraction_uses(source: str) -> list[int]:
+    """Lines that import from `fractions` or name `Fraction`."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) and node.module == "fractions"
+                  or isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
+                  or isinstance(node, ast.Name) and node.id == "Fraction")
+
+
+def test_harness_samples_in_integers():
+    # the samplers keep each drawn (p, q) as integers and build one reduced
+    # scalar; two Fractions and FieldElem.__init__ per coefficient were about
+    # a sixth of a classes run
+    source = (PACKAGE / "harness.py").read_text()
+    uses = _fraction_uses(source)
+    assert not uses, f"harness uses fractions at lines {uses}"
+    # the rule sees the former sampler
+    old = source.replace("import random\n", "import random\nfrom fractions import Fraction\n", 1)
+    old += ("\n\ndef _sample_fraction(rng, height):\n"
+            "    return Fraction(rng.randint(-height, height), rng.randint(1, 3))\n")
+    assert _fraction_uses(old)
+
+
+def test_empty_memos_covers_every_table(empty_memos):
+    # the shared fixture finds the tables by scan, so a new *_CACHE table
+    # is emptied without naming it anywhere
+    tables = [(path.stem, stmt.target.id) for path in sorted(PACKAGE.glob("*.py"))
+              for stmt in ast.parse(path.read_text()).body
+              if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+              and stmt.target.id.endswith("_CACHE")]
+    assert ("base_domain", "_PRODUCT_CACHE") in tables
+    for module, name in tables:
+        assert getattr(importlib.import_module(f"starpull.{module}"), name) == {}, (module, name)

@@ -1,8 +1,10 @@
 """Samplers, suites, reports: determinism, replay, schema."""
 
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starpull import harness, pullback
 from starpull.class_groups import invertibility_R
@@ -18,8 +20,10 @@ from starpull.harness import (
     sample_ideals,
 )
 from starpull.kernel import RatFunc
-from starpull.pullback import RawIdeal, ideal_arith, make_instance
+from starpull.pullback import RawIdeal, ideal_arith, instance_catalog, make_instance
 from starpull.star_ops import StarOp
+
+import reference_samplers
 
 T_OP = StarOp.t_op("R")
 PARAMS = SampleParams(seed=11, count=20)
@@ -50,6 +54,27 @@ class TestSampling:
             SampleParams(count=0)
         with pytest.raises(HarnessError):
             SampleParams(degree_window=0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(instance_catalog()), seed=st.integers(0, 2**32),
+           height=st.integers(1, 6), nonzero=st.booleans(), allow_surd=st.booleans())
+    def test_samplers_match_the_fraction_reference(self, name, seed, height, nonzero, allow_surd):
+        # the integer samplers draw the same numbers in the same order as
+        # the former Fraction samplers in reference_samplers, and return
+        # equal values
+        inst = make_instance(name)
+        params = SampleParams(seed=seed, coeff_height=height)
+        draws = (
+            (harness._sample_scalar, reference_samplers.sample_scalar,
+             (inst, height), {"nonzero": nonzero, "allow_surd": allow_surd}),
+            (harness._sample_poly, reference_samplers.sample_poly, (inst, height), {}),
+            (harness._sample_ratfunc, reference_samplers.sample_ratfunc, (inst, params), {}),
+        )
+        for sampler, reference, args, kwargs in draws:
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            for _ in range(4):
+                assert sampler(rng, *args, **kwargs) == reference(ref_rng, *args, **kwargs)
+                assert rng.getstate() == ref_rng.getstate()
 
 
 class TestSuiteVerdicts:

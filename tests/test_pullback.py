@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starpull import base_domain, class_groups, harness, kernel, pullback
+from starpull import harness, kernel, pullback
 from starpull.base_domain import (
     BaseDomain,
     DomainError,
@@ -431,14 +431,10 @@ class TestDivisibilityMemo:
         assert [inst.t.at_zero(h, g) for h, g in pairs] == memo
         assert not divisions
 
-    def test_oracle_agreement_divides_once_per_x_free_pair(self, inst_a, monkeypatch):
+    def test_oracle_agreement_divides_once_per_x_free_pair(self, inst_a, empty_memos, monkeypatch):
         # the shifts b*X^j of a grid element share their X-free parts, so a
         # report on A at seed 7 makes at most 150 divisions from empty
         # memos; forming each quotient made 507
-        for module, table in ((pullback, "_DIVIDES_CACHE"), (pullback, "_COLON_R_CACHE"),
-                              (base_domain, "_COLON_CACHE"),
-                              (class_groups, "_INVERTIBILITY_CACHE")):
-            monkeypatch.setattr(module, table, {})
         divisions = []
         divmod_ = Poly.__divmod__
         monkeypatch.setattr(Poly, "__divmod__", lambda f, g: divisions.append(1) or divmod_(f, g))
@@ -447,14 +443,11 @@ class TestDivisibilityMemo:
         assert report.n_samples == 10 and not report.violations
         assert len(divisions) <= 150
 
-    def test_oracle_agreement_builds_one_scalar_per_membership_test(self, inst_a, monkeypatch):
+    def test_oracle_agreement_builds_one_scalar_per_membership_test(self, inst_a, empty_memos,
+                                                                     monkeypatch):
         # a value at zero stays in integers until one reduced scalar is
         # built, so the same report as above calls kernel._make at most
         # 1,300 times from empty memos; three scalars per test made 3,032
-        for module, table in ((pullback, "_DIVIDES_CACHE"), (pullback, "_COLON_R_CACHE"),
-                              (base_domain, "_COLON_CACHE"),
-                              (class_groups, "_INVERTIBILITY_CACHE")):
-            monkeypatch.setattr(module, table, {})
         scalars = []
         make = kernel._make
         bound = [module for name, module in sys.modules.items()
