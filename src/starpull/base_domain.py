@@ -338,17 +338,16 @@ class ExtDModule(FrozenValue):
         d, den = self.domain.k_disc, self.den
         return [_make(r[0], r[1] if len(r) == 2 else 0, den, d) for r in self.rows]
 
-    def contains(self, x) -> bool:
-        x = FieldElem.coerce(x)
-        if self.is_zero():
-            return x.is_zero()
-        if self.is_full():
-            return x.d in (1, self.domain.k_disc)
-        if x.is_zero():
+    def contains(self, a: int, b: int, n: int, d: int) -> bool:
+        """Whether (a + b*sqrt(d))/n lies in the module, for integers with
+        n > 0, not reduced: each test reads the same on (k*a, k*b, k*n) for
+        k >= 1, and with b == 0 the value is rational whatever d is."""
+        if not (a or b):
             return True
-        a, b, n, d = x._abnd
-        if d not in (1, self.domain.k_disc):
+        if self.variant == "zero" or b and d != self.domain.k_disc:
             return False
+        if self.variant == "full":
+            return True
         if self.domain.kind == "field":
             # membership in the Q-line spanned by the stored direction
             r = self.rows[0]

@@ -17,8 +17,8 @@ TAOCP vol. 2, 4.5.1): for canonical a/b and c/d, dividing out gcd(a, d)
 and gcd(c, b) leaves a coprime pair with a monic denominator, so no gcd
 of the full products is taken; a product by X^j takes none at all, as
 only powers of X can cancel.  Nor does a sum with a polynomial, since
-a + c*b stays coprime to b, or a negation; a division by a constant
-scales the numerator.
+a + c*b stays coprime to b, or a negation; a product with a nonzero
+constant scales the other numerator.
 
 No floating point is used anywhere; ideal equality downstream depends on
 these canonical forms being exact.
@@ -306,6 +306,8 @@ def _make(a: int, b: int, n: int, d: int) -> FieldElem:
 
 ZERO_ELEM = FieldElem(0)
 ONE_ELEM = FieldElem(1)
+# 1 as a quadruple: _over(_ONE_ABND, c) is 1/c with no scalar built
+_ONE_ABND = (1, 0, 1, 1)
 
 
 class Poly(Frozen):
@@ -394,7 +396,7 @@ class Poly(Frozen):
         return bool(A) and A[-1] == n and not (B and B[-1])
 
     def monic(self) -> "Poly":
-        return self if self.is_monic() else self.scale(self.leading().inv())
+        return self if self.is_monic() else self._scale(_over(_ONE_ABND, self.coeff_ints(-1)))
 
     def shift(self, j: int) -> "Poly":
         """self * X^j, for j < 0 only when X^-j divides self; moving the
@@ -412,7 +414,11 @@ class Poly(Frozen):
         return out
 
     def scale(self, c) -> "Poly":
-        (A, B, n, d), (ca, cb, cn, d2) = self._rep, FieldElem.coerce(c)._abnd
+        return self._scale(FieldElem.coerce(c)._abnd)
+
+    def _scale(self, c: tuple) -> "Poly":
+        """self times the scalar held as an integer quadruple (a, b, n, d)."""
+        (A, B, n, d), (ca, cb, cn, d2) = self._rep, c
         if not (B or cb):
             return _flat([a * ca for a in A], (), n * cn, 1)
         d, B = _common_tag(d, d2), _surd(self._rep)
@@ -502,9 +508,10 @@ class Poly(Frozen):
         A, B, _, _ = self._rep
         if not A:
             raise KernelError("zero polynomial has no valuation")
-        if A[0] or B and B[0]:
-            return 0
-        return next(i for i, a in enumerate(A) if a or B and B[i])
+        i = 0
+        while not (A[i] or B and B[i]):
+            i += 1
+        return i
 
     def __eq__(self, other):
         if type(other) is not Poly:
@@ -634,12 +641,13 @@ class RatFunc(Frozen):
         if num.is_zero():
             den = Poly.one()
         elif not den.is_one():
-            g = poly_gcd(num, den)
+            # a nonzero constant numerator is coprime to every denominator
+            g = _POLY_ONE if num.is_constant() else poly_gcd(num, den)
             if not g.is_one():
                 num, den = num // g, den // g
             if not den.is_monic():
-                c = den.leading().inv()
-                num, den = num.scale(c), den.scale(c)
+                c = _over(_ONE_ABND, den.coeff_ints(-1))
+                num, den = num._scale(c), den._scale(c)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -694,6 +702,12 @@ class RatFunc(Frozen):
         a, b, c, d = self.num, self.den, other.num, other.den
         if a.is_zero() or c.is_zero():
             return RatFunc.zero()
+        # a product with a nonzero constant scales the other numerator,
+        # which stays coprime to its monic denominator
+        if d.is_one() and c.is_constant():
+            return _ratfunc(a._scale(c.coeff_ints(0)), b)
+        if b.is_one() and a.is_constant():
+            return _ratfunc(c._scale(a.coeff_ints(0)), d)
         if (j := _x_exponent(c, d)) is not None:
             return self.shift(j)
         if (j := _x_exponent(a, b)) is not None:
@@ -733,17 +747,12 @@ class RatFunc(Frozen):
         # new denominator monic gives the canonical form with no gcd
         num, den = self.den, self.num
         if not den.is_monic():
-            c = den.leading().inv()
-            num, den = num.scale(c), den.scale(c)
+            c = _over(_ONE_ABND, den.coeff_ints(-1))
+            num, den = num._scale(c), den._scale(c)
         return _ratfunc(num, den)
 
     def __truediv__(self, other):
-        other = RatFunc.coerce(other)
-        if other.is_constant() and not other.is_zero():
-            # scaling the numerator keeps it coprime to the monic denominator,
-            # with no inverse RatFunc and no product to form
-            return _ratfunc(self.num.scale(other.num.eval_zero().inv()), self.den)
-        return self * other.inv()
+        return self * RatFunc.coerce(other).inv()
 
     def __rtruediv__(self, other):
         return RatFunc.coerce(other) / self

@@ -114,7 +114,9 @@ def lattice_member(target: list[int], n: int, rows: list[list[int]]) -> bool:
     """Does target/n lie in the Z-span of rows, an integer echelon basis?"""
     work = list(target)
     for row in rows:
-        j = next(i for i, v in enumerate(row) if v)
+        j = 0
+        while not row[j]:
+            j += 1
         q, r = divmod(work[j], n * row[j])
         if r:
             return False

@@ -9,8 +9,9 @@ In K[X], whether a product h*g lies in T and its value at zero are read
 from X-orders and lowest coefficients, with no quotient polynomial; the
 one division left, between X-free parts, is memoized, so the products
 of h by X^j share it.  In both kinds the value at zero is computed on
-the coefficients' integers (Poly.coeff_ints), and one reduced scalar is
-built per test.
+the coefficients' integers (Poly.coeff_ints) and stays an integer
+quadruple, which the module decides as it is: no scalar is built per
+test.
 
 Ideals of R come in two flavors.  A ``RawIdeal`` is a finite list of
 nonzero generators in K(X).  A ``StructuredIdeal`` is the closed form
@@ -48,7 +49,6 @@ from .base_domain import (
 )
 from .kernel import (
     ONE_ELEM,
-    ZERO_ELEM,
     FieldElem,
     Frozen,
     FrozenValue,
@@ -56,6 +56,7 @@ from .kernel import (
     RatFunc,
     _make,
     _over,
+    _ratfunc,
     _times,
     ord_at_zero,
     poly_gcd,
@@ -73,8 +74,10 @@ class _PolyT:
     quasilocal = False
     suffix = ""
 
-    def at_zero(self, h: RatFunc, g: RatFunc) -> FieldElem | None:
-        """phi(h*g) when h*g lies in T, else None; h and g are nonzero.
+    def at_zero(self, h: RatFunc, g: RatFunc) -> tuple | None:
+        """phi(h*g) as an integer quadruple (a, b, n, d), read as
+        (a + b*sqrt(d))/n with n > 0 and not reduced, when h*g lies in T,
+        else None; h and g are nonzero.
 
         For canonical h = a/b and g = c/d each pair is coprime, so h*g is a
         polynomial exactly when b | c and d | a, and then its value at zero
@@ -83,24 +86,24 @@ class _PolyT:
         exactly when k <= m and b' | c'; and if c = q*b, the coefficients of
         X^k give c_k = q(0)*b_k, as b has none below X^k, so
         (c/b)(0) = c_k/b_k, which is zero for k < m.  Two polynomials
-        (b = d = 1) give the product of their constant terms.
+        (b = d = 1) give the product of their constant terms, read directly.
 
-        Both values stay integer quadruples (a, b, n, d), read as
-        (a + b*sqrt(d))/n, until one reduced scalar is built from their
-        product.  With c_k = (ca + cb*sqrt(d))/cn and
+        Both values and their product stay integer quadruples.  With
+        c_k = (ca + cb*sqrt(d))/cn and
         b_k = (ba + bb*sqrt(d))/bn, c_k/b_k is
         bn*(ca + cb*sqrt(d))*(ba - bb*sqrt(d)) / (cn*N(b_k)), where
         N(b_k) = ba^2 - d*bb^2 is nonzero; when N(b_k) < 0, for a real
         quadratic d, the signs of bn and N(b_k) flip so that the
         denominator stays positive (kernel._over).
         """
-        v1 = _quotient_at_zero(g.num, h.den)
+        hd, gd = h.den, g.den
+        if hd.is_one() and gd.is_one():
+            return _times(h.num.coeff_ints(0), g.num.coeff_ints(0))
+        v1 = _quotient_at_zero(g.num, hd)
         if v1 is None:
             return None
-        v2 = _quotient_at_zero(h.num, g.den)
-        if v2 is None:
-            return None
-        return _make(*_times(v1, v2))
+        v2 = _quotient_at_zero(h.num, gd)
+        return None if v2 is None else _times(v1, v2)
 
     def normalize(self, u: RatFunc) -> tuple[RatFunc, FieldElem]:
         """(u/c, c) for c the leading coefficient of u's numerator."""
@@ -108,9 +111,21 @@ class _PolyT:
         return (u if c == ONE_ELEM else u / c), c
 
     def content(self, fs) -> RatFunc:
-        """The gcd of the numerators of the nonzero fs over their common denominator."""
-        den = reduce(poly_lcm, (f.den for f in fs))
-        return RatFunc(reduce(poly_gcd, [f.num * (den // f.den) for f in fs]), den)
+        """The gcd of the numerators of the nonzero fs over their common
+        denominator, an lcm of the distinct denominators.  It is coprime to
+        that lcm: an irreducible p has its largest power in some f.den, so
+        p divides neither f.num nor lcm/f.den, nor then the gcd.  A
+        constant gcd is 1 and ends the chain."""
+        if len(fs) == 1:
+            return fs[0]
+        den = reduce(poly_lcm, {f.den for f in fs})
+        g = None
+        for f in fs:
+            p = f.num if f.den == den else f.num * (den // f.den)
+            g = p.monic() if g is None else poly_gcd(g, p)
+            if g.is_constant():
+                break
+        return _ratfunc(g, den)
 
 
 class _LocalT:
@@ -119,16 +134,16 @@ class _LocalT:
     quasilocal = True
     suffix = "_(X)"
 
-    def at_zero(self, h: RatFunc, g: RatFunc) -> FieldElem | None:
+    def at_zero(self, h: RatFunc, g: RatFunc) -> tuple | None:
         # X-orders add and the values at zero of the X-free parts multiply:
-        # the lowest coefficients, in integers, reduced once
+        # the lowest coefficients' quotient, an integer quadruple as in _PolyT
         a, b, c, d = h.num, g.num, h.den, g.den
         i, j, k, m = a.ord_zero(), b.ord_zero(), c.ord_zero(), d.ord_zero()
         e = i + j - k - m
         if e != 0:
-            return None if e < 0 else ZERO_ELEM
-        return _make(*_over(_times(a.coeff_ints(i), b.coeff_ints(j)),
-                            _times(c.coeff_ints(k), d.coeff_ints(m))))
+            return None if e < 0 else (0, 0, 1, 1)
+        return _over(_times(a.coeff_ints(i), b.coeff_ints(j)),
+                     _times(c.coeff_ints(k), d.coeff_ints(m)))
 
     def normalize(self, u: RatFunc) -> tuple[RatFunc, FieldElem]:
         # X^e for e = ord(u), and the value at zero of the X-free part: the
@@ -305,14 +320,16 @@ class StructuredIdeal(FrozenValue):
     normalized to (u*X, FULL) through the identity M = X*T, which holds
     for every kind in _T_KINDS.  The unit part is the kind's canonical
     generator of u*T (``normalize``), with the absorbed constant pushed
-    into the dpart, so representations are unique.
+    into the dpart, so representations are unique.  The private slot
+    holds 1/u, which membership tests and colons read, built once.
     """
 
-    __slots__ = ("unit", "dpart")
+    __slots__ = ("unit", "dpart", "_unit_inv")
 
     def __init__(self, unit: RatFunc, dpart: ExtDModule):
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "dpart", dpart)
+        object.__setattr__(self, "_unit_inv", unit.inv())
 
     def is_t_module(self) -> bool:
         return self.dpart.is_full()
@@ -355,37 +372,34 @@ def m_ideal(inst: PullbackInstance) -> StructuredIdeal:
 
 def member_R(f: RatFunc, inst: PullbackInstance) -> bool:
     """f in R, i.e. f in T with value at zero inside D."""
-    return _product_in(f, RatFunc.one(), inst._d_module, inst)
+    return _product_in(RatFunc.coerce(f), RatFunc.one(), inst._d_module, inst)
 
 
 def member_R_product(h: RatFunc, g: RatFunc, inst: PullbackInstance) -> bool:
     """h*g in R, decided without forming h*g; equal to member_R(h * g, inst)."""
-    return _product_in(h, g, inst._d_module, inst)
+    return _product_in(RatFunc.coerce(h), RatFunc.coerce(g), inst._d_module, inst)
 
 
 def member_structured(f: RatFunc, s: StructuredIdeal, inst: PullbackInstance) -> bool:
     """f in u*phi^-1(J0): f/u in T with value at zero in J0, without forming f/u."""
-    return _product_in(f, s.unit.inv(), s.dpart, inst)
+    return _product_in(RatFunc.coerce(f), s._unit_inv, s.dpart, inst)
 
 
 def _product_in(h: RatFunc, g: RatFunc, j: ExtDModule, inst: PullbackInstance) -> bool:
     """h*g in phi^-1(J), the one membership test: h*g in T and phi(h*g) in J,
-    where J = D gives R, the ZERO sentinel M and the FULL sentinel T."""
-    if type(h) is not RatFunc:
-        h = RatFunc.coerce(h)
-    if type(g) is not RatFunc:
-        g = RatFunc.coerce(g)
+    where J = D gives R, the ZERO sentinel M and the FULL sentinel T.  The
+    value phi(h*g) stays an integer quadruple, and J decides it as it is."""
     if h.is_zero() or g.is_zero():
         return True
     value = inst.t.at_zero(h, g)
-    return value is not None and j.contains(value)
+    return value is not None and j.contains(*value)
 
 
 def contains_ideal(outer, inner, inst: PullbackInstance) -> bool:
     """inner is a subset of outer = u*phi^-1(J), decided on closed forms:
     u^-1 times inner lies in phi^-1(J)."""
     outer = as_structured(outer, inst)
-    return span_product_in(([outer.unit.inv()], None), _generators(inner, inst), outer.dpart, inst)
+    return span_product_in(([outer._unit_inv], None), _generators(inner, inst), outer.dpart, inst)
 
 
 def span_product_in(a, b, j: ExtDModule, inst: PullbackInstance) -> bool:
@@ -424,7 +438,7 @@ def structured_hull(ideal: RawIdeal, inst: PullbackInstance) -> StructuredIdeal:
     u generates I*T and J0 is spanned by the values phi(g/u)."""
     u = inst.t.content(ideal.gens)
     u_inv = u.inv()
-    j0 = dmod_from_generators([inst.t.at_zero(g, u_inv) for g in ideal.gens], inst.base)
+    j0 = dmod_from_generators([_make(*inst.t.at_zero(g, u_inv)) for g in ideal.gens], inst.base)
     assert not j0.is_zero(), "the values phi(g/u) cannot all vanish"
     return make_structured(u, j0, inst)
 
@@ -447,7 +461,7 @@ def colon_R(ideal, inst: PullbackInstance) -> StructuredIdeal:
     if closed_form and (cached := _COLON_R_CACHE.get((ideal, inst))) is not None:
         return cached
     s = as_structured(ideal, inst)
-    result = make_structured(s.unit.inv(), dmod_colon(s.dpart), inst)
+    result = make_structured(s._unit_inv, dmod_colon(s.dpart), inst)
     if colon_generators(ideal, inst, result) is None:
         raise AssertionError("closed-form colon failed definitional certification")
     return _memo_put(_COLON_R_CACHE, (ideal, inst), result) if closed_form else result
@@ -507,7 +521,7 @@ def _structured_sum(sa: StructuredIdeal, sb: StructuredIdeal, inst: PullbackInst
     g = inst.t.content([sa.unit, sb.unit])
     total = ExtDModule.zero(inst.base)
     for s in (sa, sb):
-        value = inst.t.at_zero(s.unit, g.inv())
+        value = _make(*inst.t.at_zero(s.unit, g.inv()))
         if not value.is_zero():
             total = dmod_arith(total, dmod_scale(value, s.dpart), "add")
     return make_structured(g, total, inst)
@@ -531,11 +545,14 @@ def inverse_image_R(j: ExtDModule, inst: PullbackInstance) -> StructuredIdeal:
 def oracle_colon_member(g: RatFunc, ideal: RawIdeal, inst: PullbackInstance) -> bool:
     """Exact test g in (R : I): g*f in R for every generator f.
 
-    Each product's membership is decided by member_R_product without
-    forming the product; that test is exact, not a heuristic.
+    Each product's membership is decided by _product_in without forming
+    the product; that test is exact, not a heuristic.
     """
-    g = RatFunc.coerce(g)
-    return all(member_R_product(g, f, inst) for f in ideal.gens)
+    g, d_module = RatFunc.coerce(g), inst._d_module
+    for f in ideal.gens:
+        if not _product_in(g, f, d_module, inst):
+            return False
+    return True
 
 
 class OracleVerdict(Frozen):
@@ -584,13 +601,14 @@ def oracle_v_member(h: RatFunc, ideal: RawIdeal, inst: PullbackInstance,
             return OracleVerdict("inconclusive")
     lifts, t = generators
     for g in lifts:
-        if not member_R_product(h, g, inst):
+        if not _product_in(h, g, inst._d_module, inst):
             return OracleVerdict("out-with-witness", g)
-    value = ZERO_ELEM if h.is_zero() else inst.t.at_zero(h, t)
-    if value is not None and value.is_zero():
-        return OracleVerdict("in")
+    value = (0, 0, 1, 1) if h.is_zero() else inst.t.at_zero(h, t)
     witness = t
     if value is not None:
+        value = _make(*value)
+        if value.is_zero():
+            return OracleVerdict("in")
         witness = t * RatFunc.coerce(Poly.const(outside_D(inst) / value))
     if oracle_colon_member(witness, ideal, inst):
         return OracleVerdict("out-with-witness", witness)

@@ -37,6 +37,8 @@ from starpull.kernel import FieldElem, _is_squarefree
 from starpull.pullback import instance_catalog, make_instance
 from starpull.star_ops import StarOp
 
+import reference_membership as former
+
 
 Z = BaseDomain.integers()
 OK5 = BaseDomain.quadratic_order(-5)
@@ -69,7 +71,7 @@ class TestFromGenerators:
         for a in range(-4, 5):
             for b in range(-4, 5):
                 inside = (a - b) % 2 == 0
-                assert P.contains(fe(a, b, -5)) == inside
+                assert P.contains(*fe(a, b, -5)._abnd) == inside
         assert P.den == 1 and P.rows == ((1, 1), (0, 2))
 
     def test_canonical_across_generating_sets(self):
@@ -121,8 +123,8 @@ class TestColon:
     def test_colon_of_p(self):
         pinv = dmod_colon(P)
         # (2, 1-w)/2: contains 1 and (1-w)/2, and P * P^-1 = O_K
-        assert pinv.contains(fe(1))
-        assert pinv.contains(FieldElem(Fraction(1, 2), Fraction(-1, 2), -5))
+        assert pinv.contains(*fe(1)._abnd)
+        assert pinv.contains(*FieldElem(Fraction(1, 2), Fraction(-1, 2), -5)._abnd)
         assert dmod_arith(P, pinv, "mul") == OK5.unit_module()
 
     def test_colon_sentinels(self):
@@ -158,11 +160,11 @@ class TestClosure:
                 mods.append(m)
         for m in mods:
             closed = dmod_v(m)
-            assert all(closed.contains(b) for b in m.basis_elements())
+            assert all(closed.contains(*b._abnd) for b in m.basis_elements())
             assert dmod_v(closed) == closed
         for m, n in zip(mods, mods[1:]):
             big = dmod_arith(m, n, "add")
-            assert all(dmod_v(big).contains(b) for b in dmod_v(m).basis_elements())
+            assert all(dmod_v(big).contains(*b._abnd) for b in dmod_v(m).basis_elements())
 
     def test_nondivisorial_module_over_z(self):
         m = dmod_from_generators([fe(1), I], ZI)
@@ -193,8 +195,8 @@ class TestPredicates:
         assert preds.is_cyclic is None
 
     def test_membership_and_equal(self):
-        assert P.contains(fe(2))
-        assert not P.contains(fe(1))
+        assert P.contains(*fe(2)._abnd)
+        assert not P.contains(*fe(1)._abnd)
         assert P == dmod_from_generators([fe(2), fe(1) + W], OK5)
 
     def test_invertibility_group_laws(self):
@@ -282,7 +284,7 @@ def _enumerated_generator(n, dom):
                 if sp == 0 and q == 0:
                     continue
                 x = FieldElem(Fraction(sp, den2), Fraction(q, den2), d)
-                if x.norm() == target and n.contains(x):
+                if x.norm() == target and n.contains(*x._abnd):
                     return x
     return None
 
@@ -342,13 +344,13 @@ class TestIntersectDefinition:
         meet = dmod_intersect(a, b)
         if meet.is_lattice():
             for x in meet.basis_elements():
-                assert a.contains(x) and b.contains(x)
+                assert a.contains(*x._abnd) and b.contains(*x._abnd)
         # every small combination of A's basis that lies in B lies in the meet
         basis = a.basis_elements()
         for coeffs in itertools.product(range(-4, 5), repeat=len(basis)):
             x = sum((FieldElem(c) * e for c, e in zip(coeffs, basis)), FieldElem(0))
-            if b.contains(x):
-                assert meet.contains(x)
+            if b.contains(*x._abnd):
+                assert meet.contains(*x._abnd)
 
 
 class TestCyclicGenerator:
@@ -754,10 +756,29 @@ class TestIntegerLayer:
         for coeffs in itertools.product(range(-2, 3), repeat=len(b1)):
             probes.append(sum((FieldElem(c) * e for c, e in zip(coeffs, b1)), FieldElem(0))
                           / FieldElem(k))
-        verdicts = [m1.contains(x) for x in probes]
+        verdicts = [m1.contains(*x._abnd) for x in probes]
         assert verdicts == [_ref_contains(m1, x) for x in probes]
         if k == 1:
             assert all(verdicts[-5 ** len(b1):])
+
+    @given(st.sampled_from(_LAYER_DOMAINS), _COORDS, _COORDS, st.integers(1, 12), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_contains_reads_unreduced_quadruples(self, dom, c1, c2, k, tag_rationals):
+        # each probe as the quadruple (k*a, k*b, k*n, d), a rational one
+        # tagged with k's d as a product of values at zero can be, decided
+        # by a lattice, a line and both sentinels as the former body
+        # decides the reduced scalar
+        modules = [dmod_from_generators(_elems(dom, c1), dom),
+                   ExtDModule.zero(dom), ExtDModule.full(dom)]
+        basis = modules[0].basis_elements() if modules[0].is_lattice() else []
+        probes = _elems(dom, c2) + basis + [x / FieldElem(k) for x in basis]
+        probes += [FieldElem(0), FieldElem(1, 1, -7)]
+        for m in modules:
+            for x in probes:
+                a, b, n, d = x._abnd
+                if not b and tag_rationals:
+                    d = dom.k_disc
+                assert m.contains(k * a, k * b, k * n, d) == former.contains(m, x), (m, x, k)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from starpull import kernel
 from starpull.kernel import (
     FieldElem,
     KernelError,
@@ -16,6 +17,7 @@ from starpull.kernel import (
     poly_gcd,
     poly_lcm,
 )
+import reference_membership as former
 from object_poly import ObjectPoly, object_gcd
 from strategies import elems, polys, ratfuncs, tagged
 
@@ -257,6 +259,14 @@ class TestPoly:
             Poly([fe(0, 1, -1), fe(0, 1, -5)])
         assert Poly([fe(2), fe(0, 1, -5)]) == Poly([2, fe(0, 1, -5)])
 
+    @given(tagged(polys), st.integers(0, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_ord_zero_matches_the_former_body(self, args, j):
+        _, p = args
+        if not p.is_zero():
+            p = p.shift(j)
+            assert p.ord_zero() == former.ord_zero(p) >= j
+
     def test_bit_length_reads_each_reduced_coefficient(self):
         # 1/3 and 1/5 need 3 bits each; their common denominator 15 would need 4
         assert Poly([Fraction(1, 3), Fraction(1, 5)]).bit_length() == 3
@@ -489,14 +499,43 @@ class TestRatFuncFastPaths:
             assert _same(k / h, h.den * Poly.const(k), h.num)
 
     def test_division_by_a_constant_forms_no_product(self, monkeypatch):
-        # eval divides by constants often; scaling the numerator builds
-        # neither the inverse RatFunc nor a product with it
+        # eval divides by constants often; a quotient by a constant is the
+        # product with its inverse, which scales the numerator: no two
+        # polynomials are multiplied and no gcd is taken
         h = RatFunc(Poly([FieldElem(1, 2, -5), 3]), Poly([2, 1]))
         expected = [h / c for c in (3, FieldElem(0, 2, -5))] + [RatFunc(Poly([7]), Poly([6]))]
-        monkeypatch.setattr(RatFunc, "__mul__", lambda *args: pytest.fail("product formed"))
-        monkeypatch.setattr(RatFunc, "inv", lambda *args: pytest.fail("inverse formed"))
+        monkeypatch.setattr(Poly, "__mul__", lambda *args: pytest.fail("product formed"))
+        monkeypatch.setattr(kernel, "poly_gcd", lambda *args: pytest.fail("gcd taken"))
         divisors = (3, RatFunc.coerce(FieldElem(0, 2, -5)))
         assert [h / c for c in divisors] + [7 / RatFunc.coerce(6)] == expected
+
+    @given(_fast_path_tagged(lambda d: st.tuples(elems(d), polys(d), ratfuncs(d))))
+    @settings(max_examples=100, deadline=None)
+    def test_constant_paths_match_the_former_bodies(self, args):
+        # a constant numerator over any denominator, the product of a
+        # fraction with a constant on either side, and the quotient by a
+        # constant or a fraction, against the bodies kept in tests/
+        _, (c, p, h) = args
+        den = Poly.one() if p.is_zero() else p
+        for num in (Poly.const(c), p):
+            built = RatFunc(num, den)
+            assert (built.num, built.den) == former.ratfunc_init(num, den)
+        if c.is_zero():
+            return
+        const = RatFunc.coerce(c)
+        for product in (h * const, const * h, h * c):
+            assert _same(product, h.num * Poly.const(c), h.den)
+        for divisor in (c, const, 3, RatFunc(p, den)):
+            if divisor:
+                assert h / divisor == former.truediv(h, divisor)
+
+    def test_a_constant_numerator_takes_no_gcd(self, monkeypatch):
+        # its gcd with any polynomial is 1
+        dens = [Poly([FieldElem(1, 2, -5), 3]), Poly([0, 0, 1]), Poly([2, 4, 6])]
+        expected = [former.ratfunc_init(Poly.const(7), den) for den in dens]
+        monkeypatch.setattr(kernel, "poly_gcd", lambda *args: pytest.fail("gcd taken"))
+        built = [RatFunc(Poly.const(7), den) for den in dens]
+        assert [(f.num, f.den) for f in built] == expected
 
     def test_zero_and_one_are_shared(self):
         assert RatFunc.zero() is RatFunc.zero() and RatFunc.one() is RatFunc.one()

@@ -8,6 +8,8 @@ from starpull.lattices import (
     xgcd,
 )
 
+import reference_membership as former
+
 
 def _reference_hnf(rows):
     """Reference: the pivot-search echelon form that the column-wise
@@ -119,3 +121,16 @@ def test_lattice_member():
     assert lattice_member([0, 6], 2, [[0, 3]])
     assert not lattice_member([0, 3], 2, [[0, 3]])
     assert not lattice_member([2, 6], 2, [[0, 3]])
+
+
+@given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3), min_size=1, max_size=4),
+       st.lists(st.integers(-30, 30), min_size=3, max_size=3), st.integers(1, 6), st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_lattice_member_matches_the_former_body(rows, target, n, k):
+    # echelon bases with zero leading columns, and targets scaled by k
+    # into the lattice as well as ones mostly outside it
+    basis = hnf_rows(rows)
+    inside = [k * n * sum(row[i] for row in basis) for i in range(3)]
+    for vec in (target, inside):
+        assert lattice_member(vec, n, basis) == former.lattice_member(vec, n, basis)
+    assert lattice_member(inside, n, basis)

@@ -46,6 +46,7 @@ from starpull.pullback import (
     t_ideal_of_r,
     v_closure_R,
 )
+import reference_membership as former
 from strategies import polys, ratfuncs
 
 X = RatFunc.x_power(1)
@@ -67,6 +68,15 @@ def member_T(f, inst):
     return ord_at_zero(f) >= 0
 
 
+def reduced(value):
+    """A value at zero, an integer quadruple (a, b, n, d) with n > 0 or
+    None, as the reduced scalar it stands for."""
+    if value is None:
+        return None
+    assert value[2] > 0
+    return kernel._make(*value)
+
+
 def member_M(f, inst):
     """Definitional reference: f in M = X*T."""
     return f.is_zero() or (member_T(f, inst) and ord_at_zero(f) >= 1)
@@ -74,7 +84,7 @@ def member_M(f, inst):
 
 def member_R_reference(f, inst):
     """Definitional reference: f in T with value at zero in D."""
-    return member_T(f, inst) and inst.base.unit_module().contains(eval_at_zero(f))
+    return member_T(f, inst) and inst.base.unit_module().contains(*eval_at_zero(f)._abnd)
 
 
 class TestMakeInstance:
@@ -192,7 +202,7 @@ def structured_by_definition(f, s, inst):
     g = f / s.unit
     if not member_T(g, inst):
         return False
-    return s.dpart.is_full() or s.dpart.contains(eval_at_zero(g))
+    return s.dpart.is_full() or s.dpart.contains(*eval_at_zero(g)._abnd)
 
 
 class TestMemberStructured:
@@ -239,7 +249,7 @@ def contains_ideal_reference(outer, inner, inst):
         wc = w * RatFunc.coerce(Poly.const(c))
         if not member_T(wc, inst):
             return False
-        if not outer.dpart.is_full() and not outer.dpart.contains(eval_at_zero(wc)):
+        if not outer.dpart.is_full() and not outer.dpart.contains(*eval_at_zero(wc)._abnd):
             return False
     # the M part of the inner ideal
     if member_T(w, inst):
@@ -384,7 +394,7 @@ class TestTKindContract:
             h = RatFunc(h.num * g.den, h.den)
         product = RatFunc(h.num * g.num, h.den * g.den)
         expected = eval_at_zero(product) if member_T(product, inst) else None
-        assert kind.at_zero(h, g) == expected
+        assert reduced(kind.at_zero(h, g)) == expected
         # generator(fs) is the first of the fs of least X-order, and it
         # generates the same T-ideal as content(fs)
         if kind.quasilocal:
@@ -502,12 +512,12 @@ class TestIntegerValueAtZero:
         # K[X]: phi(h*g) of the formed product, None off T
         poly_t, local_t = pullback._T_KINDS["poly"], pullback._T_KINDS["local"]
         expected = product.num.eval_zero() if product.is_polynomial() else None
-        assert poly_t.at_zero(h, g) == expected
+        assert reduced(poly_t.at_zero(h, g)) == expected
         # K[X]_(X): the former body, four lowest coefficients as scalars
         e = ord_at_zero(h) + ord_at_zero(g)
         expected = None if e < 0 else FieldElem(0) if e > 0 else (
             (_lowest(h.num) * _lowest(g.num)) / (_lowest(h.den) * _lowest(g.den)))
-        value = local_t.at_zero(h, g)
+        value = reduced(local_t.at_zero(h, g))
         assert value == expected
         if e == 0:
             assert value.n > 0 and value * product.den.eval_zero() == product.num.eval_zero()
@@ -526,6 +536,45 @@ class TestIntegerValueAtZero:
         # the former body: three reduced scalars
         assert unit == RatFunc.x_power(ord_at_zero(u))
         assert c == _lowest(u.num) / _lowest(u.den)
+
+
+class TestIntegerMembership:
+    """Membership decides integer quadruples and builds no scalar; the
+    values at zero and contents equal the former bodies kept in
+    tests/reference_membership.py on every catalogued instance."""
+
+    @pytest.mark.parametrize("name", instance_catalog())
+    def test_values_and_contents_match_the_former_bodies(self, name):
+        inst = make_instance(name)
+        at_zero = former.local_at_zero if inst.t.quasilocal else former.poly_at_zero
+        pairs = TestDivisibilityMemo._pairs(inst)
+        for h, g in pairs:
+            assert reduced(inst.t.at_zero(h, g)) == at_zero(h, g), (h, g)
+        if not inst.t.quasilocal:
+            values = [h for h, _ in pairs]
+            for size in (1, 2, 3, 5):
+                for i in range(0, len(values) - size, 7):
+                    fs = values[i:i + size]
+                    assert inst.t.content(fs) == former.content(fs), fs
+
+    @pytest.mark.parametrize("name", instance_catalog())
+    def test_membership_builds_no_scalar(self, name, monkeypatch):
+        inst = make_instance(name)
+        pairs = TestDivisibilityMemo._pairs(inst)
+        raw = sample_ideals(inst, SampleParams(seed=3, count=4))[-1]
+        closed = [colon_R(raw, inst), v_closure_R(raw, inst), r_ideal(inst), m_ideal(inst)]
+        scalars = []
+        make, init = kernel._make, FieldElem.__init__
+        for module in [m for key, m in sys.modules.items() if key.startswith("starpull")]:
+            if getattr(module, "_make", None) is make:
+                monkeypatch.setattr(module, "_make", lambda *abnd: scalars.append(abnd) or make(*abnd))
+        monkeypatch.setattr(FieldElem, "__init__", lambda *args: scalars.append(args) or init(*args))
+        for h, g in pairs:
+            member_R_product(h, g, inst)
+            oracle_colon_member(h, raw, inst)
+            for s in closed:
+                member_structured(h, s, inst)
+        assert not scalars
 
 
 class TestHull:
