@@ -1,15 +1,16 @@
 """Star operations as evaluable values and their combinator algebra.
 
 The lift of the D-side divisorial operation coincides with the R-side
-one; projection undoes lifting; extension to T and restriction to T
-agree for finite-type operations; and the meet of a lifted operation
-with an overring-induced one reproduces the divisorial closure.
+one; projection undoes lifting; the extension (*)_T of an operation to
+T evaluates it on the fractional T-ideals; and the meet of a lifted
+operation with an overring-induced one reproduces the divisorial closure.
 """
 
 from starpull import (
     RatFunc,
     RawIdeal,
     StarOp,
+    extend_to_T,
     ideal_equal,
     make_instance,
     m_ideal,
@@ -23,6 +24,7 @@ from starpull import (
 )
 from starpull.kernel import FieldElem, Poly
 from starpull.base_domain import dmod_from_generators
+from starpull.star_ops import IMPLEMENTED_R_OPS, read_op
 
 A = make_instance("A")
 C = make_instance("C")
@@ -30,7 +32,7 @@ D = make_instance("D")
 X = RatFunc.x_power(1)
 
 d_r, v_r, t_r = StarOp.identity("R"), StarOp.divisorial("R"), StarOp.t_op("R")
-d_d, v_d = StarOp.identity("D"), StarOp.divisorial("D")
+v_d = StarOp.divisorial("D")
 
 I = RawIdeal([RatFunc.coerce(2), X])
 hull = structured_hull(I, A)
@@ -45,6 +47,11 @@ print("projection fixes the Dedekind prime:  proj(t_R)(P) == P :",
       star_eval(StarOp.projected(t_r), P, C) == P)
 print("projection undoes lifting:            proj(lift(v_D))(P) == v_D(P) :",
       star_eval(StarOp.projected(StarOp.lifted(v_d)), P, C) == star_eval(v_d, P, C))
+print()
+
+cT = extend_to_T(RawIdeal([X + 1]), A)
+print("extT(t_R) evaluates t_R on the T-ideal (X+1)T:",
+      star_eval(StarOp.extended_T(t_r), cT, A) == star_eval(t_r, cT, A))
 print()
 
 mix = star_meet(StarOp.lifted(v_d), StarOp.overring_induced(StarOp.identity("T")))
@@ -63,5 +70,5 @@ print()
 print("closure axioms for t on instance A:",
       star_axiom_check(t_r, samples, [RatFunc.coerce(3), X], A).passed)
 print("every implemented operation fixes the conductor M:",
-      all(ideal_equal(star_eval(op, m_ideal(A), A), m_ideal(A), A)
-          for op in (d_r, v_r, t_r, StarOp.lifted(d_d), StarOp.lifted(v_d), mix)))
+      all(ideal_equal(star_eval(read_op(text, "R"), m_ideal(A), A), m_ideal(A), A)
+          for text in IMPLEMENTED_R_OPS))

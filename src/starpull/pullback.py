@@ -33,7 +33,6 @@ computes through colon_generators, a closed form's once per instance.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import reduce
 
 from .base_domain import (
@@ -617,4 +616,4 @@ def oracle_v_member(h: RatFunc, ideal: RawIdeal, inst: PullbackInstance,
 
 def outside_D(inst: PullbackInstance) -> FieldElem:
     """A scalar of k outside D: sqrt(d) when D is the field Q, else 1/2."""
-    return FieldElem(0, 1, inst.k_disc) if inst.base.kind == "field" else FieldElem(Fraction(1, 2))
+    return _make(0, 1, 1, inst.k_disc) if inst.base.kind == "field" else _make(1, 0, 2, 1)

@@ -2,17 +2,18 @@
 
 A ``StarOp`` is a descriptor: the identity d, the divisorial closure v,
 its finite-type companion t, meets, the projection of an R-side
-operation to D, the lift of a D-side operation to R, the extension and
-restriction of an R-side operation to T, and operations induced by the
-overring T.  Each descriptor carries the ring it acts on ("D", "R" or
-"T"); one table declares each wrapping kind with the rings of its
-operand and result, and a descriptor that disagrees with it is refused
-when built.  Evaluation dispatches on the target and rejects anything
-the closed calculus cannot represent, rather than approximating.  D-,
-R- and T-side operations share one evaluator on structured ideals
-u*phi^-1(J): a D-ideal J is phi^-1(J), as the projection *_phi reads it,
-and a fractional T-ideal is u*T = u*phi^-1(k); each is checked to have
-its shape on the way in and on the way out.
+operation to D, the lift of a D-side operation to R, the extension
+(*)_T : E -> E^* of an R-side operation to the fractional T-ideals, and
+operations induced by the overring T.  Each descriptor carries the ring
+it acts on ("D", "R" or "T"); one table declares each wrapping kind with
+the rings of its operand and result, and a descriptor that disagrees
+with it is refused when built.  Evaluation dispatches on the target and
+rejects anything the closed calculus cannot represent, rather than
+approximating.  D-, R- and T-side operations share one evaluator on
+structured ideals u*phi^-1(J): a D-ideal J is phi^-1(J), as the
+projection *_phi reads it, and a fractional T-ideal is u*T =
+u*phi^-1(k); each is checked to have its shape on the way in and on the
+way out.
 
 Stable/w-style descriptors can be built but never evaluated directly;
 class-group computations route them through their finite-type
@@ -43,6 +44,10 @@ class StarEvalError(ValueError):
     """Evaluation requested outside the defined domain of an operation."""
 
 
+# the operations on R that the calculus implements, as read_op reads them
+IMPLEMENTED_R_OPS = ("d", "v", "t", "lift(d)", "lift(v)", "meet(lift(v),ovr(d))")
+
+
 # each wrapping kind once: (printed name, operand target, result target);
 # "" is any ring, the same for the operand and the result
 _WRAPPERS = {
@@ -51,7 +56,6 @@ _WRAPPERS = {
     "projected": ("proj", "R", "D"),
     "lifted": ("lift", "D", "R"),
     "extended_T": ("extT", "R", "T"),
-    "restricted_T": ("restT", "R", "T"),
     "overring_induced": ("ovr", "T", "R"),
 }
 
@@ -127,10 +131,6 @@ class StarOp(FrozenValue):
     @staticmethod
     def extended_T(op_r: "StarOp") -> "StarOp":
         return _wrap("extended_T", op_r)
-
-    @staticmethod
-    def restricted_T(op_r: "StarOp") -> "StarOp":
-        return _wrap("restricted_T", op_r)
 
     @staticmethod
     def overring_induced(op_t: "StarOp") -> "StarOp":
@@ -262,8 +262,11 @@ def _eval_structured(op: StarOp, value, inst: PullbackInstance):
     if op.kind in ("v", "t"):
         return v_closure_R(value, inst)
     if op.kind == "meet":
+        # every operation keeps the unit part of its value, so a meet
+        # intersects the D-parts over one unit
         a, b = (as_structured(_eval(o, value, inst), inst) for o in op.operands)
-        return _intersect_structured(a, b, inst)
+        assert a.unit == b.unit, (op, value)
+        return make_structured(a.unit, dmod_intersect(a.dpart, b.dpart), inst)
     inner = op.operands[0]
     if op.kind == "lifted":
         s = as_structured(value, inst)
@@ -272,25 +275,10 @@ def _eval_structured(op: StarOp, value, inst: PullbackInstance):
     if op.kind == "overring_induced":
         # semistar on R, so star_eval admits it only inside a meet
         return _eval(inner, extend_to_T(value, inst), inst)
-    if op.kind == "extended_T":
-        return _intersect_structured(_eval(inner, value, inst), value, inst)
-    # projected and restricted_T, the wrapping kinds that change the ring
+    # projected and extended_T, the wrapping kinds that change the ring
     # but not the value: *_phi(J) is the D-part of the R-side operation
-    # on phi^-1(J)
+    # on phi^-1(J), and (*)_T(E) is E^* for a fractional T-ideal E
     return _eval(inner, value, inst)
-
-
-def _intersect_structured(a: StructuredIdeal, b: StructuredIdeal, inst: PullbackInstance) -> StructuredIdeal:
-    """Intersection inside the structured class; same T-content only."""
-    if a.unit != b.unit:
-        # one-sided containment still gives an exact answer
-        if contains_ideal(a, b, inst):
-            return b
-        if contains_ideal(b, a, inst):
-            return a
-        raise StarEvalError("non-representable intersection "
-                            "(unit parts with distinct T-contents)")
-    return make_structured(a.unit, dmod_intersect(a.dpart, b.dpart), inst)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from starpull.exprlang import evaluate, parse_expression, value_to_expr
 from starpull.harness import (
     SampleParams,
     run_suite,
+    sample_dmods,
     sample_ideals,
 )
 from starpull.kernel import FieldElem, Poly, RatFunc
@@ -36,21 +37,30 @@ from starpull.pullback import (
     t_closure_R,
     v_closure_R,
 )
-from starpull.star_ops import StarOp, star_eval, star_leq_check, star_axiom_check
+from starpull.star_ops import (
+    IMPLEMENTED_R_OPS,
+    StarOp,
+    read_op,
+    star_axiom_check,
+    star_eval,
+    star_leq_check,
+)
 
 SEED = 7
 T_OP = StarOp.t_op("R")
+IMPLEMENTED_OPS = [read_op(text, "R") for text in IMPLEMENTED_R_OPS]
 
 
 def _verdict(number: int, title: str, elapsed: float):
     print(f"ACCEPTANCE {number} [{title}]: PASS ({elapsed:.2f}s)")
 
 
-def test_criterion_1_split_exact_sequence(inst_c):
+def test_criterion_1_split_exact_sequence(inst_a, inst_b, inst_c, inst_e):
     start = time.perf_counter()
     params = SampleParams(seed=SEED, count=100)
-    report = run_suite("split-exact", inst_c, params, T_OP)
-    assert report.verdict == "pass", report.violations
+    for op in IMPLEMENTED_OPS:
+        report = run_suite("split-exact", inst_c, params, op)
+        assert report.verdict == "pass", (str(op), report.violations)
 
     p = dmod_from_generators([FieldElem(2), FieldElem(1, 1, -5)], inst_c.base)
     image = alpha(p, inst_c)
@@ -62,25 +72,33 @@ def test_criterion_1_split_exact_sequence(inst_c):
     assert gamma(alpha(unit, inst_c), inst_c) == class_label_D(unit)
     assert beta(image, inst_c) == extend_to_T(RawIdeal([RatFunc.one()]), inst_c)
 
+    # the sequence's Cl(D) is Cl^{*_phi}(D): each proj(op) fixes the sampled D-modules
+    for inst in (inst_a, inst_b, inst_c, inst_e):
+        for j in sample_dmods(inst, SampleParams(seed=SEED, count=20)):
+            for op in IMPLEMENTED_OPS:
+                assert star_eval(StarOp.projected(op), j, inst) == j, (inst.name, str(op), j)
+
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
-    _verdict(1, "split exact class sequence on C", elapsed)
+    _verdict(1, f"split exact class sequence on C under {len(IMPLEMENTED_OPS)} operations", elapsed)
 
 
 def test_criterion_2_quasilocal_isomorphism(inst_b, inst_e):
     for inst in (inst_b, inst_e):
         start = time.perf_counter()
         params = SampleParams(seed=SEED, count=100)
-        report = run_suite("quasilocal-iso", inst, params, T_OP)
-        assert report.verdict == "pass", report.violations
-        invertible = [r for r in report.records if "skipped" not in r
-                      and "certificates" in r and r["certificates"] != "none"]
-        assert invertible, "no invertible samples drawn"
-        assert all(r.get("principal") for r in invertible)
-        assert all("normalized" in r for r in invertible)
+        for op in IMPLEMENTED_OPS:
+            report = run_suite("quasilocal-iso", inst, params, op)
+            assert report.verdict == "pass", (str(op), report.violations)
+            invertible = [r for r in report.records if "skipped" not in r
+                          and "certificates" in r and r["certificates"] != "none"]
+            assert invertible, f"no invertible samples drawn under {op}"
+            assert all(r.get("principal") for r in invertible)
+            assert all("normalized" in r for r in invertible)
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0
-        _verdict(2, f"quasilocal isomorphism on {inst.name}", elapsed)
+        _verdict(2, f"quasilocal isomorphism on {inst.name} under {len(IMPLEMENTED_OPS)} operations",
+                 elapsed)
 
 
 def test_criterion_3_pvmd_characterization(inst_a, inst_d):
@@ -180,7 +198,6 @@ def test_criterion_7_star_operation_algebra(inst_a, inst_c, inst_d):
             report = star_axiom_check(op, samples[:50], scalars, inst)
             assert report.passed, (str(op), report.violations[:3])
         # projected(t_R) on D-side samples
-        from starpull.harness import sample_dmods
         dmods = sample_dmods(inst, params)[:50]
         d_scalars = [FieldElem(2)]
         report = star_axiom_check(StarOp.projected(T_OP), dmods, d_scalars, inst)

@@ -321,6 +321,20 @@ def test_harness_samples_in_integers():
     assert _fraction_uses(old)
 
 
+def test_pullback_builds_scalars_in_integers():
+    # outside_D builds 1/2 and sqrt(d) with _make, as every other scalar
+    # of the module is built
+    source = (PACKAGE / "pullback.py").read_text()
+    uses = _fraction_uses(source)
+    assert not uses, f"pullback uses fractions at lines {uses}"
+    # the rule sees the former outside_D
+    new = '_make(0, 1, 1, inst.k_disc) if inst.base.kind == "field" else _make(1, 0, 2, 1)'
+    assert source.count(new) == 1
+    old = source.replace(new, 'FieldElem(0, 1, inst.k_disc) if inst.base.kind == "field" '
+                              'else FieldElem(Fraction(1, 2))')
+    assert _fraction_uses(old)
+
+
 def test_empty_memos_covers_every_table(empty_memos):
     # the shared fixture finds the tables by scan, so a new *_CACHE table
     # is emptied without naming it anywhere

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starpull.base_domain import (
     BaseDomain,
@@ -22,6 +23,7 @@ from starpull.pullback import (
     ideal_equal,
     inverse_image_R,
     m_ideal,
+    make_instance,
     make_structured,
     r_ideal,
     structured_hull,
@@ -29,6 +31,7 @@ from starpull.pullback import (
     v_closure_R,
 )
 from starpull.star_ops import (
+    IMPLEMENTED_R_OPS,
     StarEvalError,
     StarOp,
     class_resolve,
@@ -95,8 +98,7 @@ class TestEval:
         assert star_eval(D_R, raw, inst_a) == raw
 
     def test_m_fixed_by_every_implemented_op(self, inst_a, inst_b, inst_c, inst_d, inst_e):
-        ops = [D_R, V_R, T_R, StarOp.lifted(D_D), StarOp.lifted(V_D),
-               star_meet(StarOp.lifted(V_D), StarOp.overring_induced(D_T))]
+        ops = [read_op(text, "R") for text in IMPLEMENTED_R_OPS]
         for inst in (inst_a, inst_b, inst_c, inst_d, inst_e):
             m = m_ideal(inst)
             for op in ops:
@@ -138,7 +140,7 @@ class TestEval:
         # each pairs a wrapping kind with a ring its table entry does not give
         cases = [("projected", "R", (V_R,)), ("projected", "D", (V_D,)), ("projected", "D", ()),
                  ("lifted", "D", (V_D,)), ("lifted", "R", (V_R,)),
-                 ("extended_T", "R", (V_R,)), ("restricted_T", "T", (V_T,)),
+                 ("extended_T", "R", (V_R,)), ("extended_T", "T", (V_T,)),
                  ("overring_induced", "T", (D_T,)), ("finite_type", "R", (V_D,)),
                  ("meet", "R", (V_R, V_D)), ("meet", "R", (V_R,))]
         values = {"D": inst_a.base.unit_module(), "R": RawIdeal([X]), "T": t_ideal_of_r(inst_a)}
@@ -272,17 +274,19 @@ class TestProjectionLiftingIdentities:
 
 
 class TestExtensionRestriction:
-    def test_extension_equals_restriction_for_finite_type(self, inst_a, inst_c):
+    def test_extension_equals_restriction_for_finite_type(self, inst_a, inst_b, inst_c, inst_d, inst_e):
+        # (*)_T(E) = E^*: extT(op) evaluates op on each fractional T-ideal E
         rng = random.Random(16)
-        for inst in (inst_a, inst_c):
+        for inst in (inst_a, inst_b, inst_c, inst_d, inst_e):
+            modules = [t_ideal_of_r(inst), m_ideal(inst)]
             for _ in range(10):
                 p = Poly([rng.randint(-4, 4) for _ in range(rng.randint(1, 3))])
-                if p.is_zero():
-                    continue
-                ct = extend_to_T(RawIdeal([RatFunc(p)]), inst)
-                a = star_eval(StarOp.extended_T(T_R), ct, inst)
-                b = star_eval(StarOp.restricted_T(T_R), ct, inst)
-                assert a == b
+                if not p.is_zero():
+                    modules.append(extend_to_T(RawIdeal([RatFunc(p)]), inst))
+            for text in IMPLEMENTED_R_OPS:
+                op = read_op(text, "R")
+                for e in modules:
+                    assert star_eval(StarOp.extended_T(op), e, inst) == star_eval(op, e, inst), (text, e)
 
     def test_t_extension_matches_v_extension_on_fg(self, inst_a):
         rng = random.Random(17)
@@ -301,8 +305,7 @@ class TestExtensionRestriction:
 
 class TestTSide:
     def test_lattice_dpart_rejected(self, inst_a, inst_c):
-        ops = [D_T, V_T, StarOp.t_op("T"), star_meet(D_T, V_T),
-               StarOp.extended_T(T_R), StarOp.restricted_T(T_R)]
+        ops = [D_T, V_T, StarOp.t_op("T"), star_meet(D_T, V_T), StarOp.extended_T(T_R)]
         for inst in (inst_a, inst_c):
             for value in (r_ideal(inst), structured_hull(RawIdeal([TWO, X]), inst)):
                 assert not value.is_t_module()
@@ -312,8 +315,8 @@ class TestTSide:
 
     def test_every_t_side_operation_returns_a_t_ideal(self, inst_a, inst_b, inst_c, inst_d, inst_e):
         ops = [D_T, V_T, StarOp.t_op("T"), star_meet(D_T, V_T),
-               StarOp.finite_type(V_T), StarOp.extended_T(T_R), StarOp.restricted_T(T_R),
-               StarOp.extended_T(V_R), StarOp.restricted_T(StarOp.lifted(V_D))]
+               StarOp.finite_type(V_T), StarOp.extended_T(T_R), StarOp.extended_T(V_R),
+               StarOp.extended_T(StarOp.lifted(V_D))]
         for inst in (inst_a, inst_b, inst_c, inst_d, inst_e):
             for raw in sample_raws(inst, 20, 6):
                 ct = extend_to_T(raw, inst)
@@ -339,7 +342,7 @@ class TestTSide:
 
 
 WRAPS = (StarOp.finite_type, StarOp.stable, StarOp.projected, StarOp.lifted,
-         StarOp.extended_T, StarOp.restricted_T, StarOp.overring_induced)
+         StarOp.extended_T, StarOp.overring_induced)
 
 
 def descriptors(depth):
@@ -363,7 +366,7 @@ class TestReadOp:
         ops = descriptors(2)
         assert {op.kind for op in ops} == {
             "d", "v", "t", "w", "meet", "finite_type", "stable", "projected", "lifted",
-            "extended_T", "restricted_T", "overring_induced"}
+            "extended_T", "overring_induced"}
         for op in ops:
             assert read_op(str(op), op.target) == op
 
@@ -376,6 +379,34 @@ class TestReadOp:
     def test_deep_nesting_is_refused(self):
         with pytest.raises(StarEvalError, match="more than 100"):
             read_op("ft(" * 5000 + "v" + ")" * 5000, "R")
+
+    def test_restriction_to_t_is_gone(self):
+        # (*)_T is extT alone; restT was the same map under a second name
+        with pytest.raises(StarEvalError):
+            read_op("restT(t)", "T")
+        with pytest.raises(StarEvalError):
+            StarOp("restricted_T", "T", (T_R,))
+
+
+R_AND_T_OPS = [op for op in descriptors(2) if op.target != "D"]
+
+
+class TestUnitPart:
+    @settings(max_examples=300, deadline=None)
+    @given(op=st.sampled_from(R_AND_T_OPS), name=st.sampled_from("ABCDE"),
+           seed=st.integers(0, 2**32))
+    def test_every_result_keeps_the_unit_part(self, op, name, seed):
+        # the invariant behind a meet intersecting D-parts over one unit
+        inst = make_instance(name)
+        raws = sample_raws(inst, seed, 4)
+        values = {"R": [*raws, *(structured_hull(raw, inst) for raw in raws), m_ideal(inst)],
+                  "T": [m_ideal(inst), *(extend_to_T(raw, inst) for raw in raws)]}
+        for value in values[op.target]:
+            try:
+                got = star_eval(op, value, inst)
+            except StarEvalError:
+                continue
+            assert as_structured(got, inst).unit == as_structured(value, inst).unit, (str(op), value)
 
 
 def d_side_reference(op, j, inst):
