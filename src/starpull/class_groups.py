@@ -64,24 +64,31 @@ def gamma(h, inst: PullbackInstance) -> ClassLabel:
     return class_label_D(dmod_v(s.dpart))
 
 
+_PRINCIPAL_CACHE: dict[tuple[StructuredIdeal, PullbackInstance], tuple[RatFunc | None]] = {}
+
+
 def is_principal_R(h, inst: PullbackInstance) -> RatFunc | None:
     """A generator when the ideal is principal over R, else None.
 
     T-modules (FULL dpart, including M) are never finitely generated
     over R, hence never principal: is_cyclic is None on the sentinel.
+    The answer is searched for once per closed form and then read from a
+    memo, which holds it as a one-tuple so that None is remembered too.
     """
     s = as_structured(h, inst)
+    if (cached := _PRINCIPAL_CACHE.get((s, inst))) is not None:
+        return cached[0]
     gen = dmod_predicates(s.dpart).is_cyclic
-    if gen is None:
-        return None
-    return s.unit * RatFunc.coerce(Poly.const(gen))
+    gen = None if gen is None else s.unit * RatFunc.coerce(Poly.const(gen))
+    return _memo_put(_PRINCIPAL_CACHE, (s, inst), (gen,))[0]
 
 
 class RClassWitness(Frozen):
     """Invertibility of an R-ideal H: the closure (H * (R : H))^op,
     whether the product and its closure are R, and a principal generator
-    of H or None.  The generator is searched for on each read of
-    ``principal_gen`` only, since most callers need just the verdicts."""
+    of H or None.  The generator is looked up when ``principal_gen`` is
+    read, since most callers need just the verdicts; is_principal_R
+    searches for it once per closed form."""
 
     __slots__ = ("closed", "is_invertible", "is_star_invertible", "_ideal", "_inst")
 

@@ -15,10 +15,12 @@ so two values are mathematically equal iff they are structurally equal.
 Products keep that form by cross-cancellation (Henrici's method, Knuth,
 TAOCP vol. 2, 4.5.1): for canonical a/b and c/d, dividing out gcd(a, d)
 and gcd(c, b) leaves a coprime pair with a monic denominator, so no gcd
-of the full products is taken; a product by X^j takes none at all, as
-only powers of X can cancel.  Nor does a sum with a polynomial, since
-a + c*b stays coprime to b, or a negation; a product with a nonzero
-constant scales the other numerator.
+of the full products is taken.  When a numerator is a constant multiple
+of the other factor's denominator, as in u * u.inv() or g / g, that
+denominator is the gcd and none is computed.  A product by X^j takes
+none at all, as only powers of X can cancel.  Nor does a sum with a
+polynomial, since a + c*b stays coprime to b, or a negation; a product
+with a nonzero constant scales the other numerator.
 
 No floating point is used anywhere; ideal equality downstream depends on
 these canonical forms being exact.
@@ -624,6 +626,18 @@ def poly_lcm(f: Poly, g: Poly) -> Poly:
     return ((f * g) // poly_gcd(f, g)).monic()
 
 
+def _cancel(p: Poly, q: Poly) -> tuple[Poly, Poly]:
+    """(p/g, q/g) for g = gcd(p, q) and a monic q, with no gcd taken when p
+    is constant, q is 1, or p is c*q, whose quotients are c and 1."""
+    if p.is_constant() or q.is_one():
+        return p, q
+    if p.degree == q.degree and p.monic() == q:
+        A, B, n, d = p._rep
+        return _flat(A[-1:], B[-1:], n, d), _POLY_ONE
+    g = poly_gcd(p, q)
+    return (p, q) if g.is_one() else (p // g, q // g)
+
+
 class RatFunc(Frozen):
     """Quotient of two polynomials in canonical form.
 
@@ -715,14 +729,8 @@ class RatFunc(Frozen):
         # a/b and c/d are canonical, so after dividing out gcd(a, d) and
         # gcd(c, b) the numerator and denominator are coprime, and the
         # denominator stays monic as a quotient of monic polynomials
-        if not (a.is_constant() or d.is_one()):
-            g = poly_gcd(a, d)
-            if not g.is_one():
-                a, d = a // g, d // g
-        if not (c.is_constant() or b.is_one()):
-            g = poly_gcd(c, b)
-            if not g.is_one():
-                c, b = c // g, b // g
+        a, d = _cancel(a, d)
+        c, b = _cancel(c, b)
         return _ratfunc(a * c, b * d)
 
     __rmul__ = __mul__
@@ -748,7 +756,8 @@ class RatFunc(Frozen):
         num, den = self.den, self.num
         if not den.is_monic():
             c = _over(_ONE_ABND, den.coeff_ints(-1))
-            num, den = num._scale(c), den._scale(c)
+            # a constant made monic is 1, with nothing to scale
+            num, den = num._scale(c), den._scale(c) if den.degree else _POLY_ONE
         return _ratfunc(num, den)
 
     def __truediv__(self, other):

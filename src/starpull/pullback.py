@@ -337,20 +337,28 @@ class StructuredIdeal(FrozenValue):
         return f"StructuredIdeal({self.unit!r}, {self.dpart!r})"
 
 
+_STRUCTURED_CACHE: dict[tuple[RatFunc, ExtDModule, PullbackInstance], StructuredIdeal] = {}
+
+
 def make_structured(unit: RatFunc, dpart: ExtDModule, inst: PullbackInstance) -> StructuredIdeal:
-    """Canonicalize (unit, dpart) under scaling and the M = X*T identity."""
+    """Canonicalize (unit, dpart) under scaling and the M = X*T identity.
+    The one builder of closed forms: each distinct input is canonicalized
+    once, and later calls with it return the same object from a memo."""
     unit = RatFunc.coerce(unit)
     if unit.is_zero():
         raise PullbackError("unit part must be nonzero")
     if dpart.domain != inst.base:
         raise DomainError("mixed base domains")
+    key = (unit, dpart, inst)
+    if (cached := _STRUCTURED_CACHE.get(key)) is not None:
+        return cached
     if dpart.is_zero():
         unit = unit.shift(1)
         dpart = ExtDModule.full(inst.base)
     unit, c = inst.t.normalize(unit)
     if c != ONE_ELEM and dpart.is_lattice():
         dpart = dmod_scale(c, dpart)
-    return StructuredIdeal(unit, dpart)
+    return _memo_put(_STRUCTURED_CACHE, key, StructuredIdeal(unit, dpart))
 
 
 def r_ideal(inst: PullbackInstance) -> StructuredIdeal:

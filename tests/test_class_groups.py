@@ -4,11 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from starpull import base_domain, class_groups, pullback
+from starpull import base_domain, class_groups, kernel, pullback
 from starpull.base_domain import (
     BaseDomain,
     DomainError,
+    ExtDModule,
     class_label_D,
     dmod_arith,
     dmod_from_generators,
@@ -23,9 +25,10 @@ from starpull.class_groups import (
     invertibility_R,
     is_principal_R,
 )
-from starpull.harness import SampleParams, sample_ideals
-from starpull.kernel import FieldElem, Poly, RatFunc
+from starpull.harness import SampleParams, run_suite, sample_ideals
+from starpull.kernel import FieldElem, Poly, RatFunc, poly_gcd
 from starpull.pullback import (
+    PullbackError,
     RawIdeal,
     StructuredIdeal,
     colon_R,
@@ -36,6 +39,7 @@ from starpull.pullback import (
     inverse_image_R,
     m_ideal,
     make_instance,
+    make_structured,
     outside_D,
     r_ideal,
     structured_hull,
@@ -43,6 +47,7 @@ from starpull.pullback import (
     t_ideal_of_r,
 )
 from starpull.star_ops import StarOp
+from strategies import elems, polys, ratfuncs, tagged
 
 X = RatFunc.x_power(1)
 TWO = RatFunc.coerce(2)
@@ -282,3 +287,92 @@ class TestClosedFormMemo:
         # past the cap every call is computed again, with the same result
         assert [_verdicts(invertibility_R(s, T_OP, inst_c)) for s in ideals] == witnesses
         assert len(pullback._COLON_R_CACHE) == len(class_groups._INVERTIBILITY_CACHE) == 3
+
+
+def _dparts(inst):
+    """Lattice D-parts spanned by one or two nonzero scalars, and ZERO and FULL."""
+    lattices = st.lists(elems(inst.k_disc).filter(bool), min_size=1, max_size=2).map(
+        lambda gens: dmod_from_generators(gens, inst.base))
+    return st.one_of(lattices, st.just(ExtDModule.zero(inst.base)),
+                     st.just(ExtDModule.full(inst.base)))
+
+
+def _units(inst):
+    """Nonzero units: canonical rational functions, non-monic ones and
+    poles at zero included, and powers X^e."""
+    return st.one_of(ratfuncs(inst.k_disc).filter(bool),
+                     st.integers(-3, 3).map(RatFunc.x_power))
+
+
+class TestStructuredAndPrincipalMemo:
+    """make_structured builds a closed form once per input and is_principal_R
+    answers once per closed form; a hit is what a cold call gives."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_memo_hits_equal_cold_calls(self, data):
+        inst = make_instance(data.draw(st.sampled_from(instance_catalog())))
+        unit, dpart = data.draw(_units(inst)), data.draw(_dparts(inst))
+        with pytest.MonkeyPatch.context() as mp:
+            def cold(call):
+                mp.setattr(pullback, "_STRUCTURED_CACHE", {})
+                mp.setattr(class_groups, "_PRINCIPAL_CACHE", {})
+                return call()
+            s = cold(lambda: make_structured(unit, dpart, inst))
+            gen = is_principal_R(s, inst)
+            # hits return the stored objects, a None answer included
+            assert make_structured(unit, dpart, inst) is s
+            assert pullback._STRUCTURED_CACHE[(unit, dpart, inst)] is s
+            assert class_groups._PRINCIPAL_CACHE[(s, inst)] == (gen,)
+            hit = is_principal_R(s, inst)
+            assert hit is None if gen is None else hit == gen
+            # and equal what empty tables compute again
+            assert cold(lambda: make_structured(unit, dpart, inst)) == s
+            assert cold(lambda: is_principal_R(s, inst)) == gen
+            other = next(base for base in (make_instance(n).base for n in instance_catalog())
+                         if base != inst.base)
+            for _ in range(2):
+                with pytest.raises(PullbackError):
+                    make_structured(RatFunc.zero(), dpart, inst)
+                with pytest.raises(DomainError):
+                    make_structured(unit, other.unit_module(), inst)
+
+    def test_split_exact_builds_and_searches_once(self, inst_c, empty_memos, monkeypatch):
+        # each distinct input of make_structured is normalized once, and each
+        # closed form given to is_principal_R is searched once
+        normalized, searched = [], []
+        normalize, search = inst_c.t.normalize, base_domain._cyclic_generator
+        monkeypatch.setattr(inst_c.t, "normalize", lambda u: normalized.append(u) or normalize(u))
+        monkeypatch.setattr(base_domain, "_cyclic_generator",
+                            lambda n: searched.append(n) or search(n))
+        report = run_suite("split-exact", inst_c, SampleParams(seed=7, count=20))
+        assert report.n_samples == 20 and not report.violations
+        assert normalized and len(normalized) == len(pullback._STRUCTURED_CACHE)
+        assert searched and len(searched) == len(class_groups._PRINCIPAL_CACHE)
+
+
+class TestCancellation:
+    """A numerator that is a constant multiple of the other factor's
+    denominator cancels with no gcd, to the constructor's result."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tagged(ratfuncs))
+    def test_unit_times_inverse_takes_no_gcd(self, du):
+        _, u = du
+        assume(not u.is_constant() and not u.is_zero())
+        inv = u.inv()
+        with pytest.MonkeyPatch.context() as mp:
+            gcds = []
+            mp.setattr(kernel, "poly_gcd", lambda f, g: gcds.append(1) or poly_gcd(f, g))
+            assert (u * inv).is_one() and (inv * u).is_one() and (u / u).is_one()
+        assert not gcds
+
+    @settings(max_examples=150, deadline=None)
+    @given(tagged(lambda d: st.tuples(ratfuncs(d), polys(d), elems(d))))
+    def test_shared_factors_match_the_constructor(self, dv):
+        _, (x, n, c) = dv
+        assume(not x.num.is_constant() and not n.is_zero() and not c.is_zero())
+        scaled = Poly.const(c)
+        for y in (RatFunc(n, x.num), RatFunc(x.den * scaled, x.num * n), RatFunc(scaled, x.num)):
+            expected = RatFunc(x.num * y.num, x.den * y.den)
+            assert x * y == expected and y * x == expected

@@ -13,7 +13,8 @@ membership in the pullback: in the whole package only
 (t*T*q lies in phi^-1(J) when t*q lies in its largest T-submodule):
 only `pullback.span_product_in` reads an instance's zero module.  And memo tables
 are filled in one place: only `base_domain._memo_put` stores into a
-module-level `*_CACHE` table.
+module-level `*_CACHE` table, and README's memo-table sentence names
+each of them.
 An instance's flags are read off its inputs: `PullbackInstance.__init__`
 stores no literal True or False.  And only `kernel.py` reads the slot
 that holds a `Poly`'s integer arrays.  An expression's text is scanned
@@ -34,6 +35,7 @@ and `ExtDModule.contains` call no `_make`, `FieldElem`, `coerce` or `next`.
 
 import ast
 import importlib
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -183,6 +185,19 @@ def test_memo_tables_are_filled_in_one_place():
                   and id(node) not in allowed]
     assert helpers == ["base_domain.py"]
     assert not stray, f"*_CACHE tables used outside .get and _memo_put: {stray}"
+
+
+def test_readme_names_every_memo_table():
+    # README's memo-table sentence is the one list of the *_CACHE tables
+    tables = {stmt.target.id for path in sorted(PACKAGE.glob("*.py"))
+              for stmt in ast.parse(path.read_text()).body
+              if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+              and stmt.target.id.endswith("_CACHE")}
+    readme = " ".join((ROOT / "README.md").read_text().split())
+    start = readme.index("Every memo table in the library")
+    sentence = readme[start:readme.index(". ", start)]
+    named = set(re.findall(r"`(_[A-Z_]+_CACHE)`", sentence))
+    assert len(tables) >= 8 and named == tables, (sorted(tables - named), sorted(named - tables))
 
 
 def test_memoized_functions_stay_plain_functions():

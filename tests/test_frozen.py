@@ -29,6 +29,7 @@ A = make_instance("A")
 X = RatFunc.x_power(1)
 TWO = RatFunc.coerce(2)
 Z = BaseDomain.integers()
+HULL = structured_hull(RawIdeal([TWO, X]), A)
 
 
 def _pools():
@@ -41,8 +42,9 @@ def _pools():
                      dmod_from_generators([3], Z), Z.unit_module(),
                      dmod_from_generators([2], BaseDomain.integers(-1))],
         RawIdeal: [RawIdeal([X, TWO]), RawIdeal([X, TWO]), RawIdeal([TWO, X]), RawIdeal([X])],
-        StructuredIdeal: [structured_hull(RawIdeal([TWO, X]), A),
-                          structured_hull(RawIdeal([TWO, X]), A), r_ideal(A),
+        # make_structured returns one object per input, so the equal pair
+        # is built from equal slots
+        StructuredIdeal: [HULL, StructuredIdeal(HULL.unit, HULL.dpart), r_ideal(A),
                           structured_hull(RawIdeal([X]), A)],
         StarOp: [StarOp.t_op("R"), StarOp.t_op("R"), StarOp.t_op("D"),
                  StarOp.lifted(StarOp.divisorial("D")), StarOp.lifted(StarOp.divisorial("D"))],

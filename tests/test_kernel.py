@@ -428,6 +428,16 @@ class TestRatFunc:
         inverse = h.inv()
         assert inverse.num == num and inverse.den == den
 
+    @given(tagged(elems))
+    @settings(max_examples=80, deadline=None)
+    def test_inverse_of_a_constant_is_over_the_shared_one(self, args):
+        # 1/c for c != 1 has the denominator Poly.one() itself, not c scaled to 1
+        _, c = args
+        if c.is_zero() or c == FieldElem(1):
+            return
+        inverse = RatFunc.coerce(c).inv()
+        assert inverse == RatFunc.coerce(c.inv()) and inverse.den is Poly.one()
+
 
 # real quadratic tags as well as Q and Q(sqrt(-5)): for d > 0 a norm can
 # be negative, which flips signs in the quotient formulas
