@@ -351,23 +351,23 @@ def _kernel_capture(inst, op, fail, ideal):
     return preimage
 
 
-@_check("normalized-window", "alpha-preimage", ideal=_IDEAL, normalized=_CLOSED, op=_OP)
+@_check("normalized-window", "alpha-preimage", "trivial-class",
+        ideal=_IDEAL, normalized=_CLOSED, op=_OP)
 def _alpha_preimage(inst, op, fail, ideal, normalized):
-    """Whether the normalized ideal lies in the window; then its alpha preimage."""
+    """Whether the normalized ideal lies in the window, and a generator of
+    the ideal or None; Cl(R) = Cl(D) makes it principal exactly when its
+    alpha preimage is."""
     if not normalized.unit.is_one() or normalized.dpart.is_full():
         fail("normalized-window", "M < I1 <= I1^v < T", repr(normalized))
-        return False
-    if not class_equivalent_R(ideal, alpha(normalized.dpart, inst), op, inst):
+        return False, None
+    preimage = alpha(normalized.dpart, inst)
+    if not class_equivalent_R(ideal, preimage, op, inst):
         fail("alpha-preimage", "class equivalent", "not equivalent")
-    return True
-
-
-@_check("trivial-class", ideal=_IDEAL)
-def _trivial_class(inst, op, fail, ideal):
     gen = is_principal_R(ideal, inst)
-    if gen is None:
-        fail("trivial-class", "principal", "not principal")
-    return gen
+    if (gen is None) != (is_principal_R(preimage, inst) is None):
+        fail("trivial-class", "principal exactly when its alpha preimage is",
+             "not principal" if gen is None else "principal")
+    return True, gen
 
 
 @_check("pvmd-sample", ideal=_IDEAL, op=_OP)
@@ -558,10 +558,9 @@ def _quasilocal_iso(inst: PullbackInstance, op: StarOp, params: SampleParams) ->
         s1 = t_closure_R(shifted, inst)
         record["i_generator"] = value_to_expr(i_gen, inst)
         record["normalized"] = value_to_expr(s1, inst)
-        if not _decide(rep, _alpha_preimage, inst, op, ideal=closed, normalized=s1):
-            continue
-        gen = _decide(rep, _trivial_class, inst, op, ideal=closed)
-        record["principal"] = gen is not None and value_to_expr(gen, inst)
+        in_window, gen = _decide(rep, _alpha_preimage, inst, op, ideal=closed, normalized=s1)
+        if in_window:
+            record["principal"] = gen is not None and value_to_expr(gen, inst)
     return rep
 
 

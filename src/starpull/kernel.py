@@ -29,7 +29,7 @@ these canonical forms being exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import zip_longest
 from math import gcd, lcm
 from operator import attrgetter, or_
@@ -72,7 +72,6 @@ class FrozenValue(Frozen):
         return hash(self._fields(self))
 
 
-@lru_cache
 def _is_squarefree(n: int) -> bool:
     n = abs(n)
     if n == 0:

@@ -7,13 +7,13 @@ operation to D, the lift of a D-side operation to R, the extension
 operations induced by the overring T.  Each descriptor carries the ring
 it acts on ("D", "R" or "T"); one table declares each wrapping kind with
 the rings of its operand and result, and a descriptor that disagrees
-with it is refused when built.  Evaluation dispatches on the target and
-rejects anything the closed calculus cannot represent, rather than
-approximating.  D-, R- and T-side operations share one evaluator on
-structured ideals u*phi^-1(J): a D-ideal J is phi^-1(J), as the
-projection *_phi reads it, and a fractional T-ideal is u*T =
-u*phi^-1(k); each is checked to have its shape on the way in and on the
-way out.
+with it is refused when built.  Evaluation is one map on D-parts,
+J -> J^op, applied once to the value's closed form:
+(u*phi^-1(J))^op = u*phi^-1(J^op), so every operation keeps the unit
+part.  A D-ideal J is phi^-1(J), as the projection *_phi reads it, and a
+fractional T-ideal is u*T = u*phi^-1(k); each is checked to have its
+shape on the way in and on the way out.  Anything the closed calculus
+cannot represent is refused rather than approximated.
 
 Stable/w-style descriptors can be built but never evaluated directly;
 class-group computations route them through their finite-type
@@ -22,21 +22,19 @@ counterparts.
 
 from __future__ import annotations
 
-from .base_domain import ExtDModule, dmod_intersect
+from .base_domain import ExtDModule, dmod_intersect, dmod_v
 from .kernel import Frozen, FrozenValue, RatFunc
 from .pullback import (
     PullbackInstance,
     StructuredIdeal,
     as_structured,
     contains_ideal,
-    extend_to_T,
     ideal_arith,
     ideal_equal,
     inverse_image_R,
     make_structured,
     r_ideal,
     t_ideal_of_r,
-    v_closure_R,
 )
 
 
@@ -231,54 +229,44 @@ def _phi_inverse(j, inst: PullbackInstance) -> StructuredIdeal:
 def _star_eval(op: StarOp, value, inst: PullbackInstance):
     if not is_star_kind(op):
         raise StarEvalError(f"{op} is not evaluable as a star operation")
-    return _eval(op, value, inst)
-
-
-def _eval(op: StarOp, value, inst: PullbackInstance):
-    if op.kind == "w" or op.kind == "stable":
-        raise StarEvalError("stable operations are descriptors only; "
-                            "route class statements through their finite-type companions")
-    if op.kind == "finite_type":
+    while op.kind == "finite_type":
         # identity semantics on finitely generated and structured inputs
-        return _eval(op.operands[0], value, inst)
+        op = op.operands[0]
+    _refuse_stable(op)
     if op.target == "R":
-        return _eval_structured(op, value, inst)
+        if op.kind == "d":
+            return value  # a raw ideal stays raw
+        s = as_structured(value, inst)
+        return make_structured(s.unit, _dpart_eval(op, s.dpart), inst)
     # a D-module J is phi^-1(J), unit part 1, and a fractional T-ideal is
     # u*T = u*phi^-1(k), D-part k; the result must keep the value's shape
     noun, shaped = (("nonzero D-module", lambda s: s.unit.is_one()) if op.target == "D"
                     else ("fractional T-ideal", StructuredIdeal.is_t_module))
     if not (isinstance(value, StructuredIdeal) and shaped(value)):
         raise StarEvalError(f"a {op.target}-side operation needs a {noun}")
-    result = _eval_structured(op, value, inst)
+    result = make_structured(value.unit, _dpart_eval(op, value.dpart), inst)
     if not shaped(result):
         raise StarEvalError(f"{op} left the {noun}s")
     return result
 
 
-def _eval_structured(op: StarOp, value, inst: PullbackInstance):
-    """An operation on u*phi^-1(J) or, on the R side, on a raw R-ideal."""
+def _refuse_stable(op: StarOp):
+    if op.kind in ("w", "stable"):
+        raise StarEvalError("stable operations are descriptors only; "
+                            "route class statements through their finite-type companions")
+
+
+def _dpart_eval(op: StarOp, j: ExtDModule) -> ExtDModule:
+    """J^op, the D-part of op on u*phi^-1(J) for every unit part u: ovr
+    evaluates its operand on u*T = u*phi^-1(k), the other wrappers on J."""
+    _refuse_stable(op)
     if op.kind == "d":
-        return value
+        return j
     if op.kind in ("v", "t"):
-        return v_closure_R(value, inst)
+        return dmod_v(j)
     if op.kind == "meet":
-        # every operation keeps the unit part of its value, so a meet
-        # intersects the D-parts over one unit
-        a, b = (as_structured(_eval(o, value, inst), inst) for o in op.operands)
-        assert a.unit == b.unit, (op, value)
-        return make_structured(a.unit, dmod_intersect(a.dpart, b.dpart), inst)
-    inner = op.operands[0]
-    if op.kind == "lifted":
-        s = as_structured(value, inst)
-        closed = _eval(inner, inverse_image_R(s.dpart, inst), inst)
-        return make_structured(s.unit, closed.dpart, inst)
-    if op.kind == "overring_induced":
-        # semistar on R, so star_eval admits it only inside a meet
-        return _eval(inner, extend_to_T(value, inst), inst)
-    # projected and extended_T, the wrapping kinds that change the ring
-    # but not the value: *_phi(J) is the D-part of the R-side operation
-    # on phi^-1(J), and (*)_T(E) is E^* for a fractional T-ideal E
-    return _eval(inner, value, inst)
+        return dmod_intersect(*(_dpart_eval(o, j) for o in op.operands))
+    return _dpart_eval(op.operands[0], ExtDModule.full(j.domain) if op.kind == "overring_induced" else j)
 
 
 # ---------------------------------------------------------------------------

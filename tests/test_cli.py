@@ -168,6 +168,9 @@ class TestEvaluation:
                             lambda self, *args: calls.append(1) or init(self, *args))
         assert evaluate(parse_expression(text), inst_c) == expected
         assert evaluate(parse_expression("sqrt(-5)"), inst_c) == surd
+        # sqrt(1) is the scalar 1 on every instance
+        one_plus_x = evaluate(parse_expression("X + 1"), inst_c)
+        assert evaluate(parse_expression("sqrt(1) + X"), inst_c) == one_plus_x
         assert not calls
 
     def test_x_powers(self, inst_a):
@@ -177,6 +180,24 @@ class TestEvaluation:
     def test_zero_generator_rejected(self, inst_a):
         with pytest.raises(ExprError):
             evaluate(parse_expression("colon(ideal(0))"), inst_a)
+        # a scalar summand of an ideal becomes a generator, so 0 is refused at the "+"
+        with pytest.raises(ExprError) as err:
+            evaluate(parse_expression("ideal(1) + 0"), inst_a)
+        assert (err.value.message, err.value.pos) == ("zero generator rejected", 9)
+
+    @pytest.mark.parametrize("text, message, pos", [
+        ("1/0", "division by zero", 1),
+        ("0^-1", "division by zero", 1),
+        ("-ideal(X)", "negation applies to scalars", 0),
+        ("0 * hull(ideal(X))", "scaling an ideal by zero", 2),
+        ("principal(ideal(2)) + ideal(X)", "operands must be scalars or ideals", 20),
+        ("v(gamma(ideal(2)))", "v needs an ideal argument", 0),
+        ("alpha(X)", "alpha takes an ideal of constant generators", 0),
+    ])
+    def test_typed_errors_name_their_offset(self, inst_a, text, message, pos):
+        with pytest.raises(ExprError) as err:
+            evaluate(parse_expression(text), inst_a)
+        assert (err.value.message, err.value.pos) == (message, pos)
 
     def test_ideal_products(self, inst_a):
         val = evaluate(parse_expression("ideal(2, X) * ideal(3)"), inst_a)
@@ -186,6 +207,10 @@ class TestEvaluation:
     def test_pretty_canonical_print(self, inst_a):
         val = evaluate(parse_expression("v(ideal(2,X))"), inst_a)
         assert pretty_value(val, inst_a) == "2ℤ + X·ℚ[X]"
+        # a scalar times a closed form scales its D-part
+        scaled = evaluate(parse_expression("3 * v(ideal(2, X))"), inst_a)
+        assert pretty_value(scaled, inst_a) == "6ℤ + X·ℚ[X]"
+        assert evaluate(parse_expression(value_to_expr(scaled, inst_a)), inst_a) == scaled
 
     def test_principal_answer(self, inst_a, inst_c):
         val = evaluate(parse_expression("principal(ideal(2,X))"), inst_a)

@@ -14,7 +14,12 @@ membership in the pullback: in the whole package only
 only `pullback.span_product_in` reads an instance's zero module.  And memo tables
 are filled in one place: only `base_domain._memo_put` stores into a
 module-level `*_CACHE` table, and README's memo-table sentence names
-each of them.
+each of them; no `functools` cache decorator stands beside them.
+Star operations are evaluated by one map on D-parts:
+`star_ops._dpart_eval(op, j)` takes no instance, calls nothing defined
+in `pullback` (no `make_structured`, `as_structured` or closure), and
+only `_star_eval` calls it; `star_ops` imports neither `v_closure_R`
+nor `extend_to_T`.
 An instance's flags are read off its inputs: `PullbackInstance.__init__`
 stores no literal True or False.  And only `kernel.py` reads the slot
 that holds a `Poly`'s integer arrays.  An expression's text is scanned
@@ -393,3 +398,50 @@ def test_membership_decides_integers():
                     "def contains(self, x):\n    x = FieldElem.coerce(x)\n"
                     "    return next(i for i in x)\n")
     assert [_scalar_builds(func) for func in old.body] == [["_make:2"], ["coerce:4", "next:5"]]
+
+
+_CACHE_DECORATORS = {"cache", "lru_cache", "cached_property"}
+
+
+def _callee(node):
+    """The name a call or a decorator refers to."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def test_no_functools_caches():
+    # the *_CACHE tables filled by _memo_put are the one home for caches
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                found += [f"{path.name}:{node.lineno} {node.name}" for dec in node.decorator_list
+                          if _callee(dec) in _CACHE_DECORATORS]
+            elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [f"{path.name}:{node.lineno} import {alias.name}" for alias in node.names
+                          if alias.name in _CACHE_DECORATORS]
+    assert not found, f"functools caches in src/starpull: {found}"
+    # the rule sees the former kernel decorator
+    old = ast.parse("from functools import lru_cache\n@lru_cache\ndef f(n):\n    return n\n")
+    assert [_callee(dec) for dec in old.body[1].decorator_list] == ["lru_cache"]
+
+
+def test_star_eval_is_one_dpart_recursion():
+    # every operation acts on u*phi^-1(J) through J alone, so evaluation is
+    # one map on D-parts that needs no instance and builds no closed form;
+    # _star_eval builds the one closed form of its result
+    tree = ast.parse((PACKAGE / "star_ops.py").read_text())
+    funcs = {stmt.name: stmt for stmt in tree.body if isinstance(stmt, ast.FunctionDef)}
+    assert "_eval" not in funcs and "_eval_structured" not in funcs
+    recursion = funcs["_dpart_eval"]
+    assert [arg.arg for arg in recursion.args.args] == ["op", "j"]
+    pullback = {stmt.name for stmt in ast.parse((PACKAGE / "pullback.py").read_text()).body
+                if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))}
+    called = {_callee(node) for node in ast.walk(recursion) if isinstance(node, ast.Call)}
+    assert "_dpart_eval" in called and not called & pullback, sorted(called & pullback)
+    callers = {name for name, func in funcs.items() if name != "_dpart_eval"
+               and _names(func)["_dpart_eval"]}
+    assert callers == {"_star_eval"}
+    imported = {alias.name for stmt in tree.body if isinstance(stmt, ast.ImportFrom)
+                for alias in stmt.names}
+    assert not imported & {"v_closure_R", "extend_to_T"}

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starpull import harness, pullback
+from starpull.base_domain import BaseDomain
 from starpull.class_groups import invertibility_R
 from starpull.harness import (
     CHECKS,
@@ -20,7 +21,13 @@ from starpull.harness import (
     sample_ideals,
 )
 from starpull.kernel import RatFunc
-from starpull.pullback import RawIdeal, ideal_arith, instance_catalog, make_instance
+from starpull.pullback import (
+    PullbackInstance,
+    RawIdeal,
+    ideal_arith,
+    instance_catalog,
+    make_instance,
+)
 from starpull.star_ops import StarOp
 
 import reference_samplers
@@ -101,6 +108,16 @@ class TestSuiteVerdicts:
     def test_quasilocal_on_b(self, inst_b):
         rep = run_suite("quasilocal-iso", inst_b, PARAMS, T_OP)
         assert rep.verdict == "pass"
+
+    def test_quasilocal_on_a_nontrivial_class_group(self):
+        # on O_K for d = -5 with T local, Cl(R) = Cl(D) = Z/2: the corner
+        # (2, 1 + sqrt(-5)) is invertible and, like its alpha preimage, not principal
+        inst = PullbackInstance("O_K(-5), local T", BaseDomain.quadratic_order(-5), "local")
+        rep = run_suite("quasilocal-iso", inst, SampleParams(seed=7, count=10), T_OP)
+        assert rep.verdict == "pass"
+        corner = next(r for r in rep.records if r["ideal"] == "ideal((2), ((1 + 1*sqrt(-5))))")
+        assert corner["certificates"] == "invertible"
+        assert corner["principal"] is False
 
     def test_quasilocal_rejects_global_t(self, inst_a):
         with pytest.raises(HarnessError):
@@ -229,14 +246,20 @@ class TestReplay:
         }
         assert not replay_violation(violation, inst_a)
 
-    def test_trivial_class_replay(self, inst_d):
-        violation = {
-            "check": "trivial-class",
-            "expected": "principal",
-            "got": "not principal",
-            "witness": {"ideal": "ideal(1, sqrt(-1))"},
-        }
-        assert replay_violation(violation, inst_d)
+    def test_trivial_class_replay(self, inst_c):
+        # (2, 1 + sqrt(-5)) is not principal: the check fails beside the
+        # principal alpha preimage R of D and holds beside its own preimage
+        def replay(normalized):
+            violation = {
+                "check": "trivial-class",
+                "expected": "principal",
+                "got": "not principal",
+                "witness": {"ideal": "ideal(2, 1+sqrt(-5))", "normalized": normalized, "op": "t"},
+            }
+            return replay_violation(violation, inst_c)
+
+        assert replay("hull(ideal(1, X))")
+        assert not replay("hull(ideal(2, 1+sqrt(-5)))")
 
     def test_rt_divisorial_replay_negative(self, inst_a):
         violation = {
@@ -284,7 +307,8 @@ class TestReplay:
         ("pvmd-sample", {"ideal": "2", "op": "t"}, "ideal"),  # an element for an ideal
         ("rT-divisorial", {"r": "ideal(X)"}, "r"),  # an ideal for an element
         ("ext-vs-rest", {"c": None}, "c"),
-        ("trivial-class", {"ideal": "gamma(ideal(2))"}, "ideal"),  # a class label
+        ("trivial-class", {"ideal": "gamma(ideal(2))", "normalized": "hull(ideal(1, X))",
+                           "op": "t"}, "ideal"),  # a class label
         ("kernel-capture", {"ideal": "ideal(2, X)", "op": "t"}, "ideal"),  # not structured
         ("colon-agreement", {"ideal": "ideal(2", "element": "X"}, "ideal"),  # does not parse
         ("v-agreement", {"ideal": "ideal(2, X)", "element": "sqrt(-3)"}, "element"),  # not in k
@@ -317,7 +341,8 @@ class TestReplay:
                                    "op": "t"}, inst_b, False),
             "alpha-preimage": ({"ideal": "hull(ideal(2, X))", "normalized": "hull(ideal(1, X))",
                                 "op": "t"}, inst_b, False),
-            "trivial-class": ({"ideal": "ideal(2, 1+sqrt(-5))"}, inst_c, True),
+            "trivial-class": ({"ideal": "ideal(2, 1+sqrt(-5))", "normalized": "hull(ideal(1, X))",
+                               "op": "t"}, inst_c, True),
             "pvmd-sample": ({"ideal": "ideal(1, sqrt(-1))", "op": "t"}, inst_d, True),
             "pvmd-witness": ({"op": "t", "samples_invertible": True}, inst_a, True),
             "witness-oracle": ({"ideal": "ideal(1, sqrt(-1))"}, inst_d, False),
@@ -343,9 +368,11 @@ class TestReplay:
         # read back as a structured ideal
         window = {"ideal": "hull(ideal(X))", "normalized": "extT(ideal(X))", "op": "t"}
         for check, witness in (("normalized-window", window),
-                               ("trivial-class", {"ideal": "extT(ideal(X))"}),
                                ("kernel-capture", {"ideal": "extT(ideal(X))", "op": "t"})):
             assert replay_violation({"check": check, "witness": witness}, inst_b), check
+        # trivial-class shares the window's witness, and a normalized ideal
+        # outside the window stops the check before principality is asked
+        assert not replay_violation({"check": "trivial-class", "witness": window}, inst_b)
 
     def test_noninvertible_sample_stands_in_for_the_witness(self, inst_d, monkeypatch):
         # with an empty search family, the non-invertible corner (1, sqrt(-1))
