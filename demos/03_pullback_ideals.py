@@ -11,6 +11,7 @@ from fractions import Fraction
 from starpull import (
     RatFunc,
     RawIdeal,
+    StarOp,
     colon_R,
     m_ideal,
     make_instance,
@@ -18,13 +19,14 @@ from starpull import (
     oracle_colon_member,
     oracle_v_member,
     pretty_value,
+    star_eval,
     structured_hull,
     t_ideal_of_r,
-    v_closure_R,
 )
 
 A = make_instance("A")   # D = Z inside T = Q[X]
 X = RatFunc.x_power(1)
+v = StarOp.divisorial("R")   # the divisorial closure on R
 half = RatFunc.coerce(Fraction(1, 2))
 
 print("membership in R = Z + X*Q[X]:")
@@ -36,7 +38,7 @@ I = RawIdeal([RatFunc.coerce(2), X])
 print("I = (2, X)")
 print("hull(I)  =", pretty_value(structured_hull(I, A), A))
 print("I^-1     =", pretty_value(colon_R(I, A), A))
-print("I^v      =", pretty_value(v_closure_R(I, A), A))
+print("I^v      =", pretty_value(star_eval(v, I, A), A))
 print()
 
 print("conductor identities:")
@@ -58,4 +60,4 @@ i_elem = RatFunc(Poly([FieldElem(0, 1, -1)]))
 K = RawIdeal([RatFunc.one(), i_elem])
 print("in instance D, the pair (1, i) collapses under colon:")
 print("  (R : (1, i)) =", pretty_value(colon_R(K, D), D), " (the conductor M)")
-print("  (1, i)^v     =", pretty_value(v_closure_R(K, D), D), " (all of T)")
+print("  (1, i)^v     =", pretty_value(star_eval(v, K, D), D), " (all of T)")

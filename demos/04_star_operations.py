@@ -20,7 +20,6 @@ from starpull import (
     star_leq_check,
     star_meet,
     structured_hull,
-    v_closure_R,
 )
 from starpull.kernel import FieldElem, Poly
 from starpull.base_domain import dmod_from_generators
@@ -39,7 +38,7 @@ hull = structured_hull(I, A)
 
 print("lift(v_D) evaluates like v_R:")
 print("  lift(v_D)(hull) =", pretty_value(star_eval(StarOp.lifted(v_d), hull, A), A))
-print("  v_R(I)          =", pretty_value(v_closure_R(I, A), A))
+print("  v_R(I)          =", pretty_value(star_eval(v_r, I, A), A))
 print()
 
 P = dmod_from_generators([FieldElem(2), FieldElem(1, 1, -5)], C.base)
@@ -56,7 +55,7 @@ print()
 
 mix = star_meet(StarOp.lifted(v_d), StarOp.overring_induced(StarOp.identity("T")))
 print("meet(lift(v_D), ovr(d_T)) acts like v_R:",
-      ideal_equal(star_eval(mix, hull, A), v_closure_R(I, A), A))
+      ideal_equal(star_eval(mix, hull, A), star_eval(v_r, I, A), A))
 print()
 
 print("order checks on samples:")

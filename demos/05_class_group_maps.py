@@ -1,8 +1,9 @@
 """The three canonical class maps on instance C (class number two).
 
-alpha pulls a D-ideal back to R, beta extends to T (always hitting the
-trivial class there), and gamma reads the D-class back off.  Together
-they exhibit the class group of R as the class group of D.
+alpha pulls a D-ideal back to R, beta = extend_to_T extends to T
+(always hitting the trivial class there), and gamma reads the D-class
+back off.  Together they exhibit the class group of R as the class
+group of D.
 """
 
 from starpull import (
@@ -10,16 +11,16 @@ from starpull import (
     RawIdeal,
     StarOp,
     alpha,
-    beta,
     class_equivalent_R,
     class_label_D,
+    extend_to_T,
     gamma,
     ideal_arith,
     invertibility_R,
     is_principal_R,
     make_instance,
     pretty_value,
-    t_closure_R,
+    star_eval,
 )
 from starpull.base_domain import dmod_from_generators
 from starpull.kernel import FieldElem
@@ -35,12 +36,12 @@ print("alpha(P) =", pretty_value(image, C))
 witness = invertibility_R(image, t, C)
 print("certificate:", witness.certificate)
 print("principal? ", is_principal_R(image, C))
-print("beta(alpha(P)) =", pretty_value(beta(image, C), C), "(trivial T-class)")
+print("beta(alpha(P)) =", pretty_value(extend_to_T(image, C), C), "(trivial T-class)")
 print("gamma(alpha(P)) =", gamma(image, C), "= label(P):",
       gamma(image, C) == class_label_D(P))
 print()
 
-square = t_closure_R(ideal_arith(image, image, "mul", C), C)
+square = star_eval(t, ideal_arith(image, image, "mul", C), C)
 print("alpha(P)^2 =", pretty_value(square, C))
 print("generator  =", is_principal_R(square, C), "(the class has order two)")
 print()

@@ -25,7 +25,6 @@ from .class_groups import (
     ClassGroupError,
     RClassWitness,
     alpha,
-    beta,
     class_equivalent_R,
     gamma,
     invertibility_R,
@@ -70,15 +69,12 @@ from .pullback import (
     m_ideal,
     make_instance,
     member_R,
-    member_R_product,
     oracle_colon_member,
     oracle_v_member,
     r_ideal,
     span_product_in,
     structured_hull,
-    t_closure_R,
     t_ideal_of_r,
-    v_closure_R,
 )
 from .star_ops import (
     StarEvalError,

@@ -1,11 +1,11 @@
 """The canonical class maps between D, R and T, at the ideal level.
 
-alpha sends a D-ideal class to the class of its inverse image in R;
-beta extends an R-ideal to T; gamma reads off the divisorial class of
-the value module of an R-ideal.  Together with the principality and
-invertibility tests these realize the star class groups of the
-catalogued instances, where gamma is a complete invariant because every
-fractional T-ideal is principal.
+alpha sends a D-ideal class to the class of its inverse image in R,
+and gamma reads off the divisorial class of the value module of an
+R-ideal; the extension to T is pullback.extend_to_T.  Together with
+the principality and invertibility tests these realize the star class
+groups of the catalogued instances, where gamma is a complete invariant
+because every fractional T-ideal is principal.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .pullback import (
     StructuredIdeal,
     as_structured,
     colon_R,
-    extend_to_T,
     ideal_arith,
     ideal_equal,
     inverse_image_R,
@@ -43,12 +42,6 @@ def alpha(j: ExtDModule, inst: PullbackInstance) -> StructuredIdeal:
     if not dmod_predicates(j).is_v_invertible:
         raise ClassGroupError("alpha needs an invertible D-ideal")
     return inverse_image_R(j, inst)
-
-
-def beta(h, inst: PullbackInstance) -> StructuredIdeal:
-    """Extension to T, the structured ideal u * phi^-1(k); for class
-    semantics the input must be invertible."""
-    return extend_to_T(h, inst)
 
 
 def gamma(h, inst: PullbackInstance) -> ClassLabel:

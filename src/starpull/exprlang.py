@@ -41,9 +41,8 @@ from .pullback import (
     colon_R,
     extend_to_T,
     ideal_arith,
-    t_closure_R,
-    v_closure_R,
 )
+from .star_ops import StarOp, star_eval
 
 
 class ExprError(ValueError):
@@ -55,7 +54,8 @@ class ExprError(ValueError):
         self.pos = pos
 
 
-# every function takes one argument
+# every function takes one argument; v and t close an R-ideal through star_eval
+_V_R, _T_R = StarOp.divisorial("R"), StarOp.t_op("R")
 _FUNCS = ("v", "t", "colon", "inv", "extT", "alpha", "beta", "gamma", "principal", "hull")
 
 MAX_INPUT_BYTES = 64 * 1024
@@ -379,7 +379,8 @@ def _call(node: Node, arg, inst: PullbackInstance):
             raise ExprError(f"{name} needs an ideal argument", node.pos)
     # looked up on each call, so the names resolve to the module's current bindings
     funcs = {
-        "v": v_closure_R, "t": t_closure_R, "colon": colon_R, "inv": colon_R,
+        "v": lambda h, i: star_eval(_V_R, h, i), "t": lambda h, i: star_eval(_T_R, h, i),
+        "colon": colon_R, "inv": colon_R,
         "extT": extend_to_T, "beta": extend_to_T, "hull": as_structured, "gamma": gamma,
         "alpha": lambda h, i: alpha(dmod_from_generators([g.const_value() for g in h.gens],
                                                          i.base), i),

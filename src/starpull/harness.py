@@ -19,6 +19,7 @@ import random
 from itertools import combinations
 
 from .base_domain import (
+    DomainError,
     ExtDModule,
     class_label_D,
     dmod_from_generators,
@@ -26,8 +27,8 @@ from .base_domain import (
     dmod_v,
 )
 from .class_groups import (
+    ClassGroupError,
     alpha,
-    beta,
     gamma,
     invertibility_R,
     is_principal_R,
@@ -54,8 +55,6 @@ from .pullback import (
     outside_D,
     span_product_in,
     structured_hull,
-    t_closure_R,
-    v_closure_R,
 )
 from .star_ops import IMPLEMENTED_R_OPS, StarEvalError, StarOp, read_op, star_eval
 
@@ -331,7 +330,7 @@ def _splitting(inst, op, fail, j):
     """alpha(j), the class label of j^v, gamma(alpha(j)) and beta(alpha(j))."""
     image = alpha(j, inst)
     label = class_label_D(dmod_v(j))
-    got, t_part = gamma(image, inst), beta(image, inst)
+    got, t_part = gamma(image, inst), extend_to_T(image, inst)
     if got != label:
         fail("gamma-alpha-identity", label, got)
     if not t_part.unit.is_one():
@@ -470,7 +469,7 @@ def _v_agreement(inst, op, fail, ideal, element, closed_v=None, generators=None)
     # the suite passes I^v and the certified generators of (R : I),
     # computed once for the ideal
     if closed_v is None:
-        closed_v = v_closure_R(ideal, inst)
+        closed_v = star_eval(StarOp.divisorial("R"), ideal, inst)
     verdict = oracle_v_member(element, ideal, inst, generators)
     inside = member_structured(element, closed_v, inst)
     if inside and verdict.status == "out-with-witness":
@@ -520,7 +519,7 @@ def _split_exact(inst: PullbackInstance, op: StarOp, params: SampleParams) -> Re
     # kernel capture on sampled op-invertible ideals
     for raw in sample_ideals(inst, params):
         rep.n_samples += 1
-        closed = t_closure_R(raw, inst)
+        closed = star_eval(StarOp.t_op("R"), raw, inst)
         witness = invertibility_R(closed, op, inst)
         record = {
             "check": "kernel-capture",
@@ -533,7 +532,7 @@ def _split_exact(inst: PullbackInstance, op: StarOp, params: SampleParams) -> Re
             if preimage is not None:
                 record["class_label"] = str(gamma(closed, inst))
                 record["alpha_preimage"] = value_to_expr(preimage, inst)
-                record["beta_image"] = value_to_expr(beta(closed, inst), inst)
+                record["beta_image"] = value_to_expr(extend_to_T(closed, inst), inst)
         rep.records.append(record)
     return rep
 
@@ -545,7 +544,7 @@ def _quasilocal_iso(inst: PullbackInstance, op: StarOp, params: SampleParams) ->
     rep = Report("quasilocal-iso", inst.name, params)
     for raw in sample_ideals(inst, params):
         rep.n_samples += 1
-        closed = t_closure_R(raw, inst)
+        closed = star_eval(StarOp.t_op("R"), raw, inst)
         witness = invertibility_R(closed, op, inst)
         record = {"ideal": value_to_expr(raw, inst), "certificates": witness.certificate}
         rep.records.append(record)
@@ -555,7 +554,7 @@ def _quasilocal_iso(inst: PullbackInstance, op: StarOp, params: SampleParams) ->
         # T-generator drawn from the generators themselves
         i_gen = inst.t.generator(raw.gens)
         shifted = RawIdeal([g / i_gen for g in raw.gens])
-        s1 = t_closure_R(shifted, inst)
+        s1 = star_eval(StarOp.t_op("R"), shifted, inst)
         record["i_generator"] = value_to_expr(i_gen, inst)
         record["normalized"] = value_to_expr(s1, inst)
         in_window, gen = _decide(rep, _alpha_preimage, inst, op, ideal=closed, normalized=s1)
@@ -680,7 +679,7 @@ def _pic_splitting(inst: PullbackInstance, op: StarOp, params: SampleParams) -> 
         rep.records.append({
             "ideal": value_to_expr(raw, inst),
             "class_label": str(label),
-            "beta_image": value_to_expr(beta(closed, inst), inst),
+            "beta_image": value_to_expr(extend_to_T(closed, inst), inst),
             "principal": principal,
         })
     return rep
@@ -696,7 +695,7 @@ def _oracle_agreement(inst: PullbackInstance, op: StarOp, params: SampleParams) 
         # the hull's colon, certified against the raw generators once, in
         # colon_generators; a failure there makes the v-oracle inconclusive
         closed_colon = colon_R(hull, inst)
-        closed_v = v_closure_R(hull, inst)
+        closed_v = star_eval(StarOp.divisorial("R"), hull, inst)
         colon_grid = _agreement_grid(raw, closed_colon, params.degree_window, inst)
         for g in colon_grid:
             _decide(rep, _colon_agreement, inst, op, ideal=raw, element=g,
@@ -763,6 +762,8 @@ def replay_violation(violation: dict, inst: PullbackInstance) -> bool:
 
     Decodes the witness and calls the check function the suite called.
     Returns True when the violation reproduces (the check still fails).
+    A witness that cannot be read, or that the check function refuses as
+    outside its domain (ClassGroupError, DomainError), raises HarnessError.
     """
     check = violation["check"]
     if check not in CHECKS:
@@ -773,5 +774,8 @@ def replay_violation(violation: dict, inst: PullbackInstance) -> bool:
         raise HarnessError(f"a {check!r} witness needs the fields {sorted(fields)}")
     values = {name: _read(name, kind, data[name], inst) for name, kind in fields.items()}
     failed = []
-    fn(inst, values.pop("op", None), lambda name, *_, **__: failed.append(name), **values)
+    try:
+        fn(inst, values.pop("op", None), lambda name, *_, **__: failed.append(name), **values)
+    except (ClassGroupError, DomainError) as exc:
+        raise HarnessError(f"the {check!r} witness is outside the check's domain: {exc}") from exc
     return check in failed

@@ -21,9 +21,9 @@ convention phi^-1(0) = M is normalized away internally: a ZERO dpart
 canonicalizes to (u*X, FULL), and _generators spans u*M by u*X; a T
 whose M is not principal needs another form.  As T = phi^-1(k), a
 fractional T-ideal u*T is the structured ideal (u, FULL) and has no
-type of its own.  All closed-form operations here (colon, divisorial
-closure, products) are certified in the test suite against the
-definitional membership oracles at the bottom of this file.
+type of its own.  The colon and products here, and star_eval's
+closures, are certified in the test suite against the definitional
+membership oracles at the bottom of this file.
 Containment and colon certification are one test, span_product_in:
 whether the product of two R-modules, each generated by elements and a
 T-part t*T, lies in phi^-1(J).  colon_R certifies each colon it
@@ -44,7 +44,6 @@ from .base_domain import (
     dmod_colon,
     dmod_from_generators,
     dmod_scale,
-    dmod_v,
 )
 from .kernel import (
     ONE_ELEM,
@@ -382,11 +381,6 @@ def member_R(f: RatFunc, inst: PullbackInstance) -> bool:
     return _product_in(RatFunc.coerce(f), RatFunc.one(), inst._d_module, inst)
 
 
-def member_R_product(h: RatFunc, g: RatFunc, inst: PullbackInstance) -> bool:
-    """h*g in R, decided without forming h*g; equal to member_R(h * g, inst)."""
-    return _product_in(RatFunc.coerce(h), RatFunc.coerce(g), inst._d_module, inst)
-
-
 def member_structured(f: RatFunc, s: StructuredIdeal, inst: PullbackInstance) -> bool:
     """f in u*phi^-1(J0): f/u in T with value at zero in J0, without forming f/u."""
     return _product_in(RatFunc.coerce(f), s._unit_inv, s.dpart, inst)
@@ -451,7 +445,7 @@ def structured_hull(ideal: RawIdeal, inst: PullbackInstance) -> StructuredIdeal:
 
 
 # ---------------------------------------------------------------------------
-# closed-form colon, closures, arithmetic
+# closed-form colon and arithmetic
 # ---------------------------------------------------------------------------
 
 _COLON_R_CACHE: dict[tuple[StructuredIdeal, PullbackInstance], StructuredIdeal] = {}
@@ -496,18 +490,6 @@ def lift_generators(s: StructuredIdeal, inst: PullbackInstance) -> list[RatFunc]
     if s.dpart.is_full():
         return [s.unit]
     return [s.unit * RatFunc.coerce(Poly.const(c)) for c in s.dpart.basis_elements()]
-
-
-def v_closure_R(ideal, inst: PullbackInstance) -> StructuredIdeal:
-    """Divisorial closure (R : (R : I)) in closed form."""
-    s = as_structured(ideal, inst)
-    return make_structured(s.unit, dmod_v(s.dpart), inst)
-
-
-def t_closure_R(ideal, inst: PullbackInstance) -> StructuredIdeal:
-    # on finitely generated and structured inputs the finite-type closure
-    # agrees with the divisorial one
-    return v_closure_R(ideal, inst)
 
 
 def ideal_arith(a, b, op: str, inst: PullbackInstance):

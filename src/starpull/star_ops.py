@@ -262,7 +262,7 @@ def _dpart_eval(op: StarOp, j: ExtDModule) -> ExtDModule:
     _refuse_stable(op)
     if op.kind == "d":
         return j
-    if op.kind in ("v", "t"):
+    if op.kind in ("v", "t"):  # t agrees with v on finitely generated and structured inputs
         return dmod_v(j)
     if op.kind == "meet":
         return dmod_intersect(*(_dpart_eval(o, j) for o in op.operands))

@@ -9,10 +9,20 @@ from starpull.kernel import FieldElem, Poly, RatFunc
 # Q, Q(i) and Q(sqrt(-5)): the residue fields of the catalogued instances
 TAGS = (1, -1, -5)
 
+
+def bounded_fractions(max_denominator: int, bound: int):
+    """Every fraction in [-bound, bound] with denominator at most
+    max_denominator, as st.fractions draws them, built from an integer
+    pair (p, q) with 1 <= q <= max_denominator and |p| <= bound*q: drawing
+    two integers costs a fraction of what st.fractions does."""
+    return st.integers(1, max_denominator).flatmap(
+        lambda q: st.integers(-bound * q, bound * q).map(lambda p: Fraction(p, q)))
+
+
 # zeros and integers are common, so X-powers divide often and values at
 # zero land in D as well as outside it
 _COORDS = st.one_of(st.just(Fraction(0)), st.integers(-6, 6).map(Fraction),
-                    st.fractions(min_value=-6, max_value=6, max_denominator=4))
+                    bounded_fractions(4, 6))
 
 
 def elems(d: int):

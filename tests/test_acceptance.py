@@ -11,7 +11,6 @@ import time
 from starpull.base_domain import class_label_D, dmod_from_generators
 from starpull.class_groups import (
     alpha,
-    beta,
     gamma,
     invertibility_R,
     is_principal_R,
@@ -34,8 +33,6 @@ from starpull.pullback import (
     make_instance,
     oracle_colon_member,
     structured_hull,
-    t_closure_R,
-    v_closure_R,
 )
 from starpull.star_ops import (
     IMPLEMENTED_R_OPS,
@@ -47,7 +44,7 @@ from starpull.star_ops import (
 )
 
 SEED = 7
-T_OP = StarOp.t_op("R")
+T_OP, V_OP = StarOp.t_op("R"), StarOp.divisorial("R")
 IMPLEMENTED_OPS = [read_op(text, "R") for text in IMPLEMENTED_R_OPS]
 
 
@@ -66,11 +63,11 @@ def test_criterion_1_split_exact_sequence(inst_a, inst_b, inst_c, inst_e):
     image = alpha(p, inst_c)
     assert is_principal_R(image, inst_c) is None
     square = ideal_arith(image, image, "mul", inst_c)
-    assert is_principal_R(t_closure_R(square, inst_c), inst_c) is not None
+    assert is_principal_R(star_eval(T_OP, square, inst_c), inst_c) is not None
     assert gamma(image, inst_c) == class_label_D(p)
     unit = inst_c.base.unit_module()
     assert gamma(alpha(unit, inst_c), inst_c) == class_label_D(unit)
-    assert beta(image, inst_c) == extend_to_T(RawIdeal([RatFunc.one()]), inst_c)
+    assert extend_to_T(image, inst_c) == extend_to_T(RawIdeal([RatFunc.one()]), inst_c)
 
     # the sequence's Cl(D) is Cl^{*_phi}(D): each proj(op) fixes the sampled D-modules
     for inst in (inst_a, inst_b, inst_c, inst_e):
@@ -153,7 +150,7 @@ def test_criterion_5_picard_splitting(inst_a, inst_b, inst_c):
     image = alpha(p, inst_c)
     witness = invertibility_R(image, StarOp.identity("R"), inst_c)
     assert witness.is_invertible and witness.principal_gen is None
-    square = t_closure_R(ideal_arith(image, image, "mul", inst_c), inst_c)
+    square = star_eval(T_OP, ideal_arith(image, image, "mul", inst_c), inst_c)
     assert is_principal_R(square, inst_c) is not None
     for inst in (inst_c, inst_a, inst_b):
         report = run_suite("pic-splitting", inst, params)
@@ -229,7 +226,7 @@ def test_criterion_8_determinism_and_round_trip():
         inst = make_instance(name)
         for raw in sample_ideals(inst, SampleParams(seed=SEED, count=25)):
             for value in (raw, structured_hull(raw, inst),
-                          v_closure_R(raw, inst), extend_to_T(raw, inst)):
+                          star_eval(V_OP, raw, inst), extend_to_T(raw, inst)):
                 text = value_to_expr(value, inst)
                 back = evaluate(parse_expression(text), inst)
                 assert ideal_equal(back, value, inst), text

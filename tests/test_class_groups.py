@@ -1,4 +1,4 @@
-"""Class maps alpha, beta, gamma and the invertibility certificates."""
+"""Class maps alpha, beta = extend_to_T, gamma and the invertibility certificates."""
 
 import random
 from fractions import Fraction
@@ -19,7 +19,6 @@ from starpull.base_domain import (
 from starpull.class_groups import (
     ClassGroupError,
     alpha,
-    beta,
     class_equivalent_R,
     gamma,
     invertibility_R,
@@ -43,10 +42,9 @@ from starpull.pullback import (
     outside_D,
     r_ideal,
     structured_hull,
-    t_closure_R,
     t_ideal_of_r,
 )
-from starpull.star_ops import StarOp
+from starpull.star_ops import StarOp, star_eval
 from strategies import elems, polys, ratfuncs, tagged
 
 X = RatFunc.x_power(1)
@@ -99,15 +97,16 @@ class TestAlpha:
 
 class TestBeta:
     def test_beta_of_alpha_is_trivial(self, inst_c, prime_p):
-        assert beta(alpha(prime_p, inst_c), inst_c) == extend_to_T(RawIdeal([RatFunc.one()]), inst_c)
+        assert (extend_to_T(alpha(prime_p, inst_c), inst_c)
+                == extend_to_T(RawIdeal([RatFunc.one()]), inst_c))
 
     def test_beta_of_principal(self, inst_a):
         h = structured_hull(RawIdeal([X]), inst_a)
-        assert beta(h, inst_a) == extend_to_T(RawIdeal([X]), inst_a)
+        assert extend_to_T(h, inst_a) == extend_to_T(RawIdeal([X]), inst_a)
 
     def test_beta_strips_the_dpart(self, inst_c, prime_p):
         scaled = ideal_arith(RawIdeal([X * X]), alpha(prime_p, inst_c), "mul", inst_c)
-        assert beta(scaled, inst_c) == extend_to_T(RawIdeal([X * X]), inst_c)
+        assert extend_to_T(scaled, inst_c) == extend_to_T(RawIdeal([X * X]), inst_c)
 
 
 class TestGamma:
@@ -208,7 +207,7 @@ class TestClassEquivalence:
         h1, h2 = alpha(prime_p, inst_c), alpha(prime_pbar, inst_c)
         prod = ideal_arith(h1, h2, "mul", inst_c)
         # product of the two order-two classes is trivial
-        assert is_principal_R(t_closure_R(prod, inst_c), inst_c) is not None
+        assert is_principal_R(star_eval(T_OP, prod, inst_c), inst_c) is not None
 
 
 class TestClassLabelR:
@@ -222,7 +221,7 @@ def _closed_samples(inst):
     """Closed ideals of the kinds the class suites revisit: t-closures of
     sampled raw ideals and of the corner ideals, and R, M, T."""
     raws = sample_ideals(inst, SampleParams(seed=5, count=10))
-    return [t_closure_R(raw, inst) for raw in raws] + [r_ideal(inst), m_ideal(inst),
+    return [star_eval(T_OP, raw, inst) for raw in raws] + [r_ideal(inst), m_ideal(inst),
                                                       t_ideal_of_r(inst)]
 
 

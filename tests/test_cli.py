@@ -36,11 +36,13 @@ from starpull.pullback import (
     ideal_equal,
     make_instance,
     structured_hull,
-    v_closure_R,
 )
+from starpull.star_ops import StarOp, star_eval
 import reference_parser
 import reference_printers
 from strategies import ratfuncs
+
+V_R = StarOp.divisorial("R")
 
 
 def _shape(node):
@@ -226,7 +228,7 @@ class TestRoundTrip:
             inst = make_instance(name)
             for raw in sample_ideals(inst, SampleParams(seed=23, count=15)):
                 for value in (raw, structured_hull(raw, inst),
-                              v_closure_R(raw, inst), extend_to_T(raw, inst)):
+                              star_eval(V_R, raw, inst), extend_to_T(raw, inst)):
                     text = value_to_expr(value, inst)
                     back = evaluate(parse_expression(text), inst)
                     assert ideal_equal(back, value, inst), text
@@ -273,7 +275,7 @@ class TestPrinters:
         inst = make_instance(name)
         values = []
         for raw in sample_ideals(inst, SampleParams(seed=29, count=15)):
-            values += [raw, structured_hull(raw, inst), v_closure_R(raw, inst),
+            values += [raw, structured_hull(raw, inst), star_eval(V_R, raw, inst),
                        extend_to_T(raw, inst)]
         texts = ["principal(ideal(2, X))", "principal(ideal(X + 1))", "gamma(t(ideal(3, X)))",
                  "principal(ideal(2, 1 + sqrt(-5)))", "ideal(3/2 - 1/2*sqrt(-5), -X/3)"]
@@ -547,7 +549,7 @@ class TestRobustness:
         def failing(*args):
             raise PullbackError("closure failed")
 
-        monkeypatch.setattr(exprlang, "v_closure_R", failing)
+        monkeypatch.setattr(exprlang, "star_eval", failing)
         with pytest.raises(ExprError) as err:
             evaluate(parse_expression("ideal(v(ideal(2)))"), inst_a)
         assert err.value.pos == 6

@@ -18,8 +18,13 @@ each of them; no `functools` cache decorator stands beside them.
 Star operations are evaluated by one map on D-parts:
 `star_ops._dpart_eval(op, j)` takes no instance, calls nothing defined
 in `pullback` (no `make_structured`, `as_structured` or closure), and
-only `_star_eval` calls it; `star_ops` imports neither `v_closure_R`
-nor `extend_to_T`.
+only `_star_eval` calls it; `star_ops` imports no `extend_to_T`.
+R-ideals are closed by `star_ops` alone: `pullback` imports no `dmod_v`,
+no function outside `star_ops` builds a closed form (`make_structured`,
+`inverse_image_R`) in a body that calls `dmod_v`, and no module defines
+`v_closure_R`, `t_closure_R`, `member_R_product` or a function `beta`,
+entry points that repeated `star_eval`, `oracle_colon_member` and
+`extend_to_T`.
 An instance's flags are read off its inputs: `PullbackInstance.__init__`
 stores no literal True or False.  And only `kernel.py` reads the slot
 that holds a `Poly`'s integer arrays.  An expression's text is scanned
@@ -444,4 +449,31 @@ def test_star_eval_is_one_dpart_recursion():
     assert callers == {"_star_eval"}
     imported = {alias.name for stmt in tree.body if isinstance(stmt, ast.ImportFrom)
                 for alias in stmt.names}
-    assert not imported & {"v_closure_R", "extend_to_T"}
+    assert "extend_to_T" not in imported
+
+
+def test_r_ideals_are_closed_only_by_star_ops():
+    # v and t on R are star_eval's; the oracles certify the one closure
+    # that every caller runs
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    imported = {alias.name for stmt in trees["pullback.py"].body
+                if isinstance(stmt, ast.ImportFrom) for alias in stmt.names}
+    assert "dmod_v" not in imported
+    closing = []
+    for name, tree in trees.items():
+        for func in ast.walk(tree):
+            if name == "star_ops.py" or not isinstance(func, ast.FunctionDef):
+                continue
+            called = {_callee(node) for node in ast.walk(func) if isinstance(node, ast.Call)}
+            if "dmod_v" in called and called & {"make_structured", "inverse_image_R"}:
+                closing.append(f"{name}:{func.lineno} {func.name}")
+    assert not closing, f"closed forms built from dmod_v outside star_ops: {closing}"
+    defined = {node.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & {"v_closure_R", "t_closure_R", "member_R_product", "beta"}
+    # the rule sees the former closure
+    old = ast.parse("def v_closure_R(ideal, inst):\n"
+                    "    s = as_structured(ideal, inst)\n"
+                    "    return make_structured(s.unit, dmod_v(s.dpart), inst)\n").body[0]
+    assert {_callee(node) for node in ast.walk(old) if isinstance(node, ast.Call)} >= {
+        "dmod_v", "make_structured"}

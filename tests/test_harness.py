@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starpull import harness, pullback
+from starpull import harness, pullback, star_ops
 from starpull.base_domain import BaseDomain
 from starpull.class_groups import invertibility_R
 from starpull.harness import (
@@ -28,12 +28,14 @@ from starpull.pullback import (
     instance_catalog,
     make_instance,
 )
-from starpull.star_ops import StarOp
+from starpull.star_ops import StarOp, star_eval
 
 import reference_samplers
 
 T_OP = StarOp.t_op("R")
 PARAMS = SampleParams(seed=11, count=20)
+# a window witness whose ideal is a T-module, outside every class check
+_OUTSIDE_THE_WINDOW = {"ideal": "extT(ideal(X))", "normalized": "hull(ideal(1, X))", "op": "t"}
 
 
 class TestSampling:
@@ -128,12 +130,11 @@ class TestSuiteVerdicts:
         # unit 2 of T, the normalized ideal has trivial unit part, and the
         # preimage class matches the original
         from starpull.class_groups import alpha, class_equivalent_R
-        from starpull.pullback import RawIdeal as RI, t_closure_R as tcl
-        raw = RI([RatFunc.coerce(2), RatFunc.x_power(1)])
-        closed = tcl(raw, inst_b)
+        raw = RawIdeal([RatFunc.coerce(2), RatFunc.x_power(1)])
+        closed = star_eval(T_OP, raw, inst_b)
         i_gen = RatFunc.coerce(2)
-        shifted = RI([g / i_gen for g in raw.gens])
-        normalized = tcl(shifted, inst_b)
+        shifted = RawIdeal([g / i_gen for g in raw.gens])
+        normalized = star_eval(T_OP, shifted, inst_b)
         assert normalized.unit.is_one()
         assert not normalized.dpart.is_full()
         assert class_equivalent_R(closed, alpha(normalized.dpart, inst_b),
@@ -197,6 +198,19 @@ class TestSuiteVerdicts:
                                 lambda *args, f=pullback.structured_hull: calls.append(1) or f(*args))
         rep = run_suite("oracle-agreement", inst_a, SampleParams(seed=7, count=10))
         assert rep.n_samples == 10 and len(calls) == 10
+
+    def test_oracle_agreement_certifies_star_eval(self, inst_d, monkeypatch):
+        # v and t are closed by star_eval alone, so a fault in its D-part map
+        # reaches the suite: with J^v read as J, D's corner (1, i) closes to
+        # its hull, not to T, and the v-oracle says otherwise
+        params = SampleParams(seed=7, count=30)
+        assert run_suite("oracle-agreement", inst_d, params).verdict == "pass"
+        true_eval = star_ops._dpart_eval
+        monkeypatch.setattr(star_ops, "_dpart_eval",
+                            lambda op, j: j if op.kind in ("v", "t") else true_eval(op, j))
+        report = run_suite("oracle-agreement", inst_d, params)
+        assert "v-agreement" in {v["check"] for v in report.violations}
+        assert all(replay_violation(v, inst_d) for v in report.violations)
 
     def test_unknown_suite(self, inst_a):
         with pytest.raises(HarnessError):
@@ -302,6 +316,22 @@ class TestReplay:
         with pytest.raises(HarnessError, match="ideal of constants"):
             replay_violation(violation, inst_c)
 
+    @pytest.mark.parametrize("name, check, witness", [
+        ("B", "trivial-class", _OUTSIDE_THE_WINDOW),  # extT(X) is not t-invertible
+        ("B", "alpha-preimage", _OUTSIDE_THE_WINDOW),
+        ("B", "normalized-window", _OUTSIDE_THE_WINDOW),
+        ("C", "pic-decomposition", {"ideal": "extT(ideal(X))"}),  # gamma refuses T-modules
+        ("D", "gamma-alpha-identity", {"j": "ideal(1, sqrt(-1))"}),  # (1, i) is not invertible
+        ("D", "alpha-invertible", {"j": "ideal(1, sqrt(-1))", "op": "t"}),
+        ("D", "alpha-injective", {"j1": "ideal(1, sqrt(-1))", "j2": "ideal(1)", "op": "t"}),
+        ("E", "label-vs-principal", {"j": "ideal(1)", "op": "d"}),  # no class labels over Q
+    ])
+    def test_a_witness_outside_its_check_is_a_harness_error(self, name, check, witness):
+        # the check function refuses the values with a ClassGroupError or
+        # DomainError, which replay reports as a HarnessError naming the check
+        with pytest.raises(HarnessError, match=f"'{check}' witness is outside the check's domain"):
+            replay_violation({"check": check, "witness": witness}, make_instance(name))
+
     @pytest.mark.parametrize("check, witness, field", [
         ("pvmd-sample", {"ideal": 3, "op": "t"}, "ideal"),  # not text
         ("pvmd-sample", {"ideal": "2", "op": "t"}, "ideal"),  # an element for an ideal
@@ -385,15 +415,20 @@ class TestReplay:
         witness = {"op": "t", "samples_invertible": False}
         assert not replay_violation({"check": "pvmd-witness", "witness": witness}, inst_d)
 
-    @pytest.mark.parametrize("closed_form, power", [("colon_R", 1), ("v_closure_R", 1),
-                                                    ("v_closure_R", -1)])
+    @pytest.mark.parametrize("closed_form, power", [("colon_R", 1), ("star_eval", 1),
+                                                    ("star_eval", -1)])
     def test_injected_fault_replays_until_removed(self, inst_a, monkeypatch, closed_form, power):
         # a closed form computed on X^power * I makes oracle-agreement fail;
-        # the suite passes colon_R and v_closure_R the hull
+        # the suite passes colon_R and star_eval's v the hull
         true_form = getattr(harness, closed_form)
         x = RawIdeal([RatFunc.x_power(power)])
-        monkeypatch.setattr(harness, closed_form,
-                            lambda ideal, inst: true_form(ideal_arith(ideal, x, "mul", inst), inst))
+
+        def faulty(*args):
+            # colon_R(ideal, inst) and star_eval(op, ideal, inst) end alike
+            *op, ideal, inst = args
+            return true_form(*op, ideal_arith(ideal, x, "mul", inst), inst)
+
+        monkeypatch.setattr(harness, closed_form, faulty)
         report = run_suite("oracle-agreement", inst_a, SampleParams(seed=3, count=3,
                                                                     degree_window=4))
         assert report.violations

@@ -19,7 +19,7 @@ from starpull.kernel import (
 )
 import reference_membership as former
 from object_poly import ObjectPoly, object_gcd
-from strategies import elems, polys, ratfuncs, tagged
+from strategies import bounded_fractions, elems, polys, ratfuncs, tagged
 
 
 def fe(x, y=0, d=1):
@@ -57,8 +57,8 @@ class TestFieldElem:
         assert fe(2) == FieldElem(2, 0, 1)
 
     def test_squarefree_tag_enforced(self):
-        # the squarefree test is memoized: valid tags seen first must not
-        # let a bad tag through, on its first check or a repeated one
+        # valid tags seen first must not let a bad tag through, on its
+        # first check or a repeated one
         for d in (-1, -5, 2, 3):
             FieldElem(1, 1, d)
         for d in (-4, 12, -4):
@@ -66,8 +66,8 @@ class TestFieldElem:
                 FieldElem(1, 1, d)
 
     @given(
-        x=st.fractions(min_value=-20, max_value=20, max_denominator=6),
-        y=st.fractions(min_value=-20, max_value=20, max_denominator=6),
+        x=bounded_fractions(6, 20),
+        y=bounded_fractions(6, 20),
     )
     @settings(max_examples=60, deadline=None)
     def test_inverse_round_trip(self, x, y):

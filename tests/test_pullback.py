@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starpull import harness, kernel, pullback
+from starpull import harness, kernel, pullback, star_ops
 from starpull.base_domain import (
     BaseDomain,
     DomainError,
@@ -34,7 +34,6 @@ from starpull.pullback import (
     m_ideal,
     make_instance,
     member_R,
-    member_R_product,
     member_structured,
     oracle_colon_member,
     oracle_v_member,
@@ -42,16 +41,16 @@ from starpull.pullback import (
     r_ideal,
     span_product_in,
     structured_hull,
-    t_closure_R,
     t_ideal_of_r,
-    v_closure_R,
 )
+from starpull.star_ops import StarOp, star_eval
 import reference_membership as former
 from strategies import polys, ratfuncs
 
 X = RatFunc.x_power(1)
 TWO = RatFunc.coerce(2)
 HALF = RatFunc.coerce(Fraction(1, 2))
+V_R, T_R = StarOp.divisorial("R"), StarOp.t_op("R")
 
 
 def const(x, y=0, d=1):
@@ -141,6 +140,14 @@ def formed_product_in_R(h, g, inst):
     return member_R_reference(RatFunc(h.num * g.num, h.den * g.den), inst)
 
 
+def product_in_R(h, g, inst):
+    """h*g in R without forming it: h in (R : (g)); a zero factor is a
+    zero product, which member_R decides."""
+    if h.is_zero() or g.is_zero():
+        return member_R(h * g, inst)
+    return oracle_colon_member(h, RawIdeal([g]), inst)
+
+
 class TestMemberRProduct:
     @pytest.mark.parametrize("name", instance_catalog())
     @given(data=st.data())
@@ -154,7 +161,7 @@ class TestMemberRProduct:
             g = RatFunc(g.num * h.den, g.den)
         if data.draw(st.booleans()):
             h = RatFunc(h.num * g.den, h.den)
-        assert member_R_product(h, g, inst) == formed_product_in_R(h, g, inst)
+        assert product_in_R(h, g, inst) == formed_product_in_R(h, g, inst)
         zero = ExtDModule.zero(inst.base)
         assert pullback._product_in(h, g, zero, inst) == member_M(RatFunc(h.num * g.num, h.den * g.den), inst)
 
@@ -180,8 +187,8 @@ class TestMemberRProduct:
         ]
         for h, g in cases:
             expected = formed_product_in_R(h, g, inst)
-            assert member_R_product(h, g, inst) == expected
-            assert member_R_product(g, h, inst) == expected
+            assert product_in_R(h, g, inst) == expected
+            assert product_in_R(g, h, inst) == expected
             in_m = member_M(RatFunc(h.num * g.num, h.den * g.den), inst)
             zero = ExtDModule.zero(inst.base)
             assert span_product_in(([h], None), ([g], None), zero, inst) == in_m
@@ -189,10 +196,10 @@ class TestMemberRProduct:
 
     def test_decides_membership(self, inst_a, inst_b):
         pole = RatFunc(Poly([1]), Poly([0, 1]))
-        assert member_R_product(pole, X, inst_a)
-        assert not member_R_product(pole * HALF, X, inst_a)
-        assert not member_R_product(RatFunc(Poly([1]), Poly([1, 1])), X, inst_a)
-        assert member_R_product(RatFunc(Poly([1]), Poly([1, 1])), X, inst_b)
+        assert product_in_R(pole, X, inst_a)
+        assert not product_in_R(pole * HALF, X, inst_a)
+        assert not product_in_R(RatFunc(Poly([1]), Poly([1, 1])), X, inst_a)
+        assert product_in_R(RatFunc(Poly([1]), Poly([1, 1])), X, inst_b)
 
 
 def structured_by_definition(f, s, inst):
@@ -266,7 +273,7 @@ class TestContainsIdeal:
         ideals = [r_ideal(inst), m_ideal(inst), t_ideal_of_r(inst)]
         for raw in raws:
             hull = structured_hull(raw, inst)
-            ideals += [hull, colon_R(raw, inst), v_closure_R(raw, inst), extend_to_T(raw, inst)]
+            ideals += [hull, colon_R(raw, inst), star_eval(V_R, raw, inst), extend_to_T(raw, inst)]
         ideals += [ideal_arith(s, RawIdeal([X ** e]), "mul", inst)
                    for s in ideals[:12] for e in (-1, 1)]
         inners = ideals + raws
@@ -305,7 +312,7 @@ def certified_colon_parent(colon, ideal, inst):
         gens, t_i = pullback._generators(ideal, inst)
         t_part_in_m = all(member_M_product_parent(p, t_i, inst) for p in lifts + [t])
     if (t_part_in_m and all(member_M_product_parent(t, q, inst) for q in gens)
-            and all(member_R_product(p, q, inst) for p in lifts for q in gens)):
+            and all(product_in_R(p, q, inst) for p in lifts for q in gens)):
         return lifts, t
     return None
 
@@ -329,7 +336,7 @@ class TestSpanProductIn:
         inst = make_instance(name)
         raws = sample_ideals(inst, SampleParams(seed=5, count=8))
         ideals = [*raws, *(structured_hull(raw, inst) for raw in raws),
-                  *(v_closure_R(raw, inst) for raw in raws),
+                  *(star_eval(V_R, raw, inst) for raw in raws),
                   r_ideal(inst), m_ideal(inst), t_ideal_of_r(inst)]
         contained = certified = 0
         for a in ideals:
@@ -562,7 +569,7 @@ class TestIntegerMembership:
         inst = make_instance(name)
         pairs = TestDivisibilityMemo._pairs(inst)
         raw = sample_ideals(inst, SampleParams(seed=3, count=4))[-1]
-        closed = [colon_R(raw, inst), v_closure_R(raw, inst), r_ideal(inst), m_ideal(inst)]
+        closed = [colon_R(raw, inst), star_eval(V_R, raw, inst), r_ideal(inst), m_ideal(inst)]
         scalars = []
         make, init = kernel._make, FieldElem.__init__
         for module in [m for key, m in sys.modules.items() if key.startswith("starpull")]:
@@ -570,7 +577,7 @@ class TestIntegerMembership:
                 monkeypatch.setattr(module, "_make", lambda *abnd: scalars.append(abnd) or make(*abnd))
         monkeypatch.setattr(FieldElem, "__init__", lambda *args: scalars.append(args) or init(*args))
         for h, g in pairs:
-            member_R_product(h, g, inst)
+            oracle_colon_member(h, RawIdeal([g]), inst)
             oracle_colon_member(h, raw, inst)
             for s in closed:
                 member_structured(h, s, inst)
@@ -621,7 +628,7 @@ class TestHull:
 
     def test_hull_inside_v_closure(self, inst_a):
         raw = RawIdeal([TWO, X])
-        assert contains_ideal(v_closure_R(raw, inst_a), structured_hull(raw, inst_a),
+        assert contains_ideal(star_eval(V_R, raw, inst_a), structured_hull(raw, inst_a),
                               inst_a)
 
 
@@ -682,19 +689,19 @@ class TestColonR:
 class TestVClosure:
     def test_closed_example(self, inst_a):
         raw = RawIdeal([TWO, X])
-        assert v_closure_R(raw, inst_a) == structured_hull(raw, inst_a)
+        assert star_eval(V_R, raw, inst_a) == structured_hull(raw, inst_a)
 
     def test_m_divisorial(self, inst_a, inst_b, inst_c, inst_d, inst_e):
         for inst in (inst_a, inst_b, inst_c, inst_d, inst_e):
-            assert v_closure_R(m_ideal(inst), inst) == m_ideal(inst)
+            assert star_eval(V_R, m_ideal(inst), inst) == m_ideal(inst)
 
     def test_gaussian_closure_is_t(self, inst_d):
         raw = RawIdeal([RatFunc.one(), const(0, 1, -1)])
-        assert v_closure_R(raw, inst_d) == t_ideal_of_r(inst_d)
+        assert star_eval(V_R, raw, inst_d) == t_ideal_of_r(inst_d)
 
     def test_t_equals_v_on_these_inputs(self, inst_a):
         raw = RawIdeal([TWO, X])
-        assert t_closure_R(raw, inst_a) == v_closure_R(raw, inst_a)
+        assert star_eval(T_R, raw, inst_a) == star_eval(V_R, raw, inst_a)
 
     def test_closure_laws_on_samples(self, inst_a):
         rng = random.Random(3)
@@ -710,16 +717,16 @@ class TestVClosure:
             if gens:
                 raws.append(RawIdeal(gens))
         for raw in raws:
-            closed = v_closure_R(raw, inst_a)
+            closed = star_eval(V_R, raw, inst_a)
             assert contains_ideal(closed, raw, inst_a)
-            assert v_closure_R(closed, inst_a) == closed
+            assert star_eval(V_R, closed, inst_a) == closed
             z = RatFunc(Poly([Fraction(3, 2)]))
             scaled = RawIdeal([z * g for g in raw.gens])
-            assert v_closure_R(scaled, inst_a) == as_structured(
+            assert star_eval(V_R, scaled, inst_a) == as_structured(
                 ideal_arith(RawIdeal([z]), closed, "mul", inst_a), inst_a)
         for r1, r2 in zip(raws, raws[1:]):
             join = RawIdeal(list(r1.gens) + list(r2.gens))
-            assert contains_ideal(v_closure_R(join, inst_a), v_closure_R(r1, inst_a),
+            assert contains_ideal(star_eval(V_R, join, inst_a), star_eval(V_R, r1, inst_a),
                                   inst_a)
 
 
@@ -822,8 +829,8 @@ class TestInverseImage:
         s = inverse_image_R(p, inst_c)
         assert contains_ideal(s, m_ideal(inst_c), inst_c)
         assert not contains_ideal(m_ideal(inst_c), s, inst_c)
-        assert contains_ideal(t_ideal_of_r(inst_c), v_closure_R(s, inst_c), inst_c)
-        assert not contains_ideal(v_closure_R(s, inst_c), t_ideal_of_r(inst_c), inst_c)
+        assert contains_ideal(t_ideal_of_r(inst_c), star_eval(V_R, s, inst_c), inst_c)
+        assert not contains_ideal(star_eval(V_R, s, inst_c), t_ideal_of_r(inst_c), inst_c)
 
 
 class TestOracles:
@@ -852,9 +859,9 @@ def _probe_search_v_oracle(h, raw, inst, probes):
     "in" when the closed form I^v holds it, and "inconclusive" if not.
     """
     for g in probes:
-        if not member_R_product(h, g, inst):
+        if not product_in_R(h, g, inst):
             return "out-with-witness"
-    if probes and member_structured(h, v_closure_R(raw, inst), inst):
+    if probes and member_structured(h, star_eval(V_R, raw, inst), inst):
         return "in"
     return "inconclusive"
 
@@ -883,7 +890,7 @@ def _v_population(inst, seeds=(3, 5), count=6):
         for raw in sample_ideals(inst, SampleParams(seed=seed, count=count)):
             hull = structured_hull(raw, inst)
             colon = colon_R(raw, inst)
-            closed_v = v_closure_R(hull, inst)
+            closed_v = star_eval(V_R, hull, inst)
             grid = list(raw.gens) + [raw.gens[0] * X, hull.unit * X.inv(),
                                      hull.unit * RatFunc.coerce(Fraction(1, 3))]
             if closed_v.dpart.is_lattice():
@@ -900,7 +907,7 @@ class TestExactVOracle:
         definite = 0
         for raw, colon, grid in _v_population(inst):
             probes = _certified_probes(raw, inst)
-            closed_v = v_closure_R(raw, inst)
+            closed_v = star_eval(V_R, raw, inst)
             generators = colon_generators(raw, inst, colon)
             for h in grid:
                 verdict = oracle_v_member(h, raw, inst, generators)
@@ -939,7 +946,8 @@ class TestExactVOracle:
         def refuse(*args, **kwargs):
             raise AssertionError("the oracle consulted a closed form")
 
-        monkeypatch.setattr(pullback, "v_closure_R", refuse)
+        monkeypatch.setattr(star_ops, "star_eval", refuse)
+        monkeypatch.setattr(star_ops, "_dpart_eval", refuse)
         monkeypatch.setattr(pullback, "structured_hull", refuse)
         got = [verdicts(*case) for case in cases]
         assert got == expected
@@ -983,13 +991,13 @@ class TestDivisorialTIdeals:
                     continue
                 r = RatFunc(p) * X
                 rt = as_structured(extend_to_T(RawIdeal([r]), inst), inst)
-                assert v_closure_R(rt, inst) == rt
+                assert star_eval(V_R, rt, inst) == rt
 
     def test_height_one_primes_divisorial(self, inst_a):
         # irreducible with nonzero constant term
         for p in (Poly([1, 0, 1]), Poly([2, 1]), Poly([3, 0, 0, 1])):
             ft = as_structured(extend_to_T(RawIdeal([RatFunc(p)]), inst_a), inst_a)
-            assert v_closure_R(ft, inst_a) == ft
+            assert star_eval(V_R, ft, inst_a) == ft
 
 
 class TestRawIdealValidation:

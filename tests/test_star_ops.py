@@ -28,7 +28,6 @@ from starpull.pullback import (
     r_ideal,
     structured_hull,
     t_ideal_of_r,
-    v_closure_R,
 )
 from starpull.star_ops import (
     IMPLEMENTED_R_OPS,
@@ -83,7 +82,7 @@ class TestEval:
         for raw in sample_raws(inst_a, 2, 8):
             hull = structured_hull(raw, inst_a)
             assert ideal_equal(star_eval(lift_v, hull, inst_a),
-                               v_closure_R(raw, inst_a), inst_a)
+                               star_eval(V_R, raw, inst_a), inst_a)
 
     def test_projected_t_fixes_dedekind_ideal(self, inst_c):
         p = dmod_from_generators([FieldElem(2), FieldElem(1, 1, -5)], inst_c.base)
@@ -157,14 +156,14 @@ class TestEval:
     def test_finite_type_tag_identity_on_fg(self, inst_a):
         ft = StarOp.finite_type(V_R)
         raw = RawIdeal([TWO, X])
-        assert ideal_equal(star_eval(ft, raw, inst_a), v_closure_R(raw, inst_a), inst_a)
+        assert ideal_equal(star_eval(ft, raw, inst_a), star_eval(V_R, raw, inst_a), inst_a)
 
 
 class TestMeet:
     def test_meet_idempotent(self, inst_a):
         m = star_meet(V_R, V_R)
         for raw in sample_raws(inst_a, 3, 5):
-            assert ideal_equal(star_eval(m, raw, inst_a), v_closure_R(raw, inst_a),
+            assert ideal_equal(star_eval(m, raw, inst_a), star_eval(V_R, raw, inst_a),
                                inst_a)
 
     def test_meet_with_identity_is_identity(self, inst_a):
@@ -180,7 +179,7 @@ class TestMeet:
         for raw in sample_raws(inst_a, 5, 8):
             hull = structured_hull(raw, inst_a)
             assert ideal_equal(star_eval(mix, hull, inst_a),
-                               v_closure_R(raw, inst_a), inst_a)
+                               star_eval(V_R, raw, inst_a), inst_a)
 
     def test_meet_needs_shared_target(self):
         with pytest.raises(StarEvalError):
