@@ -12,11 +12,12 @@ PARAMS = SampleParams(seed=7, count=40)
 
 RUNS = [
     ("C", "split-exact"),      # split exact class sequence, h(D) = 2
+    ("D", "split-exact"),      # qf(D) smaller than k: still split exact, all classes trivial
     ("B", "quasilocal-iso"),   # local T: all classes come from D
     ("E", "quasilocal-iso"),   # proper subfield: every invertible ideal principal
     ("A", "pvmd"),             # every finitely generated ideal t-invertible
     ("D", "pvmd"),             # fails structurally; a witness must be found
-    ("A", "extension-laws"),   # conductor fixed, extension == restriction on T
+    ("A", "extension-laws"),   # conductor fixed, (t_R)_T fixes every cT
     ("C", "pic-splitting"),    # invertible ideals decompose through (gamma, beta)
     ("D", "oracle-agreement"), # closed forms vs definitional oracles
 ]

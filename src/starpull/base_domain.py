@@ -162,7 +162,6 @@ class BaseDomain:
         self.kind = kind
         self.k_disc = k_disc
         self.ambient_dim = 1 if k_disc == 1 else 2
-        self.is_pvmd = True
         # D is the Z-span of 1 and, for an order, omega, written as rows
         # over 2; ExtDModule is immutable, so every caller shares this copy
         self._disc = disc if kind == "quadratic_order" else None
@@ -510,14 +509,14 @@ def dmod_intersect(n1: ExtDModule, n2: ExtDModule) -> ExtDModule:
         return n2
     if n2.is_full():
         return n1
-    if dom.kind == "field":
-        return n1 if n1 == n2 else ExtDModule.zero(dom)
     den = lcm(n1.den, n2.den)
     r1, r2 = _rows_over(den, n1), _rows_over(den, n2)
     dim = dom.ambient_dim
     # Zassenhaus: the rows (a, a) and (b, 0) span {(a + b, a)}, whose
     # elements with a + b == 0 have a in both lattices; in echelon form
-    # they are spanned by the rows whose first half is zero
+    # they are spanned by the rows whose first half is zero.  Over Q the
+    # two primitive directions meet in their common one or in 0, which
+    # ExtDModule.lattice normalizes to the line or to ZERO
     echelon = hnf_rows([row + row for row in r1] + [row + [0] * dim for row in r2])
     return ExtDModule.lattice(dom, den, [row[dim:] for row in echelon if not any(row[:dim])])
 
@@ -564,12 +563,8 @@ def _cyclic_generator(n: ExtDModule) -> FieldElem | None:
     if not n.is_lattice():
         return None
     dom = n.domain
-    if dom.kind == "field":
-        return n.basis_elements()[0]
-    if dom.kind == "integers":
-        if n.rank() != 1:
-            return None
-        return n.basis_elements()[0]
+    if dom.kind != "quadratic_order":
+        return n.basis_elements()[0] if n.rank() == 1 else None
     # quadratic order.  For nonzero x in n, N(x) = [D : xD] >= [D : n], with
     # equality exactly when xD = n.  So n is principal exactly when its
     # shortest vectors under the norm form N(p + q*sqrt(d)) = p^2 - d*q^2
@@ -637,11 +632,9 @@ def _ideal_of_form(form: tuple[int, int, int], dom: BaseDomain) -> ExtDModule:
 def class_label_D(n: ExtDModule) -> ClassLabel:
     """Class of an invertible module in the domain's finite presentation."""
     dom = n.domain
-    if dom.kind == "field":
-        raise DomainError("class labels require an integer-like base domain")
     if not dmod_predicates(n).is_invertible:
         raise DomainError("class label of a non-invertible module")
-    if dom.kind == "integers":
-        return ClassLabel((), ())
+    if dom.kind != "quadratic_order":
+        return ClassLabel((), ())  # Z and Q have one class each
     form = _form_of_module(n)
     return ClassLabel(dom._label_of_form[form], dom.class_presentation)

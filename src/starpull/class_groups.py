@@ -4,8 +4,9 @@ alpha sends a D-ideal class to the class of its inverse image in R,
 and gamma reads off the divisorial class of the value module of an
 R-ideal; the extension to T is pullback.extend_to_T.  Together with
 the principality and invertibility tests these realize the star class
-groups of the catalogued instances, where gamma is a complete invariant
-because every fractional T-ideal is principal.
+groups of every catalogued instance, whether or not k is the quotient
+field of D; gamma is a complete invariant because every fractional
+T-ideal is principal.
 """
 
 from __future__ import annotations
@@ -45,9 +46,12 @@ def alpha(j: ExtDModule, inst: PullbackInstance) -> StructuredIdeal:
 
 
 def gamma(h, inst: PullbackInstance) -> ClassLabel:
-    """Divisorial D-class of a t-invertible R-ideal."""
-    if not inst.is_square_plus:
-        raise ClassGroupError("gamma needs k to be the quotient field of D")
+    """Divisorial D-class of a t-invertible R-ideal.
+
+    Defined for every D inside k: an order's k is its own quotient
+    field, and Z and Q each have one class, so on any other D every
+    label is the trivial one.
+    """
     s = as_structured(h, inst)
     if s.dpart.is_full():
         raise ClassGroupError("gamma needs an invertible input; T-modules are not")

@@ -460,18 +460,6 @@ def pretty_elem(e: FieldElem) -> str:
     return _elem_str(e.a, e.b, e.n, e.d, root="√{}", times="", sep="")
 
 
-def _pretty_field_name(inst: PullbackInstance) -> str:
-    if inst.k_disc == 1:
-        return "ℚ"
-    if inst.k_disc == -1:
-        return "ℚ(i)"
-    return f"ℚ(√{inst.k_disc})"
-
-
-def pretty_t_name(inst: PullbackInstance) -> str:
-    return f"{_pretty_field_name(inst)}[X]{inst.t.suffix}"
-
-
 def _pretty_dpart(j: ExtDModule, inst: PullbackInstance) -> str:
     base = inst.base
     if base.kind == "field":
@@ -507,10 +495,10 @@ def pretty_value(value, inst: PullbackInstance) -> str:
     if isinstance(value, RawIdeal):
         return "(" + ", ".join(_pretty_ratfunc(g) for g in value.gens) + ")R"
     if isinstance(value, StructuredIdeal):
+        t_name = inst.t_name("ℚ", "√{}")
         if value.dpart.is_full():
-            gen = _pretty_ratfunc(value.unit)
-            return pretty_t_name(inst) if value.unit.is_one() else f"{gen}·{pretty_t_name(inst)}"
-        body = f"{_pretty_dpart(value.dpart, inst)} + X·{pretty_t_name(inst)}"
+            return t_name if value.unit.is_one() else f"{_pretty_ratfunc(value.unit)}·{t_name}"
+        body = f"{_pretty_dpart(value.dpart, inst)} + X·{t_name}"
         if value.unit.is_one():
             return body
         return f"{_pretty_ratfunc(value.unit)}·({body})"

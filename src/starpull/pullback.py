@@ -203,15 +203,16 @@ class PullbackInstance:
     def __repr__(self):
         return f"PullbackInstance({self.name!r})"
 
-    def k_name(self) -> str:
+    def k_name(self, rationals="Q", root="sqrt({})") -> str:
+        """k as text; a pretty printer passes its own glyphs, as for
+        kernel._elem_str."""
         if self.k_disc == 1:
-            return "Q"
-        if self.k_disc == -1:
-            return "Q(i)"
-        return f"Q(sqrt({self.k_disc}))"
+            return rationals
+        surd = "i" if self.k_disc == -1 else root.format(self.k_disc)
+        return f"{rationals}({surd})"
 
-    def t_name(self) -> str:
-        return f"{self.k_name()}[X]{self.t.suffix}"
+    def t_name(self, rationals="Q", root="sqrt({})") -> str:
+        return f"{self.k_name(rationals, root)}[X]{self.t.suffix}"
 
 
 _CATALOG_SPECS = {

@@ -434,6 +434,26 @@ class TestIntersect:
     def test_self_intersection(self):
         assert dmod_intersect(P, P) == P
 
+    @given(st.lists(st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
+                    min_size=5, max_size=5), st.booleans(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_q_lines_match_the_equality_reference(self, coords, same, full):
+        # reference: the former field branch, which met two Q-lines by
+        # equality; the generic path runs Zassenhaus on their directions
+        x1, y1, x2, y2, c = coords
+        g1 = FieldElem(x1, y1, -1)
+        g2 = g1 * FieldElem(c) if same else FieldElem(x2, y2, -1)
+        n1 = dmod_from_generators([g1], QF)
+        n2 = ExtDModule.full(QF) if full else dmod_from_generators([g2], QF)
+        if n1.is_zero() or n2.is_zero():
+            expected = ExtDModule.zero(QF)
+        elif n2.is_full():
+            expected = n1
+        else:
+            expected = n1 if n1 == n2 else ExtDModule.zero(QF)
+        assert dmod_intersect(n1, n2) == expected
+        assert dmod_intersect(n2, n1) == expected
+
 
 class TestNames:
     # the maximal order is Z[omega], with omega = (1 + sqrt(d))/2 for d = 1 mod 4

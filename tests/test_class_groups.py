@@ -124,9 +124,10 @@ class TestGamma:
         scaled = ideal_arith(RawIdeal([X]), alpha(prod, inst_c), "mul", inst_c)
         assert gamma(scaled, inst_c) == class_label_D(prime_p)
 
-    def test_gamma_needs_square_plus(self, inst_d):
-        with pytest.raises(ClassGroupError):
-            gamma(structured_hull(RawIdeal([TWO]), inst_d), inst_d)
+    def test_gamma_is_trivial_off_square_plus(self, inst_d, inst_e):
+        # Z and Q have one class each, so every label on D and E is [0]
+        for inst in (inst_d, inst_e):
+            assert str(gamma(structured_hull(RawIdeal([TWO, X]), inst), inst)) == "[0]"
 
     def test_gamma_rejects_t_module(self, inst_c):
         with pytest.raises(ClassGroupError):

@@ -16,11 +16,11 @@ from starpull.pullback import instance_catalog, make_instance
 PARAMS = SampleParams(seed=7, count=10)
 
 GOLDEN = {
-    ("extension-laws", "A"): "70a88426820dbc739c8b1e7266c17ceea06cdcf486d55adcd243663bb3a7684c",
-    ("extension-laws", "B"): "e84ab71cab5917487a21fa419e139faac278ac03b0773b4325b3dd898b200f55",
-    ("extension-laws", "C"): "7e3fe320312275082252e881c1b032fe91bc84402c3af458a7482825880fff3e",
-    ("extension-laws", "D"): "ef91f29c48ea73596c438b322e15f4c355856eb154fd6b9b3866a40a8b74627b",
-    ("extension-laws", "E"): "0cfb5d3aa0496361ff0fee3b7bca8faac098e1e0470eeebff329c542f2e6c9b1",
+    ("extension-laws", "A"): "6b8c06bd10278ab473477d0d0506f2d0b82489e2bd6aa5f3c674d283d9691d41",
+    ("extension-laws", "B"): "8f41faf1c0e2f04b8fd9e339f9632ca62ea16da67733a43607c9eff5059a4829",
+    ("extension-laws", "C"): "fa253364f5c131726b0de3aa1cd856d19f85637dc27987925e31403f2330521f",
+    ("extension-laws", "D"): "cfee004121d899be2f2bca9559a4e82ea4ee2239ec7e2ba3188915f695b2dbab",
+    ("extension-laws", "E"): "031cc356f3e4aadf3e1ccb6240584415cc68318842de0f1d53a5a59e1ebca8ca",
     ("oracle-agreement", "A"): "58d79568004987d9d52b38e7cbb69ea50c74815c8a7cd0c457081982b74a5180",
     ("oracle-agreement", "B"): "64152ecc87d409a0e8f212af9a627348046b3d92c1e6d46f416542a01f19791a",
     ("oracle-agreement", "C"): "a57d0b5d5ff3b7e8dfc13a15916a09f7fc2817f53ceccf6887162b1658115067",
@@ -29,16 +29,20 @@ GOLDEN = {
     ("pic-splitting", "A"): "0d0723cdc70100b423b96210308b14ee8422fbbec9ea42c059fcabe8388d8ea4",
     ("pic-splitting", "B"): "a830313395b742cda8e16e24c1abbd4e0cf0afe4ffa700e4be892048fdc27bfa",
     ("pic-splitting", "C"): "887177adb6b6e4ec0b1ba6eace3b4a78e5edd00551c10c30227b1e114e7a3d0d",
-    ("pvmd", "A"): "dc0ea054b44880db210e697f311e273628e0026f8c9e1fec4cc33559174d7c5e",
-    ("pvmd", "B"): "49aea85b431cbc6532941e91170a030ac2e6437f558da119240abc9f37483e0a",
-    ("pvmd", "C"): "1673598197e0baaf938ca2312cad8a07b0f85da6c20619b1530659ceac782824",
-    ("pvmd", "D"): "ee3dde80de618c4908ce5eefdfef53dd266adebf5567c19cd6940c33a26add0b",
-    ("pvmd", "E"): "3dd6b8a4ed235a4ec4e985135ad41a0bd4542ef8affd4c2e1d4315698cae5782",
+    ("pic-splitting", "D"): "973e638dcaffa2cbbe817cd2bb61150661c88dffa3529e285017de16903dcfe4",
+    ("pic-splitting", "E"): "68cd38649cb5c4b33890a7edcee1ef0880fa1118ce90b9f109027dd0c4eb10e4",
+    ("pvmd", "A"): "34e8d7cc5416f33b1dafba685ec78b51cb8a06ac89636475b3c3af64c200613a",
+    ("pvmd", "B"): "d421b03179f2e0c3d77508be246a14177bea9cfc4cbec94e7ee02c94ea0749e3",
+    ("pvmd", "C"): "dcba367f8616ad6004afb4a4daf79260e85954d013487deec56a073cd40b4a19",
+    ("pvmd", "D"): "8c6b1be82e73840182c216b8048b33a0290a201db48d1da310b53c585194ef5f",
+    ("pvmd", "E"): "d2f97a9d7eb567ad09d6b4a367a0b9fc4468cbbc129eafdd6df3727e8c95f5c1",
     ("quasilocal-iso", "B"): "d4e8ea4676ed3f5faea317d6a9156ffc13c12c9616ceccc22671af2ab58a5bb1",
     ("quasilocal-iso", "E"): "5178ed7c6af01ee57d301d5bcefdff7c37c49d55b25ab1c393c4c05676af1639",
     ("split-exact", "A"): "f904a6bf3ace9507156ece148d9cd2a39c82f62ac2faf81ef69dc81d454e1861",
     ("split-exact", "B"): "262a887513dcabd3aac286e4af30dcfed15b5a7c249c61b745faa6cc24396df1",
     ("split-exact", "C"): "b2e543858056424c815369be689252ea8e25b1489bd6028f70d6c456add2861e",
+    ("split-exact", "D"): "630bdcd46d1676909f6555ded9147a9b79103a9f56224929583779bfe91e7f42",
+    ("split-exact", "E"): "ec0bca2397e0ed526f406a187a7479ade58b20b9094f8e1b375099247109a859",
 }
 
 

@@ -13,9 +13,7 @@ from starpull.harness import (
     CHECKS,
     HarnessError,
     SampleParams,
-    STRUCTURAL_PVMD_FLAGS,
     SUITES,
-    pvmd_structural_verdict,
     replay_violation,
     run_suite,
     sample_ideals,
@@ -103,9 +101,30 @@ class TestSuiteVerdicts:
         header = rep.records[0]
         assert header["check"] == "class-group" and header["presentation"] == []
 
-    def test_split_exact_rejects_non_square_plus(self, inst_d):
-        with pytest.raises(HarnessError):
-            run_suite("split-exact", inst_d, PARAMS, T_OP)
+    def test_split_exact_passes_on_d(self, inst_d):
+        rep = run_suite("split-exact", inst_d, PARAMS, T_OP)
+        assert rep.verdict == "pass"
+        assert rep.records[0] == {"check": "class-group", "presentation": []}
+
+    @pytest.mark.parametrize("name", "DE")
+    def test_invertible_samples_are_principal_off_square_plus(self, name):
+        # Cl(D) and Cl(T) are trivial, so every t-invertible sample is
+        # principal with label [0]; the corner (1, sqrt(-1)) is not invertible,
+        # on D because (D : Z + Zi) = 0 and on E because its hull is T
+        inst = make_instance(name)
+        params = SampleParams(seed=7, count=20)
+        captured = [r for r in run_suite("split-exact", inst, params, T_OP).records
+                    if r.get("check") == "kernel-capture"]
+        invertible = [r for r in captured if r["certificates"] != "none"]
+        assert invertible
+        assert all(r["certificates"] == "principal" and r["class_label"] == "[0]"
+                   for r in invertible)
+        pic = [r for r in run_suite("pic-splitting", inst, params).records if "check" not in r]
+        assert all(r.get("skipped") == "not invertible" or (r["class_label"] == "[0]" and r["principal"])
+                   for r in pic)
+        corner = "ideal((1), ((1*sqrt(-1))))"
+        assert next(r for r in captured if r["ideal"] == corner)["certificates"] == "none"
+        assert next(r for r in pic if r["ideal"] == corner)["skipped"] == "not invertible"
 
     def test_quasilocal_on_b(self, inst_b):
         rep = run_suite("quasilocal-iso", inst_b, PARAMS, T_OP)
@@ -140,12 +159,12 @@ class TestSuiteVerdicts:
         assert class_equivalent_R(closed, alpha(normalized.dpart, inst_b),
                                   T_OP, inst_b)
 
-    def test_pvmd_structural_verdicts(self, inst_a, inst_b, inst_c, inst_d, inst_e):
-        assert pvmd_structural_verdict(inst_a)
-        assert pvmd_structural_verdict(inst_b)
-        assert pvmd_structural_verdict(inst_c)
-        assert not pvmd_structural_verdict(inst_d)
-        assert not pvmd_structural_verdict(inst_e)
+    def test_pvmd_structural_verdicts(self):
+        # R is a PvMD exactly when k is the quotient field of D
+        for name in instance_catalog():
+            record = run_suite("pvmd", make_instance(name), SampleParams(seed=7, count=1)).records[0]
+            assert record == {"check": "structural-flags", "pvmd": name in "ABC",
+                              "qf_D_is_k": name in "ABC"}
 
     def test_pvmd_witness_on_d(self, inst_d):
         rep = run_suite("pvmd", inst_d, PARAMS, T_OP)
@@ -170,12 +189,6 @@ class TestSuiteVerdicts:
         # as in the other suites, w is evaluated through its finite-type companion t
         w_report = run_suite("pvmd", inst_d, PARAMS, StarOp.w_op("R"))
         assert w_report.to_json() == run_suite("pvmd", inst_d, PARAMS, T_OP).to_json()
-
-    def test_pvmd_structural_records(self, inst_a):
-        rep = run_suite("pvmd", inst_a, PARAMS, T_OP)
-        structural = [r for r in rep.records if r.get("check") == "structural-only"]
-        assert len(structural) == len(STRUCTURAL_PVMD_FLAGS)
-        assert all(not r["pvmd"] for r in structural)
 
     def test_extension_laws(self, inst_b):
         rep = run_suite("extension-laws", inst_b, PARAMS)
@@ -324,7 +337,6 @@ class TestReplay:
         ("D", "gamma-alpha-identity", {"j": "ideal(1, sqrt(-1))"}),  # (1, i) is not invertible
         ("D", "alpha-invertible", {"j": "ideal(1, sqrt(-1))", "op": "t"}),
         ("D", "alpha-injective", {"j1": "ideal(1, sqrt(-1))", "j2": "ideal(1)", "op": "t"}),
-        ("E", "label-vs-principal", {"j": "ideal(1)", "op": "d"}),  # no class labels over Q
     ])
     def test_a_witness_outside_its_check_is_a_harness_error(self, name, check, witness):
         # the check function refuses the values with a ClassGroupError or
@@ -336,7 +348,7 @@ class TestReplay:
         ("pvmd-sample", {"ideal": 3, "op": "t"}, "ideal"),  # not text
         ("pvmd-sample", {"ideal": "2", "op": "t"}, "ideal"),  # an element for an ideal
         ("rT-divisorial", {"r": "ideal(X)"}, "r"),  # an ideal for an element
-        ("ext-vs-rest", {"c": None}, "c"),
+        ("cT-fixed", {"c": None}, "c"),
         ("trivial-class", {"ideal": "gamma(ideal(2))", "normalized": "hull(ideal(1, X))",
                            "op": "t"}, "ideal"),  # a class label
         ("kernel-capture", {"ideal": "ideal(2, X)", "op": "t"}, "ideal"),  # not structured
@@ -344,7 +356,7 @@ class TestReplay:
         ("v-agreement", {"ideal": "ideal(2, X)", "element": "sqrt(-3)"}, "element"),  # not in k
         ("gamma-alpha-identity", {"j": 5}, "j"),
         ("rT-divisorial", {"r": "0"}, "r"),  # zero generates no ideal
-        ("ext-vs-rest", {"c": "0"}, "c"),
+        ("cT-fixed", {"c": "0"}, "c"),
     ])
     def test_malformed_witness_names_its_field(self, inst_a, check, witness, field):
         with pytest.raises(HarnessError, match=f"witness field '{field}'"):
@@ -378,7 +390,7 @@ class TestReplay:
             "witness-oracle": ({"ideal": "ideal(1, sqrt(-1))"}, inst_d, False),
             "M-fixed": ({"op": "t"}, inst_a, False),
             "rT-divisorial": ({"r": "(2*X)"}, inst_a, False),
-            "ext-vs-rest": ({"c": "(2 + X)"}, inst_a, False),
+            "cT-fixed": ({"c": "(2 + X)"}, inst_a, False),
             "t-vs-v-extension": ({"c": "(2 + X)"}, inst_a, False),
             "alpha-invertible": ({"j": "ideal(2, 1+sqrt(-5))", "op": "d"}, inst_c, False),
             "label-vs-principal": ({"j": "ideal(2, 1+sqrt(-5))", "op": "d"}, inst_c, False),
