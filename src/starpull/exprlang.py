@@ -72,6 +72,7 @@ MAX_GENERATORS = 256
 MAX_VALUE_DEGREE = MAX_POWER_DEGREE + 1
 MAX_VALUE_BITS = 8 * MAX_POWER_BITS
 _CHAINED = ("pow", "add", "sub", "mul", "div")
+_SCALARS = (FieldElem, RatFunc)
 # binary operators: the node kind and the precedence level
 _BINARY = {"+": ("add", 1), "-": ("sub", 1), "*": ("mul", 2), "/": ("div", 2)}
 # a token is a run of decimal digits, a name or one other non-space
@@ -224,23 +225,24 @@ class PrincipalAnswer(FrozenValue):
 def evaluate(node: Node, inst: PullbackInstance):
     """Evaluate an AST against an instance; returns a scalar, an ideal
     (a T-ideal is a structured ideal with full D-part), a class label,
-    or a PrincipalAnswer."""
+    or a PrincipalAnswer.  A subexpression with no X stays a FieldElem,
+    which becomes a RatFunc where it meets another type and on return."""
     def ev(n: Node):
         if n.kind == "int":
-            return RatFunc.coerce(n.value)
+            return _make(n.value, 0, 1, 1)
         if n.kind == "var":
             return RatFunc.x_power(1)
         if n.kind == "sqrt":
             d = n.value
             if d == 1:
-                return RatFunc.one()
+                return _make(1, 0, 1, 1)
             if d != inst.k_disc:
                 raise ExprError(f"sqrt({d}) does not lie in {inst.k_name()}", n.pos)
             # k_disc is squarefree already, so the surd is built from its integers
-            return RatFunc.coerce(_make(0, 1, 1, d))
+            return _make(0, 1, 1, d)
         if n.kind == "neg":
             val = ev(n.children[0])
-            if isinstance(val, RatFunc):
+            if isinstance(val, _SCALARS):
                 return -val
             raise ExprError("negation applies to scalars", n.pos)
         if n.kind in _CHAINED:
@@ -259,11 +261,11 @@ def evaluate(node: Node, inst: PullbackInstance):
             gens = []
             for child in n.children:
                 val = ev(child)
-                if not isinstance(val, RatFunc):
+                if not isinstance(val, _SCALARS):
                     raise ExprError("ideal generators must be scalars", child.pos)
                 if val.is_zero():
                     raise ExprError("zero generator rejected", child.pos)
-                gens.append(val)
+                gens.append(RatFunc.coerce(val))
             return RawIdeal(gens)
         if n.kind == "call":
             return _bounded(_call(n, ev(n.children[0]), inst), n)
@@ -277,7 +279,7 @@ def evaluate(node: Node, inst: PullbackInstance):
     if degree > MAX_POWER_DEGREE or bits > MAX_POWER_BITS:
         raise ExprError(f"value past degree {MAX_POWER_DEGREE} or {MAX_POWER_BITS} bits",
                         node.pos)
-    return value
+    return _lift(value)
 
 
 def _bounded(value, node: Node):
@@ -292,7 +294,11 @@ def _bounded(value, node: Node):
 def _size(value) -> tuple[int, int]:
     """Largest numerator or denominator degree, and largest bit length of
     an integer a, b or n of a coefficient or of the D-part's stored lattice,
-    among what value_to_expr prints for a value; (-1, 0) for other values."""
+    among what value_to_expr prints for a value; (-1, 0) for other values.
+    A FieldElem reads as the constant RatFunc it stands for."""
+    if type(value) is FieldElem:
+        a, b, n, _ = value._abnd
+        return 0, (abs(a) | abs(b) | n).bit_length()
     if isinstance(value, RatFunc):
         num, den = value.num, value.den
         return max(num.degree, den.degree), max(num.bit_length(), den.bit_length())
@@ -309,7 +315,7 @@ def _size(value) -> tuple[int, int]:
 
 
 def _power(node: Node, f):
-    if not isinstance(f, RatFunc):
+    if not isinstance(f, _SCALARS):
         raise ExprError("powers apply to scalars", node.pos)
     n = abs(node.value)
     degree, bits = _size(f)
@@ -319,8 +325,10 @@ def _power(node: Node, f):
 
 
 def _binop(node: Node, lhs, rhs, inst: PullbackInstance):
-    scalar_l = isinstance(lhs, RatFunc)
-    scalar_r = isinstance(rhs, RatFunc)
+    if type(lhs) is not type(rhs):
+        lhs, rhs = _lift(lhs), _lift(rhs)
+    scalar_l = isinstance(lhs, _SCALARS)
+    scalar_r = isinstance(rhs, _SCALARS)
     if scalar_l and scalar_r:
         if node.kind == "add":
             return lhs + rhs
@@ -351,6 +359,11 @@ def _binop(node: Node, lhs, rhs, inst: PullbackInstance):
     return ideal_arith(lhs, rhs, op, inst)
 
 
+def _lift(value):
+    """A FieldElem as the constant RatFunc, other values as they are."""
+    return RatFunc.coerce(value) if type(value) is FieldElem else value
+
+
 def _promote(value, node: Node):
     if isinstance(value, RatFunc):
         if node.kind == "add":
@@ -366,7 +379,7 @@ def _promote(value, node: Node):
 def _call(node: Node, arg, inst: PullbackInstance):
     from .class_groups import ClassGroupError, alpha, gamma, is_principal_R
 
-    name = node.value
+    name, arg = node.value, _lift(arg)
     if name == "alpha":
         if not (isinstance(arg, RawIdeal) and all(g.is_constant() for g in arg.gens)):
             raise ExprError("alpha takes an ideal of constant generators", node.pos)

@@ -53,6 +53,7 @@ from .pullback import (
     oracle_colon_member,
     oracle_v_member,
     outside_D,
+    product_shifts_in,
     span_product_in,
     structured_hull,
 )
@@ -667,8 +668,14 @@ def _pic_splitting(inst: PullbackInstance, op: StarOp, params: SampleParams) -> 
 
 
 def _oracle_agreement(inst: PullbackInstance, op: StarOp, params: SampleParams) -> Report:
-    """Closed-form colon and divisorial closure never contradict the oracles."""
+    """Closed-form colon and divisorial closure never contradict the oracles.
+
+    The colon's degree window, b*X^j for j in 1..degree_window and -1 and
+    b the first generator or lift, is decided from leading terms; a shift
+    where the two disagree goes to colon-agreement, which must then fail.
+    """
     rep = Report("oracle-agreement", inst.name, params)
+    shifts = [*range(1, params.degree_window + 1), -1]
     for raw in sample_ideals(inst, params):
         rep.n_samples += 1
         before = len(rep.violations)
@@ -677,29 +684,43 @@ def _oracle_agreement(inst: PullbackInstance, op: StarOp, params: SampleParams) 
         # colon_generators; a failure there makes the v-oracle inconclusive
         closed_colon = colon_R(hull, inst)
         closed_v = star_eval(StarOp.divisorial("R"), hull, inst)
-        colon_grid = _agreement_grid(raw, closed_colon, params.degree_window, inst)
-        for g in colon_grid:
+        lifts = lift_generators(closed_colon, inst)
+        for g in (*raw.gens, *lifts):
             _decide(rep, _colon_agreement, inst, op, ideal=raw, element=g,
                     closed_colon=closed_colon)
+        bases = (raw.gens[0], lifts[0])
+        for b in bases:
+            window = _window_verdicts(b, raw, closed_colon, shifts, inst)
+            for j, (oracle, closed) in zip(shifts, window):
+                if oracle != closed:
+                    found = len(rep.violations)
+                    _decide(rep, _colon_agreement, inst, op, ideal=raw, element=b.shift(j),
+                            closed_colon=closed_colon)
+                    if len(rep.violations) == found:
+                        raise AssertionError(f"the degree window disagrees with colon-agreement "
+                                             f"at X^{j} * {value_to_expr(b, inst)}")
         generators = colon_generators(raw, inst, closed_colon)
         v_grid = _v_grid(raw, hull, closed_v, inst)
         for h in v_grid:
             _decide(rep, _v_agreement, inst, op, ideal=raw, element=h,
                     closed_v=closed_v, generators=generators)
         rep.records.append({"ideal": value_to_expr(raw, inst),
-                            "grid": len(colon_grid) + len(v_grid),
+                            "grid": len(raw.gens) + len(lifts) + len(bases) * len(shifts)
+                            + len(v_grid),
                             "contradictions": len(rep.violations) - before})
     return rep
 
 
-def _agreement_grid(raw: RawIdeal, closed_colon, degree: int, inst) -> list[RatFunc]:
-    lifts = lift_generators(closed_colon, inst)
-    out = list(raw.gens) + lifts
-    for b in list(raw.gens[:1]) + lifts[:1]:
-        for j in range(1, degree + 1):
-            out.append(b.shift(j))
-        out.append(b.shift(-1))
-    return out
+def _window_verdicts(b: RatFunc, raw: RawIdeal, closed_colon: StructuredIdeal, shifts,
+                     inst: PullbackInstance) -> list[tuple[bool, bool]]:
+    """(oracle, closed) for each j in shifts: whether b*X^j*f lies in R for
+    every generator f of raw, and whether b*X^j lies in the closed colon
+    u*phi^-1(J), that is b*X^j/u in phi^-1(J); each product's shifts are
+    read from its one leading term (product_shifts_in)."""
+    d_module = inst.base.unit_module()
+    oracle = [product_shifts_in(b, f, d_module, shifts, inst) for f in raw.gens]
+    closed = product_shifts_in(b, closed_colon._unit_inv, closed_colon.dpart, shifts, inst)
+    return [(all(column), inside) for column, inside in zip(zip(*oracle), closed)]
 
 
 def _v_grid(raw: RawIdeal, hull, closed_v, inst) -> list[RatFunc]:

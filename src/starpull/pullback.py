@@ -8,10 +8,11 @@ origin and phi is evaluation at zero, so R = {f in T : f(0) in D}.
 In K[X], whether a product h*g lies in T and its value at zero are read
 from X-orders and lowest coefficients, with no quotient polynomial; the
 one division left, between X-free parts, is memoized, so the products
-of h by X^j share it.  In both kinds the value at zero is computed on
-the coefficients' integers (Poly.coeff_ints) and stays an integer
-quadruple, which the module decides as it is: no scalar is built per
-test.
+of h by X^j share it.  leading_term reads the X-order and the value at
+zero of h*g once, and they decide every h*g*X^j.  In both kinds the
+value at zero is computed on the coefficients' integers
+(Poly.coeff_ints) and stays an integer quadruple, which the module
+decides as it is: no scalar is built per test.
 
 Ideals of R come in two flavors.  A ``RawIdeal`` is a finite list of
 nonzero generators in K(X).  A ``StructuredIdeal`` is the closed form
@@ -66,6 +67,15 @@ class PullbackError(ValueError):
     """Ill-formed instance request or unsupported ideal operation."""
 
 
+def _leading_term(h: RatFunc, g: RatFunc) -> tuple:
+    """(e, c) for h*g = X^e*w with c = w(0) nonzero: X-orders add, and c is
+    the lowest coefficients' quotient, an integer quadruple as in at_zero."""
+    a, b, c, d = h.num, g.num, h.den, g.den
+    i, j, k, m = a.ord_zero(), b.ord_zero(), c.ord_zero(), d.ord_zero()
+    return i + j - k - m, _over(_times(a.coeff_ints(i), b.coeff_ints(j)),
+                                _times(c.coeff_ints(k), d.coeff_ints(m)))
+
+
 class _PolyT:
     """T = K[X], whose units are the nonzero constants."""
 
@@ -103,6 +113,16 @@ class _PolyT:
         v2 = _quotient_at_zero(h.num, gd)
         return None if v2 is None else _times(v1, v2)
 
+    def leading_term(self, h: RatFunc, g: RatFunc) -> tuple | None:
+        """_leading_term(h, g), or None when its w is outside T: by the rule
+        in at_zero, unless b' | c' and d' | a' for the X-free parts of
+        h = a/b and g = c/d."""
+        a, b, c, d = h.num, h.den, g.num, g.den
+        if (_x_free_divides(b, b.ord_zero(), c, c.ord_zero())
+                and _x_free_divides(d, d.ord_zero(), a, a.ord_zero())):
+            return _leading_term(h, g)
+        return None
+
     def normalize(self, u: RatFunc) -> tuple[RatFunc, FieldElem]:
         """(u/c, c) for c the leading coefficient of u's numerator."""
         c = u.num.leading()
@@ -132,9 +152,10 @@ class _LocalT:
     quasilocal = True
     suffix = "_(X)"
 
+    leading_term = staticmethod(_leading_term)
+
     def at_zero(self, h: RatFunc, g: RatFunc) -> tuple | None:
-        # X-orders add and the values at zero of the X-free parts multiply:
-        # the lowest coefficients' quotient, an integer quadruple as in _PolyT
+        # as _leading_term, with no quotient formed when the X-order is not 0
         a, b, c, d = h.num, g.num, h.den, g.den
         i, j, k, m = a.ord_zero(), b.ord_zero(), c.ord_zero(), d.ord_zero()
         e = i + j - k - m
@@ -168,22 +189,28 @@ _DIVIDES_CACHE: dict[tuple[Poly, Poly], bool] = {}
 def _quotient_at_zero(c: Poly, b: Poly) -> tuple | None:
     """(c/b)(0) as an integer quadruple (a, b, n, d), not reduced, when
     the monic b divides the nonzero c, else None, by the rule in
-    _PolyT.at_zero.  The X-free test b' | c' is the same for every b*X^j
-    and c*X^j, so it is decided once and then read from a memo."""
+    _PolyT.at_zero."""
     if b.is_one():
         return c.coeff_ints(0)
     k, m = b.ord_zero(), c.ord_zero()
-    if k > m or b.degree - k > c.degree - m:
+    if k > m or not _x_free_divides(b, k, c, m):
         return None
-    b1, c1 = b.shift(-k), c.shift(-m)
-    if not b1.is_one():
-        key = (b1, c1)
-        divides = _DIVIDES_CACHE.get(key)
-        if divides is None:
-            divides = _memo_put(_DIVIDES_CACHE, key, (c1 % b1).is_zero())
-        if not divides:
-            return None
     return (0, 0, 1, 1) if k < m else _over(c.coeff_ints(k), b.coeff_ints(k))
+
+
+def _x_free_divides(b: Poly, k: int, c: Poly, m: int) -> bool:
+    """b' | c' for b' = b/X^k and c' = c/X^m, the X-free parts of the
+    monic b and the nonzero c; the same for every b*X^j and c*X^j, so
+    decided once and then read from a memo."""
+    if b.degree - k > c.degree - m:
+        return False
+    if b.degree == k:
+        return True
+    key = (b.shift(-k), c.shift(-m))
+    divides = _DIVIDES_CACHE.get(key)
+    if divides is None:
+        divides = _memo_put(_DIVIDES_CACHE, key, (key[1] % key[0]).is_zero())
+    return divides
 
 
 class PullbackInstance:
@@ -395,6 +422,20 @@ def _product_in(h: RatFunc, g: RatFunc, j: ExtDModule, inst: PullbackInstance) -
         return True
     value = inst.t.at_zero(h, g)
     return value is not None and j.contains(*value)
+
+
+def product_shifts_in(h: RatFunc, g: RatFunc, j: ExtDModule, shifts,
+                      inst: PullbackInstance) -> list[bool]:
+    """Whether h*g*X^s lies in phi^-1(J), for each s in shifts and nonzero
+    h and g, from one leading term.  For h*g = X^e*w with w(0) nonzero,
+    h*g*X^s lies there exactly when s > -e, as 0 lies in every J, or when
+    s = -e and w does; for no s when w is outside T."""
+    term = inst.t.leading_term(h, g)
+    if term is None:
+        return [False] * len(shifts)
+    e = term[0]
+    at_e = -e in shifts and _product_in(h.shift(-e), g, j, inst)
+    return [s > -e or s == -e and at_e for s in shifts]
 
 
 def contains_ideal(outer, inner, inst: PullbackInstance) -> bool:

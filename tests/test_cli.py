@@ -40,7 +40,7 @@ from starpull.pullback import (
 from starpull.star_ops import StarOp, star_eval
 import reference_parser
 import reference_printers
-from strategies import ratfuncs
+from strategies import elems, ratfuncs
 
 V_R = StarOp.divisorial("R")
 
@@ -174,6 +174,25 @@ class TestEvaluation:
         one_plus_x = evaluate(parse_expression("X + 1"), inst_c)
         assert evaluate(parse_expression("sqrt(1) + X"), inst_c) == one_plus_x
         assert not calls
+
+    @pytest.mark.parametrize("d", [1, -1, -5, 2])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_a_constant_is_bounded_as_its_ratfunc(self, d, data):
+        # an X-free subexpression stays a FieldElem, whose size is that of
+        # the constant RatFunc it becomes, zero and large integers included
+        big = st.integers(-2**80, 2**80)
+        large = st.builds(lambda a, b, n: FieldElem(Fraction(a, n), b if d != 1 else 0, d),
+                          big, big, st.integers(1, 2**70))
+        c = data.draw(st.one_of(st.just(FieldElem(0)), elems(d), large))
+        assert exprlang._size(c) == exprlang._size(RatFunc.coerce(c))
+
+    def test_constants_are_returned_as_ratfuncs(self, inst_c):
+        for text in ("1/2 + sqrt(-5)", "(2 - sqrt(-5))^-2", "-3", "sqrt(1)"):
+            value = evaluate(parse_expression(text), inst_c)
+            assert type(value) is RatFunc and value.is_constant(), text
+        ideal = evaluate(parse_expression("ideal(2, 1 + sqrt(-5))"), inst_c)
+        assert all(type(g) is RatFunc for g in ideal.gens)
 
     def test_x_powers(self, inst_a):
         val = evaluate(parse_expression("X^3"), inst_a)

@@ -18,16 +18,23 @@ from starpull.harness import (
     run_suite,
     sample_ideals,
 )
-from starpull.kernel import RatFunc
+from starpull.exprlang import evaluate, parse_expression
+from starpull.kernel import RatFunc, _make
 from starpull.pullback import (
     PullbackInstance,
     RawIdeal,
+    colon_R,
     ideal_arith,
     instance_catalog,
+    lift_generators,
     make_instance,
+    member_structured,
+    oracle_colon_member,
+    structured_hull,
 )
 from starpull.star_ops import StarOp, star_eval
 
+import reference_membership as former
 import reference_samplers
 
 T_OP = StarOp.t_op("R")
@@ -442,11 +449,46 @@ class TestReplay:
 
         monkeypatch.setattr(harness, closed_form, faulty)
         report = run_suite("oracle-agreement", inst_a, SampleParams(seed=3, count=3,
-                                                                    degree_window=4))
+                                                                    degree_window=12))
         assert report.violations
+        if closed_form == "colon_R":
+            # the window reports its shifts through colon-agreement itself
+            assert any(self._is_window_shift(v, inst_a) for v in report.violations)
         assert all(replay_violation(v, inst_a) for v in report.violations)
         monkeypatch.undo()
         assert not any(replay_violation(v, inst_a) for v in report.violations)
+
+    @staticmethod
+    def _is_window_shift(violation, inst):
+        """A colon-agreement witness b*X^j, j != 0, for b the first generator
+        or the first lift of the (patched) closed colon, that is neither a
+        generator nor a lift."""
+        if violation["check"] != "colon-agreement":
+            return False
+        raw, element = (evaluate(parse_expression(violation["witness"][name]), inst)
+                        for name in ("ideal", "element"))
+        lifts = lift_generators(harness.colon_R(structured_hull(raw, inst), inst), inst)
+        return element not in (*raw.gens, *lifts) and any(
+            element == b.shift(j) for b in (raw.gens[0], lifts[0]) for j in range(-1, 13) if j)
+
+    def test_a_wrong_leading_term_is_refused(self, inst_a, monkeypatch):
+        # on I = (2/X), whose colon X*phi^-1(Z/2) holds 2/X * X^2, a leading
+        # term of 2/X * 2/X read at X-order -3 puts that shift outside the
+        # colon for the window, while colon-agreement, deciding the element,
+        # finds no fault; the suite must not pass that disagreement over
+        gen = RatFunc.x_power(-1) * 2
+        monkeypatch.setattr(harness, "sample_ideals", lambda inst, params: [RawIdeal([gen])])
+        kind = type(inst_a.t)
+        true_term = kind.leading_term
+
+        def wrong(self, h, g):
+            e, c = true_term(self, h, g)
+            return (e - 1, c) if g == gen else (e, c)
+
+        assert run_suite("oracle-agreement", inst_a, PARAMS).verdict == "pass"
+        monkeypatch.setattr(kind, "leading_term", wrong)
+        with pytest.raises(AssertionError, match="degree window"):
+            run_suite("oracle-agreement", inst_a, PARAMS)
 
     def test_unregistered_check_cannot_be_emitted(self, inst_a):
         def rogue(inst, op, fail):
@@ -459,6 +501,36 @@ class TestReplay:
         functions = list(SUITES.values()) + [fn for fn, _ in CHECKS.values()]
         assert all(fn.__name__.startswith("_") for fn in functions)
         assert not [name for name in vars(harness) if name.startswith("verify_")]
+
+
+class TestDegreeWindow:
+    """oracle-agreement's degree window is decided from one leading term
+    per product; its verdicts are those of the per-element tests."""
+
+    @pytest.mark.parametrize("name", instance_catalog())
+    @given(seed=st.integers(0, 30), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_window_verdicts_equal_the_per_element_tests(self, name, seed, data):
+        inst = make_instance(name)
+        # the first 5 to 7 ideals are the fixed corner cases, the rest are seeded
+        raw = data.draw(st.sampled_from(sample_ideals(inst, SampleParams(seed=seed, count=10))))
+        closed_colon = colon_R(structured_hull(raw, inst), inst)
+        shifts = list(range(-3, SampleParams().degree_window + 1))
+        at_zero = former.local_at_zero if inst.t.quasilocal else former.poly_at_zero
+        for b in (*raw.gens, *lift_generators(closed_colon, inst)):
+            window = harness._window_verdicts(b, raw, closed_colon, shifts, inst)
+            for j, (oracle, closed) in zip(shifts, window):
+                element = b.shift(j)
+                assert oracle == oracle_colon_member(element, raw, inst), (b, j)
+                assert closed == member_structured(element, closed_colon, inst), (b, j)
+            # read at e == 0, a leading term is the former scalar value at zero
+            for g in (*raw.gens, closed_colon._unit_inv):
+                term = inst.t.leading_term(b, g)
+                if term is None:
+                    assert all(at_zero(b.shift(j), g) is None for j in shifts), (b, g)
+                else:
+                    e, c = term
+                    assert c[2] > 0 and _make(*c) == at_zero(b.shift(-e), g), (b, g)
 
 
 class TestSuiteComposition:

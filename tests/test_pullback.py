@@ -402,6 +402,14 @@ class TestTKindContract:
         product = RatFunc(h.num * g.num, h.den * g.den)
         expected = eval_at_zero(product) if member_T(product, inst) else None
         assert reduced(kind.at_zero(h, g)) == expected
+        # leading_term(h, g) is the X-order e of h*g and the value at zero
+        # of w = h*g/X^e, or None, in K[X] alone, when w is outside T
+        e, w = ord_at_zero(product), product.shift(-ord_at_zero(product))
+        term = kind.leading_term(h, g)
+        if term is None:
+            assert not kind.quasilocal and not member_T(w, inst)
+        else:
+            assert term[0] == e and member_T(w, inst) and reduced(term[1]) == eval_at_zero(w)
         # generator(fs) is the first of the fs of least X-order, and it
         # generates the same T-ideal as content(fs)
         if kind.quasilocal:
@@ -448,23 +456,30 @@ class TestDivisibilityMemo:
         assert [inst.t.at_zero(h, g) for h, g in pairs] == memo
         assert not divisions
 
-    def test_oracle_agreement_divides_once_per_x_free_pair(self, inst_a, empty_memos, monkeypatch):
-        # the shifts b*X^j of a grid element share their X-free parts, so a
-        # report on A at seed 7 makes at most 150 divisions from empty
-        # memos; forming each quotient made 507
-        divisions = []
-        divmod_ = Poly.__divmod__
-        monkeypatch.setattr(Poly, "__divmod__", lambda f, g: divisions.append(1) or divmod_(f, g))
-        report = harness.run_suite("oracle-agreement", inst_a,
+    @staticmethod
+    def _counted_report(inst, monkeypatch, owner, attr):
+        """The number of calls of owner.attr in one oracle-agreement report
+        on inst at seed 7, count 10, degree window 12."""
+        calls = []
+        original = getattr(owner, attr)
+        monkeypatch.setattr(owner, attr, lambda *args: calls.append(1) or original(*args))
+        report = harness.run_suite("oracle-agreement", inst,
                                    SampleParams(seed=7, count=10, degree_window=12))
         assert report.n_samples == 10 and not report.violations
-        assert len(divisions) <= 150
+        return len(calls)
+
+    def test_oracle_agreement_divides_once_per_x_free_pair(self, inst_a, empty_memos, monkeypatch):
+        # the shifts b*X^j of a grid element share their X-free parts, so a
+        # report on A at seed 7 makes 23 divisions from empty memos (at most
+        # 30 allowed); forming each quotient made 507
+        assert self._counted_report(inst_a, monkeypatch, Poly, "__divmod__") <= 30
 
     def test_oracle_agreement_builds_one_scalar_per_membership_test(self, inst_a, empty_memos,
                                                                      monkeypatch):
         # a value at zero stays in integers until one reduced scalar is
-        # built, so the same report as above calls kernel._make at most
-        # 1,300 times from empty memos; three scalars per test made 3,032
+        # built, so the same report as above calls kernel._make 170 times
+        # from empty memos (at most 200 allowed); three scalars per test
+        # made 3,032
         scalars = []
         make = kernel._make
         bound = [module for name, module in sys.modules.items()
@@ -474,7 +489,15 @@ class TestDivisibilityMemo:
         report = harness.run_suite("oracle-agreement", inst_a,
                                    SampleParams(seed=7, count=10, degree_window=12))
         assert report.n_samples == 10 and not report.violations
-        assert len(scalars) <= 1300
+        assert len(scalars) <= 200
+
+    def test_oracle_agreement_decides_the_window_from_leading_terms(self, inst_a, empty_memos,
+                                                                     monkeypatch):
+        # the 13 shifts of each window base are read from one leading term
+        # per product, so the same report as above reads 317 values at zero
+        # from empty memos (at most 360 allowed); deciding each shift as an
+        # element read 994
+        assert self._counted_report(inst_a, monkeypatch, type(inst_a.t), "at_zero") <= 360
 
 
 def _lowest(p):
