@@ -671,7 +671,7 @@ def _oracle_agreement(inst: PullbackInstance, op: StarOp, params: SampleParams) 
     """Closed-form colon and divisorial closure never contradict the oracles.
 
     The colon's degree window, b*X^j for j in 1..degree_window and -1 and
-    b the first generator or lift, is decided from leading terms; a shift
+    b the first generator or lift, is decided from X-orders; a shift
     where the two disagree goes to colon-agreement, which must then fail.
     """
     rep = Report("oracle-agreement", inst.name, params)
@@ -716,7 +716,8 @@ def _window_verdicts(b: RatFunc, raw: RawIdeal, closed_colon: StructuredIdeal, s
     """(oracle, closed) for each j in shifts: whether b*X^j*f lies in R for
     every generator f of raw, and whether b*X^j lies in the closed colon
     u*phi^-1(J), that is b*X^j/u in phi^-1(J); each product's shifts are
-    read from its one leading term (product_shifts_in)."""
+    read from its one X-order, pullback._x_order, and its one value at
+    zero at the shift j = -e (product_shifts_in)."""
     d_module = inst.base.unit_module()
     oracle = [product_shifts_in(b, f, d_module, shifts, inst) for f in raw.gens]
     closed = product_shifts_in(b, closed_colon._unit_inv, closed_colon.dpart, shifts, inst)
@@ -767,11 +768,13 @@ def replay_violation(violation: dict, inst: PullbackInstance) -> bool:
     A witness that cannot be read, or that the check function refuses as
     outside its domain (ClassGroupError, DomainError), raises HarnessError.
     """
-    check = violation["check"]
+    if not (isinstance(violation, dict) and isinstance(violation.get("check"), str)
+            and isinstance(violation.get("witness"), dict)):
+        raise HarnessError("a violation is a mapping with a string 'check' and a mapping 'witness'")
+    check, data = violation["check"], violation["witness"]
     if check not in CHECKS:
         raise HarnessError(f"no check named {check!r}")
     fn, fields = CHECKS[check]
-    data = violation["witness"]
     if not set(fields) <= set(data):
         raise HarnessError(f"a {check!r} witness needs the fields {sorted(fields)}")
     values = {name: _read(name, kind, data[name], inst) for name, kind in fields.items()}

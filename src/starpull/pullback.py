@@ -2,17 +2,19 @@
 
 T is one of the kinds in _T_KINDS: the polynomial ring K[X] over a
 computable field K, or its localization K[X]_(X).  Each fact that
-depends on the kind (values at zero, canonical generators, contents,
-names) is read off that table.  M = X*T is the maximal ideal at the
-origin and phi is evaluation at zero, so R = {f in T : f(0) in D}.
-In K[X], whether a product h*g lies in T and its value at zero are read
-from X-orders and lowest coefficients, with no quotient polynomial; the
-one division left, between X-free parts, is memoized, so the products
-of h by X^j share it.  leading_term reads the X-order and the value at
-zero of h*g once, and they decide every h*g*X^j.  In both kinds the
-value at zero is computed on the coefficients' integers
-(Poly.coeff_ints) and stays an integer quadruple, which the module
-decides as it is: no scalar is built per test.
+depends on the kind (the X-free divisibility test, canonical
+generators, contents, names) is read off that table.  M = X*T is the
+maximal ideal at the origin and phi is evaluation at zero, so
+R = {f in T : f(0) in D}.  One rule decides whether a product h*g lies
+in T and what phi(h*g) is, for every kind: _x_order reads the X-order e
+of h*g = X^e*w and asks the kind whether w lies in T, and _at_zero
+reads phi(h*g) from e and the lowest coefficients.  No quotient
+polynomial is formed; K[X]'s one division, between X-free parts, is
+memoized, so the products of h by X^j share it, and one X-order
+decides every h*g*X^j (product_shifts_in).  The value at zero is
+computed on the coefficients' integers (Poly.coeff_ints) and stays an
+integer quadruple, which the module decides as it is: no scalar is
+built per test.
 
 Ideals of R come in two flavors.  A ``RawIdeal`` is a finite list of
 nonzero generators in K(X).  A ``StructuredIdeal`` is the closed form
@@ -67,13 +69,54 @@ class PullbackError(ValueError):
     """Ill-formed instance request or unsupported ideal operation."""
 
 
-def _leading_term(h: RatFunc, g: RatFunc) -> tuple:
-    """(e, c) for h*g = X^e*w with c = w(0) nonzero: X-orders add, and c is
-    the lowest coefficients' quotient, an integer quadruple as in at_zero."""
-    a, b, c, d = h.num, g.num, h.den, g.den
-    i, j, k, m = a.ord_zero(), b.ord_zero(), c.ord_zero(), d.ord_zero()
-    return i + j - k - m, _over(_times(a.coeff_ints(i), b.coeff_ints(j)),
-                                _times(c.coeff_ints(k), d.coeff_ints(m)))
+def _x_order(h: RatFunc, g: RatFunc, t) -> int | None:
+    """The X-order e of h*g = X^e*w, with w(0) nonzero, when w lies in T,
+    else None; h and g are nonzero.
+
+    For canonical h = a/b and g = c/d write a = X^i*a', b = X^k*b',
+    c = X^j*c' and d = X^m*d' with the primed parts X-free.  Then
+    e = i + j - k - m and w = a'c'/(b'd').  As a' and b' are coprime, and
+    c' and d', w lies in K[X] exactly when b' | c' and d' | a'; in
+    K[X]_(X) it always does, as w(0) != 0.  The kind's one membership fact
+    is that test, t.x_free_divides.  In K[X], h*g itself is a polynomial
+    exactly when b | c and d | a, that is when b' | c', d' | a', k <= j and
+    m <= i; and k <= j with m <= i is e >= 0, because X divides a numerator
+    only when it does not divide that numerator's own denominator (k > 0
+    forces i = 0, and m > 0 forces j = 0).  So in both kinds h*g lies in T
+    exactly when this is not None and e >= 0.
+    """
+    a, b, c, d = h.num, h.den, g.num, g.den
+    i, k, j, m = a.ord_zero(), b.ord_zero(), c.ord_zero(), d.ord_zero()
+    if t.x_free_divides(b, k, c, j) and t.x_free_divides(d, m, a, i):
+        return i + j - k - m
+    return None
+
+
+def _at_zero(h: RatFunc, g: RatFunc, t) -> tuple | None:
+    """phi(h*g) as an integer quadruple (a, b, n, d), read as
+    (a + b*sqrt(d))/n with n > 0 and not reduced, when h*g lies in T,
+    else None; h and g are nonzero.
+
+    By _x_order, h*g = X^e*w: outside T for e < 0 or no w, zero for e > 0,
+    and w(0) for e = 0, the quotient a_i*c_j / (b_k*d_m) of the four lowest
+    coefficients, whose denominator kernel._over keeps positive.  Two
+    polynomials give the product of their constant terms, read directly.
+    """
+    a, b, c, d = h.num, h.den, g.num, g.den
+    if b.is_one() and d.is_one():
+        return _times(a.coeff_ints(0), c.coeff_ints(0))
+    e = _x_order(h, g, t)
+    if e is None or e < 0:
+        return None
+    if e:
+        return 0, 0, 1, 1
+    # e = 0 is i + j = k + m, and k > 0 forces i = 0, m > 0 forces j = 0,
+    # so i = m and j = k: two X-orders locate all four lowest terms
+    k, m = b.ord_zero(), d.ord_zero()
+    return _over(_times(a.coeff_ints(m), c.coeff_ints(k)), _times(b.coeff_ints(k), d.coeff_ints(m)))
+
+
+_DIVIDES_CACHE: dict[tuple[Poly, Poly], bool] = {}
 
 
 class _PolyT:
@@ -82,46 +125,19 @@ class _PolyT:
     quasilocal = False
     suffix = ""
 
-    def at_zero(self, h: RatFunc, g: RatFunc) -> tuple | None:
-        """phi(h*g) as an integer quadruple (a, b, n, d), read as
-        (a + b*sqrt(d))/n with n > 0 and not reduced, when h*g lies in T,
-        else None; h and g are nonzero.
-
-        For canonical h = a/b and g = c/d each pair is coprime, so h*g is a
-        polynomial exactly when b | c and d | a, and then its value at zero
-        is (c/b)(0) * (a/d)(0).  Neither quotient is formed.  Write
-        b = X^k*b' and c = X^m*c' with b'(0) and c'(0) nonzero.  Then b | c
-        exactly when k <= m and b' | c'; and if c = q*b, the coefficients of
-        X^k give c_k = q(0)*b_k, as b has none below X^k, so
-        (c/b)(0) = c_k/b_k, which is zero for k < m.  Two polynomials
-        (b = d = 1) give the product of their constant terms, read directly.
-
-        Both values and their product stay integer quadruples.  With
-        c_k = (ca + cb*sqrt(d))/cn and
-        b_k = (ba + bb*sqrt(d))/bn, c_k/b_k is
-        bn*(ca + cb*sqrt(d))*(ba - bb*sqrt(d)) / (cn*N(b_k)), where
-        N(b_k) = ba^2 - d*bb^2 is nonzero; when N(b_k) < 0, for a real
-        quadratic d, the signs of bn and N(b_k) flip so that the
-        denominator stays positive (kernel._over).
-        """
-        hd, gd = h.den, g.den
-        if hd.is_one() and gd.is_one():
-            return _times(h.num.coeff_ints(0), g.num.coeff_ints(0))
-        v1 = _quotient_at_zero(g.num, hd)
-        if v1 is None:
-            return None
-        v2 = _quotient_at_zero(h.num, gd)
-        return None if v2 is None else _times(v1, v2)
-
-    def leading_term(self, h: RatFunc, g: RatFunc) -> tuple | None:
-        """_leading_term(h, g), or None when its w is outside T: by the rule
-        in at_zero, unless b' | c' and d' | a' for the X-free parts of
-        h = a/b and g = c/d."""
-        a, b, c, d = h.num, h.den, g.num, g.den
-        if (_x_free_divides(b, b.ord_zero(), c, c.ord_zero())
-                and _x_free_divides(d, d.ord_zero(), a, a.ord_zero())):
-            return _leading_term(h, g)
-        return None
+    def x_free_divides(self, b: Poly, k: int, c: Poly, m: int) -> bool:
+        """b' | c' for b' = b/X^k and c' = c/X^m, the X-free parts of the
+        monic b and the nonzero c; the same for every b*X^j and c*X^j, so
+        decided once and then read from a memo."""
+        if b.degree == k:
+            return True
+        if b.degree - k > c.degree - m:
+            return False
+        key = (b.shift(-k), c.shift(-m))
+        divides = _DIVIDES_CACHE.get(key)
+        if divides is None:
+            divides = _memo_put(_DIVIDES_CACHE, key, (key[1] % key[0]).is_zero())
+        return divides
 
     def normalize(self, u: RatFunc) -> tuple[RatFunc, FieldElem]:
         """(u/c, c) for c the leading coefficient of u's numerator."""
@@ -152,17 +168,9 @@ class _LocalT:
     quasilocal = True
     suffix = "_(X)"
 
-    leading_term = staticmethod(_leading_term)
-
-    def at_zero(self, h: RatFunc, g: RatFunc) -> tuple | None:
-        # as _leading_term, with no quotient formed when the X-order is not 0
-        a, b, c, d = h.num, g.num, h.den, g.den
-        i, j, k, m = a.ord_zero(), b.ord_zero(), c.ord_zero(), d.ord_zero()
-        e = i + j - k - m
-        if e != 0:
-            return None if e < 0 else (0, 0, 1, 1)
-        return _over(_times(a.coeff_ints(i), b.coeff_ints(j)),
-                     _times(c.coeff_ints(k), d.coeff_ints(m)))
+    def x_free_divides(self, b: Poly, k: int, c: Poly, m: int) -> bool:
+        # a polynomial that is nonzero at 0 is a unit of K[X]_(X)
+        return True
 
     def normalize(self, u: RatFunc) -> tuple[RatFunc, FieldElem]:
         # X^e for e = ord(u), and the value at zero of the X-free part: the
@@ -181,36 +189,6 @@ class _LocalT:
 
 # what T is, looked up by PullbackInstance.__init__ alone
 _T_KINDS = {"poly": _PolyT(), "local": _LocalT()}
-
-
-_DIVIDES_CACHE: dict[tuple[Poly, Poly], bool] = {}
-
-
-def _quotient_at_zero(c: Poly, b: Poly) -> tuple | None:
-    """(c/b)(0) as an integer quadruple (a, b, n, d), not reduced, when
-    the monic b divides the nonzero c, else None, by the rule in
-    _PolyT.at_zero."""
-    if b.is_one():
-        return c.coeff_ints(0)
-    k, m = b.ord_zero(), c.ord_zero()
-    if k > m or not _x_free_divides(b, k, c, m):
-        return None
-    return (0, 0, 1, 1) if k < m else _over(c.coeff_ints(k), b.coeff_ints(k))
-
-
-def _x_free_divides(b: Poly, k: int, c: Poly, m: int) -> bool:
-    """b' | c' for b' = b/X^k and c' = c/X^m, the X-free parts of the
-    monic b and the nonzero c; the same for every b*X^j and c*X^j, so
-    decided once and then read from a memo."""
-    if b.degree - k > c.degree - m:
-        return False
-    if b.degree == k:
-        return True
-    key = (b.shift(-k), c.shift(-m))
-    divides = _DIVIDES_CACHE.get(key)
-    if divides is None:
-        divides = _memo_put(_DIVIDES_CACHE, key, (key[1] % key[0]).is_zero())
-    return divides
 
 
 class PullbackInstance:
@@ -420,20 +398,19 @@ def _product_in(h: RatFunc, g: RatFunc, j: ExtDModule, inst: PullbackInstance) -
     value phi(h*g) stays an integer quadruple, and J decides it as it is."""
     if h.is_zero() or g.is_zero():
         return True
-    value = inst.t.at_zero(h, g)
+    value = _at_zero(h, g, inst.t)
     return value is not None and j.contains(*value)
 
 
 def product_shifts_in(h: RatFunc, g: RatFunc, j: ExtDModule, shifts,
                       inst: PullbackInstance) -> list[bool]:
     """Whether h*g*X^s lies in phi^-1(J), for each s in shifts and nonzero
-    h and g, from one leading term.  For h*g = X^e*w with w(0) nonzero,
+    h and g, from one X-order.  For h*g = X^e*w with w(0) nonzero,
     h*g*X^s lies there exactly when s > -e, as 0 lies in every J, or when
-    s = -e and w does; for no s when w is outside T."""
-    term = inst.t.leading_term(h, g)
-    if term is None:
+    s = -e and w does; for no s when w is outside T (_x_order is None)."""
+    e = _x_order(h, g, inst.t)
+    if e is None:
         return [False] * len(shifts)
-    e = term[0]
     at_e = -e in shifts and _product_in(h.shift(-e), g, j, inst)
     return [s > -e or s == -e and at_e for s in shifts]
 
@@ -481,7 +458,7 @@ def structured_hull(ideal: RawIdeal, inst: PullbackInstance) -> StructuredIdeal:
     u generates I*T and J0 is spanned by the values phi(g/u)."""
     u = inst.t.content(ideal.gens)
     u_inv = u.inv()
-    j0 = dmod_from_generators([_make(*inst.t.at_zero(g, u_inv)) for g in ideal.gens], inst.base)
+    j0 = dmod_from_generators([_make(*_at_zero(g, u_inv, inst.t)) for g in ideal.gens], inst.base)
     assert not j0.is_zero(), "the values phi(g/u) cannot all vanish"
     return make_structured(u, j0, inst)
 
@@ -552,7 +529,7 @@ def _structured_sum(sa: StructuredIdeal, sb: StructuredIdeal, inst: PullbackInst
     g = inst.t.content([sa.unit, sb.unit])
     total = ExtDModule.zero(inst.base)
     for s in (sa, sb):
-        value = _make(*inst.t.at_zero(s.unit, g.inv()))
+        value = _make(*_at_zero(s.unit, g.inv(), inst.t))
         if not value.is_zero():
             total = dmod_arith(total, dmod_scale(value, s.dpart), "add")
     return make_structured(g, total, inst)
@@ -634,7 +611,7 @@ def oracle_v_member(h: RatFunc, ideal: RawIdeal, inst: PullbackInstance,
     for g in lifts:
         if not _product_in(h, g, inst._d_module, inst):
             return OracleVerdict("out-with-witness", g)
-    value = (0, 0, 1, 1) if h.is_zero() else inst.t.at_zero(h, t)
+    value = (0, 0, 1, 1) if h.is_zero() else _at_zero(h, t, inst.t)
     witness = t
     if value is not None:
         value = _make(*value)

@@ -11,7 +11,8 @@ through a scalar inverse.  The library's bodies decide on integer
 quadruples, skip what cannot change the result and loop by hand;
 ``test_kernel.py``, ``test_lattices.py``, ``test_base_domain.py`` and
 ``test_pullback.py`` check that both give equal answers.  The library
-does not use this module.
+does not use this module, and this module uses nothing of ``pullback``:
+``poly_at_zero`` forms the product.
 """
 
 from functools import reduce
@@ -28,7 +29,6 @@ from starpull.kernel import (
     poly_gcd,
     poly_lcm,
 )
-from starpull.pullback import _quotient_at_zero
 
 
 def contains(m, x):
@@ -49,13 +49,8 @@ def contains(m, x):
 
 
 def poly_at_zero(h, g):
-    v1 = _quotient_at_zero(g.num, h.den)
-    if v1 is None:
-        return None
-    v2 = _quotient_at_zero(h.num, g.den)
-    if v2 is None:
-        return None
-    return _make(*_times(v1, v2))
+    product = RatFunc(h.num * g.num, h.den * g.den)
+    return product.num.eval_zero() if product.is_polynomial() else None
 
 
 def local_at_zero(h, g):

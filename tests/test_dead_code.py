@@ -39,8 +39,11 @@ by `RatFunc.x_power(...)`.  And `exprlang` prints each scalar from its
 integers (a, b, n, d): no function there calls `Fraction(...)` or reads a
 scalar's rational coordinates `.x` and `.y`.  The samplers of `harness`
 draw in integers too: `harness.py` imports nothing from `fractions`.
-And membership decides integers: `_product_in`, both T kinds' `at_zero`
-and `ExtDModule.contains` call no `_make`, `FieldElem`, `coerce` or `next`.
+And membership decides integers: `_product_in`, `_at_zero`, `_x_order`,
+each T kind's `x_free_divides` and `ExtDModule.contains` call no `_make`,
+`FieldElem`, `coerce` or `next`.  One rule decides whether h*g lies in T:
+no class in `_T_KINDS` defines `at_zero` or `leading_term`, and only
+`pullback._x_order` calls a kind's `x_free_divides`.
 """
 
 import ast
@@ -48,6 +51,8 @@ import importlib
 import re
 from collections import Counter
 from pathlib import Path
+
+from starpull.pullback import _T_KINDS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "starpull"
@@ -386,8 +391,10 @@ def test_membership_decides_integers():
     # phi(h*g) stays an unreduced integer quadruple from the value at zero
     # to the module's verdict: a scalar built per test was most of the
     # oracle workload's membership time
-    wanted = {("pullback.py", None, "_product_in"), ("pullback.py", "_PolyT", "at_zero"),
-              ("pullback.py", "_LocalT", "at_zero"), ("base_domain.py", "ExtDModule", "contains")}
+    kinds = {type(kind).__name__ for kind in _T_KINDS.values()}
+    wanted = {("pullback.py", None, "_product_in"), ("pullback.py", None, "_at_zero"),
+              ("pullback.py", None, "_x_order"), ("base_domain.py", "ExtDModule", "contains"),
+              *(("pullback.py", kind, "x_free_divides") for kind in kinds)}
     found = {}
     for module in {module for module, _, _ in wanted}:
         tree = ast.parse((PACKAGE / module).read_text())
@@ -403,6 +410,28 @@ def test_membership_decides_integers():
                     "def contains(self, x):\n    x = FieldElem.coerce(x)\n"
                     "    return next(i for i in x)\n")
     assert [_scalar_builds(func) for func in old.body] == [["_make:2"], ["coerce:4", "next:5"]]
+
+
+def _x_free_callers(tree) -> set[str]:
+    """The functions in a module that call an x_free_divides."""
+    return {func.name for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func)
+            if isinstance(node, ast.Call) and _callee(node) == "x_free_divides"}
+
+
+def test_membership_in_t_is_one_rule():
+    # whether h*g lies in T, and its X-order, are decided by _x_order for
+    # every kind; a kind answers only whether one X-free part divides another
+    for kind in _T_KINDS.values():
+        assert not {"at_zero", "leading_term"} & set(dir(type(kind))), type(kind).__name__
+    callers = {(path.name, name) for path in sorted(PACKAGE.glob("*.py"))
+               for name in _x_free_callers(ast.parse(path.read_text()))}
+    assert callers == {("pullback.py", "_x_order")}, callers
+    # the rule sees a second caller
+    old = ast.parse("def leading_term(self, h, g):\n"
+                    "    return self.x_free_divides(h.den, 0, g.num, 0)\n")
+    assert _x_free_callers(old) == {"leading_term"}
 
 
 _CACHE_DECORATORS = {"cache", "lru_cache", "cached_property"}

@@ -308,6 +308,18 @@ class TestReplay:
         with pytest.raises(HarnessError):
             replay_violation({"check": "mystery", "witness": {}}, inst_a)
 
+    @pytest.mark.parametrize("violation", [
+        {"check": "M-fixed"},
+        {"witness": {}},
+        {"check": "M-fixed", "witness": ["M"]},
+        {"check": ["M-fixed"], "witness": {}},
+        ["M-fixed", {}],
+        None,
+    ])
+    def test_malformed_violation_rejected(self, inst_a, violation):
+        with pytest.raises(HarnessError, match="a violation is a mapping"):
+            replay_violation(violation, inst_a)
+
     def test_replay_resolves_the_witness_op(self, inst_a):
         # ideal(2, X) is t-invertible on A; the witness op decides the replay
         def replay(op):
@@ -478,15 +490,14 @@ class TestReplay:
         # finds no fault; the suite must not pass that disagreement over
         gen = RatFunc.x_power(-1) * 2
         monkeypatch.setattr(harness, "sample_ideals", lambda inst, params: [RawIdeal([gen])])
-        kind = type(inst_a.t)
-        true_term = kind.leading_term
+        true_order = pullback._x_order
 
-        def wrong(self, h, g):
-            e, c = true_term(self, h, g)
-            return (e - 1, c) if g == gen else (e, c)
+        def wrong(h, g, t):
+            e = true_order(h, g, t)
+            return e - 1 if h == g == gen else e
 
         assert run_suite("oracle-agreement", inst_a, PARAMS).verdict == "pass"
-        monkeypatch.setattr(kind, "leading_term", wrong)
+        monkeypatch.setattr(pullback, "_x_order", wrong)
         with pytest.raises(AssertionError, match="degree window"):
             run_suite("oracle-agreement", inst_a, PARAMS)
 
@@ -504,8 +515,8 @@ class TestReplay:
 
 
 class TestDegreeWindow:
-    """oracle-agreement's degree window is decided from one leading term
-    per product; its verdicts are those of the per-element tests."""
+    """oracle-agreement's degree window is decided from one X-order per
+    product; its verdicts are those of the per-element tests."""
 
     @pytest.mark.parametrize("name", instance_catalog())
     @given(seed=st.integers(0, 30), data=st.data())
@@ -523,13 +534,14 @@ class TestDegreeWindow:
                 element = b.shift(j)
                 assert oracle == oracle_colon_member(element, raw, inst), (b, j)
                 assert closed == member_structured(element, closed_colon, inst), (b, j)
-            # read at e == 0, a leading term is the former scalar value at zero
+            # no shift of b*g lies in T when _x_order is None; at the shift
+            # -e the value at zero is the former scalar value at zero
             for g in (*raw.gens, closed_colon._unit_inv):
-                term = inst.t.leading_term(b, g)
-                if term is None:
+                e = pullback._x_order(b, g, inst.t)
+                if e is None:
                     assert all(at_zero(b.shift(j), g) is None for j in shifts), (b, g)
                 else:
-                    e, c = term
+                    c = pullback._at_zero(b.shift(-e), g, inst.t)
                     assert c[2] > 0 and _make(*c) == at_zero(b.shift(-e), g), (b, g)
 
 

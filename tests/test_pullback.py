@@ -45,7 +45,7 @@ from starpull.pullback import (
 )
 from starpull.star_ops import StarOp, star_eval
 import reference_membership as former
-from strategies import polys, ratfuncs
+from strategies import ratfuncs
 
 X = RatFunc.x_power(1)
 TWO = RatFunc.coerce(2)
@@ -393,7 +393,7 @@ class TestTKindContract:
         # content([f]) generates f*T
         content = kind.content([u])
         assert member_T(u / content, inst) and member_T(content / u, inst)
-        # at_zero(h, g) is phi(h*g), or None exactly when h*g is outside T
+        # _at_zero(h, g, kind) is phi(h*g), or None exactly when h*g is outside T
         h, g = data.draw(nonzero), data.draw(nonzero)
         if data.draw(st.booleans()):
             g = RatFunc(g.num * h.den, g.den)
@@ -401,15 +401,21 @@ class TestTKindContract:
             h = RatFunc(h.num * g.den, h.den)
         product = RatFunc(h.num * g.num, h.den * g.den)
         expected = eval_at_zero(product) if member_T(product, inst) else None
-        assert reduced(kind.at_zero(h, g)) == expected
-        # leading_term(h, g) is the X-order e of h*g and the value at zero
-        # of w = h*g/X^e, or None, in K[X] alone, when w is outside T
+        assert reduced(pullback._at_zero(h, g, kind)) == expected
+        # _x_order(h, g, kind) is the X-order e of h*g exactly when
+        # w = h*g/X^e lies in T, and None, in K[X] alone, when it does not
         e, w = ord_at_zero(product), product.shift(-ord_at_zero(product))
-        term = kind.leading_term(h, g)
-        if term is None:
+        order = pullback._x_order(h, g, kind)
+        if order is None:
             assert not kind.quasilocal and not member_T(w, inst)
         else:
-            assert term[0] == e and member_T(w, inst) and reduced(term[1]) == eval_at_zero(w)
+            assert order == e and member_T(w, inst)
+        # x_free_divides(b, k, c, m): b/X^k divides c/X^m in T, which in
+        # K[X] is a zero remainder and in K[X]_(X) always holds
+        for b, c in ((h.den, g.num), (g.den, h.num)):
+            k, m = b.ord_zero(), c.ord_zero()
+            divides = kind.quasilocal or (c.shift(-m) % b.shift(-k)).is_zero()
+            assert kind.x_free_divides(b, k, c, m) == divides
         # generator(fs) is the first of the fs of least X-order, and it
         # generates the same T-ideal as content(fs)
         if kind.quasilocal:
@@ -440,9 +446,9 @@ class TestDivisibilityMemo:
         inst = make_instance(name)
         pairs = self._pairs(inst)
         # calls against the memo as earlier tests left it, then against an empty table
-        memo = [inst.t.at_zero(h, g) for h, g in pairs]
+        memo = [pullback._at_zero(h, g, inst.t) for h, g in pairs]
         monkeypatch.setattr(pullback, "_DIVIDES_CACHE", {})
-        assert [inst.t.at_zero(h, g) for h, g in pairs] == memo
+        assert [pullback._at_zero(h, g, inst.t) for h, g in pairs] == memo
         table = pullback._DIVIDES_CACHE
         assert table, "no X-free division was memoized"
         for (b, c), divides in table.items():
@@ -453,7 +459,7 @@ class TestDivisibilityMemo:
         divisions = []
         divmod_ = Poly.__divmod__
         monkeypatch.setattr(Poly, "__divmod__", lambda f, g: divisions.append(1) or divmod_(f, g))
-        assert [inst.t.at_zero(h, g) for h, g in pairs] == memo
+        assert [pullback._at_zero(h, g, inst.t) for h, g in pairs] == memo
         assert not divisions
 
     @staticmethod
@@ -493,11 +499,11 @@ class TestDivisibilityMemo:
 
     def test_oracle_agreement_decides_the_window_from_leading_terms(self, inst_a, empty_memos,
                                                                      monkeypatch):
-        # the 13 shifts of each window base are read from one leading term
-        # per product, so the same report as above reads 317 values at zero
+        # the 13 shifts of each window base are read from one X-order per
+        # product, so the same report as above reads 317 values at zero
         # from empty memos (at most 360 allowed); deciding each shift as an
         # element read 994
-        assert self._counted_report(inst_a, monkeypatch, type(inst_a.t), "at_zero") <= 360
+        assert self._counted_report(inst_a, monkeypatch, pullback, "_at_zero") <= 360
 
 
 def _lowest(p):
@@ -513,41 +519,32 @@ class TestIntegerValueAtZero:
     @pytest.mark.parametrize("d", [2, 3])
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
-    def test_quotient_matches_the_scalar_body(self, d, data):
-        nonzero = polys(d).filter(lambda p: not p.is_zero())
-        b = data.draw(nonzero).monic().shift(data.draw(st.integers(0, 2)))
-        c = data.draw(nonzero)
-        if data.draw(st.booleans()):
-            c = b * c
-        c = c.shift(data.draw(st.integers(0, 2)))
-        got = pullback._quotient_at_zero(c, b)
-        divides = (c % b).is_zero()
-        assert (got is None) == (not divides)
-        if divides:
-            assert got[2] > 0
-            # the former body, on reduced scalars
-            k, m = b.ord_zero(), c.ord_zero()
-            b1, c1 = b.shift(-k), c.shift(-m)
-            expected = FieldElem(0) if k < m else c1.eval_zero() / b1.eval_zero()
-            assert kernel._make(*got) == expected == (c // b).eval_zero()
-
-    @pytest.mark.parametrize("d", [2, 3])
-    @given(data=st.data())
-    @settings(max_examples=100, deadline=None)
     def test_values_at_zero_match_the_scalar_formulas(self, d, data):
         nonzero = ratfuncs(d).filter(lambda f: not f.is_zero())
         h = data.draw(nonzero).shift(data.draw(st.integers(-2, 2)))
         g = data.draw(nonzero).shift(data.draw(st.integers(-2, 2)))
+        # the divisible branches of K[X]: h's denominator divides g's
+        # numerator, and g's denominator h's numerator
+        if data.draw(st.booleans()):
+            g = RatFunc(g.num * h.den, g.den)
+        if data.draw(st.booleans()):
+            h = RatFunc(h.num * g.den, h.den)
         product = RatFunc(h.num * g.num, h.den * g.den)
-        # K[X]: phi(h*g) of the formed product, None off T
+        # K[X]: phi(h*g) of the formed product, None off T, with a
+        # positive denominator however the norms' signs fall
         poly_t, local_t = pullback._T_KINDS["poly"], pullback._T_KINDS["local"]
         expected = product.num.eval_zero() if product.is_polynomial() else None
-        assert reduced(poly_t.at_zero(h, g)) == expected
+        value = pullback._at_zero(h, g, poly_t)
+        assert reduced(value) == expected
+        assert value is None or value[2] > 0
+        for b, c in ((h.den, g.num), (g.den, h.num)):
+            k, m = b.ord_zero(), c.ord_zero()
+            assert poly_t.x_free_divides(b, k, c, m) == (c.shift(-m) % b.shift(-k)).is_zero()
         # K[X]_(X): the former body, four lowest coefficients as scalars
         e = ord_at_zero(h) + ord_at_zero(g)
         expected = None if e < 0 else FieldElem(0) if e > 0 else (
             (_lowest(h.num) * _lowest(g.num)) / (_lowest(h.den) * _lowest(g.den)))
-        value = reduced(local_t.at_zero(h, g))
+        value = reduced(pullback._at_zero(h, g, local_t))
         assert value == expected
         if e == 0:
             assert value.n > 0 and value * product.den.eval_zero() == product.num.eval_zero()
@@ -579,7 +576,7 @@ class TestIntegerMembership:
         at_zero = former.local_at_zero if inst.t.quasilocal else former.poly_at_zero
         pairs = TestDivisibilityMemo._pairs(inst)
         for h, g in pairs:
-            assert reduced(inst.t.at_zero(h, g)) == at_zero(h, g), (h, g)
+            assert reduced(pullback._at_zero(h, g, inst.t)) == at_zero(h, g), (h, g)
         if not inst.t.quasilocal:
             values = [h for h, _ in pairs]
             for size in (1, 2, 3, 5):
