@@ -4,22 +4,24 @@ The lift of the D-side divisorial operation coincides with the R-side
 one; projection undoes lifting; the extension (*)_T of an operation to
 T evaluates it on the fractional T-ideals; and the meet of a lifted
 operation with an overring-induced one reproduces the divisorial closure.
+The order d <= t <= v and the closure axioms are read off star-laws reports.
 """
 
 from starpull import (
     RatFunc,
     RawIdeal,
+    SampleParams,
     StarOp,
     extend_to_T,
     ideal_equal,
     make_instance,
     m_ideal,
     pretty_value,
-    star_axiom_check,
+    run_suite,
     star_eval,
-    star_leq_check,
     star_meet,
     structured_hull,
+    value_to_expr,
 )
 from starpull.kernel import FieldElem, Poly
 from starpull.base_domain import dmod_from_generators
@@ -58,16 +60,18 @@ print("meet(lift(v_D), ovr(d_T)) acts like v_R:",
       ideal_equal(star_eval(mix, hull, A), star_eval(v_r, I, A), A))
 print()
 
-print("order checks on samples:")
-samples = [I, RawIdeal([X]), RawIdeal([RatFunc.coerce(3), X * X])]
-print("  d <= t :", star_leq_check(d_r, t_r, samples, A).passed)
-print("  t <= v :", star_leq_check(t_r, v_r, samples, A).passed)
+params = SampleParams(seed=7, count=10)
+report = run_suite("star-laws", A, params, t_r)
+failed = {v["check"] for v in report.violations}
+print(f"star-laws under t on instance A ({report.n_samples} samples): {report.verdict}")
+print("  d <= t :", "extensive" not in failed)
+print("  t <= v :", "below-v" not in failed)
+print("  closure axioms for t:", not failed & {"extensive", "idempotent", "monotone",
+                                                "principal-fixed", "scalar-equivariant"})
 gaussian = RawIdeal([RatFunc.one(), RatFunc(Poly([FieldElem(0, 1, -1)]))])
-print("  v <= d fails on (1, i) in D:", not star_leq_check(v_r, d_r, [gaussian], D).passed)
-print()
-
-print("closure axioms for t on instance A:",
-      star_axiom_check(t_r, samples, [RatFunc.coerce(3), X], A).passed)
+on_d = run_suite("star-laws", D, params, v_r)
+corner = next(r for r in on_d.records if r.get("ideal") == value_to_expr(gaussian, D))
+print("  v <= d fails on (1, i) in D: v closes it to", corner["closure"])
 print("every implemented operation fixes the conductor M:",
       all(ideal_equal(star_eval(read_op(text, "R"), m_ideal(A), A), m_ideal(A), A)
           for text in IMPLEMENTED_R_OPS))

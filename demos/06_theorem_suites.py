@@ -20,6 +20,7 @@ RUNS = [
     ("A", "extension-laws"),   # conductor fixed, (t_R)_T fixes every cT
     ("C", "pic-splitting"),    # invertible ideals decompose through (gamma, beta)
     ("D", "oracle-agreement"), # closed forms vs definitional oracles
+    ("D", "star-laws"),        # t is a star operation, d <= t <= v, and t = v on (1, i)
 ]
 
 for name, suite in RUNS:

@@ -79,9 +79,7 @@ from .pullback import (
 from .star_ops import (
     StarEvalError,
     StarOp,
-    star_axiom_check,
     star_eval,
-    star_leq_check,
     star_meet,
 )
 

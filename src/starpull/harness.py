@@ -44,8 +44,11 @@ from .pullback import (
     as_structured,
     colon_R,
     colon_generators,
+    contains_ideal,
     extend_to_T,
+    ideal_arith,
     ideal_equal,
+    inverse_image_R,
     lift_generators,
     m_ideal,
     member_R,
@@ -109,14 +112,6 @@ class Report:
     @property
     def verdict(self) -> str:
         return "pass" if not self.violations else "fail"
-
-    def add_violation(self, check: str, expected, got, witness: dict):
-        self.violations.append({
-            "check": check,
-            "expected": str(expected),
-            "got": str(got),
-            "witness": witness,
-        })
 
     def to_json_dict(self) -> dict:
         return {
@@ -316,7 +311,8 @@ def _decide(rep: Report, fn, inst: PullbackInstance, op: StarOp, **values):
             raise HarnessError(f"check {check!r} is not registered to {fn.__name__}")
         data = {**values, "op": op}
         witness = {name: _write(kind, data[name], inst) for name, kind in fields.items()}
-        rep.add_violation(check, expected, got, {**witness, **notes})
+        rep.violations.append({"check": check, "expected": str(expected), "got": str(got),
+                               "witness": {**witness, **notes}})
     return fn(inst, op, fail, **values)
 
 
@@ -478,6 +474,64 @@ def _v_agreement(inst, op, fail, ideal, element, closed_v=None, generators=None)
              witness=value_to_expr(verdict.witness, inst))
     if not inside and verdict.status == "in":
         fail("v-agreement", "non-member", "certified in")
+
+
+@_check("extensive", "idempotent", "monotone", ideal=_IDEAL, other=_IDEAL, op=_OP)
+def _closure_laws(inst, op, fail, ideal, other):
+    """I^op, checking I <= I^op = (I^op)^op <= (I + other)^op."""
+    closed = star_eval(op, ideal, inst)
+    bigger = star_eval(op, ideal_arith(ideal, other, "add", inst), inst)
+    for check, holds in (("extensive", contains_ideal(closed, ideal, inst)),
+                         ("idempotent", ideal_equal(star_eval(op, closed, inst), closed, inst)),
+                         ("monotone", contains_ideal(bigger, closed, inst))):
+        if not holds:
+            fail(check, "I <= I^op = (I^op)^op <= (I + other)^op", value_to_expr(closed, inst))
+    return closed
+
+
+@_check("principal-fixed", "scalar-equivariant", ideal=_IDEAL, scalar=_GEN, op=_OP)
+def _scalar_laws(inst, op, fail, ideal, scalar):
+    """(zR)^op = zR and (zI)^op = z*I^op for the scalar z."""
+    z = RawIdeal([scalar])
+    got_scaled = star_eval(op, ideal_arith(z, ideal, "mul", inst), inst)
+    want_scaled = ideal_arith(z, star_eval(op, ideal, inst), "mul", inst)
+    for check, got, want in (("principal-fixed", star_eval(op, z, inst), z),
+                             ("scalar-equivariant", got_scaled, want_scaled)):
+        if not ideal_equal(got, want, inst):
+            fail(check, value_to_expr(want, inst), value_to_expr(got, inst))
+
+
+@_check("below-v", "below-lift-proj", "t-is-v-on-fg", "lift-v-is-v", ideal=_IDEAL, op=_OP)
+def _order_laws(inst, op, fail, ideal):
+    """I^op <= I^v, as v is the largest star operation, and I^op <=
+    lift(proj(op))(I); on a finitely generated I, I^t = I^v = lift(v_D)(I)."""
+    closed, closed_v, lifted = (star_eval(o, ideal, inst) for o in (
+        op, StarOp.divisorial("R"), StarOp.lifted(StarOp.projected(op))))
+    for check, bound in (("below-v", closed_v), ("below-lift-proj", lifted)):
+        if not contains_ideal(bound, closed, inst):
+            fail(check, value_to_expr(bound, inst), value_to_expr(closed, inst))
+    for check, same in (("t-is-v-on-fg", StarOp.t_op("R")),
+                        ("lift-v-is-v", StarOp.lifted(StarOp.divisorial("D")))):
+        got = star_eval(same, ideal, inst)
+        if not ideal_equal(got, closed_v, inst):
+            fail(check, value_to_expr(closed_v, inst), value_to_expr(got, inst))
+
+
+@_check("proj-extensive", "proj-idempotent", "proj-monotone", "proj-principal-fixed",
+        "proj-scalar-equivariant", "proj-lift-identity", j=_DMOD, other=_DMOD, op=_OP)
+def _projected_laws(inst, op, fail, j, other):
+    """phi^-1(J^proj(op)), checking the laws above for proj(op) at J with
+    the scalar 2, each read on phi^-1(J), which lift(proj(op)) closes to
+    phi^-1(J^proj(op)); and proj(lift(s)) = s at J for s = d_D, v_D."""
+    def renamed(check, *args):
+        fail("proj-" + check, *args)
+    lifted, ideal = StarOp.lifted(StarOp.projected(op)), inverse_image_R(j, inst)
+    closed = _closure_laws(inst, lifted, renamed, ideal, inverse_image_R(other, inst))
+    _scalar_laws(inst, lifted, renamed, ideal, RatFunc.coerce(2))
+    for s in (StarOp.identity("D"), StarOp.divisorial("D")):
+        if star_eval(StarOp.projected(StarOp.lifted(s)), j, inst) != star_eval(s, j, inst):
+            fail("proj-lift-identity", f"J^{s}", "another module")
+    return closed
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +721,27 @@ def _pic_splitting(inst: PullbackInstance, op: StarOp, params: SampleParams) -> 
     return rep
 
 
+def _star_laws(inst: PullbackInstance, op: StarOp, params: SampleParams) -> Report:
+    """The laws of op on the sampled R-ideals, for the scalars 3 and X and
+    against the next sample, and of proj(op) on the sampled D-modules."""
+    rep = Report("star-laws", inst.name, params)
+    rep.records.append({"check": "op", "op": str(op)})
+    raws = sample_ideals(inst, params)
+    for raw, other in zip(raws, raws[1:] + raws[:1]):
+        rep.n_samples += 1
+        closed = _decide(rep, _closure_laws, inst, op, ideal=raw, other=other)
+        for z in (RatFunc.coerce(3), RatFunc.x_power(1)):
+            _decide(rep, _scalar_laws, inst, op, ideal=raw, scalar=z)
+        _decide(rep, _order_laws, inst, op, ideal=raw)
+        rep.records.append({"ideal": value_to_expr(raw, inst), "closure": value_to_expr(closed, inst)})
+    dmods = sample_dmods(inst, params)
+    for j, other in zip(dmods, dmods[1:] + dmods[:1]):
+        rep.n_samples += 1
+        closed = _decide(rep, _projected_laws, inst, op, j=j, other=other)
+        rep.records.append({"dmod": _dmod_witness(j), "closure": value_to_expr(closed, inst)})
+    return rep
+
+
 def _oracle_agreement(inst: PullbackInstance, op: StarOp, params: SampleParams) -> Report:
     """Closed-form colon and divisorial closure never contradict the oracles.
 
@@ -745,6 +820,7 @@ SUITES = {
     "extension-laws": _extension_laws,
     "pic-splitting": _pic_splitting,
     "oracle-agreement": _oracle_agreement,
+    "star-laws": _star_laws,
 }
 
 
@@ -766,7 +842,8 @@ def replay_violation(violation: dict, inst: PullbackInstance) -> bool:
     Decodes the witness and calls the check function the suite called.
     Returns True when the violation reproduces (the check still fails).
     A witness that cannot be read, or that the check function refuses as
-    outside its domain (ClassGroupError, DomainError), raises HarnessError.
+    outside its domain (ClassGroupError, DomainError, StarEvalError), raises
+    HarnessError.
     """
     if not (isinstance(violation, dict) and isinstance(violation.get("check"), str)
             and isinstance(violation.get("witness"), dict)):
@@ -781,6 +858,6 @@ def replay_violation(violation: dict, inst: PullbackInstance) -> bool:
     failed = []
     try:
         fn(inst, values.pop("op", None), lambda name, *_, **__: failed.append(name), **values)
-    except (ClassGroupError, DomainError) as exc:
+    except (ClassGroupError, DomainError, StarEvalError) as exc:
         raise HarnessError(f"the {check!r} witness is outside the check's domain: {exc}") from exc
     return check in failed

@@ -54,16 +54,18 @@ class Frozen:
 
 
 class FrozenValue(Frozen):
-    """A frozen value equal to another of its type with equal slots.
+    """A frozen value equal to another of its type with equal public slots.
 
-    The slots are read by one ``attrgetter`` per class: a generator over
-    them makes ``==`` and ``hash`` about three times slower.
+    A private slot (``_name``) holds something derived from the public
+    ones, such as a closed form's 1/u, and is neither compared nor hashed.
+    The public slots are read by one ``attrgetter`` per class: a generator
+    over them makes ``==`` and ``hash`` about three times slower.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._fields = attrgetter(*cls.__slots__)
+        cls._fields = attrgetter(*(name for name in cls.__slots__ if not name.startswith("_")))
 
     def __eq__(self, other):
         return type(other) is type(self) and self._fields(self) == other._fields(other)

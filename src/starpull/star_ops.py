@@ -17,24 +17,21 @@ cannot represent is refused rather than approximated.
 
 Stable/w-style descriptors can be built but never evaluated directly;
 class-group computations route them through their finite-type
-counterparts.
+counterparts.  The module holds descriptors and evaluation only: that
+the implemented operations obey the star-operation laws is checked by
+the ``star-laws`` suite of ``harness``.
 """
 
 from __future__ import annotations
 
 from .base_domain import ExtDModule, dmod_intersect, dmod_v
-from .kernel import Frozen, FrozenValue, RatFunc
+from .kernel import FrozenValue
 from .pullback import (
     PullbackInstance,
     StructuredIdeal,
     as_structured,
-    contains_ideal,
-    ideal_arith,
-    ideal_equal,
     inverse_image_R,
     make_structured,
-    r_ideal,
-    t_ideal_of_r,
 )
 
 
@@ -212,18 +209,14 @@ def star_eval(op: StarOp, value, inst: PullbackInstance):
     """Evaluate a star operation on an ideal value of its target ring.
 
     A D-side operation takes an ExtDModule J, evaluates phi^-1(J) and
-    returns the D-part of the result.
+    returns the D-part of the result; make_structured refuses a J over
+    another base domain.
     """
     if op.target != "D":
         return _star_eval(op, value, inst)
-    return _star_eval(op, _phi_inverse(value, inst), inst).dpart
-
-
-def _phi_inverse(j, inst: PullbackInstance) -> StructuredIdeal:
-    """phi^-1(J) for a D-module J; make_structured refuses a mixed base domain."""
-    if not isinstance(j, ExtDModule):
+    if not isinstance(value, ExtDModule):
         raise StarEvalError("a D-side operation needs an ExtDModule value")
-    return inverse_image_R(j, inst)
+    return _star_eval(op, inverse_image_R(value, inst), inst).dpart
 
 
 def _star_eval(op: StarOp, value, inst: PullbackInstance):
@@ -267,79 +260,3 @@ def _dpart_eval(op: StarOp, j: ExtDModule) -> ExtDModule:
     if op.kind == "meet":
         return dmod_intersect(*(_dpart_eval(o, j) for o in op.operands))
     return _dpart_eval(op.operands[0], ExtDModule.full(j.domain) if op.kind == "overring_induced" else j)
-
-
-# ---------------------------------------------------------------------------
-# order and axiom reports
-# ---------------------------------------------------------------------------
-
-class CheckReport(Frozen):
-    """Violation list for a sampled property check; empty means pass."""
-
-    __slots__ = ("name", "violations")
-
-    def __init__(self, name: str, violations):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "violations", tuple(violations))
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def __repr__(self):
-        state = "pass" if self.passed else f"{len(self.violations)} violations"
-        return f"CheckReport({self.name!r}, {state})"
-
-
-def _check_values(op: StarOp, samples, inst: PullbackInstance) -> list:
-    """The samples as values of the structured calculus, phi^-1(J) for a D-module J."""
-    if op.target == "D":
-        return [_phi_inverse(j, inst) for j in samples]
-    return list(samples)
-
-
-def star_leq_check(op1: StarOp, op2: StarOp, samples, inst: PullbackInstance) -> CheckReport:
-    """Report every sample where op1's value is not inside op2's value."""
-    violations = []
-    samples = list(samples)
-    for i, value in enumerate(_check_values(op1, samples, inst)):
-        a = _star_eval(op1, value, inst)
-        b = _star_eval(op2, value, inst)
-        if not contains_ideal(b, a, inst):
-            violations.append({"sample": i, "value": repr(samples[i])})
-    return CheckReport(f"{op1} <= {op2}", violations)
-
-
-def _scale_value(z, value, inst):
-    s = as_structured(value, inst)
-    return make_structured(s.unit * RatFunc.coerce(z), s.dpart, inst)
-
-
-def star_axiom_check(op: StarOp, samples, scalars, inst: PullbackInstance) -> CheckReport:
-    """Exactness of the closure axioms on the given samples and scalars.
-
-    Checks unit-ideal fixing, scalar equivariance, extensivity,
-    idempotence, and monotonicity on nested pairs built by summation.
-    """
-    violations = []
-    # the ring itself: phi^-1(D) = R for D and R, phi^-1(k) = T for T
-    ring = t_ideal_of_r(inst) if op.target == "T" else r_ideal(inst)
-    samples = _check_values(op, samples, inst)
-    for z in scalars:
-        scaled_ring = _scale_value(z, ring, inst)
-        if not ideal_equal(_star_eval(op, scaled_ring, inst), scaled_ring, inst):
-            violations.append({"axiom": "principal-fixed", "scalar": repr(z)})
-    for i, sample in enumerate(samples):
-        closed = _star_eval(op, sample, inst)
-        if not contains_ideal(closed, sample, inst):
-            violations.append({"axiom": "extensive", "sample": i})
-        if not ideal_equal(_star_eval(op, closed, inst), closed, inst):
-            violations.append({"axiom": "idempotent", "sample": i})
-        for z in scalars:
-            lhs = _star_eval(op, _scale_value(z, sample, inst), inst)
-            if not ideal_equal(lhs, _scale_value(z, closed, inst), inst):
-                violations.append({"axiom": "scalar-equivariant", "sample": i, "scalar": repr(z)})
-        bigger = ideal_arith(sample, samples[(i + 1) % len(samples)], "add", inst)
-        if not contains_ideal(_star_eval(op, bigger, inst), closed, inst):
-            violations.append({"axiom": "monotone", "sample": i})
-    return CheckReport(f"axioms({op})", violations)

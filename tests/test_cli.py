@@ -677,6 +677,19 @@ class TestCommands:
         text = capsys.readouterr().out
         assert "verdict:    pass" in text
 
+    def test_verify_star_laws_and_report(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = run_command(["verify", "-i", "D", "-s", "star-laws", "--seed", "7", "--count", "10",
+                            "--json", "--out", str(out)])
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert printed == out.read_text()
+        data = json.loads(printed)
+        assert (data["suite"], data["instance"], data["verdict"]) == ("star-laws", "D", "pass")
+        assert run_command(["report", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert "suite:      star-laws" in text and "verdict:    pass" in text
+
     @pytest.mark.parametrize("text", [
         "[1, 2]",
         '{"suite": "pvmd"}',

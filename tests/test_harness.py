@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starpull import harness, pullback, star_ops
-from starpull.base_domain import BaseDomain
+from starpull.base_domain import BaseDomain, ExtDModule, dmod_scale, dmod_v
 from starpull.class_groups import invertibility_R
 from starpull.harness import (
     CHECKS,
@@ -19,7 +19,7 @@ from starpull.harness import (
     sample_ideals,
 )
 from starpull.exprlang import evaluate, parse_expression
-from starpull.kernel import RatFunc, _make
+from starpull.kernel import FieldElem, RatFunc, _make
 from starpull.pullback import (
     PullbackInstance,
     RawIdeal,
@@ -41,6 +41,49 @@ T_OP = StarOp.t_op("R")
 PARAMS = SampleParams(seed=11, count=20)
 # a window witness whose ideal is a T-module, outside every class check
 _OUTSIDE_THE_WINDOW = {"ideal": "extT(ideal(X))", "normalized": "hull(ideal(1, X))", "op": "t"}
+
+# faults injected into the D-part map of star_ops: each maps (op, J) to a
+# wrong J^op, or to None where the true map stands
+_STAR_FAULTS = {
+    "t as identity": lambda op, j: j if op.kind == "t" else None,
+    "t doubles v": lambda op, j: dmod_scale(FieldElem(2), dmod_v(j)) if op.kind == "t" else None,
+    # t sends D to k, and every other module to its v-closure
+    "t jumps at D": lambda op, j: (ExtDModule.full(j.domain) if j == j.domain.unit_module()
+                                   else dmod_v(j)) if op.kind == "t" else None,
+    "lift as identity": lambda op, j: j if op.kind == "lifted" else None,
+}
+
+# each star-laws check with a witness that fails it under one fault above
+_GAUSSIAN = {"ideal": "ideal(1, sqrt(-1))", "op": "t"}
+_UNIT_PAIR = {"ideal": "ideal(1)", "other": "ideal(1)", "op": "t"}
+_UNIT_D_PAIR = {"j": "ideal(1)", "other": "ideal(1)", "op": "t"}
+_STAR_LAW_POSITIVES = {
+    "extensive": (_UNIT_PAIR, "A", "t doubles v"),
+    "idempotent": (_UNIT_PAIR, "A", "t doubles v"),
+    "monotone": ({"ideal": "ideal(1)", "other": "ideal(1/2)", "op": "t"}, "A", "t jumps at D"),
+    "principal-fixed": ({"ideal": "ideal(1)", "scalar": "(3)", "op": "t"}, "A", "t doubles v"),
+    "scalar-equivariant": ({"ideal": "ideal(1)", "scalar": "(3)", "op": "t"}, "A", "t jumps at D"),
+    "below-v": ({"ideal": "ideal(1)", "op": "t"}, "A", "t jumps at D"),
+    "below-lift-proj": (_GAUSSIAN, "D", "lift as identity"),
+    "t-is-v-on-fg": (_GAUSSIAN, "D", "t as identity"),
+    "lift-v-is-v": (_GAUSSIAN, "D", "lift as identity"),
+    "proj-extensive": (_UNIT_D_PAIR, "A", "t doubles v"),
+    "proj-idempotent": (_UNIT_D_PAIR, "A", "t doubles v"),
+    "proj-monotone": ({"j": "ideal(1)", "other": "ideal(1/2)", "op": "t"}, "A", "t jumps at D"),
+    "proj-principal-fixed": (_UNIT_D_PAIR, "A", "t doubles v"),
+    "proj-scalar-equivariant": (_UNIT_D_PAIR, "A", "t jumps at D"),
+    "proj-lift-identity": ({"j": "ideal(1, sqrt(-1))", "other": "ideal(1)", "op": "t"}, "D",
+                           "lift as identity"),
+}
+
+
+def _inject(monkeypatch, fault):
+    true_eval, wrong = star_ops._dpart_eval, _STAR_FAULTS[fault]
+
+    def faulty(op, j):
+        got = wrong(op, j)
+        return true_eval(op, j) if got is None else got
+    monkeypatch.setattr(star_ops, "_dpart_eval", faulty)
 
 
 class TestSampling:
@@ -256,8 +299,8 @@ class TestReports:
         assert a.encode() == b.encode()
 
     def test_suite_registry_complete(self):
-        assert set(SUITES) == {"split-exact", "quasilocal-iso", "pvmd",
-                               "extension-laws", "pic-splitting", "oracle-agreement"}
+        assert set(SUITES) == {"split-exact", "quasilocal-iso", "pvmd", "extension-laws",
+                               "pic-splitting", "oracle-agreement", "star-laws"}
 
 
 class TestReplay:
@@ -356,10 +399,13 @@ class TestReplay:
         ("D", "gamma-alpha-identity", {"j": "ideal(1, sqrt(-1))"}),  # (1, i) is not invertible
         ("D", "alpha-invertible", {"j": "ideal(1, sqrt(-1))", "op": "t"}),
         ("D", "alpha-injective", {"j1": "ideal(1, sqrt(-1))", "j2": "ideal(1)", "op": "t"}),
+        ("A", "M-fixed", {"op": "ovr(d)"}),  # read, but semistar: star_eval refuses it
+        ("A", "extensive", {"ideal": "ideal(1)", "other": "ideal(1)", "op": "w"}),
     ])
     def test_a_witness_outside_its_check_is_a_harness_error(self, name, check, witness):
-        # the check function refuses the values with a ClassGroupError or
-        # DomainError, which replay reports as a HarnessError naming the check
+        # the check function refuses the values with a ClassGroupError,
+        # DomainError or StarEvalError, which replay reports as a HarnessError
+        # naming the check
         with pytest.raises(HarnessError, match=f"'{check}' witness is outside the check's domain"):
             replay_violation({"check": check, "witness": witness}, make_instance(name))
 
@@ -417,12 +463,40 @@ class TestReplay:
             "colon-agreement": ({"ideal": "ideal(2, X)", "element": "(1/2)"}, inst_a, False),
             "v-agreement": ({"ideal": "ideal(2, X)", "element": "(2)"}, inst_a, False),
         }
+        # the star-laws checks hold on healthy data; their positives need a
+        # fault (test_star_law_witnesses_fail_under_their_fault)
+        instances = {"A": inst_a, "D": inst_d}
+        cases.update({check: (data, instances[name], False)
+                      for check, (data, name, _) in _STAR_LAW_POSITIVES.items()})
         assert set(cases) == set(CHECKS)
         for check, (data, inst, expected) in cases.items():
             record = {"check": check, "expected": "", "got": "", "witness": data}
             assert replay_violation(record, inst) == expected, check
         witness = {"op": "t", "samples_invertible": True}
         assert not replay_violation({"check": "pvmd-witness", "witness": witness}, inst_d)
+
+    @pytest.mark.parametrize("check", sorted(_STAR_LAW_POSITIVES))
+    def test_star_law_witnesses_fail_under_their_fault(self, check, monkeypatch):
+        data, name, fault = _STAR_LAW_POSITIVES[check]
+        inst, violation = make_instance(name), {"check": check, "witness": data}
+        _inject(monkeypatch, fault)
+        assert replay_violation(violation, inst)
+        monkeypatch.undo()
+        assert not replay_violation(violation, inst)
+
+    def test_t_as_identity_fails_star_laws_on_D(self, inst_a, inst_b, inst_c, inst_d, inst_e,
+                                                  monkeypatch):
+        # on A, B, C and E v moves no sampled D-part, so an identity t still
+        # equals v there; on D it does not on the corners (1, i) and (2, 1+i)
+        params = SampleParams(seed=7, count=10)
+        _inject(monkeypatch, "t as identity")
+        for inst in (inst_a, inst_b, inst_c, inst_e):
+            assert run_suite("star-laws", inst, params).verdict == "pass"
+        report = run_suite("star-laws", inst_d, params)
+        assert [v["check"] for v in report.violations] == ["t-is-v-on-fg"] * 2
+        assert all(replay_violation(v, inst_d) for v in report.violations)
+        monkeypatch.undo()
+        assert not any(replay_violation(v, inst_d) for v in report.violations)
 
     def test_full_dpart_witness_replays(self, inst_b):
         # a structured ideal with full D-part is written as extT(...) and

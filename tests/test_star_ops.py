@@ -1,4 +1,5 @@
-"""Star-operation combinators: evaluation, meets, order, axioms."""
+"""Star-operation combinators: evaluation, meets, and the order and axioms
+decided by the star-laws checks of the harness."""
 
 import random
 from fractions import Fraction
@@ -14,11 +15,13 @@ from starpull.base_domain import (
     dmod_intersect,
     dmod_v,
 )
-from starpull.harness import SampleParams, sample_dmods
+from starpull import harness
+from starpull.harness import Report, SampleParams, sample_dmods
 from starpull.kernel import FieldElem, Poly, RatFunc
 from starpull.pullback import (
     RawIdeal,
     as_structured,
+    contains_ideal,
     extend_to_T,
     ideal_equal,
     inverse_image_R,
@@ -36,9 +39,7 @@ from starpull.star_ops import (
     class_resolve,
     is_star_kind,
     read_op,
-    star_axiom_check,
     star_eval,
-    star_leq_check,
     star_meet,
 )
 
@@ -52,6 +53,23 @@ D_D = StarOp.identity("D")
 V_D = StarOp.divisorial("D")
 D_T = StarOp.identity("T")
 V_T = StarOp.divisorial("T")
+
+
+def failed_checks(check_fn, inst, op, **values):
+    """The names of the checks that a registered check function fails on values."""
+    rep = Report("star-laws", inst.name, SampleParams())
+    harness._decide(rep, check_fn, inst, op, **values)
+    return [v["check"] for v in rep.violations]
+
+
+def closure_laws_failed(inst, op, samples, scalars):
+    """The closure laws of op on each sample, against the next one, and for each scalar."""
+    failed = []
+    for ideal, other in zip(samples, samples[1:] + samples[:1]):
+        failed += failed_checks(harness._closure_laws, inst, op, ideal=ideal, other=other)
+        for z in scalars:
+            failed += failed_checks(harness._scalar_laws, inst, op, ideal=ideal, scalar=z)
+    return failed
 
 
 def gaussian_pair(inst_d):
@@ -195,36 +213,37 @@ class TestMeet:
 
 class TestLeq:
     def test_d_below_t(self, inst_a):
-        rep = star_leq_check(D_R, T_R, sample_raws(inst_a, 6, 50), inst_a)
-        assert rep.passed
+        for raw in sample_raws(inst_a, 6, 50):
+            assert "extensive" not in failed_checks(harness._closure_laws, inst_a, T_R,
+                                                    ideal=raw, other=raw)
 
-    def test_t_equals_v_on_fg(self, inst_a):
-        samples = sample_raws(inst_a, 7, 20)
-        assert star_leq_check(T_R, V_R, samples, inst_a).passed
-        assert star_leq_check(V_R, T_R, samples, inst_a).passed
+    def test_t_equals_v_on_fg(self, inst_d):
+        # on D, v moves the D-parts of some samples, so t = v tells t from d
+        samples = sample_raws(inst_d, 7, 20) + [gaussian_pair(inst_d)]
+        assert any(not ideal_equal(star_eval(V_R, raw, inst_d), structured_hull(raw, inst_d), inst_d)
+                   for raw in samples)
+        for raw in samples:
+            assert "t-is-v-on-fg" not in failed_checks(harness._order_laws, inst_d, T_R, ideal=raw)
 
     def test_v_not_below_d_on_gaussian_witness(self, inst_d):
-        rep = star_leq_check(V_R, D_R, [gaussian_pair(inst_d)], inst_d)
-        assert not rep.passed
+        g = gaussian_pair(inst_d)
+        assert not contains_ideal(star_eval(D_R, g, inst_d), star_eval(V_R, g, inst_d), inst_d)
 
     def test_lifted_v_equals_v_both_ways(self, inst_c):
-        lift_v = StarOp.lifted(V_D)
-        samples = [structured_hull(raw, inst_c) for raw in sample_raws(inst_c, 8, 15)]
-        assert star_leq_check(lift_v, V_R, samples, inst_c).passed
-        assert star_leq_check(V_R, lift_v, samples, inst_c).passed
+        for raw in sample_raws(inst_c, 8, 15):
+            hull = structured_hull(raw, inst_c)
+            assert "lift-v-is-v" not in failed_checks(harness._order_laws, inst_c, V_R, ideal=hull)
 
 
 class TestAxioms:
     def test_t_axioms_on_A(self, inst_a):
         scalars = [RatFunc.coerce(3), RatFunc(Poly([0, Fraction(1, 2)]))]
-        rep = star_axiom_check(T_R, sample_raws(inst_a, 9, 12), scalars, inst_a)
-        assert rep.passed, rep.violations
+        assert closure_laws_failed(inst_a, T_R, sample_raws(inst_a, 9, 12), scalars) == []
 
     def test_lifted_d_axioms_on_C(self, inst_c):
         samples = [structured_hull(raw, inst_c) for raw in sample_raws(inst_c, 10, 8)]
         scalars = [RatFunc.coerce(2), RatFunc(Poly([FieldElem(1, 1, -5)]))]
-        rep = star_axiom_check(StarOp.lifted(D_D), samples, scalars, inst_c)
-        assert rep.passed, rep.violations
+        assert closure_laws_failed(inst_c, StarOp.lifted(D_D), samples, scalars) == []
 
     def test_projected_t_axioms_on_C(self, inst_c):
         base = inst_c.base
@@ -240,9 +259,13 @@ class TestAxioms:
                 continue
             if not m.is_zero():
                 mods.append(m)
-        scalars = [FieldElem(2), FieldElem(1, 1, -5)]
-        rep = star_axiom_check(StarOp.projected(T_R), mods, scalars, inst_c)
-        assert rep.passed, rep.violations
+        # proj-* reads the laws of proj(t) at J on phi^-1(J) with the scalar 2;
+        # the closure laws of lift(proj(t)) there take the scalar sqrt(-5) too
+        for m, other in zip(mods, mods[1:] + mods[:1]):
+            assert failed_checks(harness._projected_laws, inst_c, T_R, j=m, other=other) == []
+        lifted = StarOp.lifted(StarOp.projected(T_R))
+        values = [inverse_image_R(m, inst_c) for m in mods]
+        assert closure_laws_failed(inst_c, lifted, values, [RatFunc(Poly([FieldElem(1, 1, -5)]))]) == []
 
 
 class TestProjectionLiftingIdentities:
@@ -259,17 +282,15 @@ class TestProjectionLiftingIdentities:
                 m = dmod_from_generators(gens, inst.base)
                 if not m.is_zero():
                     mods.append(m)
-            for star in (D_D, V_D):
-                pl = StarOp.projected(StarOp.lifted(star))
-                for m in mods:
-                    assert star_eval(pl, m, inst) == star_eval(star, m, inst)
+            for m in mods:
+                assert "proj-lift-identity" not in failed_checks(harness._projected_laws, inst, T_R,
+                                                                 j=m, other=m)
 
     def test_op_below_lift_of_projection(self, inst_c):
         # R-side inequality on structured samples
-        op = T_R
-        lifted_proj = StarOp.lifted(StarOp.projected(op))
-        samples = [structured_hull(raw, inst_c) for raw in sample_raws(inst_c, 15, 10)]
-        assert star_leq_check(op, lifted_proj, samples, inst_c).passed
+        for raw in sample_raws(inst_c, 15, 10):
+            hull = structured_hull(raw, inst_c)
+            assert "below-lift-proj" not in failed_checks(harness._order_laws, inst_c, T_R, ideal=hull)
 
 
 class TestExtensionRestriction:
