@@ -522,7 +522,12 @@ def dmod_intersect(n1: ExtDModule, n2: ExtDModule) -> ExtDModule:
 
 
 class DmodPredicates(Frozen):
-    """The module predicates of one module, each computed when it is read."""
+    """The module predicates of one module, each computed when it is read.
+
+    One invertibility test serves the direct and the divisorial sense:
+    every fractional ideal of Z, Q or a quadratic order is divisorial
+    (Bass, Math. Z. 82, 1963), so (n*(D : n))^v = n*(D : n).
+    """
 
     __slots__ = ("module",)
 
@@ -535,19 +540,12 @@ class DmodPredicates(Frozen):
 
     @property
     def is_invertible(self) -> bool:
-        return self._product_with_colon() == self.module.domain.unit_module()
-
-    @property
-    def is_v_invertible(self) -> bool:
-        return dmod_v(self._product_with_colon()) == self.module.domain.unit_module()
-
-    def _product_with_colon(self) -> ExtDModule:
-        # n*(D : n), read by both invertibility fields, is formed once per module
+        # n*(D : n) is formed once per module
         n = self.module
-        cached = _PRODUCT_CACHE.get(n)
-        if cached is not None:
-            return cached
-        return _memo_put(_PRODUCT_CACHE, n, dmod_arith(n, dmod_colon(n), "mul"))
+        product = _PRODUCT_CACHE.get(n)
+        if product is None:
+            product = _memo_put(_PRODUCT_CACHE, n, dmod_arith(n, dmod_colon(n), "mul"))
+        return product == n.domain.unit_module()
 
 
 def _relative_norm(n: ExtDModule) -> int:

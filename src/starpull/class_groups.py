@@ -17,7 +17,6 @@ from .base_domain import (
     _memo_put,
     class_label_D,
     dmod_predicates,
-    dmod_v,
 )
 from .kernel import Frozen, Poly, RatFunc
 from .pullback import (
@@ -38,15 +37,17 @@ class ClassGroupError(ValueError):
 
 
 def alpha(j: ExtDModule, inst: PullbackInstance) -> StructuredIdeal:
-    """Inverse image of a divisorially invertible D-ideal; well-defined on classes,
-    as k^x / (D^x * phi(U(T))) is trivial: K^x lies in U(T) and phi fixes it."""
-    if not dmod_predicates(j).is_v_invertible:
+    """Inverse image of an invertible D-ideal, which on every catalogued D
+    is the same as divisorially invertible; well-defined on classes, as
+    k^x / (D^x * phi(U(T))) is trivial: K^x lies in U(T) and phi fixes it."""
+    if not dmod_predicates(j).is_invertible:
         raise ClassGroupError("alpha needs an invertible D-ideal")
     return inverse_image_R(j, inst)
 
 
 def gamma(h, inst: PullbackInstance) -> ClassLabel:
-    """Divisorial D-class of a t-invertible R-ideal.
+    """Divisorial D-class of a t-invertible R-ideal, read off its D-part
+    J, which is divisorial, so J = J^v.
 
     Defined for every D inside k: an order's k is its own quotient
     field, and Z and Q each have one class, so on any other D every
@@ -55,10 +56,10 @@ def gamma(h, inst: PullbackInstance) -> ClassLabel:
     s = as_structured(h, inst)
     if s.dpart.is_full():
         raise ClassGroupError("gamma needs an invertible input; T-modules are not")
-    if not dmod_predicates(s.dpart).is_v_invertible:
+    if not dmod_predicates(s.dpart).is_invertible:
         raise ClassGroupError("gamma needs a t-invertible input")
-    # labels ignore scaling and dmod_v(c*J) == c * J^v, so a fractional J will do
-    return class_label_D(dmod_v(s.dpart))
+    # labels ignore scaling, so a fractional J will do
+    return class_label_D(s.dpart)
 
 
 _PRINCIPAL_CACHE: dict[tuple[StructuredIdeal, PullbackInstance], tuple[RatFunc | None]] = {}

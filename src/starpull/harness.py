@@ -24,7 +24,6 @@ from .base_domain import (
     class_label_D,
     dmod_from_generators,
     dmod_predicates,
-    dmod_v,
 )
 from .class_groups import (
     ClassGroupError,
@@ -324,9 +323,9 @@ def _alpha_injective(inst, op, fail, j1, j2):
 
 @_check("gamma-alpha-identity", "beta-trivial-on-alpha", j=_DMOD)
 def _splitting(inst, op, fail, j):
-    """alpha(j), the class label of j^v, gamma(alpha(j)) and beta(alpha(j))."""
+    """alpha(j), the class label of j, gamma(alpha(j)) and beta(alpha(j))."""
     image = alpha(j, inst)
-    label = class_label_D(dmod_v(j))
+    label = class_label_D(j)
     got, t_part = gamma(image, inst), extend_to_T(image, inst)
     if got != label:
         fail("gamma-alpha-identity", label, got)
@@ -338,7 +337,7 @@ def _splitting(inst, op, fail, j):
 @_check("kernel-capture", ideal=_CLOSED, op=_OP)
 def _kernel_capture(inst, op, fail, ideal):
     """The alpha preimage of an op-invertible t-closed ideal, or None."""
-    if not dmod_predicates(ideal.dpart).is_v_invertible:
+    if not dmod_predicates(ideal.dpart).is_invertible:
         fail("kernel-capture", "invertible dpart", "not invertible")
         return None
     preimage = alpha(ideal.dpart, inst)
@@ -557,7 +556,7 @@ def _split_exact(inst: PullbackInstance, op: StarOp, params: SampleParams) -> Re
     # splitting and triviality of beta on representatives and sampled D-ideals
     dmods = reps + sample_dmods(inst, params)[: params.count // 2]
     for j in dmods:
-        if not dmod_predicates(j).is_v_invertible:
+        if not dmod_predicates(j).is_invertible:
             continue
         image, label, got, t_part = _decide(rep, _splitting, inst, op, j=j)
         rep.records.append({

@@ -8,16 +8,17 @@ element with b == 0 is normalized to d == 1 so that rationals compare
 equal across ambient fields.  A polynomial (``Poly``) in one variable X
 is held as integer arrays over one denominator, coefficient i being
 (A[i] + B[i]*sqrt(d))/n; its arithmetic runs on integers with one gcd
-per result, and products and quotients by X^j are shifts.  A rational
-function (``RatFunc``) is a quotient of two polynomials.  A RatFunc
-is kept canonical (monic denominator, numerator coprime to denominator),
+per result.  Products by X^j are ``shift``, which moves the
+coefficients; ``*`` and ``divmod`` treat X^j like any other factor.  A
+rational function (``RatFunc``) is a quotient of two polynomials, kept
+canonical (monic denominator, numerator coprime to denominator),
 so two values are mathematically equal iff they are structurally equal.
 Products keep that form by cross-cancellation (Henrici's method, Knuth,
 TAOCP vol. 2, 4.5.1): for canonical a/b and c/d, dividing out gcd(a, d)
 and gcd(c, b) leaves a coprime pair with a monic denominator, so no gcd
 of the full products is taken.  When a numerator is a constant multiple
 of the other factor's denominator, as in u * u.inv() or g / g, that
-denominator is the gcd and none is computed.  A product by X^j takes
+denominator is the gcd and none is computed.  ``RatFunc.shift`` takes
 none at all, as only powers of X can cancel.  Nor does a sum with a
 polynomial, since a + c*b stays coprime to b, or a negation; a product
 with a nonzero constant scales the other numerator.
@@ -451,10 +452,6 @@ class Poly(Frozen):
         f, g = self, _as_poly(other)
         if not (f._rep[0] and g._rep[0]):
             return _POLY_ZERO
-        if _is_x_power(f._rep):
-            f, g = g, f
-        if _is_x_power(g._rep):
-            return f.shift(g.degree)
         (A1, B1, n1, d), (A2, B2, n2, d2) = f._rep, g._rep
         if d != d2:
             d = _common_tag(d, d2)
@@ -475,9 +472,6 @@ class Poly(Frozen):
         s, k = len(FA) - len(GA) + 1, len(GA) - 1
         if s <= 0:
             return _POLY_ZERO, self
-        if _is_x_power(q):
-            # a division by X^j is a shift
-            return _flat(FA[k:], FB[k:], n, d), _flat(FA[:k], FB[:k], n, d)
         if GA[-1] != m or q[1] and q[1][-1]:
             c = other._coeff(-1).inv()
             quo, rem = divmod(self, other.scale(c))
@@ -581,11 +575,6 @@ def _conv(P, Q, size: int) -> list:
     return out
 
 
-def _is_x_power(rep) -> bool:
-    A, B, n, _ = rep
-    return n == 1 and not B and A[-1] == 1 and A.count(0) == len(A) - 1
-
-
 # Poly is immutable, so every caller shares one 0 and one 1
 _POLY_ZERO = _flat((), (), 1, 1)
 _POLY_ONE = _flat((1,), (), 1, 1)
@@ -610,10 +599,6 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     g = _as_poly(g)
     if f.is_zero() and g.is_zero():
         raise KernelError("gcd of two zero polynomials")
-    # gcd(X^j, h) = X^min(j, ord_0 h), with no remainder sequence
-    for m, h in ((f, g), (g, f)):
-        if m._rep[0] and _is_x_power(m._rep) and h._rep[0]:
-            return Poly.x_power(min(m.degree, h.ord_zero()))
     a, b = f, g
     while not b.is_zero():
         b = b.monic()
@@ -723,10 +708,6 @@ class RatFunc(Frozen):
             return _ratfunc(a._scale(c.coeff_ints(0)), b)
         if b.is_one() and a.is_constant():
             return _ratfunc(c._scale(a.coeff_ints(0)), d)
-        if (j := _x_exponent(c, d)) is not None:
-            return self.shift(j)
-        if (j := _x_exponent(a, b)) is not None:
-            return other.shift(j)
         # a/b and c/d are canonical, so after dividing out gcd(a, d) and
         # gcd(c, b) the numerator and denominator are coprime, and the
         # denominator stays monic as a quotient of monic polynomials
@@ -828,15 +809,6 @@ _set_den = RatFunc.den.__set__
 # RatFunc is immutable, so every caller shares one 0 and one 1
 _RATFUNC_ZERO = _ratfunc(_POLY_ZERO, _POLY_ONE)
 _RATFUNC_ONE = _ratfunc(_POLY_ONE, _POLY_ONE)
-
-
-def _x_exponent(num: Poly, den: Poly) -> int | None:
-    """j when num/den is X^j, else None."""
-    if den.is_one() and _is_x_power(num._rep):
-        return num.degree
-    if num.is_one() and _is_x_power(den._rep):
-        return -den.degree
-    return None
 
 
 def ord_at_zero(f: RatFunc) -> int:

@@ -171,10 +171,15 @@ class TestClosure:
         assert dmod_v(m).is_full()
 
 
+def _v_invertible(n):
+    """Reference: divisorial invertibility, (n*(D : n))^v == D."""
+    return dmod_v(dmod_arith(n, dmod_colon(n), "mul")) == n.domain.unit_module()
+
+
 class TestPredicates:
     def test_p_invertible_not_cyclic(self):
         preds = dmod_predicates(P)
-        assert preds.is_invertible and preds.is_v_invertible
+        assert preds.is_invertible and _v_invertible(P)
         assert preds.is_cyclic is None
         # independent short-vector check: no element of norm 2 in Z[sqrt(-5)]
         assert all(a * a + 5 * b * b != 2 for a in range(-2, 3) for b in range(-1, 2))
@@ -190,8 +195,9 @@ class TestPredicates:
         assert dmod_from_generators([gen, gen * OK5.omega()], OK5) == p2
 
     def test_gaussian_lattice_not_invertible(self):
-        preds = dmod_predicates(dmod_from_generators([fe(1), I], ZI))
-        assert not preds.is_invertible and not preds.is_v_invertible
+        m = dmod_from_generators([fe(1), I], ZI)
+        preds = dmod_predicates(m)
+        assert not preds.is_invertible and not _v_invertible(m)
         assert preds.is_cyclic is None
 
     def test_membership_and_equal(self):
@@ -213,10 +219,30 @@ class TestPredicates:
             m1, m2 = rng.choice(invertibles), rng.choice(invertibles)
             assert dmod_predicates(dmod_arith(m1, m2, "mul")).is_invertible
 
+    def test_invertible_is_v_invertible(self):
+        # every fractional ideal of Z, Q or a quadratic order is divisorial
+        # (Bass, Math. Z. 82, 1963), so one test decides both; a Z-module
+        # on D = Z with a surd part is no D-ideal and fails both
+        verdicts = Counter()
+        for name in instance_catalog():
+            inst = make_instance(name)
+            rng = random.Random(3)
+            mods = [m for seed in range(10)
+                    for m in sample_dmods(inst, SampleParams(seed=seed, count=12))]
+            for _ in range(60):
+                gens = [harness._sample_scalar(rng, inst, 6, nonzero=True)
+                        for _ in range(rng.randint(1, 3))]
+                mods.append(dmod_from_generators(gens, inst.base))
+            for n in mods:
+                verdict = dmod_predicates(n).is_invertible
+                assert verdict == _v_invertible(n), (name, n)
+                verdicts[verdict] += 1
+        assert verdicts[True] and verdicts[False], verdicts
+
 
 class TestProductMemo:
-    """Both invertibility fields read n*(D : n), which is formed once per
-    module and kept in base_domain._PRODUCT_CACHE."""
+    """is_invertible reads n*(D : n), which is formed once per module and
+    kept in base_domain._PRODUCT_CACHE."""
 
     @staticmethod
     def _modules(inst):
@@ -231,15 +257,15 @@ class TestProductMemo:
             fresh = dmod_arith(n, dmod_colon(n), "mul")
             unit = n.domain.unit_module()
             preds = dmod_predicates(n)
-            assert preds.is_invertible == (fresh == unit)
-            assert preds.is_v_invertible == (dmod_v(fresh) == unit)
-            assert base_domain._PRODUCT_CACHE[n] == fresh
-            # a second read, through a new record, is the stored object
-            assert dmod_predicates(n)._product_with_colon() is base_domain._PRODUCT_CACHE[n]
+            assert preds.is_invertible == (fresh == unit) == (dmod_v(fresh) == unit)
+            stored = base_domain._PRODUCT_CACHE[n]
+            assert stored == fresh
+            # a second read, through a new record, keeps the stored object
+            assert dmod_predicates(n).is_invertible == preds.is_invertible
+            assert base_domain._PRODUCT_CACHE[n] is stored
 
     def test_split_exact_forms_each_product_once(self, inst_c, empty_memos, monkeypatch):
-        # the suite reads is_invertible and is_v_invertible of the same
-        # modules over and over; re-forming the product on every read made
+        # the suite reads is_invertible of the same modules over and over; re-forming the product on every read made
         # 209 products of 23 modules in this report
         factors = []
         arith = base_domain.dmod_arith
@@ -254,12 +280,10 @@ class TestProductMemo:
     def test_table_stops_at_the_cap(self, inst_c, empty_memos, monkeypatch):
         monkeypatch.setattr(base_domain, "_MEMO_CAP", 3)
         mods = self._modules(inst_c)
-        verdicts = [(dmod_predicates(n).is_invertible, dmod_predicates(n).is_v_invertible)
-                    for n in mods]
+        verdicts = [dmod_predicates(n).is_invertible for n in mods]
         assert len(base_domain._PRODUCT_CACHE) == 3
         # past the cap every product is formed again, with the same verdicts
-        assert [(dmod_predicates(n).is_invertible, dmod_predicates(n).is_v_invertible)
-                for n in mods] == verdicts
+        assert [dmod_predicates(n).is_invertible for n in mods] == verdicts
         assert len(base_domain._PRODUCT_CACHE) == 3
 
 

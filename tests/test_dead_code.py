@@ -308,7 +308,7 @@ def _is_x_power_call(node):
 
 def test_products_by_x_powers_are_shifts():
     # RatFunc.shift moves the coefficients directly; a product by
-    # RatFunc.x_power(j) builds X^j only for __mul__ to detect it again
+    # RatFunc.x_power(j) builds X^j and takes __mul__'s gcds
     products = [f"{path.name}:{node.lineno}"
                 for path in sorted(PACKAGE.glob("*.py"))
                 for node in ast.walk(ast.parse(path.read_text()))

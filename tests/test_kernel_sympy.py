@@ -69,7 +69,7 @@ class TestPolyAgainstSympy:
     @given(tagged(polys), st.integers(0, 6))
     @settings(max_examples=60, deadline=None)
     def test_gcd_with_a_monomial(self, args, j):
-        # poly_gcd answers a monic X^j argument without a remainder sequence
+        # a monic X^j argument takes the remainder sequence like any other
         d, f = args
         xj = Poly.x_power(j)
         expected = to_sympy(xj, d).gcd(to_sympy(f, d))
