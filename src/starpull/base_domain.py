@@ -31,7 +31,6 @@ from .kernel import FieldElem, Frozen, FrozenValue, _is_squarefree, _make
 from .lattices import (
     hnf_rows,
     lattice_member,
-    primitive_int_rows,
     rational_rref,
     xgcd,
 )
@@ -413,8 +412,9 @@ def dmod_from_generators(gens, domain: BaseDomain) -> ExtDModule:
         rref, pivots = rational_rref([[Fraction(a, n), Fraction(b, n)] for a, b, n in vecs])
         if len(pivots) >= 2:
             return ExtDModule.full(domain)
-        row = primitive_int_rows([rref[0]])[0]
-        return ExtDModule.lattice(domain, 1, [row])
+        # one lcm makes the row integral; lattice divides out its content
+        m = lcm(*(v.denominator for v in rref[0]))
+        return ExtDModule.lattice(domain, 1, [[v.numerator * (m // v.denominator) for v in rref[0]]])
     # the Z-span of the products of the generators with a Z-basis of D
     den = lcm(*(n for _, _, n in vecs))
     dim = domain.ambient_dim

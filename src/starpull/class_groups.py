@@ -18,7 +18,7 @@ from .base_domain import (
     class_label_D,
     dmod_predicates,
 )
-from .kernel import Frozen, Poly, RatFunc
+from .kernel import Frozen, RatFunc
 from .pullback import (
     PullbackInstance,
     StructuredIdeal,
@@ -77,7 +77,7 @@ def is_principal_R(h, inst: PullbackInstance) -> RatFunc | None:
     if (cached := _PRINCIPAL_CACHE.get((s, inst))) is not None:
         return cached[0]
     gen = dmod_predicates(s.dpart).is_cyclic
-    gen = None if gen is None else s.unit * RatFunc.coerce(Poly.const(gen))
+    gen = None if gen is None else s.unit * gen
     return _memo_put(_PRINCIPAL_CACHE, (s, inst), (gen,))[0]
 
 

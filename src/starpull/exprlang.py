@@ -31,7 +31,8 @@ import re
 from itertools import accumulate
 
 from .base_domain import ClassLabel, DomainError, ExtDModule, dmod_from_generators
-from .kernel import FieldElem, FrozenValue, KernelError, Poly, RatFunc, _elem_str, _make, _ratio_str
+from .kernel import (FieldElem, FrozenValue, KernelError, Poly, RatFunc, _elem_str, _grouped, _make,
+                     _ratio_str, _terms_str)
 from .pullback import (
     PullbackError,
     PullbackInstance,
@@ -428,19 +429,7 @@ def elem_to_expr(e: FieldElem) -> str:
 
 
 def poly_to_expr(p: Poly) -> str:
-    parts = []
-    for i in range(p.degree + 1):
-        a, b, n, d = p.coeff_ints(i)
-        if not (a or b):
-            continue
-        cs = _coeff_to_expr(a, b, n, d)
-        if i == 0:
-            parts.append(cs)
-        elif i == 1:
-            parts.append(f"{cs}*X" if cs != "1" else "X")
-        else:
-            parts.append(f"{cs}*X^{i}" if cs != "1" else f"X^{i}")
-    return " + ".join(parts) or "0"
+    return _terms_str(p, _coeff_to_expr, range(p.degree + 1))
 
 
 def ratfunc_to_expr(f: RatFunc) -> str:
@@ -490,11 +479,6 @@ def _pretty_dpart(j: ExtDModule, inst: PullbackInstance) -> str:
     return f"ℤ⟨{gens}⟩"
 
 
-def _pretty_ratfunc(f: RatFunc) -> str:
-    s = str(f)
-    return f"({s})" if (" " in s or "/" in s) else s
-
-
 def pretty_value(value, inst: PullbackInstance) -> str:
     """Human-readable canonical form (unit part times dpart basis)."""
     if isinstance(value, ClassLabel):
@@ -502,17 +486,17 @@ def pretty_value(value, inst: PullbackInstance) -> str:
     if isinstance(value, PrincipalAnswer):
         if value.generator is None:
             return "not principal"
-        return f"principal, generator {_pretty_ratfunc(value.generator)}"
+        return f"principal, generator {_grouped(str(value.generator))}"
     if isinstance(value, RatFunc):
         return str(value)
     if isinstance(value, RawIdeal):
-        return "(" + ", ".join(_pretty_ratfunc(g) for g in value.gens) + ")R"
+        return "(" + ", ".join(_grouped(str(g)) for g in value.gens) + ")R"
     if isinstance(value, StructuredIdeal):
         t_name = inst.t_name("ℚ", "√{}")
         if value.dpart.is_full():
-            return t_name if value.unit.is_one() else f"{_pretty_ratfunc(value.unit)}·{t_name}"
+            return t_name if value.unit.is_one() else f"{_grouped(str(value.unit))}·{t_name}"
         body = f"{_pretty_dpart(value.dpart, inst)} + X·{t_name}"
         if value.unit.is_one():
             return body
-        return f"{_pretty_ratfunc(value.unit)}·({body})"
+        return f"{_grouped(str(value.unit))}·({body})"
     return str(value)

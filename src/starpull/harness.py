@@ -663,7 +663,7 @@ def _confirm_noninvertibility(raw: RawIdeal, inst: PullbackInstance) -> bool:
     generators = colon_generators(raw, inst)
     return (generators is not None
             and span_product_in((raw.gens, None), generators, ExtDModule.zero(inst.base), inst)
-            and not member_R(RatFunc.coerce(Poly.const(outside_D(inst))), inst))
+            and not member_R(outside_D(inst), inst))
 
 
 def _extension_laws(inst: PullbackInstance, op: StarOp, params: SampleParams) -> Report:

@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import zip_longest
 from math import gcd, lcm
-from operator import attrgetter, or_
+from operator import attrgetter
 
 
 class KernelError(ArithmeticError):
@@ -154,8 +154,6 @@ class FieldElem(Frozen):
         a2, b2, n2, d2 = other._abnd
         if d != d2:
             d = _common_tag(d, d2)
-        if n == n2:
-            return _make(a + a2, b + b2, n, d)
         return _make(a * n2 + a2 * n, b * n2 + b2 * n, n * n2, d)
 
     __radd__ = __add__
@@ -249,7 +247,9 @@ def _ratio_str(p: int, q: int) -> str:
 
 def _elem_str(a: int, b: int, n: int, d: int, root="sqrt({})", times="*", sep=" ") -> str:
     """(a + b*sqrt(d))/n for n > 0 as str(FieldElem) prints it, read from
-    the integers; a pretty printer passes its own root sign and spacing."""
+    the integers; a pretty printer passes its own root sign and spacing.
+    Every printer builds on this, _terms_str (the one loop over a
+    polynomial's terms) and _grouped (the one rule for a quotient's factors)."""
     if not b:
         return _ratio_str(a, n)
     surd = "i" if d == -1 else root.format(d)
@@ -258,6 +258,11 @@ def _elem_str(a: int, b: int, n: int, d: int, root="sqrt({})", times="*", sep=" 
     if not a:
         return mag if b > 0 else f"-{mag}"
     return f"{_ratio_str(a, n)}{sep}{'+' if b > 0 else '-'}{sep}{mag}"
+
+
+def _grouped(s: str) -> str:
+    """s as one factor of a quotient: in parentheses when it holds a space or a slash."""
+    return f"({s})" if " " in s or "/" in s else s
 
 
 _new = object.__new__
@@ -372,8 +377,6 @@ class Poly(Frozen):
     def bit_length(self) -> int:
         """Largest bit length of an integer a, b or n of a reduced coefficient."""
         A, B, n, _ = self._rep
-        if n == 1:
-            return reduce(or_, map(abs, A + B), 0).bit_length()
         m = 0
         # a rational coefficient a/n is read as (a + a*sqrt(d))/n: same gcd, same bits
         for a, b in zip(A, B or A):
@@ -525,16 +528,27 @@ class Poly(Frozen):
         return f"Poly({list(self.coeffs)!r})"
 
     def __str__(self):
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeff_ints(i)
-            if c[0] or c[1]:
-                cs = _elem_str(*c)
-                if "+" in cs.strip("+") or "-" in cs.lstrip("-") or " " in cs:
-                    cs = f"({cs})"
-                mono = "X" if i == 1 else f"X^{i}"
-                parts.append(cs if i == 0 else mono if cs == "1" else f"{cs}*{mono}")
-        return " + ".join(parts) or "0"
+        return _terms_str(self, _coeff_str, range(self.degree, -1, -1))
+
+
+def _coeff_str(*abnd) -> str:
+    """A coefficient as str(Poly) prints it: in parentheses when it holds a
+    space or a minus sign past its first character."""
+    cs = _elem_str(*abnd)
+    return f"({cs})" if " " in cs or "-" in cs.lstrip("-") else cs
+
+
+def _terms_str(p: Poly, atom, degrees) -> str:
+    """The nonzero terms c*X^i of p for i in degrees, joined by " + ",
+    each c printed from its integers by atom(a, b, n, d)."""
+    parts = []
+    for i in degrees:
+        a, b, n, d = p.coeff_ints(i)
+        if a or b:
+            cs = atom(a, b, n, d)
+            mono = "X" if i == 1 else f"X^{i}"
+            parts.append(cs if i == 0 else mono if cs == "1" else f"{cs}*{mono}")
+    return " + ".join(parts) or "0"
 
 
 _set_rep = Poly._rep.__set__
@@ -788,12 +802,7 @@ class RatFunc(Frozen):
     def __str__(self):
         if self.den.is_one():
             return str(self.num)
-        ns, ds = str(self.num), str(self.den)
-        if " " in ns or "/" in ns:
-            ns = f"({ns})"
-        if " " in ds or "/" in ds:
-            ds = f"({ds})"
-        return f"{ns}/{ds}"
+        return f"{_grouped(str(self.num))}/{_grouped(str(self.den))}"
 
 
 def _ratfunc(num: Poly, den: Poly) -> RatFunc:

@@ -3,16 +3,15 @@ rational row reduction.
 
 All matrices here are tiny (at most 4 columns, a handful of rows), so the
 algorithms favor clarity over asymptotics.  Integer matrices are lists of
-row lists; rational ones, used only for lines over a field, have Fraction
-entries.  The Hermite form is the one canonical basis of every integer
-lattice in base_domain, D's own unit module included: one pass over the
-columns folds the rows into a pivot and reduces the rows above it.
+row lists; rational rows (Fraction entries, for lines over a field) enter
+only rational_rref.  The Hermite form is the one canonical basis of every
+integer lattice in base_domain, D's own unit module included: one pass
+over the columns folds the rows into a pivot and reduces the rows above it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -91,23 +90,6 @@ def rational_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], lis
         if r == m:
             break
     return work, pivots
-
-
-def primitive_int_rows(rows: list[list[Fraction]]) -> list[list[int]]:
-    """Scale each rational row to a primitive integer vector."""
-    out = []
-    for row in rows:
-        denom = 1
-        for v in row:
-            denom = lcm(denom, v.denominator)
-        ints = [int(v * denom) for v in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
-    return out
 
 
 def lattice_member(target: list[int], n: int, rows: list[list[int]]) -> bool:

@@ -150,8 +150,6 @@ class _PolyT:
         that lcm: an irreducible p has its largest power in some f.den, so
         p divides neither f.num nor lcm/f.den, nor then the gcd.  A
         constant gcd is 1 and ends the chain."""
-        if len(fs) == 1:
-            return fs[0]
         den = reduce(poly_lcm, {f.den for f in fs})
         g = None
         for f in fs:
@@ -508,7 +506,7 @@ def lift_generators(s: StructuredIdeal, inst: PullbackInstance) -> list[RatFunc]
     """
     if s.dpart.is_full():
         return [s.unit]
-    return [s.unit * RatFunc.coerce(Poly.const(c)) for c in s.dpart.basis_elements()]
+    return [s.unit * c for c in s.dpart.basis_elements()]
 
 
 def ideal_arith(a, b, op: str, inst: PullbackInstance):
@@ -617,7 +615,7 @@ def oracle_v_member(h: RatFunc, ideal: RawIdeal, inst: PullbackInstance,
         value = _make(*value)
         if value.is_zero():
             return OracleVerdict("in")
-        witness = t * RatFunc.coerce(Poly.const(outside_D(inst) / value))
+        witness = t * (outside_D(inst) / value)
     if oracle_colon_member(witness, ideal, inst):
         return OracleVerdict("out-with-witness", witness)
     return OracleVerdict("inconclusive")

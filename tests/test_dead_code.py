@@ -37,8 +37,13 @@ value with "poly" or "local"; everything else asks the instance's kind.
 A product by a power of X has one form, `f.shift(j)`: no code multiplies
 by `RatFunc.x_power(...)`.  And `exprlang` prints each scalar from its
 integers (a, b, n, d): no function there calls `Fraction(...)` or reads a
-scalar's rational coordinates `.x` and `.y`.  The samplers of `harness`
-draw in integers too: `harness.py` imports nothing from `fractions`.
+scalar's rational coordinates `.x` and `.y`.  A polynomial's terms are
+printed by one loop, `kernel._terms_str`, for `str(Poly)` and for
+`exprlang.poly_to_expr` alike, and no call in the package wraps
+`Poly.const(...)` in `RatFunc.coerce(...)`: a `FieldElem` is coerced
+once, by the `RatFunc` operation or the membership test that takes it.
+The samplers of `harness` draw in integers too: `harness.py` imports
+nothing from `fractions`.
 And membership decides integers: `_product_in`, `_at_zero`, `_x_order`,
 each T kind's `x_free_divides` and `ExtDModule.contains` call no `_make`,
 `FieldElem`, `coerce` or `next`.  One rule decides whether h*g lies in T:
@@ -300,10 +305,11 @@ def test_t_kind_is_read_in_one_place():
     assert not literals, f"T kinds compared by name outside _T_KINDS: {sorted(literals)}"
 
 
-def _is_x_power_call(node):
+def _is_attr_call(node, owner: str, attr: str) -> bool:
+    """Whether node is a call owner.attr(...), such as RatFunc.x_power(j)."""
     return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "x_power" and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == "RatFunc")
+            and node.func.attr == attr and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == owner)
 
 
 def test_products_by_x_powers_are_shifts():
@@ -313,7 +319,7 @@ def test_products_by_x_powers_are_shifts():
                 for path in sorted(PACKAGE.glob("*.py"))
                 for node in ast.walk(ast.parse(path.read_text()))
                 if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
-                and (_is_x_power_call(node.left) or _is_x_power_call(node.right))]
+                and any(_is_attr_call(side, "RatFunc", "x_power") for side in (node.left, node.right))]
     assert not products, f"products by RatFunc.x_power(...) instead of shift: {products}"
 
 
@@ -327,6 +333,59 @@ def test_exprlang_prints_from_integers():
                   if isinstance(node, ast.Call) and _names(node.func)["Fraction"]
                   or isinstance(node, ast.Attribute) and node.attr in ("x", "y"))
     assert not uses, f"exprlang reads Fraction coordinates at lines {uses}"
+
+
+_COEFF_READS = {"coeff_ints", "_coeff", "coeffs"}
+
+
+def _term_printers(tree, owner: str) -> set[str]:
+    """Functions that read a polynomial's coefficients in a loop and print
+    powers of X: the loops that turn a Poly into terms."""
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        loops = [node for node in ast.walk(func)
+                 if isinstance(node, (ast.For, ast.GeneratorExp, ast.ListComp))]
+        reads = any(_names(loop)[name] for loop in loops for name in _COEFF_READS)
+        powers = any(isinstance(node, ast.Constant) and isinstance(node.value, str)
+                     and "X^" in node.value for node in ast.walk(func))
+        if reads and powers:
+            found.add(f"{owner}.{func.name}")
+    return found
+
+
+def test_polynomial_terms_are_printed_by_one_loop():
+    # str(Poly) and exprlang's parseable form differ only in the degree
+    # order and the coefficient atom, so both call kernel._terms_str
+    printers = {name for path in sorted(PACKAGE.glob("*.py"))
+                for name in _term_printers(ast.parse(path.read_text()), path.stem)}
+    assert printers == {"kernel._terms_str"}, printers
+    # the rule sees the former expression printer
+    old = ast.parse("def poly_to_expr(p):\n"
+                    "    parts = []\n"
+                    "    for i in range(p.degree + 1):\n"
+                    "        a, b, n, d = p.coeff_ints(i)\n"
+                    "        parts.append(f'{_coeff_to_expr(a, b, n, d)}*X^{i}')\n"
+                    "    return ' + '.join(parts)\n")
+    assert _term_printers(old, "exprlang") == {"exprlang.poly_to_expr"}
+
+
+def _double_coercions(tree) -> list[int]:
+    """Lines that wrap Poly.const(...) in RatFunc.coerce(...)."""
+    return sorted(node.lineno for node in ast.walk(tree) if _is_attr_call(node, "RatFunc", "coerce")
+                  and any(_is_attr_call(arg, "Poly", "const") for arg in node.args))
+
+
+def test_scalars_are_coerced_once():
+    # RatFunc.__mul__ and member_R coerce a FieldElem themselves, so a
+    # caller passes the scalar as it is
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in _double_coercions(ast.parse(path.read_text()))]
+    assert not found, f"Poly.const inside RatFunc.coerce: {found}"
+    # the rule sees the former lift
+    old = ast.parse("lifts = [s.unit * RatFunc.coerce(Poly.const(c)) for c in basis]\n")
+    assert _double_coercions(old) == [1]
 
 
 def _fraction_uses(source: str) -> list[int]:

@@ -579,10 +579,16 @@ class TestIntegerMembership:
             assert reduced(pullback._at_zero(h, g, inst.t)) == at_zero(h, g), (h, g)
         if not inst.t.quasilocal:
             values = [h for h, _ in pairs]
-            for size in (1, 2, 3, 5):
+            for size in (2, 3, 5):
                 for i in range(0, len(values) - size, 7):
                     fs = values[i:i + size]
                     assert inst.t.content(fs) == former.content(fs), fs
+            # one generator f: the former body returned f itself; the
+            # content is f over its numerator's leading coefficient, which
+            # generates the same f*T
+            for f in values[:-1:7]:
+                assert former.content([f]) == f
+                assert inst.t.content([f]) == RatFunc(f.num.monic(), f.den), f
 
     @pytest.mark.parametrize("name", instance_catalog())
     def test_membership_builds_no_scalar(self, name, monkeypatch):
