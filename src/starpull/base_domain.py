@@ -462,7 +462,7 @@ def dmod_scale(c, n: ExtDModule) -> ExtDModule:
 
 _MEMO_CAP = 65536
 _COLON_CACHE: dict[ExtDModule, ExtDModule] = {}
-_PRODUCT_CACHE: dict[ExtDModule, ExtDModule] = {}
+_PREDICATES_CACHE: dict[ExtDModule, DmodPredicates] = {}
 
 
 def _memo_put(table: dict, key, value):
@@ -522,30 +522,19 @@ def dmod_intersect(n1: ExtDModule, n2: ExtDModule) -> ExtDModule:
 
 
 class DmodPredicates(Frozen):
-    """The module predicates of one module, each computed when it is read.
+    """The two module predicates of one module: whether it is invertible,
+    and a generator x with n = xD, or None.
 
     One invertibility test serves the direct and the divisorial sense:
     every fractional ideal of Z, Q or a quadratic order is divisorial
     (Bass, Math. Z. 82, 1963), so (n*(D : n))^v = n*(D : n).
     """
 
-    __slots__ = ("module",)
+    __slots__ = ("is_invertible", "is_cyclic")
 
-    def __init__(self, module):
-        object.__setattr__(self, "module", module)
-
-    @property
-    def is_cyclic(self) -> FieldElem | None:
-        return _cyclic_generator(self.module)
-
-    @property
-    def is_invertible(self) -> bool:
-        # n*(D : n) is formed once per module
-        n = self.module
-        product = _PRODUCT_CACHE.get(n)
-        if product is None:
-            product = _memo_put(_PRODUCT_CACHE, n, dmod_arith(n, dmod_colon(n), "mul"))
-        return product == n.domain.unit_module()
+    def __init__(self, is_invertible, is_cyclic):
+        object.__setattr__(self, "is_invertible", is_invertible)
+        object.__setattr__(self, "is_cyclic", is_cyclic)
 
 
 def _relative_norm(n: ExtDModule) -> int:
@@ -600,7 +589,13 @@ def _cyclic_generator(n: ExtDModule) -> FieldElem | None:
 
 
 def dmod_predicates(n: ExtDModule) -> DmodPredicates:
-    return DmodPredicates(n)
+    """Both predicates of n, decided once per module: xD * x^-1 D = D,
+    so n*(D : n) is formed only when n has no generator."""
+    if (cached := _PREDICATES_CACHE.get(n)) is not None:
+        return cached
+    gen = _cyclic_generator(n)
+    invertible = gen is not None or dmod_arith(n, dmod_colon(n), "mul") == n.domain.unit_module()
+    return _memo_put(_PREDICATES_CACHE, n, DmodPredicates(invertible, gen))
 
 
 def _form_of_module(n: ExtDModule) -> tuple[int, int, int]:

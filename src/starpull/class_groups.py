@@ -62,31 +62,25 @@ def gamma(h, inst: PullbackInstance) -> ClassLabel:
     return class_label_D(s.dpart)
 
 
-_PRINCIPAL_CACHE: dict[tuple[StructuredIdeal, PullbackInstance], tuple[RatFunc | None]] = {}
-
-
 def is_principal_R(h, inst: PullbackInstance) -> RatFunc | None:
-    """A generator when the ideal is principal over R, else None.
+    """A generator when the ideal is principal over R, else None: u*x for
+    the closed form u*phi^-1(xD).
 
     T-modules (FULL dpart, including M) are never finitely generated
     over R, hence never principal: is_cyclic is None on the sentinel.
-    The answer is searched for once per closed form and then read from a
-    memo, which holds it as a one-tuple so that None is remembered too.
+    The generator search runs once per D-part, in dmod_predicates.
     """
     s = as_structured(h, inst)
-    if (cached := _PRINCIPAL_CACHE.get((s, inst))) is not None:
-        return cached[0]
     gen = dmod_predicates(s.dpart).is_cyclic
-    gen = None if gen is None else s.unit * gen
-    return _memo_put(_PRINCIPAL_CACHE, (s, inst), (gen,))[0]
+    return None if gen is None else s.unit * gen
 
 
 class RClassWitness(Frozen):
     """Invertibility of an R-ideal H: the closure (H * (R : H))^op,
     whether the product and its closure are R, and a principal generator
     of H or None.  The generator is looked up when ``principal_gen`` is
-    read, since most callers need just the verdicts; is_principal_R
-    searches for it once per closed form."""
+    read, since most callers need just the verdicts; the search behind
+    is_principal_R runs once per D-module."""
 
     __slots__ = ("closed", "is_invertible", "is_star_invertible", "_ideal", "_inst")
 

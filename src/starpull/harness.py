@@ -758,7 +758,7 @@ def _oracle_agreement(inst: PullbackInstance, op: StarOp, params: SampleParams) 
         # colon_generators; a failure there makes the v-oracle inconclusive
         closed_colon = colon_R(hull, inst)
         closed_v = star_eval(StarOp.divisorial("R"), hull, inst)
-        lifts = lift_generators(closed_colon, inst)
+        lifts = lift_generators(closed_colon)
         for g in (*raw.gens, *lifts):
             _decide(rep, _colon_agreement, inst, op, ideal=raw, element=g,
                     closed_colon=closed_colon)
@@ -774,7 +774,7 @@ def _oracle_agreement(inst: PullbackInstance, op: StarOp, params: SampleParams) 
                         raise AssertionError(f"the degree window disagrees with colon-agreement "
                                              f"at X^{j} * {value_to_expr(b, inst)}")
         generators = colon_generators(raw, inst, closed_colon)
-        v_grid = _v_grid(raw, hull, closed_v, inst)
+        v_grid = _v_grid(raw, hull, closed_v)
         for h in v_grid:
             _decide(rep, _v_agreement, inst, op, ideal=raw, element=h,
                     closed_v=closed_v, generators=generators)
@@ -798,10 +798,10 @@ def _window_verdicts(b: RatFunc, raw: RawIdeal, closed_colon: StructuredIdeal, s
     return [(all(column), inside) for column, inside in zip(zip(*oracle), closed)]
 
 
-def _v_grid(raw: RawIdeal, hull, closed_v, inst) -> list[RatFunc]:
+def _v_grid(raw: RawIdeal, hull, closed_v) -> list[RatFunc]:
     out = list(raw.gens)
     if closed_v.dpart.is_lattice():
-        out.extend(lift_generators(closed_v, inst))
+        out.extend(lift_generators(closed_v))
     out.append(hull.unit.shift(-1))
     out.append(hull.unit / 3)
     out.append(raw.gens[0].shift(1))

@@ -417,7 +417,7 @@ def contains_ideal(outer, inner, inst: PullbackInstance) -> bool:
     """inner is a subset of outer = u*phi^-1(J), decided on closed forms:
     u^-1 times inner lies in phi^-1(J)."""
     outer = as_structured(outer, inst)
-    return span_product_in(([outer._unit_inv], None), _generators(inner, inst), outer.dpart, inst)
+    return span_product_in(([outer._unit_inv], None), _generators(inner), outer.dpart, inst)
 
 
 def span_product_in(a, b, j: ExtDModule, inst: PullbackInstance) -> bool:
@@ -485,7 +485,7 @@ def colon_R(ideal, inst: PullbackInstance) -> StructuredIdeal:
     return _memo_put(_COLON_R_CACHE, (ideal, inst), result) if closed_form else result
 
 
-def _generators(ideal, inst: PullbackInstance) -> tuple[list[RatFunc], RatFunc | None]:
+def _generators(ideal) -> tuple[list[RatFunc], RatFunc | None]:
     """(gens, t): the ideal is generated over R by gens and by t*T.
 
     u*phi^-1(J) has the lifts and t = u*X for a lattice J, and no lifts
@@ -495,10 +495,10 @@ def _generators(ideal, inst: PullbackInstance) -> tuple[list[RatFunc], RatFunc |
         return list(ideal.gens), None
     if ideal.dpart.is_full():
         return [], ideal.unit
-    return lift_generators(ideal, inst), ideal.unit.shift(1)
+    return lift_generators(ideal), ideal.unit.shift(1)
 
 
-def lift_generators(s: StructuredIdeal, inst: PullbackInstance) -> list[RatFunc]:
+def lift_generators(s: StructuredIdeal) -> list[RatFunc]:
     """Elements of u*phi^-1(J0) that witness its structure.
 
     For a lattice dpart these are the constant lifts u*c of a basis; they
@@ -584,8 +584,8 @@ def colon_generators(ideal, inst: PullbackInstance,
     """
     if colon is None:
         colon = colon_R(ideal, inst)
-    generators = _generators(colon, inst)
-    in_r = span_product_in(generators, _generators(ideal, inst), inst._d_module, inst)
+    generators = _generators(colon)
+    in_r = span_product_in(generators, _generators(ideal), inst._d_module, inst)
     return generators if in_r else None
 
 

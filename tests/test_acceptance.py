@@ -8,6 +8,7 @@ the structure demands them).
 
 import time
 
+from starpull import harness
 from starpull.base_domain import class_label_D, dmod_from_generators
 from starpull.class_groups import (
     alpha,
@@ -164,8 +165,16 @@ def test_criterion_5_picard_splitting(inst_a, inst_b, inst_c, inst_d, inst_e):
     _verdict(5, "Picard splitting on A-E", elapsed)
 
 
-def test_criterion_6_oracle_agreement(inst_a, inst_b, inst_c, inst_d, inst_e):
-    # B and E carry the local T kind, A, C and D the polynomial one
+def test_criterion_6_oracle_agreement(inst_a, inst_b, inst_c, inst_d, inst_e, monkeypatch):
+    # B and E carry the local T kind, A, C and D the polynomial one.  A
+    # pass counts only if the v-oracle decided: no verdict is inconclusive
+    # and every colon certification succeeds
+    verdicts, certified = [], []
+    oracle, certify = harness.oracle_v_member, harness.colon_generators
+    monkeypatch.setattr(harness, "oracle_v_member",
+                        lambda *args: verdicts.append(oracle(*args)) or verdicts[-1])
+    monkeypatch.setattr(harness, "colon_generators",
+                        lambda *args: certified.append(certify(*args)) or certified[-1])
     start = time.perf_counter()
     for inst in (inst_a, inst_b, inst_c, inst_d, inst_e):
         report = run_suite("oracle-agreement", inst, SampleParams(seed=SEED, count=200,
@@ -174,6 +183,8 @@ def test_criterion_6_oracle_agreement(inst_a, inst_b, inst_c, inst_d, inst_e):
         assert report.n_samples == 200
         assert all(r["contradictions"] == 0 for r in report.records)
     elapsed = time.perf_counter() - start
+    assert verdicts and all(v.status != "inconclusive" for v in verdicts)
+    assert certified and all(g is not None for g in certified)
     _verdict(6, "oracle agreement, 200 samples on A-E", elapsed)
 
 

@@ -241,8 +241,9 @@ class TestPredicates:
 
 
 class TestProductMemo:
-    """is_invertible reads n*(D : n), which is formed once per module and
-    kept in base_domain._PRODUCT_CACHE."""
+    """dmod_predicates decides both predicates of a module once, forming
+    n*(D : n) only when the module has no generator, and keeps the record
+    in base_domain._PREDICATES_CACHE."""
 
     @staticmethod
     def _modules(inst):
@@ -251,18 +252,25 @@ class TestProductMemo:
 
     @pytest.mark.parametrize("name", instance_catalog())
     def test_a_hit_equals_a_fresh_product(self, name, monkeypatch):
-        monkeypatch.setattr(base_domain, "_PRODUCT_CACHE", {})
+        monkeypatch.setattr(base_domain, "_PREDICATES_CACHE", {})
         inst = make_instance(name)
-        for n in self._modules(inst):
+        factors = []
+        arith = base_domain.dmod_arith
+        monkeypatch.setattr(base_domain, "dmod_arith",
+                            lambda n1, n2, op: factors.append(n1) or arith(n1, n2, op))
+        for n in dict.fromkeys(self._modules(inst)):
             fresh = dmod_arith(n, dmod_colon(n), "mul")
             unit = n.domain.unit_module()
+            gen = _cyclic_generator(n)
             preds = dmod_predicates(n)
             assert preds.is_invertible == (fresh == unit) == (dmod_v(fresh) == unit)
-            stored = base_domain._PRODUCT_CACHE[n]
-            assert stored == fresh
-            # a second read, through a new record, keeps the stored object
-            assert dmod_predicates(n).is_invertible == preds.is_invertible
-            assert base_domain._PRODUCT_CACHE[n] is stored
+            assert preds.is_cyclic == gen
+            assert base_domain._PREDICATES_CACHE[n] is preds
+            # a second call returns the stored record
+            assert dmod_predicates(n) is preds
+            # a module with a generator forms no product
+            assert (n in factors) == (gen is None)
+            factors.clear()
 
     def test_split_exact_forms_each_product_once(self, inst_c, empty_memos, monkeypatch):
         # the suite reads is_invertible of the same modules over and over; re-forming the product on every read made
@@ -280,11 +288,13 @@ class TestProductMemo:
     def test_table_stops_at_the_cap(self, inst_c, empty_memos, monkeypatch):
         monkeypatch.setattr(base_domain, "_MEMO_CAP", 3)
         mods = self._modules(inst_c)
-        verdicts = [dmod_predicates(n).is_invertible for n in mods]
-        assert len(base_domain._PRODUCT_CACHE) == 3
-        # past the cap every product is formed again, with the same verdicts
-        assert [dmod_predicates(n).is_invertible for n in mods] == verdicts
-        assert len(base_domain._PRODUCT_CACHE) == 3
+        verdicts = [(dmod_predicates(n).is_invertible, dmod_predicates(n).is_cyclic)
+                    for n in mods]
+        assert len(base_domain._PREDICATES_CACHE) == 3
+        # past the cap every record is decided again, with the same verdicts
+        assert [(dmod_predicates(n).is_invertible, dmod_predicates(n).is_cyclic)
+                for n in mods] == verdicts
+        assert len(base_domain._PREDICATES_CACHE) == 3
 
 
 def _enumerated_generator(n, dom):

@@ -305,8 +305,9 @@ def _units(inst):
 
 
 class TestStructuredAndPrincipalMemo:
-    """make_structured builds a closed form once per input and is_principal_R
-    answers once per closed form; a hit is what a cold call gives."""
+    """make_structured builds a closed form once per input and the
+    generator behind is_principal_R is searched for once per D-part; a hit
+    is what a cold call gives."""
 
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
@@ -316,14 +317,16 @@ class TestStructuredAndPrincipalMemo:
         with pytest.MonkeyPatch.context() as mp:
             def cold(call):
                 mp.setattr(pullback, "_STRUCTURED_CACHE", {})
-                mp.setattr(class_groups, "_PRINCIPAL_CACHE", {})
+                mp.setattr(base_domain, "_PREDICATES_CACHE", {})
                 return call()
             s = cold(lambda: make_structured(unit, dpart, inst))
             gen = is_principal_R(s, inst)
             # hits return the stored objects, a None answer included
             assert make_structured(unit, dpart, inst) is s
             assert pullback._STRUCTURED_CACHE[(unit, dpart, inst)] is s
-            assert class_groups._PRINCIPAL_CACHE[(s, inst)] == (gen,)
+            record = base_domain._PREDICATES_CACHE[s.dpart]
+            assert record.is_cyclic is None if gen is None else s.unit * record.is_cyclic == gen
+            assert base_domain.dmod_predicates(s.dpart) is record
             hit = is_principal_R(s, inst)
             assert hit is None if gen is None else hit == gen
             # and equal what empty tables compute again
@@ -339,7 +342,7 @@ class TestStructuredAndPrincipalMemo:
 
     def test_split_exact_builds_and_searches_once(self, inst_c, empty_memos, monkeypatch):
         # each distinct input of make_structured is normalized once, and each
-        # closed form given to is_principal_R is searched once
+        # D-part is searched for a generator once
         normalized, searched = [], []
         normalize, search = inst_c.t.normalize, base_domain._cyclic_generator
         monkeypatch.setattr(inst_c.t, "normalize", lambda u: normalized.append(u) or normalize(u))
@@ -348,7 +351,7 @@ class TestStructuredAndPrincipalMemo:
         report = run_suite("split-exact", inst_c, SampleParams(seed=7, count=20))
         assert report.n_samples == 20 and not report.violations
         assert normalized and len(normalized) == len(pullback._STRUCTURED_CACHE)
-        assert searched and len(searched) == len(class_groups._PRINCIPAL_CACHE)
+        assert searched and len(searched) == len(set(searched)) == len(base_domain._PREDICATES_CACHE)
 
 
 class TestCancellation:

@@ -15,6 +15,14 @@ memo keyed on the wrong polynomial) breaks this, while
 oracle-agreement, which shares those choices, may not see it.  The
 transported values are built through the canonical constructors, so
 canonical forms are compared.
+
+mu_a : X -> X/(1 + aX), for a in K, fixes the value at zero and the
+X-order, and where T = K[X]_(X) it fixes T, since 1 + aX is a unit
+there; it sends u * phi^-1(J) to (u o mu_a) * phi^-1(J).  As
+(u o mu_a)/u is then a unit of R with value 1 at zero, mu_a fixes every
+closed form, so its test checks that raw generators moved by such units
+give the same values.  Under every map a generator of a principal ideal
+goes to a generator of its image.
 """
 
 from fractions import Fraction
@@ -29,6 +37,7 @@ from starpull.pullback import (
     RawIdeal,
     as_structured,
     colon_R,
+    ideal_equal,
     instance_catalog,
     make_instance,
     make_structured,
@@ -57,6 +66,24 @@ def _psi(value, c, inst):
     if isinstance(value, RawIdeal):
         return RawIdeal([_psi(g, c, inst) for g in value.gens])
     return make_structured(_psi(value.unit, c, inst), value.dpart, inst)
+
+
+def _mu_poly(p, y):
+    """p(y) for a RatFunc y, by Horner."""
+    out = RatFunc.zero()
+    for c in reversed(p.coeffs):
+        out = out * y + RatFunc.coerce(c)
+    return out
+
+
+def _mu(value, a, inst):
+    """value o mu_a for a RatFunc, a raw ideal or a closed form."""
+    if isinstance(value, RatFunc):
+        y = RatFunc(Poly([0, 1]), Poly([1, a]))
+        return _mu_poly(value.num, y) / _mu_poly(value.den, y)
+    if isinstance(value, RawIdeal):
+        return RawIdeal([_mu(g, a, inst) for g in value.gens])
+    return make_structured(_mu(value.unit, a, inst), value.dpart, inst)
 
 
 def _conj_poly(p):
@@ -93,8 +120,10 @@ def _assert_transported(inst, ideals, move, name):
             w, w_image = invertibility_R(closed, op, inst), invertibility_R(closed_image, op, inst)
             assert (w.is_invertible, w.is_star_invertible) == \
                 (w_image.is_invertible, w_image.is_star_invertible), (name, op, ideal)
-        assert (is_principal_R(closed, inst) is None) == \
-            (is_principal_R(closed_image, inst) is None), (name, ideal)
+        gen = is_principal_R(closed, inst)
+        assert (gen is None) == (is_principal_R(closed_image, inst) is None), (name, ideal)
+        if gen is not None:
+            assert ideal_equal(RawIdeal([move(gen)]), move(closed), inst), (name, ideal)
 
 
 @pytest.mark.parametrize("name", instance_catalog())
@@ -103,6 +132,15 @@ def test_psi_commutes_with_colon_star_eval_and_verdicts(name):
     ideals = sample_ideals(inst, SampleParams(seed=7, count=25))
     for c in _scalars(inst):
         _assert_transported(inst, ideals, lambda value: _psi(value, c, inst), c)
+
+
+@pytest.mark.parametrize("name", [name for name in instance_catalog()
+                                  if make_instance(name).t.suffix == "_(X)"])
+def test_mu_commutes_with_colon_star_eval_and_verdicts(name):
+    inst = make_instance(name)
+    ideals = sample_ideals(inst, SampleParams(seed=7, count=25))
+    for a in (1, -3, 2):
+        _assert_transported(inst, ideals, lambda value: _mu(value, a, inst), a)
 
 
 @pytest.mark.parametrize("name", [name for name in instance_catalog()

@@ -553,7 +553,7 @@ class TestReplay:
             return False
         raw, element = (evaluate(parse_expression(violation["witness"][name]), inst)
                         for name in ("ideal", "element"))
-        lifts = lift_generators(harness.colon_R(structured_hull(raw, inst), inst), inst)
+        lifts = lift_generators(harness.colon_R(structured_hull(raw, inst), inst))
         return element not in (*raw.gens, *lifts) and any(
             element == b.shift(j) for b in (raw.gens[0], lifts[0]) for j in range(-1, 13) if j)
 
@@ -602,7 +602,7 @@ class TestDegreeWindow:
         closed_colon = colon_R(structured_hull(raw, inst), inst)
         shifts = list(range(-3, SampleParams().degree_window + 1))
         at_zero = former.local_at_zero if inst.t.quasilocal else former.poly_at_zero
-        for b in (*raw.gens, *lift_generators(closed_colon, inst)):
+        for b in (*raw.gens, *lift_generators(closed_colon)):
             window = harness._window_verdicts(b, raw, closed_colon, shifts, inst)
             for j, (oracle, closed) in zip(shifts, window):
                 element = b.shift(j)

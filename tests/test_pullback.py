@@ -233,7 +233,7 @@ class TestMemberStructured:
         # the first 5 to 7 ideals are the fixed corner cases, the rest are seeded
         raw = data.draw(st.sampled_from(sample_ideals(inst, SampleParams(seed=seed, count=10))))
         s = data.draw(st.sampled_from([structured_hull(raw, inst), colon_R(raw, inst)]))
-        grid = list(raw.gens) + lift_generators(s, inst) + [s.unit * X, s.unit * X * X] \
+        grid = list(raw.gens) + lift_generators(s) + [s.unit * X, s.unit * X * X] \
             + [s.unit * X.inv(), s.unit * HALF, s.unit.inv()]
         f = data.draw(st.sampled_from(grid))
         # a factor from T or with a pole keeps f near the boundary of s
@@ -296,7 +296,7 @@ def contains_ideal_parent(outer, inner, inst):
     outer = as_structured(outer, inst)
     if isinstance(inner, RawIdeal):
         return all(member_structured(g, outer, inst) for g in inner.gens)
-    lifts, t = pullback._generators(inner, inst)
+    lifts, t = pullback._generators(inner)
     if not all(member_structured(g, outer, inst) for g in lifts):
         return False
     j = outer.dpart if outer.dpart.is_full() else ExtDModule.zero(inst.base)
@@ -305,11 +305,11 @@ def contains_ideal_parent(outer, inner, inst):
 
 def certified_colon_parent(colon, ideal, inst):
     """The colon certification as written before span_product_in."""
-    lifts, t = pullback._generators(colon, inst)
+    lifts, t = pullback._generators(colon)
     if isinstance(ideal, RawIdeal):
         gens, t_part_in_m = ideal.gens, True
     else:
-        gens, t_i = pullback._generators(ideal, inst)
+        gens, t_i = pullback._generators(ideal)
         t_part_in_m = all(member_M_product_parent(p, t_i, inst) for p in lifts + [t])
     if (t_part_in_m and all(member_M_product_parent(t, q, inst) for q in gens)
             and all(product_in_R(p, q, inst) for p in lifts for q in gens)):

@@ -9,9 +9,10 @@ this runs ``perfbench/run.py --workload W --seed SEED --seconds S
 the parent first in odd pairs and the change first in even ones, so
 that drift in the machine's speed falls on both sides alike.  It prints
 every run as it ends, then, per workload and end-to-end metric, the two
-medians, the parent's interquartile range and how many pairs the change
-won.  It stops at the first run whose last line is not ``correct: true``
-and prints that run's exit code.  Standard library only.
+medians, the parent's interquartile range, how many pairs the change
+won, the metric's ``bound`` and one verdict (see ``verdict``).  It
+stops at the first run whose last line is not ``correct: true`` and
+prints that run's exit code.  Standard library only.
 """
 
 from __future__ import annotations
@@ -49,18 +50,40 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
 
 def summarize(parent: list[float], change: list[float], better: str) -> dict:
     """Medians, the parent's interquartile range (quartiles by the
-    ``statistics.quantiles`` default) and the pairs the change won."""
+    ``statistics.quantiles`` default), the pairs the change won (a tie
+    wins neither way) and whether every change run beat every parent run."""
     q1, _, q3 = statistics.quantiles(parent, n=4)
     pm, cm = statistics.median(parent), statistics.median(change)
-    wins = sum(c > p if better == "higher" else c < p for p, c in zip(parent, change))
+    higher = better == "higher"
+    wins = sum(c > p if higher else c < p for p, c in zip(parent, change))
+    sweep = min(change) > max(parent) if higher else max(change) < min(parent)
     return {"parent_median": pm, "change_median": cm, "relative": cm / pm - 1,
-            "parent_iqr": q3 - q1, "change_better": wins, "pairs": len(parent)}
+            "parent_iqr": q3 - q1, "change_better": wins, "pairs": len(parent),
+            "gain": (cm - pm) if higher else (pm - cm), "sweep": sweep}
 
 
-def summary_line(workload: str, metric: str, s: dict) -> str:
+def verdict(s: dict, bound: float) -> str:
+    """The first that holds of: "worse", the change's median is worse
+    than the parent's by more than bound times the parent median;
+    "unresolved", the parent's IQR exceeds that and not every change run
+    beat every parent run; "better", the change won at least 9 of every
+    10 pairs and its median is better by more than the parent's IQR;
+    else "within bound"."""
+    limit = bound * s["parent_median"]
+    if s["gain"] < -limit:
+        return "worse"
+    if s["parent_iqr"] > limit and not s["sweep"]:
+        return "unresolved"
+    if 10 * s["change_better"] >= 9 * s["pairs"] and s["gain"] > s["parent_iqr"]:
+        return "better"
+    return "within bound"
+
+
+def summary_line(workload: str, metric: str, s: dict, bound: float) -> str:
     return (f"{workload:8s} {metric:12s} median {s['parent_median']:.6g} -> "
             f"{s['change_median']:.6g} ({s['relative']:+.1%}), parent IQR "
-            f"{s['parent_iqr']:.4g}, change better {s['change_better']}/{s['pairs']}")
+            f"{s['parent_iqr']:.4g}, change better {s['change_better']}/{s['pairs']}, "
+            f"bound {bound:.0%}: {verdict(s, bound)}")
 
 
 def main(argv: list[str]) -> int:
@@ -76,7 +99,7 @@ def main(argv: list[str]) -> int:
         return 2
     bench = json.loads((change / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]
-    metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
     runs = {(w, side): [] for w in workloads for side in ("parent", "change")}
     order = (("parent", parent), ("change", change))
     for i in range(pairs):
@@ -91,10 +114,11 @@ def main(argv: list[str]) -> int:
                 shown = " ".join(f"{m}={values[m]:.6g}" for m in metrics)
                 print(f"pair {i + 1:2d} {w:8s} {side:6s} {shown}", flush=True)
     for w in workloads:
-        for m, better in metrics.items():
+        for m, spec in metrics.items():
             parent_values = [r[m] for r in runs[w, "parent"]]
             change_values = [r[m] for r in runs[w, "change"]]
-            print(summary_line(w, m, summarize(parent_values, change_values, better)))
+            s = summarize(parent_values, change_values, spec["better"])
+            print(summary_line(w, m, s, spec["bound"]))
     return 0
 
 
