@@ -31,6 +31,7 @@ import re
 from itertools import accumulate
 
 from .base_domain import ClassLabel, DomainError, ExtDModule, dmod_from_generators
+from .class_groups import ClassGroupError, alpha, gamma, is_principal_R
 from .kernel import (FieldElem, FrozenValue, KernelError, Poly, RatFunc, _elem_str, _grouped, _make,
                      _ratio_str, _terms_str)
 from .pullback import (
@@ -378,8 +379,6 @@ def _promote(value, node: Node):
 
 
 def _call(node: Node, arg, inst: PullbackInstance):
-    from .class_groups import ClassGroupError, alpha, gamma, is_principal_R
-
     name, arg = node.value, _lift(arg)
     if name == "alpha":
         if not (isinstance(arg, RawIdeal) and all(g.is_constant() for g in arg.gens)):
@@ -447,14 +446,9 @@ def value_to_expr(value, inst: PullbackInstance) -> str:
     if isinstance(value, StructuredIdeal):
         if value.dpart.is_full():
             return f"extT(ideal({ratfunc_to_expr(value.unit)}))"
-        if value.unit.is_one():
-            gens = [elem_to_expr(c) for c in value.dpart.basis_elements()]
-            gens.append("X")
-        else:
-            u = ratfunc_to_expr(value.unit)
-            gens = [f"{u}*{elem_to_expr(c)}" for c in value.dpart.basis_elements()]
-            gens.append(f"{u}*X")
-        return "hull(ideal(" + ", ".join(gens) + "))"
+        u = "" if value.unit.is_one() else f"{ratfunc_to_expr(value.unit)}*"
+        gens = [*(elem_to_expr(c) for c in value.dpart.basis_elements()), "X"]
+        return "hull(ideal(" + ", ".join(u + g for g in gens) + "))"
     raise PullbackError(f"no expression form for {type(value).__name__}")
 
 

@@ -36,7 +36,6 @@ from .class_groups import (
 from .exprlang import ExprError, elem_to_expr, evaluate, parse_expression, value_to_expr
 from .kernel import FieldElem, Frozen, Poly, RatFunc, _make
 from .pullback import (
-    PullbackError,
     PullbackInstance,
     RawIdeal,
     StructuredIdeal,
@@ -194,11 +193,7 @@ def sample_ideals(inst: PullbackInstance, params: SampleParams) -> list[RawIdeal
     out = list(_corner_ideals(inst))[: params.count]
     while len(out) < params.count:
         n = rng.randint(1, MAX_GENS)
-        gens = [_sample_ratfunc(rng, inst, params) for _ in range(n)]
-        try:
-            out.append(RawIdeal(gens))
-        except PullbackError:
-            continue
+        out.append(RawIdeal([_sample_ratfunc(rng, inst, params) for _ in range(n)]))
     return out
 
 

@@ -38,6 +38,7 @@ from starpull.pullback import instance_catalog, make_instance
 from starpull.star_ops import StarOp
 
 import reference_membership as former
+from strategies import bounded_fractions, elems
 
 
 Z = BaseDomain.integers()
@@ -46,24 +47,20 @@ ZI = BaseDomain.integers(-1)
 QF = BaseDomain.rational_field(-1)
 
 
-def fe(x, y=0, d=1):
-    return FieldElem(Fraction(x), Fraction(y), d)
+W = FieldElem(0, 1, -5)   # sqrt(-5)
+I = FieldElem(0, 1, -1)   # i
 
-
-W = fe(0, 1, -5)   # sqrt(-5)
-I = fe(0, 1, -1)   # i
-
-P = dmod_from_generators([fe(2), fe(1) + W], OK5)
-PBAR = dmod_from_generators([fe(2), fe(1) - W], OK5)
+P = dmod_from_generators([FieldElem(2), FieldElem(1) + W], OK5)
+PBAR = dmod_from_generators([FieldElem(2), FieldElem(1) - W], OK5)
 
 
 class TestFromGenerators:
     def test_rank_one_over_z(self):
-        m = dmod_from_generators([fe(2), fe(0)], Z)
+        m = dmod_from_generators([FieldElem(2), FieldElem(0)], Z)
         assert m.den == 1 and m.rows == ((2,),)
 
     def test_rank_two_over_z_in_gaussian(self):
-        m = dmod_from_generators([fe(1), I], ZI)
+        m = dmod_from_generators([FieldElem(1), I], ZI)
         assert m.rows == ((1, 0), (0, 1))
 
     def test_prime_above_two_normal_form(self):
@@ -71,35 +68,50 @@ class TestFromGenerators:
         for a in range(-4, 5):
             for b in range(-4, 5):
                 inside = (a - b) % 2 == 0
-                assert P.contains(*fe(a, b, -5)._abnd) == inside
+                assert P.contains(*FieldElem(a, b, -5)._abnd) == inside
         assert P.den == 1 and P.rows == ((1, 1), (0, 2))
 
     def test_canonical_across_generating_sets(self):
-        m1 = dmod_from_generators([fe(2), fe(1) + W], OK5)
-        m2 = dmod_from_generators([fe(1) + W, fe(2), fe(3) + W, fe(2) * W], OK5)
+        m1 = dmod_from_generators([FieldElem(2), FieldElem(1) + W], OK5)
+        m2 = dmod_from_generators([FieldElem(1) + W, FieldElem(2), FieldElem(3) + W,
+                                   FieldElem(2) * W], OK5)
         assert m1 == m2
 
     def test_zero_generators_give_zero(self):
-        assert dmod_from_generators([fe(0)], Z).is_zero()
+        assert dmod_from_generators([FieldElem(0)], Z).is_zero()
         assert dmod_from_generators([], Z).is_zero()
 
     def test_field_spans(self):
-        assert dmod_from_generators([fe(1), I], QF).is_full()
-        line = dmod_from_generators([fe(2, 2, -1)], QF)
+        assert dmod_from_generators([FieldElem(1), I], QF).is_full()
+        line = dmod_from_generators([FieldElem(2, 2, -1)], QF)
         assert line.rows == ((1, 1),)
+
+    @given(elems(-1), st.lists(bounded_fractions(4, 6)), st.lists(elems(-1), max_size=2))
+    @settings(max_examples=200, deadline=None)
+    def test_field_kind_is_the_integer_path(self, g, scales, others):
+        # the field kind's rational_rref branch equals the other kinds' path:
+        # rows over one lcm, times the unit rows, through ExtDModule.lattice
+        gens = [g * FieldElem(c) for c in scales] + others  # a line, or all of k
+        vecs = [(e.a, e.b, e.n) for e in gens if not e.is_zero()]
+        den = lcm(*(n for _, _, n in vecs))
+        rows = [[a * (den // n), b * (den // n)] for a, b, n in vecs]
+        unit = QF.unit_module()
+        products = [[x * u - y * v, x * v + y * u] for x, y in rows for u, v in unit.rows]
+        assert dmod_from_generators(gens, QF) == ExtDModule.lattice(QF, den * unit.den, products)
 
 
 class TestArith:
     def test_p_times_conjugate_is_two(self):
-        two_ok = dmod_from_generators([fe(2), fe(2) * OK5.omega()], OK5)
+        two_ok = dmod_from_generators([FieldElem(2), FieldElem(2) * OK5.omega()], OK5)
         assert dmod_arith(P, PBAR, "mul") == two_ok
 
     def test_add_zero_identity(self):
         assert dmod_arith(P, ExtDModule.zero(OK5), "add") == P
 
     def test_principal_product_over_z(self):
-        two, three = dmod_from_generators([fe(2)], Z), dmod_from_generators([fe(3)], Z)
-        assert dmod_arith(two, three, "mul") == dmod_from_generators([fe(6)], Z)
+        two = dmod_from_generators([FieldElem(2)], Z)
+        three = dmod_from_generators([FieldElem(3)], Z)
+        assert dmod_arith(two, three, "mul") == dmod_from_generators([FieldElem(6)], Z)
 
     def test_mul_sentinels(self):
         assert dmod_arith(P, ExtDModule.zero(OK5), "mul").is_zero()
@@ -107,23 +119,23 @@ class TestArith:
 
     def test_mixed_domains_rejected(self):
         with pytest.raises(DomainError):
-            dmod_arith(P, dmod_from_generators([fe(1)], Z), "add")
+            dmod_arith(P, dmod_from_generators([FieldElem(1)], Z), "add")
 
 
 class TestColon:
     def test_colon_of_two_z(self):
-        m = dmod_from_generators([fe(2)], Z)
-        assert dmod_colon(m) == dmod_from_generators([fe(Fraction(1, 2))], Z)
+        m = dmod_from_generators([FieldElem(2)], Z)
+        assert dmod_colon(m) == dmod_from_generators([FieldElem(Fraction(1, 2))], Z)
 
     def test_colon_of_gaussian_lattice_is_zero(self):
         # y*1 in Z and y*i in Z force y = 0
-        m = dmod_from_generators([fe(1), I], ZI)
+        m = dmod_from_generators([FieldElem(1), I], ZI)
         assert dmod_colon(m).is_zero()
 
     def test_colon_of_p(self):
         pinv = dmod_colon(P)
         # (2, 1-w)/2: contains 1 and (1-w)/2, and P * P^-1 = O_K
-        assert pinv.contains(*fe(1)._abnd)
+        assert pinv.contains(*FieldElem(1)._abnd)
         assert pinv.contains(*FieldElem(Fraction(1, 2), Fraction(-1, 2), -5)._abnd)
         assert dmod_arith(P, pinv, "mul") == OK5.unit_module()
 
@@ -132,7 +144,7 @@ class TestColon:
         assert dmod_colon(ExtDModule.full(Z)).is_zero()
 
     def test_field_line_colon(self):
-        line = dmod_from_generators([fe(1, 1, -1)], QF)
+        line = dmod_from_generators([FieldElem(1, 1, -1)], QF)
         inv = dmod_colon(line)
         prod = dmod_arith(line, inv, "mul")
         assert prod == QF.unit_module()
@@ -140,7 +152,7 @@ class TestColon:
 
 class TestClosure:
     def test_principal_is_divisorial(self):
-        m = dmod_from_generators([fe(2)], Z)
+        m = dmod_from_generators([FieldElem(2)], Z)
         assert dmod_v(m) == m
 
     def test_dedekind_ideals_divisorial(self):
@@ -153,7 +165,8 @@ class TestClosure:
         rng = random.Random(5)
         mods = []
         for _ in range(25):
-            gens = [fe(rng.randint(-4, 4), rng.randint(-2, 2) if rng.random() < 0.5 else 0, -5)
+            gens = [FieldElem(rng.randint(-4, 4),
+                              rng.randint(-2, 2) if rng.random() < 0.5 else 0, -5)
                     for _ in range(rng.randint(1, 3))]
             m = dmod_from_generators(gens, OK5)
             if not m.is_zero():
@@ -167,7 +180,7 @@ class TestClosure:
             assert all(dmod_v(big).contains(*b._abnd) for b in dmod_v(m).basis_elements())
 
     def test_nondivisorial_module_over_z(self):
-        m = dmod_from_generators([fe(1), I], ZI)
+        m = dmod_from_generators([FieldElem(1), I], ZI)
         assert dmod_v(m).is_full()
 
 
@@ -185,8 +198,8 @@ class TestPredicates:
         assert all(a * a + 5 * b * b != 2 for a in range(-2, 3) for b in range(-1, 2))
 
     def test_cyclic_module(self):
-        m = dmod_from_generators([fe(2)], Z)
-        assert dmod_predicates(m).is_cyclic == fe(2)
+        m = dmod_from_generators([FieldElem(2)], Z)
+        assert dmod_predicates(m).is_cyclic == FieldElem(2)
 
     def test_p_squared_cyclic(self):
         p2 = dmod_arith(P, P, "mul")
@@ -195,20 +208,20 @@ class TestPredicates:
         assert dmod_from_generators([gen, gen * OK5.omega()], OK5) == p2
 
     def test_gaussian_lattice_not_invertible(self):
-        m = dmod_from_generators([fe(1), I], ZI)
+        m = dmod_from_generators([FieldElem(1), I], ZI)
         preds = dmod_predicates(m)
         assert not preds.is_invertible and not _v_invertible(m)
         assert preds.is_cyclic is None
 
     def test_membership_and_equal(self):
-        assert P.contains(*fe(2)._abnd)
-        assert not P.contains(*fe(1)._abnd)
-        assert P == dmod_from_generators([fe(2), fe(1) + W], OK5)
+        assert P.contains(*FieldElem(2)._abnd)
+        assert not P.contains(*FieldElem(1)._abnd)
+        assert P == dmod_from_generators([FieldElem(2), FieldElem(1) + W], OK5)
 
     def test_invertibility_group_laws(self):
         rng = random.Random(11)
         invertibles = [P, PBAR, dmod_arith(P, P, "mul"),
-                       dmod_from_generators([fe(3), fe(1) + W], OK5)]
+                       dmod_from_generators([FieldElem(3), FieldElem(1) + W], OK5)]
         for m in invertibles:
             preds = dmod_predicates(m)
             assert preds.is_invertible
@@ -250,14 +263,18 @@ class TestProductMemo:
         return (sample_dmods(inst, SampleParams(seed=5, count=12))
                 + inst.base.class_representatives())
 
-    @pytest.mark.parametrize("name", instance_catalog())
-    def test_a_hit_equals_a_fresh_product(self, name, monkeypatch):
-        monkeypatch.setattr(base_domain, "_PREDICATES_CACHE", {})
-        inst = make_instance(name)
-        factors = []
-        arith = base_domain.dmod_arith
+    @pytest.fixture
+    def factors(self, monkeypatch):
+        """The left factor of each dmod_arith call in the package from here on."""
+        factors, arith = [], base_domain.dmod_arith
         monkeypatch.setattr(base_domain, "dmod_arith",
                             lambda n1, n2, op: factors.append(n1) or arith(n1, n2, op))
+        return factors
+
+    @pytest.mark.parametrize("name", instance_catalog())
+    def test_a_hit_equals_a_fresh_product(self, name, factors, monkeypatch):
+        monkeypatch.setattr(base_domain, "_PREDICATES_CACHE", {})
+        inst = make_instance(name)
         for n in dict.fromkeys(self._modules(inst)):
             fresh = dmod_arith(n, dmod_colon(n), "mul")
             unit = n.domain.unit_module()
@@ -272,13 +289,9 @@ class TestProductMemo:
             assert (n in factors) == (gen is None)
             factors.clear()
 
-    def test_split_exact_forms_each_product_once(self, inst_c, empty_memos, monkeypatch):
+    def test_split_exact_forms_each_product_once(self, inst_c, empty_memos, factors):
         # the suite reads is_invertible of the same modules over and over; re-forming the product on every read made
         # 209 products of 23 modules in this report
-        factors = []
-        arith = base_domain.dmod_arith
-        monkeypatch.setattr(base_domain, "dmod_arith",
-                            lambda n1, n2, op: factors.append(n1) or arith(n1, n2, op))
         report = harness.run_suite("split-exact", inst_c, SampleParams(seed=7, count=30),
                                    StarOp.t_op("R"))
         assert report.verdict == "pass"
@@ -412,10 +425,11 @@ class TestCyclicGenerator:
     def test_unit_tie_break(self):
         # D itself: the generators are the units, and the search meets 1 first
         for d, dom in ORDERS.items():
-            assert _cyclic_generator(dom.unit_module()) == fe(1)
+            assert _cyclic_generator(dom.unit_module()) == FieldElem(1)
         # (1 + i)Z[i] has generators +-(1 + i), +-(1 - i); the first met is 1 + i
         zi = ORDERS[-1]
-        assert _cyclic_generator(dmod_from_generators([fe(1, -1, -1)], zi)) == fe(1, 1, -1)
+        generator = _cyclic_generator(dmod_from_generators([FieldElem(1, -1, -1)], zi))
+        assert generator == FieldElem(1, 1, -1)
 
 
 class TestClassLabels:
@@ -428,7 +442,7 @@ class TestClassLabels:
         assert not label.is_identity()
 
     def test_principal_is_identity(self):
-        two_ok = dmod_from_generators([fe(2), fe(2) * OK5.omega()], OK5)
+        two_ok = dmod_from_generators([FieldElem(2), FieldElem(2) * OK5.omega()], OK5)
         assert class_label_D(two_ok).is_identity()
 
     def test_p_squared_identity(self):
@@ -436,30 +450,30 @@ class TestClassLabels:
 
     def test_label_is_homomorphism(self):
         mods = [P, PBAR, dmod_arith(P, P, "mul"),
-                dmod_from_generators([fe(3), fe(1) + W], OK5),
-                dmod_from_generators([fe(3), fe(1) - W], OK5)]
+                dmod_from_generators([FieldElem(3), FieldElem(1) + W], OK5),
+                dmod_from_generators([FieldElem(3), FieldElem(1) - W], OK5)]
         for m1 in mods:
             for m2 in mods:
                 lhs = class_label_D(dmod_arith(m1, m2, "mul"))
                 assert lhs == class_label_D(m1) + class_label_D(m2)
 
     def test_scaling_preserves_class(self):
-        scaled = dmod_scale(fe(3, 1, -5), P)
+        scaled = dmod_scale(FieldElem(3, 1, -5), P)
         assert class_label_D(scaled) == class_label_D(P)
 
     def test_non_invertible_rejected(self):
         with pytest.raises(DomainError):
-            class_label_D(dmod_from_generators([fe(1), I], ZI))
+            class_label_D(dmod_from_generators([FieldElem(1), I], ZI))
 
     def test_integers_trivial(self):
-        assert class_label_D(dmod_from_generators([fe(5)], Z)).is_identity()
+        assert class_label_D(dmod_from_generators([FieldElem(5)], Z)).is_identity()
 
 
 class TestIntersect:
     def test_lattice_intersection(self):
-        a = dmod_from_generators([fe(2)], Z)
-        b = dmod_from_generators([fe(3)], Z)
-        assert dmod_intersect(a, b) == dmod_from_generators([fe(6)], Z)
+        a = dmod_from_generators([FieldElem(2)], Z)
+        b = dmod_from_generators([FieldElem(3)], Z)
+        assert dmod_intersect(a, b) == dmod_from_generators([FieldElem(6)], Z)
 
     def test_sentinels(self):
         assert dmod_intersect(P, ExtDModule.full(OK5)) == P
@@ -874,15 +888,15 @@ def test_order_shape_matches_d_mod_4_references():
     assert len(tags) == 608
     for d in tags:
         dom = _order(d)
-        assert dom.omega() == (fe(Fraction(1, 2), Fraction(1, 2), d) if d % 4 == 1
-                               else fe(0, 1, d)), d
-        assert dom.unit_module() == _ref_omega_generation([fe(1)], dom), d
+        assert dom.omega() == (FieldElem(Fraction(1, 2), Fraction(1, 2), d) if d % 4 == 1
+                               else FieldElem(0, 1, d)), d
+        assert dom.unit_module() == _ref_omega_generation([FieldElem(1)], dom), d
         for form in dom._label_of_form:
             ideal = _ideal_of_form(form, dom)
             assert ideal == _ref_ideal_of_form(form, dom), (d, form)
             assert _relative_norm(ideal) == _ref_relative_norm(ideal), (d, form)
         for _ in range(4):
-            gens = [fe(Fraction(rng.randint(-40, 40), rng.randint(1, 12)),
+            gens = [FieldElem(Fraction(rng.randint(-40, 40), rng.randint(1, 12)),
                        Fraction(rng.randint(-40, 40), rng.randint(1, 12)), d)
                     for _ in range(rng.randint(1, 3))]
             module = dmod_from_generators(gens, dom)

@@ -133,6 +133,12 @@ class TestGamma:
         with pytest.raises(ClassGroupError):
             gamma(t_ideal_of_r(inst_c), inst_c)
 
+    def test_gamma_rejects_a_non_invertible_dpart(self, inst_d):
+        # on D = Z inside Q(i) the D-part Z + Z*i has rank 2: no Z-ideal
+        # times it is Z
+        with pytest.raises(ClassGroupError, match="gamma needs a t-invertible input"):
+            gamma(RawIdeal([RatFunc.one(), FieldElem(0, 1, -1)]), inst_d)
+
     def test_gamma_alpha_identity_on_samples(self, inst_c):
         rng = random.Random(21)
         count = 0

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starpull import class_groups, exprlang
+from starpull import exprlang
 from starpull.base_domain import class_label_D
 from starpull.cli import run_command
 from starpull.exprlang import (
@@ -40,7 +40,7 @@ from starpull.pullback import (
 from starpull.star_ops import StarOp, star_eval
 import reference_parser
 import reference_printers
-from strategies import elems, ratfuncs
+from strategies import elems, ratfuncs, tagged
 
 V_R = StarOp.divisorial("R")
 
@@ -274,10 +274,10 @@ class TestPrinters:
         assert exprlang.elem_to_expr is elem_to_expr
         assert forms == reference
 
-    @given(st.sampled_from((1, -1, -5, 2, 3)).flatmap(
-        lambda d: st.lists(ratfuncs(d), min_size=1, max_size=3)))
+    @given(tagged(lambda d: st.lists(ratfuncs(d), min_size=1, max_size=3), (1, -1, -5, 2, 3)))
     @settings(max_examples=300, deadline=None)
-    def test_scalars_print_the_same_bytes(self, fs):
+    def test_scalars_print_the_same_bytes(self, args):
+        _, fs = args
         inst = make_instance("A")  # a scalar's forms do not read the instance
         values = list(fs)
         if all(fs):
@@ -558,8 +558,8 @@ class TestRobustness:
         def broken(*args):
             raise AssertionError("internal fault")
 
-        monkeypatch.setattr(class_groups, "gamma", broken)
-        monkeypatch.setattr(class_groups, "alpha", broken)
+        monkeypatch.setattr(exprlang, "gamma", broken)
+        monkeypatch.setattr(exprlang, "alpha", broken)
         for text in ("gamma(ideal(2, 1 + sqrt(-5)))", "alpha(ideal(2))"):
             with pytest.raises(AssertionError, match="internal fault"):
                 evaluate(parse_expression(text), inst_c)
@@ -642,6 +642,10 @@ class TestCommands:
     def test_eval_bad_expression_usage_exit(self, capsys):
         assert run_command(["eval", "-i", "A", "-e", "colon(ideal(0))"]) == 2
         assert run_command(["eval", "-i", "A", "-e", "ideal(2 X)"]) == 2
+
+    def test_eval_gamma_of_a_non_invertible_dpart_exits_2(self, capsys):
+        assert run_command(["eval", "-i", "D", "-e", "gamma(ideal(1, sqrt(-1)))"]) == 2
+        assert capsys.readouterr().err == "error: gamma needs a t-invertible input (offset 0)\n"
 
     def test_verify_writes_json(self, tmp_path, capsys):
         out = tmp_path / "report.json"

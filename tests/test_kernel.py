@@ -22,39 +22,35 @@ from object_poly import ObjectPoly, object_gcd
 from strategies import bounded_fractions, elems, polys, ratfuncs, tagged
 
 
-def fe(x, y=0, d=1):
-    return FieldElem(Fraction(x), Fraction(y), d)
-
-
 class TestFieldElem:
     def test_inverse_of_quadratic_element(self):
         # independent check: multiply by the conjugate and divide by the norm
-        a = fe(1, 1, -5)
+        a = FieldElem(1, 1, -5)
         conj = a.conj()
         norm = a.x * a.x - (-5) * a.y * a.y
         expected = FieldElem(conj.x / norm, conj.y / norm, -5)
         assert a.inv() == expected
-        assert a * a.inv() == fe(1)
+        assert a * a.inv() == FieldElem(1)
 
     def test_norm_expands_as_x2_minus_d_y2(self):
-        assert fe(1, 1, -5).norm() == Fraction(6)
-        assert fe(3, 2, -5).norm() == Fraction(9 + 20)
+        assert FieldElem(1, 1, -5).norm() == Fraction(6)
+        assert FieldElem(3, 2, -5).norm() == Fraction(9 + 20)
 
     def test_rational_inverse(self):
-        a = fe(Fraction(7, 3))
-        assert a * a.inv() == fe(1)
+        a = FieldElem(Fraction(7, 3))
+        assert a * a.inv() == FieldElem(1)
 
     def test_zero_inverse_rejected(self):
         with pytest.raises(KernelError):
-            fe(0).inv()
+            FieldElem(0).inv()
 
     def test_mismatched_tags_rejected(self):
         with pytest.raises(KernelError):
-            fe(1, 1, -5) + fe(0, 1, -1)
+            FieldElem(1, 1, -5) + FieldElem(0, 1, -1)
 
     def test_rationals_embed_across_tags(self):
-        assert fe(2) + fe(1, 1, -5) == fe(3, 1, -5)
-        assert fe(2) == FieldElem(2, 0, 1)
+        assert FieldElem(2) + FieldElem(1, 1, -5) == FieldElem(3, 1, -5)
+        assert FieldElem(2) == FieldElem(2, 0, 1)
 
     def test_squarefree_tag_enforced(self):
         # valid tags seen first must not let a bad tag through, on its
@@ -74,7 +70,7 @@ class TestFieldElem:
         a = FieldElem(x, y, -5 if y != 0 else 1)
         if a.is_zero():
             return
-        assert a * a.inv() == fe(1)
+        assert a * a.inv() == FieldElem(1)
         assert (a + a.conj()).y == 0
 
 
@@ -171,13 +167,13 @@ class TestFieldElemAgainstFractionPairs:
             assert a == b and hash(a) == hash(b)
 
     def test_mismatched_tags_raise_in_every_operation(self):
-        p, q = fe(1, 1, -5), fe(Fraction(1, 2), 3, -1)
+        p, q = FieldElem(1, 1, -5), FieldElem(Fraction(1, 2), 3, -1)
         for op in (lambda: p + q, lambda: p - q, lambda: p * q, lambda: p / q):
             with pytest.raises(KernelError):
                 op()
 
     def test_immutable(self):
-        e = fe(1, 2, -5)
+        e = FieldElem(1, 2, -5)
         for name in ("x", "a", "d", "_abnd"):
             with pytest.raises(AttributeError):
                 setattr(e, name, 0)
@@ -256,8 +252,8 @@ class TestPoly:
 
     def test_mixed_tags_rejected_when_built(self):
         with pytest.raises(KernelError):
-            Poly([fe(0, 1, -1), fe(0, 1, -5)])
-        assert Poly([fe(2), fe(0, 1, -5)]) == Poly([2, fe(0, 1, -5)])
+            Poly([FieldElem(0, 1, -1), FieldElem(0, 1, -5)])
+        assert Poly([FieldElem(2), FieldElem(0, 1, -5)]) == Poly([2, FieldElem(0, 1, -5)])
 
     @given(tagged(polys), st.integers(0, 4))
     @settings(max_examples=150, deadline=None)
@@ -309,7 +305,7 @@ class TestFlatPolyAgainstObjectPoly:
         assert f.shift(j).shift(-j) == f
         assert f.shift(j).coeffs == (rf * ObjectPoly([0] * j + [1])).coeffs
         divisors = [(Poly.x_power(j), ObjectPoly([0] * j + [1])), (f.monic(), rf.monic())]
-        lead = fe(2, 1, d) if d != 1 else fe(3)
+        lead = FieldElem(2, 1, d) if d != 1 else FieldElem(3)
         divisors.append((f.scale(lead), rf.scale(lead)))
         for divisor, ref in divisors:
             for dividend, ref_dividend in ((g, rg), (g * f, rg * rf)):
@@ -333,8 +329,8 @@ class TestRatFunc:
             ord_at_zero(RatFunc.zero())
 
     def test_eval_examples(self):
-        assert eval_at_zero(RatFunc(poly(3, 1), poly(1, 1))) == fe(3)
-        assert eval_at_zero(RatFunc(poly(0, Fraction(1, 2)))) == fe(0)
+        assert eval_at_zero(RatFunc(poly(3, 1), poly(1, 1))) == FieldElem(3)
+        assert eval_at_zero(RatFunc(poly(0, Fraction(1, 2)))) == FieldElem(0)
 
     def test_eval_pole_rejected(self):
         with pytest.raises(KernelError):
@@ -444,11 +440,6 @@ class TestRatFunc:
 _FAST_PATH_TAGS = (1, 2, 3, -5)
 
 
-def _fast_path_tagged(strategy_of_tag):
-    return st.sampled_from(_FAST_PATH_TAGS).flatmap(
-        lambda d: st.tuples(st.just(d), strategy_of_tag(d)))
-
-
 def _same(value, num, den):
     # the constructor path: RatFunc reduces num/den through gcd
     reference = RatFunc(num, den)
@@ -459,7 +450,7 @@ class TestRatFuncFastPaths:
     """Sums with a polynomial, negation and division by a constant build
     their canonical forms with no gcd; each equals the constructor path."""
 
-    @given(_fast_path_tagged(lambda d: st.tuples(ratfuncs(d), polys(d), ratfuncs(d))))
+    @given(tagged(lambda d: st.tuples(ratfuncs(d), polys(d), ratfuncs(d)), _FAST_PATH_TAGS))
     @settings(max_examples=200, deadline=None)
     def test_sums_and_differences(self, args):
         _, (h, p, g) = args
@@ -473,7 +464,7 @@ class TestRatFuncFastPaths:
         assert _same(h + p, h.num + p * h.den, h.den)
         assert _same(h - p, h.num - p * h.den, h.den)
 
-    @given(_fast_path_tagged(lambda d: st.tuples(ratfuncs(d), polys(d))))
+    @given(tagged(lambda d: st.tuples(ratfuncs(d), polys(d)), _FAST_PATH_TAGS))
     @settings(max_examples=120, deadline=None)
     def test_sums_that_cancel_are_zero_over_one(self, args):
         _, (h, p) = args
@@ -482,14 +473,14 @@ class TestRatFuncFastPaths:
             assert total.num.is_zero() and total.den.is_one()
             assert total == RatFunc.zero()
 
-    @given(_fast_path_tagged(ratfuncs))
+    @given(tagged(ratfuncs, _FAST_PATH_TAGS))
     @settings(max_examples=120, deadline=None)
     def test_negation(self, args):
         _, h = args
         assert _same(-h, -h.num, h.den)
         assert -(-h) == h
 
-    @given(_fast_path_tagged(lambda d: st.tuples(ratfuncs(d), elems(d), st.integers(-6, 6))))
+    @given(tagged(lambda d: st.tuples(ratfuncs(d), elems(d), st.integers(-6, 6)), _FAST_PATH_TAGS))
     @settings(max_examples=200, deadline=None)
     def test_division_by_a_nonzero_constant(self, args):
         _, (h, c, k) = args
@@ -519,7 +510,7 @@ class TestRatFuncFastPaths:
         divisors = (3, RatFunc.coerce(FieldElem(0, 2, -5)))
         assert [h / c for c in divisors] + [7 / RatFunc.coerce(6)] == expected
 
-    @given(_fast_path_tagged(lambda d: st.tuples(elems(d), polys(d), ratfuncs(d))))
+    @given(tagged(lambda d: st.tuples(elems(d), polys(d), ratfuncs(d)), _FAST_PATH_TAGS))
     @settings(max_examples=100, deadline=None)
     def test_constant_paths_match_the_former_bodies(self, args):
         # a constant numerator over any denominator, the product of a
